@@ -45,13 +45,15 @@ from .beliefs import (
 from .confidence import (
     ConfidenceValue,
     confidence_from_json,
+    confidence_to_json,
     get_domain,
     kalman_combine,
 )
-from .errors import ConfigError, ConfLearnError, UnsupportedError
+from .errors import ConfigError, ConfLearnError, ParameterError, UnsupportedError
 from .flows import (
     IntegratorConfig,
     TrajectoryRecord,
+    _fmt,
     belief_coords,
     combine_fields,
     coord_labels,
@@ -133,12 +135,6 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
 def _seed_of(args, cfg: dict) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -177,13 +173,15 @@ def _build_learner(cfg: dict) -> Learner:
 
 
 def _parse_belief(obj) -> object:
-    if isinstance(obj, dict) and obj.get("kind") == "simplex" and isinstance(
-        obj.get("probs"), dict
-    ):
-        return FiniteSimplex.from_dict(obj["probs"])
     try:
+        if isinstance(obj, dict) and obj.get("kind") == "simplex" and isinstance(
+            obj.get("probs"), dict
+        ):
+            return FiniteSimplex.from_dict(obj["probs"])
         return belief_from_json(obj)
-    except ConfLearnError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"bad belief: missing field {exc}") from exc
+    except (ConfLearnError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad belief: {exc}") from exc
 
 
@@ -192,7 +190,7 @@ def _parse_observation(learner: Learner, obj, belief):
         raise ConfigError(f"learner {learner.id!r} takes no JSON observations")
     try:
         return learner.observation_from_json(obj, belief)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfLearnError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad observation {obj!r}: {exc}") from exc
 
 
@@ -222,6 +220,13 @@ def _integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
+def _check_steps(icfg: IntegratorConfig, t: float, step_out: Optional[float] = None) -> None:
+    try:
+        icfg.check_steps(t, step_out)
+    except ParameterError as exc:
+        raise ConfigError(f"bad integrator settings: {exc}") from exc
+
+
 def _parse_time(raw):
     if raw == "top":
         return math.inf
@@ -245,6 +250,8 @@ def _confidence_headers(learner: Learner) -> Tuple[Tuple[str, ...], Callable]:
         return ("n",), lambda v: (dom.to_float(v),)
     if dom.is_scalar_continuum:
         return ("chi",), lambda v: (dom.to_float(v),)
+    if dom.id.startswith("list:"):
+        return ("chi",), lambda v: (json.dumps(confidence_to_json(v), sort_keys=True),)
     raise UnsupportedError(
         f"confidence domain {dom.id!r} has no flat CSV representation"
     )
@@ -317,9 +324,11 @@ def _cmd_combine(args, cfg: dict) -> int:
         not isinstance(weights, list) or len(weights) != len(phis)
     ):
         raise ConfigError("'weights' must match 'observations' in length")
-    field = combine_fields(
-        [derivative_field(learner, phi) for phi in phis], weights
-    )
+    fields = [derivative_field(learner, phi) for phi in phis]
+    try:
+        field = combine_fields(fields, weights)
+    except (ParameterError, TypeError) as exc:
+        raise ConfigError(f"bad weights: {exc}") from exc
     icfg = _integrator(cfg)
     t = _parse_time(_need(cfg, "t"))
     name = cfg.get("output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
@@ -336,7 +345,11 @@ def _cmd_combine(args, cfg: dict) -> int:
             {"t": "top"},
         )
     else:
-        step_out = float(cfg.get("step_out", 0.1))
+        step_out = cfg.get("step_out", 0.1)
+        if not isinstance(step_out, (int, float)) or isinstance(step_out, bool):
+            raise ConfigError(f"'step_out' must be a number, got {step_out!r}")
+        step_out = float(step_out)
+        _check_steps(icfg, t, step_out)
         final, record = integrate_sampled(field, theta0, t, icfg, step_out=step_out)
     _atomic_write(_out_path(args, name), record.to_csv_text())
 
@@ -375,6 +388,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
     ):
         raise ConfigError("'n_values' must be an array of positive integers")
     icfg = _integrator(cfg)
+    _check_steps(icfg, float(chi))
 
     field = combine_fields(
         [derivative_field(learner, phi1), derivative_field(learner, phi2)]

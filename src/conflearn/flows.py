@@ -2,9 +2,20 @@
 
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
-statements in parallel, integrates fields with a fixed-step RK4/Euler scheme
-(with per-step projection back onto the simplex), and interleaves two flows
-to approximate their parallel combination from sequential updates.
+statements in parallel, integrates fields with a fixed-step RK4/Euler scheme,
+and interleaves two flows to approximate their parallel combination from
+sequential updates.
+
+Fields act on coordinate arrays.  A learner's closed field maps a belief's
+coordinates to its velocity components, ``combine_fields`` sums such maps,
+and the integrators step on arrays, projecting every stage back into the
+belief kind's constraint set (simplex: clip negatives, then renormalize;
+grades: clamp to [0, 1]; variance: clamp to >= 0).  Every stage keeps the
+checks a belief object would make: finite components, simplex tangents in
+the sum-zero plane, and projected states that keep their mass.  Belief
+objects are built only at the boundary: at sample points, for the result,
+and when a field is evaluated on a belief (``field(theta)`` wraps the
+components in a :class:`TangentVector`).
 
 The Fisher/euclidean gradient utilities let callers verify that a learner's
 update direction is metric gradient ascent on its belief functional.
@@ -15,11 +26,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beliefs import FiniteSimplex, GaussianBelief, GradedBeliefTable
+from .beliefs import MASS_EPS, FiniteSimplex, GaussianBelief, GradedBeliefTable
 from .confidence import ConfidenceValue, get_domain
 from .errors import (
     DomainError,
@@ -52,6 +63,8 @@ __all__ = [
 
 _SUM_TOL = 1e-10
 
+CoordsMap = Callable[[np.ndarray], np.ndarray]
+
 
 # ---------------------------------------------------------------------------
 # Coordinates for each belief representation.
@@ -70,28 +83,51 @@ def belief_coords(theta) -> np.ndarray:
     raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
 
 
+def _check_finite(vec: np.ndarray) -> None:
+    # a finite sum has finite terms; only a non-finite one needs a closer look
+    if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+        raise NumericalError("non-finite coordinates during integration")
+
+
+def _clip_mass(vec: np.ndarray) -> Tuple[np.ndarray, float]:
+    clipped = np.maximum(vec, 0.0)
+    total = clipped.sum()
+    if total <= 0.0:
+        raise NumericalError("probability mass vanished during integration")
+    return clipped, total
+
+
+def _project(kind: str, vec: np.ndarray) -> np.ndarray:
+    """belief_coords(belief_rebuild(template, vec)) for a template of this
+    kind, with the same checks, without building the belief."""
+    _check_finite(vec)
+    if kind == "simplex":
+        clipped, total = _clip_mass(vec)
+        if total <= MASS_EPS:  # FiniteSimplex's own check
+            raise ParameterError("probability vector sums to zero")
+        return clipped / total
+    if kind == "gaussian":
+        return np.array([vec[0], max(vec[1], 0.0)])
+    if kind == "graded":
+        return np.clip(vec, 0.0, 1.0)
+    return vec
+
+
 def belief_rebuild(template, vec: np.ndarray):
     """Rebuild a belief like ``template`` from coordinates, projecting back
     into the representation's constraint set (simplex: clip and renormalize;
     grades: clamp to [0, 1]; variance: clamp to >= 0)."""
     vec = np.asarray(vec, dtype=float)
-    if not np.all(np.isfinite(vec)):
-        raise NumericalError("non-finite coordinates during integration")
-    if isinstance(template, FiniteSimplex):
-        clipped = np.clip(vec, 0.0, None)
-        if clipped.sum() <= 0.0:
-            raise NumericalError("probability mass vanished during integration")
-        return template.with_probs(clipped)
-    if isinstance(template, GaussianBelief):
-        return GaussianBelief(vec[0], max(vec[1], 0.0))
-    if isinstance(template, GradedBeliefTable):
-        keys = template.keys()
-        return GradedBeliefTable(
-            {k: float(min(max(v, 0.0), 1.0)) for k, v in zip(keys, vec)}
-        )
-    if isinstance(template, np.ndarray):
-        return vec.copy()
-    raise UnsupportedError(f"no coordinates for {type(template).__name__}")
+    kind = _space_key(template)[0]
+    if kind == "simplex":  # FiniteSimplex renormalizes the clipped vector
+        _check_finite(vec)
+        return template.with_probs(_clip_mass(vec)[0])
+    coords = _project(kind, vec)
+    if kind == "gaussian":
+        return GaussianBelief(*coords)
+    if kind == "graded":
+        return GradedBeliefTable(dict(zip(template.keys(), coords)))
+    return coords.copy()
 
 
 def coord_labels(theta) -> Tuple[str, ...]:
@@ -122,6 +158,16 @@ def _space_key(theta) -> tuple:
 # Tangent vectors and field handles.
 
 
+def _check_tangent(comp: np.ndarray, simplex: bool) -> None:
+    drift = abs(float(np.add.reduce(comp)))
+    if not math.isfinite(drift) and not np.isfinite(comp).all():
+        raise NumericalError("non-finite tangent components")
+    if simplex and drift > _SUM_TOL:
+        raise NumericalError(
+            f"simplex tangent leaves the sum-one plane (drift {drift:.3g})"
+        )
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """A velocity attached to a belief state, in that state's coordinates."""
@@ -131,31 +177,94 @@ class TangentVector:
 
     def __post_init__(self):
         comp = np.asarray(self.components, dtype=float).copy()
-        if not np.all(np.isfinite(comp)):
-            raise NumericalError("non-finite tangent components")
-        if isinstance(self.base, FiniteSimplex):
-            drift = abs(float(comp.sum()))
-            if drift > _SUM_TOL:
-                raise NumericalError(
-                    f"simplex tangent leaves the sum-one plane (drift {drift:.3g})"
-                )
+        _check_tangent(comp, isinstance(self.base, FiniteSimplex))
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
 
 
 @dataclass(frozen=True)
 class VectorFieldHandle:
-    """A named, space-tagged vector field; evaluate with ``field(theta)``."""
+    """A named, space-tagged vector field; evaluate with ``field(theta)``.
+
+    ``coords_map(theta0, space)``, when set, is the field on coordinate
+    arrays: a map from coordinates on theta0's space (key ``space``) to
+    components.  The integrators step with it; without it they rebuild a
+    belief for each evaluation of ``eval_at``.
+    """
 
     label: str
     space: tuple
     eval_at: Callable[[Any], TangentVector]
+    coords_map: Optional[Callable[[Any, tuple], CoordsMap]] = None
 
-    def __call__(self, theta) -> TangentVector:
-        if _space_key(theta) != self.space:
+    def _match(self, key: tuple) -> None:
+        if key != self.space:
             raise ParameterError(
                 f"field {self.label!r} evaluated on a different belief space"
             )
+
+    def __call__(self, theta) -> TangentVector:
+        self._match(_space_key(theta))
+        return self.eval_at(theta)
+
+    def _bind(self, theta0) -> Tuple[CoordsMap, str]:
+        """The field on theta0's space as a map on coordinate arrays whose
+        components pass the checks a TangentVector makes, and the space's
+        belief kind."""
+        key = _space_key(theta0)
+        self._match(key)
+        if self.coords_map is not None:
+            fmap = self.coords_map(theta0, key)
+        else:
+            eval_at = self.eval_at
+
+            def fmap(c):
+                return eval_at(belief_rebuild(theta0, c)).components
+
+        simplex = key[0] == "simplex"
+
+        def checked(c):
+            comp = fmap(c)
+            _check_tangent(comp, simplex)
+            return comp
+
+        return checked, key[0]
+
+
+class _LazyHandle(VectorFieldHandle):
+    """Field handle that fixes its space tag on first evaluation.
+
+    Built from a coordinate map; ``eval_at`` defaults to wrapping that map's
+    components at a belief's coordinates in a TangentVector.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        coords_map: Callable[[Any, tuple], CoordsMap],
+        eval_at: Optional[Callable[[Any], TangentVector]] = None,
+    ):
+        if eval_at is None:
+
+            def eval_at(theta) -> TangentVector:
+                fmap = coords_map(theta, _space_key(theta))
+                return TangentVector(theta, fmap(belief_coords(theta)))
+
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "space", None)
+        object.__setattr__(self, "eval_at", eval_at)
+        object.__setattr__(self, "coords_map", coords_map)
+
+    def _match(self, key: tuple) -> None:
+        if self.space is None:
+            object.__setattr__(self, "space", key)
+        else:
+            super()._match(key)
+
+    # Defined here as well as on the base class: bench/tracer.py patches
+    # each class's own __call__.
+    def __call__(self, theta) -> TangentVector:
+        self._match(_space_key(theta))
         return self.eval_at(theta)
 
 
@@ -187,53 +296,44 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
     the left of zero, so the stencil is forward).
     """
     label = f"{learner.id}:{_obs_label(learner, phi)}"
+    outside = f"state outside the update domain of {label}"
 
     if learner.closed_field is not None:
         inner = learner.closed_field(phi)
 
-        def eval_closed(theta) -> TangentVector:
-            if not learner.in_domain(phi, theta):
-                raise DomainError(f"state outside the update domain of {label}")
-            return TangentVector(theta, inner(theta))
+        def closed_map(theta0, space) -> CoordsMap:
+            def fmap(c):
+                try:
+                    return inner(c, space)
+                except DomainError:
+                    raise DomainError(outside) from None
 
-        return _LazyHandle(label, eval_closed)
+            return fmap
+
+        return _LazyHandle(label, closed_map)
 
     if learner.make_flow is not None:
         flow = learner.make_flow(phi)
 
-        def eval_fd(theta) -> TangentVector:
+        def stencil(theta) -> np.ndarray:
             if not learner.in_domain(phi, theta):
-                raise DomainError(f"state outside the update domain of {label}")
+                raise DomainError(outside)
             c0 = belief_coords(theta)
             c1 = belief_coords(flow(h, theta))
             c2 = belief_coords(flow(2.0 * h, theta))
             v = (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
             if isinstance(theta, FiniteSimplex):
                 v = v - v.mean()  # discard off-plane stencil round-off
-            return TangentVector(theta, v)
+            return v
 
-        return _LazyHandle(label, eval_fd)
+        def stencil_map(theta0, space) -> CoordsMap:
+            return lambda c: stencil(belief_rebuild(theta0, c))
+
+        return _LazyHandle(
+            label, stencil_map, lambda theta: TangentVector(theta, stencil(theta))
+        )
 
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
-
-
-class _LazyHandle(VectorFieldHandle):
-    """Field handle that fixes its space tag on first evaluation."""
-
-    def __init__(self, label: str, eval_at: Callable[[Any], TangentVector]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "space", None)
-        object.__setattr__(self, "eval_at", eval_at)
-
-    def __call__(self, theta) -> TangentVector:
-        key = _space_key(theta)
-        if self.space is None:
-            object.__setattr__(self, "space", key)
-        elif key != self.space:
-            raise ParameterError(
-                f"field {self.label!r} evaluated on a different belief space"
-            )
-        return self.eval_at(theta)
 
 
 def parallel_field(learner: Learner, parallel: ParallelObservation, h: float = 1e-6) -> VectorFieldHandle:
@@ -260,17 +360,22 @@ def combine_fields(
             raise ParameterError(f"weights must be positive and finite, got {w!r}")
     pairs = sorted(zip(fields, weights), key=lambda fw: fw[0].label)
 
-    def eval_sum(theta) -> TangentVector:
-        total = None
-        for f, w in pairs:
-            tv = f(theta)
-            total = w * tv.components if total is None else total + w * tv.components
-        return TangentVector(theta, total)
+    def sum_map(theta0, space) -> CoordsMap:
+        terms = [(f._bind(theta0)[0], w) for f, w in pairs]
+
+        def fmap(c):
+            total = None
+            for term, w in terms:
+                comp = term(c)
+                total = w * comp if total is None else total + w * comp
+            return total
+
+        return fmap
 
     label = "(" + " + ".join(
         (f"{w:g}*{f.label}" if w != 1.0 else f.label) for f, w in pairs
     ) + ")"
-    return _LazyHandle(label, eval_sum)
+    return _LazyHandle(label, sum_map)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +452,17 @@ def metric_gradient(
 # Fixed-step integration.
 
 
+_QUIET_STEPS = 10  # consecutive quiet steps that count as a detected limit
+_REM_TOL = 1e-15  # a remainder below this takes no extra step
+
+
+def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
+    if step_out is None:
+        return (t,)
+    n_samples = int(math.ceil(t / step_out))
+    return (min(i * step_out, t) for i in range(1, n_samples + 1))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Deterministic fixed-step integrator settings.
@@ -354,7 +470,8 @@ class IntegratorConfig:
     ``limit_tol``/``t_max``/``max_steps`` control detection of the infinite-
     confidence limit: the integration stops once the field's sup norm stays
     below ``limit_tol`` for ten consecutive steps, and reports no limit after
-    ``max_steps`` steps or time ``t_max``.
+    ``max_steps`` steps or time ``t_max``.  A finite-time integration that
+    would take more than ``max_steps`` steps is rejected before it starts.
     """
 
     scheme: str = "rk4"
@@ -368,11 +485,24 @@ class IntegratorConfig:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if not (self.step > 0 and self.t_max > 0 and self.limit_tol > 0):
             raise ParameterError("step, t_max and limit_tol must be positive")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be at least 1")
+        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+            raise ParameterError("max_steps must be an integer of at least 1")
 
-
-_QUIET_STEPS = 10  # consecutive quiet steps that count as a detected limit
+    def check_steps(self, t: float, step_out: Optional[float] = None) -> None:
+        """Reject integrating to finite time ``t``, sampled every ``step_out``
+        if given, when all its sample intervals take over ``max_steps`` steps."""
+        if step_out is not None and not step_out > 0:
+            raise ParameterError("step_out must be positive")
+        too_many = f"t={t:g} takes more than max_steps={self.max_steps} steps"
+        if step_out is not None and t / step_out > self.max_steps:
+            raise ParameterError(f"{too_many}: it has more samples than that")
+        steps, now = 0, 0.0
+        for target in _sample_times(t, step_out):
+            n_full, rem = divmod(target - now, self.step)
+            steps += int(n_full) + (rem > _REM_TOL)
+            now = target
+            if steps > self.max_steps:
+                raise ParameterError(f"{too_many} of {self.step:g}")
 
 
 def _coerce_time(t) -> float:
@@ -384,15 +514,33 @@ def _coerce_time(t) -> float:
     return t
 
 
-def _one_step(field: VectorFieldHandle, theta, h: float, scheme: str):
-    c0 = belief_coords(theta)
-    k1 = field(theta).components
+def _advance(f: CoordsMap, kind: str, c, k1, h: float, scheme: str) -> np.ndarray:
+    """One step of size h from projected coordinates c, where k1 = f(c);
+    returns the new state before its projection."""
     if scheme == "euler":
-        return belief_rebuild(theta, c0 + h * k1)
-    k2 = field(belief_rebuild(theta, c0 + 0.5 * h * k1)).components
-    k3 = field(belief_rebuild(theta, c0 + 0.5 * h * k2)).components
-    k4 = field(belief_rebuild(theta, c0 + h * k3)).components
-    return belief_rebuild(theta, c0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return c + h * k1
+    k2 = f(_project(kind, c + 0.5 * h * k1))
+    k3 = f(_project(kind, c + 0.5 * h * k2))
+    k4 = f(_project(kind, c + h * k3))
+    return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _cover(f: CoordsMap, kind: str, c, v, dt: float, cfg: IntegratorConfig):
+    """Cover time dt with whole steps, then one remainder step.  Returns the
+    projected state and the last step's unprojected one (v if none)."""
+    n_full, rem = divmod(dt, cfg.step)
+    for _ in range(int(n_full)):
+        v = _advance(f, kind, c, f(c), cfg.step, cfg.scheme)
+        c = _project(kind, v)
+    if rem > _REM_TOL:
+        v = _advance(f, kind, c, f(c), rem, cfg.scheme)
+        c = _project(kind, v)
+    return c, v
+
+
+def _result(theta0, v):
+    # rebuilding from the unprojected state gives the bits the projection gave
+    return theta0 if v is None else belief_rebuild(theta0, v)
 
 
 def integrate(
@@ -404,25 +552,25 @@ def integrate(
     """Follow the field from theta0 for additive time t (top = to the limit)."""
     cfg = cfg or IntegratorConfig()
     t = _coerce_time(t)
-    theta = theta0
-    if math.isinf(t):
-        quiet = 0
-        cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
-        for _ in range(cap):
-            theta = _one_step(field, theta, cfg.step, cfg.scheme)
-            norm = float(np.abs(field(theta).components).max())
-            quiet = quiet + 1 if norm < cfg.limit_tol else 0
-            if quiet >= _QUIET_STEPS:
-                return theta
-        raise NoLimitError(
-            f"no limit detected within {cap} steps (field norm still moving)"
-        )
-    n_full, rem = divmod(t, cfg.step)
-    for _ in range(int(n_full)):
-        theta = _one_step(field, theta, cfg.step, cfg.scheme)
-    if rem > 1e-15:
-        theta = _one_step(field, theta, rem, cfg.scheme)
-    return theta
+    if not math.isinf(t):
+        cfg.check_steps(t)
+        f, kind = field._bind(theta0)
+        return _result(theta0, _cover(f, kind, belief_coords(theta0), None, t, cfg)[1])
+    f, kind = field._bind(theta0)
+    c = belief_coords(theta0)
+    k1 = f(c)
+    quiet = 0
+    cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
+    for _ in range(cap):
+        v = _advance(f, kind, c, k1, cfg.step, cfg.scheme)
+        c = _project(kind, v)
+        k1 = f(c)  # also the next step's first stage
+        quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
+        if quiet >= _QUIET_STEPS:
+            return _result(theta0, v)
+    raise NoLimitError(
+        f"no limit detected within {cap} steps (field norm still moving)"
+    )
 
 
 @dataclass
@@ -440,7 +588,10 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """A CSV field: strings pass through, numbers get 17 significant digits."""
+    if isinstance(x, str):
+        return x
     return f"{float(x):.17g}"
 
 
@@ -460,19 +611,17 @@ def integrate_sampled(
     t = _coerce_time(t)
     if math.isinf(t):
         raise ParameterError("sampled integration needs a finite time")
-    if step_out <= 0:
-        raise ParameterError("step_out must be positive")
+    cfg.check_steps(t, step_out)
     columns = ("t",) + coord_labels(theta0)
-    rows = [(0.0,) + tuple(belief_coords(theta0))]
-    theta = theta0
-    n_samples = int(math.ceil(t / step_out))
+    f, kind = field._bind(theta0)
+    c, v = belief_coords(theta0), None
+    rows = [(0.0,) + tuple(c)]
     now = 0.0
-    for i in range(1, n_samples + 1):
-        target = min(i * step_out, t)
-        theta = integrate(field, theta, target - now, cfg)
+    for target in _sample_times(t, step_out):
+        c, v = _cover(f, kind, c, v, target - now, cfg)
         now = target
-        rows.append((now,) + tuple(belief_coords(theta)))
-    return theta, TrajectoryRecord(columns, rows, {"t": t, "step_out": step_out})
+        rows.append((now,) + tuple(c))
+    return _result(theta0, v), TrajectoryRecord(columns, rows, {"t": t, "step_out": step_out})
 
 
 # ---------------------------------------------------------------------------

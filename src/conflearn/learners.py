@@ -100,7 +100,11 @@ class Learner:
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
-    closed_field: Optional[Callable[[Any], Callable[[Any], np.ndarray]]] = None
+    # closed_field(phi) is the derivative field on coordinate arrays:
+    # field(c, space) maps a belief's coordinates c (flows.belief_coords) on
+    # the belief space with key ``space`` to its velocity components, and
+    # raises DomainError where in_domain(phi, belief) is false.
+    closed_field: Optional[Callable[[Any], Callable[[np.ndarray, tuple], np.ndarray]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
@@ -167,8 +171,17 @@ def _interp_flow(a: EventSet):
 
 
 def _interp_field(a: EventSet):
-    def field(p: FiniteSimplex) -> np.ndarray:
-        return np.asarray(condition(p, a).probs) - np.asarray(p.probs)
+    ind = a.indicator()
+
+    def field(c: np.ndarray, space: tuple) -> np.ndarray:
+        # condition(p, a).probs - p.probs, op for op
+        if space[1] != a.labels:
+            raise ParameterError("event over a different world set")
+        mass = float(c @ ind)
+        if mass <= MASS_EPS:
+            raise DomainError(f"event {a!r} has no mass")
+        cond = c * ind / mass
+        return cond / cond.sum() - c
 
     return field
 
@@ -457,10 +470,9 @@ def boltzmann_observe(
 
 
 def _boltzmann_field(v: RandomVariable):
-    def field(p: FiniteSimplex) -> np.ndarray:
-        pr = np.asarray(p.probs)
-        mean = float(pr @ v.values)
-        return pr * (mean - np.asarray(v.values))
+    def field(c: np.ndarray, space: tuple) -> np.ndarray:
+        mean = float(c @ v.values)
+        return c * (mean - np.asarray(v.values))
 
     return field
 
@@ -655,16 +667,17 @@ def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
 
     def closed_field(key: str):
         lik = model.row(key)
+        impossible = lik <= 0.0
+        can_contradict = bool(impossible.any())
+        penalty = -np.log(np.where(impossible, 1.0, lik))
 
-        def fieldfn(p: FiniteSimplex) -> np.ndarray:
-            pr = np.asarray(p.probs)
-            supp = pr > 0.0
-            v = np.zeros_like(pr)
-            v[supp] = -np.log(lik[supp])
-            mean = float(pr @ v)
-            out = pr * (mean - v)
-            out[~supp] = 0.0
-            return out
+        def fieldfn(c: np.ndarray, space: tuple) -> np.ndarray:
+            supp = c > 0.0
+            if can_contradict and np.any(supp & impossible):
+                raise DomainError(f"observation {key!r} contradicts the state")
+            v = np.where(supp, penalty, 0.0)
+            mean = float(c @ v)
+            return np.where(supp, c * (mean - v), 0.0)
 
         return fieldfn
 
@@ -753,10 +766,13 @@ def make_max_graded_learner() -> Learner:
         return flow
 
     def closed_field(key: str):
-        def fieldfn(table: GradedBeliefTable) -> np.ndarray:
-            keys = table.keys()
+        def fieldfn(c: np.ndarray, space: tuple) -> np.ndarray:
+            keys = space[1]
+            if key not in keys:
+                raise DomainError(f"unknown statement {key!r}")
+            i = keys.index(key)
             out = np.zeros(len(keys))
-            out[keys.index(key)] = 1.0 - table.grade(key)
+            out[i] = 1.0 - c[i]
             return out
 
         return fieldfn

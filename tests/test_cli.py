@@ -262,3 +262,55 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# config mistakes exit 2 without a traceback
+
+
+COMBINE_INTERP = {
+    "learner": "interp",
+    "belief": {"kind": "simplex", "probs": {"a": 0.8, "b": 0.1, "c": 0.1}},
+    "observations": [{"event": ["a"]}, {"event": ["b", "c"]}],
+    "t": 1.0,
+}
+
+
+def test_combine_step_budget_exits_2(tmp_path, capsys):
+    cfg = dict(COMBINE_INTERP, integrator={"step": 1e-9, "max_steps": 5})
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
+def test_combine_zero_step_out_exits_2(tmp_path):
+    cfg = dict(COMBINE_INTERP, step_out=0)
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+def test_combine_unknown_world_exits_2(tmp_path):
+    cfg = dict(COMBINE_INTERP, observations=[{"event": ["zz"]}])
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+@pytest.mark.parametrize("weights", [["x", 1.0], [-1.0, 1.0]])
+def test_combine_bad_weights_exit_2(tmp_path, weights):
+    cfg = dict(COMBINE_INTERP, weights=weights)
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+def test_combine_simplex_without_probs_exits_2(tmp_path):
+    cfg = dict(COMBINE_INTERP, belief={"kind": "simplex", "labels": ["a", "b", "c"]})
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+def test_learn_on_list_lift_writes_csv(tmp_path):
+    cfg = {
+        "learner": "interp@list",
+        "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
+        "observation": {"event": ["a", "b"]},
+    }
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
+    rows = read_csv(tmp_path, "learn_interp@list.csv")
+    assert rows[0][:4] == ["chi", "a", "b", "c"]
+    assert json.loads(rows[1][0]) == {"domain": "list:frac", "value": "bot"}
+    assert [float(x) for x in rows[1][1:4]] == [0.5, 0.3, 0.2]

@@ -289,6 +289,8 @@ def test_integrator_rejects_bad_settings():
         IntegratorConfig(scheme="leapfrog")
     with pytest.raises(ParameterError):
         IntegratorConfig(step=0.0)
+    with pytest.raises(ParameterError):
+        IntegratorConfig(max_steps=5.5)
 
 
 def test_no_limit_error_for_drifting_field():
@@ -385,3 +387,90 @@ def test_trotter_commuting_is_exact():
     flow_a = learner.make_flow(a)
     out = trotter_interleave(learner, a, a, 0.8, 1, p)
     assert belief_distance(out, flow_a(1.6, p)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the object path, and its step budget.
+
+
+def _object_rk4(field, theta, h):
+    """One RK4 step that builds a belief at every stage (the reference)."""
+    c0 = belief_coords(theta)
+    k1 = field(theta).components
+    k2 = field(belief_rebuild(theta, c0 + 0.5 * h * k1)).components
+    k3 = field(belief_rebuild(theta, c0 + 0.5 * h * k2)).components
+    k4 = field(belief_rebuild(theta, c0 + h * k3)).components
+    return belief_rebuild(theta, c0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _mixed_field():
+    from conflearn import BayesModel, make_bayes_learner
+
+    labels = ("a", "b", "c", "d")
+    model = BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.1])})
+    p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
+    field = combine_fields(
+        [
+            derivative_field(get_learner("boltzmann"), RandomVariable(labels, np.array([0.3, -0.2, 1.1, 0.4]))),
+            derivative_field(make_bayes_learner(model), "e"),
+            derivative_field(get_learner("interp"), p.event(["a", "c"])),
+        ],
+        [0.8, 1.3, 0.6],
+    )
+    return field, p
+
+
+def test_kernel_matches_object_path_at_finite_time():
+    field, p = _mixed_field()
+    cfg = IntegratorConfig(step=2.0 ** -7, max_steps=192)  # 1.5 = 192 whole steps
+    ref = p
+    for _ in range(192):
+        ref = _object_rk4(field, ref, cfg.step)
+    assert np.array_equal(integrate(field, p, 1.5, cfg).probs, ref.probs)
+
+
+def test_kernel_matches_object_path_to_the_limit():
+    field, p = _mixed_field()
+    cfg = IntegratorConfig(step=0.01)
+    ref, quiet = p, 0
+    for _ in range(100_000):
+        ref = _object_rk4(field, ref, cfg.step)
+        quiet = quiet + 1 if np.abs(field(ref).components).max() < cfg.limit_tol else 0
+        if quiet == 10:
+            break
+    assert quiet == 10
+    assert np.array_equal(integrate(field, p, math.inf, cfg).probs, ref.probs)
+
+
+def test_finite_integration_builds_few_simplexes(monkeypatch):
+    field, p = _mixed_field()
+    built = []
+    init = FiniteSimplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteSimplex, "__init__", counting_init)
+    integrate(field, p, 1.0, IntegratorConfig(step=0.01))  # 100 steps
+    assert len(built) <= 3
+
+
+def test_finite_integration_honours_max_steps():
+    evals = []
+    drift = VectorFieldHandle(
+        "drift",
+        ("gaussian",),
+        lambda b: evals.append(b) or TangentVector(b, np.array([1.0, 0.0])),
+    )
+    g = GaussianBelief(0.0, 1.0)
+    with pytest.raises(ParameterError, match="max_steps"):
+        integrate(drift, g, 1.0, IntegratorConfig(step=1e-9, max_steps=5))
+    assert not evals  # rejected before the first step
+    # the budget spans every sample interval: 4 x 25 steps, each under 60
+    cfg = IntegratorConfig(step=0.01, max_steps=60)
+    with pytest.raises(ParameterError, match="max_steps"):
+        integrate_sampled(drift, g, 1.0, cfg, step_out=0.25)
+    assert not evals
+    final, _ = integrate_sampled(drift, g, 1.0, IntegratorConfig(step=0.01, max_steps=110), step_out=0.25)
+    assert final.mean == pytest.approx(1.0)
