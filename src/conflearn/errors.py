@@ -43,3 +43,7 @@ class UnsupportedError(ConfLearnError):
 
 class ConfigError(ConfLearnError):
     """A run configuration file is malformed or inconsistent."""
+
+
+class StepBudgetError(ParameterError):
+    """A finite-time integration would take more steps than ``max_steps``."""

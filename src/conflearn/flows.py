@@ -7,15 +7,10 @@ and interleaves two flows to approximate their parallel combination from
 sequential updates.
 
 Fields act on coordinate arrays.  A learner's closed field maps a belief's
-coordinates to its velocity components, ``combine_fields`` sums such maps,
-and the integrators step on arrays, projecting every stage back into the
-belief kind's constraint set (simplex: clip negatives, then renormalize;
-grades: clamp to [0, 1]; variance: clamp to >= 0).  Every stage keeps the
-checks a belief object would make: finite components, simplex tangents in
-the sum-zero plane, and projected states that keep their mass.  Belief
-objects are built only at the boundary: at sample points, for the result,
-and when a field is evaluated on a belief (``field(theta)`` wraps the
-components in a :class:`TangentVector`).
+coordinates to its velocity, ``combine_fields`` sums such maps, and the
+integrators step on arrays, projecting each stage into the belief kind's
+constraint set with the checks a belief object makes.  Beliefs are built for
+the result, and for each evaluation of a field with no closed form.
 
 The Fisher/euclidean gradient utilities let callers verify that a learner's
 update direction is metric gradient ascent on its belief functional.
@@ -37,6 +32,7 @@ from .errors import (
     NoLimitError,
     NumericalError,
     ParameterError,
+    StepBudgetError,
     UnsupportedError,
 )
 from .learners import Learner
@@ -63,7 +59,12 @@ __all__ = [
 
 _SUM_TOL = 1e-10
 
-CoordsMap = Callable[[np.ndarray], np.ndarray]
+# A field on coordinate arrays, bound to some start state theta0: fmap(v, c)
+# is the field's components at c, the projection of the unprojected state v
+# (v is None at theta0 itself, and c is then theta0's coordinates).  Closed
+# fields read c; other fields rebuild their belief from v, as the object
+# path did, which keeps its bits.
+CoordsMap = Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +185,11 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class VectorFieldHandle:
-    """A named, space-tagged vector field; evaluate with ``field(theta)``.
-
-    ``coords_map(theta0, space)``, when set, is the field on coordinate
-    arrays: a map from coordinates on theta0's space (key ``space``) to
-    components.  The integrators step with it; without it they rebuild a
-    belief for each evaluation of ``eval_at``.
-    """
+    """A named, space-tagged vector field; evaluate with ``field(theta)``."""
 
     label: str
     space: tuple
     eval_at: Callable[[Any], TangentVector]
-    coords_map: Optional[Callable[[Any, tuple], CoordsMap]] = None
 
     def _match(self, key: tuple) -> None:
         if key != self.space:
@@ -208,52 +202,39 @@ class VectorFieldHandle:
         return self.eval_at(theta)
 
     def _bind(self, theta0) -> Tuple[CoordsMap, str]:
-        """The field on theta0's space as a map on coordinate arrays whose
-        components pass the checks a TangentVector makes, and the space's
-        belief kind."""
+        """The field on theta0's space as a CoordsMap whose components pass
+        the checks a TangentVector makes, and the space's belief kind.  This
+        one rebuilds the stage belief from the unprojected state."""
         key = _space_key(theta0)
         self._match(key)
-        if self.coords_map is not None:
-            fmap = self.coords_map(theta0, key)
-        else:
-            eval_at = self.eval_at
-
-            def fmap(c):
-                return eval_at(belief_rebuild(theta0, c)).components
-
-        simplex = key[0] == "simplex"
-
-        def checked(c):
-            comp = fmap(c)
-            _check_tangent(comp, simplex)
-            return comp
-
-        return checked, key[0]
+        eval_at = self.eval_at
+        return (lambda v, c: eval_at(_result(theta0, v)).components), key[0]
 
 
 class _LazyHandle(VectorFieldHandle):
     """Field handle that fixes its space tag on first evaluation.
 
-    Built from a coordinate map; ``eval_at`` defaults to wrapping that map's
-    components at a belief's coordinates in a TangentVector.
+    Built from ``eval_at``, or from ``coords(theta0, space)``: the field on
+    theta0's space (key ``space``) as a CoordsMap.  The integrators step with
+    that map, and ``eval_at`` then wraps its components in a TangentVector.
     """
 
     def __init__(
         self,
         label: str,
-        coords_map: Callable[[Any, tuple], CoordsMap],
         eval_at: Optional[Callable[[Any], TangentVector]] = None,
+        coords: Optional[Callable[[Any, tuple], CoordsMap]] = None,
     ):
         if eval_at is None:
 
             def eval_at(theta) -> TangentVector:
-                fmap = coords_map(theta, _space_key(theta))
-                return TangentVector(theta, fmap(belief_coords(theta)))
+                fmap = coords(theta, _space_key(theta))
+                return TangentVector(theta, fmap(None, belief_coords(theta)))
 
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "space", None)
         object.__setattr__(self, "eval_at", eval_at)
-        object.__setattr__(self, "coords_map", coords_map)
+        object.__setattr__(self, "_coords", coords)
 
     def _match(self, key: tuple) -> None:
         if self.space is None:
@@ -266,6 +247,20 @@ class _LazyHandle(VectorFieldHandle):
     def __call__(self, theta) -> TangentVector:
         self._match(_space_key(theta))
         return self.eval_at(theta)
+
+    def _bind(self, theta0) -> Tuple[CoordsMap, str]:
+        if self._coords is None:
+            return super()._bind(theta0)
+        key = _space_key(theta0)
+        self._match(key)
+        fmap, simplex = self._coords(theta0, key), key[0] == "simplex"
+
+        def checked(v, c):
+            comp = fmap(v, c)
+            _check_tangent(comp, simplex)
+            return comp
+
+        return checked, key[0]
 
 
 @dataclass(frozen=True)
@@ -302,7 +297,7 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
         inner = learner.closed_field(phi)
 
         def closed_map(theta0, space) -> CoordsMap:
-            def fmap(c):
+            def fmap(v, c):
                 try:
                     return inner(c, space)
                 except DomainError:
@@ -310,12 +305,12 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
 
             return fmap
 
-        return _LazyHandle(label, closed_map)
+        return _LazyHandle(label, coords=closed_map)
 
     if learner.make_flow is not None:
         flow = learner.make_flow(phi)
 
-        def stencil(theta) -> np.ndarray:
+        def eval_fd(theta) -> TangentVector:
             if not learner.in_domain(phi, theta):
                 raise DomainError(outside)
             c0 = belief_coords(theta)
@@ -324,14 +319,9 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
             v = (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
             if isinstance(theta, FiniteSimplex):
                 v = v - v.mean()  # discard off-plane stencil round-off
-            return v
+            return TangentVector(theta, v)
 
-        def stencil_map(theta0, space) -> CoordsMap:
-            return lambda c: stencil(belief_rebuild(theta0, c))
-
-        return _LazyHandle(
-            label, stencil_map, lambda theta: TangentVector(theta, stencil(theta))
-        )
+        return _LazyHandle(label, eval_fd)
 
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
 
@@ -363,10 +353,10 @@ def combine_fields(
     def sum_map(theta0, space) -> CoordsMap:
         terms = [(f._bind(theta0)[0], w) for f, w in pairs]
 
-        def fmap(c):
+        def fmap(v, c):
             total = None
             for term, w in terms:
-                comp = term(c)
+                comp = term(v, c)
                 total = w * comp if total is None else total + w * comp
             return total
 
@@ -375,7 +365,7 @@ def combine_fields(
     label = "(" + " + ".join(
         (f"{w:g}*{f.label}" if w != 1.0 else f.label) for f, w in pairs
     ) + ")"
-    return _LazyHandle(label, sum_map)
+    return _LazyHandle(label, coords=sum_map)
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +478,20 @@ class IntegratorConfig:
         if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
             raise ParameterError("max_steps must be an integer of at least 1")
 
-    def check_steps(self, t: float, step_out: Optional[float] = None) -> None:
-        """Reject integrating to finite time ``t``, sampled every ``step_out``
-        if given, when all its sample intervals take over ``max_steps`` steps."""
-        if step_out is not None and not step_out > 0:
-            raise ParameterError("step_out must be positive")
-        too_many = f"t={t:g} takes more than max_steps={self.max_steps} steps"
-        if step_out is not None and t / step_out > self.max_steps:
-            raise ParameterError(f"{too_many}: it has more samples than that")
-        steps, now = 0, 0.0
-        for target in _sample_times(t, step_out):
-            n_full, rem = divmod(target - now, self.step)
-            steps += int(n_full) + (rem > _REM_TOL)
-            now = target
-            if steps > self.max_steps:
-                raise ParameterError(f"{too_many} of {self.step:g}")
+
+def _check_budget(cfg: IntegratorConfig, t: float, step_out: Optional[float] = None) -> None:
+    """Reject integrating to finite time t, sampled every ``step_out`` if
+    given, when its sample intervals together take over ``max_steps`` steps."""
+    too_many = f"t={t:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}"
+    if step_out is not None and t / step_out > cfg.max_steps:
+        raise StepBudgetError(too_many)  # every sample interval takes a step
+    steps, now = 0, 0.0
+    for target in _sample_times(t, step_out):
+        n_full, rem = divmod(target - now, cfg.step)
+        steps += int(n_full) + (rem > _REM_TOL)
+        now = target
+        if steps > cfg.max_steps:
+            raise StepBudgetError(too_many)
 
 
 def _coerce_time(t) -> float:
@@ -514,26 +503,30 @@ def _coerce_time(t) -> float:
     return t
 
 
+def _at(f: CoordsMap, kind: str, v: np.ndarray) -> np.ndarray:
+    return f(v, _project(kind, v))
+
+
 def _advance(f: CoordsMap, kind: str, c, k1, h: float, scheme: str) -> np.ndarray:
-    """One step of size h from projected coordinates c, where k1 = f(c);
-    returns the new state before its projection."""
+    """One step of size h from projected coordinates c, where k1 is the field
+    there; returns the new state before its projection."""
     if scheme == "euler":
         return c + h * k1
-    k2 = f(_project(kind, c + 0.5 * h * k1))
-    k3 = f(_project(kind, c + 0.5 * h * k2))
-    k4 = f(_project(kind, c + h * k3))
+    k2 = _at(f, kind, c + 0.5 * h * k1)
+    k3 = _at(f, kind, c + 0.5 * h * k2)
+    k4 = _at(f, kind, c + h * k3)
     return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _cover(f: CoordsMap, kind: str, c, v, dt: float, cfg: IntegratorConfig):
-    """Cover time dt with whole steps, then one remainder step.  Returns the
-    projected state and the last step's unprojected one (v if none)."""
+    """Cover time dt from the state v (projected: c) with whole steps, then
+    one remainder step.  Returns the new projected and unprojected states."""
     n_full, rem = divmod(dt, cfg.step)
     for _ in range(int(n_full)):
-        v = _advance(f, kind, c, f(c), cfg.step, cfg.scheme)
+        v = _advance(f, kind, c, f(v, c), cfg.step, cfg.scheme)
         c = _project(kind, v)
     if rem > _REM_TOL:
-        v = _advance(f, kind, c, f(c), rem, cfg.scheme)
+        v = _advance(f, kind, c, f(v, c), rem, cfg.scheme)
         c = _project(kind, v)
     return c, v
 
@@ -553,18 +546,18 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     t = _coerce_time(t)
     if not math.isinf(t):
-        cfg.check_steps(t)
+        _check_budget(cfg, t)
         f, kind = field._bind(theta0)
         return _result(theta0, _cover(f, kind, belief_coords(theta0), None, t, cfg)[1])
     f, kind = field._bind(theta0)
-    c = belief_coords(theta0)
-    k1 = f(c)
+    c, v = belief_coords(theta0), None
+    k1 = f(v, c)
     quiet = 0
     cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
     for _ in range(cap):
         v = _advance(f, kind, c, k1, cfg.step, cfg.scheme)
         c = _project(kind, v)
-        k1 = f(c)  # also the next step's first stage
+        k1 = f(v, c)  # also the next step's first stage
         quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
         if quiet >= _QUIET_STEPS:
             return _result(theta0, v)
@@ -611,7 +604,9 @@ def integrate_sampled(
     t = _coerce_time(t)
     if math.isinf(t):
         raise ParameterError("sampled integration needs a finite time")
-    cfg.check_steps(t, step_out)
+    if step_out <= 0:
+        raise ParameterError("step_out must be positive")
+    _check_budget(cfg, t, step_out)
     columns = ("t",) + coord_labels(theta0)
     f, kind = field._bind(theta0)
     c, v = belief_coords(theta0), None

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conflearn.errors import StepBudgetError
 from conflearn import (
     DomainError,
     FiniteSimplex,
@@ -442,6 +443,29 @@ def test_kernel_matches_object_path_to_the_limit():
     assert np.array_equal(integrate(field, p, math.inf, cfg).probs, ref.probs)
 
 
+def test_kernel_matches_object_path_without_closed_fields():
+    # a finite-difference field and a plain handle both rebuild beliefs
+    from conflearn import get_mutants
+
+    (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
+    rng = np.random.default_rng(0)
+    cfg = IntegratorConfig(step=2.0 ** -6)
+    for _ in range(8):
+        n = int(rng.integers(3, 7))
+        labels = tuple("abcdef"[:n])
+        p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
+        target = rng.dirichlet(np.ones(n))
+        pull = VectorFieldHandle(
+            "pull", ("simplex", labels), lambda q: TangentVector(q, target - q.probs)
+        )
+        rv = RandomVariable(labels, rng.normal(size=n))
+        for field in (pull, combine_fields([derivative_field(euclid, rv), pull], [1.7, 0.6])):
+            ref = p
+            for _ in range(64):
+                ref = _object_rk4(field, ref, cfg.step)
+            assert np.array_equal(integrate(field, p, 1.0, cfg).probs, ref.probs)
+
+
 def test_finite_integration_builds_few_simplexes(monkeypatch):
     field, p = _mixed_field()
     built = []
@@ -464,12 +488,12 @@ def test_finite_integration_honours_max_steps():
         lambda b: evals.append(b) or TangentVector(b, np.array([1.0, 0.0])),
     )
     g = GaussianBelief(0.0, 1.0)
-    with pytest.raises(ParameterError, match="max_steps"):
+    with pytest.raises(StepBudgetError, match="max_steps"):
         integrate(drift, g, 1.0, IntegratorConfig(step=1e-9, max_steps=5))
     assert not evals  # rejected before the first step
     # the budget spans every sample interval: 4 x 25 steps, each under 60
     cfg = IntegratorConfig(step=0.01, max_steps=60)
-    with pytest.raises(ParameterError, match="max_steps"):
+    with pytest.raises(StepBudgetError, match="max_steps"):
         integrate_sampled(drift, g, 1.0, cfg, step_out=0.25)
     assert not evals
     final, _ = integrate_sampled(drift, g, 1.0, IntegratorConfig(step=0.01, max_steps=110), step_out=0.25)
