@@ -34,7 +34,7 @@ import numpy as np
 from .beliefs import belief_distance, belief_to_json
 from .confidence import ConfidenceValue, confidence_to_json
 from .errors import ParameterError
-from .flows import belief_coords, metric_gradient
+from .flows import _forward_stencil, metric_gradient
 from .learners import Learner, NonConvergenceWarning
 
 __all__ = [
@@ -113,10 +113,10 @@ class AxiomReport:
         }
 
 
-def _rng(cfg: CheckConfig, learner_id: str, axiom_id: str) -> np.random.Generator:
-    digest = hashlib.sha256(
-        f"{cfg.seed}|{learner_id}|{axiom_id}".encode()
-    ).digest()
+def _seeded_rng(*parts) -> np.random.Generator:
+    """A generator seeded from the parts joined by '|' (e.g. seed, learner id,
+    axiom id), so every stream is fixed by its name alone."""
+    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
@@ -204,7 +204,7 @@ def _report(learner, axiom_id, worst: _Worst, tol: float, note: str = "") -> Axi
 
 
 def _check_l1(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _rng(cfg, learner.id, "L1")
+    rng = _seeded_rng(cfg.seed, learner.id, "L1")
     worst = _Worst()
     for phi, theta in _instances(learner, rng, cfg.samples):
         after = learner.observe(phi, learner.domain.bot, theta)
@@ -219,7 +219,7 @@ def _check_l2(learner: Learner, cfg: CheckConfig) -> AxiomReport:
         return _skip(
             learner, "L2", cfg, "confidence domain is not a one-dimensional continuum"
         )
-    rng = _rng(cfg, learner.id, "L2")
+    rng = _seeded_rng(cfg.seed, learner.id, "L2")
     hi_base = _L2_BASE_RANGE.get(dom.id, 0.9)
     worst = _Worst()
     for phi, theta in _instances(learner, rng, max(2, cfg.samples // 2)):
@@ -279,7 +279,7 @@ def _check_l3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
         return _skip(learner, "L3", cfg, "confidence grid has fewer than two points")
     dom = learner.domain
     bisect = dom.is_scalar_continuum and learner.bel is not None
-    rng = _rng(cfg, learner.id, "L3")
+    rng = _seeded_rng(cfg.seed, learner.id, "L3")
     worst = _Worst()
     n = min(cfg.samples, 12)
     for phi, theta in _instances(learner, rng, n):
@@ -316,7 +316,7 @@ def _check_l4(learner: Learner, cfg: CheckConfig) -> AxiomReport:
     grid = _grid(learner, cfg)
     if len(grid) < 3:
         return _skip(learner, "L4", cfg, "confidence grid has fewer than three points")
-    rng = _rng(cfg, learner.id, "L4")
+    rng = _seeded_rng(cfg.seed, learner.id, "L4")
     worst = _Worst()
     for phi, theta in _instances(learner, rng, cfg.samples):
         states = [learner.observe(phi, chi, theta) for chi in grid]
@@ -346,7 +346,7 @@ def _draw_confidence(learner: Learner, rng) -> ConfidenceValue:
 
 
 def _check_l5(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _rng(cfg, learner.id, "L5")
+    rng = _seeded_rng(cfg.seed, learner.id, "L5")
     worst = _Worst()
     used = 0
     for _ in range(cfg.samples):
@@ -378,7 +378,7 @@ def _check_l5(learner: Learner, cfg: CheckConfig) -> AxiomReport:
 
 
 def _check_fc(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _rng(cfg, learner.id, "FC")
+    rng = _seeded_rng(cfg.seed, learner.id, "FC")
     worst = _Worst()
     used = 0
     for phi, theta in _top_instances(learner, rng, cfg.samples):
@@ -412,7 +412,7 @@ def _bel_sequence(learner: Learner, phi, theta, chain) -> List[float]:
 def _check_b1(learner: Learner, cfg: CheckConfig) -> AxiomReport:
     if learner.bel is None:
         return _skip(learner, "B1", cfg, "learner exposes no belief functional")
-    rng = _rng(cfg, learner.id, "B1")
+    rng = _seeded_rng(cfg.seed, learner.id, "B1")
     worst = _Worst()
     checked = 0
     for phi, theta in _instances(learner, rng, cfg.samples):
@@ -448,7 +448,7 @@ def _check_b2(learner: Learner, cfg: CheckConfig) -> AxiomReport:
         return _skip(
             learner, "B2", cfg, "full-belief states are unattainable at finite parameters"
         )
-    rng = _rng(cfg, learner.id, "B2")
+    rng = _seeded_rng(cfg.seed, learner.id, "B2")
     worst = _Worst()
     for _ in range(cfg.samples):
         phi, theta = learner.sample_saturated(rng)
@@ -468,7 +468,7 @@ def _check_b2(learner: Learner, cfg: CheckConfig) -> AxiomReport:
 def _check_b3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
     if learner.bel is None or learner.bel_top is None:
         return _skip(learner, "B3", cfg, "learner exposes no belief functional")
-    rng = _rng(cfg, learner.id, "B3")
+    rng = _seeded_rng(cfg.seed, learner.id, "B3")
     worst = _Worst()
     used = 0
     for phi, theta in _top_instances(learner, rng, cfg.samples):
@@ -490,14 +490,6 @@ def _check_b3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
     return _report(learner, "B3", worst, cfg.tol)
 
 
-def _flow_velocity(learner: Learner, phi, theta, h: float) -> np.ndarray:
-    flow = learner.make_flow(phi)
-    c0 = belief_coords(theta)
-    c1 = belief_coords(flow(h, theta))
-    c2 = belief_coords(flow(2.0 * h, theta))
-    return (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
-
-
 def _check_lb(learner: Learner, cfg: CheckConfig) -> AxiomReport:
     if learner.lb_metric is None or learner.bel is None:
         return _skip(
@@ -505,13 +497,13 @@ def _check_lb(learner: Learner, cfg: CheckConfig) -> AxiomReport:
         )
     if learner.path_velocity is None and learner.make_flow is None:
         return _skip(learner, "LB", cfg, "learner exposes no update path")
-    rng = _rng(cfg, learner.id, "LB")
+    rng = _seeded_rng(cfg.seed, learner.id, "LB")
     worst = _Worst()
     for phi, theta in _instances(learner, rng, cfg.samples):
         if learner.path_velocity is not None:
             vel = np.asarray(learner.path_velocity(phi, theta, cfg.fd_step))
         else:
-            vel = _flow_velocity(learner, phi, theta, cfg.fd_step)
+            vel = _forward_stencil(learner.make_flow(phi), theta, cfg.fd_step)
         grad = metric_gradient(
             theta, lambda s: learner.bel(phi, s), learner.lb_metric, h=cfg.fd_step
         )

@@ -81,6 +81,8 @@ class EventSet:
 
     @classmethod
     def from_names(cls, labels: Sequence[str], names: Iterable[str]) -> "EventSet":
+        if isinstance(names, str):  # would read as a list of one-letter names
+            raise ParameterError(f"event must be a list of world names, got {names!r}")
         labels = tuple(labels)
         mask = 0
         for name in names:
@@ -130,6 +132,26 @@ class EventSet:
         return "{" + ",".join(self.members()) + "}"
 
 
+def normalize_probs(p: np.ndarray) -> np.ndarray:
+    """The probability vector a FiniteSimplex stores for the float vector p.
+
+    Rejects non-finite entries and entries below -MASS_EPS, clamps round-off
+    negatives to zero and divides by the total, which must exceed MASS_EPS.
+    Returns a new array.  Array-native flows project with this too, so their
+    states keep the constructor's bits.
+    """
+    # a finite sum has finite terms; only a non-finite one needs a closer look
+    if not math.isfinite(np.add.reduce(p)) and not np.isfinite(p).all():
+        raise ParameterError("probabilities must be finite")
+    if p.min() < -MASS_EPS:
+        raise ParameterError(f"negative probability {p.min()!r}")
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    if total <= MASS_EPS:
+        raise ParameterError("probability vector sums to zero")
+    return p / total
+
+
 @dataclass(frozen=True)
 class FiniteSimplex:
     """A probability distribution over named worlds.
@@ -145,20 +167,12 @@ class FiniteSimplex:
     def __post_init__(self):
         labels = _check_labels(self.labels, MAX_WORLDS)
         object.__setattr__(self, "labels", labels)
-        p = np.asarray(self.probs, dtype=float).copy()
+        p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(labels),):
             raise ParameterError(
                 f"probability vector shape {p.shape} does not match {len(labels)} labels"
             )
-        if not np.all(np.isfinite(p)):
-            raise ParameterError("probabilities must be finite")
-        if p.min() < -MASS_EPS:
-            raise ParameterError(f"negative probability {p.min()!r}")
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if total <= MASS_EPS:
-            raise ParameterError("probability vector sums to zero")
-        p = p / total
+        p = normalize_probs(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .axioms import CheckConfig, reports_to_json, run_suite
+from .axioms import CheckConfig, _seeded_rng, reports_to_json, run_suite
 from .beliefs import (
     FiniteSimplex,
     GaussianBelief,
@@ -204,7 +203,7 @@ def _parse_grid(learner: Learner, cfg: dict) -> Tuple[ConfidenceValue, ...]:
         return tuple(
             confidence_from_json(x, default_domain=learner.domain.id) for x in raw
         )
-    except ConfLearnError as exc:
+    except (ConfLearnError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad confidence grid: {exc}") from exc
 
 
@@ -379,6 +378,11 @@ def _cmd_trotter(args, cfg: dict) -> int:
     ):
         raise ConfigError("'n_values' must be an array of positive integers")
     icfg = _integrator(cfg)
+    rounds = sum(set(n_values))
+    if rounds > icfg.max_steps:
+        raise StepBudgetError(
+            f"'n_values' take {rounds} rounds, more than max_steps={icfg.max_steps}"
+        )
 
     field = combine_fields(
         [derivative_field(learner, phi1), derivative_field(learner, phi2)]
@@ -484,11 +488,6 @@ def _cmd_axioms(args, cfg: dict) -> int:
 # equiv: canned equivalence/limit experiments.
 
 
-def _exp_rng(seed: int, tag: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}|{tag}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
 def experiment_bayes_boltzmann(seed: int = 0, samples: int = 100):
     """Boltzmann reweighting with v = -log lik equals powered Bayes updating.
 
@@ -496,7 +495,7 @@ def experiment_bayes_boltzmann(seed: int = 0, samples: int = 100):
     and checks: (a) the two posteriors agree, (b) weight 1 is exact Bayes,
     (c) likelihoods survive the potential round trip exp(-(-log lik)).
     """
-    rng = _exp_rng(seed, "bayes-boltzmann")
+    rng = _seeded_rng(seed, "bayes-boltzmann")
     tol = 1e-12
     worst = 0.0
     for _ in range(samples):
@@ -525,7 +524,7 @@ def experiment_bayes_boltzmann(seed: int = 0, samples: int = 100):
 def experiment_kalman_sequential(seed: int = 0, samples: int = 100):
     """Two gain updates equal one update at the composed (K, r2) pair, and
     optimal-gain updates add precisions."""
-    rng = _exp_rng(seed, "kalman-sequential")
+    rng = _seeded_rng(seed, "kalman-sequential")
     tol = 1e-10
     dom = get_domain("kalman")
     worst = 0.0
@@ -556,7 +555,7 @@ def experiment_kalman_sequential(seed: int = 0, samples: int = 100):
 def experiment_interp_vs_ds(seed: int = 0, samples: int = 200):
     """Interpolation and graded plausibility revision agree exactly at the
     endpoints of the confidence scale and measurably disagree inside it."""
-    rng = _exp_rng(seed, "interp-vs-ds")
+    rng = _seeded_rng(seed, "interp-vs-ds")
     end_tol = 1e-12
     interior_floor = 1e-3
     worst_end = 0.0

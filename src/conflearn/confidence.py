@@ -51,6 +51,7 @@ PAIR = "pair"
 SEQ = "list"
 
 _EPS = 1e-12
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # largest float short of certainty
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,10 @@ class FractionalDomain(_ScalarDomain):
     hi_float = 1.0
 
     def _op(self, s, t):
-        return s + t - s * t
+        # Two supports short of certainty combine to one short of certainty;
+        # a sum that rounds up to 1.0 is held just below it, so rounding alone
+        # never yields top and associativity cannot split top from a real.
+        return min(s + t - s * t, _BELOW_ONE)
 
     def residual(self, lo, hi):
         if not self.leq(lo, hi):

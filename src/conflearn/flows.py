@@ -12,6 +12,12 @@ integrators step on arrays, projecting each stage into the belief kind's
 constraint set with the checks a belief object makes.  Beliefs are built for
 the result, and for each evaluation of a field with no closed form.
 
+Interleaving works the same way.  A simplex learner's coordinate flow maps a
+probability vector to its update at one additive time, bound to the belief
+space once; ``trotter_interleave`` normalises after each update with the
+shared ``beliefs.normalize_probs`` and builds one belief for the result.
+Learners without a coordinate flow compose their flows on belief objects.
+
 The Fisher/euclidean gradient utilities let callers verify that a learner's
 update direction is metric gradient ascent on its belief functional.
 """
@@ -25,7 +31,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beliefs import MASS_EPS, FiniteSimplex, GaussianBelief, GradedBeliefTable
+from .beliefs import MASS_EPS, FiniteSimplex, GaussianBelief, GradedBeliefTable, normalize_probs
 from .confidence import ConfidenceValue, get_domain
 from .errors import (
     DomainError,
@@ -313,10 +319,7 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
         def eval_fd(theta) -> TangentVector:
             if not learner.in_domain(phi, theta):
                 raise DomainError(outside)
-            c0 = belief_coords(theta)
-            c1 = belief_coords(flow(h, theta))
-            c2 = belief_coords(flow(2.0 * h, theta))
-            v = (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
+            v = _forward_stencil(flow, theta, h)
             if isinstance(theta, FiniteSimplex):
                 v = v - v.mean()  # discard off-plane stencil round-off
             return TangentVector(theta, v)
@@ -324,6 +327,14 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
         return _LazyHandle(label, eval_fd)
 
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
+
+
+def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.ndarray:
+    """d/dt flow(t, theta) at t = 0 by the second-order forward stencil."""
+    c0 = belief_coords(theta)
+    c1 = belief_coords(flow(h, theta))
+    c2 = belief_coords(flow(2.0 * h, theta))
+    return (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
 
 
 def parallel_field(learner: Learner, parallel: ParallelObservation, h: float = 1e-6) -> VectorFieldHandle:
@@ -654,16 +665,32 @@ def trotter_interleave(
 
     At n = 1 this is plain sequential observation; as n grows it converges to
     the integral of the combined field at first order in 1/n.
+
+    Both flows are bound to theta0's space once.  A simplex learner with a
+    coordinate flow (``Learner.coord_flow``) steps on the probability vector,
+    normalising after every update with FiniteSimplex's own checks, and builds
+    one belief for the result; other learners compose ``make_flow`` on
+    belief objects.
     """
     if n < 1 or int(n) != n:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     t = _coerce_time(chi)
     if math.isinf(t):
         raise ParameterError("interleaving needs a finite total commitment")
-    flow1, _ = additive_form(learner, phi1)
-    flow2, _ = additive_form(learner, phi2)
     dt = t / n
-    theta = theta0
+    if learner.coord_flow is None:
+        flows = [additive_form(learner, phi)[0] for phi in (phi1, phi2)]
+        theta = theta0
+        for _ in range(int(n)):
+            for flow in flows:
+                theta = flow(dt, theta)
+        return theta
+    steps = [learner.coord_flow(phi, dt, theta0.labels) for phi in (phi1, phi2)]
+    steps = [step for step in steps if step is not None]  # None: the identity
+    c, v = theta0.probs, None
     for _ in range(int(n)):
-        theta = flow2(dt, flow1(dt, theta))
-    return theta
+        for step in steps:
+            v = step(c)
+            c = normalize_probs(v)
+    # rebuilding from the unnormalised state gives the object path's bits
+    return theta0 if v is None else theta0.with_probs(v)

@@ -43,8 +43,8 @@ from .beliefs import (
     GradedBeliefTable,
     MassFunction,
     RandomVariable,
-    condition,
     ds_plaus_update,
+    normalize_probs,
     MASS_EPS,
 )
 from .errors import (
@@ -100,6 +100,14 @@ class Learner:
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
+    # coord_flow(phi, t, labels) is make_flow(phi) at additive time t, bound
+    # once to simplexes over ``labels``: None where the update is the
+    # identity, else a map from probs to the updated probs before
+    # beliefs.normalize_probs, so FiniteSimplex(labels, map(probs)) is
+    # make_flow(phi)(t, belief) bit for bit.
+    coord_flow: Optional[
+        Callable[[Any, float, Tuple[str, ...]], Optional[Callable[[np.ndarray], np.ndarray]]]
+    ] = None
     # closed_field(phi) is the derivative field on coordinate arrays:
     # field(c, space) maps a belief's coordinates c (flows.belief_coords) on
     # the belief space with key ``space`` to its velocity components, and
@@ -122,6 +130,13 @@ class Learner:
 
     def __repr__(self) -> str:
         return f"Learner({self.id!r}, domain={self.domain.id!r}, beliefs={self.belief_kind!r})"
+
+
+def _on_simplex(
+    step: Optional[Callable[[np.ndarray], np.ndarray]], p: FiniteSimplex
+) -> FiniteSimplex:
+    """Apply a bound coordinate update (see ``Learner.coord_flow``) to p."""
+    return p if step is None else p.with_probs(step(p.probs))
 
 
 def _world_labels(n: int) -> Tuple[str, ...]:
@@ -150,22 +165,38 @@ def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha."""
-    frac = get_domain("frac")
-    v = frac.coerce(alpha)
+    return _on_simplex(_interp_map(a, alpha, p.labels), p)
+
+
+def _interp_map(a: EventSet, alpha, labels: Tuple[str, ...]):
+    """interp_observe(a, alpha, .) bound to simplexes over ``labels``."""
+    v = get_domain("frac").coerce(alpha)
     if v.is_bot:
-        return p
-    cond = condition(p, a)
-    if v.is_top:
-        return cond
-    w = v.payload
-    return p.with_probs((1.0 - w) * np.asarray(p.probs) + w * np.asarray(cond.probs))
+        return None
+    if labels != a.labels:
+        raise ParameterError("event over a different world set")
+    ind = a.indicator()
+    w = None if v.is_top else v.payload
+
+    def step(c: np.ndarray) -> np.ndarray:
+        mass = float(c @ ind)  # condition(p, a), op for op
+        if mass <= MASS_EPS:
+            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {mass:.3g}")
+        cond = c * ind / mass
+        if w is None:
+            return cond
+        return (1.0 - w) * c + w * normalize_probs(cond)
+
+    return step
+
+
+def _interp_coord_flow(a: EventSet, t: float, labels: Tuple[str, ...]):
+    return _interp_map(a, -math.expm1(-t), labels)  # t = inf gives alpha = 1
 
 
 def _interp_flow(a: EventSet):
     def flow(t: float, p: FiniteSimplex) -> FiniteSimplex:
-        if math.isinf(t):
-            return condition(p, a)
-        return interp_observe(a, -math.expm1(-t), p)
+        return _on_simplex(_interp_coord_flow(a, t, p.labels), p)
 
     return flow
 
@@ -225,6 +256,7 @@ def make_interp_learner() -> Learner:
         bel_top=lambda a, p: 0.0,
         translate=_frac_translate,
         make_flow=_interp_flow,
+        coord_flow=_interp_coord_flow,
         closed_field=_interp_field,
         lb_metric="fisher",
         sample_instance=_sample_simplex_instance,
@@ -449,24 +481,30 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
-    if v.labels != p.labels:
+    return _on_simplex(_boltzmann_map(v, beta, p.labels), p)
+
+
+def _boltzmann_map(v: RandomVariable, beta, labels: Tuple[str, ...]):
+    """boltzmann_observe(v, beta, .) bound to simplexes over ``labels``."""
+    if v.labels != labels:
         raise ParameterError("penalty variable over a different world set")
-    add = get_domain("add")
-    chi = add.coerce(beta)
+    chi = get_domain("add").coerce(beta)
     if chi.is_bot:
-        return p
-    pr = np.asarray(p.probs)
-    supp = pr > 0.0
+        return None
     vals = np.asarray(v.values)
-    if chi.is_top:
-        vmin = vals[supp].min()
-        w = np.where(supp & (vals == vmin), pr, 0.0)
-        return p.with_probs(w)
-    b = chi.payload
-    logw = np.log(pr[supp]) - b * vals[supp]
-    w = np.zeros_like(pr)
-    w[supp] = np.exp(logw - logw.max())
-    return p.with_probs(w)
+    top, b = chi.is_top, chi.payload
+
+    def step(pr: np.ndarray) -> np.ndarray:
+        supp = pr > 0.0
+        if top:
+            vmin = vals[supp].min()
+            return np.where(supp & (vals == vmin), pr, 0.0)
+        logw = np.log(pr[supp]) - b * vals[supp]
+        w = np.zeros_like(pr)
+        w[supp] = np.exp(logw - logw.max())
+        return w
+
+    return step
 
 
 def _boltzmann_field(v: RandomVariable):
@@ -512,6 +550,7 @@ def make_boltzmann_learner() -> Learner:
         bel_top=bel_top,
         translate=lambda v, chi, p: get_domain("add").to_float(chi),
         make_flow=lambda v: (lambda t, p: boltzmann_observe(v, t, p)),
+        coord_flow=_boltzmann_map,
         closed_field=_boltzmann_field,
         lb_metric="fisher",
         sample_instance=sample_instance,
@@ -631,24 +670,29 @@ def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     model = model or DEFAULT_BAYES_MODEL
     add = get_domain("add")
 
-    def observe(key: str, chi, p: FiniteSimplex) -> FiniteSimplex:
+    def coord_flow(key: str, chi, labels: Tuple[str, ...]):
         v = add.coerce(chi)
         if v.is_bot:
-            return p
+            return None
         lik = model.row(key)
-        pr = np.asarray(p.probs)
-        supp = (pr > 0.0) & (lik > 0.0)
-        if not supp.any():
-            raise ZeroMassEventError(f"observation {key!r} contradicts the prior")
-        if v.is_top:
-            lmax = lik[supp].max()
-            w = np.where(supp & (lik == lmax), pr, 0.0)
-            return p.with_probs(w)
-        b = v.payload
-        logw = np.log(pr[supp]) + b * np.log(lik[supp])
-        w = np.zeros_like(pr)
-        w[supp] = np.exp(logw - logw.max())
-        return p.with_probs(w)
+        top, b = v.is_top, v.payload
+
+        def step(pr: np.ndarray) -> np.ndarray:
+            supp = (pr > 0.0) & (lik > 0.0)
+            if not supp.any():
+                raise ZeroMassEventError(f"observation {key!r} contradicts the prior")
+            if top:
+                lmax = lik[supp].max()
+                return np.where(supp & (lik == lmax), pr, 0.0)
+            logw = np.log(pr[supp]) + b * np.log(lik[supp])
+            w = np.zeros_like(pr)
+            w[supp] = np.exp(logw - logw.max())
+            return w
+
+        return step
+
+    def observe(key: str, chi, p: FiniteSimplex) -> FiniteSimplex:
+        return _on_simplex(coord_flow(key, chi, p.labels), p)
 
     def bel(key: str, p: FiniteSimplex) -> float:
         lik = model.row(key)
@@ -708,6 +752,7 @@ def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
         bel_top=bel_top,
         translate=lambda key, chi, p: add.to_float(chi),
         make_flow=lambda key: (lambda t, p: observe(key, t, p)),
+        coord_flow=coord_flow,
         closed_field=closed_field,
         lb_metric="fisher",
         sample_instance=sample_instance,

@@ -56,6 +56,7 @@ def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> L
         observe=observe,
         translate=None,
         make_flow=None,
+        coord_flow=None,
         closed_field=None,
         path_velocity=None,
         lb_metric=None,
@@ -119,6 +120,7 @@ def _mutant_fc_partial() -> Learner:
         observe=observe,
         translate=None,
         make_flow=None,
+        coord_flow=None,
         closed_field=None,
         path_velocity=None,
         lb_metric=None,
@@ -142,6 +144,7 @@ def _mutant_b2_uniform() -> Learner:
         observe=observe,
         translate=None,
         make_flow=None,
+        coord_flow=None,
         closed_field=None,
         path_velocity=None,
         lb_metric=None,
@@ -173,6 +176,7 @@ def _mutant_lb_euclid() -> Learner:
         id="mutant-lb-euclid",
         observe=observe,
         make_flow=lambda phi: (lambda t, theta: observe(phi, float(t), theta)),
+        coord_flow=None,
         closed_field=None,
         path_velocity=None,
         notes="moves along v - E[v] itself rather than p * (E[v] - v)",

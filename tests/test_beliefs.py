@@ -226,12 +226,23 @@ def test_event_set_algebra():
     assert not ab.is_empty
 
 
+def test_event_names_must_not_be_a_bare_string():
+    # "ab" would otherwise be read as the worlds a and b
+    with pytest.raises(ParameterError, match="list of world names"):
+        EventSet.from_names(("a", "b"), "ab")
+
+
 def test_simplex_normalization_guard():
     # non-unit mass is renormalized, negative mass is rejected
     p = FiniteSimplex(("a", "b"), np.array([0.7, 0.7]))
     assert np.allclose(p.probs, [0.5, 0.5], atol=1e-15)
     with pytest.raises(ParameterError):
         FiniteSimplex(("a", "b"), np.array([1.2, -0.2]))
+    with pytest.raises(ParameterError, match="finite"):
+        FiniteSimplex(("a", "b"), np.array([math.inf, 0.5]))
+    # a round-off negative or a negative zero is stored as +0.0
+    q = FiniteSimplex(("a", "b", "c"), np.array([-1e-13, -0.0, 1.0]))
+    assert not np.signbit(q.probs).any()
 
 
 def test_in_domain_predicates():

@@ -148,6 +148,26 @@ def test_trotter_ratios_near_half(tmp_path):
         assert 0.3 <= ratio <= 0.7
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"n_values": [1_000_000_000]},
+        # 16 + 32 rounds over a budget of 40; the reference takes 15 steps
+        {"n_values": [16, 32, 16], "integrator": {"step": 0.1, "max_steps": 40}},
+    ],
+)
+def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
+    cfg = {
+        "learner": "interp",
+        "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
+        "observations": [{"event": ["a"]}, {"event": ["b"]}],
+        "chi": 1.5,
+        **extra,
+    }
+    assert run_cli(tmp_path, "trotter", cfg, "--quiet") == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
 def test_trotter_needs_two_observations(tmp_path):
     cfg = {
         "learner": "interp",
@@ -296,6 +316,18 @@ def test_combine_unknown_world_exits_2(tmp_path):
 def test_combine_bad_weights_exit_2(tmp_path, weights):
     cfg = dict(COMBINE_INTERP, weights=weights)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+def test_combine_bare_string_event_exits_2(tmp_path):
+    cfg = dict(COMBINE_INTERP, observations=[{"event": "ab"}])
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+@pytest.mark.parametrize("entry", [{"K": "x", "r2": 1}, {"K": 0.5}, {"K": None, "r2": 1}])
+def test_learn_bad_kalman_grid_entry_exits_2(tmp_path, capsys, entry):
+    cfg = dict(KALMAN_SWEEP, confidence_grid=[entry])
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert "bad confidence grid" in capsys.readouterr().err
 
 
 def test_combine_simplex_without_probs_exits_2(tmp_path):

@@ -53,6 +53,16 @@ def test_frac_combine_half_half():
     assert v.payload == pytest.approx(0.75, abs=1e-15)
 
 
+def test_frac_combine_of_reals_stays_real_near_one():
+    # 1 - 2**-53 combined with 0.875 rounds to 1.0 in floats; the exact
+    # result is short of certainty, so both bracketings must stay real.
+    a, b, c = FRAC.value(0.9999999999999999), FRAC.value(0.875), FRAC.value(0.01)
+    left = FRAC.combine(FRAC.combine(a, b), c)
+    right = FRAC.combine(a, FRAC.combine(b, c))
+    assert not left.is_top and not right.is_top
+    assert _gap(FRAC, left, right) <= 1e-12
+
+
 def test_add_combine_is_addition():
     v = ADD.combine(ADD.value(1.25), ADD.value(0.5))
     assert v.payload == pytest.approx(1.75, abs=1e-15)

@@ -8,9 +8,11 @@ import pytest
 from conflearn.errors import StepBudgetError
 from conflearn import (
     DomainError,
+    EventSet,
     FiniteSimplex,
     GaussianBelief,
     IntegratorConfig,
+    MassFunction,
     NoLimitError,
     NumericalError,
     ParallelObservation,
@@ -28,6 +30,7 @@ from conflearn import (
     condition,
     coord_labels,
     derivative_field,
+    ds_plaus_update,
     get_learner,
     integrate,
     integrate_sampled,
@@ -466,8 +469,8 @@ def test_kernel_matches_object_path_without_closed_fields():
             assert np.array_equal(integrate(field, p, 1.0, cfg).probs, ref.probs)
 
 
-def test_finite_integration_builds_few_simplexes(monkeypatch):
-    field, p = _mixed_field()
+def _count_simplexes(monkeypatch) -> list:
+    """A list that gains one entry per FiniteSimplex built from now on."""
     built = []
     init = FiniteSimplex.__init__
 
@@ -476,6 +479,12 @@ def test_finite_integration_builds_few_simplexes(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteSimplex, "__init__", counting_init)
+    return built
+
+
+def test_finite_integration_builds_few_simplexes(monkeypatch):
+    field, p = _mixed_field()
+    built = _count_simplexes(monkeypatch)
     integrate(field, p, 1.0, IntegratorConfig(step=0.01))  # 100 steps
     assert len(built) <= 3
 
@@ -498,3 +507,89 @@ def test_finite_integration_honours_max_steps():
     assert not evals
     final, _ = integrate_sampled(drift, g, 1.0, IntegratorConfig(step=0.01, max_steps=110), step_out=0.25)
     assert final.mean == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The interleaving kernel against flows composed on belief objects.
+
+
+def _object_interp_flow(a):
+    """The interpolation flow written on belief objects (the reference)."""
+
+    def flow(t, p):
+        w = -math.expm1(-t)
+        cond = condition(p, a)
+        return p.with_probs((1.0 - w) * np.asarray(p.probs) + w * np.asarray(cond.probs))
+
+    return flow
+
+
+def _object_boltzmann_flow(v):
+    """Boltzmann reweighting written on belief objects (the reference)."""
+
+    def flow(t, p):
+        pr = np.asarray(p.probs)
+        supp = pr > 0.0
+        logw = np.log(pr[supp]) - t * np.asarray(v.values)[supp]
+        w = np.zeros_like(pr)
+        w[supp] = np.exp(logw - logw.max())
+        return p.with_probs(w)
+
+    return flow
+
+
+def _outcome(run):
+    try:
+        return run().probs.tobytes()  # bytes: the sign of a zero counts too
+    except Exception as exc:  # both paths must raise the same error type
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_trotter_kernel_matches_object_path(n):
+    rng = np.random.default_rng(n)
+    interp, boltzmann = get_learner("interp"), get_learner("boltzmann")
+    for _ in range(6):
+        k = int(rng.integers(2, 7))
+        labels = tuple("abcdef"[:k])
+        probs = rng.dirichlet(np.ones(k))
+        probs[int(rng.integers(k))] *= rng.integers(2)  # a world without mass, or not
+        p = FiniteSimplex(labels, probs)
+        events = [EventSet(labels, int(rng.integers(1, 2**k))) for _ in range(2)]
+        values = [RandomVariable(labels, rng.normal(size=k)) for _ in range(2)]
+        chi = float(rng.uniform(0.2, 3.0))
+        for learner, phis, reference in (
+            (interp, events, _object_interp_flow),
+            (boltzmann, values, _object_boltzmann_flow),
+        ):
+            flow1, flow2 = (reference(phi) for phi in phis)
+
+            def composed():
+                theta = p
+                for _ in range(n):
+                    theta = flow2(chi / n, flow1(chi / n, theta))
+                return theta
+
+            expect = _outcome(composed)
+            assert _outcome(lambda: trotter_interleave(learner, *phis, chi, n, p)) == expect
+
+
+def test_trotter_ds_composes_flows_on_mass_functions():
+    labels = ("a", "b", "c")
+    m = MassFunction(labels, {0b001: 0.3, 0b110: 0.5, 0b111: 0.2})
+    a, b = EventSet(labels, 0b011), EventSet(labels, 0b110)
+    chi, n = 1.3, 7
+    alpha = -math.expm1(-chi / n)
+    expect = m
+    for _ in range(n):
+        expect = ds_plaus_update(ds_plaus_update(expect, a, alpha), b, alpha)
+    got = trotter_interleave(get_learner("ds"), a, b, chi, n, m)
+    assert got.masses == expect.masses
+
+
+def test_trotter_builds_one_simplex(monkeypatch):
+    p = FiniteSimplex(("a", "b", "c", "d"), np.array([0.5, 0.2, 0.2, 0.1]))
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    built = _count_simplexes(monkeypatch)
+    trotter_interleave(get_learner("interp"), a, b, 1.5, 512, p)
+    assert len(built) <= 3
