@@ -9,6 +9,10 @@ Four belief representations are provided:
   20 worlds, with derived belief/plausibility set functions.
 - :class:`GradedBeliefTable`: per-statement support grades in [0, 1].
 
+Parameter vectors (numpy arrays) are a fifth kind.  Each kind is described
+once, in a private record (``_KINDS``) holding its space key, coordinates,
+projection, rebuild, distance and JSON form; every other module asks it.
+
 The module-level operations are the *certain* (full-confidence) revisions:
 conditioning, imaging, Jeffrey mixing, and the plausibility update obtained
 by Dempster-combining with a simple support function.  Confidence-graded
@@ -19,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .confidence import ConfidenceValue, get_domain
 from .errors import (
     InvalidImagingMapError,
+    NumericalError,
     ParameterError,
     TotalConflictError,
     ZeroMassEventError,
@@ -496,6 +501,135 @@ class GradedBeliefTable:
 
 
 # ---------------------------------------------------------------------------
+# Belief kinds: the one place each representation is described.
+
+
+def _simplex_clip(vec: np.ndarray) -> np.ndarray:
+    clipped = np.maximum(vec, 0.0)
+    total = clipped.sum()
+    if total <= 0.0:
+        raise NumericalError("probability mass vanished during integration")
+    if total <= MASS_EPS:  # FiniteSimplex's own check
+        raise ParameterError("probability vector sums to zero")
+    return clipped / total
+
+
+def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
+    return "|".join(l for i, l in enumerate(labels) if mask >> i & 1)
+
+
+class _Kind(NamedTuple):
+    """How one belief representation is handled outside its class.
+
+    ``distance`` is only called on beliefs with equal ``space`` keys.  ``clip``
+    maps finite coordinates into the constraint set with a belief's checks;
+    ``make(template, vec, coords)`` builds the belief like ``template`` with
+    coordinates ``coords = project(vec)``.  Mass functions have no coordinates.
+    """
+
+    name: str
+    cls: type
+    space: Callable[[object], tuple]
+    distance: Callable[[object, object], float]
+    to_json: Callable[[object], dict]  # the JSON object without its "kind"
+    from_json: Callable[[Mapping], object]
+    labels: Optional[Callable[[object], Tuple[str, ...]]] = None
+    coords: Optional[Callable[[object], np.ndarray]] = None
+    clip: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    make: Optional[Callable[[object, np.ndarray, np.ndarray], object]] = None
+    sums_to_one: bool = False  # coordinates sum to one; velocities to zero
+
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """vec in the kind's constraint set: the coordinates of its rebuilt belief."""
+        # a finite sum has finite terms; only a non-finite one needs a closer look
+        if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+            raise NumericalError("non-finite coordinates during integration")
+        return self.clip(vec)
+
+
+_KINDS = (
+    _Kind(
+        "simplex", FiniteSimplex,
+        space=lambda b: ("simplex", b.labels),
+        distance=lambda a, b: float(0.5 * np.abs(a.probs - b.probs).sum()),
+        to_json=lambda b: {"labels": list(b.labels), "probs": [float(x) for x in b.probs]},
+        from_json=lambda obj: (
+            FiniteSimplex.from_dict(obj["probs"]) if isinstance(obj.get("probs"), Mapping)
+            else FiniteSimplex(tuple(obj["labels"]), np.asarray(obj["probs"], dtype=float))
+        ),
+        labels=lambda b: b.labels,
+        coords=lambda b: b.probs.copy(),
+        clip=_simplex_clip,
+        # FiniteSimplex divides the clipped vec itself; passing the projection divides twice
+        make=lambda template, vec, coords: template.with_probs(np.maximum(vec, 0.0)),
+        sums_to_one=True,
+    ),
+    _Kind(
+        "gaussian", GaussianBelief,
+        space=lambda b: ("gaussian",),
+        distance=lambda a, b: max(
+            abs(a.mean - b.mean),
+            0.0 if math.isinf(a.var) and math.isinf(b.var) else abs(a.var - b.var),
+        ),
+        to_json=lambda b: {"mean": b.mean, "var": b.var},
+        from_json=lambda obj: GaussianBelief(
+            float(obj["mean"]), math.inf if obj["var"] in ("inf", None) else float(obj["var"])
+        ),
+        labels=lambda b: ("mean", "var"),
+        coords=lambda b: np.array([b.mean, b.var]),
+        clip=lambda vec: np.array([vec[0], max(vec[1], 0.0)]),
+        make=lambda template, vec, coords: GaussianBelief(*coords),
+    ),
+    _Kind(
+        "mass", MassFunction,
+        space=lambda b: ("mass", b.labels),
+        distance=lambda a, b: float(0.5 * sum(
+            abs(a.masses.get(s, 0.0) - b.masses.get(s, 0.0)) for s in set(a.masses) | set(b.masses)
+        )),
+        to_json=lambda b: {
+            "labels": list(b.labels),
+            "masses": {_subset_key(b.labels, s): float(m) for s, m in b.masses.items()},
+        },
+        from_json=lambda obj: MassFunction(tuple(obj["labels"]), {
+            EventSet.from_names(obj["labels"], [n for n in key.split("|") if n]).mask: float(m)
+            for key, m in obj["masses"].items()
+        }),
+    ),
+    _Kind(
+        "graded", GradedBeliefTable,
+        space=lambda b: ("graded", b.keys()),
+        distance=lambda a, b: max(abs(a.entries[k] - b.entries[k]) for k in a.entries),
+        to_json=lambda b: {"entries": {k: float(v) for k, v in b.entries.items()}},
+        from_json=lambda obj: GradedBeliefTable(dict(obj["entries"])),
+        labels=lambda b: b.keys(),
+        coords=lambda b: np.array([b.entries[k] for k in b.keys()]),
+        clip=lambda vec: np.clip(vec, 0.0, 1.0),
+        make=lambda template, vec, coords: GradedBeliefTable(dict(zip(template.keys(), coords))),
+    ),
+    _Kind(
+        "params", np.ndarray,
+        space=lambda b: ("params", b.shape),
+        distance=lambda a, b: float(np.abs(a - b).max()) if a.size else 0.0,
+        to_json=lambda b: {"values": [float(x) for x in b]},
+        from_json=lambda obj: np.asarray(obj["values"], dtype=float),
+        labels=lambda b: tuple(f"p{i}" for i in range(b.size)),
+        coords=lambda b: np.asarray(b, dtype=float).copy(),
+        clip=lambda vec: vec,
+        make=lambda template, vec, coords: coords.copy(),
+    ),
+)
+_BY_CLS = {kind.cls: kind for kind in _KINDS}
+
+
+def _kind_of(belief) -> Optional[_Kind]:
+    """The kind record of belief's type (or of a base class), else None."""
+    for cls in type(belief).__mro__:
+        if cls in _BY_CLS:
+            return _BY_CLS[cls]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Distances and the JSON wire format.
 
 
@@ -506,85 +640,30 @@ def belief_distance(a, b) -> float:
     vectors use the sup metric on their coordinates; mass functions use total
     variation on the focal masses.
     """
-    if isinstance(a, FiniteSimplex) and isinstance(b, FiniteSimplex):
-        if a.labels != b.labels:
-            raise ParameterError("simplexes over different world sets")
-        return float(0.5 * np.abs(np.asarray(a.probs) - np.asarray(b.probs)).sum())
-    if isinstance(a, GaussianBelief) and isinstance(b, GaussianBelief):
-        dv = 0.0 if (math.isinf(a.var) and math.isinf(b.var)) else abs(a.var - b.var)
-        return max(abs(a.mean - b.mean), dv)
-    if isinstance(a, MassFunction) and isinstance(b, MassFunction):
-        if a.labels != b.labels:
-            raise ParameterError("mass functions over different world sets")
-        keys = set(a.masses) | set(b.masses)
-        return float(
-            0.5 * sum(abs(a.masses.get(s, 0.0) - b.masses.get(s, 0.0)) for s in keys)
-        )
-    if isinstance(a, GradedBeliefTable) and isinstance(b, GradedBeliefTable):
-        if a.keys() != b.keys():
-            raise ParameterError("tables over different statements")
-        return max(
-            abs(a.entries[k] - b.entries[k]) for k in a.entries
-        )
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        if a.shape != b.shape:
-            raise ParameterError("parameter vectors of different shapes")
-        return float(np.abs(a - b).max()) if a.size else 0.0
-    raise ParameterError(
-        f"no distance between {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
-    return "|".join(l for i, l in enumerate(labels) if mask >> i & 1)
+    kind = _kind_of(a)
+    if kind is None or _kind_of(b) is not kind:
+        raise ParameterError(f"no distance between {type(a).__name__} and {type(b).__name__}")
+    if kind.space(a) != kind.space(b):
+        raise ParameterError(f"{kind.name} beliefs over different spaces")
+    return kind.distance(a, b)
 
 
 def belief_to_json(belief) -> dict:
     """Serialize a belief state to its JSON object form."""
-    if isinstance(belief, FiniteSimplex):
-        return {
-            "kind": "simplex",
-            "labels": list(belief.labels),
-            "probs": [float(x) for x in belief.probs],
-        }
-    if isinstance(belief, GaussianBelief):
-        return {"kind": "gaussian", "mean": belief.mean, "var": belief.var}
-    if isinstance(belief, MassFunction):
-        return {
-            "kind": "mass",
-            "labels": list(belief.labels),
-            "masses": {
-                _subset_key(belief.labels, s): float(m)
-                for s, m in belief.masses.items()
-            },
-        }
-    if isinstance(belief, GradedBeliefTable):
-        return {"kind": "graded", "entries": {k: float(v) for k, v in belief.entries.items()}}
-    if isinstance(belief, np.ndarray):
-        return {"kind": "params", "values": [float(x) for x in belief]}
-    raise ParameterError(f"cannot serialize belief of type {type(belief).__name__}")
+    kind = _kind_of(belief)
+    if kind is None:
+        raise ParameterError(f"cannot serialize belief of type {type(belief).__name__}")
+    return {"kind": kind.name, **kind.to_json(belief)}
 
 
 def belief_from_json(obj: Mapping) -> object:
-    """Parse the JSON object form back into a belief state."""
+    """Parse the JSON object form back into a belief state.  A simplex's
+    ``probs`` may also be a {world: probability} object naming the worlds."""
     try:
-        kind = obj["kind"]
+        name = obj["kind"]
     except (TypeError, KeyError):
         raise ParameterError("belief JSON must be an object with a 'kind'") from None
-    if kind == "simplex":
-        return FiniteSimplex(tuple(obj["labels"]), np.asarray(obj["probs"], dtype=float))
-    if kind == "gaussian":
-        var = obj["var"]
-        return GaussianBelief(float(obj["mean"]), math.inf if var in ("inf", None) else float(var))
-    if kind == "mass":
-        labels = tuple(obj["labels"])
-        masses = {}
-        for key, m in obj["masses"].items():
-            names = [n for n in key.split("|") if n]
-            masses[EventSet.from_names(labels, names).mask] = float(m)
-        return MassFunction(labels, masses)
-    if kind == "graded":
-        return GradedBeliefTable(dict(obj["entries"]))
-    if kind == "params":
-        return np.asarray(obj["values"], dtype=float)
-    raise ParameterError(f"unknown belief kind {kind!r}")
+    kind = next((kind for kind in _KINDS if kind.name == name), None)
+    if kind is None:
+        raise ParameterError(f"unknown belief kind {name!r}")
+    return kind.from_json(obj)

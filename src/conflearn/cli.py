@@ -35,6 +35,7 @@ from .beliefs import (
     GaussianBelief,
     MassFunction,
     RandomVariable,
+    _kind_of,
     belief_distance,
     belief_from_json,
     belief_to_json,
@@ -134,10 +135,22 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _number(cfg: dict, key: str, default=None, integer: bool = False, above: float = -math.inf):
+    """cfg[key], or ``default`` when it is absent (None: the key is required),
+    checked to be a finite JSON number above ``above``; an int if ``integer``."""
+    raw = _need(cfg, key) if default is None else cfg.get(key, default)
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, int if integer else (int, float))
+        or not (raw > above and abs(raw) <= sys.float_info.max)  # False for NaN
+    ):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{key!r} must be {what} above {above:g}, got {raw!r}")
+    return raw if integer else float(raw)
+
+
 def _seed_of(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+    return args.seed if args.seed is not None else _number(cfg, "seed", 0, integer=True)
 
 
 def _build_learner(cfg: dict) -> Learner:
@@ -173,10 +186,6 @@ def _build_learner(cfg: dict) -> Learner:
 
 def _parse_belief(obj) -> object:
     try:
-        if isinstance(obj, dict) and obj.get("kind") == "simplex" and isinstance(
-            obj.get("probs"), dict
-        ):
-            return FiniteSimplex.from_dict(obj["probs"])
         return belief_from_json(obj)
     except KeyError as exc:
         raise ConfigError(f"bad belief: missing field {exc}") from exc
@@ -213,9 +222,7 @@ def _integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError("'integrator' must be an object")
     try:
         return IntegratorConfig(**spec)
-    except TypeError as exc:
-        raise ConfigError(f"bad integrator settings: {exc}") from exc
-    except ConfLearnError as exc:
+    except (TypeError, ConfLearnError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
@@ -250,11 +257,9 @@ def _confidence_headers(learner: Learner) -> Tuple[Tuple[str, ...], Callable]:
 
 
 def _belief_headers(theta) -> Tuple[Tuple[str, ...], Callable]:
-    try:
-        labels = coord_labels(theta)
-        return labels, lambda s: tuple(belief_coords(s))
-    except UnsupportedError:
+    if _kind_of(theta).coords is None:
         return ("state",), lambda s: (json.dumps(belief_to_json(s), sort_keys=True),)
+    return coord_labels(theta), lambda s: tuple(belief_coords(s))
 
 
 def _cmd_learn(args, cfg: dict) -> int:
@@ -337,10 +342,8 @@ def _cmd_combine(args, cfg: dict) -> int:
             {"t": "top"},
         )
     else:
-        step_out = cfg.get("step_out", 0.1)
-        if not isinstance(step_out, (int, float)) or isinstance(step_out, bool) or not step_out > 0:
-            raise ConfigError(f"'step_out' must be a positive number, got {step_out!r}")
-        final, record = integrate_sampled(field, theta0, t, icfg, step_out=float(step_out))
+        step_out = _number(cfg, "step_out", 0.1, above=0.0)
+        final, record = integrate_sampled(field, theta0, t, icfg, step_out=step_out)
     _atomic_write(_out_path(args, name), record.to_csv_text())
 
     _emit(
@@ -369,12 +372,10 @@ def _cmd_trotter(args, cfg: dict) -> int:
         raise ConfigError("'observations' must hold exactly two entries")
     phi1 = _parse_observation(learner, obs[0], theta0)
     phi2 = _parse_observation(learner, obs[1], theta0)
-    chi = _need(cfg, "chi")
-    if not isinstance(chi, (int, float)) or isinstance(chi, bool) or not chi > 0:
-        raise ConfigError("'chi' must be a positive number")
+    chi = _number(cfg, "chi", above=0.0)
     n_values = cfg.get("n_values", [1, 2, 4, 8, 16, 32, 64])
     if not isinstance(n_values, list) or not all(
-        isinstance(n, int) and n >= 1 for n in n_values
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
     ):
         raise ConfigError("'n_values' must be an array of positive integers")
     icfg = _integrator(cfg)
@@ -387,12 +388,12 @@ def _cmd_trotter(args, cfg: dict) -> int:
     field = combine_fields(
         [derivative_field(learner, phi1), derivative_field(learner, phi2)]
     )
-    reference = integrate(field, theta0, float(chi), icfg)
+    reference = integrate(field, theta0, chi, icfg)
 
     distances: Dict[str, float] = {}
     states = {}
     for n in sorted(set(n_values)):
-        state = trotter_interleave(learner, phi1, phi2, float(chi), n, theta0)
+        state = trotter_interleave(learner, phi1, phi2, chi, n, theta0)
         states[n] = state
         distances[str(n)] = belief_distance(state, reference)
     ratios: Dict[str, float] = {}
@@ -403,7 +404,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
     payload = {
         "command": "trotter",
         "learner": learner.id,
-        "chi": float(chi),
+        "chi": chi,
         "distances": distances,
         "ratios": ratios,
         "reference": belief_to_json(reference),
@@ -452,15 +453,18 @@ def _resolve_learners(cfg: dict) -> List[Learner]:
 
 def _cmd_axioms(args, cfg: dict) -> int:
     learners = _resolve_learners(cfg)
-    check_cfg = CheckConfig(
-        seed=_seed_of(args, cfg),
-        samples=int(cfg.get("samples", 60)),
-        tol=float(cfg.get("tol", 1e-10)),
-        confidence_grid=cfg.get("confidence_grid"),
-        lb_tol=float(cfg.get("lb_tol", 1e-5)),
-        l2_ratio_bound=float(cfg.get("l2_ratio_bound", 10.0)),
-        fd_step=float(cfg.get("fd_step", 1e-4)),
-    )
+    try:
+        check_cfg = CheckConfig(
+            seed=_seed_of(args, cfg),
+            samples=_number(cfg, "samples", 60, integer=True, above=0),
+            tol=_number(cfg, "tol", 1e-10),
+            confidence_grid=cfg.get("confidence_grid"),
+            lb_tol=_number(cfg, "lb_tol", 1e-5),
+            l2_ratio_bound=_number(cfg, "l2_ratio_bound", 10.0),
+            fd_step=_number(cfg, "fd_step", 1e-4),
+        )
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     reports = []
     for learner in learners:
         reports.extend(run_suite(learner, check_cfg))
@@ -663,7 +667,7 @@ def _cmd_equiv(args, cfg: dict) -> int:
         )
     kwargs = {"seed": _seed_of(args, cfg)}
     if "samples" in cfg:
-        kwargs["samples"] = int(cfg["samples"])
+        kwargs["samples"] = _number(cfg, "samples", integer=True, above=0)
     passed, payload = EXPERIMENTS[name](**kwargs)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}
     out_name = cfg.get("output_json", f"equiv_{name}.json")

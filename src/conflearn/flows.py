@@ -8,9 +8,10 @@ sequential updates.
 
 Fields act on coordinate arrays.  A learner's closed field maps a belief's
 coordinates to its velocity, ``combine_fields`` sums such maps, and the
-integrators step on arrays, projecting each stage into the belief kind's
-constraint set with the checks a belief object makes.  Beliefs are built for
-the result, and for each evaluation of a field with no closed form.
+integrators step on arrays, projecting each stage into the constraint set
+with the projection of the belief's kind record (``beliefs._KINDS``), which
+makes the checks a belief object makes.  Beliefs are built for the result,
+and for each evaluation of a field with no closed form.
 
 Interleaving works the same way.  A simplex learner's coordinate flow maps a
 probability vector to its update at one additive time, bound to the belief
@@ -31,7 +32,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beliefs import MASS_EPS, FiniteSimplex, GaussianBelief, GradedBeliefTable, normalize_probs
+from .beliefs import FiniteSimplex, _kind_of, normalize_probs
 from .confidence import ConfidenceValue, get_domain
 from .errors import (
     DomainError,
@@ -71,94 +72,36 @@ _SUM_TOL = 1e-10
 # fields read c; other fields rebuild their belief from v, as the object
 # path did, which keeps its bits.
 CoordsMap = Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
+# A belief kind's projection of a float vector into its constraint set.
+Project = Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Coordinates for each belief representation.
+# Coordinates, read from the belief's kind record (beliefs._KINDS).
+
+
+def _coord_kind(theta):
+    kind = _kind_of(theta)
+    if kind is None or kind.coords is None:
+        raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
+    return kind
 
 
 def belief_coords(theta) -> np.ndarray:
     """Flatten a belief state into the coordinate vector fields act on."""
-    if isinstance(theta, FiniteSimplex):
-        return np.asarray(theta.probs, dtype=float).copy()
-    if isinstance(theta, GaussianBelief):
-        return np.array([theta.mean, theta.var])
-    if isinstance(theta, GradedBeliefTable):
-        return np.array([theta.entries[k] for k in theta.keys()])
-    if isinstance(theta, np.ndarray):
-        return np.asarray(theta, dtype=float).copy()
-    raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
-
-
-def _check_finite(vec: np.ndarray) -> None:
-    # a finite sum has finite terms; only a non-finite one needs a closer look
-    if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
-        raise NumericalError("non-finite coordinates during integration")
-
-
-def _clip_mass(vec: np.ndarray) -> Tuple[np.ndarray, float]:
-    clipped = np.maximum(vec, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise NumericalError("probability mass vanished during integration")
-    return clipped, total
-
-
-def _project(kind: str, vec: np.ndarray) -> np.ndarray:
-    """belief_coords(belief_rebuild(template, vec)) for a template of this
-    kind, with the same checks, without building the belief."""
-    _check_finite(vec)
-    if kind == "simplex":
-        clipped, total = _clip_mass(vec)
-        if total <= MASS_EPS:  # FiniteSimplex's own check
-            raise ParameterError("probability vector sums to zero")
-        return clipped / total
-    if kind == "gaussian":
-        return np.array([vec[0], max(vec[1], 0.0)])
-    if kind == "graded":
-        return np.clip(vec, 0.0, 1.0)
-    return vec
+    return _coord_kind(theta).coords(theta)
 
 
 def belief_rebuild(template, vec: np.ndarray):
     """Rebuild a belief like ``template`` from coordinates, projecting back
     into the representation's constraint set (simplex: clip and renormalize;
     grades: clamp to [0, 1]; variance: clamp to >= 0)."""
-    vec = np.asarray(vec, dtype=float)
-    kind = _space_key(template)[0]
-    if kind == "simplex":  # FiniteSimplex renormalizes the clipped vector
-        _check_finite(vec)
-        return template.with_probs(_clip_mass(vec)[0])
-    coords = _project(kind, vec)
-    if kind == "gaussian":
-        return GaussianBelief(*coords)
-    if kind == "graded":
-        return GradedBeliefTable(dict(zip(template.keys(), coords)))
-    return coords.copy()
+    kind, vec = _coord_kind(template), np.asarray(vec, dtype=float)
+    return kind.make(template, vec, kind.project(vec))
 
 
 def coord_labels(theta) -> Tuple[str, ...]:
-    if isinstance(theta, FiniteSimplex):
-        return theta.labels
-    if isinstance(theta, GaussianBelief):
-        return ("mean", "var")
-    if isinstance(theta, GradedBeliefTable):
-        return theta.keys()
-    if isinstance(theta, np.ndarray):
-        return tuple(f"p{i}" for i in range(theta.size))
-    raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
-
-
-def _space_key(theta) -> tuple:
-    if isinstance(theta, FiniteSimplex):
-        return ("simplex", theta.labels)
-    if isinstance(theta, GaussianBelief):
-        return ("gaussian",)
-    if isinstance(theta, GradedBeliefTable):
-        return ("graded", theta.keys())
-    if isinstance(theta, np.ndarray):
-        return ("params", theta.shape)
-    raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
+    return _coord_kind(theta).labels(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +127,7 @@ class TangentVector:
 
     def __post_init__(self):
         comp = np.asarray(self.components, dtype=float).copy()
-        _check_tangent(comp, isinstance(self.base, FiniteSimplex))
+        _check_tangent(comp, getattr(_kind_of(self.base), "sums_to_one", False))
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
 
@@ -204,17 +147,17 @@ class VectorFieldHandle:
             )
 
     def __call__(self, theta) -> TangentVector:
-        self._match(_space_key(theta))
+        self._match(_coord_kind(theta).space(theta))
         return self.eval_at(theta)
 
-    def _bind(self, theta0) -> Tuple[CoordsMap, str]:
+    def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
         """The field on theta0's space as a CoordsMap whose components pass
-        the checks a TangentVector makes, and the space's belief kind.  This
+        the checks a TangentVector makes, and the space's projection.  This
         one rebuilds the stage belief from the unprojected state."""
-        key = _space_key(theta0)
-        self._match(key)
+        kind = _coord_kind(theta0)
+        self._match(kind.space(theta0))
         eval_at = self.eval_at
-        return (lambda v, c: eval_at(_result(theta0, v)).components), key[0]
+        return (lambda v, c: eval_at(_result(theta0, v)).components), kind.project
 
 
 class _LazyHandle(VectorFieldHandle):
@@ -234,8 +177,9 @@ class _LazyHandle(VectorFieldHandle):
         if eval_at is None:
 
             def eval_at(theta) -> TangentVector:
-                fmap = coords(theta, _space_key(theta))
-                return TangentVector(theta, fmap(None, belief_coords(theta)))
+                kind = _coord_kind(theta)
+                fmap = coords(theta, kind.space(theta))
+                return TangentVector(theta, fmap(None, kind.coords(theta)))
 
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "space", None)
@@ -251,22 +195,23 @@ class _LazyHandle(VectorFieldHandle):
     # Defined here as well as on the base class: bench/tracer.py patches
     # each class's own __call__.
     def __call__(self, theta) -> TangentVector:
-        self._match(_space_key(theta))
+        self._match(_coord_kind(theta).space(theta))
         return self.eval_at(theta)
 
-    def _bind(self, theta0) -> Tuple[CoordsMap, str]:
+    def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
         if self._coords is None:
             return super()._bind(theta0)
-        key = _space_key(theta0)
+        kind = _coord_kind(theta0)
+        key = kind.space(theta0)
         self._match(key)
-        fmap, simplex = self._coords(theta0, key), key[0] == "simplex"
+        fmap, sums_to_one = self._coords(theta0, key), kind.sums_to_one
 
         def checked(v, c):
             comp = fmap(v, c)
-            _check_tangent(comp, simplex)
+            _check_tangent(comp, sums_to_one)
             return comp
 
-        return checked, key[0]
+        return checked, kind.project
 
 
 @dataclass(frozen=True)
@@ -320,7 +265,7 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
             if not learner.in_domain(phi, theta):
                 raise DomainError(outside)
             v = _forward_stencil(flow, theta, h)
-            if isinstance(theta, FiniteSimplex):
+            if _coord_kind(theta).sums_to_one:
                 v = v - v.mean()  # discard off-plane stencil round-off
             return TangentVector(theta, v)
 
@@ -514,31 +459,31 @@ def _coerce_time(t) -> float:
     return t
 
 
-def _at(f: CoordsMap, kind: str, v: np.ndarray) -> np.ndarray:
-    return f(v, _project(kind, v))
+def _at(f: CoordsMap, project: Project, v: np.ndarray) -> np.ndarray:
+    return f(v, project(v))
 
 
-def _advance(f: CoordsMap, kind: str, c, k1, h: float, scheme: str) -> np.ndarray:
+def _advance(f: CoordsMap, project: Project, c, k1, h: float, scheme: str) -> np.ndarray:
     """One step of size h from projected coordinates c, where k1 is the field
     there; returns the new state before its projection."""
     if scheme == "euler":
         return c + h * k1
-    k2 = _at(f, kind, c + 0.5 * h * k1)
-    k3 = _at(f, kind, c + 0.5 * h * k2)
-    k4 = _at(f, kind, c + h * k3)
+    k2 = _at(f, project, c + 0.5 * h * k1)
+    k3 = _at(f, project, c + 0.5 * h * k2)
+    k4 = _at(f, project, c + h * k3)
     return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _cover(f: CoordsMap, kind: str, c, v, dt: float, cfg: IntegratorConfig):
+def _cover(f: CoordsMap, project: Project, c, v, dt: float, cfg: IntegratorConfig):
     """Cover time dt from the state v (projected: c) with whole steps, then
     one remainder step.  Returns the new projected and unprojected states."""
     n_full, rem = divmod(dt, cfg.step)
     for _ in range(int(n_full)):
-        v = _advance(f, kind, c, f(v, c), cfg.step, cfg.scheme)
-        c = _project(kind, v)
+        v = _advance(f, project, c, f(v, c), cfg.step, cfg.scheme)
+        c = project(v)
     if rem > _REM_TOL:
-        v = _advance(f, kind, c, f(v, c), rem, cfg.scheme)
-        c = _project(kind, v)
+        v = _advance(f, project, c, f(v, c), rem, cfg.scheme)
+        c = project(v)
     return c, v
 
 
@@ -558,16 +503,16 @@ def integrate(
     t = _coerce_time(t)
     if not math.isinf(t):
         _check_budget(cfg, t)
-        f, kind = field._bind(theta0)
-        return _result(theta0, _cover(f, kind, belief_coords(theta0), None, t, cfg)[1])
-    f, kind = field._bind(theta0)
+        f, project = field._bind(theta0)
+        return _result(theta0, _cover(f, project, belief_coords(theta0), None, t, cfg)[1])
+    f, project = field._bind(theta0)
     c, v = belief_coords(theta0), None
     k1 = f(v, c)
     quiet = 0
     cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
     for _ in range(cap):
-        v = _advance(f, kind, c, k1, cfg.step, cfg.scheme)
-        c = _project(kind, v)
+        v = _advance(f, project, c, k1, cfg.step, cfg.scheme)
+        c = project(v)
         k1 = f(v, c)  # also the next step's first stage
         quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
         if quiet >= _QUIET_STEPS:
@@ -615,16 +560,16 @@ def integrate_sampled(
     t = _coerce_time(t)
     if math.isinf(t):
         raise ParameterError("sampled integration needs a finite time")
-    if step_out <= 0:
-        raise ParameterError("step_out must be positive")
+    if not 0 < step_out < math.inf:
+        raise ParameterError(f"step_out must be positive and finite, got {step_out!r}")
     _check_budget(cfg, t, step_out)
     columns = ("t",) + coord_labels(theta0)
-    f, kind = field._bind(theta0)
+    f, project = field._bind(theta0)
     c, v = belief_coords(theta0), None
     rows = [(0.0,) + tuple(c)]
     now = 0.0
     for target in _sample_times(t, step_out):
-        c, v = _cover(f, kind, c, v, target - now, cfg)
+        c, v = _cover(f, project, c, v, target - now, cfg)
         now = target
         rows.append((now,) + tuple(c))
     return _result(theta0, v), TrajectoryRecord(columns, rows, {"t": t, "step_out": step_out})

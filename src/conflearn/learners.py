@@ -93,7 +93,6 @@ class Learner:
 
     id: str
     domain: ConfidenceDomain
-    belief_kind: str
     observe: Callable[[Any, ConfidenceValue, Any], Any]
     in_domain: Callable[[Any, Any], bool]
     bel: Optional[Callable[[Any, Any], float]] = None
@@ -129,7 +128,7 @@ class Learner:
     notes: str = ""
 
     def __repr__(self) -> str:
-        return f"Learner({self.id!r}, domain={self.domain.id!r}, beliefs={self.belief_kind!r})"
+        return f"Learner({self.id!r}, domain={self.domain.id!r})"
 
 
 def _on_simplex(
@@ -249,7 +248,6 @@ def make_interp_learner() -> Learner:
     return Learner(
         id="interp",
         domain=frac,
-        belief_kind="simplex",
         observe=interp_observe,
         in_domain=lambda a, p: p.prob(a) > MASS_EPS,
         bel=lambda a, p: math.log(p.prob(a)) if p.prob(a) > 0 else -math.inf,
@@ -327,7 +325,6 @@ def make_ds_learner() -> Learner:
     return Learner(
         id="ds",
         domain=frac,
-        belief_kind="mass",
         observe=lambda a, chi, m: ds_plaus_update(m, a, chi),
         in_domain=lambda a, m: m.plaus(a) > MASS_EPS,
         bel=lambda a, m: m.bel(a),
@@ -442,7 +439,6 @@ def make_kalman_learner() -> Learner:
     return Learner(
         id="kalman",
         domain=dom,
-        belief_kind="gaussian",
         observe=kalman_observe,
         in_domain=lambda z, b: True,
         bel=lambda z, b: -(0.5 * (b.mean - float(z)) ** 2 + b.var * b.var),
@@ -543,7 +539,6 @@ def make_boltzmann_learner() -> Learner:
     return Learner(
         id="boltzmann",
         domain=add,
-        belief_kind="simplex",
         observe=boltzmann_observe,
         in_domain=lambda v, p: True,
         bel=lambda v, p: -float(np.asarray(p.probs) @ v.values),
@@ -745,7 +740,6 @@ def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     return Learner(
         id="bayes",
         domain=add,
-        belief_kind="simplex",
         observe=observe,
         in_domain=in_domain_fn,
         bel=bel,
@@ -834,7 +828,6 @@ def make_max_graded_learner() -> Learner:
     return Learner(
         id="max-graded",
         domain=dom,
-        belief_kind="graded",
         observe=max_graded_observe,
         in_domain=lambda key, table: key in table.entries,
         bel=lambda key, table: table.grade(key),
@@ -1019,7 +1012,6 @@ def make_classifier_learner(
     return Learner(
         id="classifier",
         domain=count,
-        belief_kind="params",
         observe=observe,
         in_domain=lambda ex, theta: bool(np.all(np.isfinite(theta))),
         bel=bel,
@@ -1092,7 +1084,6 @@ def lift_to_list(base: Learner) -> Learner:
     return Learner(
         id=f"{base.id}@list",
         domain=dom,
-        belief_kind=base.belief_kind,
         observe=observe,
         in_domain=base.in_domain,
         bel=base.bel,

@@ -14,6 +14,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from .confidence import get_domain
 from .learners import (
     Learner,
     boltzmann_observe,
@@ -37,21 +38,12 @@ MUTANT_TARGETS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> Learner:
-    """Interpolation learner whose mixing weight is warped before use.
-
-    The warp drops every closed-form hook tied to the honest weight, so the
-    checks see only the corrupted observe map (and the unchanged Bel).
-    """
-    base = make_interp_learner()
-    frac = base.domain
-
-    def observe(phi, chi, theta):
-        x = frac.to_float(frac.coerce(chi))
-        return interp_observe(phi, warp(x), theta)
-
+def _interp_mutant(mutant_id: str, observe, note: str) -> Learner:
+    """Interpolation learner with a corrupted observe map and none of the
+    closed-form hooks tied to the honest update, so the checks see only the
+    corrupted map (and the unchanged Bel)."""
     return replace(
-        base,
+        make_interp_learner(),
         id=mutant_id,
         observe=observe,
         translate=None,
@@ -62,6 +54,17 @@ def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> L
         lb_metric=None,
         notes=note,
     )
+
+
+def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> Learner:
+    """Interpolation learner whose mixing weight is warped before use."""
+    frac = get_domain("frac")
+
+    def observe(phi, chi, theta):
+        x = frac.to_float(frac.coerce(chi))
+        return interp_observe(phi, warp(x), theta)
+
+    return _interp_mutant(mutant_id, observe, note)
 
 
 def _mutant_l1_drift() -> Learner:
@@ -105,32 +108,15 @@ def _mutant_b3_timid() -> Learner:
 
 
 def _mutant_fc_partial() -> Learner:
-    base = make_interp_learner()
-    frac = base.domain
-
-    def observe(phi, chi, theta):
-        v = frac.coerce(chi)
-        if v.is_top:
-            return interp_observe(phi, 0.9, theta)
-        return interp_observe(phi, frac.to_float(v), theta)
-
-    return replace(
-        base,
-        id="mutant-fc-partial",
-        observe=observe,
-        translate=None,
-        make_flow=None,
-        coord_flow=None,
-        closed_field=None,
-        path_velocity=None,
-        lb_metric=None,
-        notes="the top update only does ninety percent of the conditioning",
+    return _weight_warp(
+        "mutant-fc-partial",
+        lambda x: 0.9 if x == 1.0 else x,  # the weight is 1.0 only at top
+        "the top update only does ninety percent of the conditioning",
     )
 
 
 def _mutant_b2_uniform() -> Learner:
-    base = make_interp_learner()
-    frac = base.domain
+    frac = get_domain("frac")
 
     def observe(phi, chi, theta):
         x = frac.to_float(frac.coerce(chi))
@@ -138,17 +124,10 @@ def _mutant_b2_uniform() -> Learner:
         uniform = ind / ind.sum()
         return theta.with_probs((1.0 - x) * np.asarray(theta.probs) + x * uniform)
 
-    return replace(
-        base,
-        id="mutant-b2-uniform",
-        observe=observe,
-        translate=None,
-        make_flow=None,
-        coord_flow=None,
-        closed_field=None,
-        path_velocity=None,
-        lb_metric=None,
-        notes="pulls toward the uniform law on the event, moving states that already believe it",
+    return _interp_mutant(
+        "mutant-b2-uniform",
+        observe,
+        "pulls toward the uniform law on the event, moving states that already believe it",
     )
 
 

@@ -262,10 +262,37 @@ def test_belief_json_round_trips():
         GaussianBelief(1.5, 0.25),
         GradedBeliefTable({"x": 0.1, "y": 1.0}),
         MassFunction.from_simplex(tri()),
+        np.array([0.25, -1.5, 3.0]),
+        GaussianBelief(-2.0, math.inf),
     ]
     for b in cases:
         back = belief_from_json(belief_to_json(b))
         assert belief_distance(back, b) <= 1e-15
+
+
+def test_simplex_json_probs_may_name_the_worlds():
+    back = belief_from_json({"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}})
+    assert belief_distance(back, tri()) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (tri(), GaussianBelief(0.0, 1.0)),
+        (tri(), MassFunction.from_simplex(tri())),
+        (np.array([0.5, 0.3, 0.2]), tri()),
+        (tri(), FiniteSimplex(("a", "b", "d"), np.array([0.5, 0.3, 0.2]))),
+        (
+            MassFunction.from_simplex(tri()),
+            MassFunction.from_simplex(FiniteSimplex(("a", "b"), np.array([0.5, 0.5]))),
+        ),
+        (GradedBeliefTable({"x": 0.1}), GradedBeliefTable({"y": 0.1})),
+        (np.zeros(3), np.zeros(4)),
+    ],
+)
+def test_belief_distance_rejects_mixed_kinds_and_spaces(a, b):
+    with pytest.raises(ParameterError):
+        belief_distance(a, b)
 
 
 def test_belief_json_rejects_unknown_kind():

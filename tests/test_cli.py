@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -168,6 +169,20 @@ def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
     assert "max_steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [{"n_values": [True, 2]}, {"chi": math.inf}])
+def test_trotter_bad_settings_exit_2(tmp_path, capsys, extra):
+    cfg = {
+        "learner": "interp",
+        "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
+        "observations": [{"event": ["a"]}, {"event": ["b"]}],
+        "chi": 1.5,
+        **extra,
+    }
+    assert run_cli(tmp_path, "trotter", cfg, "--quiet") == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trotter.json").exists()
+
+
 def test_trotter_needs_two_observations(tmp_path):
     cfg = {
         "learner": "interp",
@@ -245,6 +260,29 @@ def test_equiv_experiment_passes(tmp_path, capsys):
     assert (tmp_path / "out" / "equiv_interp-vs-ds.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("axioms", {"samples": "x"}),
+        ("axioms", {"seed": "x"}),
+        ("axioms", {"seed": 1.5}),
+        ("axioms", {"samples": 0}),
+        ("axioms", {"samples": True}),
+        ("axioms", {"tol": 0.0}),
+        ("axioms", {"lb_tol": math.nan}),
+        ("axioms", {"l2_ratio_bound": -1.0}),
+        ("axioms", {"fd_step": math.inf}),
+        ("equiv", {"experiment": "interp-vs-ds", "samples": -3}),
+        ("equiv", {"experiment": "interp-vs-ds", "samples": "x"}),
+        ("equiv", {"experiment": "bayes-boltzmann", "seed": "x"}),
+    ],
+)
+def test_bad_numeric_settings_exit_2(tmp_path, capsys, command, settings):
+    cfg = {"learners": ["interp"], **settings}
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_equiv_unknown_experiment_exits_2(tmp_path):
     assert run_cli(tmp_path, "equiv", {"experiment": "nope"}, "--quiet") == 2
 
@@ -305,6 +343,12 @@ def test_combine_step_budget_exits_2(tmp_path, capsys):
 def test_combine_zero_step_out_exits_2(tmp_path):
     cfg = dict(COMBINE_INTERP, step_out=0)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+
+
+def test_combine_infinite_step_out_exits_2(tmp_path):
+    cfg = dict(COMBINE_INTERP, step_out=math.inf)
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_combine_unknown_world_exits_2(tmp_path):

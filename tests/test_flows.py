@@ -11,6 +11,7 @@ from conflearn import (
     EventSet,
     FiniteSimplex,
     GaussianBelief,
+    GradedBeliefTable,
     IntegratorConfig,
     MassFunction,
     NoLimitError,
@@ -119,7 +120,12 @@ def test_tangent_vector_simplex_invariant():
 
 
 def test_coords_round_trip():
-    cases = [tri(), GaussianBelief(1.0, 2.5)]
+    cases = [
+        tri(),
+        GaussianBelief(1.0, 2.5),
+        GradedBeliefTable({"x": 0.25, "y": 1.0}),
+        np.array([0.5, -2.0, 3.0]),
+    ]
     for b in cases:
         vec = belief_coords(b)
         assert len(vec) == len(coord_labels(b))
@@ -286,6 +292,13 @@ def test_integrate_sampled_rows_and_monotone_bel():
     text = record.to_csv_text()
     assert text.splitlines()[0] == "t,a,b,c"
     assert belief_distance(final, integrate(field, p, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("step_out", [math.inf, math.nan])
+def test_integrate_sampled_rejects_bad_step_out(step_out):
+    field = derivative_field(get_learner("interp"), tri().event(["a"]))
+    with pytest.raises(ParameterError, match="step_out"):
+        integrate_sampled(field, tri(), 1.0, step_out=step_out)
 
 
 def test_integrator_rejects_bad_settings():
