@@ -342,7 +342,7 @@ def _draw_confidence(learner: Learner, rng) -> ConfidenceValue:
         return learner.domain.bot
     if u < 0.2:
         return learner.domain.top
-    return learner.sample_confidence(rng)
+    return learner.domain.sample(rng)
 
 
 def _check_l5(learner: Learner, cfg: CheckConfig) -> AxiomReport:

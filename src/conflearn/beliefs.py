@@ -598,7 +598,9 @@ _KINDS = (
     _Kind(
         "graded", GradedBeliefTable,
         space=lambda b: ("graded", b.keys()),
-        distance=lambda a, b: max(abs(a.entries[k] - b.entries[k]) for k in a.entries),
+        distance=lambda a, b: max(
+            (abs(a.entries[k] - b.entries[k]) for k in a.entries), default=0.0
+        ),
         to_json=lambda b: {"entries": {k: float(v) for k, v in b.entries.items()}},
         from_json=lambda obj: GradedBeliefTable(dict(obj["entries"])),
         labels=lambda b: b.keys(),

@@ -160,6 +160,11 @@ def _build_learner(cfg: dict) -> Learner:
     params = cfg.get("learner_params", {})
     if not isinstance(params, dict):
         raise ConfigError("'learner_params' must be an object")
+    return _learner_of(lid, params)
+
+
+def _learner_of(lid: str, params: dict) -> Learner:
+    """The learner ``lid`` (an id, "@list" ones too); a bad one is a config error."""
     lifted = lid.endswith("@list")
     base_id = lid[: -len("@list")] if lifted else lid
     try:
@@ -198,7 +203,7 @@ def _parse_observation(learner: Learner, obj, belief):
         raise ConfigError(f"learner {learner.id!r} takes no JSON observations")
     try:
         return learner.observation_from_json(obj, belief)
-    except (ConfLearnError, KeyError, TypeError, ValueError) as exc:
+    except (ConfLearnError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad observation {obj!r}: {exc}") from exc
 
 
@@ -429,15 +434,7 @@ def _resolve_learners(cfg: dict) -> List[Learner]:
         for lid in spec:
             if not isinstance(lid, str):
                 raise ConfigError("'learners' entries must be id strings")
-            if lid in mutants:
-                out.append(mutants[lid])
-            elif lid.endswith("@list"):
-                try:
-                    out.append(lift_to_list(get_learner(lid[: -len("@list")])))
-                except UnsupportedError as exc:
-                    raise ConfigError(str(exc)) from exc
-            else:
-                out.append(get_learner(lid))
+            out.append(mutants[lid] if lid in mutants else _learner_of(lid, {}))
     else:
         raise ConfigError("'learners' must be \"all\" or an array of ids")
     if cfg.get("include_lifted", False):

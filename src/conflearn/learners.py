@@ -12,21 +12,28 @@ Built-in registry ids:
 - ``"ds"``          Dempster-Shafer plausibility update via simple support
 - ``"kalman"``      scalar Kalman estimator driven by (gain, variance) pairs
 - ``"boltzmann"``   exponential reweighting by a penalty variable
-- ``"bayes"``       Bayesian posterior as a Boltzmann learner at weight 1
+- ``"bayes"``       the Boltzmann learner on the penalty -log P(obs | h):
+                    exact Bayesian conditioning at weight 1
 - ``"max-graded"``  per-statement plateau update (keep the stronger grade)
 - ``"classifier"``  iterated gradient steps on a softmax regression loss
 
 All ``observe`` implementations share the signature
 ``observe(observation, confidence, belief) -> belief`` and satisfy the
 no-confidence identity and the sequential-combination law of their domain.
+
+The two reweighting learners share one Gibbs kernel (``_gibbs_learner``).
+Each supplies only its penalty vector, samplers and JSON readers; the kernel
+supplies the update, its coordinate flow and closed field, ``bel``,
+``bel_top`` and ``in_domain``.  A penalty entry may be +inf (a zero
+likelihood), which rules its world out.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,7 +124,6 @@ class Learner:
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
     sample_saturated: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
     sample_top_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
-    sample_confidence: Optional[Callable[[np.random.Generator], ConfidenceValue]] = None
     default_grid: Tuple[ConfidenceValue, ...] = ()
     bel_chain: Optional[Callable[[Any, Any], Sequence[ConfidenceValue]]] = None
     observation_to_json: Optional[Callable[[Any], dict]] = None
@@ -136,6 +142,11 @@ def _on_simplex(
 ) -> FiniteSimplex:
     """Apply a bound coordinate update (see ``Learner.coord_flow``) to p."""
     return p if step is None else p.with_probs(step(p.probs))
+
+
+def _grid(dom: ConfidenceDomain, inner: Sequence, top: bool = True) -> Tuple[ConfidenceValue, ...]:
+    """A default grid: bot, the values ``inner``, then top if ``top``."""
+    return (dom.bot, *map(dom.value, inner)) + ((dom.top,) if top else ())
 
 
 def _world_labels(n: int) -> Tuple[str, ...]:
@@ -259,14 +270,7 @@ def make_interp_learner() -> Learner:
         lb_metric="fisher",
         sample_instance=_sample_simplex_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: frac.sample(rng),
-        default_grid=(
-            frac.bot,
-            frac.value(0.25),
-            frac.value(0.5),
-            frac.value(0.75),
-            frac.top,
-        ),
+        default_grid=_grid(frac, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
         notes="posterior = (1-alpha) P + alpha P(.|a); Bel = log P(a)",
@@ -333,14 +337,7 @@ def make_ds_learner() -> Learner:
         make_flow=flow_factory,
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: frac.sample(rng),
-        default_grid=(
-            frac.bot,
-            frac.value(0.25),
-            frac.value(0.5),
-            frac.value(0.75),
-            frac.top,
-        ),
+        default_grid=_grid(frac, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
         notes="Dempster combination with a simple support; Bel = belief function",
@@ -447,14 +444,7 @@ def make_kalman_learner() -> Learner:
         lb_metric="euclidean",
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: dom.sample(rng),
-        default_grid=(
-            dom.bot,
-            dom.value((0.3, 2.0)),
-            dom.value((0.5, 1.0)),
-            dom.value((0.8, 0.5)),
-            dom.top,
-        ),
+        default_grid=_grid(dom, ((0.3, 2.0), (0.5, 1.0), (0.8, 0.5))),
         bel_chain=bel_chain,
         observation_to_json=lambda z: {"z": float(z)},
         observation_from_json=lambda obj, b: float(obj["z"]),
@@ -466,7 +456,124 @@ def make_kalman_learner() -> Learner:
 
 
 # ---------------------------------------------------------------------------
-# Boltzmann learner.
+# Gibbs reweighting: the kernel behind the Boltzmann and Bayesian learners.
+
+
+class _Penalty(NamedTuple):
+    """A penalty vector u over the worlds ``labels``: the update at additive
+    time t reweights a simplex by exp(-t u).
+
+    An entry u = +inf rules its world out.  ``possible`` marks the finite
+    entries, or is None when all are finite, so finite penalties skip that
+    work.  At top the update keeps the supported worlds of least ``rank``
+    (bayes ranks by -likelihood, whose ties are finer than its log's).
+    ``what`` names the observation in errors.
+    """
+
+    labels: Tuple[str, ...]
+    u: np.ndarray
+    rank: np.ndarray
+    possible: Optional[np.ndarray]
+    what: str
+
+
+def _check_worlds(pen: _Penalty, labels: Tuple[str, ...]) -> _Penalty:
+    if pen.labels != labels:
+        raise ParameterError(f"prior is not over the worlds of {pen.what}")
+    return pen
+
+
+def _gibbs_map(pen: _Penalty, t, labels: Tuple[str, ...]):
+    """The update by pen at additive time t, bound to simplexes over labels."""
+    _check_worlds(pen, labels)
+    chi = get_domain("add").coerce(t)
+    if chi.is_bot:
+        return None
+    u, rank, possible = pen.u, pen.rank, pen.possible
+    top, b = chi.is_top, chi.payload
+
+    def step(pr: np.ndarray) -> np.ndarray:
+        supp = pr > 0.0
+        if possible is not None:
+            supp &= possible
+            if not supp.any():
+                raise ZeroMassEventError(f"{pen.what} contradicts the prior")
+        if top:
+            least = rank[supp].min()
+            return np.where(supp & (rank == least), pr, 0.0)
+        logw = np.log(pr[supp]) - b * u[supp]
+        w = np.zeros_like(pr)
+        w[supp] = np.exp(logw - logw.max())
+        return w
+
+    return step
+
+
+def _gibbs_field(pen: _Penalty):
+    u, possible = pen.u, pen.possible
+    if possible is None:
+        return lambda c, space: c * (float(c @ u) - u)
+
+    def field(c: np.ndarray, space: tuple) -> np.ndarray:
+        supp = c > 0.0
+        if not possible[supp].all():
+            raise DomainError(f"{pen.what} contradicts the state")
+        v = np.where(supp, u, 0.0)
+        return np.where(supp, c * (float(c @ v) - v), 0.0)
+
+    return field
+
+
+def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
+    """The learner reweighting simplexes by exp(-t u) for u = penalty(phi);
+    ``hooks`` give its id, samplers, JSON readers and notes."""
+    add = get_domain("add")
+
+    def coord_flow(phi, t, labels: Tuple[str, ...]):
+        return _gibbs_map(penalty(phi), t, labels)
+
+    def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
+        return _on_simplex(coord_flow(phi, t, p.labels), p)
+
+    def bel(phi, p: FiniteSimplex) -> float:
+        pen = _check_worlds(penalty(phi), p.labels)
+        u = pen.u
+        if pen.possible is not None:
+            supp = p.probs > 0.0
+            if not pen.possible[supp].all():
+                return -math.inf
+            u = np.where(supp, u, 0.0)
+        return -float(p.probs @ u)
+
+    def bel_top(phi, p: FiniteSimplex) -> float:
+        return -float(_check_worlds(penalty(phi), p.labels).u[p.probs > 0.0].min())
+
+    def in_domain_fn(phi, p: FiniteSimplex) -> bool:
+        possible = _check_worlds(penalty(phi), p.labels).possible
+        return possible is None or bool(possible[p.probs > 0.0].all())
+
+    return Learner(
+        domain=add,
+        observe=observe,
+        in_domain=in_domain_fn,
+        bel=bel,
+        bel_top=bel_top,
+        translate=lambda phi, chi, p: add.to_float(chi),
+        make_flow=lambda phi: (lambda t, p: observe(phi, t, p)),
+        coord_flow=coord_flow,
+        closed_field=lambda phi: _gibbs_field(penalty(phi)),
+        lb_metric="fisher",
+        default_grid=_grid(add, (0.1, 0.5, 1.5, 3.0)),
+        **hooks,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Boltzmann learner: the penalty is a random variable.
+
+
+def _boltzmann_penalty(v: RandomVariable) -> _Penalty:
+    return _Penalty(v.labels, v.values, v.values, None, "the penalty variable")
 
 
 def boltzmann_observe(
@@ -477,43 +584,10 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
-    return _on_simplex(_boltzmann_map(v, beta, p.labels), p)
-
-
-def _boltzmann_map(v: RandomVariable, beta, labels: Tuple[str, ...]):
-    """boltzmann_observe(v, beta, .) bound to simplexes over ``labels``."""
-    if v.labels != labels:
-        raise ParameterError("penalty variable over a different world set")
-    chi = get_domain("add").coerce(beta)
-    if chi.is_bot:
-        return None
-    vals = np.asarray(v.values)
-    top, b = chi.is_top, chi.payload
-
-    def step(pr: np.ndarray) -> np.ndarray:
-        supp = pr > 0.0
-        if top:
-            vmin = vals[supp].min()
-            return np.where(supp & (vals == vmin), pr, 0.0)
-        logw = np.log(pr[supp]) - b * vals[supp]
-        w = np.zeros_like(pr)
-        w[supp] = np.exp(logw - logw.max())
-        return w
-
-    return step
-
-
-def _boltzmann_field(v: RandomVariable):
-    def field(c: np.ndarray, space: tuple) -> np.ndarray:
-        mean = float(c @ v.values)
-        return c * (mean - np.asarray(v.values))
-
-    return field
+    return _on_simplex(_gibbs_map(_boltzmann_penalty(v), beta, p.labels), p)
 
 
 def make_boltzmann_learner() -> Learner:
-    add = get_domain("add")
-
     def sample_instance(rng):
         n = int(rng.integers(2, 7))
         labels = _world_labels(n)
@@ -532,33 +606,11 @@ def make_boltzmann_learner() -> Learner:
         vals[idx] = 0.0  # constant on the support, so Bel is already maximal
         return RandomVariable(labels, vals), FiniteSimplex(labels, probs)
 
-    def bel_top(v, p):
-        pr = np.asarray(p.probs)
-        return -float(np.asarray(v.values)[pr > 0.0].min())
-
-    return Learner(
+    return _gibbs_learner(
+        _boltzmann_penalty,
         id="boltzmann",
-        domain=add,
-        observe=boltzmann_observe,
-        in_domain=lambda v, p: True,
-        bel=lambda v, p: -float(np.asarray(p.probs) @ v.values),
-        bel_top=bel_top,
-        translate=lambda v, chi, p: get_domain("add").to_float(chi),
-        make_flow=lambda v: (lambda t, p: boltzmann_observe(v, t, p)),
-        coord_flow=_boltzmann_map,
-        closed_field=_boltzmann_field,
-        lb_metric="fisher",
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: add.sample(rng),
-        default_grid=(
-            add.bot,
-            add.value(0.1),
-            add.value(0.5),
-            add.value(1.5),
-            add.value(3.0),
-            add.top,
-        ),
         observation_to_json=lambda v: {"values": {l: float(x) for l, x in zip(v.labels, v.values)}},
         observation_from_json=lambda obj, p: RandomVariable.from_dict(p.labels, obj["values"]),
         notes="posterior ~ P * exp(-beta v); Bel = -E_P[v]",
@@ -566,7 +618,7 @@ def make_boltzmann_learner() -> Learner:
 
 
 # ---------------------------------------------------------------------------
-# Bayesian learner (a Boltzmann learner whose penalty is -log likelihood).
+# Bayesian learner: the Boltzmann learner on the penalty -log P(obs | h).
 
 
 @dataclass(frozen=True)
@@ -663,105 +715,39 @@ DEFAULT_BAYES_MODEL = BayesModel(
 
 def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     model = model or DEFAULT_BAYES_MODEL
-    add = get_domain("add")
+    hyps, keys = model.hypotheses, model.observations
+    with np.errstate(divide="ignore"):  # a zero likelihood is an infinite penalty
+        table = {
+            key: _Penalty(hyps, -np.log(row), -row, None if row.min() > 0.0 else row > 0.0,
+                          f"observation {key!r}")
+            for key, row in model.likelihood.items()
+        }
 
-    def coord_flow(key: str, chi, labels: Tuple[str, ...]):
-        v = add.coerce(chi)
-        if v.is_bot:
-            return None
-        lik = model.row(key)
-        top, b = v.is_top, v.payload
+    def penalty(key: str) -> _Penalty:
+        model.row(key)  # rejects an unknown observation
+        return table[key]
 
-        def step(pr: np.ndarray) -> np.ndarray:
-            supp = (pr > 0.0) & (lik > 0.0)
-            if not supp.any():
-                raise ZeroMassEventError(f"observation {key!r} contradicts the prior")
-            if top:
-                lmax = lik[supp].max()
-                return np.where(supp & (lik == lmax), pr, 0.0)
-            logw = np.log(pr[supp]) + b * np.log(lik[supp])
-            w = np.zeros_like(pr)
-            w[supp] = np.exp(logw - logw.max())
-            return w
-
-        return step
-
-    def observe(key: str, chi, p: FiniteSimplex) -> FiniteSimplex:
-        return _on_simplex(coord_flow(key, chi, p.labels), p)
-
-    def bel(key: str, p: FiniteSimplex) -> float:
-        lik = model.row(key)
-        pr = np.asarray(p.probs)
-        supp = pr > 0.0
-        if np.any(supp & (lik <= 0.0)):
-            return -math.inf
-        return float(pr[supp] @ np.log(lik[supp]))
-
-    def bel_top(key: str, p: FiniteSimplex) -> float:
-        lik = model.row(key)
-        supp = np.asarray(p.probs) > 0.0
-        if not np.any(supp & (lik > 0.0)):
-            return -math.inf
-        return float(np.log(lik[supp & (lik > 0.0)].max()))
-
-    def closed_field(key: str):
-        lik = model.row(key)
-        impossible = lik <= 0.0
-        can_contradict = bool(impossible.any())
-        penalty = -np.log(np.where(impossible, 1.0, lik))
-
-        def fieldfn(c: np.ndarray, space: tuple) -> np.ndarray:
-            supp = c > 0.0
-            if can_contradict and np.any(supp & impossible):
-                raise DomainError(f"observation {key!r} contradicts the state")
-            v = np.where(supp, penalty, 0.0)
-            mean = float(c @ v)
-            return np.where(supp, c * (mean - v), 0.0)
-
-        return fieldfn
-
-    def in_domain_fn(key: str, p: FiniteSimplex) -> bool:
-        lik = model.row(key)
-        return not np.any((np.asarray(p.probs) > 0.0) & (lik <= 0.0))
+    def observation_from_json(obj: Mapping, p: FiniteSimplex) -> str:
+        key = str(obj["id"])
+        _check_worlds(penalty(key), p.labels)
+        return key
 
     def sample_instance(rng):
-        n = len(model.hypotheses)
-        p = FiniteSimplex(model.hypotheses, rng.dirichlet(np.ones(n)))
-        key = model.observations[int(rng.integers(len(model.observations)))]
-        return key, p
+        p = FiniteSimplex(hyps, rng.dirichlet(np.ones(len(hyps))))
+        return keys[int(rng.integers(len(keys)))], p
 
     def sample_saturated(rng):
-        n = len(model.hypotheses)
-        probs = np.zeros(n)
-        probs[int(rng.integers(n))] = 1.0
-        key = model.observations[int(rng.integers(len(model.observations)))]
-        return key, FiniteSimplex(model.hypotheses, probs)
+        probs = np.zeros(len(hyps))
+        probs[int(rng.integers(len(hyps)))] = 1.0
+        return keys[int(rng.integers(len(keys)))], FiniteSimplex(hyps, probs)
 
-    return Learner(
+    return _gibbs_learner(
+        penalty,
         id="bayes",
-        domain=add,
-        observe=observe,
-        in_domain=in_domain_fn,
-        bel=bel,
-        bel_top=bel_top,
-        translate=lambda key, chi, p: add.to_float(chi),
-        make_flow=lambda key: (lambda t, p: observe(key, t, p)),
-        coord_flow=coord_flow,
-        closed_field=closed_field,
-        lb_metric="fisher",
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: add.sample(rng),
-        default_grid=(
-            add.bot,
-            add.value(0.1),
-            add.value(0.5),
-            add.value(1.5),
-            add.value(3.0),
-            add.top,
-        ),
         observation_to_json=lambda key: {"id": key},
-        observation_from_json=lambda obj, p: str(obj["id"]),
+        observation_from_json=observation_from_json,
         notes="posterior ~ P(h) P(obs|h)^beta; exact Bayes at beta = 1",
     )
 
@@ -791,6 +777,12 @@ def _max_translate(key: str, chi, table: GradedBeliefTable) -> float:
     if x >= 1.0:
         return math.inf
     return math.log((1.0 - g) / (1.0 - x))
+
+
+def _statement_from_json(obj: Mapping, table: GradedBeliefTable) -> str:
+    key = str(obj["id"])
+    table.grade(key)  # rejects a statement the table does not grade
+    return key
 
 
 def make_max_graded_learner() -> Learner:
@@ -837,16 +829,9 @@ def make_max_graded_learner() -> Learner:
         closed_field=closed_field,
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        sample_confidence=lambda rng: dom.sample(rng),
-        default_grid=(
-            dom.bot,
-            dom.value(0.25),
-            dom.value(0.5),
-            dom.value(0.75),
-            dom.top,
-        ),
+        default_grid=_grid(dom, (0.25, 0.5, 0.75)),
         observation_to_json=lambda key: {"id": key},
-        observation_from_json=lambda obj, table: str(obj["id"]),
+        observation_from_json=_statement_from_json,
         notes="grade' = max(grade, chi); saturating exponential in additive time",
     )
 
@@ -1021,14 +1006,7 @@ def make_classifier_learner(
         lb_metric="euclidean",
         sample_instance=sample_instance,
         sample_top_instance=sample_top_instance,
-        sample_confidence=lambda rng: count.sample(rng),
-        default_grid=(
-            count.bot,
-            count.value(1),
-            count.value(2),
-            count.value(4),
-            count.value(8),
-        ),
+        default_grid=_grid(count, (1, 2, 4, 8), top=False),
         observation_to_json=lambda ex: {"x": [float(v) for v in ex.x], "y": ex.y},
         observation_from_json=lambda obj, theta: LabeledExample(
             np.asarray(obj["x"], dtype=float), int(obj["y"])
@@ -1068,18 +1046,11 @@ def lift_to_list(base: Learner) -> Learner:
             theta = base.observe(phi, c, theta)
         return theta
 
-    def sample_confidence(rng):
-        n = int(rng.integers(0, 4))
-        return dom.value([base.sample_confidence(rng) for _ in range(n)])
-
     inner = [c for c in base.default_grid if not (c.is_bot or c.is_top)]
-    grid = [dom.bot]
-    for i in range(min(2, len(inner))):
-        grid.append(dom.value(inner[: i + 1]))
     # Keep top out of the walkable grid when the base learner keeps it out
     # (its limit may only be reachable on dedicated instances).
-    if any(c.is_top for c in base.default_grid):
-        grid.append(dom.top)
+    top = any(c.is_top for c in base.default_grid)
+    grid = _grid(dom, [inner[: i + 1] for i in range(min(2, len(inner)))], top)
 
     return Learner(
         id=f"{base.id}@list",
@@ -1091,8 +1062,7 @@ def lift_to_list(base: Learner) -> Learner:
         sample_instance=base.sample_instance,
         sample_saturated=base.sample_saturated,
         sample_top_instance=base.sample_top_instance,
-        sample_confidence=sample_confidence if base.sample_confidence else None,
-        default_grid=tuple(grid),
+        default_grid=grid,
         observation_to_json=base.observation_to_json,
         observation_from_json=base.observation_from_json,
         notes=f"list lift of {base.id}",

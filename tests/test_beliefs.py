@@ -295,6 +295,13 @@ def test_belief_distance_rejects_mixed_kinds_and_spaces(a, b):
         belief_distance(a, b)
 
 
+def test_belief_distance_of_empty_graded_tables_is_zero():
+    # as for empty parameter vectors: no coordinates, no distance
+    empty = GradedBeliefTable({})
+    assert belief_distance(empty, GradedBeliefTable({})) == 0.0
+    assert belief_distance(np.zeros(0), np.zeros(0)) == 0.0
+
+
 def test_belief_json_rejects_unknown_kind():
     with pytest.raises(ParameterError):
         belief_from_json({"kind": "wat"})

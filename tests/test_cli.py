@@ -390,3 +390,44 @@ def test_learn_on_list_lift_writes_csv(tmp_path):
     assert rows[0][:4] == ["chi", "a", "b", "c"]
     assert json.loads(rows[1][0]) == {"domain": "list:frac", "value": "bot"}
     assert [float(x) for x in rows[1][1:4]] == [0.5, 0.3, 0.2]
+
+
+BAYES_PRIOR = {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.3, "h3": 0.2}}
+GRADED = {"kind": "graded", "entries": {"phi1": 0.2, "phi2": 0.5}}
+
+
+def _observing(command, learner, belief, observation):
+    if command == "learn":
+        return {"learner": learner, "belief": belief, "observation": observation}
+    return {"learner": learner, "belief": belief, "observations": [observation], "t": 1.0}
+
+
+@pytest.mark.parametrize("command", ["learn", "combine"])
+def test_bayes_and_max_graded_observations_run(tmp_path, command):
+    assert run_cli(tmp_path, command, _observing(command, "bayes", BAYES_PRIOR, {"id": "e1"}),
+                   "--quiet") == 0
+    assert run_cli(tmp_path, command, _observing(command, "max-graded", GRADED, {"id": "phi1"}),
+                   "--quiet") == 0
+
+
+@pytest.mark.parametrize("command", ["learn", "combine"])
+@pytest.mark.parametrize(
+    "learner,belief,observation",
+    [
+        ("bayes", {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}}, {"id": "e1"}),
+        ("bayes", {"kind": "simplex", "probs": {"x": 0.5, "y": 0.3, "z": 0.2}}, {"id": "e1"}),
+        ("bayes", {"kind": "gaussian", "mean": 0.0, "var": 1.0}, {"id": "e1"}),
+        ("bayes", BAYES_PRIOR, {"id": "e9"}),
+        ("max-graded", GRADED, {"id": "zz"}),
+    ],
+)
+def test_observation_mistakes_exit_2(tmp_path, capsys, command, learner, belief, observation):
+    cfg = _observing(command, learner, belief, observation)
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 2
+    assert "bad observation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lid", ["nope", "nope@list"])
+def test_axioms_unknown_learner_exits_2(tmp_path, capsys, lid):
+    assert run_cli(tmp_path, "axioms", {"learners": [lid], "samples": 10}, "--quiet") == 2
+    assert "unknown learner" in capsys.readouterr().err

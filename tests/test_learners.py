@@ -287,8 +287,8 @@ def test_sequential_equals_combined(learner_id):
     worst = 0.0
     for _ in range(500):
         phi, theta = learner.sample_instance(rng)
-        chi1 = learner.sample_confidence(rng)
-        chi2 = learner.sample_confidence(rng)
+        chi1 = learner.domain.sample(rng)
+        chi2 = learner.domain.sample(rng)
         seq = learner.observe(phi, chi2, learner.observe(phi, chi1, theta))
         combined = learner.observe(phi, learner.domain.combine(chi2, chi1), theta)
         worst = max(worst, belief_distance(seq, combined))
@@ -317,8 +317,8 @@ def test_lifted_l5_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(200):
         phi, theta = lifted.sample_instance(rng)
-        chi1 = lifted.sample_confidence(rng)
-        chi2 = lifted.sample_confidence(rng)
+        chi1 = lifted.domain.sample(rng)
+        chi2 = lifted.domain.sample(rng)
         seq = lifted.observe(phi, chi2, lifted.observe(phi, chi1, theta))
         combined = lifted.observe(phi, dom.combine(chi2, chi1), theta)
         assert belief_distance(seq, combined) == 0.0
