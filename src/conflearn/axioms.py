@@ -81,8 +81,9 @@ class CheckConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
-        if not (self.tol > 0 and self.lb_tol > 0 and self.fd_step > 0):
-            raise ParameterError("tolerances and fd_step must be positive")
+        # a Fisher difference step h p_i leaves the simplex once h >= 1
+        if not (self.tol > 0 and self.lb_tol > 0 and 0 < self.fd_step < 1):
+            raise ParameterError("tolerances must be positive and fd_step in (0, 1)")
         if self.l2_ratio_bound <= 0:
             raise ParameterError("l2_ratio_bound must be positive")
 
@@ -125,19 +126,6 @@ def _grid(learner: Learner, cfg: CheckConfig) -> Tuple[ConfidenceValue, ...]:
     return tuple(learner.domain.coerce(x) for x in raw)
 
 
-def _skip(learner: Learner, axiom_id: str, cfg: CheckConfig, note: str) -> AxiomReport:
-    return AxiomReport(
-        learner_id=learner.id,
-        axiom_id=axiom_id,
-        passed=True,
-        worst_violation=0.0,
-        tol=cfg.tol,
-        witness=None,
-        skipped=True,
-        note=note,
-    )
-
-
 def _safe_json(converter, value):
     try:
         return converter(value)
@@ -171,77 +159,96 @@ def _top_instances(learner: Learner, rng, n: int):
     return [sampler(rng) for _ in range(n)]
 
 
-class _Worst:
-    """Tracks the largest violation and its witness."""
+class _Check:
+    """One law checked on one learner: the sample stream named by the seed,
+    learner and axiom, and the largest violation offered, with its witness."""
 
-    def __init__(self):
+    def __init__(self, learner: Learner, axiom_id: str, cfg: CheckConfig):
+        self.learner, self.axiom_id, self.cfg = learner, axiom_id, cfg
+        self.rng = _seeded_rng(cfg.seed, learner.id, axiom_id)
         self.value = 0.0
         self.witness: Optional[dict] = None
+        self.offers = 0
 
-    def offer(self, violation: float, witness_thunk: Callable[[], dict]):
+    def offer(self, violation: float, **parts) -> None:
+        """Record ``violation``; a new worst gets the witness built from ``parts``."""
+        self.offers += 1
         if math.isnan(violation):
             violation = math.inf
         if violation > self.value:
             self.value = float(violation)
-            self.witness = witness_thunk()
+            self.witness = _witness(self.learner, **parts)
+
+    def report(
+        self, tol: Optional[float] = None, note: str = "", skipped: bool = False
+    ) -> AxiomReport:
+        """The outcome against ``tol`` (default: the config's ``tol``)."""
+        tol = self.cfg.tol if tol is None else tol
+        return AxiomReport(
+            learner_id=self.learner.id,
+            axiom_id=self.axiom_id,
+            passed=self.value <= tol,
+            worst_violation=self.value,
+            tol=tol,
+            witness=self.witness if self.value > tol else None,
+            skipped=skipped,
+            note=note,
+        )
+
+    def skip(self, note: str) -> AxiomReport:
+        """The report of a check that does not apply, or offered nothing."""
+        return self.report(note=note, skipped=True)
 
 
-def _report(learner, axiom_id, worst: _Worst, tol: float, note: str = "") -> AxiomReport:
-    return AxiomReport(
-        learner_id=learner.id,
-        axiom_id=axiom_id,
-        passed=worst.value <= tol,
-        worst_violation=worst.value,
-        tol=tol,
-        witness=worst.witness if worst.value > tol else None,
-        skipped=False,
-        note=note,
-    )
+def _unless_truncated(fn: Callable[..., Any], *args):
+    """fn(*args), or None when a training run inside it warned that it was
+    truncated: such an instance is outside the laws' scope."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NonConvergenceWarning)
+        out = fn(*args)
+    if any(issubclass(w.category, NonConvergenceWarning) for w in caught):
+        return None
+    return out
+
+
+def _chain(learner: Learner, cfg: CheckConfig, phi, theta) -> Tuple[ConfidenceValue, ...]:
+    """The confidence chain B1 and B2 walk: the learner's own, else the grid."""
+    if learner.bel_chain is not None:
+        return tuple(learner.bel_chain(phi, theta))
+    return _grid(learner, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Individual checks.
 
 
-def _check_l1(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _seeded_rng(cfg.seed, learner.id, "L1")
-    worst = _Worst()
-    for phi, theta in _instances(learner, rng, cfg.samples):
+def _check_l1(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
+    for phi, theta in _instances(learner, chk.rng, cfg.samples):
         after = learner.observe(phi, learner.domain.bot, theta)
         d = belief_distance(after, theta)
-        worst.offer(d, lambda p=phi, t=theta: _witness(learner, phi=p, theta=t))
-    return _report(learner, "L1", worst, cfg.tol)
+        chk.offer(d, phi=phi, theta=theta)
+    return chk.report()
 
 
-def _check_l2(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     dom = learner.domain
     if not dom.is_scalar_continuum:
-        return _skip(
-            learner, "L2", cfg, "confidence domain is not a one-dimensional continuum"
-        )
-    rng = _seeded_rng(cfg.seed, learner.id, "L2")
+        return chk.skip("confidence domain is not a one-dimensional continuum")
     hi_base = _L2_BASE_RANGE.get(dom.id, 0.9)
-    worst = _Worst()
-    for phi, theta in _instances(learner, rng, max(2, cfg.samples // 2)):
-        for base in (0.0, float(rng.uniform(0.0, hi_base))):
+    for phi, theta in _instances(learner, chk.rng, max(2, cfg.samples // 2)):
+        for base in (0.0, float(chk.rng.uniform(0.0, hi_base))):
             quotients = {}
             for h in (_L2_H_COARSE, _L2_H_FINE):
                 a = learner.observe(phi, dom.value(base), theta)
                 b = learner.observe(phi, dom.value(base + h), theta)
                 quotients[h] = belief_distance(a, b) / h
             ratio = quotients[_L2_H_FINE] / max(quotients[_L2_H_COARSE], 1.0)
-            worst.offer(
-                ratio,
-                lambda p=phi, t=theta, x=base, q=dict(quotients): _witness(
-                    learner, phi=p, theta=t, base=x, quotients={str(k): v for k, v in q.items()}
-                ),
+            chk.offer(
+                ratio, phi=phi, theta=theta, base=base,
+                quotients={str(k): v for k, v in quotients.items()},
             )
-    return _report(
-        learner,
-        "L2",
-        worst,
-        cfg.l2_ratio_bound,
-        note="violation is the fine/coarse difference-quotient ratio",
+    return chk.report(
+        cfg.l2_ratio_bound, note="violation is the fine/coarse difference-quotient ratio"
     )
 
 
@@ -273,16 +280,14 @@ def _residual_by_bisection(learner, phi, s_lo, target_bel):
     return _chart_to_confidence(dom, hi)
 
 
-def _check_l3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     grid = _grid(learner, cfg)
     if len(grid) < 2:
-        return _skip(learner, "L3", cfg, "confidence grid has fewer than two points")
+        return chk.skip("confidence grid has fewer than two points")
     dom = learner.domain
     bisect = dom.is_scalar_continuum and learner.bel is not None
-    rng = _seeded_rng(cfg.seed, learner.id, "L3")
-    worst = _Worst()
     n = min(cfg.samples, 12)
-    for phi, theta in _instances(learner, rng, n):
+    for phi, theta in _instances(learner, chk.rng, n):
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 s_lo = learner.observe(phi, grid[i], theta)
@@ -290,12 +295,9 @@ def _check_l3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
                 if grid[j].is_top or not bisect:
                     delta = dom.residual(grid[i], grid[j])
                     if delta is None:
-                        worst.offer(
-                            math.inf,
-                            lambda p=phi, t=theta, a=grid[i], b=grid[j]: _witness(
-                                learner, phi=p, theta=t, chi_lo=a, chi_hi=b,
-                                reason="no residual in the confidence domain",
-                            ),
+                        chk.offer(
+                            math.inf, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j],
+                            reason="no residual in the confidence domain",
                         )
                         continue
                 else:
@@ -303,22 +305,17 @@ def _check_l3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
                         learner, phi, s_lo, learner.bel(phi, s_hi)
                     )
                 d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)
-                worst.offer(
-                    d,
-                    lambda p=phi, t=theta, a=grid[i], b=grid[j], dd=delta: _witness(
-                        learner, phi=p, theta=t, chi_lo=a, chi_hi=b, chi_residual=dd
-                    ),
+                chk.offer(
+                    d, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j], chi_residual=delta
                 )
-    return _report(learner, "L3", worst, cfg.tol)
+    return chk.report()
 
 
-def _check_l4(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_l4(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     grid = _grid(learner, cfg)
     if len(grid) < 3:
-        return _skip(learner, "L4", cfg, "confidence grid has fewer than three points")
-    rng = _seeded_rng(cfg.seed, learner.id, "L4")
-    worst = _Worst()
-    for phi, theta in _instances(learner, rng, cfg.samples):
+        return chk.skip("confidence grid has fewer than three points")
+    for phi, theta in _instances(learner, chk.rng, cfg.samples):
         states = [learner.observe(phi, chi, theta) for chi in grid]
         for i in range(len(states)):
             for k in range(i + 2, len(states)):
@@ -326,14 +323,11 @@ def _check_l4(learner: Learner, cfg: CheckConfig) -> AxiomReport:
                     continue
                 for j in range(i + 1, k):
                     d = belief_distance(states[i], states[j])
-                    worst.offer(
-                        d,
-                        lambda p=phi, t=theta, a=grid[i], b=grid[j], c=grid[k]: _witness(
-                            learner, phi=p, theta=t,
-                            chi_return_from=a, chi_detour=b, chi_return_to=c,
-                        ),
+                    chk.offer(
+                        d, phi=phi, theta=theta,
+                        chi_return_from=grid[i], chi_detour=grid[j], chi_return_to=grid[k],
                     )
-    return _report(learner, "L4", worst, cfg.tol)
+    return chk.report()
 
 
 def _draw_confidence(learner: Learner, rng) -> ConfidenceValue:
@@ -345,161 +339,100 @@ def _draw_confidence(learner: Learner, rng) -> ConfidenceValue:
     return learner.domain.sample(rng)
 
 
-def _check_l5(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _seeded_rng(cfg.seed, learner.id, "L5")
-    worst = _Worst()
-    used = 0
+def _check_l5(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     for _ in range(cfg.samples):
-        chi = _draw_confidence(learner, rng)
-        chi2 = _draw_confidence(learner, rng)
+        chi = _draw_confidence(learner, chk.rng)
+        chi2 = _draw_confidence(learner, chk.rng)
         # Full-confidence draws use instances where the limit is reachable;
         # elsewhere the update would be truncated and skipped anyway.
         if (chi.is_top or chi2.is_top) and learner.sample_top_instance:
-            phi, theta = learner.sample_top_instance(rng)
+            phi, theta = learner.sample_top_instance(chk.rng)
         else:
-            phi, theta = learner.sample_instance(rng)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NonConvergenceWarning)
-            seq = learner.observe(phi, chi, learner.observe(phi, chi2, theta))
-            combined = learner.observe(phi, learner.domain.combine(chi, chi2), theta)
-        if any(issubclass(w.category, NonConvergenceWarning) for w in caught):
-            continue  # a truncated training run is outside the law's scope
-        used += 1
-        d = belief_distance(seq, combined)
-        worst.offer(
-            d,
-            lambda p=phi, t=theta, a=chi, b=chi2: _witness(
-                learner, phi=p, theta=t, chi_outer=a, chi_inner=b
-            ),
-        )
-    if used == 0:
-        return _skip(learner, "L5", cfg, "no convergent instances sampled")
-    return _report(learner, "L5", worst, cfg.tol)
-
-
-def _check_fc(learner: Learner, cfg: CheckConfig) -> AxiomReport:
-    rng = _seeded_rng(cfg.seed, learner.id, "FC")
-    worst = _Worst()
-    used = 0
-    for phi, theta in _top_instances(learner, rng, cfg.samples):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NonConvergenceWarning)
-            once = learner.observe(phi, learner.domain.top, theta)
-            twice = learner.observe(phi, learner.domain.top, once)
-        if any(issubclass(w.category, NonConvergenceWarning) for w in caught):
+            phi, theta = learner.sample_instance(chk.rng)
+        pair = _unless_truncated(lambda: (
+            learner.observe(phi, chi, learner.observe(phi, chi2, theta)),
+            learner.observe(phi, learner.domain.combine(chi, chi2), theta),
+        ))
+        if pair is None:
             continue
-        used += 1
-        d = belief_distance(twice, once)
-        worst.offer(
-            d,
-            lambda p=phi, t=theta: _witness(learner, phi=p, theta=t),
-        )
-    if used == 0:
-        return _skip(
-            learner, "FC", cfg, "no instance reached the full-confidence limit"
-        )
-    return _report(learner, "FC", worst, cfg.tol)
+        chk.offer(belief_distance(*pair), phi=phi, theta=theta, chi_outer=chi, chi_inner=chi2)
+    if not chk.offers:
+        return chk.skip("no convergent instances sampled")
+    return chk.report()
 
 
-def _bel_sequence(learner: Learner, phi, theta, chain) -> List[float]:
-    out = []
-    for chi in chain:
-        state = learner.observe(phi, chi, theta)
-        out.append(float(learner.bel(phi, state)))
-    return out
+def _check_fc(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
+    top = learner.domain.top
+
+    def twice(phi, theta):
+        once = learner.observe(phi, top, theta)
+        return learner.observe(phi, top, once), once
+
+    for phi, theta in _top_instances(learner, chk.rng, cfg.samples):
+        pair = _unless_truncated(twice, phi, theta)
+        if pair is None:
+            continue
+        chk.offer(belief_distance(*pair), phi=phi, theta=theta)
+    if not chk.offers:
+        return chk.skip("no instance reached the full-confidence limit")
+    return chk.report()
 
 
-def _check_b1(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_b1(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.bel is None:
-        return _skip(learner, "B1", cfg, "learner exposes no belief functional")
-    rng = _seeded_rng(cfg.seed, learner.id, "B1")
-    worst = _Worst()
-    checked = 0
-    for phi, theta in _instances(learner, rng, cfg.samples):
-        if learner.bel_chain is not None:
-            chain = tuple(learner.bel_chain(phi, theta))
-        else:
-            chain = _grid(learner, cfg)
+        return chk.skip("learner exposes no belief functional")
+    for phi, theta in _instances(learner, chk.rng, cfg.samples):
+        chain = _chain(learner, cfg, phi, theta)
         if len(chain) < 2:
             continue
-        checked += 1
-        bels = _bel_sequence(learner, phi, theta, chain)
+        bels = [float(learner.bel(phi, learner.observe(phi, chi, theta))) for chi in chain]
         for i in range(len(bels)):
             for j in range(i + 1, len(bels)):
                 drop = bels[i] - bels[j]
                 if math.isinf(bels[i]) and math.isinf(bels[j]) and bels[i] == bels[j]:
                     drop = 0.0
-                worst.offer(
-                    drop,
-                    lambda p=phi, t=theta, a=chain[i], b=chain[j], ba=bels[i], bb=bels[j]: _witness(
-                        learner, phi=p, theta=t, chi_lo=a, chi_hi=b,
-                        bel_lo=ba, bel_hi=bb,
-                    ),
+                chk.offer(
+                    drop, phi=phi, theta=theta, chi_lo=chain[i], chi_hi=chain[j],
+                    bel_lo=bels[i], bel_hi=bels[j],
                 )
-    if checked == 0:
-        return _skip(learner, "B1", cfg, "no usable confidence chain")
-    return _report(learner, "B1", worst, cfg.tol)
+    if not chk.offers:
+        return chk.skip("no usable confidence chain")
+    return chk.report()
 
 
-def _check_b2(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_b2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.bel is None or learner.bel_top is None:
-        return _skip(learner, "B2", cfg, "learner exposes no belief functional")
+        return chk.skip("learner exposes no belief functional")
     if learner.sample_saturated is None:
-        return _skip(
-            learner, "B2", cfg, "full-belief states are unattainable at finite parameters"
-        )
-    rng = _seeded_rng(cfg.seed, learner.id, "B2")
-    worst = _Worst()
+        return chk.skip("full-belief states are unattainable at finite parameters")
     for _ in range(cfg.samples):
-        phi, theta = learner.sample_saturated(rng)
-        if learner.bel_chain is not None:
-            chain = tuple(learner.bel_chain(phi, theta))
-        else:
-            chain = _grid(learner, cfg)
-        for chi in chain:
+        phi, theta = learner.sample_saturated(chk.rng)
+        for chi in _chain(learner, cfg, phi, theta):
             d = belief_distance(learner.observe(phi, chi, theta), theta)
-            worst.offer(
-                d,
-                lambda p=phi, t=theta, c=chi: _witness(learner, phi=p, theta=t, chi=c),
-            )
-    return _report(learner, "B2", worst, cfg.tol)
+            chk.offer(d, phi=phi, theta=theta, chi=chi)
+    return chk.report()
 
 
-def _check_b3(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_b3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.bel is None or learner.bel_top is None:
-        return _skip(learner, "B3", cfg, "learner exposes no belief functional")
-    rng = _seeded_rng(cfg.seed, learner.id, "B3")
-    worst = _Worst()
-    used = 0
-    for phi, theta in _top_instances(learner, rng, cfg.samples):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NonConvergenceWarning)
-            star = learner.observe(phi, learner.domain.top, theta)
-        if any(issubclass(w.category, NonConvergenceWarning) for w in caught):
+        return chk.skip("learner exposes no belief functional")
+    for phi, theta in _top_instances(learner, chk.rng, cfg.samples):
+        star = _unless_truncated(learner.observe, phi, learner.domain.top, theta)
+        if star is None:
             continue
-        used += 1
         gap = abs(learner.bel(phi, star) - learner.bel_top(phi, star))
-        worst.offer(
-            gap,
-            lambda p=phi, t=theta, s=star: _witness(learner, phi=p, theta=t, state=s),
-        )
-    if used == 0:
-        return _skip(
-            learner, "B3", cfg, "no instance reached the full-confidence limit"
-        )
-    return _report(learner, "B3", worst, cfg.tol)
+        chk.offer(gap, phi=phi, theta=theta, state=star)
+    if not chk.offers:
+        return chk.skip("no instance reached the full-confidence limit")
+    return chk.report()
 
 
-def _check_lb(learner: Learner, cfg: CheckConfig) -> AxiomReport:
+def _check_lb(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.lb_metric is None or learner.bel is None:
-        return _skip(
-            learner, "LB", cfg, "learner declares no metric for gradient ascent"
-        )
+        return chk.skip("learner declares no metric for gradient ascent")
     if learner.path_velocity is None and learner.make_flow is None:
-        return _skip(learner, "LB", cfg, "learner exposes no update path")
-    rng = _seeded_rng(cfg.seed, learner.id, "LB")
-    worst = _Worst()
-    for phi, theta in _instances(learner, rng, cfg.samples):
+        return chk.skip("learner exposes no update path")
+    for phi, theta in _instances(learner, chk.rng, cfg.samples):
         if learner.path_velocity is not None:
             vel = np.asarray(learner.path_velocity(phi, theta, cfg.fd_step))
         else:
@@ -507,15 +440,11 @@ def _check_lb(learner: Learner, cfg: CheckConfig) -> AxiomReport:
         grad = metric_gradient(
             theta, lambda s: learner.bel(phi, s), learner.lb_metric, h=cfg.fd_step
         )
-        gap = float(np.abs(vel - grad).max())
-        worst.offer(
-            gap,
-            lambda p=phi, t=theta: _witness(learner, phi=p, theta=t),
-        )
-    return _report(learner, "LB", worst, cfg.lb_tol)
+        chk.offer(float(np.abs(vel - grad).max()), phi=phi, theta=theta)
+    return chk.report(cfg.lb_tol)
 
 
-_CHECKERS: Dict[str, Callable[[Learner, CheckConfig], AxiomReport]] = {
+_CHECKERS: Dict[str, Callable[[Learner, CheckConfig, _Check], AxiomReport]] = {
     "L1": _check_l1,
     "L2": _check_l2,
     "L3": _check_l3,
@@ -537,7 +466,8 @@ def check_axiom(
         raise ParameterError(
             f"unknown axiom {axiom_id!r}; expected one of {', '.join(AXIOMS)}"
         )
-    return _CHECKERS[axiom_id](learner, cfg or CheckConfig())
+    cfg = cfg or CheckConfig()
+    return _CHECKERS[axiom_id](learner, cfg, _Check(learner, axiom_id, cfg))
 
 
 def run_suite(learner: Learner, cfg: Optional[CheckConfig] = None) -> List[AxiomReport]:

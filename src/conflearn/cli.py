@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -123,6 +124,20 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _out_name(cfg: dict, key: str, default: str) -> str:
+    """cfg[key], or ``default``: a plain file name, since results go into the
+    output directory."""
+    name = cfg.get(key, default)
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or os.path.basename(name) != name
+        or "\0" in name
+    ):
+        raise ConfigError(f"{key!r} must be a plain file name, got {name!r}")
+    return name
 
 
 def _out_path(args, name: str) -> str:
@@ -274,6 +289,7 @@ def _cmd_learn(args, cfg: dict) -> int:
     grid = _parse_grid(learner, cfg)
     if not grid:
         raise ConfigError("the learner has no default grid; supply 'confidence_grid'")
+    name = _out_name(cfg, "output_csv", f"learn_{learner.id.replace(':', '_')}.csv")
     chi_headers, chi_cols = _confidence_headers(learner)
     bel_headers, bel_cols = _belief_headers(theta0)
 
@@ -294,7 +310,6 @@ def _cmd_learn(args, cfg: dict) -> int:
     writer.writerow(headers)
     for row in rows:
         writer.writerow([_fmt(x) for x in row])
-    name = cfg.get("output_csv", f"learn_{learner.id.replace(':', '_')}.csv")
     _atomic_write(_out_path(args, name), buf.getvalue())
 
     payload = {
@@ -333,7 +348,7 @@ def _cmd_combine(args, cfg: dict) -> int:
         raise ConfigError(f"bad weights: {exc}") from exc
     icfg = _integrator(cfg)
     t = _parse_time(_need(cfg, "t"))
-    name = cfg.get("output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
+    name = _out_name(cfg, "output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
 
     if math.isinf(t):
         final = integrate(field, theta0, t, icfg)
@@ -384,6 +399,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
     ):
         raise ConfigError("'n_values' must be an array of positive integers")
     icfg = _integrator(cfg)
+    name = _out_name(cfg, "output_json", "trotter.json")
     rounds = sum(set(n_values))
     if rounds > icfg.max_steps:
         raise StepBudgetError(
@@ -414,7 +430,6 @@ def _cmd_trotter(args, cfg: dict) -> int:
         "ratios": ratios,
         "reference": belief_to_json(reference),
     }
-    name = cfg.get("output_json", "trotter.json")
     _atomic_write(_out_path(args, name), json.dumps(payload, sort_keys=True, indent=2) + "\n")
     _emit(args, payload)
     return 0
@@ -450,12 +465,13 @@ def _resolve_learners(cfg: dict) -> List[Learner]:
 
 def _cmd_axioms(args, cfg: dict) -> int:
     learners = _resolve_learners(cfg)
+    name = _out_name(cfg, "output_json", "axioms.json")
+    grids = [_parse_grid(learner, cfg) for learner in learners]
     try:
         check_cfg = CheckConfig(
             seed=_seed_of(args, cfg),
             samples=_number(cfg, "samples", 60, integer=True, above=0),
             tol=_number(cfg, "tol", 1e-10),
-            confidence_grid=cfg.get("confidence_grid"),
             lb_tol=_number(cfg, "lb_tol", 1e-5),
             l2_ratio_bound=_number(cfg, "l2_ratio_bound", 10.0),
             fd_step=_number(cfg, "fd_step", 1e-4),
@@ -463,9 +479,8 @@ def _cmd_axioms(args, cfg: dict) -> int:
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     reports = []
-    for learner in learners:
-        reports.extend(run_suite(learner, check_cfg))
-    name = cfg.get("output_json", "axioms.json")
+    for learner, grid in zip(learners, grids):
+        reports.extend(run_suite(learner, dataclasses.replace(check_cfg, confidence_grid=grid)))
     _atomic_write(_out_path(args, name), reports_to_json(reports) + "\n")
     if not args.quiet:
         for r in reports:
@@ -658,16 +673,16 @@ EXPERIMENTS: Dict[str, Callable[..., Tuple[bool, dict]]] = {
 
 def _cmd_equiv(args, cfg: dict) -> int:
     name = _need(cfg, "experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; expected one of {', '.join(sorted(EXPERIMENTS))}"
         )
+    out_name = _out_name(cfg, "output_json", f"equiv_{name}.json")
     kwargs = {"seed": _seed_of(args, cfg)}
     if "samples" in cfg:
         kwargs["samples"] = _number(cfg, "samples", integer=True, above=0)
     passed, payload = EXPERIMENTS[name](**kwargs)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}
-    out_name = cfg.get("output_json", f"equiv_{name}.json")
     _atomic_write(
         _out_path(args, out_name), json.dumps(result, sort_keys=True, indent=2) + "\n"
     )

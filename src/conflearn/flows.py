@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from .errors import (
     StepBudgetError,
     UnsupportedError,
 )
-from .learners import Learner
+
+if TYPE_CHECKING:
+    from .learners import Learner
 
 __all__ = [
     "TangentVector",
@@ -328,42 +330,42 @@ def combine_fields(
 # Metric gradients.
 
 
+_FREEZE = 1e-9  # simplex coordinates with no more mass than this are frozen
+
+
+def _central_partials(
+    value: Callable[[np.ndarray], Any], c0: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """Central differences of value at c0, stepping coordinate i by steps[i];
+    the partial is zero where steps[i] is zero."""
+    partials = np.zeros_like(c0)
+    for i in np.flatnonzero(steps):
+        e = np.zeros_like(c0)
+        e[i] = steps[i]
+        partials[i] = (float(value(c0 + e)) - float(value(c0 - e))) / (2.0 * steps[i])
+    if not np.all(np.isfinite(partials)):
+        raise NumericalError("non-finite partial derivatives")
+    return partials
+
+
 def natural_gradient(
-    p: FiniteSimplex,
-    f: Callable[[FiniteSimplex], float],
-    h: float = 1e-6,
-    boundary_eps: float = 1e-9,
+    p: FiniteSimplex, f: Callable[[FiniteSimplex], float], h: float = 1e-6
 ) -> TangentVector:
     """Fisher natural gradient of f at p, as a simplex tangent vector.
 
     Components are p_i (df/dp_i - sum_j p_j df/dp_j); coordinates with mass
-    below ``boundary_eps`` are frozen (the boundary pseudoinverse convention).
-    Partials are central finite differences through the simplex projection,
-    which leaves the projected result unchanged.
+    at most 1e-9 are frozen (the boundary pseudoinverse convention).
+    Partials are central finite differences with the mass-relative step
+    h min(1, p_i), which for h < 1 keeps every perturbed state inside the
+    simplex and bounds the truncation error of functions like log p_i near
+    the boundary.
+    Perturbed vectors are renormalized by ``with_probs``, which leaves the
+    projected result unchanged.
     """
     pr = np.asarray(p.probs)
-    partials = np.zeros_like(pr)
-
-    def value(vec) -> float:
-        out = float(f(p.with_probs(vec)))
-        if math.isnan(out):
-            raise NumericalError("objective returned NaN")
-        return out
-
-    for i, pi in enumerate(pr):
-        if pi <= boundary_eps:
-            continue
-        e = np.zeros_like(pr)
-        e[i] = 1.0
-        if pi > 2.0 * h:
-            partials[i] = (value(pr + h * e) - value(pr - h * e)) / (2.0 * h)
-        else:
-            partials[i] = (
-                -3.0 * value(pr) + 4.0 * value(pr + h * e) - value(pr + 2.0 * h * e)
-            ) / (2.0 * h)
-    if not np.all(np.isfinite(partials)):
-        raise NumericalError("non-finite partial derivatives")
-    free = pr > boundary_eps
+    free = pr > _FREEZE
+    steps = np.where(free, h * np.minimum(1.0, pr), 0.0)
+    partials = _central_partials(lambda vec: f(p.with_probs(vec)), pr, steps)
     w = pr[free]
     lam = float((w * partials[free]).sum() / w.sum())
     comp = np.zeros_like(pr)
@@ -382,16 +384,7 @@ def metric_gradient(
     if metric != "euclidean":
         raise UnsupportedError(f"unknown metric {metric!r}")
     c0 = belief_coords(theta)
-    grad = np.zeros_like(c0)
-    for i in range(c0.size):
-        e = np.zeros_like(c0)
-        e[i] = 1.0
-        lo = belief_rebuild(theta, c0 - h * e)
-        hi = belief_rebuild(theta, c0 + h * e)
-        grad[i] = (float(f(hi)) - float(f(lo))) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise NumericalError("non-finite gradient components")
-    return grad
+    return _central_partials(lambda vec: f(belief_rebuild(theta, vec)), c0, np.full(c0.size, h))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +437,7 @@ def _check_budget(cfg: IntegratorConfig, t: float, step_out: Optional[float] = N
     steps, now = 0, 0.0
     for target in _sample_times(t, step_out):
         n_full, rem = divmod(target - now, cfg.step)
-        steps += int(n_full) + (rem > _REM_TOL)
+        steps += n_full + (rem > _REM_TOL)  # a float, so an infinite count is over budget
         now = target
         if steps > cfg.max_steps:
             raise StepBudgetError(too_many)

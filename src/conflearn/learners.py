@@ -60,6 +60,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
+from .flows import _forward_stencil
 
 __all__ = [
     "Learner",
@@ -400,14 +401,18 @@ def make_kalman_learner() -> Learner:
 
     def path_velocity(z, b: GaussianBelief, h: float) -> np.ndarray:
         # derivative of the update path in the gain at K = 0 (any fixed r2);
-        # second-order one-sided stencil, exact here since the path is
+        # the second-order forward stencil is exact, since the path is
         # quadratic in the gain
-        def coords(k):
-            out = kalman_observe(z, (k, 1.0), b)
-            return np.array([out.mean, out.var])
+        return _forward_stencil(lambda k, state: kalman_observe(z, (k, 1.0), state), b, h)
 
-        f0 = np.array([b.mean, b.var])
-        return (-3.0 * f0 + 4.0 * coords(h) - coords(2.0 * h)) / (2.0 * h)
+    def bel(z, b: GaussianBelief) -> float:
+        # err * err would overflow to inf where ** raises, but it rounds some
+        # squares differently from the libm pow behind **
+        try:
+            sq = (b.mean - float(z)) ** 2
+        except OverflowError:
+            sq = math.inf
+        return -(0.5 * sq + b.var * b.var)
 
     def bel_chain(z, b: GaussianBelief):
         if b.var <= 0.0:
@@ -438,7 +443,7 @@ def make_kalman_learner() -> Learner:
         domain=dom,
         observe=kalman_observe,
         in_domain=lambda z, b: True,
-        bel=lambda z, b: -(0.5 * (b.mean - float(z)) ** 2 + b.var * b.var),
+        bel=bel,
         bel_top=lambda z, b: 0.0,
         path_velocity=path_velocity,
         lb_metric="euclidean",
@@ -511,10 +516,11 @@ def _gibbs_map(pen: _Penalty, t, labels: Tuple[str, ...]):
 
 def _gibbs_field(pen: _Penalty):
     u, possible = pen.u, pen.possible
-    if possible is None:
-        return lambda c, space: c * (float(c @ u) - u)
 
     def field(c: np.ndarray, space: tuple) -> np.ndarray:
+        _check_worlds(pen, space[1])
+        if possible is None:
+            return c * (float(c @ u) - u)
         supp = c > 0.0
         if not possible[supp].all():
             raise DomainError(f"{pen.what} contradicts the state")

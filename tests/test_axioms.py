@@ -107,6 +107,20 @@ def test_report_json_shape():
         assert isinstance(entry["passed"], bool)
 
 
+def test_lb_holds_at_every_check_seed():
+    # a fixed Fisher difference step fails interp near the simplex boundary
+    # at 11 of these seeds; the euclidean mutant must stay caught at each one
+    seeds = range(20)
+    for learner_id in ("interp", "boltzmann", "bayes", "kalman", "classifier"):
+        learner = get_learner(learner_id)
+        for seed in seeds:
+            report = check_axiom(learner, "LB", CheckConfig(seed=seed))
+            assert report.passed, (learner_id, seed, report.worst_violation)
+    mutant = next(m for m in get_mutants() if m.id == "mutant-lb-euclid")
+    for seed in seeds:
+        assert not check_axiom(mutant, "LB", CheckConfig(seed=seed)).passed, seed
+
+
 def test_unknown_axiom_rejected():
     with pytest.raises(ParameterError):
         check_axiom(get_learner("interp"), "L9", FAST)

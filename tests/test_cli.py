@@ -155,6 +155,8 @@ def test_trotter_ratios_near_half(tmp_path):
         {"n_values": [1_000_000_000]},
         # 16 + 32 rounds over a budget of 40; the reference takes 15 steps
         {"n_values": [16, 32, 16], "integrator": {"step": 0.1, "max_steps": 40}},
+        # the reference integration's step count overflows a float
+        {"chi": 1e308},
     ],
 )
 def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
@@ -275,6 +277,7 @@ def test_equiv_experiment_passes(tmp_path, capsys):
         ("equiv", {"experiment": "interp-vs-ds", "samples": -3}),
         ("equiv", {"experiment": "interp-vs-ds", "samples": "x"}),
         ("equiv", {"experiment": "bayes-boltzmann", "seed": "x"}),
+        ("axioms", {"fd_step": 1.0}),
     ],
 )
 def test_bad_numeric_settings_exit_2(tmp_path, capsys, command, settings):
@@ -285,6 +288,12 @@ def test_bad_numeric_settings_exit_2(tmp_path, capsys, command, settings):
 
 def test_equiv_unknown_experiment_exits_2(tmp_path):
     assert run_cli(tmp_path, "equiv", {"experiment": "nope"}, "--quiet") == 2
+
+
+@pytest.mark.parametrize("experiment", [["interp-vs-ds"], {"name": "interp-vs-ds"}])
+def test_equiv_experiment_must_be_a_name(tmp_path, capsys, experiment):
+    assert run_cli(tmp_path, "equiv", {"experiment": experiment}, "--quiet") == 2
+    assert "unknown experiment" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +440,61 @@ def test_observation_mistakes_exit_2(tmp_path, capsys, command, learner, belief,
 def test_axioms_unknown_learner_exits_2(tmp_path, capsys, lid):
     assert run_cli(tmp_path, "axioms", {"learners": [lid], "samples": 10}, "--quiet") == 2
     assert "unknown learner" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", [{"belief": {"kind": "gaussian", "mean": 1e308, "var": 4.0}},
+                                   {"observation": {"z": 1e308}}])
+def test_learn_kalman_overflowing_error_gives_minus_inf_bel(tmp_path, where):
+    assert run_cli(tmp_path, "learn", dict(KALMAN_SWEEP, **where), "--quiet") == 0
+    rows = read_csv(tmp_path, "learn_kalman.csv")
+    assert rows[1][0] == "0" and float(rows[1][-1]) == -math.inf
+
+
+MINIMAL = {
+    "learn": (KALMAN_SWEEP, "output_csv"),
+    "combine": (COMBINE_INTERP, "output_csv"),
+    "trotter": (dict(COMBINE_INTERP, chi=1.0, n_values=[1]), "output_json"),
+    "axioms": ({"learners": ["interp"], "samples": 1}, "output_json"),
+    "equiv": ({"experiment": "kalman-sequential", "samples": 1}, "output_json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+@pytest.mark.parametrize("name", [5, ["a"], "", "..", "sub/x.out", "absolute"])
+def test_output_name_must_be_a_plain_file_name(tmp_path, capsys, command, name):
+    cfg, key = MINIMAL[command]
+    if name == "absolute":
+        name = str(tmp_path / "x.out")
+    assert run_cli(tmp_path, command, {**cfg, key: name}, "--quiet") == 2
+    assert "must be a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_output_name_is_used(tmp_path, command):
+    cfg, key = MINIMAL[command]
+    assert run_cli(tmp_path, command, {**cfg, key: "result.out"}, "--quiet") in (0, 1)
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["result.out"]
+
+
+# [0.5] is a grid for interp but not for kalman, which is checked second
+@pytest.mark.parametrize("grid", [["x"], 5, [[0.5]], [], [0.5]])
+def test_axioms_bad_grid_exits_2_before_any_check(tmp_path, capsys, grid):
+    cfg = {"learners": ["interp", "kalman"], "samples": 1, "confidence_grid": grid}
+    assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_grammar_is_shared_by_learn_and_axioms(tmp_path):
+    grid = ["bot", 0.5, "top"]
+    learn = {
+        "learner": "interp",
+        "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
+        "observation": {"event": ["a"]},
+        "confidence_grid": grid,
+    }
+    assert run_cli(tmp_path, "learn", learn, "--quiet") == 0
+    assert [r[0] for r in read_csv(tmp_path, "learn_interp.csv")[1:]] == ["0", "0.5", "1"]
+    axioms = {"learners": ["interp"], "samples": 5, "confidence_grid": grid}
+    assert run_cli(tmp_path, "axioms", axioms, "--quiet") == 0

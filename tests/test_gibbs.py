@@ -260,14 +260,29 @@ def test_zero_evidence_errors_keep_their_messages():
     assert learner.in_domain("e", p) is False
 
 
+def _world_hooks(learner):
+    """Every hook that reads a prior, the closed field included."""
+    return (learner.bel, learner.bel_top, learner.in_domain,
+            lambda phi, p: learner.observe(phi, 1.0, p),
+            lambda phi, p: integrate(derivative_field(learner, phi), p, 1.0))
+
+
 @pytest.mark.parametrize("labels", [("h1", "h2"), ("x", "y", "z")])
 def test_bayes_rejects_a_prior_over_other_worlds(labels):
     learner = get_learner("bayes")
     p = FiniteSimplex(labels, np.ones(len(labels)))
-    for hook in (learner.bel, learner.bel_top, learner.in_domain,
-                 lambda key, p: learner.observe(key, 1.0, p)):
+    for hook in _world_hooks(learner):
         with pytest.raises(ParameterError):
             hook("e1", p)
+
+
+def test_boltzmann_rejects_a_prior_over_other_worlds():
+    learner = get_learner("boltzmann")
+    v = RandomVariable(("a", "b", "c"), np.array([1.0, 2.0, 3.0]))
+    p = FiniteSimplex(("x", "y", "z"), np.ones(3))
+    for hook in _world_hooks(learner):
+        with pytest.raises(ParameterError):
+            hook(v, p)
 
 
 def test_bayes_rejects_an_unknown_observation():
