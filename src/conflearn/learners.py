@@ -31,6 +31,7 @@ likelihood), which rules its world out.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -56,7 +57,9 @@ from .beliefs import (
 )
 from .errors import (
     DomainError,
+    NumericalError,
     ParameterError,
+    StepBudgetError,
     UnsupportedError,
     ZeroMassEventError,
 )
@@ -857,10 +860,18 @@ class SoftmaxModel:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_features", "n_classes", "max_steps"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.n_features < 1 or self.n_classes < 2:
             raise ParameterError("need at least 1 feature and 2 classes")
-        if not self.eta > 0.0:
-            raise ParameterError("learning rate must be positive")
+        if self.max_steps < 1:
+            raise ParameterError("max_steps must be at least 1")
+        for name in ("eta", "conv_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v < math.inf:
+                raise ParameterError(f"{name} must be a finite number above 0, got {v!r}")
 
     @property
     def dim(self) -> int:
@@ -901,14 +912,10 @@ def class_log_probs(model: SoftmaxModel, theta: np.ndarray, x: np.ndarray) -> np
     return logits - math.log(np.exp(logits).sum())
 
 
-def _nll_grad(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) -> np.ndarray:
+def gradient_step(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) -> np.ndarray:
     err = np.exp(class_log_probs(model, theta, ex.x))
     err[ex.y] -= 1.0
-    return np.concatenate([np.outer(err, ex.x).ravel(), err])
-
-
-def gradient_step(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) -> np.ndarray:
-    return theta - model.eta * _nll_grad(model, theta, ex)
+    return theta - model.eta * np.concatenate([np.outer(err, ex.x).ravel(), err])
 
 
 def train_limit(
@@ -916,16 +923,46 @@ def train_limit(
 ) -> Tuple[np.ndarray, bool]:
     """Iterate gradient steps until the step displacement stalls.
 
+    On one example a step moves theta only along err (x) (x, 1), where err is
+    softmax(z) minus the one-hot label and z = Wx + b are the logits.  So the
+    logits move by -eta (|x|^2 + 1) err, and after n steps theta is
+    theta0 - eta (S (x) x, S) with S the sum of the n errors.  The loop
+    iterates the k logits as floats and builds theta once, at the end.
+
+    The stop rule is max|delta theta| < ``conv_tol``, evaluated as
+    eta * (max|err| * max(1, max|x|)): float rounding is monotone, so this
+    equals ``np.abs(eta * grad).max()`` bit for bit for the same err.
+
     Returns the final parameters and whether the convergence threshold was
-    reached before the iteration cap.
+    reached before the iteration cap.  Non-finite logits raise
+    :class:`NumericalError`.
     """
-    theta = np.asarray(theta, dtype=float).copy()
+    theta = np.asarray(theta, dtype=float)
+    w, b = _unpack(model, theta)
+    x, y, eta, tol = ex.x, ex.y, model.eta, model.conv_tol
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in the loop
+        z0 = (w @ x + b).tolist()
+        gain = eta * (float(x @ x) + 1.0)
+    xmax = max(1.0, float(np.abs(x).max()))
+    z, s = z0, [0.0] * len(z0)
+    exp, log, isfinite = math.exp, math.log, math.isfinite
+    converged = False
     for _ in range(model.max_steps):
-        delta = model.eta * _nll_grad(model, theta, ex)
-        if np.abs(delta).max() < model.conv_tol:
-            return theta, True
-        theta = theta - delta
-    return theta, False
+        m = max(z)
+        total = sum([exp(v - m) for v in z])
+        # NaN or +inf anywhere makes total NaN; -inf only shows in min(z)
+        if not isfinite(total) or min(z) == -math.inf:
+            raise NumericalError("non-finite logits in classifier training")
+        lse = log(total)
+        err = [exp((v - m) - lse) for v in z]
+        err[y] -= 1.0
+        if eta * (max([abs(e) for e in err]) * xmax) < tol:
+            converged = True
+            break
+        s = [a + e for a, e in zip(s, err)]
+        z = [a - gain * c for a, c in zip(z0, s)]
+    sv = np.array(s)
+    return theta - eta * np.concatenate([np.outer(sv, x).ravel(), sv]), converged
 
 
 def classifier_step_observe(
@@ -938,7 +975,8 @@ def classifier_step_observe(
 
     Non-convergence at the cap is reported as a :class:`NonConvergenceWarning`
     rather than an exception: the state reached is still a belief, just not a
-    fixed point.
+    fixed point.  A finite n above ``model.max_steps`` raises
+    :class:`StepBudgetError` before any step.
     """
     model = model or SoftmaxModel()
     _check_example(model, ex)
@@ -958,6 +996,10 @@ def classifier_step_observe(
                 stacklevel=2,
             )
         return out
+    if v.payload > model.max_steps:
+        raise StepBudgetError(
+            f"{v.payload} gradient steps exceed max_steps={model.max_steps}"
+        )
     out = theta.copy()
     for _ in range(v.payload):
         out = gradient_step(model, out, ex)

@@ -498,3 +498,50 @@ def test_grid_grammar_is_shared_by_learn_and_axioms(tmp_path):
     assert [r[0] for r in read_csv(tmp_path, "learn_interp.csv")[1:]] == ["0", "0.5", "1"]
     axioms = {"learners": ["interp"], "samples": 5, "confidence_grid": grid}
     assert run_cli(tmp_path, "axioms", axioms, "--quiet") == 0
+
+
+CLASSIFIER_LEARN = {
+    "learner": "classifier",
+    "belief": {"kind": "params", "values": [0.0, 0.0, 0.0, 0.0]},
+    "observation": {"x": [0.5], "y": 0},
+    "confidence_grid": [1, "top"],
+}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"max_steps": 1e12},
+        {"max_steps": 0},
+        {"max_steps": True},
+        {"conv_tol": -1},
+        {"eta": math.inf},
+        {"n_features": 1.5},
+    ],
+)
+def test_learn_bad_classifier_params_exit_2(tmp_path, capsys, params):
+    cfg = dict(CLASSIFIER_LEARN, learner_params=params)
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, count", [({"max_steps": 10}, 11), ({}, 1_000_001), ({}, 1_000_000_000)]
+)
+def test_learn_classifier_count_over_max_steps_exits_2(tmp_path, capsys, params, count):
+    cfg = dict(CLASSIFIER_LEARN, learner_params=params, confidence_grid=[count])
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert "exceed max_steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_learn_classifier_count_at_max_steps_runs(tmp_path):
+    cfg = dict(CLASSIFIER_LEARN, learner_params={"max_steps": 10}, confidence_grid=[10])
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
+
+
+def test_learn_classifier_overflowing_logits_exit_3(tmp_path, capsys):
+    cfg = dict(CLASSIFIER_LEARN, observation={"x": [1e200], "y": 0}, confidence_grid=["top"])
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert "non-finite logits" in err and "Traceback" not in err

@@ -37,6 +37,8 @@ from conflearn import (
     potential_to_likelihood,
     train_limit,
 )
+from conflearn.axioms import _seeded_rng, _top_instances
+from conflearn.errors import NumericalError, ParameterError, StepBudgetError
 
 ADD = get_domain("add")
 FRAC = get_domain("frac")
@@ -274,6 +276,118 @@ def test_classifier_learner_registry_params():
     phi, theta = learner.sample_instance(np.random.default_rng(5))
     assert theta.shape == (4 * 4,)
     assert learner.domain.id == "count"
+
+
+# train_limit iterates the k logits; the loop it replaced stepped all of theta.
+
+
+def ref_train_limit(model, theta, ex):
+    """Gradient steps on theta until max|delta theta| < conv_tol, as written
+    before the loop moved to logit space."""
+    k, d = model.n_classes, model.n_features
+    theta = np.asarray(theta, dtype=float).copy()
+    for _ in range(model.max_steps):
+        logits = theta[: k * d].reshape(k, d) @ ex.x + theta[k * d:]
+        logits = logits - logits.max()
+        err = np.exp(logits - math.log(np.exp(logits).sum()))
+        err[ex.y] -= 1.0
+        delta = model.eta * np.concatenate([np.outer(err, ex.x).ravel(), err])
+        if np.abs(delta).max() < model.conv_tol:
+            return theta, True
+        theta = theta - delta
+    return theta, False
+
+
+def assert_same_limit(model, theta, ex):
+    want, want_converged = ref_train_limit(model, theta, ex)
+    got, converged = train_limit(model, theta, ex)
+    assert converged == want_converged
+    assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+    return got, want
+
+
+def test_classifier_limit_matches_theta_loop_on_the_suite_instances():
+    # the 60 B3 instances of the axiom suite at CheckConfig(seed=0); one of
+    # them takes about 4e5 steps to converge
+    learner = get_learner("classifier")
+    rng = _seeded_rng(0, "classifier", "B3")
+    for ex, theta in _top_instances(learner, rng, 60):
+        got, want = assert_same_limit(SoftmaxModel(), theta, ex)
+        assert learner.bel(ex, got) == learner.bel(ex, want)
+
+
+def test_classifier_limit_matches_theta_loop_on_random_models():
+    rng = np.random.default_rng(0)
+    converged = 0
+    for _ in range(40):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        x = rng.normal(0.0, 1.0, d)
+        if rng.uniform() < 0.5:
+            cap = int(rng.choice([200, 5000]))
+        else:  # separable: most of these reach the fixed point
+            cap = 100_000
+            x = x / np.linalg.norm(x) * rng.uniform(1200.0, 2000.0)
+        model = SoftmaxModel(d, k, max_steps=cap)
+        theta = rng.normal(0.0, 1.0, model.dim)
+        ex = LabeledExample(x, int(rng.integers(k)))
+        converged += train_limit(model, theta, ex)[1]
+        assert_same_limit(model, theta, ex)
+    assert 0 < converged < 40  # both exits of the loop are compared
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5),
+    st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),
+    st.floats(1e-6, 10.0),
+)
+def test_classifier_factored_stop_quantity_is_exact(err, x, eta):
+    # train_limit's stop quantity against max|delta theta| of one step
+    grad = np.concatenate([np.outer(err, x).ravel(), err])
+    factored = eta * (max([abs(e) for e in err]) * max(1.0, float(np.abs(x).max())))
+    assert factored == np.abs(eta * grad).max()
+
+
+@pytest.mark.parametrize(
+    "x, theta",
+    [
+        ([1e200], [0.0, 0.0, 0.0, 0.0]),  # the first step overflows the logits
+        ([0.5], [math.nan, 0.0, 0.0, 0.0]),
+        ([10.0], [-1e308, 0.0, 0.0, 0.0]),  # a logit of -inf
+    ],
+)
+def test_classifier_limit_rejects_non_finite_logits(x, theta):
+    model = SoftmaxModel(n_features=1, n_classes=2)
+    with pytest.raises(NumericalError, match="non-finite logits"):
+        train_limit(model, np.array(theta), LabeledExample(np.array(x), 0))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"n_features": 1.5},
+        {"n_classes": 2.0},
+        {"n_features": True},
+        {"max_steps": 1e12},
+        {"max_steps": 0},
+        {"eta": math.inf},
+        {"eta": math.nan},
+        {"eta": "0.1"},
+        {"conv_tol": -1.0},
+        {"conv_tol": 0.0},
+    ],
+)
+def test_softmax_model_rejects_bad_settings(params):
+    with pytest.raises(ParameterError):
+        SoftmaxModel(**params)
+
+
+def test_classifier_finite_count_is_bounded_by_max_steps():
+    model = SoftmaxModel(n_features=1, n_classes=2, max_steps=10)
+    ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
+    assert classifier_step_observe(ex, 10, theta, model).shape == (4,)
+    with pytest.raises(StepBudgetError):
+        classifier_step_observe(ex, 11, theta, model)
 
 
 # ---------------------------------------------------------------------------
