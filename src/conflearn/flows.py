@@ -6,12 +6,17 @@ statements in parallel, integrates fields with a fixed-step RK4/Euler scheme,
 and interleaves two flows to approximate their parallel combination from
 sequential updates.
 
-Fields act on coordinate arrays.  A learner's closed field maps a belief's
-coordinates to its velocity, ``combine_fields`` sums such maps, and the
-integrators step on arrays, projecting each stage into the constraint set
-with the projection of the belief's kind record (``beliefs._KINDS``), which
-makes the checks a belief object makes.  Beliefs are built for the result,
-and for each evaluation of a field with no closed form.
+Fields act on coordinate arrays.  A learner's closed field is the field of
+a weighted parallel observation ((phi, w), ...) as one closed form, bound to
+a belief space once and then a map from a belief's coordinates to its
+velocity; one observation is the one-term case.  ``combine_fields`` merges
+the closed fields of one learner into one such form, and sums any other
+fields term by term.  The integrators step on arrays, check the velocity of
+every stage (finite, and on the sum-one plane for a simplex), and project
+each stage into the constraint set with the projection of the belief's kind
+record (``beliefs._KINDS``), which makes the checks a belief object makes.
+Beliefs are built for the result, and for each evaluation of a field with no
+closed form.
 
 Interleaving works the same way.  A simplex learner's coordinate flow maps a
 probability vector to its update at one additive time, bound to the belief
@@ -111,6 +116,8 @@ def coord_labels(theta) -> Tuple[str, ...]:
 
 
 def _check_tangent(comp: np.ndarray, simplex: bool) -> None:
+    # The integrators check every stage's velocity here, so they run with
+    # numpy's overflow warnings off: an overflow is this NumericalError.
     drift = abs(float(np.add.reduce(comp)))
     if not math.isfinite(drift) and not np.isfinite(comp).all():
         raise NumericalError("non-finite tangent components")
@@ -168,6 +175,8 @@ class _LazyHandle(VectorFieldHandle):
     Built from ``eval_at``, or from ``coords(theta0, space)``: the field on
     theta0's space (key ``space``) as a CoordsMap.  The integrators step with
     that map, and ``eval_at`` then wraps its components in a TangentVector.
+    ``source`` is ``(learner, phi)`` for the closed field of one observation,
+    which ``combine_fields`` merges with others on the same learner.
     """
 
     def __init__(
@@ -175,6 +184,7 @@ class _LazyHandle(VectorFieldHandle):
         label: str,
         eval_at: Optional[Callable[[Any], TangentVector]] = None,
         coords: Optional[Callable[[Any, tuple], CoordsMap]] = None,
+        source: Optional[Tuple[Any, Any]] = None,
     ):
         if eval_at is None:
 
@@ -187,6 +197,7 @@ class _LazyHandle(VectorFieldHandle):
         object.__setattr__(self, "space", None)
         object.__setattr__(self, "eval_at", eval_at)
         object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_source", source)
 
     def _match(self, key: tuple) -> None:
         if self.space is None:
@@ -244,24 +255,12 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
     the left of zero, so the stencil is forward).
     """
     label = f"{learner.id}:{_obs_label(learner, phi)}"
-    outside = f"state outside the update domain of {label}"
-
     if learner.closed_field is not None:
-        inner = learner.closed_field(phi)
-
-        def closed_map(theta0, space) -> CoordsMap:
-            def fmap(v, c):
-                try:
-                    return inner(c, space)
-                except DomainError:
-                    raise DomainError(outside) from None
-
-            return fmap
-
-        return _LazyHandle(label, coords=closed_map)
+        return _closed_handle(label, learner, ((phi, 1.0),), source=(learner, phi))
 
     if learner.make_flow is not None:
         flow = learner.make_flow(phi)
+        outside = f"state outside the update domain of {label}"
 
         def eval_fd(theta) -> TangentVector:
             if not learner.in_domain(phi, theta):
@@ -274,6 +273,29 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
         return _LazyHandle(label, eval_fd)
 
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
+
+
+def _closed_handle(label: str, learner: Learner, terms: tuple, source=None) -> VectorFieldHandle:
+    """The field of the weighted observations ``terms`` (label order) as the
+    learner's one closed form, bound to a belief space once per integration."""
+    outside = f"state outside the update domain of {label}"
+    bind = learner.closed_field(terms)
+
+    def closed_map(theta0, space) -> CoordsMap:
+        try:
+            field = bind(space)
+        except DomainError:
+            raise DomainError(outside) from None
+
+        def fmap(v, c):
+            try:
+                return field(c)
+            except DomainError:
+                raise DomainError(outside) from None
+
+        return fmap
+
+    return _LazyHandle(label, coords=closed_map, source=source)
 
 
 def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.ndarray:
@@ -295,7 +317,9 @@ def combine_fields(
     """Weighted superposition of fields on one belief space.
 
     Terms are summed in label order so the operation is exactly commutative
-    and associative at the float level.
+    and associative at the float level.  Fields that ``derivative_field``
+    built on one learner with a closed form become one call of that closed
+    form on the weighted observations; other fields are summed per handle.
     """
     if not fields:
         raise ParameterError("no fields to combine")
@@ -307,6 +331,15 @@ def combine_fields(
         if not (math.isfinite(w) and w > 0.0):
             raise ParameterError(f"weights must be positive and finite, got {w!r}")
     pairs = sorted(zip(fields, weights), key=lambda fw: fw[0].label)
+    label = "(" + " + ".join(
+        (f"{w:g}*{f.label}" if w != 1.0 else f.label) for f, w in pairs
+    ) + ")"
+    sources = [getattr(f, "_source", None) for f, _ in pairs]
+    learner = sources[0][0] if sources[0] is not None else None
+    if learner is not None and all(src is not None and src[0] is learner for src in sources):
+        # closed fields of one learner: its closed form of the weighted sum
+        terms = tuple((phi, w) for (_, phi), (_, w) in zip(sources, pairs))
+        return _closed_handle(label, learner, terms)
 
     def sum_map(theta0, space) -> CoordsMap:
         terms = [(f._bind(theta0)[0], w) for f, w in pairs]
@@ -320,9 +353,6 @@ def combine_fields(
 
         return fmap
 
-    label = "(" + " + ".join(
-        (f"{w:g}*{f.label}" if w != 1.0 else f.label) for f, w in pairs
-    ) + ")"
     return _LazyHandle(label, coords=sum_map)
 
 
@@ -496,20 +526,37 @@ def integrate(
     t = _coerce_time(t)
     if not math.isinf(t):
         _check_budget(cfg, t)
-        f, project = field._bind(theta0)
-        return _result(theta0, _cover(f, project, belief_coords(theta0), None, t, cfg)[1])
     f, project = field._bind(theta0)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
+        if not math.isinf(t):
+            return _result(theta0, _cover(f, project, belief_coords(theta0), None, t, cfg)[1])
+        return _to_limit(f, project, theta0, cfg)
+
+
+def _to_limit(f: CoordsMap, project: Project, theta0, cfg: IntegratorConfig):
     c, v = belief_coords(theta0), None
     k1 = f(v, c)
-    quiet = 0
+    quiet, before = 0, c.tobytes()
     cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
     for _ in range(cap):
         v = _advance(f, project, c, k1, cfg.step, cfg.scheme)
         c = project(v)
         k1 = f(v, c)  # also the next step's first stage
-        quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
-        if quiet >= _QUIET_STEPS:
-            return _result(theta0, v)
+        after = c.tobytes()
+        if float(np.abs(k1).max()) < cfg.limit_tol:
+            quiet += 1
+            if quiet >= _QUIET_STEPS:
+                return _result(theta0, v)
+        elif after == before:
+            # the field depends on the state alone, so every later step
+            # repeats this one
+            raise NoLimitError(
+                f"no limit: a step of {cfg.step:g} does not move the state "
+                f"(field norm {float(np.abs(k1).max()):.3g})"
+            )
+        else:
+            quiet = 0
+        before = after
     raise NoLimitError(
         f"no limit detected within {cap} steps (field norm still moving)"
     )
@@ -561,10 +608,11 @@ def integrate_sampled(
     c, v = belief_coords(theta0), None
     rows = [(0.0,) + tuple(c)]
     now = 0.0
-    for target in _sample_times(t, step_out):
-        c, v = _cover(f, project, c, v, target - now, cfg)
-        now = target
-        rows.append((now,) + tuple(c))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
+        for target in _sample_times(t, step_out):
+            c, v = _cover(f, project, c, v, target - now, cfg)
+            now = target
+            rows.append((now,) + tuple(c))
     return _result(theta0, v), TrajectoryRecord(columns, rows, {"t": t, "step_out": step_out})
 
 

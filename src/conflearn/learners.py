@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -118,11 +119,17 @@ class Learner:
     coord_flow: Optional[
         Callable[[Any, float, Tuple[str, ...]], Optional[Callable[[np.ndarray], np.ndarray]]]
     ] = None
-    # closed_field(phi) is the derivative field on coordinate arrays:
-    # field(c, space) maps a belief's coordinates c (flows.belief_coords) on
-    # the belief space with key ``space`` to its velocity components, and
-    # raises DomainError where in_domain(phi, belief) is false.
-    closed_field: Optional[Callable[[Any], Callable[[np.ndarray, tuple], np.ndarray]]] = None
+    # closed_field(terms) is the derivative field of the weighted parallel
+    # observation terms = ((phi, w), ...), given in label order: the field of
+    # sum_j w_j phi_j, as one closed form.  One observation is the one-term
+    # case ((phi, 1.0),).  bind = closed_field(terms) takes a belief space
+    # key and raises ParameterError if an observation is over other worlds;
+    # bind(space) maps a belief's coordinates c (flows.belief_coords) to the
+    # velocity components, and raises DomainError where some
+    # in_domain(phi_j, belief) is false.
+    closed_field: Optional[
+        Callable[[Sequence[Tuple[Any, float]]], Callable[[tuple], Callable[[np.ndarray], np.ndarray]]]
+    ] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
@@ -215,20 +222,27 @@ def _interp_flow(a: EventSet):
     return flow
 
 
-def _interp_field(a: EventSet):
-    ind = a.indicator()
+def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
+    """sum_j w_j (condition(p, a_j) - p) = p * (M^T (w / Mp) - sum w), for
+    the k x n indicator matrix M of the events a_j."""
+    events = [a for a, _ in terms]
+    w = np.array([w for _, w in terms], dtype=float)
+    total = sum(w.tolist())
 
-    def field(c: np.ndarray, space: tuple) -> np.ndarray:
-        # condition(p, a).probs - p.probs, op for op
-        if space[1] != a.labels:
+    def bind(space: tuple):
+        if any(a.labels != space[1] for a in events):
             raise ParameterError("event over a different world set")
-        mass = float(c @ ind)
-        if mass <= MASS_EPS:
-            raise DomainError(f"event {a!r} has no mass")
-        cond = c * ind / mass
-        return cond / cond.sum() - c
+        m = np.array([a.indicator() for a in events])
 
-    return field
+        def field(c: np.ndarray) -> np.ndarray:
+            mass = m @ c
+            if mass.min() <= MASS_EPS:
+                raise DomainError(f"event {events[int(mass.argmin())]!r} has no mass")
+            return c * ((w / mass) @ m - total)
+
+        return field
+
+    return bind
 
 
 def _frac_translate(phi, chi: ConfidenceValue, theta) -> float:
@@ -517,20 +531,35 @@ def _gibbs_map(pen: _Penalty, t, labels: Tuple[str, ...]):
     return step
 
 
-def _gibbs_field(pen: _Penalty):
-    u, possible = pen.u, pen.possible
+def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
+    """The field of the summed penalty u = sum_j w_j u_j (label order), whose
+    worlds are possible where every term's are: the Gibbs learners are
+    optimizing learners with a linear-expectation loss."""
+    pens = [pen for pen, _ in terms]
+    u = None
+    with np.errstate(over="ignore"):  # an infinite sum fails the tangent check
+        for pen, w in terms:
+            u = w * pen.u if u is None else u + w * pen.u
+    masks = [pen.possible for pen in pens if pen.possible is not None]
+    possible = np.logical_and.reduce(masks) if masks else None
 
-    def field(c: np.ndarray, space: tuple) -> np.ndarray:
-        _check_worlds(pen, space[1])
-        if possible is None:
-            return c * (float(c @ u) - u)
-        supp = c > 0.0
-        if not possible[supp].all():
-            raise DomainError(f"{pen.what} contradicts the state")
-        v = np.where(supp, u, 0.0)
-        return np.where(supp, c * (float(c @ v) - v), 0.0)
+    def bind(space: tuple):
+        for pen in pens:
+            _check_worlds(pen, space[1])
 
-    return field
+        def field(c: np.ndarray) -> np.ndarray:
+            if possible is None:
+                return c * (float(c @ u) - u)
+            supp = c > 0.0
+            if not possible[supp].all():
+                pen = next(p for p in pens if p.possible is not None and not p.possible[supp].all())
+                raise DomainError(f"{pen.what} contradicts the state")
+            v = np.where(supp, u, 0.0)
+            return np.where(supp, c * (float(c @ v) - v), 0.0)
+
+        return field
+
+    return bind
 
 
 def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
@@ -570,7 +599,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         translate=lambda phi, chi, p: add.to_float(chi),
         make_flow=lambda phi: (lambda t, p: observe(phi, t, p)),
         coord_flow=coord_flow,
-        closed_field=lambda phi: _gibbs_field(penalty(phi)),
+        closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
         lb_metric="fisher",
         default_grid=_grid(add, (0.1, 0.5, 1.5, 3.0)),
         **hooks,
@@ -805,17 +834,18 @@ def make_max_graded_learner() -> Learner:
 
         return flow
 
-    def closed_field(key: str):
-        def fieldfn(c: np.ndarray, space: tuple) -> np.ndarray:
+    def closed_field(terms):
+        # sum_j w_j (1 - grade_j) e_j: a rate per key, r * (1 - c)
+        def bind(space: tuple):
             keys = space[1]
-            if key not in keys:
-                raise DomainError(f"unknown statement {key!r}")
-            i = keys.index(key)
-            out = np.zeros(len(keys))
-            out[i] = 1.0 - c[i]
-            return out
+            rate = np.zeros(len(keys))
+            for key, w in terms:
+                if key not in keys:
+                    raise DomainError(f"unknown statement {key!r}")
+                rate[keys.index(key)] += w
+            return lambda c: rate * (1.0 - c)
 
-        return fieldfn
+        return bind
 
     def sample_instance(rng):
         keys = ("phi1", "phi2", "phi3")
@@ -905,6 +935,24 @@ def _check_example(model: SoftmaxModel, ex: LabeledExample) -> None:
         raise ParameterError(f"label {ex.y} outside {model.n_classes} classes")
 
 
+def _example_from_json(model: SoftmaxModel, obj: Mapping) -> LabeledExample:
+    """``{"x": [n_features finite numbers], "y": class index}``."""
+    x, y = obj["x"], obj["y"]
+    if isinstance(y, bool) or not isinstance(y, int) or not 0 <= y < model.n_classes:
+        raise ParameterError(f"'y' must be a class index below {model.n_classes}, got {y!r}")
+    if not (
+        isinstance(x, list)
+        and len(x) == model.n_features
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max  # False for NaN
+            for v in x
+        )
+    ):
+        raise ParameterError(f"'x' must be a list of {model.n_features} finite numbers, got {x!r}")
+    return LabeledExample(np.array(x, dtype=float), y)
+
+
 def class_log_probs(model: SoftmaxModel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     w, b = _unpack(model, theta)
     logits = w @ x + b
@@ -976,7 +1024,8 @@ def classifier_step_observe(
     Non-convergence at the cap is reported as a :class:`NonConvergenceWarning`
     rather than an exception: the state reached is still a belief, just not a
     fixed point.  A finite n above ``model.max_steps`` raises
-    :class:`StepBudgetError` before any step.
+    :class:`StepBudgetError` before any step, and parameters that are not
+    finite after the n steps raise :class:`NumericalError`.
     """
     model = model or SoftmaxModel()
     _check_example(model, ex)
@@ -1001,8 +1050,11 @@ def classifier_step_observe(
             f"{v.payload} gradient steps exceed max_steps={model.max_steps}"
         )
     out = theta.copy()
-    for _ in range(v.payload):
-        out = gradient_step(model, out, ex)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(v.payload):
+            out = gradient_step(model, out, ex)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"non-finite parameters after {v.payload} gradient steps")
     return out
 
 
@@ -1021,7 +1073,11 @@ def make_classifier_learner(
 
     def bel(ex, theta):
         _check_example(model, ex)
-        return float(class_log_probs(model, theta, ex.x)[ex.y])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            logp = float(class_log_probs(model, theta, ex.x)[ex.y])
+        if math.isnan(logp):
+            raise NumericalError("non-finite logits in the classifier's belief")
+        return logp
 
     def path_velocity(ex, theta, h):
         # the one-step quotient is exactly the negated loss gradient
@@ -1056,9 +1112,7 @@ def make_classifier_learner(
         sample_top_instance=sample_top_instance,
         default_grid=_grid(count, (1, 2, 4, 8), top=False),
         observation_to_json=lambda ex: {"x": [float(v) for v in ex.x], "y": ex.y},
-        observation_from_json=lambda obj, theta: LabeledExample(
-            np.asarray(obj["x"], dtype=float), int(obj["y"])
-        ),
+        observation_from_json=lambda obj, theta: _example_from_json(model, obj),
         notes="n gradient steps on -log softmax(Wx+b)[y]; Bel = log p(y|x)",
     )
 

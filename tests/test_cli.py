@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +351,32 @@ def test_combine_step_budget_exits_2(tmp_path, capsys):
     assert "max_steps" in capsys.readouterr().err
 
 
+def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, capsys):
+    # c + 1e-300 * k rounds back to c: without the stall guard this ran all
+    # 10^7 steps before NoLimitError
+    cfg = dict(COMBINE_INTERP, t="top", integrator={"step": 1e-300})
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "does not move the state" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "learner, observations",
+    [
+        ("interp", [{"event": ["a"]}, {"event": ["b", "c"]}]),
+        ("boltzmann", [{"values": {"a": 1, "b": 2, "c": 3}}, {"values": {"a": 3, "b": 2, "c": 1}}]),
+    ],
+)
+def test_combine_overflowing_field_exits_3_without_warnings(tmp_path, capsys, learner, observations):
+    cfg = dict(COMBINE_INTERP, learner=learner, observations=observations, weights=[1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "combine", cfg, "--quiet") == 3
+    assert "non-finite tangent components" in capsys.readouterr().err
+
+
 def test_combine_zero_step_out_exits_2(tmp_path):
     cfg = dict(COMBINE_INTERP, step_out=0)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
@@ -538,6 +566,43 @@ def test_learn_classifier_count_over_max_steps_exits_2(tmp_path, capsys, params,
 def test_learn_classifier_count_at_max_steps_runs(tmp_path):
     cfg = dict(CLASSIFIER_LEARN, learner_params={"max_steps": 10}, confidence_grid=[10])
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
+
+
+def test_learn_classifier_overflow_at_a_finite_count_exits_3(tmp_path, capsys):
+    # the first step leaves finite parameters whose logits overflow
+    cfg = dict(CLASSIFIER_LEARN, observation={"x": [1e200], "y": 0}, confidence_grid=[1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "learn", cfg, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "observation",
+    [
+        {"x": [0.5], "y": 0.9},
+        {"x": [0.5], "y": 1.0},
+        {"x": [0.5], "y": True},
+        {"x": [0.5], "y": 2},
+        {"x": [0.5], "y": -1},
+        {"x": [0.5], "y": "0"},
+        {"x": 0.5, "y": 0},
+        {"x": [], "y": 0},
+        {"x": [0.5, 0.5], "y": 0},
+        {"x": [math.nan], "y": 0},
+        {"x": [math.inf], "y": 0},
+        {"x": [10**400], "y": 0},
+        {"x": [True], "y": 0},
+        {"x": ["0.5"], "y": 0},
+        {"x": {"a": 0.5}, "y": 0},
+    ],
+)
+def test_learn_bad_classifier_observation_exits_2(tmp_path, capsys, observation):
+    cfg = dict(CLASSIFIER_LEARN, observation=observation)
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert "bad observation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_learn_classifier_overflowing_logits_exit_3(tmp_path, capsys):

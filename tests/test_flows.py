@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conflearn.beliefs import MASS_EPS
 from conflearn.errors import StepBudgetError
 from conflearn import (
+    BayesModel,
     DomainError,
     EventSet,
     FiniteSimplex,
@@ -36,6 +40,7 @@ from conflearn import (
     integrate,
     integrate_sampled,
     interp_observe,
+    make_bayes_learner,
     metric_gradient,
     natural_gradient,
     parallel_field,
@@ -606,3 +611,182 @@ def test_trotter_builds_one_simplex(monkeypatch):
     built = _count_simplexes(monkeypatch)
     trotter_interleave(get_learner("interp"), a, b, 1.5, 512, p)
     assert len(built) <= 3
+
+
+# ---------------------------------------------------------------------------
+# A parallel observation is one closed form.
+#
+# The references are the one-observation fields as each learner wrote them
+# before the closed forms took weighted terms; combine_fields summed them
+# term by term, weighted, in label order.
+
+
+def _ref_gibbs(u, possible):
+    def field(c):
+        if possible is None:
+            return c * (float(c @ u) - u)
+        supp = c > 0.0
+        if not possible[supp].all():
+            raise DomainError("contradicts the state")
+        v = np.where(supp, u, 0.0)
+        return np.where(supp, c * (float(c @ v) - v), 0.0)
+
+    return field
+
+
+def _ref_interp(ind):
+    def field(c):
+        mass = float(c @ ind)
+        if mass <= MASS_EPS:
+            raise DomainError("no mass")
+        cond = c * ind / mass
+        return cond / cond.sum() - c
+
+    return field
+
+
+def _ref_graded(i):
+    def field(c):
+        out = np.zeros(len(c))
+        out[i] = 1.0 - c[i]
+        return out
+
+    return field
+
+
+def _weighted_sum(fields, c):
+    total = None
+    for f, w in fields:
+        comp = w * f(c)
+        total = comp if total is None else total + comp
+    return total
+
+
+def _parallel_case(kind, rng, n, k):
+    """(learner, phis, reference fields, space, c, scale of the field)."""
+    labels = tuple(f"w{i}" for i in range(n))
+    c = rng.dirichlet(np.ones(n))
+    c[rng.uniform(size=n) < 0.3] = 0.0
+    c[int(rng.integers(n))] += 0.2
+    c /= c.sum()
+    space = ("simplex", labels)
+    if kind == "boltzmann":
+        vals = rng.normal(0.0, 2.0, size=(k, n))
+        phis = [RandomVariable(labels, row) for row in vals]
+        refs = [_ref_gibbs(row, None) for row in vals]
+        return get_learner("boltzmann"), phis, refs, space, c, np.abs(vals)
+    if kind == "bayes":
+        lik = rng.uniform(0.0, 1.0, size=(k, n))
+        lik[rng.uniform(size=(k, n)) < 0.15] = 0.0
+        lik[:, int(rng.integers(n))] = 0.5  # every row has evidence somewhere
+        if rng.uniform() < 0.6:  # zeros off the state's support only
+            lik[:, c > 0.0] = np.maximum(lik[:, c > 0.0], 0.01)
+        rows = {f"e{j}": row for j, row in enumerate(lik)}
+        learner = make_bayes_learner(BayesModel(labels, rows))
+        u = -np.log(np.where(lik > 0.0, lik, 1.0))
+        refs = [_ref_gibbs(np.where(row > 0.0, uj, np.inf), None if row.min() > 0.0 else row > 0.0)
+                for row, uj in zip(lik, u)]
+        return learner, list(rows), refs, space, c, u
+    if kind == "interp":
+        masks = rng.uniform(size=(k, n)) < 0.5
+        masks[np.arange(k), rng.integers(n, size=k)] = True
+        phis = [EventSet(labels, int(sum(1 << i for i in np.flatnonzero(m)))) for m in masks]
+        refs = [_ref_interp(m.astype(float)) for m in masks]
+        return get_learner("interp"), phis, refs, space, c, np.ones((k, n))
+    keys = tuple(f"k{i}" for i in range(n))
+    grades = rng.uniform(0.0, 1.0, size=n)
+    idx = rng.integers(n, size=k)
+    return (get_learner("max-graded"), [keys[i] for i in idx], [_ref_graded(i) for i in idx],
+            ("graded", keys), grades, np.ones((k, n)))
+
+
+@pytest.mark.parametrize("kind", ["boltzmann", "bayes", "interp", "max-graded"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 6),
+       weights=st.lists(st.floats(0.05, 5.0), min_size=6, max_size=6))
+def test_fused_field_is_the_weighted_sum_of_its_terms(kind, seed, n, k, weights):
+    rng = np.random.default_rng(seed)
+    learner, phis, refs, space, c, size = _parallel_case(kind, rng, n, k)
+    ws = weights[:k]
+    # combine_fields hands the learner its terms in label order
+    fields = [derivative_field(learner, phi) for phi in phis]
+    order = sorted(range(k), key=lambda j: fields[j].label)
+    fused = learner.closed_field(tuple((phis[j], ws[j]) for j in order))(space)
+    try:
+        ref = _weighted_sum([(refs[j], ws[j]) for j in order], c)
+    except DomainError:
+        with pytest.raises(DomainError):
+            fused(c)
+        return
+    got = fused(c)
+    finite = np.where(np.isfinite(size), size, 0.0)
+    scale = max(1.0, float((np.asarray(ws)[:, None] * finite).sum(axis=0).max()))
+    assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["boltzmann", "bayes", "interp"])
+def test_fused_field_rejects_other_worlds_once_at_bind(kind):
+    rng = np.random.default_rng(3)
+    learner, phis, _, _, c, _ = _parallel_case(kind, rng, 4, 3)
+    bind = learner.closed_field(tuple((phi, 1.0) for phi in phis))
+    with pytest.raises(ParameterError):
+        bind(("simplex", ("x", "y", "z", "w")))
+    field = combine_fields([derivative_field(learner, phi) for phi in phis])
+    with pytest.raises(ParameterError):
+        integrate(field, FiniteSimplex(("x", "y", "z", "w"), np.ones(4)), 1.0)
+
+
+def test_combine_evaluates_one_closed_form_per_stage():
+    from dataclasses import replace
+
+    base = get_learner("boltzmann")
+    calls = {"closed_field": [], "bind": 0, "eval": 0}
+
+    def closed_field(terms):
+        calls["closed_field"].append(len(terms))
+        bind = base.closed_field(terms)
+
+        def counted_bind(space):
+            calls["bind"] += 1
+            field = bind(space)
+
+            def counted(c):
+                calls["eval"] += 1
+                return field(c)
+
+            return counted
+
+        return counted_bind
+
+    learner = replace(base, closed_field=closed_field)
+    labels = ("a", "b", "c", "d")
+    rng = np.random.default_rng(5)
+    phis = [RandomVariable(labels, rng.normal(size=4)) for _ in range(5)]
+    field = combine_fields([derivative_field(learner, phi) for phi in phis], [0.5, 1, 2, 0.3, 1.1])
+    assert calls["closed_field"] == [1, 1, 1, 1, 1, 5]
+    cfg = IntegratorConfig(step=0.01)
+    integrate(field, FiniteSimplex(labels, np.ones(4)), 0.5, cfg)
+    assert calls["bind"] == 1
+    assert calls["eval"] == 4 * 50  # four RK4 stages for each of 50 steps
+
+
+def test_mixed_learners_keep_the_per_handle_sum():
+    labels = ("a", "b", "c", "d")
+    p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
+    bayes = make_bayes_learner(BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.1])}))
+    terms = [  # in label order: bayes, boltzmann, interp
+        (derivative_field(bayes, "e"), 1.3),
+        (derivative_field(get_learner("boltzmann"), RandomVariable(labels, np.array([0.3, -0.2, 1.1, 0.4]))), 0.8),
+        (derivative_field(get_learner("interp"), p.event(["a", "c"])), 0.6),
+    ]
+    field = combine_fields([f for f, _ in terms[::-1]], [w for _, w in terms[::-1]])
+    ref = _weighted_sum([(lambda c, f=f: f.eval_at(p).components, w) for f, w in terms], p.probs)
+    assert np.array_equal(field.eval_at(p).components, ref)
+
+
+def test_limit_integration_stops_when_a_step_cannot_move_the_state():
+    learner = get_learner("boltzmann")
+    p = tri()
+    field = derivative_field(learner, RandomVariable(p.labels, np.array([1.0, 2.0, 3.0])))
+    with pytest.raises(NoLimitError, match="does not move the state"):
+        integrate(field, p, math.inf, IntegratorConfig(step=1e-300))

@@ -85,6 +85,30 @@ def ref_bayes_field(lik, key):
     return field
 
 
+def ref_bayes_sum_field(rows, terms):
+    """The closed-field hook of weighted observations ((key, w), ...): the
+    field of the penalty sum_j w_j (-log P(key_j | h)), op for op."""
+    impossible = np.zeros(len(rows[terms[0][0]]), dtype=bool)
+    total = None
+    for key, w in terms:
+        lik = rows[key]
+        impossible |= lik <= 0.0
+        penalty = w * -np.log(np.where(lik <= 0.0, 1.0, lik))
+        total = penalty if total is None else total + penalty
+
+    def bind(space):
+        def field(c):
+            supp = c > 0.0
+            if np.any(supp & impossible):
+                raise DomainError("an observation contradicts the state")
+            v = np.where(supp, total, 0.0)
+            return np.where(supp, c * (float(c @ v) - v), 0.0)
+
+        return field
+
+    return bind
+
+
 def ref_observe(lik, chi, p):
     w = ref_bayes_step(lik, "e", chi, p.probs)
     return p if w is None else FiniteSimplex(p.labels, w)
@@ -112,6 +136,11 @@ def ref_boltzmann_step(vals, chi, pr):
 
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def one_term(learner, phi):
+    """The closed field of phi alone, as a function of (c, space)."""
+    return lambda c, space: learner.closed_field(((phi, 1.0),))(space)(c)
 
 
 def outcome(fn, *args):
@@ -206,13 +235,13 @@ def test_closed_field_keeps_its_bits_up_to_zero_signs_off_the_support():
         hyps, lik, p, learner = random_case(rng)
         c, space = p.probs.copy(), ("simplex", hyps)
         ref = outcome(ref_bayes_field(lik, "e"), c, space)
-        new = outcome(learner.closed_field("e"), c, space)
+        new = outcome(one_term(learner, "e"), c, space)
         if new == ref:
             continue
         # a finite penalty takes the unmasked Boltzmann field, whose zeros at
         # zero-mass worlds carry the sign of E[u] - u
         assert lik.min() > 0.0 and (c == 0.0).any()
-        ref_v, new_v = ref_bayes_field(lik, "e")(c, space), learner.closed_field("e")(c, space)
+        ref_v, new_v = ref_bayes_field(lik, "e")(c, space), one_term(learner, "e")(c, space)
         assert bits(new_v + 0.0) == bits(ref_v)
         assert bits(new_v[c > 0.0]) == bits(ref_v[c > 0.0])
         signed += 1
@@ -228,13 +257,20 @@ def test_integrated_states_keep_their_bits():
         "e2": np.array([0.0, 0.4, 0.0, 0.9, 0.6]),
     }
     learner = make_bayes_learner(BayesModel(hyps, rows))
-    ref = replace(learner, closed_field=lambda key: ref_bayes_field(rows[key], key))
+    ref = replace(learner, closed_field=lambda terms: ref_bayes_sum_field(rows, terms))
     p = FiniteSimplex(hyps, np.array([0.3, 0.0, 0.3, 0.4, 0.0]))
     q = FiniteSimplex(hyps, np.array([0.0, 0.5, 0.0, 0.2, 0.3]))
     cfg = IntegratorConfig(step=0.02)  # reaches the limits below in a few thousand steps
-    runs = ((("e0", "e1"), p, 0.7), (("e0", "e1"), p, ADD.top), (("e2",), q, ADD.top))
-    for keys, prior, t in runs:
-        fields = [combine_fields([derivative_field(l, k) for k in keys]) for l in (learner, ref)]
+    runs = (
+        (("e0", "e1"), None, p, 0.7),
+        (("e0", "e1"), None, p, ADD.top),
+        (("e2",), None, q, ADD.top),
+        (("e2", "e0", "e1"), (0.7, 1.9, 0.35), q, 1.3),
+        (("e2", "e1"), (2.5, 0.4), q, ADD.top),
+    )
+    for keys, weights, prior, t in runs:
+        fields = [combine_fields([derivative_field(l, k) for k in keys], weights)
+                  for l in (learner, ref)]
         ends = [integrate(f, prior, t, cfg).probs for f in fields]
         assert bits(ends[0]) == bits(ends[1])
     records = [integrate_sampled(derivative_field(l, "e2"), q, 1.0, cfg)[1] for l in (learner, ref)]
@@ -254,7 +290,7 @@ def test_zero_evidence_errors_keep_their_messages():
             learner.observe("e", chi, p)
         assert str(exc.value) == "observation 'e' contradicts the prior"
     with pytest.raises(DomainError) as exc:
-        learner.closed_field("e")(p.probs.copy(), ("simplex", hyps))
+        one_term(learner, "e")(p.probs.copy(), ("simplex", hyps))
     assert str(exc.value) == "observation 'e' contradicts the state"
     assert learner.bel("e", p) == -math.inf and learner.bel_top("e", p) == -math.inf
     assert learner.in_domain("e", p) is False
@@ -313,7 +349,7 @@ def test_boltzmann_keeps_its_formulas():
             assert bits(boltzmann_observe(v, chi, p).probs) == bits(ref)
         c = p.probs.copy()
         ref_field = c * (float(c @ vals) - vals)
-        assert bits(learner.closed_field(v)(c, ("simplex", labels))) == bits(ref_field)
+        assert bits(one_term(learner, v)(c, ("simplex", labels))) == bits(ref_field)
         assert bits(learner.bel(v, p)) == bits(-float(p.probs @ vals))
         assert bits(learner.bel_top(v, p)) == bits(-float(vals[p.probs > 0.0].min()))
         assert learner.in_domain(v, p) is True
@@ -331,4 +367,4 @@ def test_bayes_is_boltzmann_on_minus_log_likelihood():
             assert bits(post.probs) == bits(boltzmann.observe(v, chi, p).probs)
         assert bits(bayes.bel("e1", p)) == bits(boltzmann.bel(v, p))
         c, space = p.probs.copy(), ("simplex", labels)
-        assert bits(bayes.closed_field("e1")(c, space)) == bits(boltzmann.closed_field(v)(c, space))
+        assert bits(one_term(bayes, "e1")(c, space)) == bits(one_term(boltzmann, v)(c, space))

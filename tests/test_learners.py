@@ -217,6 +217,19 @@ def test_classifier_count_is_iterated_gradient_steps():
     assert np.array_equal(out, manual)
 
 
+@pytest.mark.parametrize("x", [1e200, math.nan])
+def test_classifier_count_with_non_finite_parameters_raises(x):
+    model = SoftmaxModel()
+    ex = LabeledExample(np.array([x]), 0)
+    with pytest.raises(NumericalError, match="after 2 gradient steps"):
+        classifier_step_observe(ex, 2, np.zeros(4), model)
+    learner = get_learner("classifier")
+    theta = learner.observe(LabeledExample(np.array([1e200]), 0), 1, np.zeros(4))
+    assert np.isfinite(theta).all()  # one step is finite; its logits overflow
+    with pytest.raises(NumericalError):
+        learner.bel(LabeledExample(np.array([1e200]), 0), theta)
+
+
 def test_classifier_step_matches_finite_difference():
     # one gradient step moves along -d(nll)/d(theta) scaled by eta
     model = SoftmaxModel(n_features=2, n_classes=2, eta=0.1)
