@@ -18,9 +18,7 @@ was rejected (zero-mass event, domain mismatch, no limit, ...).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -53,8 +51,7 @@ from .confidence import (
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
 from .flows import (
     IntegratorConfig,
-    TrajectoryRecord,
-    _fmt,
+    _csv_text,
     belief_coords,
     combine_fields,
     coord_labels,
@@ -305,12 +302,7 @@ def _cmd_learn(args, cfg: dict) -> int:
     headers = list(chi_headers) + list(bel_headers)
     if learner.bel is not None:
         headers.append("bel")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    _atomic_write(_out_path(args, name), buf.getvalue())
+    _atomic_write(_out_path(args, name), _csv_text(headers, rows))
 
     payload = {
         "command": "learn",
@@ -350,20 +342,8 @@ def _cmd_combine(args, cfg: dict) -> int:
     t = _parse_time(_need(cfg, "t"))
     name = _out_name(cfg, "output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
 
-    if math.isinf(t):
-        final = integrate(field, theta0, t, icfg)
-        columns = ("t",) + coord_labels(theta0)
-        record = TrajectoryRecord(
-            columns,
-            [
-                (0.0,) + tuple(belief_coords(theta0)),
-                (math.inf,) + tuple(belief_coords(final)),
-            ],
-            {"t": "top"},
-        )
-    else:
-        step_out = _number(cfg, "step_out", 0.1, above=0.0)
-        final, record = integrate_sampled(field, theta0, t, icfg, step_out=step_out)
+    step_out = _number(cfg, "step_out", 0.1, above=0.0)
+    final, record = integrate_sampled(field, theta0, t, icfg, step_out=step_out)
     _atomic_write(_out_path(args, name), record.to_csv_text())
 
     _emit(

@@ -86,14 +86,6 @@ class ConfidenceValue:
         _, v = _pair_payload(self)
         return v
 
-    @property
-    def items(self) -> tuple:
-        if self.kind == SEQ:
-            return self.payload
-        if self.kind == BOT:
-            return ()
-        raise UnsupportedError(f"{self.domain_id} value has no list items")
-
     def __repr__(self) -> str:  # compact, used in witnesses
         if self.kind in (BOT, TOP):
             return f"<{self.domain_id}:{self.kind}>"

@@ -11,12 +11,16 @@ a weighted parallel observation ((phi, w), ...) as one closed form, bound to
 a belief space once and then a map from a belief's coordinates to its
 velocity; one observation is the one-term case.  ``combine_fields`` merges
 the closed fields of one learner into one such form, and sums any other
-fields term by term.  The integrators step on arrays, check the velocity of
-every stage (finite, and on the sum-one plane for a simplex), and project
-each stage into the constraint set with the projection of the belief's kind
-record (``beliefs._KINDS``), which makes the checks a belief object makes.
-Beliefs are built for the result, and for each evaluation of a field with no
-closed form.
+fields term by term.  ``integrate`` and ``integrate_sampled`` share one
+driver: it checks the step budget, binds the field once, steps on arrays
+to finite time (sample by sample) or to the limit, and returns the end state
+with the rows (t, *coords) of the start, each sample time and the end.  It
+checks the velocity of every stage (finite, and on the sum-one plane for a
+simplex), and projects each stage into the constraint set with the
+projection of the belief's kind record (``beliefs._KINDS``), which makes the
+checks a belief object makes.  Beliefs are built for the result, and for
+each evaluation of a field with no closed form.  ``TrajectoryRecord`` writes
+its rows through ``_csv_text``, the one CSV writer of the package.
 
 Interleaving works the same way.  A simplex learner's coordinate flow maps a
 probability vector to its update at one additive time, bound to the belief
@@ -30,9 +34,11 @@ update direction is metric gradient ascent on its belief functional.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +62,6 @@ __all__ = [
     "VectorFieldHandle",
     "IntegratorConfig",
     "TrajectoryRecord",
-    "ParallelObservation",
     "belief_coords",
     "belief_rebuild",
     "coord_labels",
@@ -227,20 +232,6 @@ class _LazyHandle(VectorFieldHandle):
         return checked, kind.project
 
 
-@dataclass(frozen=True)
-class ParallelObservation:
-    """Weighted statements observed simultaneously (a field superposition)."""
-
-    terms: Tuple[Tuple[Any, float], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ParameterError("parallel observation needs at least one term")
-        for _, w in self.terms:
-            if not (math.isfinite(w) and w > 0.0):
-                raise ParameterError(f"weights must be positive and finite, got {w!r}")
-
-
 def _obs_label(learner: Learner, phi) -> str:
     if learner.observation_to_json is not None:
         return json.dumps(learner.observation_to_json(phi), sort_keys=True)
@@ -306,9 +297,11 @@ def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.n
     return (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
 
 
-def parallel_field(learner: Learner, parallel: ParallelObservation, h: float = 1e-6) -> VectorFieldHandle:
-    fields = [derivative_field(learner, phi, h=h) for phi, _ in parallel.terms]
-    return combine_fields(fields, [w for _, w in parallel.terms])
+def parallel_field(learner: Learner, terms: Sequence[Tuple[Any, float]], h: float = 1e-6) -> VectorFieldHandle:
+    """The field of the weighted observations ``terms`` ((phi, w), ...)
+    observed simultaneously: ``combine_fields`` of their derivative fields."""
+    fields = [derivative_field(learner, phi, h=h) for phi, _ in terms]
+    return combine_fields(fields, [w for _, w in terms])
 
 
 def combine_fields(
@@ -328,7 +321,7 @@ def combine_fields(
     if len(weights) != len(fields):
         raise ParameterError("one weight per field is required")
     for w in weights:
-        if not (math.isfinite(w) and w > 0.0):
+        if isinstance(w, bool) or not (math.isfinite(w) and w > 0.0):
             raise ParameterError(f"weights must be positive and finite, got {w!r}")
     pairs = sorted(zip(fields, weights), key=lambda fw: fw[0].label)
     label = "(" + " + ".join(
@@ -452,9 +445,14 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in ("rk4", "euler"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if not (self.step > 0 and self.t_max > 0 and self.limit_tol > 0):
-            raise ParameterError("step, t_max and limit_tol must be positive")
-        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+        reals = (self.step, self.t_max, self.limit_tol)
+        if any(isinstance(x, bool) for x in reals) or not all(0 < x < math.inf for x in reals):
+            raise ParameterError("step, t_max and limit_tol must be positive and finite")
+        if (
+            isinstance(self.max_steps, bool)
+            or not isinstance(self.max_steps, (int, np.integer))
+            or self.max_steps < 1
+        ):
             raise ParameterError("max_steps must be an integer of at least 1")
 
 
@@ -515,27 +513,33 @@ def _result(theta0, v):
     return theta0 if v is None else belief_rebuild(theta0, v)
 
 
-def integrate(
-    field: VectorFieldHandle,
-    theta0,
-    t,
-    cfg: Optional[IntegratorConfig] = None,
-):
-    """Follow the field from theta0 for additive time t (top = to the limit)."""
-    cfg = cfg or IntegratorConfig()
-    t = _coerce_time(t)
+def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
+    """The one integration loop: follow the field from theta0 for time t
+    (inf: to the limit), sampled every ``step_out`` if given.  Returns the
+    final belief and the rows (t, *coords) of the start, each sample time
+    and the end."""
     if not math.isinf(t):
-        _check_budget(cfg, t)
+        _check_budget(cfg, t, step_out)
     f, project = field._bind(theta0)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
-        if not math.isinf(t):
-            return _result(theta0, _cover(f, project, belief_coords(theta0), None, t, cfg)[1])
-        return _to_limit(f, project, theta0, cfg)
-
-
-def _to_limit(f: CoordsMap, project: Project, theta0, cfg: IntegratorConfig):
     c, v = belief_coords(theta0), None
-    k1 = f(v, c)
+    rows = [(0.0,) + tuple(c)]
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
+        if math.isinf(t):
+            c, v = _to_limit(f, project, c, cfg)
+            rows.append((t,) + tuple(c))
+        else:
+            now = 0.0
+            for target in _sample_times(t, step_out):
+                c, v = _cover(f, project, c, v, target - now, cfg)
+                now = target
+                rows.append((now,) + tuple(c))
+    return _result(theta0, v), rows
+
+
+def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
+    """Step from the projected coordinates c until the field stays quiet;
+    returns the limit's projected and unprojected states."""
+    k1 = f(None, c)
     quiet, before = 0, c.tobytes()
     cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
     for _ in range(cap):
@@ -546,7 +550,7 @@ def _to_limit(f: CoordsMap, project: Project, theta0, cfg: IntegratorConfig):
         if float(np.abs(k1).max()) < cfg.limit_tol:
             quiet += 1
             if quiet >= _QUIET_STEPS:
-                return _result(theta0, v)
+                return c, v
         elif after == before:
             # the field depends on the state alone, so every later step
             # repeats this one
@@ -562,19 +566,14 @@ def _to_limit(f: CoordsMap, project: Project, theta0, cfg: IntegratorConfig):
     )
 
 
-@dataclass
-class TrajectoryRecord:
-    """Sampled states along an integrated path, ready for CSV export."""
-
-    columns: Tuple[str, ...]
-    rows: list
-    meta: dict = field(default_factory=dict)
-
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        return "\n".join(lines) + "\n"
+def integrate(
+    field: VectorFieldHandle,
+    theta0,
+    t,
+    cfg: Optional[IntegratorConfig] = None,
+):
+    """Follow the field from theta0 for additive time t (top = to the limit)."""
+    return _run(field, theta0, _coerce_time(t), cfg or IntegratorConfig())[0]
 
 
 def _fmt(x) -> str:
@@ -584,6 +583,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """The CSV text of a header and rows (RFC 4180 quoting, "\n" line ends),
+    each row's fields written by ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+@dataclass
+class TrajectoryRecord:
+    """Sampled states along an integrated path, ready for CSV export."""
+
+    columns: Tuple[str, ...]
+    rows: list
+
+    def to_csv_text(self) -> str:
+        return _csv_text(self.columns, self.rows)
+
+
 def integrate_sampled(
     field: VectorFieldHandle,
     theta0,
@@ -591,29 +611,18 @@ def integrate_sampled(
     cfg: Optional[IntegratorConfig] = None,
     step_out: float = 0.1,
 ) -> Tuple[Any, TrajectoryRecord]:
-    """Integrate to finite time t, sampling every ``step_out`` time units.
+    """Integrate for time t, sampling every ``step_out`` time units.
 
-    The record holds ceil(t / step_out) + 1 rows: the initial state, each
-    whole sample time, and the final time.
+    For finite t the record holds ceil(t / step_out) + 1 rows: the initial
+    state, each whole sample time, and the final time.  At top it holds two:
+    the initial state and the limit, at t = inf.  The final state is the one
+    ``integrate`` returns.
     """
-    cfg = cfg or IntegratorConfig()
     t = _coerce_time(t)
-    if math.isinf(t):
-        raise ParameterError("sampled integration needs a finite time")
     if not 0 < step_out < math.inf:
         raise ParameterError(f"step_out must be positive and finite, got {step_out!r}")
-    _check_budget(cfg, t, step_out)
-    columns = ("t",) + coord_labels(theta0)
-    f, project = field._bind(theta0)
-    c, v = belief_coords(theta0), None
-    rows = [(0.0,) + tuple(c)]
-    now = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
-        for target in _sample_times(t, step_out):
-            c, v = _cover(f, project, c, v, target - now, cfg)
-            now = target
-            rows.append((now,) + tuple(c))
-    return _result(theta0, v), TrajectoryRecord(columns, rows, {"t": t, "step_out": step_out})
+    final, rows = _run(field, theta0, t, cfg or IntegratorConfig(), step_out)
+    return final, TrajectoryRecord(("t",) + coord_labels(theta0), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -692,10 +692,6 @@ class BayesModel:
     def observations(self) -> Tuple[str, ...]:
         return tuple(self.likelihood)
 
-    @property
-    def is_strict(self) -> bool:
-        return all(row.min() > 0.0 for row in self.likelihood.values())
-
     def row(self, key: str) -> np.ndarray:
         if key not in self.likelihood:
             raise ParameterError(f"unknown observation {key!r}")

@@ -116,6 +116,24 @@ def test_combine_contradiction_limit(tmp_path, capsys):
     assert np.allclose(final, [0.5, 0.25, 0.25], atol=1e-6)
 
 
+@pytest.mark.parametrize("t", [1.0, "top"])
+def test_combine_csv_quotes_labels(tmp_path, t):
+    labels = ["a,b", 'c"d']
+    cfg = {
+        "learner": "interp",
+        "belief": {"kind": "simplex", "probs": dict(zip(labels, [0.6, 0.4]))},
+        "observations": [{"event": ["a,b"]}],
+        "t": t,
+        "step_out": 0.5,
+    }
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 0
+    rows = read_csv(tmp_path, "combine_interp.csv")
+    assert rows[0] == ["t"] + labels
+    assert len(rows) == (4 if t == 1.0 else 3)  # header, start, samples or the limit
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [float(x) for x in rows[1]] == [0.0, 0.6, 0.4]
+
+
 def test_combine_unsupported_learner_exits_3(tmp_path):
     cfg = {
         "learner": "ds",
@@ -393,10 +411,35 @@ def test_combine_unknown_world_exits_2(tmp_path):
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
 
 
-@pytest.mark.parametrize("weights", [["x", 1.0], [-1.0, 1.0]])
-def test_combine_bad_weights_exit_2(tmp_path, weights):
+@pytest.mark.parametrize("weights", [["x", 1.0], [-1.0, 1.0], [True, 1]])
+def test_combine_bad_weights_exit_2(tmp_path, capsys, weights):
     cfg = dict(COMBINE_INTERP, weights=weights)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "bad weights" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", [1.0, "top"])
+@pytest.mark.parametrize(
+    "integrator",
+    [
+        # True is an int to Python, not a number to the config reader
+        {"step": True},
+        {"t_max": True},
+        {"limit_tol": True},
+        {"max_steps": True},
+        # Python's JSON reader accepts Infinity
+        {"step": math.inf},
+        {"t_max": math.inf},
+        {"limit_tol": math.inf},
+    ],
+)
+def test_combine_bad_integrator_setting_exits_2(tmp_path, capsys, integrator, t):
+    cfg = dict(COMBINE_INTERP, integrator=integrator, t=t)
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "bad integrator settings" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_combine_bare_string_event_exits_2(tmp_path):

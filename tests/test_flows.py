@@ -20,7 +20,6 @@ from conflearn import (
     MassFunction,
     NoLimitError,
     NumericalError,
-    ParallelObservation,
     ParameterError,
     RandomVariable,
     TangentVector,
@@ -206,7 +205,7 @@ def test_parallel_field_matches_weighted_sum():
     p = tri()
     a = p.event(["a"])
     b = p.event(["b", "c"])
-    par = parallel_field(learner, ParallelObservation(((a, 0.25), (b, 0.75))))
+    par = parallel_field(learner, ((a, 0.25), (b, 0.75)))
     direct = combine_fields(
         [derivative_field(learner, a), derivative_field(learner, b)], [0.25, 0.75]
     )
@@ -223,6 +222,10 @@ def test_combine_fields_rejects_bad_weights():
         combine_fields([f], [-1.0])
     with pytest.raises(ParameterError):
         combine_fields([f], [1.0, 2.0])
+    with pytest.raises(ParameterError):
+        combine_fields([f], [True])  # a JSON boolean is not a weight
+    with pytest.raises(ParameterError):
+        parallel_field(learner, ())
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +302,24 @@ def test_integrate_sampled_rows_and_monotone_bel():
     assert belief_distance(final, integrate(field, p, 2.0)) == 0.0
 
 
+def test_integrate_sampled_to_the_limit_holds_start_and_limit():
+    learner = get_learner("interp")
+    p = FiniteSimplex(("a", "b", "c"), np.array([0.8, 0.1, 0.1]))
+    a = p.event(["a"])
+    field = combine_fields(
+        [derivative_field(learner, a), derivative_field(learner, a.complement())]
+    )
+    final, record = integrate_sampled(field, p, math.inf)
+    limit = integrate(field, p, math.inf)
+    assert record.columns == ("t", "a", "b", "c")
+    assert len(record.rows) == 2
+    assert record.rows[0] == (0.0,) + tuple(p.probs)
+    assert record.rows[1][0] == math.inf
+    assert np.array_equal(np.array(record.rows[1][1:]), belief_coords(limit))
+    assert np.array_equal(final.probs, limit.probs)
+    assert record.to_csv_text().splitlines()[2].startswith("inf,")
+
+
 @pytest.mark.parametrize("step_out", [math.inf, math.nan])
 def test_integrate_sampled_rejects_bad_step_out(step_out):
     field = derivative_field(get_learner("interp"), tri().event(["a"]))
@@ -313,6 +334,12 @@ def test_integrator_rejects_bad_settings():
         IntegratorConfig(step=0.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(max_steps=5.5)
+    for setting in ("step", "t_max", "limit_tol", "max_steps"):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(**{setting: True})
+    for setting in ("step", "t_max", "limit_tol"):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(**{setting: math.inf})
 
 
 def test_no_limit_error_for_drifting_field():
