@@ -273,6 +273,8 @@ def _residual_by_bisection(learner, phi, s_lo, target_bel):
         return _chart_to_confidence(dom, 1.0)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # every later pass repeats a known sign
+            break
         if gap(mid) < 0.0:
             lo = mid
         else:

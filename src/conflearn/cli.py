@@ -290,10 +290,12 @@ def _cmd_learn(args, cfg: dict) -> int:
     chi_headers, chi_cols = _confidence_headers(learner)
     bel_headers, bel_cols = _belief_headers(theta0)
 
+    if learner.sweep is not None:
+        states = learner.sweep(phi, grid, theta0)
+    else:
+        states = (learner.observe(phi, chi, theta0) for chi in grid)
     rows = []
-    final = theta0
-    for chi in grid:
-        final = learner.observe(phi, chi, theta0)
+    for chi, final in zip(grid, states):
         row = list(chi_cols(chi)) + list(bel_cols(final))
         if learner.bel is not None:
             row.append(learner.bel(phi, final))

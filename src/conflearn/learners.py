@@ -35,7 +35,9 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -130,6 +132,12 @@ class Learner:
     closed_field: Optional[
         Callable[[Sequence[Tuple[Any, float]]], Callable[[tuple], Callable[[np.ndarray], np.ndarray]]]
     ] = None
+    # sweep(phi, grid, theta) yields observe(phi, chi, theta) for each chi in
+    # grid, in grid order and bit for bit, raising where that per-point loop
+    # would raise; a learner registers it when its states along a grid share
+    # work.  The law checks never use it: L3 and L5 test the identities it
+    # relies on, so they call observe point by point.
+    sweep: Optional[Callable[[Any, Sequence[Any], Any], Iterator[Any]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
@@ -523,7 +531,16 @@ def _gibbs_map(pen: _Penalty, t, labels: Tuple[str, ...]):
         if top:
             least = rank[supp].min()
             return np.where(supp & (rank == least), pr, 0.0)
-        logw = np.log(pr[supp]) - b * u[supp]
+        us = u[supp]
+        # within half the float range neither b * u nor the shift by
+        # logw.max() can overflow (Python floats overflow silently)
+        if b * max(map(abs, us.tolist())) <= 0.5 * sys.float_info.max:
+            logw = np.log(pr[supp]) - b * us
+        else:
+            # shift by the least penalty: the least-penalty worlds keep their
+            # prior weight, and an infinite product rules its world out
+            with np.errstate(over="ignore"):
+                logw = np.log(pr[supp]) - b * (us - us.min())
         w = np.zeros_like(pr)
         w[supp] = np.exp(logw - logw.max())
         return w
@@ -1024,12 +1041,8 @@ def classifier_step_observe(
     finite after the n steps raise :class:`NumericalError`.
     """
     model = model or SoftmaxModel()
-    _check_example(model, ex)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
-        raise ParameterError("parameter vector does not match the model shape")
-    count = get_domain("count")
-    v = count.coerce(n)
+    theta = _checked_params(model, ex, theta)
+    v = get_domain("count").coerce(n)
     if v.is_bot:
         return theta.copy()
     if v.is_top:
@@ -1045,13 +1058,82 @@ def classifier_step_observe(
         raise StepBudgetError(
             f"{v.payload} gradient steps exceed max_steps={model.max_steps}"
         )
-    out = theta.copy()
+    states = _orbit(model, ex, theta, [v.payload])
+    if not states:
+        raise _non_finite(v.payload)
+    return states[0]
+
+
+def _checked_params(model: SoftmaxModel, ex: LabeledExample, theta) -> np.ndarray:
+    _check_example(model, ex)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.dim,):
+        raise ParameterError("parameter vector does not match the model shape")
+    return theta
+
+
+def _non_finite(n: int) -> NumericalError:
+    return NumericalError(f"non-finite parameters after {n} gradient steps")
+
+
+def _orbit(
+    model: SoftmaxModel, ex: LabeledExample, theta: np.ndarray, counts: Sequence[int]
+) -> list:
+    """The parameters after each of the ascending step counts ``counts``,
+    walked as one orbit of gradient steps from theta.
+
+    The list stops before the first count whose parameters are not finite: a
+    non-finite entry stays non-finite under further steps, so every larger
+    count would fail too.
+    """
+    out, done, states = theta.copy(), 0, []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for _ in range(v.payload):
-            out = gradient_step(model, out, ex)
-    if not np.isfinite(out).all():
-        raise NumericalError(f"non-finite parameters after {v.payload} gradient steps")
-    return out
+        for n in counts:
+            for _ in range(n - done):
+                out = gradient_step(model, out, ex)
+            done = n
+            if not np.isfinite(out).all():
+                break
+            states.append(out)
+    return states
+
+
+def _classifier_sweep(
+    ex: LabeledExample, grid: Sequence, theta: np.ndarray, model: SoftmaxModel
+) -> Iterator[np.ndarray]:
+    """Yield ``classifier_step_observe(ex, chi, theta, model)`` for each chi in
+    grid, in grid order, raising where that per-point loop would raise.
+
+    The distinct finite counts are walked once, in ascending order, so the
+    sweep costs its largest count in gradient steps.  The first entry that
+    is over ``model.max_steps`` or not a count ends the walk: from there on
+    the sweep is the per-point loop, which raises at that entry before any
+    step.  A repeated count yields the same array each time.
+    """
+    theta = _checked_params(model, ex, theta)
+    count = get_domain("count")
+    values = []
+    for chi in grid:
+        try:
+            v = count.coerce(chi)
+        except Exception:  # the per-point loop below raises it in grid order
+            break
+        if not (v.is_bot or v.is_top) and v.payload > model.max_steps:
+            break
+        values.append(v)
+    counts = sorted({v.payload for v in values if not (v.is_bot or v.is_top)})
+    states = dict(zip(counts, _orbit(model, ex, theta, counts)))
+    for v in values:
+        if v.is_bot:
+            yield theta.copy()
+        elif v.is_top:
+            yield classifier_step_observe(ex, v, theta, model)
+        elif v.payload in states:
+            yield states[v.payload]
+        else:
+            raise _non_finite(v.payload)
+    for chi in grid[len(values):]:
+        yield classifier_step_observe(ex, chi, theta, model)
 
 
 def make_classifier_learner(
@@ -1066,6 +1148,9 @@ def make_classifier_learner(
 
     def observe(ex, chi, theta):
         return classifier_step_observe(ex, chi, theta, model)
+
+    def sweep(ex, grid, theta):
+        return _classifier_sweep(ex, grid, theta, model)
 
     def bel(ex, theta):
         _check_example(model, ex)
@@ -1098,6 +1183,7 @@ def make_classifier_learner(
         id="classifier",
         domain=count,
         observe=observe,
+        sweep=sweep,
         in_domain=lambda ex, theta: bool(np.all(np.isfinite(theta))),
         bel=bel,
         bel_top=lambda ex, theta: 0.0,

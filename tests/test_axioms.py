@@ -18,6 +18,13 @@ from conflearn import (
     run_suite,
     suite_passed,
 )
+from conflearn.axioms import (
+    _BISECT_ITERS,
+    _chart_to_confidence,
+    _instances,
+    _residual_by_bisection,
+    _seeded_rng,
+)
 
 FAST = CheckConfig(seed=0, samples=25)
 
@@ -137,3 +144,52 @@ def test_custom_grid_is_used():
     cfg = CheckConfig(seed=0, samples=10, confidence_grid=[0.0, 0.25, 0.75])
     report = check_axiom(get_learner("interp"), "L4", cfg)
     assert report.passed and not report.skipped
+
+
+# ---------------------------------------------------------------------------
+# L3's residual bisection stops once the midpoint repeats an end point.
+
+
+def _bisect_every_pass(learner, phi, s_lo, target_bel):
+    """The residual bisection as it ran before the early exit: all passes."""
+    dom = learner.domain
+    lo, hi = 0.0, 1.0
+
+    def gap(u):
+        return learner.bel(phi, learner.observe(phi, _chart_to_confidence(dom, u), s_lo)) - target_bel
+
+    if gap(0.0) >= 0.0:
+        return dom.bot
+    if gap(1.0) < 0.0:
+        return _chart_to_confidence(dom, 1.0)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return _chart_to_confidence(dom, hi)
+
+
+_BISECTED = [
+    learner
+    for learner in (
+        [get_learner(lid) for lid in available_learners()]
+        + [lift_to_list(get_learner(lid)) for lid in available_learners() if lid != "kalman"]
+        + list(get_mutants())
+    )
+    if learner.domain.is_scalar_continuum and learner.bel is not None
+]
+
+
+@pytest.mark.parametrize("learner", _BISECTED, ids=lambda learner: learner.id)
+def test_bisection_early_exit_matches_every_pass(learner):
+    grid = [chi for chi in learner.default_grid if not chi.is_top]
+    rng = _seeded_rng(0, learner.id, "L3")
+    for phi, theta in _instances(learner, rng, 4):
+        for i in range(len(grid)):
+            s_lo = learner.observe(phi, grid[i], theta)
+            for chi_hi in grid[i + 1:]:
+                target = learner.bel(phi, learner.observe(phi, chi_hi, theta))
+                got = _residual_by_bisection(learner, phi, s_lo, target)
+                assert got == _bisect_every_pass(learner, phi, s_lo, target)

@@ -1,6 +1,7 @@
 """The conflearn command line: configs in, CSV/JSON out, honest exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conflearn import cli
 from conflearn.cli import main
 
 
@@ -395,6 +397,24 @@ def test_combine_overflowing_field_exits_3_without_warnings(tmp_path, capsys, le
     assert "non-finite tangent components" in capsys.readouterr().err
 
 
+def test_learn_boltzmann_penalties_near_the_float_limit(tmp_path):
+    # b * u overflows from beta = 1.5 on: all mass goes to the least penalty
+    cfg = {
+        "learner": "boltzmann",
+        "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.5}},
+        "observation": {"values": {"a": 1e308, "b": -1e308}},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
+    rows = read_csv(tmp_path, "learn_boltzmann.csv")
+    assert rows[0] == ["chi", "a", "b", "bel"]
+    assert [r[:3] for r in rows[1:]] == [
+        ["0", "0.5", "0.5"], ["0.10000000000000001", "0", "1"], ["0.5", "0", "1"],
+        ["1.5", "0", "1"], ["3", "0", "1"], ["inf", "0", "1"],
+    ]
+
+
 def test_combine_zero_step_out_exits_2(tmp_path):
     cfg = dict(COMBINE_INTERP, step_out=0)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
@@ -619,6 +639,34 @@ def test_learn_classifier_overflow_at_a_finite_count_exits_3(tmp_path, capsys):
         assert run_cli(tmp_path, "learn", cfg, "--quiet") == 3
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # unsorted, repeated, bot and top; the cap keeps top short
+        {"confidence_grid": [64, "bot", 3, 128, 3, "top", 1, 97], "learner_params": {"max_steps": 500}},
+        {"observation": {"x": [1e200], "y": 0}, "confidence_grid": [1, 2]},  # exit 3 at bel
+        {"observation": {"x": [1e200], "y": 0}, "confidence_grid": [8, 2]},  # exit 3 at 8
+        {"confidence_grid": [4, 2000, 1], "learner_params": {"max_steps": 1000}},  # exit 2
+    ],
+)
+def test_learn_classifier_sweep_writes_what_the_per_point_loop_writes(
+    tmp_path, capsys, monkeypatch, changes
+):
+    def run(where):
+        where.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(where, "learn", dict(CLASSIFIER_LEARN, **changes))
+        written = where / "out" / "learn_classifier.csv"
+        csv_bytes = written.read_bytes() if written.exists() else None
+        return code, capsys.readouterr(), csv_bytes, [str(w.message) for w in caught]
+
+    swept = run(tmp_path / "sweep")
+    build = cli._build_learner
+    monkeypatch.setattr(cli, "_build_learner", lambda cfg: dataclasses.replace(build(cfg), sweep=None))
+    assert swept == run(tmp_path / "per-point")
 
 
 @pytest.mark.parametrize(

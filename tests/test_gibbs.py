@@ -8,6 +8,7 @@ Where the kernel's bits differ, the test pins exactly how.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -353,6 +354,17 @@ def test_boltzmann_keeps_its_formulas():
         assert bits(learner.bel(v, p)) == bits(-float(p.probs @ vals))
         assert bits(learner.bel_top(v, p)) == bits(-float(vals[p.probs > 0.0].min()))
         assert learner.in_domain(v, p) is True
+
+
+def test_boltzmann_overflowing_penalty_keeps_the_least_penalty_worlds():
+    # beta * u overflows; the posterior is the prior on the least-penalty worlds
+    labels = ("a", "b", "c", "d")
+    v = RandomVariable(labels, np.array([1e308, -1e308, -1e308, 1e300]))
+    p = FiniteSimplex(labels, np.array([0.1, 0.2, 0.3, 0.4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = boltzmann_observe(v, 2.0, p).probs
+    assert np.allclose(out, [0.0, 0.4, 0.6, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_bayes_is_boltzmann_on_minus_log_likelihood():

@@ -403,6 +403,105 @@ def test_classifier_finite_count_is_bounded_by_max_steps():
         classifier_step_observe(ex, 11, theta, model)
 
 
+# A count sweep walks one orbit of gradient steps; the per-point loop that it
+# replaces in `learn` is the reference.
+
+
+COUNT = get_domain("count")
+
+
+def outcomes(states):
+    """The states an iterator yields, then the (type, message) of the error
+    that ends it, if any, and the warnings raised on the way."""
+    out = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out.extend(states)
+        except (NumericalError, StepBudgetError) as exc:
+            out.append((type(exc), str(exc)))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcomes(got, want):
+    (got, got_warned), (want, want_warned) = got, want
+    assert len(got) == len(want) and got_warned == want_warned
+    for a, b in zip(got, want):
+        if isinstance(b, tuple):
+            assert a == b
+        else:
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.floats(0.01, 1.0),
+    st.integers(16, 200),
+    st.data(),
+)
+def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
+    model = SoftmaxModel(d, k, eta=eta, max_steps=max_steps)
+    learner = make_classifier_learner(d, k, eta=eta, max_steps=max_steps)
+    # 1e200 overflows the logits after one step, so the states go non-finite
+    coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e200, -1e200]))
+    x = data.draw(st.lists(coord, min_size=d, max_size=d))
+    theta = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=model.dim, max_size=model.dim)))
+    ex = LabeledExample(np.array(x), data.draw(st.integers(0, k - 1)))
+    entry = st.one_of(st.integers(1, 64), st.sampled_from([COUNT.bot, COUNT.top]))
+    grid = data.draw(st.lists(entry, min_size=1, max_size=12))
+    assert_same_outcomes(
+        outcomes(learner.sweep(ex, grid, theta)),
+        outcomes(learner.observe(ex, chi, theta) for chi in grid),
+    )
+
+
+def counting_steps(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return gradient_step(*args)
+
+    monkeypatch.setattr("conflearn.learners.gradient_step", counted)
+    return calls
+
+
+def test_classifier_sweep_costs_its_largest_count(monkeypatch):
+    rng = np.random.default_rng(7)
+    counts = [int(v) for v in rng.choice(np.arange(1, 128), 97, replace=False)] + [128]
+    grid = [COUNT.bot] + list(rng.permutation(counts))
+    learner = make_classifier_learner(n_features=2, n_classes=3)
+    ex, theta = LabeledExample(np.array([0.4, -1.1]), 2), rng.normal(size=9)
+    calls = counting_steps(monkeypatch)
+    got = list(learner.sweep(ex, grid, theta))
+    assert len(grid) == 99 and calls[0] == 128
+    for chi, state in zip(grid, got):
+        assert np.array_equal(state, learner.observe(ex, chi, theta))
+
+
+def test_classifier_sweep_reports_the_first_failing_entry():
+    learner = get_learner("classifier")
+    ex, theta = LabeledExample(np.array([1e200]), 0), np.zeros(4)
+    with pytest.raises(NumericalError, match="after 8 gradient steps"):
+        list(learner.sweep(ex, [8, 2], theta))
+    with pytest.raises(NumericalError, match="after 2 gradient steps"):
+        list(learner.sweep(ex, [1, 2, 8], theta))
+
+
+def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
+    learner = make_classifier_learner(max_steps=10)
+    ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
+    want = learner.observe(ex, 5, theta)
+    calls = counting_steps(monkeypatch)
+    states = learner.sweep(ex, [5, 11, 3], theta)
+    assert np.array_equal(next(states), want)
+    with pytest.raises(StepBudgetError, match="11 gradient steps exceed max_steps=10"):
+        next(states)
+    assert calls[0] <= 10
+
+
 # ---------------------------------------------------------------------------
 # The sequential-combination law, every learner, many instances.
 
