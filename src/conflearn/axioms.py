@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -63,7 +64,9 @@ AXIOMS: Tuple[str, ...] = (
 _L2_H_COARSE = 1e-2
 _L2_H_FINE = 1e-4
 _L2_BASE_RANGE = {"frac": 0.9, "max": 0.9, "add": 3.0}
-_BISECT_ITERS = 60
+_BRENT_ITERS = 60
+_BRENT_XTOL = 2.0 ** -60
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -253,32 +256,85 @@ def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
 
 
 def _chart_to_confidence(dom, u: float) -> ConfidenceValue:
-    # map [0, 1] onto the carrier so bisection can search unbounded domains
+    # map [0, 1] onto the carrier so the root finder can search unbounded domains
     if dom.id == "add":
         return dom.top if u >= 1.0 else dom.value(-math.log1p(-u))
     return dom.value(u)
 
 
-def _residual_by_bisection(learner, phi, s_lo, target_bel):
+def _residual_by_brent(learner, phi, s_lo, target_bel):
+    """The residual confidence whose update from s_lo brings Bel up to
+    target_bel, found on the chart [0, 1] by Brent's zero finder (Brent 1973,
+    ch. 4) on gap(u) = Bel - target_bel.
+
+    A point is below the target when its gap is < 0; a NaN gap is not.  The
+    bracket keeps a point below at its lower end and one not below at its
+    upper end.  Each step tries inverse quadratic or secant interpolation and
+    bisects when that step would not shrink the bracket fast enough.  The
+    search stops once the bracket is at most _BRENT_XTOL + 4 eps u wide, or
+    after _BRENT_ITERS steps, and returns the confidence at the upper end.
+    """
     dom = learner.domain
-    lo, hi = 0.0, 1.0
 
     def gap(u: float) -> float:
         state = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
         return learner.bel(phi, state) - target_bel
 
-    if gap(0.0) >= 0.0:
+    fa = gap(0.0)
+    if not fa < 0.0:
         return dom.bot
-    if gap(1.0) < 0.0:
+    fb = gap(1.0)
+    if fb < 0.0:
         return _chart_to_confidence(dom, 1.0)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # every later pass repeats a known sign
+    # b is the latest point, a the one before it, c the bracket end facing b;
+    # hi is the upper end, the latest point not below
+    a, b, c, fc, hi = 0.0, 1.0, 0.0, fa, 1.0
+    d = e = b - a
+    walk, near = 0.0, False  # near: b was just reached by interpolation or a walk
+    for _ in range(_BRENT_ITERS):
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+            near = False
+        tol = 2.0 * _EPS * abs(b) + 0.5 * _BRENT_XTOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
             break
-        if gap(mid) < 0.0:
-            lo = mid
+        # interpolation sees nothing past an exact zero; one just reached
+        # near the root most likely ends close to b, so walk toward c in
+        # doubling steps while they stay inside the nearer half
+        if fb == 0.0 and near:
+            walk = 2.0 * walk if walk else tol
         else:
-            hi = mid
+            walk = 0.0
+        if 0.0 < walk < abs(m):
+            d = e = math.copysign(walk, m)
+        elif fb == 0.0 or abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+            near = False
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            near = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+            if near:
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = gap(b)
+        if not fb < 0.0:
+            hi = b
     return _chart_to_confidence(dom, hi)
 
 
@@ -287,14 +343,14 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if len(grid) < 2:
         return chk.skip("confidence grid has fewer than two points")
     dom = learner.domain
-    bisect = dom.is_scalar_continuum and learner.bel is not None
+    search = dom.is_scalar_continuum and learner.bel is not None
     n = min(cfg.samples, 12)
     for phi, theta in _instances(learner, chk.rng, n):
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 s_lo = learner.observe(phi, grid[i], theta)
                 s_hi = learner.observe(phi, grid[j], theta)
-                if grid[j].is_top or not bisect:
+                if grid[j].is_top or not search:
                     delta = dom.residual(grid[i], grid[j])
                     if delta is None:
                         chk.offer(
@@ -303,7 +359,7 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
                         )
                         continue
                 else:
-                    delta = _residual_by_bisection(
+                    delta = _residual_by_brent(
                         learner, phi, s_lo, learner.bel(phi, s_hi)
                     )
                 d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)

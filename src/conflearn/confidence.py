@@ -193,26 +193,21 @@ class _ScalarDomain(ConfidenceDomain):
 
     def value(self, x) -> ConfidenceValue:
         x = float(x)
+        lo, hi = self.lo_float, self.hi_float
+        if lo < x < hi:  # the open interior, the common case; NaN fails it
+            return ConfidenceValue(self.id, REAL, x)
         if math.isnan(x):
             raise ParameterError(f"{self.id}: NaN is not a confidence value")
-        if x < self.lo_float - _EPS or x > self.hi_float + _EPS:
-            raise ParameterError(
-                f"{self.id}: {x!r} outside carrier [{self.lo_float}, {self.hi_float}]"
-            )
-        x = min(max(x, self.lo_float), self.hi_float)
-        if x == self.lo_float:
-            return self.bot
-        if x == self.hi_float:
-            return self.top
-        return ConfidenceValue(self.id, REAL, x)
+        if x < lo - _EPS or x > hi + _EPS:
+            raise ParameterError(f"{self.id}: {x!r} outside carrier [{lo}, {hi}]")
+        # within rounding of an end point: clamp onto it
+        return self.bot if x <= lo else self.top
 
     def to_float(self, v: ConfidenceValue) -> float:
         v = self.check_member(v)
-        if v.is_bot:
-            return self.lo_float
-        if v.is_top:
-            return self.hi_float
-        return v.payload
+        if v.kind == REAL:
+            return v.payload
+        return self.lo_float if v.kind == BOT else self.hi_float
 
     def _leq_inner(self, a, b) -> bool:
         return a.payload <= b.payload
@@ -518,10 +513,13 @@ def list_extend(domain: ConfidenceDomain) -> ConfidenceDomain:
 # ---------------------------------------------------------------------------
 # The weight-of-evidence chart between "frac" and "add".
 
+_FRAC = get_domain("frac")
+_ADD = get_domain("add")
+
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not (beta > 0.0) or math.isinf(beta):
+    if not 0.0 < beta < math.inf:  # NaN fails it too
         raise ParameterError(f"beta must be a positive real, got {beta!r}")
     return beta
 
@@ -533,27 +531,19 @@ def frac_to_add(beta: float, s) -> ConfidenceValue:
     addition: phi(a (+) b) = phi(a) + phi(b).
     """
     beta = _check_beta(beta)
-    frac = get_domain("frac")
-    add = get_domain("add")
-    v = frac.coerce(s)
-    if v.is_bot:
-        return add.bot
-    if v.is_top:
-        return add.top
-    return add.value(-math.log1p(-v.payload) / beta)
+    v = _FRAC.coerce(s)
+    if v.kind == REAL:
+        return _ADD.value(-math.log1p(-v.payload) / beta)
+    return _ADD.bot if v.kind == BOT else _ADD.top
 
 
 def add_to_frac(beta: float, t) -> ConfidenceValue:
     """Inverse chart: additive weight t back to support 1 - exp(-beta*t)."""
     beta = _check_beta(beta)
-    add = get_domain("add")
-    frac = get_domain("frac")
-    v = add.coerce(t)
-    if v.is_bot:
-        return frac.bot
-    if v.is_top:
-        return frac.top
-    return frac.value(-math.expm1(-beta * v.payload))
+    v = _ADD.coerce(t)
+    if v.kind == REAL:
+        return _FRAC.value(-math.expm1(-beta * v.payload))
+    return _FRAC.bot if v.kind == BOT else _FRAC.top
 
 
 # ---------------------------------------------------------------------------

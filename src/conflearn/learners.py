@@ -988,7 +988,8 @@ def train_limit(
     softmax(z) minus the one-hot label and z = Wx + b are the logits.  So the
     logits move by -eta (|x|^2 + 1) err, and after n steps theta is
     theta0 - eta (S (x) x, S) with S the sum of the n errors.  The loop
-    iterates the k logits as floats and builds theta once, at the end.
+    iterates the k logits as floats (two classes as scalars, k as lists) and
+    builds theta once, at the end.
 
     The stop rule is max|delta theta| < ``conv_tol``, evaluated as
     eta * (max|err| * max(1, max|x|)): float rounding is monotone, so this
@@ -1000,15 +1001,23 @@ def train_limit(
     """
     theta = np.asarray(theta, dtype=float)
     w, b = _unpack(model, theta)
-    x, y, eta, tol = ex.x, ex.y, model.eta, model.conv_tol
+    x, eta = ex.x, model.eta
     with np.errstate(over="ignore", invalid="ignore"):  # checked in the loop
         z0 = (w @ x + b).tolist()
         gain = eta * (float(x @ x) + 1.0)
     xmax = max(1.0, float(np.abs(x).max()))
+    walk = _logit_walk_2 if model.n_classes == 2 else _logit_walk
+    s, converged = walk(z0, ex.y, gain, eta, xmax, model.conv_tol, model.max_steps)
+    sv = np.array(s)
+    return theta - eta * np.concatenate([np.outer(sv, x).ravel(), sv]), converged
+
+
+def _logit_walk(z0, y, gain, eta, xmax, tol, max_steps):
+    """The sum S of the errors along train_limit's walk from the logits z0,
+    and whether the stop rule was met within max_steps."""
     z, s = z0, [0.0] * len(z0)
     exp, log, isfinite = math.exp, math.log, math.isfinite
-    converged = False
-    for _ in range(model.max_steps):
+    for _ in range(max_steps):
         m = max(z)
         total = sum([exp(v - m) for v in z])
         # NaN or +inf anywhere makes total NaN; -inf only shows in min(z)
@@ -1018,12 +1027,34 @@ def train_limit(
         err = [exp((v - m) - lse) for v in z]
         err[y] -= 1.0
         if eta * (max([abs(e) for e in err]) * xmax) < tol:
-            converged = True
-            break
+            return s, True
         s = [a + e for a, e in zip(s, err)]
         z = [a - gain * c for a, c in zip(z0, s)]
-    sv = np.array(s)
-    return theta - eta * np.concatenate([np.outer(sv, x).ravel(), sv]), converged
+    return s, False
+
+
+def _logit_walk_2(z0, y, gain, eta, xmax, tol, max_steps):
+    """_logit_walk for two classes on scalars: the same float operations in
+    the same order, so the same bits."""
+    a0, a1 = z0
+    v0, v1, s0, s1 = a0, a1, 0.0, 0.0
+    exp, log, isfinite = math.exp, math.log, math.isfinite
+    for _ in range(max_steps):
+        m = max(v0, v1)
+        total = 0 + exp(v0 - m) + exp(v1 - m)  # sum() starts at 0
+        if not isfinite(total) or min(v0, v1) == -math.inf:
+            raise NumericalError("non-finite logits in classifier training")
+        lse = log(total)
+        e0, e1 = exp((v0 - m) - lse), exp((v1 - m) - lse)
+        if y:
+            e1 -= 1.0
+        else:
+            e0 -= 1.0
+        if eta * (max(abs(e0), abs(e1)) * xmax) < tol:
+            return [s0, s1], True
+        s0, s1 = s0 + e0, s1 + e1
+        v0, v1 = a0 - gain * s0, a1 - gain * s1
+    return [s0, s1], False
 
 
 def classifier_step_observe(

@@ -1,6 +1,7 @@
 """The axiom battery: built-ins pass, mutants fail, runs are reproducible."""
 
 import json
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from conflearn import (
     CheckConfig,
     ParameterError,
     available_learners,
+    belief_distance,
     check_axiom,
     get_learner,
     get_mutants,
@@ -18,11 +20,12 @@ from conflearn import (
     run_suite,
     suite_passed,
 )
+from conflearn import axioms
 from conflearn.axioms import (
-    _BISECT_ITERS,
+    _BRENT_ITERS,
     _chart_to_confidence,
     _instances,
-    _residual_by_bisection,
+    _residual_by_brent,
     _seeded_rng,
 )
 
@@ -128,6 +131,19 @@ def test_lb_holds_at_every_check_seed():
         assert not check_axiom(mutant, "LB", CheckConfig(seed=seed)).passed, seed
 
 
+def test_l3_holds_at_every_check_seed():
+    seeds = range(5)
+    base = [get_learner(lid) for lid in available_learners()]
+    for learner in base + [lift_to_list(b) for b in base if b.top_absorbing]:
+        for seed in seeds:
+            report = check_axiom(learner, "L3", CheckConfig(seed=seed))
+            assert report.passed and not report.skipped, (learner.id, seed, report.worst_violation)
+    caught = ("mutant-l34-cyclic", "mutant-fc-partial", "mutant-b3-timid", "mutant-lb-euclid")
+    for mutant in (m for m in get_mutants() if m.id in caught):
+        for seed in seeds:
+            assert not check_axiom(mutant, "L3", CheckConfig(seed=seed)).passed, (mutant.id, seed)
+
+
 def test_unknown_axiom_rejected():
     with pytest.raises(ParameterError):
         check_axiom(get_learner("interp"), "L9", FAST)
@@ -147,31 +163,10 @@ def test_custom_grid_is_used():
 
 
 # ---------------------------------------------------------------------------
-# L3's residual bisection stops once the midpoint repeats an end point.
+# L3 finds its residual by Brent's method on the chart [0, 1].
 
 
-def _bisect_every_pass(learner, phi, s_lo, target_bel):
-    """The residual bisection as it ran before the early exit: all passes."""
-    dom = learner.domain
-    lo, hi = 0.0, 1.0
-
-    def gap(u):
-        return learner.bel(phi, learner.observe(phi, _chart_to_confidence(dom, u), s_lo)) - target_bel
-
-    if gap(0.0) >= 0.0:
-        return dom.bot
-    if gap(1.0) < 0.0:
-        return _chart_to_confidence(dom, 1.0)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _chart_to_confidence(dom, hi)
-
-
-_BISECTED = [
+_SEARCHED = [
     learner
     for learner in (
         [get_learner(lid) for lid in available_learners()]
@@ -180,10 +175,38 @@ _BISECTED = [
     )
     if learner.domain.is_scalar_continuum and learner.bel is not None
 ]
+_MUTANT_IDS = {m.id for m in get_mutants()}
 
 
-@pytest.mark.parametrize("learner", _BISECTED, ids=lambda learner: learner.id)
+def _bisect_every_pass(learner, phi, s_lo, target_bel):
+    """The plain residual bisection, all _BRENT_ITERS passes, as a reference.
+
+    Returns the confidence and whether an end of the chart settled it early.
+    """
+    dom = learner.domain
+    lo, hi = 0.0, 1.0
+
+    def gap(u):
+        return learner.bel(phi, learner.observe(phi, _chart_to_confidence(dom, u), s_lo)) - target_bel
+
+    if gap(0.0) >= 0.0:
+        return dom.bot, True
+    if gap(1.0) < 0.0:
+        return _chart_to_confidence(dom, 1.0), True
+    for _ in range(_BRENT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return _chart_to_confidence(dom, hi), False
+
+
+@pytest.mark.parametrize("learner", _SEARCHED, ids=lambda learner: learner.id)
 def test_bisection_early_exit_matches_every_pass(learner):
+    # Brent's search stops as soon as its bracket is below the tolerance; it
+    # takes the same end-point exits as a bisection run for every pass, and
+    # otherwise lands on a state of the same belief up to round-off
     grid = [chi for chi in learner.default_grid if not chi.is_top]
     rng = _seeded_rng(0, learner.id, "L3")
     for phi, theta in _instances(learner, rng, 4):
@@ -191,5 +214,54 @@ def test_bisection_early_exit_matches_every_pass(learner):
             s_lo = learner.observe(phi, grid[i], theta)
             for chi_hi in grid[i + 1:]:
                 target = learner.bel(phi, learner.observe(phi, chi_hi, theta))
-                got = _residual_by_bisection(learner, phi, s_lo, target)
-                assert got == _bisect_every_pass(learner, phi, s_lo, target)
+                got = _residual_by_brent(learner, phi, s_lo, target)
+                ref, at_end = _bisect_every_pass(learner, phi, s_lo, target)
+                if at_end:
+                    assert got == ref
+                else:
+                    assert not got.is_bot
+                    reached = learner.observe(phi, got, s_lo)
+                    assert belief_distance(reached, learner.observe(phi, ref, s_lo)) <= 1e-12
+
+
+@pytest.mark.parametrize("learner", _SEARCHED, ids=lambda learner: learner.id)
+def test_residual_search_keeps_its_bracket(learner, monkeypatch):
+    # the returned chart point is not below the target, a point below it
+    # lies within the stop tolerance under it, and the search is bounded
+    dom = learner.domain
+    charted = []
+
+    def chart(dom, u):
+        charted.append(u)
+        return _chart_to_confidence(dom, u)
+
+    monkeypatch.setattr(axioms, "_chart_to_confidence", chart)
+    grid = [chi for chi in learner.default_grid if not chi.is_top]
+    rng = _seeded_rng(0, learner.id, "L3")
+    for phi, theta in _instances(learner, rng, 4):
+        for i in range(len(grid)):
+            s_lo = learner.observe(phi, grid[i], theta)
+            for chi_hi in grid[i + 1:]:
+                s_hi = learner.observe(phi, chi_hi, theta)
+                target = learner.bel(phi, s_hi)
+
+                def gap(u):
+                    state = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
+                    return learner.bel(phi, state) - target
+
+                charted.clear()
+                delta = _residual_by_brent(learner, phi, s_lo, target)
+                if len(charted) == 1:  # nothing to reach from bot
+                    assert delta.is_bot and not gap(0.0) < 0.0
+                    continue
+                *evaluated, u = charted
+                assert len(evaluated) <= 2 + _BRENT_ITERS
+                if u == 1.0 and gap(1.0) < 0.0:  # the chart end falls short
+                    assert len(evaluated) == 2
+                else:
+                    assert not gap(u) < 0.0
+                    tol = 2.0 ** -60 + 4 * sys.float_info.epsilon * u
+                    assert any(u - tol <= v < u and gap(v) < 0.0 for v in evaluated)
+                if learner.id not in _MUTANT_IDS:
+                    d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)
+                    assert d <= CheckConfig().tol

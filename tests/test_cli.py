@@ -353,6 +353,20 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def test_python_m_conflearn_runs_the_cli(tmp_path):
+    cfg = write_config(tmp_path, "learn.json", KALMAN_SWEEP)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "conflearn", "learn", "--config", cfg,
+         "--output", str(tmp_path / "m"), "--quiet"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["learn", "--config", cfg, "--output", str(tmp_path / "main"), "--quiet"]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "main").iterdir()}
+    assert written and {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()} == written
+
+
 # ---------------------------------------------------------------------------
 # config mistakes exit 2 without a traceback
 

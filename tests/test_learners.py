@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflearn import learners
 from conflearn import (
     BayesModel,
     FiniteSimplex,
@@ -359,6 +361,46 @@ def test_classifier_factored_stop_quantity_is_exact(err, x, eta):
     grad = np.concatenate([np.outer(err, x).ravel(), err])
     factored = eta * (max([abs(e) for e in err]) * max(1.0, float(np.abs(x).max())))
     assert factored == np.abs(eta * grad).max()
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _two_class_cases(draw):
+    d = draw(st.integers(1, 3))
+    x = draw(st.lists(st.floats(-2e3, 2e3) | st.sampled_from([0.0, 1e200]), min_size=d, max_size=d))
+    row = st.lists(st.floats(-5.0, 5.0) | _EDGE_FLOATS, min_size=d + 1, max_size=d + 1)
+    r0 = draw(row)
+    r1 = r0 if draw(st.booleans()) else draw(row)  # equal rows tie the logits
+    theta = np.array(r0[:d] + r1[:d] + [r0[d], r1[d]])
+    model = SoftmaxModel(
+        d, 2,
+        eta=draw(st.sampled_from([1e-3, 0.1, 0.5])),
+        conv_tol=draw(st.sampled_from([1e-9, 1e-4, 0.05])),
+        max_steps=draw(st.integers(1, 300)),  # both exits of the loop happen
+    )
+    return model, theta, LabeledExample(np.array(x), draw(st.integers(0, 1)))
+
+
+def _limit_bits(model, theta, ex):
+    try:
+        limit, converged = train_limit(model, theta, ex)
+    except NumericalError as exc:
+        return str(exc)
+    return limit.tobytes(), converged
+
+
+@settings(max_examples=400, deadline=None)
+@given(_two_class_cases())
+def test_classifier_two_class_scalars_match_the_k_list_loop(case):
+    # train_limit walks two classes on scalars; the k-list walk is the reference
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _limit_bits(*case)
+        with mock.patch.object(learners, "_logit_walk_2", learners._logit_walk):
+            want = _limit_bits(*case)
+    assert got == want
 
 
 @pytest.mark.parametrize(
