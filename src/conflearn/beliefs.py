@@ -138,23 +138,31 @@ class EventSet:
 
 
 def normalize_probs(p: np.ndarray) -> np.ndarray:
-    """The probability vector a FiniteSimplex stores for the float vector p.
+    """The probability vector a FiniteSimplex stores for the float vector p,
+    or for each row of p.
 
     Rejects non-finite entries and entries below -MASS_EPS, clamps round-off
     negatives to zero and divides by the total, which must exceed MASS_EPS.
     Returns a new array.  Array-native flows project with this too, so their
-    states keep the constructor's bits.
+    states keep the constructor's bits; a row's sum is the sum of the same
+    vector alone, so each row gets the bits it gets alone.
     """
+    total = np.add.reduce(p, axis=-1, keepdims=True)
+    sums = total.ravel().tolist()
     # a finite sum has finite terms; only a non-finite one needs a closer look
-    if not math.isfinite(np.add.reduce(p)) and not np.isfinite(p).all():
+    if not math.isfinite(sum(sums)) and not np.isfinite(p).all():
         raise ParameterError("probabilities must be finite")
-    if p.min() < -MASS_EPS:
-        raise ParameterError(f"negative probability {p.min()!r}")
-    p = np.maximum(p, 0.0)
-    total = p.sum()
-    if total <= MASS_EPS:
+    least = np.minimum.reduce(p, axis=None)
+    if least < -MASS_EPS:
+        raise ParameterError(f"negative probability {least!r}")
+    if not least > 0.0:  # with every entry positive, clamping changes no bit
+        p = np.maximum(p, 0.0)
+        if least < 0.0:  # clamping a zero's sign changes no nonzero sum
+            total = np.add.reduce(p, axis=-1, keepdims=True)
+            sums = total.ravel().tolist()
+    if min(sums) <= MASS_EPS:
         raise ParameterError("probability vector sums to zero")
-    return p / total
+    return p / (sums[0] if len(sums) == 1 else total)  # numpy divides by a float faster
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,17 @@ def _parse_belief(obj) -> object:
         raise ConfigError(f"bad belief: {exc}") from exc
 
 
+def _parse_belief_for(learner: Learner, obj) -> object:
+    """The belief ``obj``, which must be of the kind ``learner`` updates."""
+    belief = _parse_belief(obj)
+    kind = _kind_of(belief).name
+    if learner.belief_kind is not None and kind != learner.belief_kind:
+        raise ConfigError(
+            f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind}"
+        )
+    return belief
+
+
 def _parse_observation(learner: Learner, obj, belief):
     if learner.observation_from_json is None:
         raise ConfigError(f"learner {learner.id!r} takes no JSON observations")
@@ -281,7 +292,7 @@ def _belief_headers(theta) -> Tuple[Tuple[str, ...], Callable]:
 
 def _cmd_learn(args, cfg: dict) -> int:
     learner = _build_learner(cfg)
-    theta0 = _parse_belief(_need(cfg, "belief"))
+    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
     phi = _parse_observation(learner, _need(cfg, "observation"), theta0)
     grid = _parse_grid(learner, cfg)
     if not grid:
@@ -325,7 +336,7 @@ def _cmd_learn(args, cfg: dict) -> int:
 
 def _cmd_combine(args, cfg: dict) -> int:
     learner = _build_learner(cfg)
-    theta0 = _parse_belief(_need(cfg, "belief"))
+    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
     obs = _need(cfg, "observations")
     if not isinstance(obs, list) or not obs:
         raise ConfigError("'observations' must be a nonempty array")
@@ -368,7 +379,7 @@ def _cmd_combine(args, cfg: dict) -> int:
 
 def _cmd_trotter(args, cfg: dict) -> int:
     learner = _build_learner(cfg)
-    theta0 = _parse_belief(_need(cfg, "belief"))
+    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
     obs = _need(cfg, "observations")
     if not isinstance(obs, list) or len(obs) != 2:
         raise ConfigError("'observations' must hold exactly two entries")
@@ -393,15 +404,12 @@ def _cmd_trotter(args, cfg: dict) -> int:
     )
     reference = integrate(field, theta0, chi, icfg)
 
-    distances: Dict[str, float] = {}
-    states = {}
-    for n in sorted(set(n_values)):
-        state = trotter_interleave(learner, phi1, phi2, chi, n, theta0)
-        states[n] = state
-        distances[str(n)] = belief_distance(state, reference)
+    counts = sorted(set(n_values))
+    states = trotter_interleave(learner, phi1, phi2, chi, counts, theta0)
+    distances = {str(n): belief_distance(state, reference) for n, state in zip(counts, states)}
     ratios: Dict[str, float] = {}
-    for n in sorted(states):
-        if 2 * n in states and distances[str(n)] > 0:
+    for n in counts:
+        if str(2 * n) in distances and distances[str(n)] > 0:
             ratios[str(n)] = distances[str(2 * n)] / distances[str(n)]
 
     payload = {
@@ -623,11 +631,9 @@ def experiment_trotter_convergence(seed: int = 0, samples: int = 0):
         [derivative_field(learner, ev_a), derivative_field(learner, ev_b)]
     )
     reference = integrate(field, p, chi)
-    distances = {}
-    for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        distances[n] = belief_distance(
-            trotter_interleave(learner, ev_a, ev_b, chi, n, p), reference
-        )
+    ns = (64, 128, 256, 512, 1024, 2048, 4096)
+    states = trotter_interleave(learner, ev_a, ev_b, chi, ns, p)
+    distances = {n: belief_distance(state, reference) for n, state in zip(ns, states)}
     ratios = {n: distances[2 * n] / distances[n] for n in (64, 128, 256, 512, 1024, 2048)}
     ratios_ok = all(0.3 <= r <= 0.7 for r in ratios.values())
 

@@ -22,11 +22,12 @@ checks a belief object makes.  Beliefs are built for the result, and for
 each evaluation of a field with no closed form.  ``TrajectoryRecord`` writes
 its rows through ``_csv_text``, the one CSV writer of the package.
 
-Interleaving works the same way.  A simplex learner's coordinate flow maps a
-probability vector to its update at one additive time, bound to the belief
-space once; ``trotter_interleave`` normalises after each update with the
-shared ``beliefs.normalize_probs`` and builds one belief for the result.
-Learners without a coordinate flow compose their flows on belief objects.
+Interleaving works the same way.  A simplex learner's coordinate flow maps
+probability rows to their updates at one additive time per row, bound to
+the belief space once; ``trotter_interleave`` walks every round count of a
+call as one row of one array, normalises after each update with the shared
+``beliefs.normalize_probs`` and builds one belief per count.  Learners
+without a coordinate flow compose their flows on belief objects.
 
 The Fisher/euclidean gradient utilities let callers verify that a learner's
 update direction is metric gradient ascent on its belief functional.
@@ -653,7 +654,7 @@ def trotter_interleave(
     phi1,
     phi2,
     chi,
-    n: int,
+    n,
     theta0,
 ):
     """n rounds of (phi1 at chi/n, then phi2 at chi/n) in additive time.
@@ -661,31 +662,73 @@ def trotter_interleave(
     At n = 1 this is plain sequential observation; as n grows it converges to
     the integral of the combined field at first order in 1/n.
 
-    Both flows are bound to theta0's space once.  A simplex learner with a
-    coordinate flow (``Learner.coord_flow``) steps on the probability vector,
-    normalising after every update with FiniteSimplex's own checks, and builds
-    one belief for the result; other learners compose ``make_flow`` on
-    belief objects.
+    ``n`` is one round count, or a sequence of them; a sequence gives a
+    tuple of states, one per entry in the order given, each the state (or
+    the error) of that count alone, and the first count that fails alone
+    raises its error.  A simplex learner with a coordinate flow
+    (``Learner.coord_flow``) walks every distinct count at once, as one row
+    of a probability array: both flows are bound to the rows' slices, each
+    update is normalized with FiniteSimplex's own checks, and row n leaves
+    the walk after n rounds as one belief.  Other learners compose
+    ``make_flow`` on belief objects, once per count.
     """
-    if n < 1 or int(n) != n:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    phis = (phi1, phi2)
+    if np.ndim(n) == 0:
+        return _interleave(learner, phis, chi, (n,), theta0)[0]
+    counts = tuple(n)
+    try:
+        return _interleave(learner, phis, chi, counts, theta0)
+    except Exception as exc:  # any failure: raised again below
+        failure = exc
+    # some count failed: walking each alone, in the given order, raises the
+    # error of the first count that fails
+    for count in counts:
+        _interleave(learner, phis, chi, (count,), theta0)
+    raise failure
+
+
+def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
+    """The states of ``trotter_interleave`` for each of ``counts``, raising
+    if any count fails."""
+    if not counts:
+        return ()
+    for n in counts:
+        if n < 1 or int(n) != n:
+            raise ParameterError(f"n must be a positive integer, got {n!r}")
     t = _coerce_time(chi)
     if math.isinf(t):
         raise ParameterError("interleaving needs a finite total commitment")
-    dt = t / n
+    rows = sorted(set(counts))
+    ends = {}
     if learner.coord_flow is None:
-        flows = [additive_form(learner, phi)[0] for phi in (phi1, phi2)]
-        theta = theta0
-        for _ in range(int(n)):
-            for flow in flows:
-                theta = flow(dt, theta)
-        return theta
-    steps = [learner.coord_flow(phi, dt, theta0.labels) for phi in (phi1, phi2)]
-    steps = [step for step in steps if step is not None]  # None: the identity
-    c, v = theta0.probs, None
-    for _ in range(int(n)):
-        for step in steps:
-            v = step(c)
-            c = normalize_probs(v)
-    # rebuilding from the unnormalised state gives the object path's bits
-    return theta0 if v is None else theta0.with_probs(v)
+        flows = [additive_form(learner, phi)[0] for phi in phis]
+        for n in rows:
+            theta, dt = theta0, t / n
+            for _ in range(int(n)):
+                for flow in flows:
+                    theta = flow(dt, theta)
+            ends[n] = theta
+        return tuple(ends[n] for n in counts)
+    labels, dts = theta0.labels, [t / n for n in rows]
+    # the slices shrink as n grows: rows whose slice underflows to 0 are the
+    # identity, and binding them only makes the observations' checks
+    live = sum(dt > 0.0 for dt in dts)
+    if live < len(rows):
+        for phi in phis:
+            learner.coord_flow(phi, dts[live:], labels)
+        ends.update((n, theta0) for n in rows[live:])
+    c = np.repeat(theta0.probs[None], live, axis=0)
+    v, done = None, 0
+    for lo in range(live):
+        steps = [learner.coord_flow(phi, dts[lo:live], labels) for phi in phis]
+        steps = [step for step in steps if step is not None]  # None: the identity
+        for _ in range(int(rows[lo]) - done):
+            for step in steps:
+                v = step(c)
+                c = normalize_probs(v)
+        done = int(rows[lo])
+        # rebuilding from the unnormalized row gives the object path's bits
+        ends[rows[lo]] = theta0 if v is None else theta0.with_probs(v[0])
+        c = c[1:]
+        v = None if v is None else v[1:]
+    return tuple(ends[n] for n in counts)

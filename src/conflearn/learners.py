@@ -35,6 +35,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -109,17 +110,21 @@ class Learner:
     domain: ConfidenceDomain
     observe: Callable[[Any, ConfidenceValue, Any], Any]
     in_domain: Callable[[Any, Any], bool]
+    # the name of the belief kind (beliefs._KINDS) that observe updates
+    belief_kind: Optional[str] = None
     bel: Optional[Callable[[Any, Any], float]] = None
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
-    # coord_flow(phi, t, labels) is make_flow(phi) at additive time t, bound
-    # once to simplexes over ``labels``: None where the update is the
-    # identity, else a map from probs to the updated probs before
-    # beliefs.normalize_probs, so FiniteSimplex(labels, map(probs)) is
-    # make_flow(phi)(t, belief) bit for bit.
+    # coord_flow(phi, ts, labels) is make_flow(phi) at the additive times ts,
+    # one per row, bound once to simplexes over ``labels``: None where every
+    # time is 0 (the identity), else, for positive times, a map along the
+    # last axis from probabilities to the updated ones before
+    # beliefs.normalize_probs, taking an array of rows, one per time, or for
+    # one time a belief's own probs: FiniteSimplex(labels, map(probs)) is
+    # make_flow(phi)(t, belief) bit for bit, and each row gets those bits.
     coord_flow: Optional[
-        Callable[[Any, float, Tuple[str, ...]], Optional[Callable[[np.ndarray], np.ndarray]]]
+        Callable[[Any, Sequence[float], Tuple[str, ...]], Optional[Callable[[np.ndarray], np.ndarray]]]
     ] = None
     # closed_field(terms) is the derivative field of the weighted parallel
     # observation terms = ((phi, w), ...), given in label order: the field of
@@ -159,8 +164,14 @@ class Learner:
 def _on_simplex(
     step: Optional[Callable[[np.ndarray], np.ndarray]], p: FiniteSimplex
 ) -> FiniteSimplex:
-    """Apply a bound coordinate update (see ``Learner.coord_flow``) to p."""
+    """Apply a bound one-row coordinate update (see ``Learner.coord_flow``) to p."""
     return p if step is None else p.with_probs(step(p.probs))
+
+
+def _rows(xs):
+    """Values, one per row of a coordinate array, as a column that broadcasts
+    over the rows; one row's is the value itself, which numpy applies faster."""
+    return xs[0] if len(xs) == 1 else np.asarray(xs)[:, None]
 
 
 def _grid(dom: ConfidenceDomain, inner: Sequence, top: bool = True) -> Tuple[ConfidenceValue, ...]:
@@ -194,38 +205,47 @@ def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha."""
-    return _on_simplex(_interp_map(a, alpha, p.labels), p)
+    return _on_simplex(_interp_map(a, (alpha,), p.labels), p)
 
 
-def _interp_map(a: EventSet, alpha, labels: Tuple[str, ...]):
-    """interp_observe(a, alpha, .) bound to simplexes over ``labels``."""
-    v = get_domain("frac").coerce(alpha)
-    if v.is_bot:
+def _interp_map(a: EventSet, alphas: Sequence, labels: Tuple[str, ...]):
+    """interp_observe(a, alpha, .) at each weight of ``alphas``, one per row,
+    bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
+    frac = get_domain("frac")
+    ws = [frac.to_float(frac.coerce(alpha)) for alpha in alphas]  # bot is 0, top is 1
+    if not any(ws):
         return None
     if labels != a.labels:
         raise ParameterError("event over a different world set")
     ind = a.indicator()
-    w = None if v.is_top else v.payload
+    w = _rows(ws)
+    keep = 1.0 - w
+    every_top = min(ws) == 1.0
+    top = None if every_top or max(ws) < 1.0 else _rows([x == 1.0 for x in ws])
 
     def step(c: np.ndarray) -> np.ndarray:
-        mass = float(c @ ind)  # condition(p, a), op for op
-        if mass <= MASS_EPS:
-            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {mass:.3g}")
-        cond = c * ind / mass
-        if w is None:
+        mass = np.vecdot(c, ind)  # condition(p, a) row by row, op for op
+        # one belief's vector has one mass, which numpy applies faster as is
+        least = float(mass.min() if mass.ndim else mass)
+        if least <= MASS_EPS:
+            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
+        cond = c * ind / (mass[:, None] if mass.ndim else mass)
+        if every_top:
             return cond
-        return (1.0 - w) * c + w * normalize_probs(cond)
+        mixed = keep * c + w * normalize_probs(cond)
+        return mixed if top is None else np.where(top, cond, mixed)
 
     return step
 
 
-def _interp_coord_flow(a: EventSet, t: float, labels: Tuple[str, ...]):
-    return _interp_map(a, -math.expm1(-t), labels)  # t = inf gives alpha = 1
+def _interp_coord_flow(a: EventSet, ts: Sequence[float], labels: Tuple[str, ...]):
+    # t = inf gives alpha = 1
+    return _interp_map(a, [-math.expm1(-t) for t in ts], labels)
 
 
 def _interp_flow(a: EventSet):
     def flow(t: float, p: FiniteSimplex) -> FiniteSimplex:
-        return _on_simplex(_interp_coord_flow(a, t, p.labels), p)
+        return _on_simplex(_interp_coord_flow(a, (t,), p.labels), p)
 
     return flow
 
@@ -285,6 +305,7 @@ def make_interp_learner() -> Learner:
     return Learner(
         id="interp",
         domain=frac,
+        belief_kind="simplex",
         observe=interp_observe,
         in_domain=lambda a, p: p.prob(a) > MASS_EPS,
         bel=lambda a, p: math.log(p.prob(a)) if p.prob(a) > 0 else -math.inf,
@@ -355,6 +376,7 @@ def make_ds_learner() -> Learner:
     return Learner(
         id="ds",
         domain=frac,
+        belief_kind="mass",
         observe=lambda a, chi, m: ds_plaus_update(m, a, chi),
         in_domain=lambda a, m: m.plaus(a) > MASS_EPS,
         bel=lambda a, m: m.bel(a),
@@ -466,6 +488,7 @@ def make_kalman_learner() -> Learner:
     return Learner(
         id="kalman",
         domain=dom,
+        belief_kind="gaussian",
         observe=kalman_observe,
         in_domain=lambda z, b: True,
         bel=bel,
@@ -487,6 +510,9 @@ def make_kalman_learner() -> Learner:
 
 # ---------------------------------------------------------------------------
 # Gibbs reweighting: the kernel behind the Boltzmann and Bayesian learners.
+
+
+_HALF_MAX = 0.5 * sys.float_info.max
 
 
 class _Penalty(NamedTuple):
@@ -513,39 +539,71 @@ def _check_worlds(pen: _Penalty, labels: Tuple[str, ...]) -> _Penalty:
     return pen
 
 
-def _gibbs_map(pen: _Penalty, t, labels: Tuple[str, ...]):
-    """The update by pen at additive time t, bound to simplexes over labels."""
+def _largest_penalty(u: np.ndarray, possible: Optional[np.ndarray]) -> float:
+    """max |u| over the possible worlds (0 if there are none)."""
+    return max(map(abs, (u if possible is None else u[possible]).tolist()), default=0.0)
+
+
+def _gibbs_map(pen: _Penalty, ts: Sequence, labels: Tuple[str, ...]):
+    """The update by pen at the additive times ts, one per row, bound to
+    simplexes over labels (see ``Learner.coord_flow``)."""
     _check_worlds(pen, labels)
-    chi = get_domain("add").coerce(t)
-    if chi.is_bot:
+    add = get_domain("add")
+    bs = [add.to_float(add.coerce(t)) for t in ts]  # bot is 0, top is inf
+    if not any(bs):
         return None
-    u, rank, possible = pen.u, pen.rank, pen.possible
-    top, b = chi.is_top, chi.payload
+    if min(bs) == math.inf:
+        return partial(_gibbs_least, pen)
+    top = None
+    if max(bs) == math.inf:  # a top row's time is a stand-in: _gibbs_least gives its update
+        top = _rows([x == math.inf for x in bs])
+        bs = [1.0 if x == math.inf else x for x in bs]
+    # within half the float range neither b * u nor the shift by logw.max()
+    # can overflow (Python floats overflow silently); a row past it may
+    # shift, once its support is known
+    wide = not max(bs) * _largest_penalty(pen.u, pen.possible) <= _HALF_MAX
+    return partial(_gibbs_step, pen, _rows(bs), wide, top)
 
-    def step(pr: np.ndarray) -> np.ndarray:
-        supp = pr > 0.0
-        if possible is not None:
-            supp &= possible
-            if not supp.any():
-                raise ZeroMassEventError(f"{pen.what} contradicts the prior")
-        if top:
-            least = rank[supp].min()
-            return np.where(supp & (rank == least), pr, 0.0)
-        us = u[supp]
-        # within half the float range neither b * u nor the shift by
-        # logw.max() can overflow (Python floats overflow silently)
-        if b * max(map(abs, us.tolist())) <= 0.5 * sys.float_info.max:
-            logw = np.log(pr[supp]) - b * us
-        else:
-            # shift by the least penalty: the least-penalty worlds keep their
-            # prior weight, and an infinite product rules its world out
-            with np.errstate(over="ignore"):
-                logw = np.log(pr[supp]) - b * (us - us.min())
-        w = np.zeros_like(pr)
-        w[supp] = np.exp(logw - logw.max())
-        return w
 
-    return step
+def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
+    supp = pr > 0.0
+    if pen.possible is not None:
+        supp &= pen.possible
+        if not supp.any(axis=-1).all():
+            raise ZeroMassEventError(f"{pen.what} contradicts the prior")
+    return supp
+
+
+def _gibbs_least(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
+    """The update at top: the supported worlds of least rank keep their mass."""
+    supp, rank = _gibbs_support(pen, pr), pen.rank
+    lowest = np.minimum.reduce(np.where(supp, rank, np.inf), axis=-1, keepdims=True)
+    return np.where(supp & (rank == lowest), pr, 0.0)
+
+
+def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray:
+    """The update at the positive finite times b (top where ``top`` is set)."""
+    u = pen.u
+    if wide:
+        # a row past half the float range shifts by its least penalty on
+        # the support: the least-penalty worlds keep their prior weight, and
+        # an infinite product rules its world out
+        supp = _gibbs_support(pen, pr)
+        us = np.where(supp, u, 0.0)
+        with np.errstate(over="ignore"):
+            shift = ~(b * np.maximum.reduce(np.abs(us), axis=-1, keepdims=True) <= _HALF_MAX)
+            lo = np.minimum.reduce(np.where(supp, u, np.inf), axis=-1, keepdims=True)
+            logw = np.log(np.where(supp, pr, 1.0)) - b * np.where(shift, us - lo, us)
+        logw = np.where(supp, logw, -np.inf)
+    else:
+        if pen.possible is not None:
+            _gibbs_support(pen, pr)  # a contradicted prior raises
+        # a world without mass, or ruled out (u = inf), has log weight -inf,
+        # so weight 0, as if the support were cut out first
+        with np.errstate(divide="ignore"):
+            logw = np.log(pr) - b * u
+    w = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
+    return w if top is None else np.where(top, _gibbs_least(pen, pr), w)
 
 
 def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
@@ -559,20 +617,26 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
             u = w * pen.u if u is None else u + w * pen.u
     masks = [pen.possible for pen in pens if pen.possible is not None]
     possible = np.logical_and.reduce(masks) if masks else None
+    # past half the float range c @ u - u overflows where c is 0 (and 0 * inf
+    # is NaN), so such a field multiplies by c before it subtracts
+    wide = _largest_penalty(u, possible) > _HALF_MAX
 
     def bind(space: tuple):
         for pen in pens:
             _check_worlds(pen, space[1])
 
+        if possible is None:
+            if wide:
+                return lambda c: c * float(c @ u) - c * u
+            return lambda c: c * (float(c @ u) - u)
+
         def field(c: np.ndarray) -> np.ndarray:
-            if possible is None:
-                return c * (float(c @ u) - u)
             supp = c > 0.0
             if not possible[supp].all():
                 pen = next(p for p in pens if p.possible is not None and not p.possible[supp].all())
                 raise DomainError(f"{pen.what} contradicts the state")
             v = np.where(supp, u, 0.0)
-            return np.where(supp, c * (float(c @ v) - v), 0.0)
+            return np.where(supp, c * float(c @ v) - c * v if wide else c * (float(c @ v) - v), 0.0)
 
         return field
 
@@ -584,11 +648,11 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
     ``hooks`` give its id, samplers, JSON readers and notes."""
     add = get_domain("add")
 
-    def coord_flow(phi, t, labels: Tuple[str, ...]):
-        return _gibbs_map(penalty(phi), t, labels)
+    def coord_flow(phi, ts: Sequence, labels: Tuple[str, ...]):
+        return _gibbs_map(penalty(phi), ts, labels)
 
     def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
-        return _on_simplex(coord_flow(phi, t, p.labels), p)
+        return _on_simplex(coord_flow(phi, (t,), p.labels), p)
 
     def bel(phi, p: FiniteSimplex) -> float:
         pen = _check_worlds(penalty(phi), p.labels)
@@ -609,6 +673,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
 
     return Learner(
         domain=add,
+        belief_kind="simplex",
         observe=observe,
         in_domain=in_domain_fn,
         bel=bel,
@@ -639,7 +704,7 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
-    return _on_simplex(_gibbs_map(_boltzmann_penalty(v), beta, p.labels), p)
+    return _on_simplex(_gibbs_map(_boltzmann_penalty(v), (beta,), p.labels), p)
 
 
 def make_boltzmann_learner() -> Learner:
@@ -872,6 +937,7 @@ def make_max_graded_learner() -> Learner:
     return Learner(
         id="max-graded",
         domain=dom,
+        belief_kind="graded",
         observe=max_graded_observe,
         in_domain=lambda key, table: key in table.entries,
         bel=lambda key, table: table.grade(key),
@@ -1213,6 +1279,7 @@ def make_classifier_learner(
     return Learner(
         id="classifier",
         domain=count,
+        belief_kind="params",
         observe=observe,
         sweep=sweep,
         in_domain=lambda ex, theta: bool(np.all(np.isfinite(theta))),
@@ -1270,6 +1337,7 @@ def lift_to_list(base: Learner) -> Learner:
     return Learner(
         id=f"{base.id}@list",
         domain=dom,
+        belief_kind=base.belief_kind,
         observe=observe,
         in_domain=base.in_domain,
         bel=base.bel,

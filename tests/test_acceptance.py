@@ -352,12 +352,8 @@ def test_09_trotter_convergence():
     )
     reference = integrate(field, p, chi)
     ns = (64, 128, 256, 512, 1024, 2048, 4096)
-    dist = {
-        n: belief_distance(
-            trotter_interleave(learner, ev_a, ev_b, chi, n, p), reference
-        )
-        for n in ns
-    }
+    states = trotter_interleave(learner, ev_a, ev_b, chi, ns, p)  # one walk of 4096 rounds
+    dist = {n: belief_distance(state, reference) for n, state in zip(ns, states)}
     ratios = [dist[2 * n] / dist[n] for n in ns[:-1]]
     ratios_ok = all(0.3 <= r <= 0.7 for r in ratios)
 

@@ -530,7 +530,7 @@ def test_bayes_and_max_graded_observations_run(tmp_path, command):
     [
         ("bayes", {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}}, {"id": "e1"}),
         ("bayes", {"kind": "simplex", "probs": {"x": 0.5, "y": 0.3, "z": 0.2}}, {"id": "e1"}),
-        ("bayes", {"kind": "gaussian", "mean": 0.0, "var": 1.0}, {"id": "e1"}),
+        ("bayes", BAYES_PRIOR, {"key": "e1"}),
         ("bayes", BAYES_PRIOR, {"id": "e9"}),
         ("max-graded", GRADED, {"id": "zz"}),
     ],
@@ -539,6 +539,64 @@ def test_observation_mistakes_exit_2(tmp_path, capsys, command, learner, belief,
     cfg = _observing(command, learner, belief, observation)
     assert run_cli(tmp_path, command, cfg, "--quiet") == 2
     assert "bad observation" in capsys.readouterr().err
+
+
+# One belief of each kind, and one observation each learner reads.
+KIND_BELIEFS = {
+    "simplex": {"kind": "simplex", "labels": ["a", "b"], "probs": [0.6, 0.4]},
+    "mass": {"kind": "mass", "labels": ["a", "b"], "masses": {"a": 0.5, "a|b": 0.5}},
+    "gaussian": {"kind": "gaussian", "mean": 0.0, "var": 1.0},
+    "graded": GRADED,
+    "params": {"kind": "params", "values": [0.0, 0.0, 0.0, 0.0]},
+}
+# learner: (its observation, the kind it updates, exit codes of learn,
+# combine and trotter on that kind)
+KIND_LEARNERS = {
+    "interp": ({"event": ["a"]}, "simplex", (0, 0, 0)),
+    "ds": ({"event": ["a"]}, "mass", (0, 3, 3)),  # no field: combine and trotter exit 3
+    "kalman": ({"z": 1.0}, "gaussian", (0, 3, 3)),
+    "boltzmann": ({"values": {"a": 1.0, "b": 0.0}}, "simplex", (0, 0, 0)),
+    "bayes": ({"id": "e1"}, "simplex", (0, 0, 0)),
+    "max-graded": ({"id": "phi1"}, "graded", (0, 0, 0)),
+    "classifier": ({"x": [0.5], "y": 0}, "params", (0, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BELIEFS))
+@pytest.mark.parametrize("lid", sorted(KIND_LEARNERS))
+def test_belief_of_the_wrong_kind_exits_2_before_any_update(tmp_path, capsys, lid, kind):
+    observation, expects, codes = KIND_LEARNERS[lid]
+    belief = BAYES_PRIOR if (lid, kind) == ("bayes", "simplex") else KIND_BELIEFS[kind]
+    configs = {
+        "learn": _observing("learn", lid, belief, observation),
+        "combine": _observing("combine", lid, belief, observation),
+        "trotter": {"learner": lid, "belief": belief, "observations": [observation] * 2,
+                    "chi": 1.0, "n_values": [1, 2]},
+    }
+    for (command, cfg), code in zip(configs.items(), codes):
+        got = run_cli(tmp_path, command, cfg, "--quiet")  # a traceback raises here
+        err = capsys.readouterr().err
+        if kind == expects:
+            assert got == code, (command, err)
+        else:
+            assert got == 2, (command, err)
+            assert err == f"config error: learner {lid!r} updates {expects} beliefs, not {kind}\n"
+
+
+@pytest.mark.parametrize("t", [1, "top"])
+def test_combine_boltzmann_penalties_near_the_float_limit(tmp_path, capsys, t):
+    # c @ u - u overflows at the zero coordinate: the field multiplies first
+    cfg = {
+        "learner": "boltzmann",
+        "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.5}},
+        "observations": [{"values": {"a": 1e308, "b": -1e308}}],
+        "t": t,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "combine", cfg) == 0
+    final = json.loads(capsys.readouterr().out)["final"]
+    assert final["labels"] == ["a", "b"] and final["probs"] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("lid", ["nope", "nope@list"])

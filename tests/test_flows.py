@@ -1,5 +1,6 @@
 """Derivative fields, gradients, integration, and interleaving."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from conflearn import (
     TangentVector,
     UnsupportedError,
     VectorFieldHandle,
+    ZeroMassEventError,
     additive_form,
     belief_coords,
     belief_distance,
@@ -638,6 +640,156 @@ def test_trotter_builds_one_simplex(monkeypatch):
     built = _count_simplexes(monkeypatch)
     trotter_interleave(get_learner("interp"), a, b, 1.5, 512, p)
     assert len(built) <= 3
+    built.clear()
+    counts = (512, 3, 64, 7)
+    states = trotter_interleave(get_learner("interp"), a, b, 1.5, counts, p)
+    assert len(states) == len(counts)
+    assert len(built) <= len(counts) + 2
+
+
+@pytest.mark.parametrize("lid, phis", [
+    ("interp", (EventSet(("a", "b", "c"), 0b011), EventSet(("a", "b", "c"), 0b110))),
+    ("boltzmann", (RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5])),
+                   RandomVariable(("a", "b", "c"), np.array([-0.3, 0.7, 0.2])))),
+])
+def test_trotter_walks_every_count_in_one_pass(lid, phis):
+    # one walk steps max(n) rounds of two updates, however many counts it serves
+    learner = get_learner(lid)
+    steps = []
+
+    def coord_flow(phi, ts, labels):
+        step = learner.coord_flow(phi, ts, labels)
+        return lambda c: (steps.append(len(c)), step(c))[1]
+
+    counting = dataclasses.replace(learner, coord_flow=coord_flow)
+    p = tri()
+    counts = (40, 7, 13, 7, 1)
+    states = trotter_interleave(counting, *phis, 1.2, counts, p)
+    assert len(steps) == 2 * max(counts)
+    assert sum(steps) == 2 * sum(set(counts))  # each row leaves after its rounds
+    assert [s.probs.tobytes() for s in states] == [
+        trotter_interleave(learner, *phis, 1.2, n, p).probs.tobytes() for n in counts
+    ]
+
+
+def test_trotter_rows_at_weight_one_keep_their_bits():
+    # at chi = 100 the one-round row conditions outright (the weight rounds
+    # to 1) while the five-round row mixes; on this prior the two updates
+    # differ in their last bits, and each row keeps its own
+    labels = tuple("abcd")
+    p = FiniteSimplex(labels, np.array(
+        [0.6855353753590057, 0.07233691592758151, 0.06029489658540946, 0.18183281212800337]
+    ))
+    a, b = p.event(["a", "b", "c"]), p.event(["a", "b", "d"])
+    interp = get_learner("interp")
+    got = trotter_interleave(interp, a, b, 100.0, (1, 5), p)
+    assert [s.probs.tobytes() for s in got] == [
+        trotter_interleave(interp, a, b, 100.0, n, p).probs.tobytes() for n in (1, 5)
+    ]
+
+
+@pytest.mark.parametrize("counts", [(2, 1), (1, 2), (2, 0), (0, 2), (3, 2, 1), (1.5, 2)])
+def test_trotter_raises_the_first_failing_count_error(counts):
+    # at chi = 60 one round conditions on a, so b has no mass (mass 0); two
+    # rounds fail a round later with mass 2.81e-14; 0 and 1.5 are no counts
+    labels = ("a", "b", "c")
+    p = FiniteSimplex(labels, np.array([0.4, 0.3, 0.3]))
+    a, b = EventSet(labels, 0b001), EventSet(labels, 0b010)
+    interp = get_learner("interp")
+    expect = _outcomes(lambda: [trotter_interleave(interp, a, b, 60.0, n, p) for n in counts])
+    assert isinstance(expect, tuple)  # some count fails
+    assert _outcomes(lambda: trotter_interleave(interp, a, b, 60.0, counts, p)) == expect
+
+
+def _at_slice(flow, top=None):
+    """A reference flow as the learners define its edges: a slice of 0 is the
+    identity, and ``top(p)`` (if given) is the update where the interpolation
+    weight rounds to 1."""
+
+    def at(t, p):
+        if t == 0.0:
+            return p
+        if top is not None and -math.expm1(-t) == 1.0:
+            return top(p)
+        return flow(t, p)
+
+    return at
+
+
+def _object_bayes_flow(model, key):
+    """The Bayes update on the penalty -log P(key | h), on belief objects."""
+    lik = model.likelihood[key]
+
+    def flow(t, p):
+        pr = np.asarray(p.probs)
+        supp = (pr > 0.0) & (lik > 0.0)
+        if not supp.any():
+            raise ZeroMassEventError(f"observation {key!r} contradicts the prior")
+        logw = np.log(pr[supp]) - t * -np.log(lik[supp])
+        w = np.zeros_like(pr)
+        w[supp] = np.exp(logw - logw.max())
+        return p.with_probs(w)
+
+    return flow
+
+
+def _outcomes(run):
+    """The bytes of each state, or the error's type and message."""
+    try:
+        return [s.probs.tobytes() for s in run()]
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_MASSES = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lid=st.sampled_from(["interp", "boltzmann", "bayes"]),
+    probs=st.lists(_MASSES, min_size=2, max_size=6),
+    data=st.data(),
+    chi=st.one_of(st.floats(0.05, 3.0), st.floats(30.0, 120.0), st.sampled_from([5e-324, 1e-323])),
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+)
+def test_trotter_counts_match_the_object_path_one_by_one(lid, probs, data, chi, counts):
+    # one walk for all counts equals the per-count loop of the object path,
+    # state by state, or raises the first failing count's error; slices of
+    # 1e-323 underflow to 0 from n = 4 on, and slices past about 37 give
+    # the interpolation weight 1
+    k = len(probs)
+    labels = tuple("abcdef"[:k])
+    if not any(probs):
+        probs[0] = 1.0
+    p = FiniteSimplex(labels, np.array(probs))
+    if lid == "interp":
+        learner = get_learner("interp")
+        phis = [EventSet(labels, data.draw(st.integers(0, 2**k - 1))) for _ in range(2)]
+        refs = [_at_slice(_object_interp_flow(a), lambda q, a=a: condition(q, a)) for a in phis]
+    elif lid == "boltzmann":
+        learner = get_learner("boltzmann")
+        phis = [
+            RandomVariable(labels, np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))))
+            for _ in range(2)
+        ]
+        refs = [_at_slice(_object_boltzmann_flow(v)) for v in phis]
+    else:
+        rows = {key: np.array(data.draw(st.lists(_MASSES, min_size=k, max_size=k))) for key in ("e1", "e2")}
+        model = BayesModel(labels, rows)
+        learner = make_bayes_learner(model)
+        phis = ["e1", "e2"]
+        refs = [_at_slice(_object_bayes_flow(model, key)) for key in phis]
+
+    def per_count():
+        for n in counts:
+            theta = p
+            for _ in range(n):
+                theta = refs[1](chi / n, refs[0](chi / n, theta))
+            yield theta
+
+    expect = _outcomes(lambda: list(per_count()))
+    assert _outcomes(lambda: trotter_interleave(learner, *phis, chi, counts, p)) == expect
+    assert _outcomes(lambda: [trotter_interleave(learner, *phis, chi, n, p) for n in counts]) == expect
 
 
 # ---------------------------------------------------------------------------

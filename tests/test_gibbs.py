@@ -26,6 +26,8 @@ from conflearn.flows import (
 )
 from conflearn.learners import (
     BayesModel,
+    _gibbs_field,
+    _Penalty,
     boltzmann_observe,
     get_learner,
     make_bayes_learner,
@@ -365,6 +367,21 @@ def test_boltzmann_overflowing_penalty_keeps_the_least_penalty_worlds():
         warnings.simplefilter("error")
         out = boltzmann_observe(v, 2.0, p).probs
     assert np.allclose(out, [0.0, 0.4, 0.6, 0.0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("possible", [None, np.array([True, True, False])])
+@pytest.mark.parametrize("c", [[0.0, 1.0, 0.0], [1e-300, 1.0, 0.0]])
+def test_field_past_half_the_float_range_stays_finite(possible, c):
+    # c @ u - u overflows at a coordinate far from the mean, and 0 * inf is
+    # NaN; past half the float range the field multiplies by c first, with
+    # all worlds possible and with some ruled out alike
+    labels = ("a", "b", "c")
+    u = np.array([1e308, -1e308, 0.0 if possible is None else math.inf])
+    field = _gibbs_field([(_Penalty(labels, u, u, possible, "u"), 1.0)])(("simplex", labels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vel = field(np.array(c))
+    assert np.isfinite(vel).all() and vel[1] == 0.0
 
 
 def test_bayes_is_boltzmann_on_minus_log_likelihood():
