@@ -182,10 +182,7 @@ def _learner_of(lid: str, params: dict) -> Learner:
     try:
         if base_id == "bayes" and "model" in params:
             spec = params["model"]
-            model = BayesModel(
-                tuple(spec["hypotheses"]),
-                {k: np.asarray(v, dtype=float) for k, v in spec["likelihood"].items()},
-            )
+            model = BayesModel(tuple(spec["hypotheses"]), spec["likelihood"])
             learner = make_bayes_learner(model)
         else:
             learner = get_learner(base_id, **params)
@@ -387,10 +384,10 @@ def _cmd_trotter(args, cfg: dict) -> int:
     phi2 = _parse_observation(learner, obs[1], theta0)
     chi = _number(cfg, "chi", above=0.0)
     n_values = cfg.get("n_values", [1, 2, 4, 8, 16, 32, 64])
-    if not isinstance(n_values, list) or not all(
+    if not isinstance(n_values, list) or not n_values or not all(
         isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
     ):
-        raise ConfigError("'n_values' must be an array of positive integers")
+        raise ConfigError("'n_values' must be a non-empty array of positive integers")
     icfg = _integrator(cfg)
     name = _out_name(cfg, "output_json", "trotter.json")
     rounds = sum(set(n_values))

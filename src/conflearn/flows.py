@@ -6,21 +6,23 @@ statements in parallel, integrates fields with a fixed-step RK4/Euler scheme,
 and interleaves two flows to approximate their parallel combination from
 sequential updates.
 
-Fields act on coordinate arrays.  A learner's closed field is the field of
-a weighted parallel observation ((phi, w), ...) as one closed form, bound to
-a belief space once and then a map from a belief's coordinates to its
-velocity; one observation is the one-term case.  ``combine_fields`` merges
-the closed fields of one learner into one such form, and sums any other
-fields term by term.  ``integrate`` and ``integrate_sampled`` share one
-driver: it checks the step budget, binds the field once, steps on arrays
-to finite time (sample by sample) or to the limit, and returns the end state
-with the rows (t, *coords) of the start, each sample time and the end.  It
-checks the velocity of every stage (finite, and on the sum-one plane for a
-simplex), and projects each stage into the constraint set with the
-projection of the belief's kind record (``beliefs._KINDS``), which makes the
-checks a belief object makes.  Beliefs are built for the result, and for
-each evaluation of a field with no closed form.  ``TrajectoryRecord`` writes
-its rows through ``_csv_text``, the one CSV writer of the package.
+Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
+class; its belief space is given, or fixed by its first evaluation.  A
+learner's closed field is the field of a weighted parallel observation
+((phi, w), ...) as one closed form, bound to a belief space once and then a
+map from a belief's coordinates to its velocity; one observation is the
+one-term case.  ``combine_fields`` merges the closed fields of one learner
+into one such form, and sums any other fields term by term.  ``integrate``
+and ``integrate_sampled`` share one driver: it checks the step budget, binds
+the field once, steps on arrays to finite time (sample by sample) or to the
+limit, and returns the end state with the rows (t, *coords) of the start,
+each sample time and the end.  It checks the velocity of every stage
+(finite, and on the sum-one plane for a simplex), and projects each stage
+into the constraint set with the projection of the belief's kind record
+(``beliefs._KINDS``), which makes the checks a belief object makes.  Beliefs
+are built for the result, and for each evaluation of a field with no closed
+form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
+CSV writer of the package.
 
 Interleaving works the same way.  A simplex learner's coordinate flow maps
 probability rows to their updates at one additive time per row, bound to
@@ -29,8 +31,8 @@ call as one row of one array, normalises after each update with the shared
 ``beliefs.normalize_probs`` and builds one belief per count.  Learners
 without a coordinate flow compose their flows on belief objects.
 
-The Fisher/euclidean gradient utilities let callers verify that a learner's
-update direction is metric gradient ascent on its belief functional.
+``metric_gradient`` (Fisher on a simplex, or euclidean) lets callers verify
+that a learner's update direction is metric gradient ascent on its Bel.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,14 +151,36 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class VectorFieldHandle:
-    """A named, space-tagged vector field; evaluate with ``field(theta)``."""
+    """A named, space-tagged vector field; evaluate with ``field(theta)``.
+
+    A ``space`` of None is fixed by the first evaluation.  ``_coords(theta0,
+    space)``, if given, is the field on theta0's space as a CoordsMap: the
+    integrators step with it, and an ``eval_at`` of None wraps its
+    components in a TangentVector.  ``_source`` is ``(learner, phi)`` for
+    the closed field of one observation, which ``combine_fields`` merges.
+    """
 
     label: str
-    space: tuple
-    eval_at: Callable[[Any], TangentVector]
+    space: Optional[tuple]
+    eval_at: Optional[Callable[[Any], TangentVector]]
+    _coords: Optional[Callable] = field(default=None, kw_only=True, repr=False, compare=False)
+    _source: Optional[tuple] = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.eval_at is None:
+            coords = self._coords
+
+            def eval_at(theta) -> TangentVector:
+                kind = _coord_kind(theta)
+                fmap = coords(theta, kind.space(theta))
+                return TangentVector(theta, fmap(None, kind.coords(theta)))
+
+            object.__setattr__(self, "eval_at", eval_at)
 
     def _match(self, key: tuple) -> None:
-        if key != self.space:
+        if self.space is None:
+            object.__setattr__(self, "space", key)
+        elif key != self.space:
             raise ParameterError(
                 f"field {self.label!r} evaluated on a different belief space"
             )
@@ -167,62 +191,14 @@ class VectorFieldHandle:
 
     def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
         """The field on theta0's space as a CoordsMap whose components pass
-        the checks a TangentVector makes, and the space's projection.  This
-        one rebuilds the stage belief from the unprojected state."""
-        kind = _coord_kind(theta0)
-        self._match(kind.space(theta0))
-        eval_at = self.eval_at
-        return (lambda v, c: eval_at(_result(theta0, v)).components), kind.project
-
-
-class _LazyHandle(VectorFieldHandle):
-    """Field handle that fixes its space tag on first evaluation.
-
-    Built from ``eval_at``, or from ``coords(theta0, space)``: the field on
-    theta0's space (key ``space``) as a CoordsMap.  The integrators step with
-    that map, and ``eval_at`` then wraps its components in a TangentVector.
-    ``source`` is ``(learner, phi)`` for the closed field of one observation,
-    which ``combine_fields`` merges with others on the same learner.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        eval_at: Optional[Callable[[Any], TangentVector]] = None,
-        coords: Optional[Callable[[Any, tuple], CoordsMap]] = None,
-        source: Optional[Tuple[Any, Any]] = None,
-    ):
-        if eval_at is None:
-
-            def eval_at(theta) -> TangentVector:
-                kind = _coord_kind(theta)
-                fmap = coords(theta, kind.space(theta))
-                return TangentVector(theta, fmap(None, kind.coords(theta)))
-
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "space", None)
-        object.__setattr__(self, "eval_at", eval_at)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_source", source)
-
-    def _match(self, key: tuple) -> None:
-        if self.space is None:
-            object.__setattr__(self, "space", key)
-        else:
-            super()._match(key)
-
-    # Defined here as well as on the base class: bench/tracer.py patches
-    # each class's own __call__.
-    def __call__(self, theta) -> TangentVector:
-        self._match(_coord_kind(theta).space(theta))
-        return self.eval_at(theta)
-
-    def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
-        if self._coords is None:
-            return super()._bind(theta0)
+        the checks a TangentVector makes, and the space's projection.  With
+        no ``_coords``, each stage belief is rebuilt for ``eval_at``."""
         kind = _coord_kind(theta0)
         key = kind.space(theta0)
         self._match(key)
+        if self._coords is None:
+            eval_at = self.eval_at
+            return (lambda v, c: eval_at(_result(theta0, v)).components), kind.project
         fmap, sums_to_one = self._coords(theta0, key), kind.sums_to_one
 
         def checked(v, c):
@@ -231,6 +207,11 @@ class _LazyHandle(VectorFieldHandle):
             return comp
 
         return checked, kind.project
+
+
+# bench/tracer.py looks this name up; the alias stays until the tracer
+# patches public entry points only (ROADMAP item 1).
+_LazyHandle = VectorFieldHandle
 
 
 def _obs_label(learner: Learner, phi) -> str:
@@ -262,7 +243,7 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
                 v = v - v.mean()  # discard off-plane stencil round-off
             return TangentVector(theta, v)
 
-        return _LazyHandle(label, eval_fd)
+        return VectorFieldHandle(label, None, eval_fd)
 
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
 
@@ -287,7 +268,7 @@ def _closed_handle(label: str, learner: Learner, terms: tuple, source=None) -> V
 
         return fmap
 
-    return _LazyHandle(label, coords=closed_map, source=source)
+    return VectorFieldHandle(label, None, None, _coords=closed_map, _source=source)
 
 
 def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.ndarray:
@@ -328,7 +309,7 @@ def combine_fields(
     label = "(" + " + ".join(
         (f"{w:g}*{f.label}" if w != 1.0 else f.label) for f, w in pairs
     ) + ")"
-    sources = [getattr(f, "_source", None) for f, _ in pairs]
+    sources = [f._source for f, _ in pairs]
     learner = sources[0][0] if sources[0] is not None else None
     if learner is not None and all(src is not None and src[0] is learner for src in sources):
         # closed fields of one learner: its closed form of the weighted sum
@@ -347,7 +328,7 @@ def combine_fields(
 
         return fmap
 
-    return _LazyHandle(label, coords=sum_map)
+    return VectorFieldHandle(label, None, None, _coords=sum_map)
 
 
 # ---------------------------------------------------------------------------
@@ -375,40 +356,41 @@ def _central_partials(
 def natural_gradient(
     p: FiniteSimplex, f: Callable[[FiniteSimplex], float], h: float = 1e-6
 ) -> TangentVector:
-    """Fisher natural gradient of f at p, as a simplex tangent vector.
+    """Fisher natural gradient of f at p, as a simplex tangent vector:
+    ``metric_gradient(p, f, "fisher", h=h)``."""
+    return TangentVector(p, metric_gradient(p, f, "fisher", h=h))
 
-    Components are p_i (df/dp_i - sum_j p_j df/dp_j); coordinates with mass
-    at most 1e-9 are frozen (the boundary pseudoinverse convention).
-    Partials are central finite differences with the mass-relative step
-    h min(1, p_i), which for h < 1 keeps every perturbed state inside the
-    simplex and bounds the truncation error of functions like log p_i near
-    the boundary.
-    Perturbed vectors are renormalized by ``with_probs``, which leaves the
-    projected result unchanged.
+
+def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e-4) -> np.ndarray:
+    """Gradient of f at theta under the named metric, in coordinates, from
+    central differences on states rebuilt by ``belief_rebuild``.
+
+    "euclidean" steps every coordinate by h > 0.  "fisher" needs coordinates
+    that sum to one; its components are p_i (df/dp_i - sum_j p_j df/dp_j),
+    with coordinates of mass at most 1e-9 frozen (the boundary pseudoinverse
+    convention).  Its mass-relative step h min(1, p_i), 0 < h < 1, keeps
+    every perturbed state inside the simplex, so the rebuild only
+    renormalizes, and bounds the truncation error of functions like log p_i.
     """
-    pr = np.asarray(p.probs)
-    free = pr > _FREEZE
-    steps = np.where(free, h * np.minimum(1.0, pr), 0.0)
-    partials = _central_partials(lambda vec: f(p.with_probs(vec)), pr, steps)
-    w = pr[free]
-    lam = float((w * partials[free]).sum() / w.sum())
-    comp = np.zeros_like(pr)
-    comp[free] = w * (partials[free] - lam)
-    return TangentVector(p, comp)
-
-
-def metric_gradient(
-    theta, f: Callable[[Any], float], metric: str, h: float = 1e-4
-) -> np.ndarray:
-    """Gradient of f at theta under the named metric, in coordinates."""
-    if metric == "fisher":
-        if not isinstance(theta, FiniteSimplex):
-            raise UnsupportedError("fisher metric requires a simplex state")
-        return np.asarray(natural_gradient(theta, f, h=h).components)
-    if metric != "euclidean":
+    if metric not in ("fisher", "euclidean"):
         raise UnsupportedError(f"unknown metric {metric!r}")
+    fisher = metric == "fisher"
+    if fisher and not getattr(_kind_of(theta), "sums_to_one", False):
+        raise UnsupportedError("fisher metric requires a simplex state")
+    if not 0.0 < h < (1.0 if fisher else math.inf):
+        raise ParameterError(f"{metric} step h must lie in (0, {1 if fisher else 'inf'}), got {h!r}")
     c0 = belief_coords(theta)
-    return _central_partials(lambda vec: f(belief_rebuild(theta, vec)), c0, np.full(c0.size, h))
+    free = c0 > _FREEZE  # the Fisher metric's frozen coordinates
+    steps = np.where(free, h * np.minimum(1.0, c0), 0.0) if fisher else np.full(c0.size, h)
+    partials = _central_partials(lambda vec: f(belief_rebuild(theta, vec)), c0, steps)
+    if not fisher:
+        return partials
+    w = c0[free]
+    lam = float((w * partials[free]).sum() / w.sum())
+    comp = np.zeros_like(c0)
+    comp[free] = w * (partials[free] - lam)
+    _check_tangent(comp, True)
+    return comp
 
 
 # ---------------------------------------------------------------------------

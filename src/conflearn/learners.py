@@ -213,10 +213,10 @@ def _interp_map(a: EventSet, alphas: Sequence, labels: Tuple[str, ...]):
     bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
     frac = get_domain("frac")
     ws = [frac.to_float(frac.coerce(alpha)) for alpha in alphas]  # bot is 0, top is 1
-    if not any(ws):
-        return None
     if labels != a.labels:
         raise ParameterError("event over a different world set")
+    if not any(ws):
+        return None
     ind = a.indicator()
     w = _rows(ws)
     keep = 1.0 - w
@@ -757,9 +757,14 @@ class BayesModel:
         if not hyps or len(set(hyps)) != len(hyps):
             raise ParameterError("hypothesis labels must be nonempty and unique")
         object.__setattr__(self, "hypotheses", hyps)
+        if not isinstance(self.likelihood, Mapping):
+            raise ParameterError("the likelihood must map observation ids to rows")
         table = {}
         for key, row in self.likelihood.items():
-            row = np.asarray(row, dtype=float).copy()
+            try:
+                row = np.asarray(row, dtype=float).copy()
+            except (TypeError, ValueError):
+                raise ParameterError(f"likelihood row {key!r} is not an array of numbers") from None
             if row.shape != (len(hyps),):
                 raise ParameterError(f"likelihood row {key!r} does not match hypotheses")
             if not np.all(np.isfinite(row)) or row.min() < 0.0 or row.max() > 1.0:

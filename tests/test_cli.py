@@ -193,7 +193,9 @@ def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
     assert "max_steps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [{"n_values": [True, 2]}, {"chi": math.inf}])
+@pytest.mark.parametrize(
+    "extra", [{"n_values": [True, 2]}, {"chi": math.inf}, {"n_values": []}]
+)
 def test_trotter_bad_settings_exit_2(tmp_path, capsys, extra):
     cfg = {
         "learner": "interp",
@@ -522,6 +524,24 @@ def test_bayes_and_max_graded_observations_run(tmp_path, command):
                    "--quiet") == 0
     assert run_cli(tmp_path, command, _observing(command, "max-graded", GRADED, {"id": "phi1"}),
                    "--quiet") == 0
+
+
+@pytest.mark.parametrize(
+    "likelihood",
+    [{"e": ["a", 0.5]}, [[0.5, 0.5]], {"e": [[0.5], 0.5]}],
+    ids=["string-entry", "list-table", "ragged-row"],
+)
+def test_learn_malformed_bayes_model_exits_2(tmp_path, capsys, likelihood):
+    cfg = {
+        "learner": "bayes",
+        "learner_params": {"model": {"hypotheses": ["h1", "h2"], "likelihood": likelihood}},
+        "belief": {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}},
+        "observation": {"id": "e"},
+    }
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["learn", "combine"])

@@ -187,6 +187,99 @@ def test_metric_gradient_euclidean():
     assert grad[0] == pytest.approx(3.0, abs=1e-6)
 
 
+def _random_observation(lid, rng, labels):
+    if lid == "interp":  # a nonempty proper event
+        return EventSet(labels, int(rng.integers(1, 2 ** len(labels) - 1)))
+    if lid == "boltzmann":
+        return RandomVariable(labels, rng.normal(size=len(labels)))
+    return ("e1", "e2", "e3")[int(rng.integers(3))]  # the default Bayes model's evidence
+
+
+@pytest.mark.parametrize("lid", ["interp", "boltzmann", "bayes"])
+def test_closed_fields_are_fisher_gradients_of_weighted_bel(lid):
+    # each closed field is the Fisher gradient of the weighted sum of Bel:
+    # Bayes is an optimizing learner with a linear-expectation loss
+    learner = get_learner(lid)
+    labels = ("h1", "h2", "h3") if lid == "bayes" else ("a", "b", "c", "d")
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        p = FiniteSimplex(labels, rng.dirichlet(np.full(len(labels), 2.0)))
+        if p.probs.min() < 1e-2:
+            continue
+        terms = [
+            (_random_observation(lid, rng, labels), float(rng.uniform(0.2, 3.0)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        field = combine_fields(
+            [derivative_field(learner, phi) for phi, _ in terms], [w for _, w in terms]
+        )
+        grad = metric_gradient(
+            p, lambda q: sum(w * learner.bel(phi, q) for phi, w in terms), "fisher"
+        )
+        assert np.abs(field(p).components - grad).max() <= 1e-7
+
+
+def test_max_graded_field_is_the_euclidean_gradient_of_its_loss():
+    # r (1 - c) is the euclidean gradient of -sum_k r_k (1 - c_k)^2 / 2
+    learner = get_learner("max-graded")
+    keys = ("phi1", "phi2", "phi3")
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        table = GradedBeliefTable({k: float(rng.uniform(0.0, 0.95)) for k in keys})
+        terms = [(keys[int(rng.integers(3))], float(rng.uniform(0.2, 3.0))) for _ in range(3)]
+        rate = np.array([sum(w for key, w in terms if key == k) for k in keys])
+        field = combine_fields(
+            [derivative_field(learner, key) for key, _ in terms], [w for _, w in terms]
+        )
+        grad = metric_gradient(
+            table, lambda q: -float((rate * (1.0 - belief_coords(q)) ** 2).sum()) / 2.0, "euclidean"
+        )
+        assert np.abs(field(table).components - grad).max() <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [GaussianBelief(0.0, 1.0), GradedBeliefTable({"x": 0.5}), np.array([0.5, 0.5])],
+    ids=["gaussian", "graded", "params"],
+)
+def test_fisher_metric_needs_a_simplex(theta):
+    with pytest.raises(UnsupportedError, match="simplex"):
+        metric_gradient(theta, lambda s: 0.0, "fisher")
+
+
+@pytest.mark.parametrize(
+    "metric, h",
+    [("fisher", 1.0), ("fisher", 1.5), ("fisher", 0.0), ("fisher", math.nan),
+     ("euclidean", -1e-4), ("euclidean", math.inf)],
+)
+def test_metric_gradient_rejects_a_step_out_of_range(metric, h):
+    # a Fisher step of h >= 1 would leave the simplex, and the rebuild would clip it
+    with pytest.raises(ParameterError, match="step h must lie in"):
+        metric_gradient(tri(), lambda q: float(q.probs[0]), metric, h=h)
+
+
+def test_field_handles_fix_their_space_at_the_first_evaluation():
+    from conflearn import get_mutants
+
+    (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
+    p, other = tri(), FiniteSimplex(("x", "y", "z"), np.array([0.5, 0.3, 0.2]))
+    a = p.event(["a"])
+    rv = RandomVariable(p.labels, np.array([1.0, 0.0, -0.5]))
+    interp = get_learner("interp")
+    handles = [
+        derivative_field(interp, a),  # closed
+        derivative_field(euclid, rv),  # finite differences
+        combine_fields([derivative_field(interp, a), derivative_field(interp, a.complement())]),
+        combine_fields([derivative_field(euclid, rv), derivative_field(interp, a)]),
+    ]
+    for field in handles:
+        assert field.space is None
+        field(p)
+        assert field.space == ("simplex", p.labels)
+        with pytest.raises(ParameterError, match="evaluated on a different belief space"):
+            field(other)
+
+
 # ---------------------------------------------------------------------------
 # Parallel combination.
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conflearn import learners
 from conflearn import (
     BayesModel,
+    EventSet,
     FiniteSimplex,
     GaussianBelief,
     GradedBeliefTable,
@@ -74,6 +75,22 @@ def test_interp_accepts_domain_values():
     a = p.event(["a"])
     out = interp_observe(a, FRAC.value(0.25), p)
     assert out.prob(a) == pytest.approx(0.5 + 0.25 * 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_interp_event_over_other_worlds_raises_at_any_weight(alpha):
+    # bot moves nothing, but an event over other worlds is still a mistake
+    p = FiniteSimplex(("a", "b"), np.array([0.6, 0.4]))
+    a = EventSet(("x", "y"), 1)
+    learner = get_learner("interp")
+    t = -math.log1p(-alpha)  # the additive time of weight alpha
+    for update in (
+        lambda: interp_observe(a, alpha, p),
+        lambda: learner.coord_flow(a, [t], p.labels),
+        lambda: learner.make_flow(a)(t, p),
+    ):
+        with pytest.raises(ParameterError, match="event over a different world set"):
+            update()
 
 
 # ---------------------------------------------------------------------------
