@@ -169,6 +169,8 @@ class VectorFieldHandle:
     def __post_init__(self):
         if self.eval_at is None:
             coords = self._coords
+            if coords is None:
+                raise ParameterError(f"field {self.label!r} needs eval_at or a coordinate map")
 
             def eval_at(theta) -> TangentVector:
                 kind = _coord_kind(theta)
@@ -339,15 +341,17 @@ _FREEZE = 1e-9  # simplex coordinates with no more mass than this are frozen
 
 
 def _central_partials(
-    value: Callable[[np.ndarray], Any], c0: np.ndarray, steps: np.ndarray
+    f: Callable[[Any], Any], theta, c0: np.ndarray, steps: np.ndarray
 ) -> np.ndarray:
-    """Central differences of value at c0, stepping coordinate i by steps[i];
-    the partial is zero where steps[i] is zero."""
+    """Central differences of f at theta, whose coordinates are c0: coordinate
+    i is stepped by steps[i] and the state rebuilt by ``belief_rebuild``; the
+    partial is zero where steps[i] is zero."""
     partials = np.zeros_like(c0)
     for i in np.flatnonzero(steps):
         e = np.zeros_like(c0)
         e[i] = steps[i]
-        partials[i] = (float(value(c0 + e)) - float(value(c0 - e))) / (2.0 * steps[i])
+        ahead, behind = f(belief_rebuild(theta, c0 + e)), f(belief_rebuild(theta, c0 - e))
+        partials[i] = (float(ahead) - float(behind)) / (2.0 * steps[i])
     if not np.all(np.isfinite(partials)):
         raise NumericalError("non-finite partial derivatives")
     return partials
@@ -368,10 +372,10 @@ def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e
     "euclidean" steps every coordinate by h > 0.  "fisher" needs coordinates
     that sum to one; its components are p_i (df/dp_i - sum_j p_j df/dp_j),
     with coordinates of mass at most 1e-9 frozen (the boundary pseudoinverse
-    convention).  Its mass-relative step h min(1, p_i), 0 < h < 1, keeps
-    every perturbed state inside the simplex, so the rebuild only
-    renormalizes, and bounds the truncation error of functions like log p_i.
-    """
+    convention).  Its mass-relative step h min(1, p_i), 0 < h < 1, keeps every
+    perturbed state inside the simplex, so the rebuild only renormalizes (it
+    would clip silently for h >= 1), and bounds the truncation error of
+    functions like log p_i."""
     if metric not in ("fisher", "euclidean"):
         raise UnsupportedError(f"unknown metric {metric!r}")
     fisher = metric == "fisher"
@@ -380,11 +384,10 @@ def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e
     if not 0.0 < h < (1.0 if fisher else math.inf):
         raise ParameterError(f"{metric} step h must lie in (0, {1 if fisher else 'inf'}), got {h!r}")
     c0 = belief_coords(theta)
-    free = c0 > _FREEZE  # the Fisher metric's frozen coordinates
-    steps = np.where(free, h * np.minimum(1.0, c0), 0.0) if fisher else np.full(c0.size, h)
-    partials = _central_partials(lambda vec: f(belief_rebuild(theta, vec)), c0, steps)
     if not fisher:
-        return partials
+        return _central_partials(f, theta, c0, np.full(c0.size, h))
+    free = c0 > _FREEZE
+    partials = _central_partials(f, theta, c0, np.where(free, h * np.minimum(1.0, c0), 0.0))
     w = c0[free]
     lam = float((w * partials[free]).sum() / w.sum())
     comp = np.zeros_like(c0)
@@ -544,9 +547,7 @@ def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
         else:
             quiet = 0
         before = after
-    raise NoLimitError(
-        f"no limit detected within {cap} steps (field norm still moving)"
-    )
+    raise NoLimitError(f"no limit detected within {cap} steps (field norm still moving)")
 
 
 def integrate(

@@ -278,6 +278,9 @@ def test_field_handles_fix_their_space_at_the_first_evaluation():
         assert field.space == ("simplex", p.labels)
         with pytest.raises(ParameterError, match="evaluated on a different belief space"):
             field(other)
+    # a handle with neither eval_at nor a coordinate map is refused when built
+    with pytest.raises(ParameterError, match="needs eval_at or a coordinate map"):
+        VectorFieldHandle("empty", None, None)
 
 
 # ---------------------------------------------------------------------------
