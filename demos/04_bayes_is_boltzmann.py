@@ -20,7 +20,7 @@ from conflearn import (
     belief_distance,
     boltzmann_observe,
     get_domain,
-    make_bayes_learner,
+    get_learner,
     potential_to_likelihood,
 )
 
@@ -43,7 +43,7 @@ print("distance        ->", belief_distance(post, tempered))
 # The strength dial.  beta scales the log likelihood, so evidence can be
 # fractionally weighted or replayed.
 
-learner = make_bayes_learner(model)
+learner = get_learner("bayes", model=model)
 add = get_domain("add")
 for beta in (0.25, 1.0, 2.0, 8.0):
     out = learner.observe("e", add.value(beta), prior)

@@ -8,188 +8,25 @@ combination, integration, interleaving), and an executable suite of the
 laws a well-behaved learner satisfies.
 """
 
-from .errors import (
-    ConfLearnError,
-    ConfigError,
-    DomainError,
-    DomainMismatchError,
-    InvalidImagingMapError,
-    NoLimitError,
-    NumericalError,
-    ParameterError,
-    TotalConflictError,
-    UnsupportedError,
-    ZeroMassEventError,
-)
-from .confidence import (
-    ConfidenceDomain,
-    ConfidenceValue,
-    add_to_frac,
-    available_domains,
-    confidence_from_json,
-    confidence_to_json,
-    frac_to_add,
-    get_domain,
-    kalman_combine,
-    list_extend,
-)
-from .beliefs import (
-    EventSet,
-    FiniteSimplex,
-    GaussianBelief,
-    GradedBeliefTable,
-    MassFunction,
-    RandomVariable,
-    belief_distance,
-    belief_from_json,
-    belief_to_json,
-    condition,
-    dempster_combine,
-    ds_plaus_update,
-    image,
-    jeffrey,
-    simple_support,
-)
-from .learners import (
-    BayesModel,
-    LabeledExample,
-    Learner,
-    NonConvergenceWarning,
-    SoftmaxModel,
-    available_learners,
-    bayes_observe,
-    boltzmann_observe,
-    class_log_probs,
-    classifier_step_observe,
-    get_learner,
-    gradient_step,
-    in_domain,
-    interp_observe,
-    kalman_observe,
-    kalman_observe_opt,
-    lift_to_list,
-    make_bayes_learner,
-    make_classifier_learner,
-    max_graded_observe,
-    optimal_gain,
-    potential_to_likelihood,
-    train_limit,
-)
-from .flows import (
-    IntegratorConfig,
-    TangentVector,
-    TrajectoryRecord,
-    VectorFieldHandle,
-    additive_form,
-    belief_coords,
-    belief_rebuild,
-    combine_fields,
-    coord_labels,
-    derivative_field,
-    integrate,
-    integrate_sampled,
-    metric_gradient,
-    natural_gradient,
-    parallel_field,
-    trotter_interleave,
-)
-from .axioms import (
-    AXIOMS,
-    AxiomReport,
-    CheckConfig,
-    check_axiom,
-    reports_to_json,
-    run_suite,
-    suite_passed,
-)
-from .mutants import MUTANT_TARGETS, get_mutants
+from . import axioms, beliefs, confidence, errors, flows, learners, mutants
+from .errors import *
+from .confidence import *
+from .beliefs import *
+from .learners import *
+from .flows import *
+from .axioms import *
+from .mutants import *
 
 __version__ = "0.1.0"
 
+# a name is public iff the module that defines it lists it
 __all__ = [
-    "ConfLearnError",
-    "ConfigError",
-    "DomainError",
-    "DomainMismatchError",
-    "InvalidImagingMapError",
-    "NoLimitError",
-    "NumericalError",
-    "ParameterError",
-    "TotalConflictError",
-    "UnsupportedError",
-    "ZeroMassEventError",
-    "ConfidenceDomain",
-    "ConfidenceValue",
-    "add_to_frac",
-    "available_domains",
-    "confidence_from_json",
-    "confidence_to_json",
-    "frac_to_add",
-    "get_domain",
-    "kalman_combine",
-    "list_extend",
-    "EventSet",
-    "FiniteSimplex",
-    "GaussianBelief",
-    "GradedBeliefTable",
-    "MassFunction",
-    "RandomVariable",
-    "belief_distance",
-    "belief_from_json",
-    "belief_to_json",
-    "condition",
-    "dempster_combine",
-    "ds_plaus_update",
-    "image",
-    "jeffrey",
-    "simple_support",
-    "BayesModel",
-    "LabeledExample",
-    "Learner",
-    "NonConvergenceWarning",
-    "SoftmaxModel",
-    "available_learners",
-    "bayes_observe",
-    "boltzmann_observe",
-    "class_log_probs",
-    "classifier_step_observe",
-    "get_learner",
-    "gradient_step",
-    "in_domain",
-    "interp_observe",
-    "kalman_observe",
-    "kalman_observe_opt",
-    "lift_to_list",
-    "make_bayes_learner",
-    "make_classifier_learner",
-    "max_graded_observe",
-    "optimal_gain",
-    "potential_to_likelihood",
-    "train_limit",
-    "IntegratorConfig",
-    "TangentVector",
-    "TrajectoryRecord",
-    "VectorFieldHandle",
-    "additive_form",
-    "belief_coords",
-    "belief_rebuild",
-    "combine_fields",
-    "coord_labels",
-    "derivative_field",
-    "integrate",
-    "integrate_sampled",
-    "metric_gradient",
-    "natural_gradient",
-    "parallel_field",
-    "trotter_interleave",
-    "AXIOMS",
-    "AxiomReport",
-    "CheckConfig",
-    "check_axiom",
-    "reports_to_json",
-    "run_suite",
-    "suite_passed",
-    "MUTANT_TARGETS",
-    "get_mutants",
+    *errors.__all__,
+    *confidence.__all__,
+    *beliefs.__all__,
+    *learners.__all__,
+    *flows.__all__,
+    *axioms.__all__,
+    *mutants.__all__,
     "__version__",
 ]

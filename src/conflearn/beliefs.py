@@ -262,10 +262,10 @@ class RandomVariable:
 # Certain revision rules on the simplex.
 
 
-def condition(p: FiniteSimplex, a: EventSet, eps: float = MASS_EPS) -> FiniteSimplex:
-    """Bayesian conditioning P(. | a); rejects events of mass <= eps."""
+def condition(p: FiniteSimplex, a: EventSet) -> FiniteSimplex:
+    """Bayesian conditioning P(. | a); rejects events of mass <= MASS_EPS."""
     mass = p.prob(a)
-    if mass <= eps:
+    if mass <= MASS_EPS:
         raise ZeroMassEventError(f"cannot condition on {a!r} with mass {mass:.3g}")
     return p.with_probs(np.asarray(p.probs) * a.indicator() / mass)
 
@@ -304,13 +304,12 @@ def jeffrey(
     p: FiniteSimplex,
     partition: Sequence[EventSet],
     pi: Union[FiniteSimplex, Sequence[float]],
-    eps: float = MASS_EPS,
 ) -> FiniteSimplex:
     """Jeffrey's rule: reweight the partition cells to the target marginals.
 
     ``pi`` gives one target probability per cell (a plain sequence or a
-    FiniteSimplex over cell names, in partition order).  Cells with positive
-    target must have positive prior mass.
+    FiniteSimplex over cell names, in partition order).  Cells with target
+    above MASS_EPS must have prior mass above it; the others are dropped.
     """
     if not partition:
         raise ParameterError("empty partition")
@@ -333,10 +332,10 @@ def jeffrey(
         raise ParameterError("target weights must form a distribution")
     out = np.zeros(len(labels))
     for cell, w in zip(partition, weights):
-        if w <= eps:
+        if w <= MASS_EPS:
             continue
         mass = p.prob(cell)
-        if mass <= eps:
+        if mass <= MASS_EPS:
             raise ZeroMassEventError(f"cell {cell!r} has prior mass {mass:.3g}")
         out += w * (np.asarray(p.probs) * cell.indicator() / mass)
     return p.with_probs(out)
@@ -435,8 +434,9 @@ def simple_support(
     return MassFunction(labels, {a.mask: s, full: 1.0 - s})
 
 
-def dempster_combine(m1: MassFunction, m2: MassFunction, eps: float = MASS_EPS) -> MassFunction:
-    """Dempster's rule: conjunctive combination with conflict renormalization."""
+def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Dempster's rule: conjunctive combination with conflict renormalization;
+    a conflict leaving no more than MASS_EPS of mass is total."""
     if m1.labels != m2.labels:
         raise ParameterError("mass functions over different world sets")
     out: Dict[int, float] = {}
@@ -449,7 +449,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction, eps: float = MASS_EPS) 
                 conflict += w
             else:
                 out[inter] = out.get(inter, 0.0) + w
-    if 1.0 - conflict <= eps:
+    if 1.0 - conflict <= MASS_EPS:
         raise TotalConflictError(f"total conflict (K = {conflict:.6g})")
     return MassFunction(m1.labels, out)
 
@@ -458,19 +458,18 @@ def ds_plaus_update(
     bel: MassFunction,
     a: EventSet,
     alpha: Union[float, ConfidenceValue],
-    eps: float = MASS_EPS,
 ) -> MassFunction:
     """Graded plausibility update: Dempster-combine with a simple support on a.
 
     At alpha = 0 this is the identity; at alpha = 1 it is Dempster
     conditioning on a.  The normalizer is 1 - alpha + alpha*Plaus(a); when it
-    vanishes the evidence totally conflicts with the state.
+    is at most MASS_EPS the evidence totally conflicts with the state.
     """
     frac = get_domain("frac")
     v = frac.coerce(alpha)
     if v.is_bot:
         return bel
-    return dempster_combine(bel, simple_support(bel.labels, a, v), eps=eps)
+    return dempster_combine(bel, simple_support(bel.labels, a, v))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +523,16 @@ def _simplex_clip(vec: np.ndarray) -> np.ndarray:
 
 def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
     return "|".join(l for i, l in enumerate(labels) if mask >> i & 1)
+
+
+def _mass_from_json(obj: Mapping) -> MassFunction:
+    masses = obj["masses"]
+    if not isinstance(masses, Mapping):
+        raise ParameterError(f"'masses' must be an object of subset: mass, got {masses!r}")
+    return MassFunction(tuple(obj["labels"]), {
+        EventSet.from_names(obj["labels"], [n for n in key.split("|") if n]).mask: float(m)
+        for key, m in masses.items()
+    })
 
 
 class _Kind(NamedTuple):
@@ -598,10 +607,7 @@ _KINDS = (
             "labels": list(b.labels),
             "masses": {_subset_key(b.labels, s): float(m) for s, m in b.masses.items()},
         },
-        from_json=lambda obj: MassFunction(tuple(obj["labels"]), {
-            EventSet.from_names(obj["labels"], [n for n in key.split("|") if n]).mask: float(m)
-            for key, m in obj["masses"].items()
-        }),
+        from_json=_mass_from_json,
     ),
     _Kind(
         "graded", GradedBeliefTable,

@@ -71,8 +71,6 @@ from .learners import (
     kalman_observe,
     kalman_observe_opt,
     lift_to_list,
-    make_bayes_learner,
-    make_interp_learner,
     potential_to_likelihood,
 )
 from .mutants import get_mutants
@@ -182,10 +180,8 @@ def _learner_of(lid: str, params: dict) -> Learner:
     try:
         if base_id == "bayes" and "model" in params:
             spec = params["model"]
-            model = BayesModel(tuple(spec["hypotheses"]), spec["likelihood"])
-            learner = make_bayes_learner(model)
-        else:
-            learner = get_learner(base_id, **params)
+            params = {**params, "model": BayesModel(tuple(spec["hypotheses"]), spec["likelihood"])}
+        learner = get_learner(base_id, **params)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad learner configuration: {exc}") from exc
     except ConfLearnError as exc:
@@ -508,7 +504,7 @@ def experiment_bayes_boltzmann(seed: int = 0, samples: int = 100):
         prior = FiniteSimplex(hyps, rng.dirichlet(np.ones(n)))
         beta = float(rng.uniform(0.1, 3.0))
         model = BayesModel(hyps, {"e": lik})
-        learner = make_bayes_learner(model)
+        learner = get_learner("bayes", model=model)
 
         post_b = learner.observe("e", beta, prior)
         v = RandomVariable(hyps, -np.log(lik))
@@ -618,7 +614,7 @@ def experiment_trotter_convergence(seed: int = 0, samples: int = 0):
     """First-order interleaving: halving the slice size halves the error, and
     interleaving a flow with itself is already exact at one round."""
     del seed, samples  # the instance is pinned for reproducibility
-    learner = make_interp_learner()
+    learner = get_learner("interp")
     labels = ("a", "b", "c", "d")
     p = FiniteSimplex(labels, np.array([0.5, 0.2, 0.2, 0.1]))
     ev_a = p.event(["a", "b"])

@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfLearnError",
+    "DomainMismatchError",
+    "ParameterError",
+    "ZeroMassEventError",
+    "InvalidImagingMapError",
+    "TotalConflictError",
+    "DomainError",
+    "NumericalError",
+    "NoLimitError",
+    "UnsupportedError",
+    "ConfigError",
+    "StepBudgetError",
+]
+
 
 class ConfLearnError(Exception):
     """Base class for all errors raised by this package."""

@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-10
+_STENCIL_STEP = 1e-6  # derivative_field's step on a flow with no closed field
 
 # A field on coordinate arrays, bound to some start state theta0: fmap(v, c)
 # is the field's components at c, the projection of the unprojected state v
@@ -222,12 +223,12 @@ def _obs_label(learner: Learner, phi) -> str:
     return repr(phi)
 
 
-def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandle:
+def derivative_field(learner: Learner, phi) -> VectorFieldHandle:
     """The field generated by vanishing confidence in ``phi``.
 
     Uses the learner's closed form when registered, otherwise a second-order
-    one-sided stencil on the additive flow (the additive axis has nothing to
-    the left of zero, so the stencil is forward).
+    one-sided stencil of step ``_STENCIL_STEP`` on the additive flow (the
+    additive axis has nothing to the left of zero, so the stencil is forward).
     """
     label = f"{learner.id}:{_obs_label(learner, phi)}"
     if learner.closed_field is not None:
@@ -240,7 +241,7 @@ def derivative_field(learner: Learner, phi, h: float = 1e-6) -> VectorFieldHandl
         def eval_fd(theta) -> TangentVector:
             if not learner.in_domain(phi, theta):
                 raise DomainError(outside)
-            v = _forward_stencil(flow, theta, h)
+            v = _forward_stencil(flow, theta, _STENCIL_STEP)
             if _coord_kind(theta).sums_to_one:
                 v = v - v.mean()  # discard off-plane stencil round-off
             return TangentVector(theta, v)
@@ -281,10 +282,10 @@ def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.n
     return (-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * h)
 
 
-def parallel_field(learner: Learner, terms: Sequence[Tuple[Any, float]], h: float = 1e-6) -> VectorFieldHandle:
+def parallel_field(learner: Learner, terms: Sequence[Tuple[Any, float]]) -> VectorFieldHandle:
     """The field of the weighted observations ``terms`` ((phi, w), ...)
     observed simultaneously: ``combine_fields`` of their derivative fields."""
-    fields = [derivative_field(learner, phi, h=h) for phi, _ in terms]
+    fields = [derivative_field(learner, phi) for phi, _ in terms]
     return combine_fields(fields, [w for _, w in terms])
 
 
@@ -345,13 +346,22 @@ def _central_partials(
 ) -> np.ndarray:
     """Central differences of f at theta, whose coordinates are c0: coordinate
     i is stepped by steps[i] and the state rebuilt by ``belief_rebuild``; the
-    partial is zero where steps[i] is zero."""
+    partial is zero where steps[i] is zero.  Where the rebuild clamped
+    coordinate i on either side, the quotient is over the span the rebuilt
+    coordinates cover, a one-sided difference at a bound.  A simplex's
+    rebuild renormalizes every coordinate instead, and keeps 2 steps[i]."""
+    clamps = not _coord_kind(theta).sums_to_one
     partials = np.zeros_like(c0)
     for i in np.flatnonzero(steps):
         e = np.zeros_like(c0)
         e[i] = steps[i]
-        ahead, behind = f(belief_rebuild(theta, c0 + e)), f(belief_rebuild(theta, c0 - e))
-        partials[i] = (float(ahead) - float(behind)) / (2.0 * steps[i])
+        ahead, behind = belief_rebuild(theta, c0 + e), belief_rebuild(theta, c0 - e)
+        span = 2.0 * steps[i]
+        if clamps:
+            hi, lo = belief_coords(ahead)[i], belief_coords(behind)[i]
+            if hi != c0[i] + e[i] or lo != c0[i] - e[i]:
+                span = hi - lo
+        partials[i] = (float(f(ahead)) - float(f(behind))) / span
     if not np.all(np.isfinite(partials)):
         raise NumericalError("non-finite partial derivatives")
     return partials
@@ -369,13 +379,14 @@ def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e
     """Gradient of f at theta under the named metric, in coordinates, from
     central differences on states rebuilt by ``belief_rebuild``.
 
-    "euclidean" steps every coordinate by h > 0.  "fisher" needs coordinates
-    that sum to one; its components are p_i (df/dp_i - sum_j p_j df/dp_j),
-    with coordinates of mass at most 1e-9 frozen (the boundary pseudoinverse
-    convention).  Its mass-relative step h min(1, p_i), 0 < h < 1, keeps every
-    perturbed state inside the simplex, so the rebuild only renormalizes (it
-    would clip silently for h >= 1), and bounds the truncation error of
-    functions like log p_i."""
+    "euclidean" steps every coordinate by h > 0; where the rebuild clamps a
+    side (a grade at 0 or 1, a variance at 0) the difference is one-sided.
+    "fisher" needs coordinates that sum to one; its components are
+    p_i (df/dp_i - sum_j p_j df/dp_j), with coordinates of mass at most 1e-9
+    frozen (the boundary pseudoinverse convention).  Its mass-relative step
+    h min(1, p_i), 0 < h < 1, keeps every perturbed state inside the simplex,
+    so the rebuild only renormalizes (it would clip silently for h >= 1), and
+    bounds the truncation error of functions like log p_i."""
     if metric not in ("fisher", "euclidean"):
         raise UnsupportedError(f"unknown metric {metric!r}")
     fisher = metric == "fisher"

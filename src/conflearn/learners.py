@@ -73,7 +73,6 @@ __all__ = [
     "Learner",
     "get_learner",
     "available_learners",
-    "in_domain",
     "lift_to_list",
     "interp_observe",
     "optimal_gain",
@@ -83,10 +82,11 @@ __all__ = [
     "BayesModel",
     "bayes_observe",
     "potential_to_likelihood",
-    "DEFAULT_BAYES_MODEL",
     "max_graded_observe",
     "SoftmaxModel",
     "LabeledExample",
+    "class_log_probs",
+    "gradient_step",
     "classifier_step_observe",
     "train_limit",
     "NonConvergenceWarning",
@@ -115,6 +115,8 @@ class Learner:
     bel: Optional[Callable[[Any, Any], float]] = None
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
+    # make_flow(phi)(t, belief) is the update at additive time t; a learner
+    # with a coord_flow and no make_flow gets the one coord_flow defines
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
     # coord_flow(phi, ts, labels) is make_flow(phi) at the additive times ts,
     # one per row, bound once to simplexes over ``labels``: None where every
@@ -156,6 +158,13 @@ class Learner:
     # same observation; the list lift is only well defined in that case.
     top_absorbing: bool = True
     notes: str = ""
+
+    def __post_init__(self):
+        coord_flow = self.coord_flow
+        if self.make_flow is None and coord_flow is not None:
+            object.__setattr__(self, "make_flow", lambda phi: (
+                lambda t, p: _on_simplex(coord_flow(phi, (t,), p.labels), p)
+            ))
 
     def __repr__(self) -> str:
         return f"Learner({self.id!r}, domain={self.domain.id!r})"
@@ -243,13 +252,6 @@ def _interp_coord_flow(a: EventSet, ts: Sequence[float], labels: Tuple[str, ...]
     return _interp_map(a, [-math.expm1(-t) for t in ts], labels)
 
 
-def _interp_flow(a: EventSet):
-    def flow(t: float, p: FiniteSimplex) -> FiniteSimplex:
-        return _on_simplex(_interp_coord_flow(a, (t,), p.labels), p)
-
-    return flow
-
-
 def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
     """sum_j w_j (condition(p, a_j) - p) = p * (M^T (w / Mp) - sum w), for
     the k x n indicator matrix M of the events a_j."""
@@ -311,7 +313,6 @@ def make_interp_learner() -> Learner:
         bel=lambda a, p: math.log(p.prob(a)) if p.prob(a) > 0 else -math.inf,
         bel_top=lambda a, p: 0.0,
         translate=_frac_translate,
-        make_flow=_interp_flow,
         coord_flow=_interp_coord_flow,
         closed_field=_interp_field,
         lb_metric="fisher",
@@ -679,7 +680,6 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         bel=bel,
         bel_top=bel_top,
         translate=lambda phi, chi, p: add.to_float(chi),
-        make_flow=lambda phi: (lambda t, p: observe(phi, t, p)),
         coord_flow=coord_flow,
         closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
         lb_metric="fisher",
@@ -1038,6 +1038,7 @@ def _example_from_json(model: SoftmaxModel, obj: Mapping) -> LabeledExample:
 
 
 def class_log_probs(model: SoftmaxModel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log softmax(W x + b): the log probability of each class at theta."""
     w, b = _unpack(model, theta)
     logits = w @ x + b
     logits = logits - logits.max()
@@ -1045,6 +1046,8 @@ def class_log_probs(model: SoftmaxModel, theta: np.ndarray, x: np.ndarray) -> np
 
 
 def gradient_step(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) -> np.ndarray:
+    """One step of size eta down the gradient of -log p(y | x): the reference
+    step that a count of n iterates n times."""
     err = np.exp(class_log_probs(model, theta, ex.x))
     err[ex.y] -= 1.0
     return theta - model.eta * np.concatenate([np.outer(err, ex.x).ravel(), err])
@@ -1379,7 +1382,11 @@ def available_learners() -> Tuple[str, ...]:
 
 
 def get_learner(learner_id: str, **params) -> Learner:
-    """Build a registered learner; keyword params configure bayes/classifier."""
+    """Build a registered learner.  Keyword params configure two of them:
+    ``get_learner("bayes", model=m)`` for a :class:`BayesModel` m, and
+    ``get_learner("classifier", n_features=..., n_classes=..., eta=...,
+    conv_tol=..., max_steps=...)``.  Without params the learner is built once
+    and shared."""
     if learner_id not in _FACTORIES:
         raise ParameterError(f"unknown learner {learner_id!r}")
     if not params:
@@ -1387,8 +1394,3 @@ def get_learner(learner_id: str, **params) -> Learner:
             _DEFAULT_CACHE[learner_id] = _FACTORIES[learner_id]()
         return _DEFAULT_CACHE[learner_id]
     return _FACTORIES[learner_id](**params)
-
-
-def in_domain(learner_id: str, phi, theta) -> bool:
-    """Whether the learner's update is defined at theta for all finite trust."""
-    return get_learner(learner_id).in_domain(phi, theta)

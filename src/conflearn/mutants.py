@@ -15,13 +15,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .confidence import get_domain
-from .learners import (
-    Learner,
-    boltzmann_observe,
-    interp_observe,
-    make_boltzmann_learner,
-    make_interp_learner,
-)
+from .learners import Learner, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
 
@@ -43,7 +37,7 @@ def _interp_mutant(mutant_id: str, observe, note: str) -> Learner:
     closed-form hooks tied to the honest update, so the checks see only the
     corrupted map (and the unchanged Bel)."""
     return replace(
-        make_interp_learner(),
+        get_learner("interp"),
         id=mutant_id,
         observe=observe,
         translate=None,
@@ -135,7 +129,7 @@ def _mutant_lb_euclid() -> Learner:
     """Boltzmann-style learner that descends the raw (unweighted) penalty
     direction instead of the Fisher one, so its initial velocity is not the
     natural gradient of Bel."""
-    base = make_boltzmann_learner()
+    base = get_learner("boltzmann")
     add = base.domain
 
     def observe(phi, chi, theta):

@@ -37,7 +37,6 @@ from conflearn import (
     kalman_combine,
     kalman_observe,
     kalman_observe_opt,
-    make_bayes_learner,
     max_graded_observe,
     potential_to_likelihood,
     run_suite,
@@ -301,7 +300,7 @@ def test_07_bayes_equals_boltzmann():
 
         # tempering the negative log likelihood is powered Bayes
         v = RandomVariable(hyps, -np.log(lik))
-        learner = make_bayes_learner(model)
+        learner = get_learner("bayes", model=model)
         worst = max(
             worst,
             belief_distance(

@@ -25,7 +25,7 @@ from conflearn import (
     dempster_combine,
     ds_plaus_update,
     image,
-    in_domain,
+    get_learner,
     jeffrey,
     simple_support,
 )
@@ -247,9 +247,9 @@ def test_simplex_normalization_guard():
 
 def test_in_domain_predicates():
     p = tri()
-    assert in_domain("interp", p.event(["a"]), p)
+    assert get_learner("interp").in_domain(p.event(["a"]), p)
     zero = FiniteSimplex(("a", "b"), np.array([1.0, 0.0]))
-    assert not in_domain("interp", zero.event(["b"]), zero)
+    assert not get_learner("interp").in_domain(zero.event(["b"]), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,12 @@ def test_belief_distance_of_empty_graded_tables_is_zero():
 def test_belief_json_rejects_unknown_kind():
     with pytest.raises(ParameterError):
         belief_from_json({"kind": "wat"})
+
+
+@pytest.mark.parametrize("masses", [None, "x", [0.5, 0.5], 1])
+def test_mass_json_masses_must_be_an_object(masses):
+    with pytest.raises(ParameterError, match="'masses' must be an object"):
+        belief_from_json({"kind": "mass", "labels": ["a", "b"], "masses": masses})
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,21 @@ def test_learn_malformed_bayes_model_exits_2(tmp_path, capsys, likelihood):
     assert not (tmp_path / "out").exists()
 
 
+def test_learn_bayes_model_beside_an_unknown_param_exits_2(tmp_path, capsys):
+    # the model goes to get_learner with the other params, which must be known
+    model = {"hypotheses": ["h1", "h2"], "likelihood": {"e": [0.5, 0.25]}}
+    cfg = {
+        "learner": "bayes",
+        "learner_params": {"model": model, "eta": 0.1},
+        "belief": {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}},
+        "observation": {"id": "e"},
+    }
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad learner configuration") and err.count("\n") == 1
+    assert run_cli(tmp_path, "learn", dict(cfg, learner_params={"model": model}), "--quiet") == 0
+
+
 @pytest.mark.parametrize("command", ["learn", "combine"])
 @pytest.mark.parametrize(
     "learner,belief,observation",
@@ -601,6 +616,23 @@ def test_belief_of_the_wrong_kind_exits_2_before_any_update(tmp_path, capsys, li
         else:
             assert got == 2, (command, err)
             assert err == f"config error: learner {lid!r} updates {expects} beliefs, not {kind}\n"
+
+
+@pytest.mark.parametrize("masses", [None, "x", [0.5, 0.5], 1])
+def test_mass_belief_whose_masses_is_not_an_object_exits_2(tmp_path, capsys, masses):
+    belief = {"kind": "mass", "labels": ["a", "b"], "masses": masses}
+    observation = {"event": ["a"]}
+    configs = {
+        "learn": _observing("learn", "ds", belief, observation),
+        "combine": _observing("combine", "ds", belief, observation),
+        "trotter": {"learner": "ds", "belief": belief, "observations": [observation] * 2,
+                    "chi": 1.0, "n_values": [1, 2]},
+    }
+    for command, cfg in configs.items():
+        assert run_cli(tmp_path, command, cfg, "--quiet") == 2, command  # not a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'masses' must be an object" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("t", [1, "top"])

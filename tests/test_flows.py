@@ -41,7 +41,6 @@ from conflearn import (
     integrate,
     integrate_sampled,
     interp_observe,
-    make_bayes_learner,
     metric_gradient,
     natural_gradient,
     parallel_field,
@@ -185,6 +184,32 @@ def test_metric_gradient_euclidean():
     b = GaussianBelief(2.0, 1.0)
     grad = metric_gradient(b, lambda g: -((g.mean - 5.0) ** 2) / 2.0, "euclidean")
     assert grad[0] == pytest.approx(3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "theta, slot",
+    [(GradedBeliefTable({"x": 1.0}), 0), (GradedBeliefTable({"x": 0.0}), 0),
+     (GaussianBelief(0.0, 0.0), 1)],
+    ids=["grade-1", "grade-0", "variance-0"],
+)
+def test_metric_gradient_is_one_sided_where_the_rebuild_clamps(theta, slot):
+    # the clamped side moves the coordinate by less than h: the quotient is
+    # over the span the rebuilt coordinates cover, not 2h
+    grad = metric_gradient(theta, lambda s: belief_coords(s)[slot], "euclidean")
+    assert grad[slot] == pytest.approx(1.0, abs=1e-9)
+    assert grad.size == 1 or grad[1 - slot] == 0.0
+
+
+def test_metric_gradient_keeps_the_central_quotient_inside_the_bounds():
+    def f(s):
+        return math.sin(s.mean) + s.var ** 2
+
+    b, h = GaussianBelief(0.5, 2.0), 1e-4
+    grad = metric_gradient(b, f, "euclidean", h=h)
+    c = belief_coords(b)
+    for i, e in enumerate(np.eye(2) * h):
+        ahead, behind = f(belief_rebuild(b, c + e)), f(belief_rebuild(b, c - e))
+        assert grad[i] == (ahead - behind) / (2.0 * h)  # bit for bit
 
 
 def _random_observation(lid, rng, labels):
@@ -551,15 +576,13 @@ def _object_rk4(field, theta, h):
 
 
 def _mixed_field():
-    from conflearn import BayesModel, make_bayes_learner
-
     labels = ("a", "b", "c", "d")
     model = BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.1])})
     p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
     field = combine_fields(
         [
             derivative_field(get_learner("boltzmann"), RandomVariable(labels, np.array([0.3, -0.2, 1.1, 0.4]))),
-            derivative_field(make_bayes_learner(model), "e"),
+            derivative_field(get_learner("bayes", model=model), "e"),
             derivative_field(get_learner("interp"), p.event(["a", "c"])),
         ],
         [0.8, 1.3, 0.6],
@@ -872,7 +895,7 @@ def test_trotter_counts_match_the_object_path_one_by_one(lid, probs, data, chi, 
     else:
         rows = {key: np.array(data.draw(st.lists(_MASSES, min_size=k, max_size=k))) for key in ("e1", "e2")}
         model = BayesModel(labels, rows)
-        learner = make_bayes_learner(model)
+        learner = get_learner("bayes", model=model)
         phis = ["e1", "e2"]
         refs = [_at_slice(_object_bayes_flow(model, key)) for key in phis]
 
@@ -957,7 +980,7 @@ def _parallel_case(kind, rng, n, k):
         if rng.uniform() < 0.6:  # zeros off the state's support only
             lik[:, c > 0.0] = np.maximum(lik[:, c > 0.0], 0.01)
         rows = {f"e{j}": row for j, row in enumerate(lik)}
-        learner = make_bayes_learner(BayesModel(labels, rows))
+        learner = get_learner("bayes", model=BayesModel(labels, rows))
         u = -np.log(np.where(lik > 0.0, lik, 1.0))
         refs = [_ref_gibbs(np.where(row > 0.0, uj, np.inf), None if row.min() > 0.0 else row > 0.0)
                 for row, uj in zip(lik, u)]
@@ -1048,7 +1071,7 @@ def test_combine_evaluates_one_closed_form_per_stage():
 def test_mixed_learners_keep_the_per_handle_sum():
     labels = ("a", "b", "c", "d")
     p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
-    bayes = make_bayes_learner(BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.1])}))
+    bayes = get_learner("bayes", model=BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.1])}))
     terms = [  # in label order: bayes, boltzmann, interp
         (derivative_field(bayes, "e"), 1.3),
         (derivative_field(get_learner("boltzmann"), RandomVariable(labels, np.array([0.3, -0.2, 1.1, 0.4]))), 0.8),

@@ -30,7 +30,6 @@ from conflearn.learners import (
     _Penalty,
     boltzmann_observe,
     get_learner,
-    make_bayes_learner,
 )
 
 ADD = get_domain("add")
@@ -169,7 +168,7 @@ def random_case(rng, max_n=12):
         pr[rng.uniform(size=n) < 0.3] = 0.0
     pr[int(rng.integers(n))] += 0.1  # keep some mass
     p = FiniteSimplex(hyps, pr)
-    return hyps, lik, p, make_bayes_learner(BayesModel(hyps, {"e": lik}))
+    return hyps, lik, p, get_learner("bayes", model=BayesModel(hyps, {"e": lik}))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def test_top_breaks_ties_by_likelihood_not_by_its_log():
     assert a < b and math.log(a) == math.log(b)
     hyps = ("h0", "h1", "h2")
     lik = np.array([a, b, 0.1])
-    learner = make_bayes_learner(BayesModel(hyps, {"e": lik}))
+    learner = get_learner("bayes", model=BayesModel(hyps, {"e": lik}))
     p = FiniteSimplex(hyps, np.array([0.5, 0.25, 0.25]))
     post = learner.observe("e", ADD.top, p)
     assert list(post.probs) == [0.0, 1.0, 0.0]
@@ -259,7 +258,7 @@ def test_integrated_states_keep_their_bits():
         "e1": np.array([0.4, 0.8, 0.1, 0.7, 0.3]),
         "e2": np.array([0.0, 0.4, 0.0, 0.9, 0.6]),
     }
-    learner = make_bayes_learner(BayesModel(hyps, rows))
+    learner = get_learner("bayes", model=BayesModel(hyps, rows))
     ref = replace(learner, closed_field=lambda terms: ref_bayes_sum_field(rows, terms))
     p = FiniteSimplex(hyps, np.array([0.3, 0.0, 0.3, 0.4, 0.0]))
     q = FiniteSimplex(hyps, np.array([0.0, 0.5, 0.0, 0.2, 0.3]))
@@ -286,7 +285,7 @@ def test_integrated_states_keep_their_bits():
 
 def test_zero_evidence_errors_keep_their_messages():
     hyps = ("a", "b", "c")
-    learner = make_bayes_learner(BayesModel(hyps, {"e": np.array([0.0, 0.5, 0.0])}))
+    learner = get_learner("bayes", model=BayesModel(hyps, {"e": np.array([0.0, 0.5, 0.0])}))
     p = FiniteSimplex(hyps, np.array([0.5, 0.0, 0.5]))
     for chi in (0.5, ADD.top):
         with pytest.raises(ZeroMassEventError) as exc:

@@ -1,5 +1,6 @@
 """Update rules for the seven built-in learners and the list lift."""
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -35,7 +36,6 @@ from conflearn import (
     kalman_observe,
     kalman_observe_opt,
     lift_to_list,
-    make_classifier_learner,
     optimal_gain,
     potential_to_likelihood,
     train_limit,
@@ -176,9 +176,8 @@ def test_bayes_powered_likelihood():
     prior = FiniteSimplex(("h1", "h2"), np.array([0.5, 0.5]))
     learner = get_learner("bayes")
     # the default model is fixed; build one with the same table instead
-    from conflearn import make_bayes_learner
 
-    learner = make_bayes_learner(m)
+    learner = get_learner("bayes", model=m)
     out = learner.observe("e", ADD.value(2.0), prior)
     expect = 0.64 / (0.64 + 0.04)
     assert out.probs[0] == pytest.approx(expect, abs=1e-12)
@@ -304,7 +303,7 @@ def test_classifier_warns_when_capped():
 
 
 def test_classifier_learner_registry_params():
-    learner = make_classifier_learner(n_features=3, n_classes=4)
+    learner = get_learner("classifier", n_features=3, n_classes=4)
     phi, theta = learner.sample_instance(np.random.default_rng(5))
     assert theta.shape == (4 * 4,)
     assert learner.domain.id == "count"
@@ -502,7 +501,7 @@ def assert_same_outcomes(got, want):
 )
 def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
     model = SoftmaxModel(d, k, eta=eta, max_steps=max_steps)
-    learner = make_classifier_learner(d, k, eta=eta, max_steps=max_steps)
+    learner = get_learner("classifier", n_features=d, n_classes=k, eta=eta, max_steps=max_steps)
     # 1e200 overflows the logits after one step, so the states go non-finite
     coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e200, -1e200]))
     x = data.draw(st.lists(coord, min_size=d, max_size=d))
@@ -531,7 +530,7 @@ def test_classifier_sweep_costs_its_largest_count(monkeypatch):
     rng = np.random.default_rng(7)
     counts = [int(v) for v in rng.choice(np.arange(1, 128), 97, replace=False)] + [128]
     grid = [COUNT.bot] + list(rng.permutation(counts))
-    learner = make_classifier_learner(n_features=2, n_classes=3)
+    learner = get_learner("classifier", n_features=2, n_classes=3)
     ex, theta = LabeledExample(np.array([0.4, -1.1]), 2), rng.normal(size=9)
     calls = counting_steps(monkeypatch)
     got = list(learner.sweep(ex, grid, theta))
@@ -550,7 +549,7 @@ def test_classifier_sweep_reports_the_first_failing_entry():
 
 
 def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
-    learner = make_classifier_learner(max_steps=10)
+    learner = get_learner("classifier", max_steps=10)
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     want = learner.observe(ex, 5, theta)
     calls = counting_steps(monkeypatch)
@@ -660,3 +659,21 @@ def test_kalman_mean_between_prior_and_measurement(z, k, r2):
     out = kalman_observe(z, (k, r2), prior)
     lo, hi = min(1.0, z), max(1.0, z)
     assert lo - 1e-12 <= out.mean <= hi + 1e-12
+
+
+@pytest.mark.parametrize("lid", ["interp", "boltzmann", "bayes"])
+def test_make_flow_is_the_one_coord_flow_defines(lid):
+    # a learner given a coord_flow and no make_flow gets the one it defines
+    learner = get_learner(lid)
+    derived = dataclasses.replace(learner, make_flow=None)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        phi, p = learner.sample_instance(rng)
+        for t in (0.0, 0.3, 2.5, math.inf):
+            alpha = -math.expm1(-t) if lid == "interp" else t
+            got = derived.make_flow(phi)(t, p)
+            assert np.array_equal(got.probs, learner.observe(phi, alpha, p).probs)
+    # an explicit make_flow wins, and no coord_flow leaves none
+    explicit = derived.make_flow
+    assert dataclasses.replace(learner, make_flow=explicit).make_flow is explicit
+    assert dataclasses.replace(learner, make_flow=None, coord_flow=None).make_flow is None
