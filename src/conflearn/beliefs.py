@@ -60,6 +60,8 @@ MAX_MASS_WORLDS = 20
 
 
 def _check_labels(labels: Sequence[str], cap: int) -> Tuple[str, ...]:
+    if isinstance(labels, str):  # would read as a list of one-letter names
+        raise ParameterError(f"world labels must be a list of names, got {labels!r}")
     labels = tuple(labels)
     if not labels:
         raise ParameterError("at least one world label is required")
@@ -511,14 +513,17 @@ class GradedBeliefTable:
 # Belief kinds: the one place each representation is described.
 
 
-def _simplex_clip(vec: np.ndarray) -> np.ndarray:
-    clipped = np.maximum(vec, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise NumericalError("probability mass vanished during integration")
+def _simplex_clip(vec: np.ndarray, total) -> np.ndarray:
+    # total is vec's sum; with every entry positive, clipping changes no bit
+    # and the clipped sum is the same sum
+    if not np.minimum.reduce(vec) > 0.0:
+        vec = np.maximum(vec, 0.0)
+        total = np.add.reduce(vec)
+        if total <= 0.0:
+            raise NumericalError("probability mass vanished during integration")
     if total <= MASS_EPS:  # FiniteSimplex's own check
         raise ParameterError("probability vector sums to zero")
-    return clipped / total
+    return vec / total
 
 
 def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
@@ -526,11 +531,11 @@ def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
 
 
 def _mass_from_json(obj: Mapping) -> MassFunction:
-    masses = obj["masses"]
+    labels, masses = _check_labels(obj["labels"], MAX_MASS_WORLDS), obj["masses"]
     if not isinstance(masses, Mapping):
         raise ParameterError(f"'masses' must be an object of subset: mass, got {masses!r}")
-    return MassFunction(tuple(obj["labels"]), {
-        EventSet.from_names(obj["labels"], [n for n in key.split("|") if n]).mask: float(m)
+    return MassFunction(labels, {
+        EventSet.from_names(labels, [n for n in key.split("|") if n]).mask: float(m)
         for key, m in masses.items()
     })
 
@@ -538,8 +543,9 @@ def _mass_from_json(obj: Mapping) -> MassFunction:
 class _Kind(NamedTuple):
     """How one belief representation is handled outside its class.
 
-    ``distance`` is only called on beliefs with equal ``space`` keys.  ``clip``
-    maps finite coordinates into the constraint set with a belief's checks;
+    ``distance`` is only called on beliefs with equal ``space`` keys.
+    ``clip(vec, total)`` maps finite coordinates vec, whose sum is total, into
+    the constraint set with a belief's checks;
     ``make(template, vec, coords)`` builds the belief like ``template`` with
     coordinates ``coords = project(vec)``.  Mass functions have no coordinates.
     """
@@ -552,16 +558,17 @@ class _Kind(NamedTuple):
     from_json: Callable[[Mapping], object]
     labels: Optional[Callable[[object], Tuple[str, ...]]] = None
     coords: Optional[Callable[[object], np.ndarray]] = None
-    clip: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    clip: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     make: Optional[Callable[[object, np.ndarray, np.ndarray], object]] = None
     sums_to_one: bool = False  # coordinates sum to one; velocities to zero
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """vec in the kind's constraint set: the coordinates of its rebuilt belief."""
         # a finite sum has finite terms; only a non-finite one needs a closer look
-        if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+        total = np.add.reduce(vec)
+        if not math.isfinite(total) and not np.isfinite(vec).all():
             raise NumericalError("non-finite coordinates during integration")
-        return self.clip(vec)
+        return self.clip(vec, total)
 
 
 _KINDS = (
@@ -572,7 +579,7 @@ _KINDS = (
         to_json=lambda b: {"labels": list(b.labels), "probs": [float(x) for x in b.probs]},
         from_json=lambda obj: (
             FiniteSimplex.from_dict(obj["probs"]) if isinstance(obj.get("probs"), Mapping)
-            else FiniteSimplex(tuple(obj["labels"]), np.asarray(obj["probs"], dtype=float))
+            else FiniteSimplex(obj["labels"], np.asarray(obj["probs"], dtype=float))
         ),
         labels=lambda b: b.labels,
         coords=lambda b: b.probs.copy(),
@@ -594,7 +601,7 @@ _KINDS = (
         ),
         labels=lambda b: ("mean", "var"),
         coords=lambda b: np.array([b.mean, b.var]),
-        clip=lambda vec: np.array([vec[0], max(vec[1], 0.0)]),
+        clip=lambda vec, total: np.array([vec[0], max(vec[1], 0.0)]),
         make=lambda template, vec, coords: GaussianBelief(*coords),
     ),
     _Kind(
@@ -619,7 +626,7 @@ _KINDS = (
         from_json=lambda obj: GradedBeliefTable(dict(obj["entries"])),
         labels=lambda b: b.keys(),
         coords=lambda b: np.array([b.entries[k] for k in b.keys()]),
-        clip=lambda vec: np.clip(vec, 0.0, 1.0),
+        clip=lambda vec, total: np.clip(vec, 0.0, 1.0),
         make=lambda template, vec, coords: GradedBeliefTable(dict(zip(template.keys(), coords))),
     ),
     _Kind(
@@ -630,7 +637,7 @@ _KINDS = (
         from_json=lambda obj: np.asarray(obj["values"], dtype=float),
         labels=lambda b: tuple(f"p{i}" for i in range(b.size)),
         coords=lambda b: np.asarray(b, dtype=float).copy(),
-        clip=lambda vec: vec,
+        clip=lambda vec, total: vec,
         make=lambda template, vec, coords: coords.copy(),
     ),
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -180,7 +181,7 @@ def _learner_of(lid: str, params: dict) -> Learner:
     try:
         if base_id == "bayes" and "model" in params:
             spec = params["model"]
-            params = {**params, "model": BayesModel(tuple(spec["hypotheses"]), spec["likelihood"])}
+            params = {**params, "model": BayesModel(spec["hypotheses"], spec["likelihood"])}
         learner = get_learner(base_id, **params)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad learner configuration: {exc}") from exc
@@ -684,6 +685,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conflearn",

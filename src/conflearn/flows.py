@@ -16,11 +16,14 @@ into one such form, and sums any other fields term by term.  ``integrate``
 and ``integrate_sampled`` share one driver: it checks the step budget, binds
 the field once, steps on arrays to finite time (sample by sample) or to the
 limit, and returns the end state with the rows (t, *coords) of the start,
-each sample time and the end.  It checks the velocity of every stage
-(finite, and on the sum-one plane for a simplex), and projects each stage
-into the constraint set with the projection of the belief's kind record
-(``beliefs._KINDS``), which makes the checks a belief object makes.  Beliefs
-are built for the result, and for each evaluation of a field with no closed
+each sample time and the end.  Each RK4 stage projects its state into the
+constraint set with the projection of the belief's kind record
+(``beliefs._KINDS``), which makes the checks a belief object makes and, for
+a strictly positive simplex state, divides by the sum it checked without
+clipping.  It then calls one closure: for a closed form, that closure calls
+the form on the projection, names the field in a DomainError, and checks
+the velocity (finite, and on the sum-one plane for a simplex).  Beliefs are
+built for the result, and for each evaluation of a field with no closed
 form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
 CSV writer of the package.
 
@@ -154,29 +157,30 @@ class TangentVector:
 class VectorFieldHandle:
     """A named, space-tagged vector field; evaluate with ``field(theta)``.
 
-    A ``space`` of None is fixed by the first evaluation.  ``_coords(theta0,
-    space)``, if given, is the field on theta0's space as a CoordsMap: the
-    integrators step with it, and an ``eval_at`` of None wraps its
-    components in a TangentVector.  ``_source`` is ``(learner, phi)`` for
-    the closed field of one observation, which ``combine_fields`` merges.
+    A ``space`` of None is fixed by the first evaluation.  ``_coords``, if
+    given, is a learner's closed form: ``_coords(space)`` maps coordinates on
+    that space to components, raising DomainError outside the field's domain.
+    ``_terms`` ((handle, w), ...), if given, makes the field the weighted sum
+    of the handles' fields.  The integrators step with ``_bind``'s map, and an
+    ``eval_at`` of None evaluates that map at one belief.  ``_source`` is
+    ``(learner, phi)`` for the closed field of one observation, which
+    ``combine_fields`` merges.
     """
 
     label: str
     space: Optional[tuple]
     eval_at: Optional[Callable[[Any], TangentVector]]
     _coords: Optional[Callable] = field(default=None, kw_only=True, repr=False, compare=False)
+    _terms: tuple = field(default=(), kw_only=True, repr=False, compare=False)
     _source: Optional[tuple] = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eval_at is None:
-            coords = self._coords
-            if coords is None:
+            if self._coords is None and not self._terms:
                 raise ParameterError(f"field {self.label!r} needs eval_at or a coordinate map")
 
             def eval_at(theta) -> TangentVector:
-                kind = _coord_kind(theta)
-                fmap = coords(theta, kind.space(theta))
-                return TangentVector(theta, fmap(None, kind.coords(theta)))
+                return TangentVector(theta, self._bind(theta)[0](None, belief_coords(theta)))
 
             object.__setattr__(self, "eval_at", eval_at)
 
@@ -194,22 +198,45 @@ class VectorFieldHandle:
 
     def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
         """The field on theta0's space as a CoordsMap whose components pass
-        the checks a TangentVector makes, and the space's projection.  With
-        no ``_coords``, each stage belief is rebuilt for ``eval_at``."""
+        the checks a TangentVector makes, and the space's projection.  A
+        closed form or a sum is one closure around its arithmetic; with
+        neither, each stage belief is rebuilt for ``eval_at``."""
         kind = _coord_kind(theta0)
-        key = kind.space(theta0)
+        key, sums_to_one = kind.space(theta0), kind.sums_to_one
         self._match(key)
-        if self._coords is None:
+        if self._coords is not None:
+            outside = f"state outside the update domain of {self.label}"
+            try:
+                form = self._coords(key)
+            except DomainError:
+                raise DomainError(outside) from None
+
+            def fmap(v, c):
+                try:
+                    comp = form(c)
+                except DomainError:
+                    raise DomainError(outside) from None
+                _check_tangent(comp, sums_to_one)
+                return comp
+
+        elif self._terms:
+            terms = [(f._bind(theta0)[0], w) for f, w in self._terms]
+
+            def fmap(v, c):
+                total = None
+                for term, w in terms:
+                    comp = term(v, c)
+                    total = w * comp if total is None else total + w * comp
+                _check_tangent(total, sums_to_one)
+                return total
+
+        else:
             eval_at = self.eval_at
-            return (lambda v, c: eval_at(_result(theta0, v)).components), kind.project
-        fmap, sums_to_one = self._coords(theta0, key), kind.sums_to_one
 
-        def checked(v, c):
-            comp = fmap(v, c)
-            _check_tangent(comp, sums_to_one)
-            return comp
+            def fmap(v, c):
+                return eval_at(_result(theta0, v)).components
 
-        return checked, kind.project
+        return fmap, kind.project
 
 
 # bench/tracer.py looks this name up; the alias stays until the tracer
@@ -254,24 +281,7 @@ def derivative_field(learner: Learner, phi) -> VectorFieldHandle:
 def _closed_handle(label: str, learner: Learner, terms: tuple, source=None) -> VectorFieldHandle:
     """The field of the weighted observations ``terms`` (label order) as the
     learner's one closed form, bound to a belief space once per integration."""
-    outside = f"state outside the update domain of {label}"
-    bind = learner.closed_field(terms)
-
-    def closed_map(theta0, space) -> CoordsMap:
-        try:
-            field = bind(space)
-        except DomainError:
-            raise DomainError(outside) from None
-
-        def fmap(v, c):
-            try:
-                return field(c)
-            except DomainError:
-                raise DomainError(outside) from None
-
-        return fmap
-
-    return VectorFieldHandle(label, None, None, _coords=closed_map, _source=source)
+    return VectorFieldHandle(label, None, None, _coords=learner.closed_field(terms), _source=source)
 
 
 def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.ndarray:
@@ -318,20 +328,7 @@ def combine_fields(
         # closed fields of one learner: its closed form of the weighted sum
         terms = tuple((phi, w) for (_, phi), (_, w) in zip(sources, pairs))
         return _closed_handle(label, learner, terms)
-
-    def sum_map(theta0, space) -> CoordsMap:
-        terms = [(f._bind(theta0)[0], w) for f, w in pairs]
-
-        def fmap(v, c):
-            total = None
-            for term, w in terms:
-                comp = term(v, c)
-                total = w * comp if total is None else total + w * comp
-            return total
-
-        return fmap
-
-    return VectorFieldHandle(label, None, None, _coords=sum_map)
+    return VectorFieldHandle(label, None, None, _terms=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +474,17 @@ def _coerce_time(t) -> float:
     return t
 
 
-def _at(f: CoordsMap, project: Project, v: np.ndarray) -> np.ndarray:
-    return f(v, project(v))
-
-
 def _advance(f: CoordsMap, project: Project, c, k1, h: float, scheme: str) -> np.ndarray:
     """One step of size h from projected coordinates c, where k1 is the field
     there; returns the new state before its projection."""
     if scheme == "euler":
         return c + h * k1
-    k2 = _at(f, project, c + 0.5 * h * k1)
-    k3 = _at(f, project, c + 0.5 * h * k2)
-    k4 = _at(f, project, c + h * k3)
+    v = c + 0.5 * h * k1
+    k2 = f(v, project(v))
+    v = c + 0.5 * h * k2
+    k3 = f(v, project(v))
+    v = c + h * k3
+    k4 = f(v, project(v))
     return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -544,7 +540,7 @@ def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
         c = project(v)
         k1 = f(v, c)  # also the next step's first stage
         after = c.tobytes()
-        if float(np.abs(k1).max()) < cfg.limit_tol:
+        if float(np.maximum.reduce(np.abs(k1))) < cfg.limit_tol:
             quiet += 1
             if quiet >= _QUIET_STEPS:
                 return c, v

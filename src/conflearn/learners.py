@@ -55,9 +55,11 @@ from .beliefs import (
     GradedBeliefTable,
     MassFunction,
     RandomVariable,
+    _check_labels,
     ds_plaus_update,
     normalize_probs,
     MASS_EPS,
+    MAX_WORLDS,
 )
 from .errors import (
     DomainError,
@@ -235,7 +237,7 @@ def _interp_map(a: EventSet, alphas: Sequence, labels: Tuple[str, ...]):
     def step(c: np.ndarray) -> np.ndarray:
         mass = np.vecdot(c, ind)  # condition(p, a) row by row, op for op
         # one belief's vector has one mass, which numpy applies faster as is
-        least = float(mass.min() if mass.ndim else mass)
+        least = float(np.minimum.reduce(mass) if mass.ndim else mass)
         if least <= MASS_EPS:
             raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
         cond = c * ind / (mass[:, None] if mass.ndim else mass)
@@ -266,7 +268,7 @@ def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
 
         def field(c: np.ndarray) -> np.ndarray:
             mass = m @ c
-            if mass.min() <= MASS_EPS:
+            if np.minimum.reduce(mass) <= MASS_EPS:
                 raise DomainError(f"event {events[int(mass.argmin())]!r} has no mass")
             return c * ((w / mass) @ m - total)
 
@@ -753,9 +755,7 @@ class BayesModel:
     likelihood: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        hyps = tuple(self.hypotheses)
-        if not hyps or len(set(hyps)) != len(hyps):
-            raise ParameterError("hypothesis labels must be nonempty and unique")
+        hyps = _check_labels(self.hypotheses, MAX_WORLDS)  # the worlds of the prior
         object.__setattr__(self, "hypotheses", hyps)
         if not isinstance(self.likelihood, Mapping):
             raise ParameterError("the likelihood must map observation ids to rows")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflearn import (
+    BayesModel,
     EventSet,
     FiniteSimplex,
     GaussianBelief,
@@ -29,6 +30,8 @@ from conflearn import (
     jeffrey,
     simple_support,
 )
+from conflearn.beliefs import MASS_EPS, _BY_CLS
+from conflearn.errors import NumericalError
 
 
 def tri(pa=0.5, pb=0.3, pc=0.2):
@@ -232,6 +235,23 @@ def test_event_names_must_not_be_a_bare_string():
         EventSet.from_names(("a", "b"), "ab")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteSimplex("ab", np.array([0.5, 0.5])),
+        lambda: MassFunction("ab", {1: 1.0}),
+        lambda: BayesModel("ab", {"e": [0.5, 0.5]}),
+        lambda: belief_from_json({"kind": "simplex", "labels": "ab", "probs": [0.5, 0.5]}),
+        lambda: belief_from_json({"kind": "mass", "labels": "ab", "masses": {"a": 1.0}}),
+    ],
+    ids=["simplex", "mass", "bayes-model", "simplex-json", "mass-json"],
+)
+def test_world_labels_must_not_be_a_bare_string(build):
+    # "ab" would otherwise be read as the worlds a and b
+    with pytest.raises(ParameterError, match="world labels must be a list of names, got 'ab'"):
+        build()
+
+
 def test_simplex_normalization_guard():
     # non-unit mass is renormalized, negative mass is rejected
     p = FiniteSimplex(("a", "b"), np.array([0.7, 0.7]))
@@ -341,3 +361,46 @@ def test_ds_update_bel_monotone_in_alpha(p, alpha):
     a = m.event(["a", "b"])
     out = ds_plaus_update(m, a, alpha)
     assert out.bel(a) >= m.bel(a) - 1e-12
+
+
+def _clip_then_sum(vec):
+    """The simplex projection as it was before it skipped the clip: the
+    finiteness check, np.maximum, a second sum and the division."""
+    if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+        raise NumericalError("non-finite coordinates during integration")
+    clipped = np.maximum(vec, 0.0)
+    total = clipped.sum()
+    if total <= 0.0:
+        raise NumericalError("probability mass vanished during integration")
+    if total <= MASS_EPS:
+        raise ParameterError("probability vector sums to zero")
+    return clipped / total
+
+
+_PROJECTION_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MASS_EPS, -MASS_EPS,
+                     0.5 * MASS_EPS, math.inf, -math.inf, math.nan, 1e308]),
+    st.floats(-MASS_EPS, 0.0, exclude_max=True),  # round-off negatives
+    st.floats(0.0, 1e-300),  # subnormals and tiny normals
+    st.floats(0.0, MASS_EPS),  # vectors of these sum to at most MASS_EPS or just past it
+    st.floats(0.0, 1.0),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_PROJECTION_ENTRIES, min_size=1, max_size=8))
+def test_simplex_projection_keeps_the_bits_of_clip_then_sum(entries):
+    vec = np.array(entries, dtype=float)
+    project = _BY_CLS[FiniteSimplex].project
+    with np.errstate(over="ignore", invalid="ignore"):  # as the integrators run it
+        try:
+            want = _clip_then_sum(vec.copy())
+        except (NumericalError, ParameterError) as exc:
+            with pytest.raises(type(exc)) as got:
+                project(vec)
+            assert str(got.value) == str(exc)
+            return
+        got = project(vec)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

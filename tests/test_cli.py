@@ -1,5 +1,6 @@
 """The conflearn command line: configs in, CSV/JSON out, honest exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -342,6 +343,61 @@ def test_unknown_learner_exits_2(tmp_path):
         "observation": {"event": ["a"]},
     }
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys, request):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    request.addfinalizer(cli._build_parser.cache_clear)
+    seen, emit = [], cli._emit
+
+    def recording_emit(args, payload):
+        seen.append((args.quiet, args.seed, args.output))
+        emit(args, payload)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "equiv.json", {"experiment": "kalman-sequential", "samples": 3})
+    assert main(["equiv", "--config", cfg, "--output", "first", "--seed", "7", "--quiet"]) == 0
+    assert built and capsys.readouterr().out == ""
+    n_built = len(built)
+    assert main(["equiv", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["experiment"] == "kalman-sequential"
+    with pytest.raises(SystemExit) as exc:
+        main(["nosuch", "--config", cfg])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert len(built) == n_built  # every parser was built by the first call
+    assert seen == [(True, 7, "first"), (False, None, ".")]
+    assert (tmp_path / "first" / "equiv_kalman-sequential.json").exists()
+    assert (tmp_path / "equiv_kalman-sequential.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"learner": "bayes", "learner_params": {"model": {"hypotheses": "ab", "likelihood": {"e": [0.5, 0.5]}}},
+         "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.5}}, "observation": {"id": "e"}},
+        {"learner": "interp", "belief": {"kind": "simplex", "labels": "ab", "probs": [0.5, 0.5]},
+         "observation": {"event": ["a"]}},
+        {"learner": "ds", "belief": {"kind": "mass", "labels": "ab", "masses": {"a": 0.5, "a|b": 0.5}},
+         "observation": {"event": ["a"]}},
+    ],
+    ids=["bayes-hypotheses", "simplex-labels", "mass-labels"],
+)
+def test_learn_string_where_a_list_of_names_belongs_exits_2(tmp_path, capsys, cfg):
+    # "ab" would otherwise be read as the worlds a and b
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "world labels must be a list of names, got 'ab'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conflearn.beliefs import MASS_EPS
 from conflearn.errors import StepBudgetError
+from conflearn.flows import _check_tangent
 from conflearn import (
     BayesModel,
     DomainError,
@@ -38,6 +39,7 @@ from conflearn import (
     derivative_field,
     ds_plaus_update,
     get_learner,
+    get_mutants,
     integrate,
     integrate_sampled,
     interp_observe,
@@ -1088,3 +1090,166 @@ def test_limit_integration_stops_when_a_step_cannot_move_the_state():
     field = derivative_field(learner, RandomVariable(p.labels, np.array([1.0, 2.0, 3.0])))
     with pytest.raises(NoLimitError, match="does not move the state"):
         integrate(field, p, math.inf, IntegratorConfig(step=1e-300))
+
+
+# ---------------------------------------------------------------------------
+# The stage path against the sequence it replaced, bit for bit.
+
+
+def _old_projection(theta0):
+    """The projection the integrators used before the clip skip: the
+    finiteness check, then the simplex clip (np.maximum, a second sum,
+    division) or the graded clamp."""
+    simplex = isinstance(theta0, FiniteSimplex)
+
+    def project(vec):
+        if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+            raise NumericalError("non-finite coordinates during integration")
+        if not simplex:
+            return np.clip(vec, 0.0, 1.0)
+        clipped = np.maximum(vec, 0.0)
+        total = clipped.sum()
+        if total <= 0.0:
+            raise NumericalError("probability mass vanished during integration")
+        if total <= MASS_EPS:
+            raise ParameterError("probability vector sums to zero")
+        return clipped / total
+
+    return project
+
+
+def _old_rows(form, theta0, t, cfg, step_out):
+    """integrate_sampled's rows and final coordinates, stepped the way the
+    integrator stepped before one closure reached the closed form: every
+    stage went through _at (the projection, then the form) and the form's
+    components through _check_tangent."""
+    project, simplex = _old_projection(theta0), isinstance(theta0, FiniteSimplex)
+
+    def at(v, c):
+        comp = form(v, c)
+        _check_tangent(comp, simplex)
+        return comp
+
+    def advance(c, k1, h):
+        k2 = at(c + 0.5 * h * k1, project(c + 0.5 * h * k1))
+        k3 = at(c + 0.5 * h * k2, project(c + 0.5 * h * k2))
+        k4 = at(c + h * k3, project(c + h * k3))
+        return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    c, v = belief_coords(theta0), None
+    rows = [(0.0,) + tuple(c)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isinf(t):
+            k1, quiet = at(None, c), 0
+            for _ in range(100_000):
+                v = advance(c, k1, cfg.step)
+                c = project(v)
+                k1 = at(v, c)
+                quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
+                if quiet == 10:
+                    break
+            assert quiet == 10
+            rows.append((t,) + tuple(c))
+        else:
+            now = 0.0
+            for i in range(1, int(math.ceil(t / step_out)) + 1):
+                target = min(i * step_out, t)
+                n_full, rem = divmod(target - now, cfg.step)
+                for h in [cfg.step] * int(n_full) + ([rem] if rem > 1e-15 else []):
+                    v = advance(c, at(v, c), h)
+                    c = project(v)
+                now = target
+                rows.append((now,) + tuple(c))
+    if v is None:
+        return rows, belief_coords(theta0)
+    if simplex:  # FiniteSimplex divides the clamped vector itself
+        return rows, theta0.with_probs(np.maximum(v, 0.0)).probs
+    return rows, project(v)
+
+
+def _closed_form(learner, phis, weights, space):
+    """The learner's closed form of the weighted observations, in the label
+    order combine_fields hands it, as a map of (v, c)."""
+    labels = [derivative_field(learner, phi).label for phi in phis]
+    order = sorted(range(len(phis)), key=lambda j: labels[j])
+    field = learner.closed_field(tuple((phis[j], weights[j]) for j in order))(space)
+    return lambda v, c: field(c)
+
+
+def _stage_cases():
+    """(name, handle, theta0, form of (v, c) spelled out)."""
+    labels = ("a", "b", "c", "d")
+    p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
+    edge = FiniteSimplex(labels, np.array([0.25, 0.45, 0.3, 0.0]))  # a zero stays zero
+    space = ("simplex", labels)
+    interp, boltzmann = get_learner("interp"), get_learner("boltzmann")
+    model = BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.0]), "f": np.array([0.1, 0.6, 0.3, 0.2]),
+                                "g": np.array([0.4, 0.1, 0.3, 0.9])})
+    bayes = get_learner("bayes", model=model)
+    graded = get_learner("max-graded")
+    table = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5, "phi3": 0.9})
+    events = [p.event(["a", "c"]), p.event(["b", "c", "d"])]
+    rvs = [RandomVariable(labels, np.array(u)) for u in ([0.3, -0.2, 1.1, 0.4], [1.0, 0.5, -0.4, 0.0])]
+    weights = [0.6, 1.3]
+    (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
+
+    def fields(learner, phis):
+        return combine_fields([derivative_field(learner, phi) for phi in phis], weights)
+
+    cases = []
+    for name, learner, phis, theta0 in (
+        ("interp", interp, events, p),
+        ("interp-edge", interp, events, edge),
+        ("boltzmann", boltzmann, rvs, p),
+        ("boltzmann-edge", boltzmann, rvs, edge),
+        ("bayes", bayes, ["f", "g"], p),
+        ("bayes-edge", bayes, ["e", "f"], edge),  # zero evidence where there is no mass
+    ):
+        cases.append((name, fields(learner, phis), theta0, _closed_form(learner, phis, weights, space)))
+    cases.append(("max-graded", fields(graded, ["phi1", "phi3"]), table,
+                  _closed_form(graded, ["phi1", "phi3"], weights, ("graded", table.keys()))))
+
+    # two learners: the per-handle sum in label order (boltzmann, then interp)
+    two = combine_fields([derivative_field(interp, events[0]), derivative_field(boltzmann, rvs[0])],
+                         [0.6, 1.3])
+    boltz_form = _closed_form(boltzmann, rvs[:1], [1.0], space)
+    interp_form = _closed_form(interp, events[:1], [1.0], space)
+
+    def two_form(v, c):
+        return 1.3 * boltz_form(v, c) + 0.6 * interp_form(v, c)
+
+    cases.append(("two-learners", two, p, two_form))
+
+    # a finite-difference field rebuilds each stage's belief from its unprojected state
+    fd = derivative_field(euclid, rvs[0])
+    old_project = _old_projection(p)
+
+    def fd_form(v, c):
+        if v is not None:
+            old_project(v)  # the rebuild's checks
+        return fd.eval_at(p if v is None else p.with_probs(np.maximum(v, 0.0))).components
+
+    cases.append(("fd-mutant", fd, p, fd_form))
+    return cases
+
+
+@pytest.mark.parametrize("t", [0.75, math.inf], ids=["finite", "top"])
+@pytest.mark.parametrize("case", _stage_cases(), ids=lambda case: case[0])
+def test_stage_path_keeps_the_bits_of_the_old_sequence(case, t):
+    _, field, theta0, form = case
+    cfg = IntegratorConfig(step=0.03)  # whole steps and a remainder in every sample
+    final, record = integrate_sampled(field, theta0, t, cfg, step_out=0.1)
+    rows, coords = _old_rows(form, theta0, t, cfg, 0.1)
+    assert np.array(record.rows).tobytes() == np.array(rows).tobytes()
+    assert belief_coords(final).tobytes() == coords.tobytes()
+
+
+def test_closed_fields_name_their_domain_in_the_stage_path():
+    p = FiniteSimplex(("a", "b", "c"), np.array([0.6, 0.4, 0.0]))
+    interp, boltzmann = get_learner("interp"), get_learner("boltzmann")
+    empty = derivative_field(interp, p.event(["c"]))
+    pull = derivative_field(boltzmann, RandomVariable(p.labels, np.array([0.0, 1.0, 2.0])))
+    for field in (empty, combine_fields([empty, pull])):
+        for t in (1.0, math.inf):
+            with pytest.raises(DomainError, match=r"^state outside the update domain of interp:"):
+                integrate(field, p, t)
