@@ -2,8 +2,9 @@
 
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
-statements in parallel, integrates fields with a fixed-step RK4/Euler scheme,
-and interleaves two flows to approximate their parallel combination from
+statements in parallel, integrates fields with a fixed-step RK4/Euler scheme
+or, where the observations' flows commute, with their exact flow, and
+interleaves two flows to approximate their parallel combination from
 sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
@@ -26,6 +27,19 @@ the velocity (finite, and on the sum-one plane for a simplex).  Beliefs are
 built for the result, and for each evaluation of a field with no closed
 form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
 CSV writer of the package.
+
+Where the observations' flows commute, the flow of their sum at time t is
+the composition of each flow at time w_j t, a closed form, and the scheme
+"exact" takes no steps.  The handle's (learner, terms) reach the learner's
+``coord_flow``, which maps the start to every sample time as one row of one
+call.  The driver still binds the field and evaluates it once at the
+start, so each check a first step would make still runs; it projects the
+rows with the kind's projection (``normalize_probs`` on a simplex) and
+rebuilds the end state from the last unprojected row.  ``boltzmann`` and
+``bayes`` (their tilts add) and ``max-graded`` (a rate per key) have exact
+flows, and ``interp`` has one for a single observation.  RK4 stays the
+library default; the ``combine`` and ``trotter`` commands pick "exact"
+where the field has an exact flow and the config names no scheme.
 
 Interleaving works the same way.  A simplex learner's coordinate flow maps
 probability rows to their updates at one additive time per row, bound to
@@ -163,8 +177,9 @@ class VectorFieldHandle:
     ``_terms`` ((handle, w), ...), if given, makes the field the weighted sum
     of the handles' fields.  The integrators step with ``_bind``'s map, and an
     ``eval_at`` of None evaluates that map at one belief.  ``_source`` is
-    ``(learner, phi)`` for the closed field of one observation, which
-    ``combine_fields`` merges.
+    ``(learner, terms)`` for a learner's closed field of the weighted
+    observations terms: ``combine_fields`` merges such fields, and the exact
+    scheme reaches the learner's ``coord_flow`` through it.
     """
 
     label: str
@@ -259,7 +274,7 @@ def derivative_field(learner: Learner, phi) -> VectorFieldHandle:
     """
     label = f"{learner.id}:{_obs_label(learner, phi)}"
     if learner.closed_field is not None:
-        return _closed_handle(label, learner, ((phi, 1.0),), source=(learner, phi))
+        return _closed_handle(label, learner, ((phi, 1.0),))
 
     if learner.make_flow is not None:
         flow = learner.make_flow(phi)
@@ -278,10 +293,12 @@ def derivative_field(learner: Learner, phi) -> VectorFieldHandle:
     raise UnsupportedError(f"learner {learner.id!r} registers no flow representation")
 
 
-def _closed_handle(label: str, learner: Learner, terms: tuple, source=None) -> VectorFieldHandle:
+def _closed_handle(label: str, learner: Learner, terms: tuple) -> VectorFieldHandle:
     """The field of the weighted observations ``terms`` (label order) as the
     learner's one closed form, bound to a belief space once per integration."""
-    return VectorFieldHandle(label, None, None, _coords=learner.closed_field(terms), _source=source)
+    return VectorFieldHandle(
+        label, None, None, _coords=learner.closed_field(terms), _source=(learner, terms)
+    )
 
 
 def _forward_stencil(flow: Callable[[float, Any], Any], theta, h: float) -> np.ndarray:
@@ -305,9 +322,9 @@ def combine_fields(
     """Weighted superposition of fields on one belief space.
 
     Terms are summed in label order so the operation is exactly commutative
-    and associative at the float level.  Fields that ``derivative_field``
-    built on one learner with a closed form become one call of that closed
-    form on the weighted observations; other fields are summed per handle.
+    and associative at the float level.  Closed fields of one learner become
+    one call of its closed form on all their weighted observations; other
+    fields are summed per handle.
     """
     if not fields:
         raise ParameterError("no fields to combine")
@@ -326,7 +343,7 @@ def combine_fields(
     learner = sources[0][0] if sources[0] is not None else None
     if learner is not None and all(src is not None and src[0] is learner for src in sources):
         # closed fields of one learner: its closed form of the weighted sum
-        terms = tuple((phi, w) for (_, phi), (_, w) in zip(sources, pairs))
+        terms = tuple((phi, w * v) for (_, src), (_, w) in zip(sources, pairs) for phi, v in src)
         return _closed_handle(label, learner, terms)
     return VectorFieldHandle(label, None, None, _terms=tuple(pairs))
 
@@ -421,13 +438,18 @@ def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Deterministic fixed-step integrator settings.
+    """Deterministic integrator settings.
 
+    ``scheme`` is "rk4" or "euler", fixed steps of ``step``, or "exact": the
+    closed-form flow of a field whose observations' flows commute (see
+    ``Learner.coord_flow``), which takes no steps; naming it for a field with
+    no exact flow raises ParameterError.
     ``limit_tol``/``t_max``/``max_steps`` control detection of the infinite-
     confidence limit: the integration stops once the field's sup norm stays
     below ``limit_tol`` for ten consecutive steps, and reports no limit after
     ``max_steps`` steps or time ``t_max``.  A finite-time integration that
-    would take more than ``max_steps`` steps is rejected before it starts.
+    would take more than ``max_steps`` steps, or sample more than
+    ``max_steps`` rows, is rejected before it starts.
     """
 
     scheme: str = "rk4"
@@ -437,7 +459,7 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "euler"):
+        if self.scheme not in ("rk4", "euler", "exact"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         reals = (self.step, self.t_max, self.limit_tol)
         if any(isinstance(x, bool) for x in reals) or not all(0 < x < math.inf for x in reals):
@@ -452,10 +474,16 @@ class IntegratorConfig:
 
 def _check_budget(cfg: IntegratorConfig, t: float, step_out: Optional[float] = None) -> None:
     """Reject integrating to finite time t, sampled every ``step_out`` if
-    given, when its sample intervals together take over ``max_steps`` steps."""
+    given, when it samples more than ``max_steps`` rows or, stepping, when
+    its sample intervals together take over ``max_steps`` steps."""
+    exact = cfg.scheme == "exact"  # takes no steps, but one row per sample
     too_many = f"t={t:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}"
     if step_out is not None and t / step_out > cfg.max_steps:
+        if exact:
+            raise StepBudgetError(f"t={t:g} samples more than max_steps={cfg.max_steps} rows")
         raise StepBudgetError(too_many)  # every sample interval takes a step
+    if exact:
+        return
     steps, now = 0, 0.0
     for target in _sample_times(t, step_out):
         n_full, rem = divmod(target - now, cfg.step)
@@ -506,18 +534,48 @@ def _result(theta0, v):
     return theta0 if v is None else belief_rebuild(theta0, v)
 
 
+def _exact_flow(field: VectorFieldHandle, theta0):
+    """The exact flow of ``field`` from theta0's space, as a map from
+    additive times to the learner's ``coord_flow`` at those times, or None
+    where the field has none: it is no learner's closed field, or its
+    learner's flows of its terms do not commute."""
+    if field._source is None or field._source[0].coord_flow is None:
+        return None
+    learner, terms = field._source
+    labels = coord_labels(theta0)
+    if learner.coord_flow(terms, (), labels) is NotImplemented:
+        return None
+    return lambda ts: learner.coord_flow(terms, ts, labels)
+
+
 def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
-    """The one integration loop: follow the field from theta0 for time t
+    """The one integration driver: follow the field from theta0 for time t
     (inf: to the limit), sampled every ``step_out`` if given.  Returns the
     final belief and the rows (t, *coords) of the start, each sample time
     and the end."""
     if not math.isinf(t):
         _check_budget(cfg, t, step_out)
     f, project = field._bind(theta0)
+    flow = None
+    if cfg.scheme == "exact":
+        flow = _exact_flow(field, theta0)
+        if flow is None:
+            raise ParameterError(f"field {field.label!r} has no exact flow")
     c, v = belief_coords(theta0), None
     rows = [(0.0,) + tuple(c)]
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
-        if math.isinf(t):
+        if flow is not None:
+            f(None, c)  # the checks a first step makes at theta0
+            times = [t] if math.isinf(t) else list(_sample_times(t, step_out))
+            step = flow(times)
+            if step is None:  # every time is 0
+                rows.extend((now,) + tuple(c) for now in times)
+            else:
+                v = np.broadcast_to(step(c), (len(times), c.size))
+                cs = normalize_probs(v) if _coord_kind(theta0).sums_to_one else map(project, v)
+                rows.extend((now,) + tuple(row) for now, row in zip(times, cs))
+                v = v[-1]
+        elif math.isinf(t):
             c, v = _to_limit(f, project, c, cfg)
             rows.append((t,) + tuple(c))
         else:
@@ -650,17 +708,19 @@ def trotter_interleave(
     """n rounds of (phi1 at chi/n, then phi2 at chi/n) in additive time.
 
     At n = 1 this is plain sequential observation; as n grows it converges to
-    the integral of the combined field at first order in 1/n.
+    the integral of the combined field at first order in 1/n.  Where the two
+    flows commute (``boltzmann``, ``bayes``), every n gives that integral,
+    within round-off.
 
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or
     the error) of that count alone, and the first count that fails alone
     raises its error.  A simplex learner with a coordinate flow
-    (``Learner.coord_flow``) walks every distinct count at once, as one row
-    of a probability array: both flows are bound to the rows' slices, each
-    update is normalized with FiniteSimplex's own checks, and row n leaves
-    the walk after n rounds as one belief.  Other learners compose
-    ``make_flow`` on belief objects, once per count.
+    (``Learner.coord_flow`` of one term) walks every distinct count at once,
+    as one row of a probability array: both flows are bound to the rows'
+    slices, each update is normalized with FiniteSimplex's own checks, and
+    row n leaves the walk after n rounds as one belief.  Other learners
+    compose ``make_flow`` on belief objects, once per count.
     """
     phis = (phi1, phi2)
     if np.ndim(n) == 0:
@@ -690,7 +750,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
         raise ParameterError("interleaving needs a finite total commitment")
     rows = sorted(set(counts))
     ends = {}
-    if learner.coord_flow is None:
+    if learner.coord_flow is None or learner.belief_kind != "simplex":
         flows = [additive_form(learner, phi)[0] for phi in phis]
         for n in rows:
             theta, dt = theta0, t / n
@@ -705,12 +765,12 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
     live = sum(dt > 0.0 for dt in dts)
     if live < len(rows):
         for phi in phis:
-            learner.coord_flow(phi, dts[live:], labels)
+            learner.coord_flow(((phi, 1.0),), dts[live:], labels)
         ends.update((n, theta0) for n in rows[live:])
     c = np.repeat(theta0.probs[None], live, axis=0)
     v, done = None, 0
     for lo in range(live):
-        steps = [learner.coord_flow(phi, dts[lo:live], labels) for phi in phis]
+        steps = [learner.coord_flow(((phi, 1.0),), dts[lo:live], labels) for phi in phis]
         steps = [step for step in steps if step is not None]  # None: the identity
         for _ in range(int(rows[lo]) - done):
             for step in steps:

@@ -117,18 +117,25 @@ class Learner:
     bel: Optional[Callable[[Any, Any], float]] = None
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
-    # make_flow(phi)(t, belief) is the update at additive time t; a learner
-    # with a coord_flow and no make_flow gets the one coord_flow defines
+    # make_flow(phi)(t, belief) is the update at additive time t; a simplex
+    # learner with a coord_flow and no make_flow gets the one coord_flow
+    # defines
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
-    # coord_flow(phi, ts, labels) is make_flow(phi) at the additive times ts,
-    # one per row, bound once to simplexes over ``labels``: None where every
-    # time is 0 (the identity), else, for positive times, a map along the
-    # last axis from probabilities to the updated ones before
-    # beliefs.normalize_probs, taking an array of rows, one per time, or for
-    # one time a belief's own probs: FiniteSimplex(labels, map(probs)) is
-    # make_flow(phi)(t, belief) bit for bit, and each row gets those bits.
+    # coord_flow(terms, ts, labels) is the exact flow of the weighted parallel
+    # observation terms = ((phi, w), ...) (closed_field's terms, label order)
+    # at the additive times ts, bound once to beliefs whose coordinates are
+    # labelled ``labels``.  It returns NotImplemented, whatever ts, where the
+    # terms' flows do not commute, so that their sum has no closed-form flow;
+    # None where every time is 0 (the identity); else, for positive times, a
+    # map along the last axis from coordinates to the updated ones before
+    # the kind's projection, row i at time ts[i], taking one belief's
+    # coordinates or an array of rows, one per time.  It raises
+    # ParameterError if an observation is over other worlds.  On a simplex
+    # the one-term case ((phi, 1.0),) is make_flow(phi):
+    # FiniteSimplex(labels, map(probs)) is make_flow(phi)(t, belief) bit for
+    # bit, and each row gets those bits.
     coord_flow: Optional[
-        Callable[[Any, Sequence[float], Tuple[str, ...]], Optional[Callable[[np.ndarray], np.ndarray]]]
+        Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
     ] = None
     # closed_field(terms) is the derivative field of the weighted parallel
     # observation terms = ((phi, w), ...), given in label order: the field of
@@ -159,13 +166,12 @@ class Learner:
     # True when the full-confidence update absorbs any further update on the
     # same observation; the list lift is only well defined in that case.
     top_absorbing: bool = True
-    notes: str = ""
 
     def __post_init__(self):
         coord_flow = self.coord_flow
         if self.make_flow is None and coord_flow is not None:
             object.__setattr__(self, "make_flow", lambda phi: (
-                lambda t, p: _on_simplex(coord_flow(phi, (t,), p.labels), p)
+                lambda t, p: _on_simplex(coord_flow(((phi, 1.0),), (t,), p.labels), p)
             ))
 
     def __repr__(self) -> str:
@@ -249,9 +255,13 @@ def _interp_map(a: EventSet, alphas: Sequence, labels: Tuple[str, ...]):
     return step
 
 
-def _interp_coord_flow(a: EventSet, ts: Sequence[float], labels: Tuple[str, ...]):
-    # t = inf gives alpha = 1
-    return _interp_map(a, [-math.expm1(-t) for t in ts], labels)
+def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[float],
+                       labels: Tuple[str, ...]):
+    if len(terms) > 1:
+        return NotImplemented  # conditionings on different events do not commute
+    ((a, w),) = terms
+    # the flow of w F at t is the flow of F at w t; t = inf gives alpha = 1
+    return _interp_map(a, [-math.expm1(-(w * t)) for t in ts], labels)
 
 
 def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
@@ -323,7 +333,6 @@ def make_interp_learner() -> Learner:
         default_grid=_grid(frac, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
-        notes="posterior = (1-alpha) P + alpha P(.|a); Bel = log P(a)",
     )
 
 
@@ -391,7 +400,6 @@ def make_ds_learner() -> Learner:
         default_grid=_grid(frac, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
-        notes="Dempster combination with a simple support; Bel = belief function",
     )
 
 
@@ -507,7 +515,6 @@ def make_kalman_learner() -> Learner:
         # A later update with gain K and noise r2 reinflates the variance to
         # K^2 r2 even after a certain measurement, so top does not absorb.
         top_absorbing=False,
-        notes="x' = x + K(z - x), var' = (1-K)^2 var + K^2 r2; Bel = -(err^2/2 + var^2)",
     )
 
 
@@ -609,17 +616,31 @@ def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray
     return w if top is None else np.where(top, _gibbs_least(pen, pr), w)
 
 
-def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
-    """The field of the summed penalty u = sum_j w_j u_j (label order), whose
-    worlds are possible where every term's are: the Gibbs learners are
-    optimizing learners with a linear-expectation loss."""
-    pens = [pen for pen, _ in terms]
+def _sum_penalties(terms: Sequence[Tuple[_Penalty, float]]) -> _Penalty:
+    """The penalty u = sum_j w_j u_j of a weighted parallel observation
+    (label order), whose worlds are possible where every term's are: the
+    Gibbs learners are optimizing learners with a linear-expectation loss, so
+    their tilts add.  At top the worlds of least sum win; one term keeps its
+    own rank, and at weight 1 is its own penalty."""
+    pen, w = terms[0]
+    if len(terms) == 1 and w == 1.0:
+        return pen
     u = None
     with np.errstate(over="ignore"):  # an infinite sum fails the tangent check
-        for pen, w in terms:
-            u = w * pen.u if u is None else u + w * pen.u
-    masks = [pen.possible for pen in pens if pen.possible is not None]
+        for term, w in terms:
+            u = w * term.u if u is None else u + w * term.u
+    if len(terms) == 1:
+        return pen._replace(u=u)
+    masks = [term.possible for term, _ in terms if term.possible is not None]
     possible = np.logical_and.reduce(masks) if masks else None
+    return _Penalty(pen.labels, u, u, possible, "the sum of the observations")
+
+
+def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
+    """The field of the summed penalty (``_sum_penalties``)."""
+    pens = [pen for pen, _ in terms]
+    summed = _sum_penalties(terms)
+    u, possible = summed.u, summed.possible
     # past half the float range c @ u - u overflows where c is 0 (and 0 * inf
     # is NaN), so such a field multiplies by c before it subtracts
     wide = _largest_penalty(u, possible) > _HALF_MAX
@@ -648,14 +669,16 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
 
 def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
     """The learner reweighting simplexes by exp(-t u) for u = penalty(phi);
-    ``hooks`` give its id, samplers, JSON readers and notes."""
+    ``hooks`` give its id, samplers and JSON readers."""
     add = get_domain("add")
 
-    def coord_flow(phi, ts: Sequence, labels: Tuple[str, ...]):
-        return _gibbs_map(penalty(phi), ts, labels)
+    def coord_flow(terms, ts: Sequence, labels: Tuple[str, ...]):
+        pens = [(_check_worlds(penalty(phi), labels), w) for phi, w in terms]
+        return _gibbs_map(_sum_penalties(pens), ts, labels)
 
     def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
-        return _on_simplex(coord_flow(phi, (t,), p.labels), p)
+        # coord_flow of the one term (phi, 1.0), without building the term
+        return _on_simplex(_gibbs_map(penalty(phi), (t,), p.labels), p)
 
     def bel(phi, p: FiniteSimplex) -> float:
         pen = _check_worlds(penalty(phi), p.labels)
@@ -735,7 +758,6 @@ def make_boltzmann_learner() -> Learner:
         sample_saturated=sample_saturated,
         observation_to_json=lambda v: {"values": {l: float(x) for l, x in zip(v.labels, v.values)}},
         observation_from_json=lambda obj, p: RandomVariable.from_dict(p.labels, obj["values"]),
-        notes="posterior ~ P * exp(-beta v); Bel = -E_P[v]",
     )
 
 
@@ -805,6 +827,8 @@ def potential_to_likelihood(
     observation becomes an event whose likelihood given h is exp(-u(obs, h)),
     so weight-1 exponential reweighting and Bayes' rule coincide.
     """
+    if isinstance(hypotheses, str):  # would read as one-letter names
+        raise ParameterError(f"hypotheses must be a list of names, got {hypotheses!r}")
     rows = {}
     hyps: Optional[Tuple[str, ...]] = tuple(hypotheses) if hypotheses else None
     for key, row in u.items():
@@ -869,7 +893,6 @@ def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
         sample_saturated=sample_saturated,
         observation_to_json=lambda key: {"id": key},
         observation_from_json=observation_from_json,
-        notes="posterior ~ P(h) P(obs|h)^beta; exact Bayes at beta = 1",
     )
 
 
@@ -907,7 +930,7 @@ def _statement_from_json(obj: Mapping, table: GradedBeliefTable) -> str:
 
 
 def make_max_graded_learner() -> Learner:
-    dom = get_domain("max")
+    dom, add = get_domain("max"), get_domain("add")
 
     def flow_factory(key: str):
         def flow(t: float, table: GradedBeliefTable) -> GradedBeliefTable:
@@ -930,6 +953,22 @@ def make_max_graded_learner() -> Learner:
 
         return bind
 
+    def coord_flow(terms, ts, labels):
+        # the statements' flows commute: 1 - (1 - c) e^(-r t) per key and
+        # row, at the key's rate r, with make_flow's exp; grade 1 at top
+        rates = [0.0] * len(labels)
+        for key, w in terms:
+            if key not in labels:
+                raise ParameterError(f"unknown statement {key!r}")
+            rates[labels.index(key)] += w
+        bs = [add.to_float(add.coerce(t)) for t in ts]
+        if not any(bs):
+            return None
+        moved = np.array([r > 0.0 for r in rates])
+        decay = np.array([[math.exp(-(b * r)) if r > 0.0 else 1.0 for r in rates] for b in bs])
+        decay = decay[0] if len(bs) == 1 else decay
+        return lambda c: np.where(moved, 1.0 - (1.0 - c) * decay, c)
+
     def sample_instance(rng):
         keys = ("phi1", "phi2", "phi3")
         table = GradedBeliefTable({k: float(rng.uniform(0.0, 0.95)) for k in keys})
@@ -949,13 +988,13 @@ def make_max_graded_learner() -> Learner:
         bel_top=lambda key, table: 1.0,
         translate=_max_translate,
         make_flow=flow_factory,
+        coord_flow=coord_flow,
         closed_field=closed_field,
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
         default_grid=_grid(dom, (0.25, 0.5, 0.75)),
         observation_to_json=lambda key: {"id": key},
         observation_from_json=_statement_from_json,
-        notes="grade' = max(grade, chi); saturating exponential in additive time",
     )
 
 
@@ -1301,7 +1340,6 @@ def make_classifier_learner(
         default_grid=_grid(count, (1, 2, 4, 8), top=False),
         observation_to_json=lambda ex: {"x": [float(v) for v in ex.x], "y": ex.y},
         observation_from_json=lambda obj, theta: _example_from_json(model, obj),
-        notes="n gradient steps on -log softmax(Wx+b)[y]; Bel = log p(y|x)",
     )
 
 
@@ -1356,7 +1394,6 @@ def lift_to_list(base: Learner) -> Learner:
         default_grid=grid,
         observation_to_json=base.observation_to_json,
         observation_from_json=base.observation_from_json,
-        notes=f"list lift of {base.id}",
     )
 
 

@@ -32,7 +32,7 @@ MUTANT_TARGETS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _interp_mutant(mutant_id: str, observe, note: str) -> Learner:
+def _interp_mutant(mutant_id: str, observe) -> Learner:
     """Interpolation learner with a corrupted observe map and none of the
     closed-form hooks tied to the honest update, so the checks see only the
     corrupted map (and the unchanged Bel)."""
@@ -46,11 +46,10 @@ def _interp_mutant(mutant_id: str, observe, note: str) -> Learner:
         closed_field=None,
         path_velocity=None,
         lb_metric=None,
-        notes=note,
     )
 
 
-def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> Learner:
+def _weight_warp(mutant_id: str, warp: Callable[[float], float]) -> Learner:
     """Interpolation learner whose mixing weight is warped before use."""
     frac = get_domain("frac")
 
@@ -58,58 +57,45 @@ def _weight_warp(mutant_id: str, warp: Callable[[float], float], note: str) -> L
         x = frac.to_float(frac.coerce(chi))
         return interp_observe(phi, warp(x), theta)
 
-    return _interp_mutant(mutant_id, observe, note)
+    return _interp_mutant(mutant_id, observe)
 
 
 def _mutant_l1_drift() -> Learner:
-    return _weight_warp(
-        "mutant-l1-drift",
-        lambda x: 0.1 + 0.9 * x,
-        "zero confidence still drags the prior a tenth of the way",
-    )
+    """Zero confidence still drags the prior a tenth of the way."""
+    return _weight_warp("mutant-l1-drift", lambda x: 0.1 + 0.9 * x)
 
 
 def _mutant_l2_rough() -> Learner:
+    """An x^0.1 cusp at zero confidence: continuous but violently non-smooth."""
     return _weight_warp(
-        "mutant-l2-rough",
-        lambda x: min(max(x + 0.2 * x**0.1 * (1.0 - x), 0.0), 1.0),
-        "x^0.1 cusp at zero confidence; continuous but violently non-smooth",
+        "mutant-l2-rough", lambda x: min(max(x + 0.2 * x**0.1 * (1.0 - x), 0.0), 1.0)
     )
 
 
 def _mutant_l34_cyclic() -> Learner:
-    return _weight_warp(
-        "mutant-l34-cyclic",
-        lambda x: math.sin(math.pi * x),
-        "commitment rises then falls back, so the path revisits the prior",
-    )
+    """Commitment rises then falls back, so the path revisits the prior."""
+    return _weight_warp("mutant-l34-cyclic", lambda x: math.sin(math.pi * x))
 
 
 def _mutant_l5_square() -> Learner:
-    return _weight_warp(
-        "mutant-l5-square",
-        lambda x: x * x,
-        "squared weight is not a homomorphism of the fractional monoid",
-    )
+    """A squared weight is not a homomorphism of the fractional monoid."""
+    return _weight_warp("mutant-l5-square", lambda x: x * x)
 
 
 def _mutant_b3_timid() -> Learner:
-    return _weight_warp(
-        "mutant-b3-timid",
-        lambda x: min(x, 0.5),
-        "full confidence caps out at a half-strength update",
-    )
+    """Full confidence caps out at a half-strength update."""
+    return _weight_warp("mutant-b3-timid", lambda x: min(x, 0.5))
 
 
 def _mutant_fc_partial() -> Learner:
-    return _weight_warp(
-        "mutant-fc-partial",
-        lambda x: 0.9 if x == 1.0 else x,  # the weight is 1.0 only at top
-        "the top update only does ninety percent of the conditioning",
-    )
+    """The top update only does ninety percent of the conditioning."""
+    # the weight is 1.0 only at top
+    return _weight_warp("mutant-fc-partial", lambda x: 0.9 if x == 1.0 else x)
 
 
 def _mutant_b2_uniform() -> Learner:
+    """Pulls toward the uniform law on the event, moving states that already
+    believe it."""
     frac = get_domain("frac")
 
     def observe(phi, chi, theta):
@@ -118,17 +104,14 @@ def _mutant_b2_uniform() -> Learner:
         uniform = ind / ind.sum()
         return theta.with_probs((1.0 - x) * np.asarray(theta.probs) + x * uniform)
 
-    return _interp_mutant(
-        "mutant-b2-uniform",
-        observe,
-        "pulls toward the uniform law on the event, moving states that already believe it",
-    )
+    return _interp_mutant("mutant-b2-uniform", observe)
 
 
 def _mutant_lb_euclid() -> Learner:
     """Boltzmann-style learner that descends the raw (unweighted) penalty
     direction instead of the Fisher one, so its initial velocity is not the
-    natural gradient of Bel."""
+    natural gradient of Bel: it moves along v - E[v] itself rather than
+    p * (E[v] - v)."""
     base = get_learner("boltzmann")
     add = base.domain
 
@@ -152,7 +135,6 @@ def _mutant_lb_euclid() -> Learner:
         coord_flow=None,
         closed_field=None,
         path_velocity=None,
-        notes="moves along v - E[v] itself rather than p * (E[v] - v)",
     )
 
 

@@ -707,6 +707,61 @@ def test_combine_boltzmann_penalties_near_the_float_limit(tmp_path, capsys, t):
     assert final["labels"] == ["a", "b"] and final["probs"] == [0.0, 1.0]
 
 
+# learner: (belief, observations) of a combine whose observations' flows commute
+EXACT_COMBINES = {
+    "boltzmann": (COMBINE_INTERP["belief"], [{"values": {"a": 1.0, "b": 0.0, "c": -0.5}},
+                                             {"values": {"a": -0.3, "b": 0.7, "c": 0.2}}]),
+    "bayes": (BAYES_PRIOR, [{"id": "e1"}, {"id": "e3"}]),
+    "max-graded": ({"kind": "graded", "entries": {"phi1": 0.2, "phi2": 0.5, "phi3": 0.9}},
+                   [{"id": "phi1"}, {"id": "phi3"}]),
+}
+
+
+def _combine_csv(tmp_path, cfg):
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 0
+    (path,) = (tmp_path / "out").iterdir()
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+@pytest.mark.parametrize("lid", sorted(EXACT_COMBINES) + ["interp"])
+def test_combine_picks_the_exact_flow_unless_the_config_names_a_scheme(tmp_path, lid):
+    belief, observations = EXACT_COMBINES.get(lid, (COMBINE_INTERP["belief"], COMBINE_INTERP["observations"]))
+    cfg = {"learner": lid, "belief": belief, "observations": observations, "weights": [3.0, 1.0],
+           "t": 1.3}
+    picked = _combine_csv(tmp_path, cfg)
+    rk4 = _combine_csv(tmp_path, dict(cfg, integrator={"scheme": "rk4"}))
+    if lid == "interp":  # conditionings on different events do not commute
+        assert picked == rk4
+        return
+    assert picked == _combine_csv(tmp_path, dict(cfg, integrator={"scheme": "exact"}))
+    got, want = (np.array([[float(x) for x in row] for row in list(csv.reader(text.splitlines()))[1:]])
+                 for text in (picked, rk4))
+    assert got.shape == want.shape and 0.0 < np.abs(got - want).max() <= 1e-9
+
+
+def test_combine_exact_scheme_without_an_exact_flow_exits_2(tmp_path, capsys):
+    cfg = dict(COMBINE_INTERP, integrator={"scheme": "exact"})
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad integrator settings: field ") and err.count("\n") == 1
+    assert err.rstrip().endswith("has no exact flow")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lid", ["boltzmann", "bayes"])
+def test_trotter_reference_is_the_exact_parallel_flow(tmp_path, capsys, lid):
+    belief, observations = EXACT_COMBINES[lid]
+    cfg = {"learner": lid, "belief": belief, "observations": observations, "chi": 1.3,
+           "n_values": [1, 4]}
+    assert run_cli(tmp_path, "trotter", cfg, "--quiet") == 0
+    report = json.loads((tmp_path / "out" / "trotter.json").read_text())
+    assert report["distances"]["1"] <= 1e-15  # the tilts commute: one round is exact
+    assert run_cli(tmp_path, "combine", dict(cfg, t=1.3)) == 0
+    assert json.loads(capsys.readouterr().out)["final"] == report["reference"]
+
+
 @pytest.mark.parametrize("lid", ["nope", "nope@list"])
 def test_axioms_unknown_learner_exits_2(tmp_path, capsys, lid):
     assert run_cli(tmp_path, "axioms", {"learners": [lid], "samples": 10}, "--quiet") == 2

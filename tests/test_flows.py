@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -778,8 +779,8 @@ def test_trotter_walks_every_count_in_one_pass(lid, phis):
     learner = get_learner(lid)
     steps = []
 
-    def coord_flow(phi, ts, labels):
-        step = learner.coord_flow(phi, ts, labels)
+    def coord_flow(terms, ts, labels):
+        step = learner.coord_flow(terms, ts, labels)
         return lambda c: (steps.append(len(c)), step(c))[1]
 
     counting = dataclasses.replace(learner, coord_flow=coord_flow)
@@ -1253,3 +1254,141 @@ def test_closed_fields_name_their_domain_in_the_stage_path():
         for t in (1.0, math.inf):
             with pytest.raises(DomainError, match=r"^state outside the update domain of interp:"):
                 integrate(field, p, t)
+
+
+# ---------------------------------------------------------------------------
+# Exact flows of commuting parallel observations.
+
+
+def _exact_cases():
+    """(name, learner, observations, weights, theta0); the bayes prior has no
+    mass where observation e has zero likelihood."""
+    labels = ("a", "b", "c", "d")
+    p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
+    edge = FiniteSimplex(labels, np.array([0.25, 0.45, 0.3, 0.0]))
+    model = BayesModel(labels, {"e": np.array([0.7, 0.2, 0.5, 0.0]), "f": np.array([0.1, 0.6, 0.3, 0.2]),
+                                "g": np.array([0.4, 0.1, 0.3, 0.9])})
+    rvs = [RandomVariable(labels, np.array(u))
+           for u in ([0.3, -0.2, 1.1, 0.4], [1.0, 0.5, -0.4, 0.0], [-0.5, 0.9, 0.2, 1.6])]
+    table = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5, "phi3": 0.9})
+    return [
+        ("boltzmann", get_learner("boltzmann"), rvs, [1.2, 2.6, 1.6], p),
+        ("bayes", get_learner("bayes", model=model), ["f", "g"], [1.2, 2.6], p),
+        ("bayes-zero", get_learner("bayes", model=model), ["e", "g"], [2.2, 3.0], edge),
+        ("max-graded", get_learner("max-graded"), ["phi1", "phi3", "phi1"], [1.2, 2.6, 1.0], table),
+    ]
+
+
+def _fields(learner, phis, weights):
+    return combine_fields([derivative_field(learner, phi) for phi in phis], weights)
+
+
+@pytest.mark.parametrize("t", [1.3, math.inf], ids=["finite", "top"])
+@pytest.mark.parametrize("case", _exact_cases(), ids=lambda case: case[0])
+def test_exact_combine_matches_rk4(case, t):
+    _, learner, phis, weights, theta0 = case
+    field = _fields(learner, phis, weights)
+    final, record = integrate_sampled(field, theta0, t, IntegratorConfig(scheme="exact"), step_out=0.25)
+    rk4 = IntegratorConfig(step=1e-3, limit_tol=1e-12)
+    ref_final, ref = integrate_sampled(field, theta0, t, rk4, step_out=0.25)
+    got, want = np.array(record.rows), np.array(ref.rows)
+    assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
+    assert np.abs(got[:, 1:] - want[:, 1:]).max() <= 1e-9
+    assert np.abs(belief_coords(final) - belief_coords(ref_final)).max() <= 1e-9
+    # the end state is rebuilt from the last row's unprojected coordinates
+    assert belief_coords(final).tobytes() == got[-1, 1:].tobytes()
+
+
+@pytest.mark.parametrize("t", [0.7, 1.25, math.inf])
+@pytest.mark.parametrize("case", [
+    ("interp", lambda p: p.event(["a", "c"])),
+    ("boltzmann", lambda p: RandomVariable(p.labels, np.array([0.3, -0.2, 1.1, 0.4]))),
+    ("bayes", lambda p: "e1"),
+    ("max-graded", None),
+], ids=lambda case: case[0])
+def test_one_observation_exact_run_is_the_learners_flow(case, t):
+    lid, make_phi = case
+    learner = get_learner(lid)
+    if make_phi is None:
+        theta0, phi = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5}), "phi1"
+    else:
+        labels = ("h1", "h2", "h3") if lid == "bayes" else ("a", "b", "c", "d")
+        theta0 = FiniteSimplex(labels, np.linspace(1.0, 2.0, len(labels)))
+        phi = make_phi(theta0)
+    field, cfg = derivative_field(learner, phi), IntegratorConfig(scheme="exact")
+    expect = belief_coords(learner.make_flow(phi)(t, theta0))
+    if lid in ("boltzmann", "bayes"):  # observe takes additive time
+        assert belief_coords(learner.observe(phi, t, theta0)).tobytes() == expect.tobytes()
+    assert belief_coords(integrate(field, theta0, t, cfg)).tobytes() == expect.tobytes()
+    final, record = integrate_sampled(field, theta0, t, cfg, step_out=0.01)
+    assert belief_coords(final).tobytes() == expect.tobytes()
+    for now, *row in record.rows[1:]:  # each sample has the bits of its time alone
+        assert np.array(row).tobytes() == belief_coords(learner.make_flow(phi)(now, theta0)).tobytes()
+
+
+@pytest.mark.parametrize("lid", ["boltzmann", "bayes"])
+@pytest.mark.parametrize("chi", [0.4, 1.7, 6.0])
+def test_one_trotter_round_is_the_exact_parallel_flow(lid, chi):
+    # the tilts commute, so interleaving is exact, not only first-order
+    learner = get_learner(lid)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        phi1, p = learner.sample_instance(rng)
+        if lid == "boltzmann":
+            phi2 = RandomVariable(p.labels, rng.normal(size=len(p.labels)))
+        else:
+            phi2 = ("e1", "e2", "e3")[int(rng.integers(3))]
+        field = _fields(learner, [phi1, phi2], None)
+        exact = integrate(field, p, chi, IntegratorConfig(scheme="exact"))
+        interleaved = trotter_interleave(learner, phi1, phi2, chi, 1, p)
+        assert np.abs(exact.probs - interleaved.probs).max() <= 1e-14
+
+
+def test_exact_flow_makes_the_checks_of_a_first_step():
+    p = FiniteSimplex(("a", "b", "c"), np.array([0.6, 0.4, 0.0]))
+    exact = IntegratorConfig(scheme="exact")
+    model = BayesModel(p.labels, {"e": np.array([0.5, 0.0, 0.5]), "f": np.array([0.2, 0.3, 0.4])})
+    bayes = get_learner("bayes", model=model)
+    for field in (derivative_field(get_learner("interp"), p.event(["c"])),
+                  _fields(bayes, ["e", "f"], None)):
+        for t in (1.0, math.inf):
+            with pytest.raises(DomainError, match=r"^state outside the update domain of "):
+                integrate(field, p, t, exact)
+    unknown = derivative_field(get_learner("max-graded"), "zz")
+    with pytest.raises(DomainError, match=r"^state outside the update domain of max-graded:"):
+        integrate(unknown, GradedBeliefTable({"x": 0.2}), 1.0, exact)
+    boltzmann = get_learner("boltzmann")
+    rvs = [RandomVariable(p.labels, np.array(u)) for u in ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite tangent components"):
+            integrate(_fields(boltzmann, rvs, [1e308, 1e308]), p, 1.0, exact)
+
+
+def test_exact_scheme_needs_an_exact_flow():
+    p = tri()
+    interp, boltzmann = get_learner("interp"), get_learner("boltzmann")
+    (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
+    rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
+    user = VectorFieldHandle("user", None, lambda theta: TangentVector(theta, np.zeros(3)))
+    for field in (
+        _fields(interp, [p.event(["a"]), p.event(["b", "c"])], None),  # conditionings do not commute
+        derivative_field(euclid, rv),  # a mutant has a finite-difference field only
+        user,
+        combine_fields([derivative_field(interp, p.event(["a"])), derivative_field(boltzmann, rv)]),
+    ):
+        with pytest.raises(ParameterError, match="has no exact flow"):
+            integrate_sampled(field, p, 1.0, IntegratorConfig(scheme="exact"))
+
+
+def test_exact_scheme_bounds_its_rows_not_its_steps():
+    learner = get_learner("boltzmann")
+    p = tri()
+    field = derivative_field(learner, RandomVariable(p.labels, np.array([0.3, -0.2, 1.1])))
+    cfg = IntegratorConfig(scheme="exact", step=1e-9, max_steps=5)
+    with pytest.raises(StepBudgetError, match="max_steps=5"):
+        integrate_sampled(field, p, 1.0, cfg, step_out=0.1)  # ten rows
+    _, record = integrate_sampled(field, p, 1.0, cfg, step_out=0.25)  # four rows, no steps
+    assert [row[0] for row in record.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    _, record = integrate_sampled(field, p, 0.0, cfg, step_out=0.25)
+    assert record.rows == [(0.0,) + tuple(p.probs)]

@@ -86,7 +86,7 @@ def test_interp_event_over_other_worlds_raises_at_any_weight(alpha):
     t = -math.log1p(-alpha)  # the additive time of weight alpha
     for update in (
         lambda: interp_observe(a, alpha, p),
-        lambda: learner.coord_flow(a, [t], p.labels),
+        lambda: learner.coord_flow(((a, 1.0),), [t], p.labels),
         lambda: learner.make_flow(a)(t, p),
     ):
         with pytest.raises(ParameterError, match="event over a different world set"):
@@ -186,6 +186,14 @@ def test_bayes_powered_likelihood():
 def test_potential_round_trip():
     m = potential_to_likelihood({"e": {"h1": 0.5, "h2": 1.5}}, ("h1", "h2"))
     assert np.allclose(m.likelihood["e"], np.exp([-0.5, -1.5]), atol=1e-15)
+
+
+@pytest.mark.parametrize("table", [{"e": [0.1, 0.2]}, {"e": {"a": 0.1, "b": 0.2}}])
+def test_potential_hypotheses_must_not_be_a_bare_string(table):
+    # "ab" would read as the hypotheses a and b
+    with pytest.raises(ParameterError, match="hypotheses must be a list of names, got 'ab'"):
+        potential_to_likelihood(table, "ab")
+    assert potential_to_likelihood(table, ["a", "b"]).hypotheses == ("a", "b")
 
 
 # ---------------------------------------------------------------------------
