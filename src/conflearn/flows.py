@@ -41,12 +41,12 @@ flows, and ``interp`` has one for a single observation.  RK4 stays the
 library default; the ``combine`` and ``trotter`` commands pick "exact"
 where the field has an exact flow and the config names no scheme.
 
-Interleaving works the same way.  A simplex learner's coordinate flow maps
-probability rows to their updates at one additive time per row, bound to
-the belief space once; ``trotter_interleave`` walks every round count of a
-call as one row of one array, normalises after each update with the shared
-``beliefs.normalize_probs`` and builds one belief per count.  Learners
-without a coordinate flow compose their flows on belief objects.
+Interleaving works the same way.  A learner's coordinate flow maps rows of
+coordinates, of any belief kind that has them, to their updates at one
+float additive time per row; ``trotter_interleave`` walks every round count
+of a call as one row of one array, projects each update as the exact scheme
+does (``_row_projection``) and builds one belief per count.  Learners with
+no coordinate flow (``ds``) compose their flows on belief objects.
 
 ``metric_gradient`` (Fisher on a simplex, or euclidean) lets callers verify
 that a learner's update direction is metric gradient ascent on its Bel.
@@ -432,8 +432,8 @@ _REM_TOL = 1e-15  # a remainder below this takes no extra step
 def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
     if step_out is None:
         return (t,)
-    n_samples = int(math.ceil(t / step_out))
-    return (min(i * step_out, t) for i in range(1, n_samples + 1))
+    n_samples = int(math.ceil(t / step_out))  # the last is t: n_samples * step_out may round below
+    return (min(i * step_out, t) if i < n_samples else t for i in range(1, n_samples + 1))
 
 
 @dataclass(frozen=True)
@@ -534,6 +534,14 @@ def _result(theta0, v):
     return theta0 if v is None else belief_rebuild(theta0, v)
 
 
+def _row_projection(kind) -> Project:
+    """The projection of an array of coordinate rows: ``normalize_probs`` on
+    a simplex (each row's FiniteSimplex bits), else the kind's, row by row."""
+    if kind.sums_to_one:
+        return normalize_probs
+    return lambda v: np.array([kind.project(row) for row in v])
+
+
 def _exact_flow(field: VectorFieldHandle, theta0):
     """The exact flow of ``field`` from theta0's space, as a map from
     additive times to the learner's ``coord_flow`` at those times, or None
@@ -572,7 +580,7 @@ def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step
                 rows.extend((now,) + tuple(c) for now in times)
             else:
                 v = np.broadcast_to(step(c), (len(times), c.size))
-                cs = normalize_probs(v) if _coord_kind(theta0).sums_to_one else map(project, v)
+                cs = _row_projection(_coord_kind(theta0))(v)
                 rows.extend((now,) + tuple(row) for now, row in zip(times, cs))
                 v = v[-1]
         elif math.isinf(t):
@@ -709,18 +717,18 @@ def trotter_interleave(
 
     At n = 1 this is plain sequential observation; as n grows it converges to
     the integral of the combined field at first order in 1/n.  Where the two
-    flows commute (``boltzmann``, ``bayes``), every n gives that integral,
-    within round-off.
+    flows commute (``boltzmann``, ``bayes``, ``max-graded``), every n gives
+    that integral, within round-off.
 
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or
     the error) of that count alone, and the first count that fails alone
-    raises its error.  A simplex learner with a coordinate flow
-    (``Learner.coord_flow`` of one term) walks every distinct count at once,
-    as one row of a probability array: both flows are bound to the rows'
-    slices, each update is normalized with FiniteSimplex's own checks, and
-    row n leaves the walk after n rounds as one belief.  Other learners
-    compose ``make_flow`` on belief objects, once per count.
+    raises its error.  A learner with a coordinate flow (``coord_flow`` of
+    one term) on a belief with coordinates walks every distinct count at
+    once, as one row of a coordinate array: both flows are bound to the
+    rows' slices, each update gets the projection and checks of a belief
+    object, and row n leaves the walk after n rounds as one belief.  Other
+    learners compose ``make_flow`` on belief objects, once per count.
     """
     phis = (phi1, phi2)
     if np.ndim(n) == 0:
@@ -750,7 +758,8 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
         raise ParameterError("interleaving needs a finite total commitment")
     rows = sorted(set(counts))
     ends = {}
-    if learner.coord_flow is None or learner.belief_kind != "simplex":
+    kind = _kind_of(theta0)
+    if learner.coord_flow is None or kind is None or kind.coords is None:
         flows = [additive_form(learner, phi)[0] for phi in phis]
         for n in rows:
             theta, dt = theta0, t / n
@@ -759,7 +768,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
                     theta = flow(dt, theta)
             ends[n] = theta
         return tuple(ends[n] for n in counts)
-    labels, dts = theta0.labels, [t / n for n in rows]
+    labels, dts = kind.labels(theta0), [t / n for n in rows]
     # the slices shrink as n grows: rows whose slice underflows to 0 are the
     # identity, and binding them only makes the observations' checks
     live = sum(dt > 0.0 for dt in dts)
@@ -767,7 +776,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
         for phi in phis:
             learner.coord_flow(((phi, 1.0),), dts[live:], labels)
         ends.update((n, theta0) for n in rows[live:])
-    c = np.repeat(theta0.probs[None], live, axis=0)
+    c, project = np.repeat(kind.coords(theta0)[None], live, axis=0), _row_projection(kind)
     v, done = None, 0
     for lo in range(live):
         steps = [learner.coord_flow(((phi, 1.0),), dts[lo:live], labels) for phi in phis]
@@ -775,10 +784,9 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
         for _ in range(int(rows[lo]) - done):
             for step in steps:
                 v = step(c)
-                c = normalize_probs(v)
+                c = project(v)
         done = int(rows[lo])
-        # rebuilding from the unnormalized row gives the object path's bits
-        ends[rows[lo]] = theta0 if v is None else theta0.with_probs(v[0])
+        ends[rows[lo]] = theta0 if v is None else _result(theta0, v[0])
         c = c[1:]
         v = None if v is None else v[1:]
     return tuple(ends[n] for n in counts)

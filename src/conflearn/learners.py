@@ -69,7 +69,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _forward_stencil
+from .flows import _forward_stencil, belief_coords, belief_rebuild, coord_labels
 
 __all__ = [
     "Learner",
@@ -117,23 +117,22 @@ class Learner:
     bel: Optional[Callable[[Any, Any], float]] = None
     bel_top: Optional[Callable[[Any, Any], float]] = None
     translate: Optional[Callable[[Any, ConfidenceValue, Any], float]] = None
-    # make_flow(phi)(t, belief) is the update at additive time t; a simplex
-    # learner with a coord_flow and no make_flow gets the one coord_flow
-    # defines
+    # make_flow(phi)(t, belief) is the update at additive time t; a learner
+    # with a coord_flow and no make_flow gets the one coord_flow defines
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
     # coord_flow(terms, ts, labels) is the exact flow of the weighted parallel
     # observation terms = ((phi, w), ...) (closed_field's terms, label order)
-    # at the additive times ts, bound once to beliefs whose coordinates are
-    # labelled ``labels``.  It returns NotImplemented, whatever ts, where the
-    # terms' flows do not commute, so that their sum has no closed-form flow;
-    # None where every time is 0 (the identity); else, for positive times, a
-    # map along the last axis from coordinates to the updated ones before
-    # the kind's projection, row i at time ts[i], taking one belief's
-    # coordinates or an array of rows, one per time.  It raises
-    # ParameterError if an observation is over other worlds.  On a simplex
-    # the one-term case ((phi, 1.0),) is make_flow(phi):
-    # FiniteSimplex(labels, map(probs)) is make_flow(phi)(t, belief) bit for
-    # bit, and each row gets those bits.
+    # at the float additive times ts >= 0 (inf for top), bound once to
+    # beliefs of any kind with coordinates labelled ``labels``.  It returns
+    # NotImplemented, whatever ts, where the terms' flows do not commute, so
+    # that their sum has no closed-form flow; None where every time is 0 (the
+    # identity); else, for positive times, a map along the last axis from
+    # coordinates to the updated ones before the kind's projection, row i at
+    # time ts[i], taking one belief's coordinates or an array of rows, one
+    # per time.  It raises ParameterError if an observation is over other
+    # worlds.  The one-term case ((phi, 1.0),) is make_flow(phi): the belief
+    # rebuilt from map(coords) is make_flow(phi)(t, belief) bit for bit, and
+    # each row gets those bits.
     coord_flow: Optional[
         Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
     ] = None
@@ -168,14 +167,22 @@ class Learner:
     top_absorbing: bool = True
 
     def __post_init__(self):
-        coord_flow = self.coord_flow
-        if self.make_flow is None and coord_flow is not None:
-            object.__setattr__(self, "make_flow", lambda phi: (
-                lambda t, p: _on_simplex(coord_flow(((phi, 1.0),), (t,), p.labels), p)
-            ))
+        if self.make_flow is None and self.coord_flow is not None:
+            object.__setattr__(self, "make_flow", partial(_coord_make_flow, self.coord_flow))
 
     def __repr__(self) -> str:
         return f"Learner({self.id!r}, domain={self.domain.id!r})"
+
+
+def _coord_make_flow(coord_flow, phi) -> Callable[[Any, Any], Any]:
+    """make_flow(phi) as coord_flow defines it, on the belief's coordinates."""
+    add = get_domain("add")
+
+    def flow(t, theta):
+        step = coord_flow(((phi, 1.0),), (add.to_float(add.coerce(t)),), coord_labels(theta))
+        return theta if step is None else belief_rebuild(theta, step(belief_coords(theta)))
+
+    return flow
 
 
 def _on_simplex(
@@ -222,14 +229,13 @@ def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha."""
-    return _on_simplex(_interp_map(a, (alpha,), p.labels), p)
-
-
-def _interp_map(a: EventSet, alphas: Sequence, labels: Tuple[str, ...]):
-    """interp_observe(a, alpha, .) at each weight of ``alphas``, one per row,
-    bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
     frac = get_domain("frac")
-    ws = [frac.to_float(frac.coerce(alpha)) for alpha in alphas]  # bot is 0, top is 1
+    return _on_simplex(_interp_map(a, (frac.to_float(frac.coerce(alpha)),), p.labels), p)
+
+
+def _interp_map(a: EventSet, ws: Sequence[float], labels: Tuple[str, ...]):
+    """interp_observe(a, w, .) at each float weight w in [0, 1] of ``ws``, one
+    per row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
     if labels != a.labels:
         raise ParameterError("event over a different world set")
     if not any(ws):
@@ -378,13 +384,6 @@ def make_ds_learner() -> Learner:
             table[s] = table.get(s, 0.0) + float(w)
         return a, MassFunction(labels, table)
 
-    def flow_factory(a: EventSet):
-        def flow(t: float, m: MassFunction) -> MassFunction:
-            alpha = 1.0 if math.isinf(t) else -math.expm1(-t)
-            return ds_plaus_update(m, a, alpha)
-
-        return flow
-
     return Learner(
         id="ds",
         domain=frac,
@@ -394,7 +393,7 @@ def make_ds_learner() -> Learner:
         bel=lambda a, m: m.bel(a),
         bel_top=lambda a, m: 1.0,
         translate=_frac_translate,
-        make_flow=flow_factory,
+        make_flow=lambda a: lambda t, m: ds_plaus_update(m, a, -math.expm1(-t)),  # 1 at top
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
         default_grid=_grid(frac, (0.25, 0.5, 0.75)),
@@ -554,12 +553,10 @@ def _largest_penalty(u: np.ndarray, possible: Optional[np.ndarray]) -> float:
     return max(map(abs, (u if possible is None else u[possible]).tolist()), default=0.0)
 
 
-def _gibbs_map(pen: _Penalty, ts: Sequence, labels: Tuple[str, ...]):
-    """The update by pen at the additive times ts, one per row, bound to
-    simplexes over labels (see ``Learner.coord_flow``)."""
+def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
+    """The update by pen at the float additive times bs (inf for top), one
+    per row, bound to simplexes over labels (see ``Learner.coord_flow``)."""
     _check_worlds(pen, labels)
-    add = get_domain("add")
-    bs = [add.to_float(add.coerce(t)) for t in ts]  # bot is 0, top is inf
     if not any(bs):
         return None
     if min(bs) == math.inf:
@@ -678,7 +675,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
 
     def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
         # coord_flow of the one term (phi, 1.0), without building the term
-        return _on_simplex(_gibbs_map(penalty(phi), (t,), p.labels), p)
+        return _on_simplex(_gibbs_map(penalty(phi), (add.to_float(add.coerce(t)),), p.labels), p)
 
     def bel(phi, p: FiniteSimplex) -> float:
         pen = _check_worlds(penalty(phi), p.labels)
@@ -729,6 +726,8 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
+    add = get_domain("add")
+    beta = add.to_float(add.coerce(beta))
     return _on_simplex(_gibbs_map(_boltzmann_penalty(v), (beta,), p.labels), p)
 
 
@@ -930,15 +929,7 @@ def _statement_from_json(obj: Mapping, table: GradedBeliefTable) -> str:
 
 
 def make_max_graded_learner() -> Learner:
-    dom, add = get_domain("max"), get_domain("add")
-
-    def flow_factory(key: str):
-        def flow(t: float, table: GradedBeliefTable) -> GradedBeliefTable:
-            g = table.grade(key)
-            new = 1.0 if math.isinf(t) else 1.0 - (1.0 - g) * math.exp(-t)
-            return table.with_grade(key, new)
-
-        return flow
+    dom = get_domain("max")
 
     def closed_field(terms):
         # sum_j w_j (1 - grade_j) e_j: a rate per key, r * (1 - c)
@@ -955,18 +946,17 @@ def make_max_graded_learner() -> Learner:
 
     def coord_flow(terms, ts, labels):
         # the statements' flows commute: 1 - (1 - c) e^(-r t) per key and
-        # row, at the key's rate r, with make_flow's exp; grade 1 at top
+        # row, at the key's rate r; grade 1 at top
         rates = [0.0] * len(labels)
         for key, w in terms:
             if key not in labels:
                 raise ParameterError(f"unknown statement {key!r}")
             rates[labels.index(key)] += w
-        bs = [add.to_float(add.coerce(t)) for t in ts]
-        if not any(bs):
+        if not any(ts):
             return None
         moved = np.array([r > 0.0 for r in rates])
-        decay = np.array([[math.exp(-(b * r)) if r > 0.0 else 1.0 for r in rates] for b in bs])
-        decay = decay[0] if len(bs) == 1 else decay
+        decay = np.array([[math.exp(-(t * r)) if r > 0.0 else 1.0 for r in rates] for t in ts])
+        decay = decay[0] if len(ts) == 1 else decay
         return lambda c: np.where(moved, 1.0 - (1.0 - c) * decay, c)
 
     def sample_instance(rng):
@@ -987,7 +977,6 @@ def make_max_graded_learner() -> Learner:
         bel=lambda key, table: table.grade(key),
         bel_top=lambda key, table: 1.0,
         translate=_max_translate,
-        make_flow=flow_factory,
         coord_flow=coord_flow,
         closed_field=closed_field,
         sample_instance=sample_instance,

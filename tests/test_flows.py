@@ -39,6 +39,7 @@ from conflearn import (
     coord_labels,
     derivative_field,
     ds_plaus_update,
+    get_domain,
     get_learner,
     get_mutants,
     integrate,
@@ -522,6 +523,24 @@ def test_additive_form_max_graded():
         ) <= 1e-10
 
 
+def test_additive_form_max_graded_keeps_the_bits_of_observe():
+    # where chi <= the grade the translation is time 0, whose flow is the
+    # identity: the grade keeps its bits (0.1 used to come back as
+    # 0.09999999999999998); at top both give grade 1.  Elsewhere the
+    # translation's log and the flow's exp round within one ulp of 1.
+    learner = get_learner("max-graded")
+    flow, g = additive_form(learner, "x")
+    for grade in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        table = GradedBeliefTable({"w": 0.4, "x": grade})
+        for chi in np.linspace(0.0, 1.0, 21):
+            got, want = flow(g(chi, table), table), learner.observe("x", chi, table)
+            if chi <= grade or chi == 1.0:
+                assert got.entries == want.entries
+            else:
+                assert got.entries["w"] == 0.4
+                assert abs(got.grade("x") - want.grade("x")) <= 2.0**-52
+
+
 # ---------------------------------------------------------------------------
 # Trotter interleaving.
 
@@ -792,6 +811,34 @@ def test_trotter_walks_every_count_in_one_pass(lid, phis):
     assert [s.probs.tobytes() for s in states] == [
         trotter_interleave(learner, *phis, 1.2, n, p).probs.tobytes() for n in counts
     ]
+
+
+def test_max_graded_trotter_walks_rows_with_the_bits_of_its_flows():
+    # max-graded walks its counts as rows of grades, in one pass, and each
+    # count keeps the bits of composing make_flow on tables for it alone
+    learner = get_learner("max-graded")
+    steps = []
+
+    def coord_flow(terms, ts, labels):
+        step = learner.coord_flow(terms, ts, labels)
+        return lambda c: (steps.append(len(c)), step(c))[1]
+
+    counting = dataclasses.replace(learner, coord_flow=coord_flow)
+    table = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5, "phi3": 0.9})
+    counts, chi = (1, 3, 3, 64, 1000), 1.7
+    states = trotter_interleave(counting, "phi1", "phi3", chi, counts, table)
+    assert len(steps) == 2 * max(counts)
+    flows = [learner.make_flow(key) for key in ("phi1", "phi3")]
+    for n, state in zip(counts, states):
+        expect = table
+        for _ in range(n):
+            for flow in flows:
+                expect = flow(chi / n, expect)
+        assert state.entries == expect.entries
+    # a slice of 0 is the identity, and an unknown statement is still named
+    assert trotter_interleave(learner, "phi1", "phi3", 0.0, 5, table) is table
+    with pytest.raises(ParameterError, match="unknown statement 'zz'"):
+        trotter_interleave(learner, "phi1", "zz", chi, counts, table)
 
 
 def test_trotter_rows_at_weight_one_keep_their_bits():
@@ -1379,6 +1426,46 @@ def test_exact_scheme_needs_an_exact_flow():
     ):
         with pytest.raises(ParameterError, match="has no exact flow"):
             integrate_sampled(field, p, 1.0, IntegratorConfig(scheme="exact"))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "exact"])
+def test_sampled_run_ends_exactly_at_t(scheme):
+    # ceil(t / step_out) * step_out rounds one ulp below this t; the last
+    # sample is t itself, and the row count stays ceil(t / step_out) + 1
+    t, step_out = 52.977826052902145, 0.7568260864700306
+    n = math.ceil(t / step_out)
+    assert n * step_out < t
+    learner, p = get_learner("boltzmann"), tri()
+    rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
+    cfg = IntegratorConfig(scheme=scheme, step=0.05)
+    final, record = integrate_sampled(derivative_field(learner, rv), p, t, cfg, step_out=step_out)
+    assert len(record.rows) == n + 1
+    assert record.rows[-1][0] == t
+    assert record.rows[-2][0] == (n - 1) * step_out
+    assert belief_coords(final).tobytes() == np.array(record.rows[-1][1:]).tobytes()
+    if scheme == "exact":
+        assert final.probs.tobytes() == learner.make_flow(rv)(t, p).probs.tobytes()
+
+
+def test_exact_run_coerces_no_time_per_row(monkeypatch):
+    # coord_flow takes float times: an exact sampled run validates its time
+    # once, and no sample row passes through a confidence domain
+    add = type(get_domain("add"))
+    calls = []
+    for op in ("coerce", "value", "to_float", "check_member"):
+        inner = getattr(add, op)
+        monkeypatch.setattr(add, op, lambda self, *a, _op=op, _inner=inner: (
+            calls.append(_op), _inner(self, *a))[1])
+    learner, p = get_learner("boltzmann"), tri()
+    rvs = [RandomVariable(p.labels, np.array(u)) for u in ([1.0, 0.0, -0.5], [-0.3, 0.7, 0.2])]
+    field = _fields(learner, rvs, [1.5, 0.5])
+    counts = []
+    for rows in (1, 10, 100):
+        calls.clear()
+        _, record = integrate_sampled(field, p, 2.0, IntegratorConfig(scheme="exact"), step_out=2.0 / rows)
+        assert len(record.rows) == rows + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] <= 2
 
 
 def test_exact_scheme_bounds_its_rows_not_its_steps():

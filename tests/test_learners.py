@@ -685,3 +685,21 @@ def test_make_flow_is_the_one_coord_flow_defines(lid):
     explicit = derived.make_flow
     assert dataclasses.replace(learner, make_flow=explicit).make_flow is explicit
     assert dataclasses.replace(learner, make_flow=None, coord_flow=None).make_flow is None
+
+
+def test_max_graded_make_flow_is_the_one_coord_flow_defines():
+    # max-graded registers no make_flow: its flow is derived from coord_flow
+    # on the table's coordinates, 1 - (1 - g) e^(-t) for the observed key
+    learner = get_learner("max-graded")
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        key, table = learner.sample_instance(rng)
+        flow = learner.make_flow(key)
+        assert flow(0.0, table).entries == table.entries  # the identity, bit for bit
+        for t in (0.3, 2.5, 40.0, math.inf, get_domain("add").value(1.1)):
+            s = get_domain("add").to_float(get_domain("add").coerce(t))
+            expect = dict(table.entries)
+            expect[key] = 1.0 - (1.0 - table.grade(key)) * math.exp(-s)
+            assert flow(t, table).entries == expect
+    with pytest.raises(ParameterError, match="unknown statement 'zz'"):
+        learner.make_flow("zz")(1.0, table)
