@@ -53,7 +53,6 @@ from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError
 from .flows import (
     IntegratorConfig,
     _csv_text,
-    _exact_flow,
     belief_coords,
     combine_fields,
     coord_labels,
@@ -249,19 +248,6 @@ def _integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
-def _scheme_for(cfg: dict, icfg: IntegratorConfig, field, theta0) -> IntegratorConfig:
-    """icfg with the scheme "exact" where the config names no scheme and the
-    field has an exact flow from theta0; naming "exact" needs one."""
-    named = "scheme" in cfg.get("integrator", {})
-    if named and icfg.scheme != "exact":
-        return icfg
-    if _exact_flow(field, theta0) is None:
-        if named:
-            raise ConfigError(f"bad integrator settings: field {field.label!r} has no exact flow")
-        return icfg
-    return dataclasses.replace(icfg, scheme="exact")
-
-
 def _parse_time(raw):
     if raw == "top":
         return math.inf
@@ -359,7 +345,7 @@ def _cmd_combine(args, cfg: dict) -> int:
         field = combine_fields(fields, weights)
     except (ParameterError, TypeError) as exc:
         raise ConfigError(f"bad weights: {exc}") from exc
-    icfg = _scheme_for(cfg, _integrator(cfg), field, theta0)
+    icfg = _integrator(cfg)
     t = _parse_time(_need(cfg, "t"))
     name = _out_name(cfg, "output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
 
@@ -410,7 +396,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
     field = combine_fields(
         [derivative_field(learner, phi1), derivative_field(learner, phi2)]
     )
-    reference = integrate(field, theta0, chi, _scheme_for(cfg, icfg, field, theta0))
+    reference = integrate(field, theta0, chi, icfg)
 
     counts = sorted(set(n_values))
     states = trotter_interleave(learner, phi1, phi2, chi, counts, theta0)

@@ -2,9 +2,9 @@
 
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
-statements in parallel, integrates fields with a fixed-step RK4/Euler scheme
-or, where the observations' flows commute, with their exact flow, and
-interleaves two flows to approximate their parallel combination from
+statements in parallel, integrates fields by their exact flow where the
+observations' flows commute and with a fixed-step RK4/Euler scheme elsewhere,
+and interleaves two flows to approximate their parallel combination from
 sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
@@ -14,8 +14,8 @@ learner's closed field is the field of a weighted parallel observation
 map from a belief's coordinates to its velocity; one observation is the
 one-term case.  ``combine_fields`` merges the closed fields of one learner
 into one such form, and sums any other fields term by term.  ``integrate``
-and ``integrate_sampled`` share one driver: it checks the step budget, binds
-the field once, steps on arrays to finite time (sample by sample) or to the
+and ``integrate_sampled`` share one driver: it binds the field once, checks
+the budget, follows the field to finite time (sample by sample) or to the
 limit, and returns the end state with the rows (t, *coords) of the start,
 each sample time and the end.  Each RK4 stage projects its state into the
 constraint set with the projection of the belief's kind record
@@ -29,24 +29,24 @@ form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
 CSV writer of the package.
 
 Where the observations' flows commute, the flow of their sum at time t is
-the composition of each flow at time w_j t, a closed form, and the scheme
-"exact" takes no steps.  The handle's (learner, terms) reach the learner's
-``coord_flow``, which maps the start to every sample time as one row of one
-call.  The driver still binds the field and evaluates it once at the
-start, so each check a first step would make still runs; it projects the
-rows with the kind's projection (``normalize_probs`` on a simplex) and
-rebuilds the end state from the last unprojected row.  ``boltzmann`` and
-``bayes`` (their tilts add) and ``max-graded`` (a rate per key) have exact
-flows, and ``interp`` has one for a single observation.  RK4 stays the
-library default; the ``combine`` and ``trotter`` commands pick "exact"
-where the field has an exact flow and the config names no scheme.
+the composition of each flow at time w_j t, a closed form, and the driver
+takes it wherever the field has one, under any scheme, with no steps.  The
+handle's (learner, terms) reach the learner's ``coord_flow``, which maps the
+start to every sample time as one row of one call.  The driver still binds
+the field and evaluates it once at the start, so each check a first step
+would make still runs; it projects the rows with the kind's projection
+(``normalize_probs`` on a simplex) and rebuilds the end state from the last
+unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
+``max-graded`` (a rate per key) have exact flows, and ``interp`` has one for
+a single observation.  The scheme steps the rest: interp sums, mutants,
+hand-built handles and sums over different learners.
 
 Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one
 float additive time per row; ``trotter_interleave`` walks every round count
-of a call as one row of one array, projects each update as the exact scheme
-does (``_row_projection``) and builds one belief per count.  Learners with
-no coordinate flow (``ds``) compose their flows on belief objects.
+of a call as one row of one array, projects each update as the exact flow
+does (``_row_projection``) and builds one belief per count.  Learners with no
+coordinate flow (``ds``) compose their flows on belief objects.
 
 ``metric_gradient`` (Fisher on a simplex, or euclidean) lets callers verify
 that a learner's update direction is metric gradient ascent on its Bel.
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,8 +179,8 @@ class VectorFieldHandle:
     of the handles' fields.  The integrators step with ``_bind``'s map, and an
     ``eval_at`` of None evaluates that map at one belief.  ``_source`` is
     ``(learner, terms)`` for a learner's closed field of the weighted
-    observations terms: ``combine_fields`` merges such fields, and the exact
-    scheme reaches the learner's ``coord_flow`` through it.
+    observations terms: ``combine_fields`` merges such fields, and the
+    integrators reach the learner's ``coord_flow`` through it.
     """
 
     label: str
@@ -430,26 +431,31 @@ _REM_TOL = 1e-15  # a remainder below this takes no extra step
 
 
 def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
+    """The times a run to finite t records after its start: t alone or,
+    sampled, each whole multiple of ``step_out`` below t, then t itself (no
+    time at t = 0)."""
     if step_out is None:
         return (t,)
-    n_samples = int(math.ceil(t / step_out))  # the last is t: n_samples * step_out may round below
-    return (min(i * step_out, t) if i < n_samples else t for i in range(1, n_samples + 1))
+    n = math.ceil(t / step_out)  # (n - 1) * step_out may round to t, n * step_out below it
+    wholes = range(1, n if (n - 1) * step_out < t else n - 1)
+    return itertools.chain((k * step_out for k in wholes), (t,) if n else ())
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Deterministic integrator settings.
 
-    ``scheme`` is "rk4" or "euler", fixed steps of ``step``, or "exact": the
-    closed-form flow of a field whose observations' flows commute (see
-    ``Learner.coord_flow``), which takes no steps; naming it for a field with
-    no exact flow raises ParameterError.
+    The integrators take a field's exact flow wherever it has one (the
+    observations' flows commute, see ``Learner.coord_flow``), with no steps.
+    ``scheme`` is the stepper for every other field: "rk4" or "euler", fixed
+    steps of ``step``.
     ``limit_tol``/``t_max``/``max_steps`` control detection of the infinite-
     confidence limit: the integration stops once the field's sup norm stays
     below ``limit_tol`` for ten consecutive steps, and reports no limit after
-    ``max_steps`` steps or time ``t_max``.  A finite-time integration that
-    would take more than ``max_steps`` steps, or sample more than
-    ``max_steps`` rows, is rejected before it starts.
+    ``max_steps`` steps or time ``t_max``.  ``max_steps`` also bounds the
+    steps and the numbers a finite-time run holds: one that would take more
+    than ``max_steps`` steps, or record more than ``max_steps`` numbers (rows
+    times one more than the coordinates), is rejected before it starts.
     """
 
     scheme: str = "rk4"
@@ -459,7 +465,7 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "euler", "exact"):
+        if self.scheme not in ("rk4", "euler"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         reals = (self.step, self.t_max, self.limit_tol)
         if any(isinstance(x, bool) for x in reals) or not all(0 < x < math.inf for x in reals):
@@ -472,18 +478,21 @@ class IntegratorConfig:
             raise ParameterError("max_steps must be an integer of at least 1")
 
 
-def _check_budget(cfg: IntegratorConfig, t: float, step_out: Optional[float] = None) -> None:
+def _check_budget(
+    cfg: IntegratorConfig, t: float, step_out: Optional[float], width: int, stepping: bool
+) -> None:
     """Reject integrating to finite time t, sampled every ``step_out`` if
-    given, when it samples more than ``max_steps`` rows or, stepping, when
-    its sample intervals together take over ``max_steps`` steps."""
-    exact = cfg.scheme == "exact"  # takes no steps, but one row per sample
-    too_many = f"t={t:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}"
-    if step_out is not None and t / step_out > cfg.max_steps:
-        if exact:
-            raise StepBudgetError(f"t={t:g} samples more than max_steps={cfg.max_steps} rows")
-        raise StepBudgetError(too_many)  # every sample interval takes a step
-    if exact:
+    given, when its record of rows of ``width`` numbers would hold more than
+    ``max_steps`` numbers or, ``stepping``, when its sample intervals
+    together take over ``max_steps`` steps."""
+    # at most ceil(t / step_out) + 1 rows; the cap keeps an infinite quotient roundable
+    if step_out is not None and (math.ceil(min(t / step_out, cfg.max_steps)) + 1) * width > cfg.max_steps:
+        raise StepBudgetError(
+            f"t={t:g} sampled every {step_out:g} records more than max_steps={cfg.max_steps} numbers"
+        )
+    if not stepping:
         return
+    too_many = f"t={t:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}"
     steps, now = 0, 0.0
     for target in _sample_times(t, step_out):
         n_full, rem = divmod(target - now, cfg.step)
@@ -558,18 +567,15 @@ def _exact_flow(field: VectorFieldHandle, theta0):
 
 def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
     """The one integration driver: follow the field from theta0 for time t
-    (inf: to the limit), sampled every ``step_out`` if given.  Returns the
+    (inf: to the limit), sampled every ``step_out`` if given, by its exact
+    flow where it has one and else by ``cfg.scheme``'s steps.  Returns the
     final belief and the rows (t, *coords) of the start, each sample time
     and the end."""
-    if not math.isinf(t):
-        _check_budget(cfg, t, step_out)
     f, project = field._bind(theta0)
-    flow = None
-    if cfg.scheme == "exact":
-        flow = _exact_flow(field, theta0)
-        if flow is None:
-            raise ParameterError(f"field {field.label!r} has no exact flow")
+    flow = _exact_flow(field, theta0)
     c, v = belief_coords(theta0), None
+    if not math.isinf(t):
+        _check_budget(cfg, t, step_out, c.size + 1, stepping=flow is None)
     rows = [(0.0,) + tuple(c)]
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
         if flow is not None:
@@ -670,8 +676,9 @@ def integrate_sampled(
 ) -> Tuple[Any, TrajectoryRecord]:
     """Integrate for time t, sampling every ``step_out`` time units.
 
-    For finite t the record holds ceil(t / step_out) + 1 rows: the initial
-    state, each whole sample time, and the final time.  At top it holds two:
+    For finite t the record holds the initial state, each whole multiple of
+    ``step_out`` below t, and t itself: ceil(t / step_out) + 1 rows, or one
+    fewer where the last whole multiple rounds to t.  At top it holds two:
     the initial state and the limit, at t = inf.  The final state is the one
     ``integrate`` returns.
     """

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conflearn import cli
+from conflearn import IntegratorConfig, ParameterError, cli
 from conflearn.cli import main
 
 
@@ -438,9 +438,10 @@ COMBINE_INTERP = {
 
 
 def test_combine_step_budget_exits_2(tmp_path, capsys):
-    cfg = dict(COMBINE_INTERP, integrator={"step": 1e-9, "max_steps": 5})
+    # a record of 11 rows of 4 numbers fits; 10^9 steps do not
+    cfg = dict(COMBINE_INTERP, integrator={"step": 1e-9, "max_steps": 44})
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
-    assert "max_steps" in capsys.readouterr().err
+    assert "more than max_steps=44 steps" in capsys.readouterr().err
 
 
 def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, capsys):
@@ -726,27 +727,38 @@ def _combine_csv(tmp_path, cfg):
 
 
 @pytest.mark.parametrize("lid", sorted(EXACT_COMBINES) + ["interp"])
-def test_combine_picks_the_exact_flow_unless_the_config_names_a_scheme(tmp_path, lid):
+def test_a_named_scheme_keeps_a_commuting_combine_csv(tmp_path, lid):
     belief, observations = EXACT_COMBINES.get(lid, (COMBINE_INTERP["belief"], COMBINE_INTERP["observations"]))
     cfg = {"learner": lid, "belief": belief, "observations": observations, "weights": [3.0, 1.0],
            "t": 1.3}
-    picked = _combine_csv(tmp_path, cfg)
-    rk4 = _combine_csv(tmp_path, dict(cfg, integrator={"scheme": "rk4"}))
-    if lid == "interp":  # conditionings on different events do not commute
-        assert picked == rk4
-        return
-    assert picked == _combine_csv(tmp_path, dict(cfg, integrator={"scheme": "exact"}))
-    got, want = (np.array([[float(x) for x in row] for row in list(csv.reader(text.splitlines()))[1:]])
-                 for text in (picked, rk4))
-    assert got.shape == want.shape and 0.0 < np.abs(got - want).max() <= 1e-9
+    unnamed = _combine_csv(tmp_path, cfg)
+    rk4, euler = (_combine_csv(tmp_path, dict(cfg, integrator={"scheme": scheme})) for scheme in ("rk4", "euler"))
+    if lid == "interp":  # conditionings on different events do not commute: the scheme steps them
+        assert unnamed == rk4 != euler
+    else:
+        assert unnamed == rk4 == euler
 
 
-def test_combine_exact_scheme_without_an_exact_flow_exits_2(tmp_path, capsys):
-    cfg = dict(COMBINE_INTERP, integrator={"scheme": "exact"})
+def test_exact_is_an_unknown_scheme(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="unknown scheme 'exact'"):
+        IntegratorConfig(scheme="exact")
+    belief, observations = EXACT_COMBINES["boltzmann"]
+    for cfg in (COMBINE_INTERP, dict(COMBINE_INTERP, belief=belief, observations=observations, learner="boltzmann")):
+        assert run_cli(tmp_path, "combine", dict(cfg, integrator={"scheme": "exact"}), "--quiet") == 2
+        assert capsys.readouterr().err == "config error: bad integrator settings: unknown scheme 'exact'\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_combine_record_over_max_steps_numbers_exits_2(tmp_path, capsys):
+    # 5e6 rows of 65 numbers: rejected before any evaluation, never run
+    worlds = [f"w{i}" for i in range(64)]
+    cfg = {"learner": "boltzmann", "belief": {"kind": "simplex", "labels": worlds, "probs": [1.0] * 64},
+           "observations": [{"values": {w: float(i % 7) for i, w in enumerate(worlds)}},
+                            {"values": {w: float(i % 5) for i, w in enumerate(worlds)}}],
+           "t": 500000}
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: bad integrator settings: field ") and err.count("\n") == 1
-    assert err.rstrip().endswith("has no exact flow")
+    assert err.count("\n") == 1 and "more than max_steps=10000000 numbers" in err
     assert not (tmp_path / "out").exists()
 
 

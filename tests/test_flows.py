@@ -483,8 +483,8 @@ def test_no_limit_error_for_drifting_field():
 def test_euler_scheme_close_to_rk4():
     learner = get_learner("interp")
     p = tri()
-    a = p.event(["a", "b"])
-    field = derivative_field(learner, a)
+    # conditionings on different events do not commute, so the scheme steps their sum
+    field = combine_fields([derivative_field(learner, p.event(e)) for e in (["a", "b"], ["b", "c"])])
     rk = integrate(field, p, 1.0)
     eu = integrate(field, p, 1.0, IntegratorConfig(scheme="euler", step=1e-4))
     assert belief_distance(rk, eu) <= 1e-3
@@ -1087,35 +1087,47 @@ def test_fused_field_rejects_other_worlds_once_at_bind(kind):
 def test_combine_evaluates_one_closed_form_per_stage():
     from dataclasses import replace
 
-    base = get_learner("boltzmann")
     calls = {"closed_field": [], "bind": 0, "eval": 0}
 
-    def closed_field(terms):
-        calls["closed_field"].append(len(terms))
-        bind = base.closed_field(terms)
+    def counted(base):
+        def closed_field(terms):
+            calls["closed_field"].append(len(terms))
+            bind = base.closed_field(terms)
 
-        def counted_bind(space):
-            calls["bind"] += 1
-            field = bind(space)
+            def counted_bind(space):
+                calls["bind"] += 1
+                field = bind(space)
 
-            def counted(c):
-                calls["eval"] += 1
-                return field(c)
+                def counted(c):
+                    calls["eval"] += 1
+                    return field(c)
 
-            return counted
+                return counted
 
-        return counted_bind
+            return counted_bind
 
-    learner = replace(base, closed_field=closed_field)
+        return replace(base, closed_field=closed_field)
+
     labels = ("a", "b", "c", "d")
-    rng = np.random.default_rng(5)
-    phis = [RandomVariable(labels, rng.normal(size=4)) for _ in range(5)]
-    field = combine_fields([derivative_field(learner, phi) for phi in phis], [0.5, 1, 2, 0.3, 1.1])
-    assert calls["closed_field"] == [1, 1, 1, 1, 1, 5]
+    p = FiniteSimplex(labels, np.ones(4))
+    weights = [0.5, 1, 2, 0.3, 1.1]
     cfg = IntegratorConfig(step=0.01)
-    integrate(field, FiniteSimplex(labels, np.ones(4)), 0.5, cfg)
+    # conditionings on different events do not commute, so RK4 steps their sum
+    interp = counted(get_learner("interp"))
+    events = [p.event(e) for e in (["a"], ["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"])]
+    field = combine_fields([derivative_field(interp, a) for a in events], weights)
+    assert calls["closed_field"] == [1, 1, 1, 1, 1, 5]
+    integrate(field, p, 0.5, cfg)
     assert calls["bind"] == 1
     assert calls["eval"] == 4 * 50  # four RK4 stages for each of 50 steps
+    # tempering flows commute: the exact flow evaluates the field once, at the start
+    boltzmann = counted(get_learner("boltzmann"))
+    rng = np.random.default_rng(5)
+    phis = [RandomVariable(labels, rng.normal(size=4)) for _ in range(5)]
+    field = combine_fields([derivative_field(boltzmann, phi) for phi in phis], weights)
+    calls.update(closed_field=[], bind=0, eval=0)
+    integrate(field, p, 0.5, cfg)
+    assert (calls["bind"], calls["eval"]) == (1, 1)
 
 
 def test_mixed_learners_keep_the_per_handle_sum():
@@ -1136,8 +1148,9 @@ def test_limit_integration_stops_when_a_step_cannot_move_the_state():
     learner = get_learner("boltzmann")
     p = tri()
     field = derivative_field(learner, RandomVariable(p.labels, np.array([1.0, 2.0, 3.0])))
+    stepped = VectorFieldHandle(field.label, None, field.eval_at)  # no exact flow: RK4 steps it
     with pytest.raises(NoLimitError, match="does not move the state"):
-        integrate(field, p, math.inf, IntegratorConfig(step=1e-300))
+        integrate(stepped, p, math.inf, IntegratorConfig(step=1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -1224,8 +1237,15 @@ def _closed_form(learner, phis, weights, space):
     return lambda v, c: field(c)
 
 
+def _stepped(field: VectorFieldHandle) -> VectorFieldHandle:
+    """field's closed form with no exact flow, so that the scheme steps it
+    through the closed-form stage path."""
+    return VectorFieldHandle(field.label, None, None, _coords=field._coords)
+
+
 def _stage_cases():
-    """(name, handle, theta0, form of (v, c) spelled out)."""
+    """(name, handle, theta0, form of (v, c) spelled out); the interp sums
+    have no exact flow, and the other sums of one learner are stepped."""
     labels = ("a", "b", "c", "d")
     p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
     edge = FiniteSimplex(labels, np.array([0.25, 0.45, 0.3, 0.0]))  # a zero stays zero
@@ -1242,7 +1262,8 @@ def _stage_cases():
     (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
 
     def fields(learner, phis):
-        return combine_fields([derivative_field(learner, phi) for phi in phis], weights)
+        field = combine_fields([derivative_field(learner, phi) for phi in phis], weights)
+        return field if learner is interp else _stepped(field)
 
     cases = []
     for name, learner, phis, theta0 in (
@@ -1335,9 +1356,9 @@ def _fields(learner, phis, weights):
 def test_exact_combine_matches_rk4(case, t):
     _, learner, phis, weights, theta0 = case
     field = _fields(learner, phis, weights)
-    final, record = integrate_sampled(field, theta0, t, IntegratorConfig(scheme="exact"), step_out=0.25)
+    final, record = integrate_sampled(field, theta0, t, step_out=0.25)
     rk4 = IntegratorConfig(step=1e-3, limit_tol=1e-12)
-    ref_final, ref = integrate_sampled(field, theta0, t, rk4, step_out=0.25)
+    ref_final, ref = integrate_sampled(_stepped(field), theta0, t, rk4, step_out=0.25)
     got, want = np.array(record.rows), np.array(ref.rows)
     assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
     assert np.abs(got[:, 1:] - want[:, 1:]).max() <= 1e-9
@@ -1362,12 +1383,12 @@ def test_one_observation_exact_run_is_the_learners_flow(case, t):
         labels = ("h1", "h2", "h3") if lid == "bayes" else ("a", "b", "c", "d")
         theta0 = FiniteSimplex(labels, np.linspace(1.0, 2.0, len(labels)))
         phi = make_phi(theta0)
-    field, cfg = derivative_field(learner, phi), IntegratorConfig(scheme="exact")
+    field = derivative_field(learner, phi)
     expect = belief_coords(learner.make_flow(phi)(t, theta0))
     if lid in ("boltzmann", "bayes"):  # observe takes additive time
         assert belief_coords(learner.observe(phi, t, theta0)).tobytes() == expect.tobytes()
-    assert belief_coords(integrate(field, theta0, t, cfg)).tobytes() == expect.tobytes()
-    final, record = integrate_sampled(field, theta0, t, cfg, step_out=0.01)
+    assert belief_coords(integrate(field, theta0, t)).tobytes() == expect.tobytes()
+    final, record = integrate_sampled(field, theta0, t, step_out=0.01)
     assert belief_coords(final).tobytes() == expect.tobytes()
     for now, *row in record.rows[1:]:  # each sample has the bits of its time alone
         assert np.array(row).tobytes() == belief_coords(learner.make_flow(phi)(now, theta0)).tobytes()
@@ -1386,65 +1407,92 @@ def test_one_trotter_round_is_the_exact_parallel_flow(lid, chi):
         else:
             phi2 = ("e1", "e2", "e3")[int(rng.integers(3))]
         field = _fields(learner, [phi1, phi2], None)
-        exact = integrate(field, p, chi, IntegratorConfig(scheme="exact"))
+        exact = integrate(field, p, chi)
         interleaved = trotter_interleave(learner, phi1, phi2, chi, 1, p)
         assert np.abs(exact.probs - interleaved.probs).max() <= 1e-14
 
 
 def test_exact_flow_makes_the_checks_of_a_first_step():
     p = FiniteSimplex(("a", "b", "c"), np.array([0.6, 0.4, 0.0]))
-    exact = IntegratorConfig(scheme="exact")
     model = BayesModel(p.labels, {"e": np.array([0.5, 0.0, 0.5]), "f": np.array([0.2, 0.3, 0.4])})
     bayes = get_learner("bayes", model=model)
     for field in (derivative_field(get_learner("interp"), p.event(["c"])),
                   _fields(bayes, ["e", "f"], None)):
         for t in (1.0, math.inf):
             with pytest.raises(DomainError, match=r"^state outside the update domain of "):
-                integrate(field, p, t, exact)
+                integrate(field, p, t)
     unknown = derivative_field(get_learner("max-graded"), "zz")
     with pytest.raises(DomainError, match=r"^state outside the update domain of max-graded:"):
-        integrate(unknown, GradedBeliefTable({"x": 0.2}), 1.0, exact)
+        integrate(unknown, GradedBeliefTable({"x": 0.2}), 1.0)
     boltzmann = get_learner("boltzmann")
     rvs = [RandomVariable(p.labels, np.array(u)) for u in ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite tangent components"):
-            integrate(_fields(boltzmann, rvs, [1e308, 1e308]), p, 1.0, exact)
+            integrate(_fields(boltzmann, rvs, [1e308, 1e308]), p, 1.0)
 
 
-def test_exact_scheme_needs_an_exact_flow():
+def test_scheme_steps_only_fields_with_no_exact_flow():
     p = tri()
     interp, boltzmann = get_learner("interp"), get_learner("boltzmann")
     (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
-    rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
-    user = VectorFieldHandle("user", None, lambda theta: TangentVector(theta, np.zeros(3)))
+    rvs = [RandomVariable(p.labels, np.array(u)) for u in ([0.3, -0.2, 1.1], [-0.5, 0.9, 0.2])]
+    tilt = derivative_field(boltzmann, rvs[0])
+    rk4, euler = IntegratorConfig(step=0.05), IntegratorConfig(scheme="euler", step=0.05)
+
+    def rows(field, *cfg):
+        return np.array(integrate_sampled(field, p, 1.0, *cfg, step_out=0.25)[1].rows).tobytes()
+
     for field in (
-        _fields(interp, [p.event(["a"]), p.event(["b", "c"])], None),  # conditionings do not commute
-        derivative_field(euclid, rv),  # a mutant has a finite-difference field only
-        user,
-        combine_fields([derivative_field(interp, p.event(["a"])), derivative_field(boltzmann, rv)]),
+        _fields(interp, [p.event(["a", "b"]), p.event(["b", "c"])], None),  # conditionings do not commute
+        derivative_field(euclid, rvs[0]),  # a mutant has a finite-difference field only
+        VectorFieldHandle("user", None, tilt.eval_at),  # a hand-built handle
+        combine_fields([derivative_field(interp, p.event(["a"])), tilt]),  # two learners
     ):
-        with pytest.raises(ParameterError, match="has no exact flow"):
-            integrate_sampled(field, p, 1.0, IntegratorConfig(scheme="exact"))
+        assert rows(field, rk4) != rows(field, euler)
+    for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"]))):
+        assert rows(field) == rows(field, rk4) == rows(field, euler)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "exact"])
-def test_sampled_run_ends_exactly_at_t(scheme):
+def _tilt_on_tri(path):
+    """A boltzmann field on tri(), its observation and its start: the field
+    takes its exact flow, or (path "rk4") is a handle of the same field with
+    no exact flow, which RK4 steps."""
+    learner, p = get_learner("boltzmann"), tri()
+    rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
+    field = derivative_field(learner, rv)
+    return (field if path == "exact" else VectorFieldHandle(field.label, None, field.eval_at)), rv, p
+
+
+@pytest.mark.parametrize("path", ["rk4", "exact"])
+def test_sampled_run_ends_exactly_at_t(path):
     # ceil(t / step_out) * step_out rounds one ulp below this t; the last
     # sample is t itself, and the row count stays ceil(t / step_out) + 1
     t, step_out = 52.977826052902145, 0.7568260864700306
     n = math.ceil(t / step_out)
     assert n * step_out < t
-    learner, p = get_learner("boltzmann"), tri()
-    rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
-    cfg = IntegratorConfig(scheme=scheme, step=0.05)
-    final, record = integrate_sampled(derivative_field(learner, rv), p, t, cfg, step_out=step_out)
+    field, rv, p = _tilt_on_tri(path)
+    final, record = integrate_sampled(field, p, t, IntegratorConfig(step=0.05), step_out=step_out)
     assert len(record.rows) == n + 1
     assert record.rows[-1][0] == t
     assert record.rows[-2][0] == (n - 1) * step_out
     assert belief_coords(final).tobytes() == np.array(record.rows[-1][1:]).tobytes()
-    if scheme == "exact":
-        assert final.probs.tobytes() == learner.make_flow(rv)(t, p).probs.tobytes()
+    if path == "exact":
+        assert final.probs.tobytes() == get_learner("boltzmann").make_flow(rv)(t, p).probs.tobytes()
+
+
+@pytest.mark.parametrize("path", ["rk4", "exact"])
+def test_sampled_run_records_its_end_time_once(path):
+    # t / step_out rounds just above 127 while 127 * step_out is t itself:
+    # the whole multiples stop below t, and t ends the record once
+    t, step_out = 97.29012611788218, 0.7660639851801746
+    assert math.ceil(t / step_out) == 128 and 127 * step_out == t
+    field, _, p = _tilt_on_tri(path)
+    _, record = integrate_sampled(field, p, t, IntegratorConfig(step=0.05), step_out=step_out)
+    times = [row[0] for row in record.rows]
+    assert len(times) == 128
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == t
 
 
 def test_exact_run_coerces_no_time_per_row(monkeypatch):
@@ -1462,20 +1510,26 @@ def test_exact_run_coerces_no_time_per_row(monkeypatch):
     counts = []
     for rows in (1, 10, 100):
         calls.clear()
-        _, record = integrate_sampled(field, p, 2.0, IntegratorConfig(scheme="exact"), step_out=2.0 / rows)
+        _, record = integrate_sampled(field, p, 2.0, step_out=2.0 / rows)
         assert len(record.rows) == rows + 1
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] <= 2
 
 
 def test_exact_scheme_bounds_its_rows_not_its_steps():
-    learner = get_learner("boltzmann")
-    p = tri()
-    field = derivative_field(learner, RandomVariable(p.labels, np.array([0.3, -0.2, 1.1])))
-    cfg = IntegratorConfig(scheme="exact", step=1e-9, max_steps=5)
-    with pytest.raises(StepBudgetError, match="max_steps=5"):
-        integrate_sampled(field, p, 1.0, cfg, step_out=0.1)  # ten rows
-    _, record = integrate_sampled(field, p, 1.0, cfg, step_out=0.25)  # four rows, no steps
+    # rows of four numbers (t and three coordinates) against 20 numbers
+    field, _, p = _tilt_on_tri("exact")
+    cfg = IntegratorConfig(step=1e-9, max_steps=20)
+    with pytest.raises(StepBudgetError, match="max_steps=20 numbers"):
+        integrate_sampled(field, p, 1.0, cfg, step_out=0.2)  # six rows
+    _, record = integrate_sampled(field, p, 1.0, cfg, step_out=0.25)  # five rows, no steps
     assert [row[0] for row in record.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
     _, record = integrate_sampled(field, p, 0.0, cfg, step_out=0.25)
     assert record.rows == [(0.0,) + tuple(p.probs)]
+    # a stepped run within its step budget is bounded by its record too,
+    # before any evaluation: one step per sample of 0.2, six rows
+    evals = []
+    counted = VectorFieldHandle(field.label, None, lambda b: evals.append(b) or field.eval_at(b))
+    with pytest.raises(StepBudgetError, match="max_steps=20 numbers"):
+        integrate_sampled(counted, p, 1.0, IntegratorConfig(step=0.25, max_steps=20), step_out=0.2)
+    assert not evals

@@ -258,7 +258,8 @@ def test_integrated_states_keep_their_bits():
         "e1": np.array([0.4, 0.8, 0.1, 0.7, 0.3]),
         "e2": np.array([0.0, 0.4, 0.0, 0.9, 0.6]),
     }
-    learner = get_learner("bayes", model=BayesModel(hyps, rows))
+    # with no exact flow, RK4 steps each closed field
+    learner = replace(get_learner("bayes", model=BayesModel(hyps, rows)), coord_flow=None)
     ref = replace(learner, closed_field=lambda terms: ref_bayes_sum_field(rows, terms))
     p = FiniteSimplex(hyps, np.array([0.3, 0.0, 0.3, 0.4, 0.0]))
     q = FiniteSimplex(hyps, np.array([0.0, 0.5, 0.0, 0.2, 0.3]))
