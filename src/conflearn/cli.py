@@ -93,7 +93,9 @@ __all__ = [
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            # an integer beyond the float range reads as +-inf, as 1e400 does, for the
+            # readers' finite checks to see (int() refuses one of over 4,300 digits)
+            cfg = json.load(fh, parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -436,6 +438,9 @@ def _resolve_learners(cfg: dict) -> List[Learner]:
             out.append(mutants[lid] if lid in mutants else _learner_of(lid, {}))
     else:
         raise ConfigError("'learners' must be \"all\" or an array of ids")
+    for key in ("include_lifted", "include_mutants"):
+        if not isinstance(cfg.get(key, False), bool):
+            raise ConfigError(f"{key!r} must be true or false, got {cfg[key]!r}")
     if cfg.get("include_lifted", False):
         out.extend(
             lift_to_list(base)

@@ -3,8 +3,8 @@
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
 statements in parallel, integrates fields by their exact flow where the
-observations' flows commute and with a fixed-step RK4/Euler scheme elsewhere,
-and interleaves two flows to approximate their parallel combination from
+observations' flows commute and with fixed RK4 steps elsewhere, and
+interleaves two flows to approximate their parallel combination from
 sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
@@ -30,7 +30,7 @@ CSV writer of the package.
 
 Where the observations' flows commute, the flow of their sum at time t is
 the composition of each flow at time w_j t, a closed form, and the driver
-takes it wherever the field has one, under any scheme, with no steps.  The
+takes it wherever the field has one, whatever the config, with no steps.  The
 handle's (learner, terms) reach the learner's ``coord_flow``, which maps the
 start to every sample time as one row of one call.  The driver still binds
 the field and evaluates it once at the start, so each check a first step
@@ -38,8 +38,8 @@ would make still runs; it projects the rows with the kind's projection
 (``normalize_probs`` on a simplex) and rebuilds the end state from the last
 unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
 ``max-graded`` (a rate per key) have exact flows, and ``interp`` has one for
-a single observation.  The scheme steps the rest: interp sums, mutants,
-hand-built handles and sums over different learners.
+a single observation.  RK4 steps the rest: interp sums, mutants, hand-built
+handles and sums over different learners.
 
 Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one
@@ -428,6 +428,8 @@ def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e
 
 _QUIET_STEPS = 10  # consecutive quiet steps that count as a detected limit
 _REM_TOL = 1e-15  # a remainder below this takes no extra step
+_LIMIT_TOL = 1e-9  # a field whose sup norm is below this is quiet
+_T_MAX = 1e4  # the time a run to the limit may take before it reports no limit
 
 
 def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
@@ -446,30 +448,23 @@ class IntegratorConfig:
     """Deterministic integrator settings.
 
     The integrators take a field's exact flow wherever it has one (the
-    observations' flows commute, see ``Learner.coord_flow``), with no steps.
-    ``scheme`` is the stepper for every other field: "rk4" or "euler", fixed
-    steps of ``step``.
-    ``limit_tol``/``t_max``/``max_steps`` control detection of the infinite-
-    confidence limit: the integration stops once the field's sup norm stays
-    below ``limit_tol`` for ten consecutive steps, and reports no limit after
-    ``max_steps`` steps or time ``t_max``.  ``max_steps`` also bounds the
-    steps and the numbers a finite-time run holds: one that would take more
-    than ``max_steps`` steps, or record more than ``max_steps`` numbers (rows
-    times one more than the coordinates), is rejected before it starts.
+    observations' flows commute, see ``Learner.coord_flow``), with no steps,
+    and step every other field by RK4 with fixed steps of ``step``.
+    A run to the infinite-confidence limit stops once the field's sup norm
+    stays below ``_LIMIT_TOL`` (1e-9) for ten consecutive steps, and reports
+    no limit after ``max_steps`` steps or time ``_T_MAX`` (1e4).
+    ``max_steps`` also bounds the steps and the numbers a finite-time run
+    holds: one that would take more than ``max_steps`` steps, or record more
+    than ``max_steps`` numbers (rows times one more than the coordinates), is
+    rejected before it starts.
     """
 
-    scheme: str = "rk4"
     step: float = 1e-3
-    t_max: float = 1e4
-    limit_tol: float = 1e-9
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "euler"):
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
-        reals = (self.step, self.t_max, self.limit_tol)
-        if any(isinstance(x, bool) for x in reals) or not all(0 < x < math.inf for x in reals):
-            raise ParameterError("step, t_max and limit_tol must be positive and finite")
+        if isinstance(self.step, bool) or not 0 < self.step < math.inf:
+            raise ParameterError("step must be positive and finite")
         if (
             isinstance(self.max_steps, bool)
             or not isinstance(self.max_steps, (int, np.integer))
@@ -511,11 +506,9 @@ def _coerce_time(t) -> float:
     return t
 
 
-def _advance(f: CoordsMap, project: Project, c, k1, h: float, scheme: str) -> np.ndarray:
-    """One step of size h from projected coordinates c, where k1 is the field
-    there; returns the new state before its projection."""
-    if scheme == "euler":
-        return c + h * k1
+def _advance(f: CoordsMap, project: Project, c, k1, h: float) -> np.ndarray:
+    """One RK4 step of size h from projected coordinates c, where k1 is the
+    field there; returns the new state before its projection."""
     v = c + 0.5 * h * k1
     k2 = f(v, project(v))
     v = c + 0.5 * h * k2
@@ -530,10 +523,10 @@ def _cover(f: CoordsMap, project: Project, c, v, dt: float, cfg: IntegratorConfi
     one remainder step.  Returns the new projected and unprojected states."""
     n_full, rem = divmod(dt, cfg.step)
     for _ in range(int(n_full)):
-        v = _advance(f, project, c, f(v, c), cfg.step, cfg.scheme)
+        v = _advance(f, project, c, f(v, c), cfg.step)
         c = project(v)
     if rem > _REM_TOL:
-        v = _advance(f, project, c, f(v, c), rem, cfg.scheme)
+        v = _advance(f, project, c, f(v, c), rem)
         c = project(v)
     return c, v
 
@@ -568,7 +561,7 @@ def _exact_flow(field: VectorFieldHandle, theta0):
 def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
     """The one integration driver: follow the field from theta0 for time t
     (inf: to the limit), sampled every ``step_out`` if given, by its exact
-    flow where it has one and else by ``cfg.scheme``'s steps.  Returns the
+    flow where it has one and else by RK4 steps of ``cfg.step``.  Returns the
     final belief and the rows (t, *coords) of the start, each sample time
     and the end."""
     f, project = field._bind(theta0)
@@ -606,13 +599,13 @@ def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
     returns the limit's projected and unprojected states."""
     k1 = f(None, c)
     quiet, before = 0, c.tobytes()
-    cap = min(cfg.max_steps, int(math.ceil(cfg.t_max / cfg.step)))
+    cap = min(cfg.max_steps, int(math.ceil(_T_MAX / cfg.step)))
     for _ in range(cap):
-        v = _advance(f, project, c, k1, cfg.step, cfg.scheme)
+        v = _advance(f, project, c, k1, cfg.step)
         c = project(v)
         k1 = f(v, c)  # also the next step's first stage
         after = c.tobytes()
-        if float(np.maximum.reduce(np.abs(k1))) < cfg.limit_tol:
+        if float(np.maximum.reduce(np.abs(k1))) < _LIMIT_TOL:
             quiet += 1
             if quiet >= _QUIET_STEPS:
                 return c, v

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conflearn import IntegratorConfig, ParameterError, cli
+from conflearn import IntegratorConfig, cli
 from conflearn.cli import main
 
 
@@ -525,6 +525,8 @@ def test_combine_bad_weights_exit_2(tmp_path, capsys, weights):
         {"step": math.inf},
         {"t_max": math.inf},
         {"limit_tol": math.inf},
+        # RK4 is the one stepper: t_max and limit_tol above are unknown settings too
+        {"scheme": "rk4"},
     ],
 )
 def test_combine_bad_integrator_setting_exits_2(tmp_path, capsys, integrator, t):
@@ -732,21 +734,24 @@ def test_a_named_scheme_keeps_a_commuting_combine_csv(tmp_path, lid):
     cfg = {"learner": lid, "belief": belief, "observations": observations, "weights": [3.0, 1.0],
            "t": 1.3}
     unnamed = _combine_csv(tmp_path, cfg)
-    rk4, euler = (_combine_csv(tmp_path, dict(cfg, integrator={"scheme": scheme})) for scheme in ("rk4", "euler"))
-    if lid == "interp":  # conditionings on different events do not commute: the scheme steps them
-        assert unnamed == rk4 != euler
+    coarse, fine = (_combine_csv(tmp_path, dict(cfg, integrator={"step": step})) for step in (0.05, 0.02))
+    if lid == "interp":  # conditionings on different events do not commute: RK4 steps them
+        assert len({unnamed, coarse, fine}) == 3
     else:
-        assert unnamed == rk4 == euler
+        assert unnamed == coarse == fine
 
 
-def test_exact_is_an_unknown_scheme(tmp_path, capsys):
-    with pytest.raises(ParameterError, match="unknown scheme 'exact'"):
-        IntegratorConfig(scheme="exact")
+def test_scheme_is_an_unknown_integrator_setting(tmp_path, capsys):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'scheme'"):
+        IntegratorConfig(scheme="rk4")
     belief, observations = EXACT_COMBINES["boltzmann"]
     for cfg in (COMBINE_INTERP, dict(COMBINE_INTERP, belief=belief, observations=observations, learner="boltzmann")):
-        assert run_cli(tmp_path, "combine", dict(cfg, integrator={"scheme": "exact"}), "--quiet") == 2
-        assert capsys.readouterr().err == "config error: bad integrator settings: unknown scheme 'exact'\n"
-        assert not (tmp_path / "out").exists()
+        for scheme in ("rk4", "exact"):
+            assert run_cli(tmp_path, "combine", dict(cfg, integrator={"scheme": scheme}), "--quiet") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad integrator settings: ") and err.count("\n") == 1
+            assert err.endswith("unexpected keyword argument 'scheme'\n")
+            assert not (tmp_path / "out").exists()
 
 
 def test_combine_record_over_max_steps_numbers_exits_2(tmp_path, capsys):
@@ -941,6 +946,73 @@ def test_learn_bad_classifier_observation_exits_2(tmp_path, capsys, observation)
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
     assert "bad observation" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# A JSON integer beyond the float range, at each place a config reads a number:
+# (command, config with "BIG" where the integer goes).
+BIG_NUMBER_PLACES = {
+    "simplex-probs": ("learn", {"learner": "interp", "belief": {"kind": "simplex", "probs": {"a": "BIG", "b": 0.4}},
+                                "observation": {"event": ["a"]}}),
+    "gaussian-mean": ("learn", dict(KALMAN_SWEEP, belief={"kind": "gaussian", "mean": "BIG", "var": 4.0})),
+    "gaussian-var": ("learn", dict(KALMAN_SWEEP, belief={"kind": "gaussian", "mean": 0.0, "var": "BIG"})),
+    "kalman-z": ("learn", dict(KALMAN_SWEEP, observation={"z": "BIG"})),
+    "boltzmann-values": ("learn", {"learner": "boltzmann", "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
+                                   "observation": {"values": {"a": "BIG", "b": 0.0}}}),
+    "graded-entries": ("learn", {"learner": "max-graded", "belief": {"kind": "graded", "entries": {"phi1": "BIG"}},
+                                 "observation": {"id": "phi1"}}),
+    "mass-masses": ("learn", {"learner": "ds", "belief": {"kind": "mass", "labels": ["a", "b"],
+                                                          "masses": {"a": "BIG", "a|b": 0.5}},
+                              "observation": {"event": ["a"]}}),
+    "bayes-likelihood": ("learn", {"learner": "bayes", "learner_params": {"model": {"hypotheses": ["h1", "h2"],
+                                                                                    "likelihood": {"e": ["BIG", 0.5]}}},
+                                   "belief": {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}},
+                                   "observation": {"id": "e"}}),
+    "params-values": ("learn", dict(CLASSIFIER_LEARN, belief={"kind": "params", "values": ["BIG", 0.0, 0.0, 0.0]})),
+    "classifier-x": ("learn", dict(CLASSIFIER_LEARN, observation={"x": ["BIG"], "y": 0})),
+    "confidence-grid": ("learn", {"learner": "interp", "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
+                                  "observation": {"event": ["a"]}, "confidence_grid": ["BIG"]}),
+    "combine-t": ("combine", dict(COMBINE_INTERP, t="BIG")),
+    "combine-weights": ("combine", dict(COMBINE_INTERP, weights=["BIG", 1.0])),
+    "max-steps": ("combine", dict(COMBINE_INTERP, integrator={"max_steps": "BIG"})),
+    "trotter-n": ("trotter", dict(COMBINE_INTERP, chi=1.0, n_values=["BIG"])),
+    "axioms-seed": ("axioms", {"learners": ["interp"], "samples": 1, "seed": "BIG"}),
+}
+
+
+def _run_with_token(run, command, cfg, token):
+    """Run ``command`` in the new directory ``run`` on ``cfg`` with the JSON
+    token ``token`` where "BIG" is; returns the exit code and the output
+    files' bytes (None: no output directory)."""
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps(cfg).replace('"BIG"', token))
+    out = run / "out"
+    code = main([command, "--config", str(run / "config.json"), "--output", str(out), "--quiet"])
+    return code, ({p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None)
+
+
+@pytest.mark.parametrize("digits", [401, 5001])  # Python's int() refuses over 4,300 digits
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("place", sorted(BIG_NUMBER_PLACES))
+def test_an_integer_beyond_the_float_range_reads_as_1e400(tmp_path, capsys, place, sign, digits):
+    command, cfg = BIG_NUMBER_PLACES[place]
+    code, written = _run_with_token(tmp_path / "int", command, cfg, sign + "1" + "0" * (digits - 1))
+    err = capsys.readouterr().err
+    assert (code, written) == _run_with_token(tmp_path / "float", command, cfg, sign + "1e400")
+    if code == 0:
+        assert err == "" and written
+    else:
+        assert code in (2, 3) and err.count("\n") == 1 and written is None
+
+
+@pytest.mark.parametrize("value", ["no", "true", 0, 1, None, []])
+@pytest.mark.parametrize("key", ["include_lifted", "include_mutants"])
+def test_axioms_include_flag_must_be_a_boolean(tmp_path, capsys, key, value):
+    cfg = {"learners": ["interp"], key: value, "samples": 2}
+    assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == f"config error: {key!r} must be true or false, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+    assert run_cli(tmp_path, "axioms", dict(cfg, **{key: False}), "--quiet") == 0
+    assert len(json.loads((tmp_path / "out" / "axioms.json").read_text())) == 10
 
 
 def test_learn_classifier_overflowing_logits_exit_3(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conflearn.beliefs import MASS_EPS
 from conflearn.errors import StepBudgetError
-from conflearn.flows import _check_tangent
+from conflearn.flows import _LIMIT_TOL, _check_tangent
 from conflearn import (
     BayesModel,
     DomainError,
@@ -456,17 +456,18 @@ def test_integrate_sampled_rejects_bad_step_out(step_out):
 
 def test_integrator_rejects_bad_settings():
     with pytest.raises(ParameterError):
-        IntegratorConfig(scheme="leapfrog")
-    with pytest.raises(ParameterError):
         IntegratorConfig(step=0.0)
     with pytest.raises(ParameterError):
+        IntegratorConfig(step=math.inf)
+    with pytest.raises(ParameterError):
         IntegratorConfig(max_steps=5.5)
-    for setting in ("step", "t_max", "limit_tol", "max_steps"):
+    for setting in ("step", "max_steps"):
         with pytest.raises(ParameterError):
             IntegratorConfig(**{setting: True})
-    for setting in ("step", "t_max", "limit_tol"):
-        with pytest.raises(ParameterError):
-            IntegratorConfig(**{setting: math.inf})
+    # RK4 is the one stepper; the limit's tolerance and time cap are constants
+    for setting in ("scheme", "t_max", "limit_tol"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
+            IntegratorConfig(**{setting: 1.0})
 
 
 def test_no_limit_error_for_drifting_field():
@@ -478,16 +479,6 @@ def test_no_limit_error_for_drifting_field():
     cfg = IntegratorConfig(step=0.1, max_steps=500)
     with pytest.raises(NoLimitError):
         integrate(drift, GaussianBelief(0.0, 1.0), math.inf, cfg)
-
-
-def test_euler_scheme_close_to_rk4():
-    learner = get_learner("interp")
-    p = tri()
-    # conditionings on different events do not commute, so the scheme steps their sum
-    field = combine_fields([derivative_field(learner, p.event(e)) for e in (["a", "b"], ["b", "c"])])
-    rk = integrate(field, p, 1.0)
-    eu = integrate(field, p, 1.0, IntegratorConfig(scheme="euler", step=1e-4))
-    assert belief_distance(rk, eu) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +618,7 @@ def test_kernel_matches_object_path_to_the_limit():
     ref, quiet = p, 0
     for _ in range(100_000):
         ref = _object_rk4(field, ref, cfg.step)
-        quiet = quiet + 1 if np.abs(field(ref).components).max() < cfg.limit_tol else 0
+        quiet = quiet + 1 if np.abs(field(ref).components).max() < _LIMIT_TOL else 0
         if quiet == 10:
             break
     assert quiet == 10
@@ -1206,7 +1197,7 @@ def _old_rows(form, theta0, t, cfg, step_out):
                 v = advance(c, k1, cfg.step)
                 c = project(v)
                 k1 = at(v, c)
-                quiet = quiet + 1 if float(np.abs(k1).max()) < cfg.limit_tol else 0
+                quiet = quiet + 1 if float(np.abs(k1).max()) < _LIMIT_TOL else 0
                 if quiet == 10:
                     break
             assert quiet == 10
@@ -1238,8 +1229,8 @@ def _closed_form(learner, phis, weights, space):
 
 
 def _stepped(field: VectorFieldHandle) -> VectorFieldHandle:
-    """field's closed form with no exact flow, so that the scheme steps it
-    through the closed-form stage path."""
+    """field's closed form with no exact flow, so that RK4 steps it through
+    the closed-form stage path."""
     return VectorFieldHandle(field.label, None, None, _coords=field._coords)
 
 
@@ -1357,7 +1348,7 @@ def test_exact_combine_matches_rk4(case, t):
     _, learner, phis, weights, theta0 = case
     field = _fields(learner, phis, weights)
     final, record = integrate_sampled(field, theta0, t, step_out=0.25)
-    rk4 = IntegratorConfig(step=1e-3, limit_tol=1e-12)
+    rk4 = IntegratorConfig(step=1e-3)
     ref_final, ref = integrate_sampled(_stepped(field), theta0, t, rk4, step_out=0.25)
     got, want = np.array(record.rows), np.array(ref.rows)
     assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
@@ -1438,7 +1429,7 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
     (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
     rvs = [RandomVariable(p.labels, np.array(u)) for u in ([0.3, -0.2, 1.1], [-0.5, 0.9, 0.2])]
     tilt = derivative_field(boltzmann, rvs[0])
-    rk4, euler = IntegratorConfig(step=0.05), IntegratorConfig(scheme="euler", step=0.05)
+    coarse, fine = IntegratorConfig(step=0.05), IntegratorConfig(step=0.02)
 
     def rows(field, *cfg):
         return np.array(integrate_sampled(field, p, 1.0, *cfg, step_out=0.25)[1].rows).tobytes()
@@ -1449,9 +1440,9 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
         VectorFieldHandle("user", None, tilt.eval_at),  # a hand-built handle
         combine_fields([derivative_field(interp, p.event(["a"])), tilt]),  # two learners
     ):
-        assert rows(field, rk4) != rows(field, euler)
+        assert rows(field, coarse) != rows(field, fine)
     for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"]))):
-        assert rows(field) == rows(field, rk4) == rows(field, euler)
+        assert rows(field) == rows(field, coarse) == rows(field, fine)
 
 
 def _tilt_on_tri(path):
