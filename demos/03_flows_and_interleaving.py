@@ -51,7 +51,9 @@ print("distance            ->", belief_distance(flowed, direct))
 # ---------------------------------------------------------------------------
 # Parallel contradictory evidence.  Summing the fields for A and for not-A
 # and following the sum forever settles on the even mixture of the two
-# conditionals, instead of crashing into a contradiction.
+# conditionals, instead of crashing into a contradiction.  A and not-A are
+# disjoint, so the sum has a closed-form flow, a mixture moving toward
+# Jeffrey's rule on the two events, and integrate takes it with no steps.
 
 both = combine_fields([derivative_field(interp, a),
                        derivative_field(interp, a.complement())])

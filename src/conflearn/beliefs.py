@@ -368,7 +368,7 @@ class MassFunction:
             m = float(m)
             if not 0 <= subset <= full:
                 raise ParameterError(f"focal mask {subset:#x} outside world set")
-            if math.isnan(m) or m < -MASS_EPS:
+            if not -MASS_EPS <= m < math.inf:  # false for NaN
                 raise ParameterError(f"bad mass {m!r}")
             if subset == 0 or m <= 0.0:
                 continue
@@ -540,6 +540,13 @@ def _mass_from_json(obj: Mapping) -> MassFunction:
     })
 
 
+def _params_from_json(obj: Mapping) -> np.ndarray:
+    values = np.asarray(obj["values"], dtype=float)
+    if not np.isfinite(values).all():
+        raise ParameterError("params values must be finite numbers")
+    return values
+
+
 class _Kind(NamedTuple):
     """How one belief representation is handled outside its class.
 
@@ -634,7 +641,7 @@ _KINDS = (
         space=lambda b: ("params", b.shape),
         distance=lambda a, b: float(np.abs(a - b).max()) if a.size else 0.0,
         to_json=lambda b: {"values": [float(x) for x in b]},
-        from_json=lambda obj: np.asarray(obj["values"], dtype=float),
+        from_json=_params_from_json,
         labels=lambda b: tuple(f"p{i}" for i in range(b.size)),
         coords=lambda b: np.asarray(b, dtype=float).copy(),
         clip=lambda vec, total: vec,

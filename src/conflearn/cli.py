@@ -98,7 +98,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh, parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # RecursionError: arrays or objects nested past the parser's recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

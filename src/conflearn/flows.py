@@ -3,9 +3,9 @@
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
 statements in parallel, integrates fields by their exact flow where the
-observations' flows commute and with fixed RK4 steps elsewhere, and
-interleaves two flows to approximate their parallel combination from
-sequential updates.
+sum of the observations has a closed-form flow and with fixed RK4 steps
+elsewhere, and interleaves two flows to approximate their parallel
+combination from sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
 class; its belief space is given, or fixed by its first evaluation.  A
@@ -29,17 +29,21 @@ form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
 CSV writer of the package.
 
 Where the observations' flows commute, the flow of their sum at time t is
-the composition of each flow at time w_j t, a closed form, and the driver
-takes it wherever the field has one, whatever the config, with no steps.  The
-handle's (learner, terms) reach the learner's ``coord_flow``, which maps the
-start to every sample time as one row of one call.  The driver still binds
+the composition of each flow at time w_j t, a closed form; interp
+observations of pairwise disjoint events, whose flows do not commute, have
+one too, a mixture moving toward Jeffrey's rule on the events.  The driver
+takes a field's closed-form flow wherever it has one, whatever the config,
+with no steps.  The handle's (learner, terms) reach the learner's
+``coord_flow``, which maps the start to every sample time as one row of one
+call.  The driver still binds
 the field and evaluates it once at the start, so each check a first step
 would make still runs; it projects the rows with the kind's projection
 (``normalize_probs`` on a simplex) and rebuilds the end state from the last
 unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
-``max-graded`` (a rate per key) have exact flows, and ``interp`` has one for
-a single observation.  RK4 steps the rest: interp sums, mutants, hand-built
-handles and sums over different learners.
+``max-graded`` (a rate per key) have exact flows, and ``interp`` has one
+where its events are pairwise disjoint.  RK4 steps the rest: interp sums
+over overlapping events, mutants, hand-built handles and sums over
+different learners.
 
 Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one
@@ -447,9 +451,9 @@ def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
 class IntegratorConfig:
     """Deterministic integrator settings.
 
-    The integrators take a field's exact flow wherever it has one (the
-    observations' flows commute, see ``Learner.coord_flow``), with no steps,
-    and step every other field by RK4 with fixed steps of ``step``.
+    The integrators take a field's exact flow wherever it has one (see
+    ``Learner.coord_flow``), with no steps, and step every other field by
+    RK4 with fixed steps of ``step``.
     A run to the infinite-confidence limit stops once the field's sup norm
     stays below ``_LIMIT_TOL`` (1e-9) for ten consecutive steps, and reports
     no limit after ``max_steps`` steps or time ``_T_MAX`` (1e4).
@@ -548,7 +552,7 @@ def _exact_flow(field: VectorFieldHandle, theta0):
     """The exact flow of ``field`` from theta0's space, as a map from
     additive times to the learner's ``coord_flow`` at those times, or None
     where the field has none: it is no learner's closed field, or its
-    learner's flows of its terms do not commute."""
+    learner has no closed-form flow of its terms' sum."""
     if field._source is None or field._source[0].coord_flow is None:
         return None
     learner, terms = field._source
@@ -718,7 +722,9 @@ def trotter_interleave(
     At n = 1 this is plain sequential observation; as n grows it converges to
     the integral of the combined field at first order in 1/n.  Where the two
     flows commute (``boltzmann``, ``bayes``, ``max-graded``), every n gives
-    that integral, within round-off.
+    that integral, within round-off.  ``interp`` flows on disjoint events do
+    not commute, though their sum has an exact flow: interleaving them stays
+    first order against that exact reference.
 
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or

@@ -124,8 +124,9 @@ class Learner:
     # observation terms = ((phi, w), ...) (closed_field's terms, label order)
     # at the float additive times ts >= 0 (inf for top), bound once to
     # beliefs of any kind with coordinates labelled ``labels``.  It returns
-    # NotImplemented, whatever ts, where the terms' flows do not commute, so
-    # that their sum has no closed-form flow; None where every time is 0 (the
+    # NotImplemented, whatever ts, where the learner has no closed-form flow
+    # of the terms' sum (interp on overlapping events: the terms' flows need
+    # not commute for a closed form); None where every time is 0 (the
     # identity); else, for positive times, a map along the last axis from
     # coordinates to the updated ones before the kind's projection, row i at
     # time ts[i], taking one belief's coordinates or an array of rows, one
@@ -230,44 +231,86 @@ def interp_observe(
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha."""
     frac = get_domain("frac")
-    return _on_simplex(_interp_map(a, (frac.to_float(frac.coerce(alpha)),), p.labels), p)
+    return _on_simplex(_interp_map(((a, 1.0),), (frac.to_float(frac.coerce(alpha)),), p.labels), p)
 
 
-def _interp_map(a: EventSet, ws: Sequence[float], labels: Tuple[str, ...]):
-    """interp_observe(a, w, .) at each float weight w in [0, 1] of ``ws``, one
-    per row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
-    if labels != a.labels:
-        raise ParameterError("event over a different world set")
+def _interp_map(cells: Sequence[Tuple[EventSet, float]], ws: Sequence[float],
+                labels: Tuple[str, ...]):
+    """The interpolation toward sum_j s_j condition(p, a_j), over the pairwise
+    disjoint events a_j at the shares s_j (summing to 1) of ``cells``
+    ((a_j, s_j), ...), at each float weight w in [0, 1] of ``ws``, one per
+    row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``).
+    One cell ((a, 1.0),) is interp_observe(a, w, .)."""
+    for a, _ in cells:
+        if a.labels != labels:
+            raise ParameterError("event over a different world set")
     if not any(ws):
         return None
-    ind = a.indicator()
+    target = _interp_target(cells)
+    if min(ws) == 1.0:  # every row at top
+        return target
     w = _rows(ws)
     keep = 1.0 - w
-    every_top = min(ws) == 1.0
-    top = None if every_top or max(ws) < 1.0 else _rows([x == 1.0 for x in ws])
+    top = None if max(ws) < 1.0 else _rows([x == 1.0 for x in ws])
 
     def step(c: np.ndarray) -> np.ndarray:
-        mass = np.vecdot(c, ind)  # condition(p, a) row by row, op for op
-        # one belief's vector has one mass, which numpy applies faster as is
-        least = float(np.minimum.reduce(mass) if mass.ndim else mass)
-        if least <= MASS_EPS:
-            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
-        cond = c * ind / (mass[:, None] if mass.ndim else mass)
-        if every_top:
-            return cond
+        cond = target(c)
         mixed = keep * c + w * normalize_probs(cond)
         return mixed if top is None else np.where(top, cond, mixed)
 
     return step
 
 
+def _interp_target(cells: Sequence[Tuple[EventSet, float]]):
+    """The map c -> sum_j s_j c * ind(a_j) / mass_j(c) of ``_interp_map``'s
+    cells, on one belief's coordinates or on rows, raising
+    ZeroMassEventError where some a_j has no mass.  One cell's share is 1,
+    and its map is condition(p, a) op for op."""
+    if len(cells) == 1:
+        ((a, _),) = cells
+        ind = a.indicator()
+
+        def target(c: np.ndarray) -> np.ndarray:
+            mass = np.vecdot(c, ind)  # condition(p, a) row by row, op for op
+            # one belief's vector has one mass, which numpy applies faster as is
+            least = float(np.minimum.reduce(mass) if mass.ndim else mass)
+            if least <= MASS_EPS:
+                raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
+            return c * ind / (mass[:, None] if mass.ndim else mass)
+
+        return target
+    m = np.array([a.indicator() for a, _ in cells])
+    shares = np.array([s for _, s in cells])
+
+    def target(c: np.ndarray) -> np.ndarray:
+        mass = c @ m.T
+        least = float(np.minimum.reduce(mass, axis=None))
+        if least <= MASS_EPS:
+            a = cells[int(mass.argmin()) % len(cells)][0]
+            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
+        # the events are disjoint: each world's coefficient is its cell's alone
+        return c * ((shares / mass) @ m)
+
+    return target
+
+
 def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[float],
                        labels: Tuple[str, ...]):
-    if len(terms) > 1:
-        return NotImplemented  # conditionings on different events do not commute
-    ((a, w),) = terms
-    # the flow of w F at t is the flow of F at w t; t = inf gives alpha = 1
-    return _interp_map(a, [-math.expm1(-(w * t)) for t in ts], labels)
+    weights: Dict[EventSet, float] = {}
+    for a, w in terms:  # an event observed twice is one cell of their summed weight
+        weights[a] = weights.get(a, 0.0) + w
+    union = 0
+    for a in weights:
+        if union & a.mask:
+            return NotImplemented  # overlapping events: no closed-form flow of the sum
+        union |= a.mask
+    total = sum(weights.values())
+    # on disjoint events each conditional is fixed along the flow, so the flow
+    # of sum_j w_j (condition(p, a_j) - p) at t interpolates toward
+    # sum_j (w_j / W) condition(p, a_j) at weight 1 - e^(-W t), W = sum_j w_j;
+    # t = inf gives weight 1
+    cells = tuple((a, w / total) for a, w in weights.items())
+    return _interp_map(cells, [-math.expm1(-(total * t)) for t in ts], labels)
 
 
 def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
@@ -453,6 +496,13 @@ def kalman_observe_opt(z: float, r2: float, b: GaussianBelief) -> GaussianBelief
     return kalman_observe(z, (k, r2), b)
 
 
+def _kalman_observation_from_json(obj: Mapping, belief) -> float:
+    z = float(obj["z"])
+    if not math.isfinite(z):
+        raise ParameterError(f"'z' must be a finite number, got {z!r}")
+    return z
+
+
 def make_kalman_learner() -> Learner:
     dom = get_domain("kalman")
 
@@ -510,7 +560,7 @@ def make_kalman_learner() -> Learner:
         default_grid=_grid(dom, ((0.3, 2.0), (0.5, 1.0), (0.8, 0.5))),
         bel_chain=bel_chain,
         observation_to_json=lambda z: {"z": float(z)},
-        observation_from_json=lambda obj, b: float(obj["z"]),
+        observation_from_json=_kalman_observation_from_json,
         # A later update with gain K and noise r2 reinflates the variance to
         # K^2 r2 even after a certain measurement, so top does not absorb.
         top_absorbing=False,

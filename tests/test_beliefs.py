@@ -333,6 +333,16 @@ def test_mass_json_masses_must_be_an_object(masses):
         belief_from_json({"kind": "mass", "labels": ["a", "b"], "masses": masses})
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_belief_json_refuses_a_non_finite_mass_or_parameter(x):
+    with pytest.raises(ParameterError, match="bad mass"):
+        belief_from_json({"kind": "mass", "labels": ["a", "b"], "masses": {"a": x, "a|b": 0.5}})
+    with pytest.raises(ParameterError, match="bad mass"):
+        MassFunction(("a", "b"), {1: x})
+    with pytest.raises(ParameterError, match="must be finite"):
+        belief_from_json({"kind": "params", "values": [x, 0.0]})
+
+
 # ---------------------------------------------------------------------------
 # Property-based checks.
 

@@ -183,10 +183,11 @@ def test_trotter_ratios_near_half(tmp_path):
     ],
 )
 def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
+    # overlapping events: the reference has no exact flow, so RK4 steps it
     cfg = {
         "learner": "interp",
-        "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}},
-        "observations": [{"event": ["a"]}, {"event": ["b"]}],
+        "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
+        "observations": [{"event": ["a", "b"]}, {"event": ["b", "c"]}],
         "chi": 1.5,
         **extra,
     }
@@ -336,6 +337,24 @@ def test_malformed_json_config_exits_2(tmp_path):
     assert main(["learn", "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b'{"learners": ["interp"], "samples": 1, "x": "\xff"}', id="not-utf8"),
+        # nested past the parser's recursion limit
+        pytest.param(b'{"learners": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="deep-arrays"),
+        pytest.param(b'{"learners": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_000 + b"}", id="deep-objects"),
+    ],
+)
+def test_a_config_that_does_not_parse_exits_2_with_one_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["axioms", "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "is not valid JSON" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_learner_exits_2(tmp_path):
     cfg = {
         "learner": "nope",
@@ -435,11 +454,13 @@ COMBINE_INTERP = {
     "observations": [{"event": ["a"]}, {"event": ["b", "c"]}],
     "t": 1.0,
 }
+# an interp combine on overlapping events: no exact flow, so RK4 steps it
+COMBINE_OVERLAP = dict(COMBINE_INTERP, observations=[{"event": ["a", "b"]}, {"event": ["b", "c"]}])
 
 
 def test_combine_step_budget_exits_2(tmp_path, capsys):
     # a record of 11 rows of 4 numbers fits; 10^9 steps do not
-    cfg = dict(COMBINE_INTERP, integrator={"step": 1e-9, "max_steps": 44})
+    cfg = dict(COMBINE_OVERLAP, integrator={"step": 1e-9, "max_steps": 44})
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
     assert "more than max_steps=44 steps" in capsys.readouterr().err
 
@@ -447,7 +468,7 @@ def test_combine_step_budget_exits_2(tmp_path, capsys):
 def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, capsys):
     # c + 1e-300 * k rounds back to c: without the stall guard this ran all
     # 10^7 steps before NoLimitError
-    cfg = dict(COMBINE_INTERP, t="top", integrator={"step": 1e-300})
+    cfg = dict(COMBINE_OVERLAP, t="top", integrator={"step": 1e-300})
     start = time.perf_counter()
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 3
     assert time.perf_counter() - start < 1.0
@@ -710,8 +731,10 @@ def test_combine_boltzmann_penalties_near_the_float_limit(tmp_path, capsys, t):
     assert final["labels"] == ["a", "b"] and final["probs"] == [0.0, 1.0]
 
 
-# learner: (belief, observations) of a combine whose observations' flows commute
+# learner: (belief, observations) of a combine that the learner's exact flow takes:
+# observations whose flows commute, or interp's complementary pair
 EXACT_COMBINES = {
+    "interp": (COMBINE_INTERP["belief"], COMBINE_INTERP["observations"]),
     "boltzmann": (COMBINE_INTERP["belief"], [{"values": {"a": 1.0, "b": 0.0, "c": -0.5}},
                                              {"values": {"a": -0.3, "b": 0.7, "c": 0.2}}]),
     "bayes": (BAYES_PRIOR, [{"id": "e1"}, {"id": "e3"}]),
@@ -728,14 +751,14 @@ def _combine_csv(tmp_path, cfg):
     return text
 
 
-@pytest.mark.parametrize("lid", sorted(EXACT_COMBINES) + ["interp"])
+@pytest.mark.parametrize("lid", sorted(EXACT_COMBINES) + ["interp-overlap"])
 def test_a_named_scheme_keeps_a_commuting_combine_csv(tmp_path, lid):
-    belief, observations = EXACT_COMBINES.get(lid, (COMBINE_INTERP["belief"], COMBINE_INTERP["observations"]))
-    cfg = {"learner": lid, "belief": belief, "observations": observations, "weights": [3.0, 1.0],
-           "t": 1.3}
+    belief, observations = EXACT_COMBINES.get(lid, (COMBINE_OVERLAP["belief"], COMBINE_OVERLAP["observations"]))
+    cfg = {"learner": lid.removesuffix("-overlap"), "belief": belief, "observations": observations,
+           "weights": [3.0, 1.0], "t": 1.3}
     unnamed = _combine_csv(tmp_path, cfg)
     coarse, fine = (_combine_csv(tmp_path, dict(cfg, integrator={"step": step})) for step in (0.05, 0.02))
-    if lid == "interp":  # conditionings on different events do not commute: RK4 steps them
+    if lid == "interp-overlap":  # conditionings on overlapping events have no exact flow: RK4 steps them
         assert len({unnamed, coarse, fine}) == 3
     else:
         assert unnamed == coarse == fine
@@ -1002,6 +1025,23 @@ def test_an_integer_beyond_the_float_range_reads_as_1e400(tmp_path, capsys, plac
         assert err == "" and written
     else:
         assert code in (2, 3) and err.count("\n") == 1 and written is None
+
+
+# where +inf means something: a combine to the limit, a flat Gaussian prior
+INFINITY_PLACES = {"combine-t", "gaussian-var"}
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "Infinity", "NaN"])
+@pytest.mark.parametrize("place", sorted(BIG_NUMBER_PLACES))
+def test_a_non_finite_number_is_a_config_error(tmp_path, capsys, place, token):
+    command, cfg = BIG_NUMBER_PLACES[place]
+    code, written = _run_with_token(tmp_path / "run", command, cfg, token)
+    err = capsys.readouterr().err
+    if place in INFINITY_PLACES and token in ("1e400", "Infinity"):
+        assert code == 0 and err == "" and written
+    else:
+        assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+        assert written is None
 
 
 @pytest.mark.parametrize("value", ["no", "true", 0, 1, None, []])

@@ -375,8 +375,9 @@ def test_parallel_contradiction_limit_pinned():
     field = combine_fields(
         [derivative_field(learner, a), derivative_field(learner, a.complement())]
     )
-    out = integrate(field, p, math.inf)
-    assert np.allclose(out.probs, [0.5, 0.25, 0.25], atol=1e-6)
+    for handle in (field, _stepped(field)):  # the exact flow, and RK4 of the same field
+        out = integrate(handle, p, math.inf)
+        assert np.allclose(out.probs, [0.5, 0.25, 0.25], atol=1e-6)
 
 
 def test_integrate_accepts_add_domain_time():
@@ -1103,7 +1104,7 @@ def test_combine_evaluates_one_closed_form_per_stage():
     p = FiniteSimplex(labels, np.ones(4))
     weights = [0.5, 1, 2, 0.3, 1.1]
     cfg = IntegratorConfig(step=0.01)
-    # conditionings on different events do not commute, so RK4 steps their sum
+    # conditionings on overlapping events have no closed-form flow, so RK4 steps their sum
     interp = counted(get_learner("interp"))
     events = [p.event(e) for e in (["a"], ["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"])]
     field = combine_fields([derivative_field(interp, a) for a in events], weights)
@@ -1116,6 +1117,11 @@ def test_combine_evaluates_one_closed_form_per_stage():
     rng = np.random.default_rng(5)
     phis = [RandomVariable(labels, rng.normal(size=4)) for _ in range(5)]
     field = combine_fields([derivative_field(boltzmann, phi) for phi in phis], weights)
+    calls.update(closed_field=[], bind=0, eval=0)
+    integrate(field, p, 0.5, cfg)
+    assert (calls["bind"], calls["eval"]) == (1, 1)
+    # so do conditionings on disjoint events
+    field = combine_fields([derivative_field(interp, p.event(e)) for e in (["a"], ["b", "c"])], weights[:2])
     calls.update(closed_field=[], bind=0, eval=0)
     integrate(field, p, 0.5, cfg)
     assert (calls["bind"], calls["eval"]) == (1, 1)
@@ -1316,7 +1322,7 @@ def test_closed_fields_name_their_domain_in_the_stage_path():
 
 
 # ---------------------------------------------------------------------------
-# Exact flows of commuting parallel observations.
+# Exact flows of parallel observations.
 
 
 def _exact_cases():
@@ -1356,6 +1362,54 @@ def test_exact_combine_matches_rk4(case, t):
     assert np.abs(belief_coords(final) - belief_coords(ref_final)).max() <= 1e-9
     # the end state is rebuilt from the last row's unprojected coordinates
     assert belief_coords(final).tobytes() == got[-1, 1:].tobytes()
+
+
+def _disjoint_family(rng, outside: bool):
+    """A random simplex, 2-5 pairwise disjoint events over it and their
+    weights; the events cover every world, or (``outside``) leave some out."""
+    k = int(rng.integers(2, 6))
+    cells = [*range(k), *[k] * outside, *rng.integers(0, k + outside, size=int(rng.integers(0, 3)))]
+    rng.shuffle(cells)
+    labels = tuple(f"w{i}" for i in range(len(cells)))
+    p = FiniteSimplex(labels, rng.dirichlet(np.ones(len(cells))))
+    events = [EventSet(labels, sum(1 << i for i, c in enumerate(cells) if c == j)) for j in range(k)]
+    return p, events, rng.uniform(0.2, 2.0, size=k).tolist()
+
+
+@pytest.mark.parametrize("outside", [False, True], ids=["cover", "outside"])
+def test_interp_exact_flow_on_disjoint_events_matches_rk4(outside):
+    # each conditional stays fixed along the flow, so at time t the state is
+    # e^(-W t) p + (1 - e^(-W t)) sum_j (w_j / W) condition(p, a_j), W = sum_j w_j
+    rng = np.random.default_rng(7 + outside)
+    learner, rk4 = get_learner("interp"), IntegratorConfig(step=0.01)
+    for _ in range(25):
+        p, events, weights = _disjoint_family(rng, outside)
+        field = _fields(learner, events, weights)
+        for t, tol in ((0.9, 1e-8), (math.inf, 1e-6)):
+            assert belief_distance(integrate(field, p, t), integrate(_stepped(field), p, t, rk4)) <= tol
+        total = sum(weights)
+        jeffrey = sum(w / total * condition(p, a).probs for a, w in zip(events, weights))
+        expect = math.exp(-0.9 * total) * p.probs - math.expm1(-0.9 * total) * jeffrey
+        assert np.abs(integrate(field, p, 0.9).probs - expect).max() <= 1e-14
+        assert np.abs(integrate(field, p, math.inf).probs - jeffrey).max() <= 1e-15
+
+
+def test_interp_coord_flow_merges_equal_events_and_refuses_overlapping_ones():
+    learner = get_learner("interp")
+    p = FiniteSimplex(("a", "b", "c", "d"), np.array([0.1, 0.4, 0.3, 0.2]))
+    a, cd, ab = p.event(["a"]), p.event(["c", "d"]), p.event(["a", "b"])
+    ts = (0.0, 0.6, math.inf)
+
+    def rows(terms):
+        return learner.coord_flow(terms, ts, p.labels)(p.probs).tobytes()
+
+    # an event observed twice is one observation at the summed weight
+    assert rows(((a, 0.25), (a, 0.75))) == rows(((a, 1.0),))
+    assert rows(((a, 0.5), (cd, 1.0), (a, 0.5))) == rows(((a, 1.0), (cd, 1.0)))
+    # overlapping events have no closed-form flow of their sum, whatever the times
+    for terms in (((a, 1.0), (ab, 1.0)), ((ab, 1.0), (cd, 0.5), (a, 2.0))):
+        for times in ((), (0.0,), ts):
+            assert learner.coord_flow(terms, times, p.labels) is NotImplemented
 
 
 @pytest.mark.parametrize("t", [0.7, 1.25, math.inf])
@@ -1407,7 +1461,9 @@ def test_exact_flow_makes_the_checks_of_a_first_step():
     p = FiniteSimplex(("a", "b", "c"), np.array([0.6, 0.4, 0.0]))
     model = BayesModel(p.labels, {"e": np.array([0.5, 0.0, 0.5]), "f": np.array([0.2, 0.3, 0.4])})
     bayes = get_learner("bayes", model=model)
-    for field in (derivative_field(get_learner("interp"), p.event(["c"])),
+    interp = get_learner("interp")
+    for field in (derivative_field(interp, p.event(["c"])),
+                  _fields(interp, [p.event(["a"]), p.event(["c"])], None),
                   _fields(bayes, ["e", "f"], None)):
         for t in (1.0, math.inf):
             with pytest.raises(DomainError, match=r"^state outside the update domain of "):
@@ -1435,13 +1491,14 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
         return np.array(integrate_sampled(field, p, 1.0, *cfg, step_out=0.25)[1].rows).tobytes()
 
     for field in (
-        _fields(interp, [p.event(["a", "b"]), p.event(["b", "c"])], None),  # conditionings do not commute
+        _fields(interp, [p.event(["a", "b"]), p.event(["b", "c"])], None),  # overlapping conditionings
         derivative_field(euclid, rvs[0]),  # a mutant has a finite-difference field only
         VectorFieldHandle("user", None, tilt.eval_at),  # a hand-built handle
         combine_fields([derivative_field(interp, p.event(["a"])), tilt]),  # two learners
     ):
         assert rows(field, coarse) != rows(field, fine)
-    for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"]))):
+    for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"])),
+                  _fields(interp, [p.event(["a"]), p.event(["b", "c"])], [1.5, 0.5])):
         assert rows(field) == rows(field, coarse) == rows(field, fine)
 
 
