@@ -143,8 +143,9 @@ def normalize_probs(p: np.ndarray) -> np.ndarray:
     """The probability vector a FiniteSimplex stores for the float vector p,
     or for each row of p.
 
-    Rejects non-finite entries and entries below -MASS_EPS, clamps round-off
-    negatives to zero and divides by the total, which must exceed MASS_EPS.
+    Rejects non-finite entries, finite ones whose total overflows and entries
+    below -MASS_EPS, clamps round-off negatives to zero and divides by the
+    total, which must exceed MASS_EPS.
     Returns a new array.  Array-native flows project with this too, so their
     states keep the constructor's bits; a row's sum is the sum of the same
     vector alone, so each row gets the bits it gets alone.
@@ -152,8 +153,11 @@ def normalize_probs(p: np.ndarray) -> np.ndarray:
     total = np.add.reduce(p, axis=-1, keepdims=True)
     sums = total.ravel().tolist()
     # a finite sum has finite terms; only a non-finite one needs a closer look
-    if not math.isfinite(sum(sums)) and not np.isfinite(p).all():
-        raise ParameterError("probabilities must be finite")
+    if not math.isfinite(sum(sums)):
+        if not np.isfinite(p).all():
+            raise ParameterError("probabilities must be finite")
+        if (total == math.inf).any():
+            raise ParameterError("probabilities sum past the float range")
     least = np.minimum.reduce(p, axis=None)
     if least < -MASS_EPS:
         raise ParameterError(f"negative probability {least!r}")
@@ -351,8 +355,9 @@ def jeffrey(
 class MassFunction:
     """A basic mass assignment: focal subsets (bitmasks) with positive mass.
 
-    The empty set carries no mass; masses are renormalized to sum to one.
-    ``bel``/``plaus`` are the induced belief and plausibility set functions.
+    The empty set carries no mass; masses are renormalized to sum to one,
+    and a total past the float range is refused.  ``bel``/``plaus`` are the
+    induced belief and plausibility set functions.
     """
 
     labels: Tuple[str, ...]
@@ -374,6 +379,8 @@ class MassFunction:
                 continue
             clean[subset] = clean.get(subset, 0.0) + m
         total = sum(clean.values())
+        if total == math.inf:
+            raise ParameterError("masses sum past the float range")
         if total <= MASS_EPS:
             raise ParameterError("mass function has no positive focal mass")
         clean = {s: m / total for s, m in sorted(clean.items())}
@@ -696,4 +703,5 @@ def belief_from_json(obj: Mapping) -> object:
     kind = next((kind for kind in _KINDS if kind.name == name), None)
     if kind is None:
         raise ParameterError(f"unknown belief kind {name!r}")
-    return kind.from_json(obj)
+    with np.errstate(over="ignore"):  # a sum past the float range is refused, not warned of
+        return kind.from_json(obj)

@@ -8,7 +8,9 @@
 
 Configs are JSON files; results are written atomically into the output
 directory and a summary JSON goes to stdout.  All numeric CSV fields carry
-17 significant digits so reruns are byte-identical.
+17 significant digits so reruns are byte-identical.  ``equiv`` runs one
+entry of ``identities.IDENTITIES`` on a generator derived from the seed and
+the entry's name; the experiments themselves live there.
 
 Exit codes: 0 success, 1 a requested check or experiment failed, 2 the
 config is invalid or names an unknown experiment, 3 the computation itself
@@ -25,65 +27,35 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+import warnings
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .axioms import CheckConfig, _seeded_rng, reports_to_json, run_suite
-from .beliefs import (
-    FiniteSimplex,
-    GaussianBelief,
-    MassFunction,
-    RandomVariable,
-    _kind_of,
-    belief_distance,
-    belief_from_json,
-    belief_to_json,
-    condition,
-    ds_plaus_update,
-)
-from .confidence import (
-    ConfidenceValue,
-    confidence_from_json,
-    confidence_to_json,
-    get_domain,
-    kalman_combine,
-)
+from .beliefs import _kind_of, belief_from_json, belief_to_json
+from .confidence import ConfidenceValue, confidence_from_json, confidence_to_json
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
 from .flows import (
     IntegratorConfig,
     _csv_text,
+    _trotter_errors,
     belief_coords,
     combine_fields,
     coord_labels,
     derivative_field,
-    integrate,
     integrate_sampled,
-    trotter_interleave,
 )
+from .identities import IDENTITIES
 from .learners import (
     BayesModel,
     Learner,
+    NonConvergenceWarning,
     available_learners,
-    bayes_observe,
-    boltzmann_observe,
     get_learner,
-    interp_observe,
-    kalman_observe,
-    kalman_observe_opt,
     lift_to_list,
-    potential_to_likelihood,
 )
 from .mutants import get_mutants
 
-__all__ = [
-    "main",
-    "EXPERIMENTS",
-    "experiment_bayes_boltzmann",
-    "experiment_kalman_sequential",
-    "experiment_interp_vs_ds",
-    "experiment_trotter_convergence",
-]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +275,20 @@ def _cmd_learn(args, cfg: dict) -> int:
     else:
         states = (learner.observe(phi, chi, theta0) for chi in grid)
     rows = []
-    for chi, final in zip(grid, states):
-        row = list(chi_cols(chi)) + list(bel_cols(final))
-        if learner.bel is not None:
-            row.append(learner.bel(phi, final))
-        rows.append(row)
+    # a training run that stops at its step cap still gives a belief: one stderr
+    # line says so, under any warning filter
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NonConvergenceWarning)
+        for chi, final in zip(grid, states):
+            row = list(chi_cols(chi)) + list(bel_cols(final))
+            if learner.bel is not None:
+                row.append(learner.bel(phi, final))
+            rows.append(row)
+    for w in caught:
+        if issubclass(w.category, NonConvergenceWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
     headers = list(chi_headers) + list(bel_headers)
     if learner.bel is not None:
@@ -396,18 +377,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
             f"'n_values' take {rounds} rounds, more than max_steps={icfg.max_steps}"
         )
 
-    field = combine_fields(
-        [derivative_field(learner, phi1), derivative_field(learner, phi2)]
-    )
-    reference = integrate(field, theta0, chi, icfg)
-
-    counts = sorted(set(n_values))
-    states = trotter_interleave(learner, phi1, phi2, chi, counts, theta0)
-    distances = {str(n): belief_distance(state, reference) for n, state in zip(counts, states)}
-    ratios: Dict[str, float] = {}
-    for n in counts:
-        if str(2 * n) in distances and distances[str(n)] > 0:
-            ratios[str(n)] = distances[str(2 * n)] / distances[str(n)]
+    reference, distances, ratios = _trotter_errors(learner, phi1, phi2, chi, n_values, theta0, icfg)
 
     payload = {
         "command": "trotter",
@@ -491,185 +461,21 @@ def _cmd_axioms(args, cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# equiv: canned equivalence/limit experiments.
-
-
-def experiment_bayes_boltzmann(seed: int = 0, samples: int = 100):
-    """Boltzmann reweighting with v = -log lik equals powered Bayes updating.
-
-    Draws random strict models (2..8 hypotheses), random priors and weights,
-    and checks: (a) the two posteriors agree, (b) weight 1 is exact Bayes,
-    (c) likelihoods survive the potential round trip exp(-(-log lik)).
-    """
-    rng = _seeded_rng(seed, "bayes-boltzmann")
-    tol = 1e-12
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 9))
-        hyps = tuple(f"h{i}" for i in range(n))
-        lik = rng.uniform(0.05, 1.0, size=n)
-        prior = FiniteSimplex(hyps, rng.dirichlet(np.ones(n)))
-        beta = float(rng.uniform(0.1, 3.0))
-        model = BayesModel(hyps, {"e": lik})
-        learner = get_learner("bayes", model=model)
-
-        post_b = learner.observe("e", beta, prior)
-        v = RandomVariable(hyps, -np.log(lik))
-        post_g = boltzmann_observe(v, beta, prior)
-        worst = max(worst, belief_distance(post_b, post_g))
-
-        exact = bayes_observe(model, "e", prior)
-        worst = max(worst, belief_distance(learner.observe("e", 1.0, prior), exact))
-
-        back = potential_to_likelihood({"e": dict(zip(hyps, -np.log(lik)))}, hyps)
-        worst = max(worst, float(np.abs(back.row("e") - lik).max()))
-        worst = max(worst, belief_distance(bayes_observe(back, "e", prior), exact))
-    return worst <= tol, {"worst": worst, "tol": tol, "samples": samples}
-
-
-def experiment_kalman_sequential(seed: int = 0, samples: int = 100):
-    """Two gain updates equal one update at the composed (K, r2) pair, and
-    optimal-gain updates add precisions."""
-    rng = _seeded_rng(seed, "kalman-sequential")
-    tol = 1e-10
-    dom = get_domain("kalman")
-    worst = 0.0
-    worst_prec = 0.0
-    for _ in range(samples):
-        z = float(rng.normal(0.0, 2.0))
-        b0 = GaussianBelief(float(rng.normal(0.0, 2.0)), float(rng.uniform(0.05, 5.0)))
-        c1 = dom.sample(rng)
-        c2 = dom.sample(rng)
-        seq = kalman_observe(z, c2, kalman_observe(z, c1, b0))
-        combined = kalman_observe(z, kalman_combine(c1, c2), b0)
-        worst = max(worst, belief_distance(seq, combined))
-
-        r2 = float(rng.uniform(0.1, 4.0))
-        post = kalman_observe_opt(z, r2, b0)
-        lhs = 1.0 / post.var
-        rhs = 1.0 / b0.var + 1.0 / r2
-        worst_prec = max(worst_prec, abs(lhs - rhs) / rhs)
-    passed = worst <= tol and worst_prec <= tol
-    return passed, {
-        "worst_composition": worst,
-        "worst_precision_rel": worst_prec,
-        "tol": tol,
-        "samples": samples,
-    }
-
-
-def experiment_interp_vs_ds(seed: int = 0, samples: int = 200):
-    """Interpolation and graded plausibility revision agree exactly at the
-    endpoints of the confidence scale and measurably disagree inside it."""
-    rng = _seeded_rng(seed, "interp-vs-ds")
-    end_tol = 1e-12
-    interior_floor = 1e-3
-    worst_end = 0.0
-    min_interior = math.inf
-    for _ in range(samples):
-        n = int(rng.integers(2, 6))
-        labels = tuple(f"w{i}" for i in range(n))
-        p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
-        a = None
-        for _ in range(256):
-            mask = int(rng.integers(1, (1 << n) - 1))
-            cand = p.event([labels[i] for i in range(n) if mask >> i & 1])
-            if 0.05 <= p.prob(cand) <= 0.9:
-                a = cand
-                break
-        if a is None:
-            continue
-        m = MassFunction.from_simplex(p)
-
-        worst_end = max(
-            worst_end,
-            belief_distance(interp_observe(a, 0.0, p), p),
-            belief_distance(ds_plaus_update(m, a, 0.0).as_simplex(), p),
-            belief_distance(interp_observe(a, 1.0, p), condition(p, a)),
-            belief_distance(ds_plaus_update(m, a, 1.0).as_simplex(), condition(p, a)),
-        )
-        gap = belief_distance(
-            interp_observe(a, 0.5, p), ds_plaus_update(m, a, 0.5).as_simplex()
-        )
-        min_interior = min(min_interior, gap)
-    demo_p = FiniteSimplex(("a", "b"), np.array([0.7, 0.3]))
-    demo_a = demo_p.event(["a"])
-    demo_interp = interp_observe(demo_a, 0.5, demo_p).prob(demo_a)
-    demo_ds = (
-        ds_plaus_update(MassFunction.from_simplex(demo_p), demo_a, 0.5)
-        .as_simplex()
-        .prob(demo_a)
-    )
-    passed = worst_end <= end_tol and min_interior >= interior_floor
-    return passed, {
-        "worst_endpoint": worst_end,
-        "min_interior_gap": min_interior,
-        "endpoint_tol": end_tol,
-        "interior_floor": interior_floor,
-        "samples": samples,
-        "illustration": {
-            "prior": {"a": 0.7, "b": 0.3},
-            "event": ["a"],
-            "alpha": 0.5,
-            "interp_prob_a": demo_interp,
-            "ds_prob_a": demo_ds,
-        },
-    }
-
-
-def experiment_trotter_convergence(seed: int = 0, samples: int = 0):
-    """First-order interleaving: halving the slice size halves the error, and
-    interleaving a flow with itself is already exact at one round."""
-    del seed, samples  # the instance is pinned for reproducibility
-    learner = get_learner("interp")
-    labels = ("a", "b", "c", "d")
-    p = FiniteSimplex(labels, np.array([0.5, 0.2, 0.2, 0.1]))
-    ev_a = p.event(["a", "b"])
-    ev_b = p.event(["b", "c"])
-    chi = 1.5
-    field = combine_fields(
-        [derivative_field(learner, ev_a), derivative_field(learner, ev_b)]
-    )
-    reference = integrate(field, p, chi)
-    ns = (64, 128, 256, 512, 1024, 2048, 4096)
-    states = trotter_interleave(learner, ev_a, ev_b, chi, ns, p)
-    distances = {n: belief_distance(state, reference) for n, state in zip(ns, states)}
-    ratios = {n: distances[2 * n] / distances[n] for n in (64, 128, 256, 512, 1024, 2048)}
-    ratios_ok = all(0.3 <= r <= 0.7 for r in ratios.values())
-
-    # a flow interleaved with itself commutes, so one round is already exact
-    same = trotter_interleave(learner, ev_a, ev_a, chi, 1, p)
-    closed = learner.make_flow(ev_a)(2.0 * chi, p)
-    commuting_gap = belief_distance(same, closed)
-
-    passed = ratios_ok and commuting_gap <= 1e-12
-    return passed, {
-        "distances": {str(n): d for n, d in distances.items()},
-        "ratios": {str(n): r for n, r in ratios.items()},
-        "commuting_gap": commuting_gap,
-        "ratio_band": [0.3, 0.7],
-    }
-
-
-EXPERIMENTS: Dict[str, Callable[..., Tuple[bool, dict]]] = {
-    "bayes-boltzmann": experiment_bayes_boltzmann,
-    "kalman-sequential": experiment_kalman_sequential,
-    "interp-vs-ds": experiment_interp_vs_ds,
-    "trotter-convergence": experiment_trotter_convergence,
-}
+# equiv: one entry of the table of paper identities.
 
 
 def _cmd_equiv(args, cfg: dict) -> int:
     name = _need(cfg, "experiment")
-    if not isinstance(name, str) or name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in IDENTITIES:
         raise ConfigError(
-            f"unknown experiment {name!r}; expected one of {', '.join(sorted(EXPERIMENTS))}"
+            f"unknown experiment {name!r}; expected one of {', '.join(sorted(IDENTITIES))}"
         )
     out_name = _out_name(cfg, "output_json", f"equiv_{name}.json")
-    kwargs = {"seed": _seed_of(args, cfg)}
+    rng = _seeded_rng(_seed_of(args, cfg), name)
+    kwargs = {}
     if "samples" in cfg:
         kwargs["samples"] = _number(cfg, "samples", integer=True, above=0)
-    passed, payload = EXPERIMENTS[name](**kwargs)
+    passed, payload = IDENTITIES[name](rng, **kwargs)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}
     _atomic_write(
         _out_path(args, out_name), json.dumps(result, sort_keys=True, indent=2) + "\n"

@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, T
 
 import numpy as np
 
-from .beliefs import FiniteSimplex, _kind_of, normalize_probs
+from .beliefs import FiniteSimplex, _kind_of, belief_distance, normalize_probs
 from .confidence import ConfidenceValue, get_domain
 from .errors import (
     DomainError,
@@ -749,6 +749,24 @@ def trotter_interleave(
     for count in counts:
         _interleave(learner, phis, chi, (count,), theta0)
     raise failure
+
+
+def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None):
+    """The parallel reference (the sum of the two fields integrated to chi),
+    the distance from it of each distinct count's interleaving, and the
+    ratio d(2n)/d(n) wherever 2n is a count too and d(n) > 0; counts are
+    written as strings, the JSON keys."""
+    field = combine_fields([derivative_field(learner, phi1), derivative_field(learner, phi2)])
+    reference = integrate(field, theta0, chi, cfg)
+    counts = sorted(set(counts))
+    states = trotter_interleave(learner, phi1, phi2, chi, counts, theta0)
+    distances = {str(n): belief_distance(state, reference) for n, state in zip(counts, states)}
+    ratios = {
+        str(n): distances[str(2 * n)] / distances[str(n)]
+        for n in counts
+        if str(2 * n) in distances and distances[str(n)] > 0
+    }
+    return reference, distances, ratios
 
 
 def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:

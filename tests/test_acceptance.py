@@ -1,8 +1,10 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
 Each criterion pins a mathematical identity of the library at an explicit
-tolerance; several also pin a runtime budget.  Run with ``pytest -s`` to see
-the lines as they print.
+tolerance; several also pin a runtime budget.  Gates 03, 04, 07 and 09 run
+an entry of ``conflearn.identities.IDENTITIES``, the table ``conflearn equiv``
+runs, on their own seeds.  Run with ``pytest -s`` to see the lines as they
+print.
 """
 
 import math
@@ -12,14 +14,12 @@ import numpy as np
 import pytest
 
 from conflearn import (
-    BayesModel,
     FiniteSimplex,
     GaussianBelief,
     GradedBeliefTable,
     MassFunction,
     RandomVariable,
     add_to_frac,
-    bayes_observe,
     belief_distance,
     boltzmann_observe,
     combine_fields,
@@ -34,16 +34,13 @@ from conflearn import (
     integrate,
     interp_observe,
     jeffrey,
-    kalman_combine,
     kalman_observe,
-    kalman_observe_opt,
     max_graded_observe,
-    potential_to_likelihood,
     run_suite,
     suite_passed,
-    trotter_interleave,
 )
 from conflearn.axioms import CheckConfig
+from conflearn.identities import IDENTITIES
 from conflearn.learners import available_learners
 
 ADD = get_domain("add")
@@ -146,72 +143,15 @@ def test_02_full_confidence_idempotence():
 
 
 def test_03_interp_vs_ds_gap():
-    rng = np.random.default_rng(103)
-    endpoint_worst = 0.0
-    interior_min = math.inf
-    alphas = np.linspace(0.05, 0.95, 19)
-    n = 0
-    while n < 200:
-        k = int(rng.integers(2, 6))
-        labels = tuple(f"w{i}" for i in range(k))
-        p = random_simplex(rng, labels)
-        mask = int(rng.integers(1, (1 << k) - 1))
-        a = p.event([labels[i] for i in range(k) if mask >> i & 1])
-        if not 0.05 <= p.prob(a) <= 0.9:
-            continue
-        n += 1
-        m = MassFunction.from_simplex(p)
-        endpoint_worst = max(
-            endpoint_worst,
-            belief_distance(interp_observe(a, 0.0, p), p),
-            belief_distance(ds_plaus_update(m, a, 0.0).as_simplex(), p),
-            belief_distance(interp_observe(a, 1.0, p), condition(p, a)),
-            belief_distance(
-                ds_plaus_update(m, a, 1.0).as_simplex(), condition(p, a)
-            ),
-        )
-        gap = max(
-            belief_distance(
-                interp_observe(a, al, p), ds_plaus_update(m, a, al).as_simplex()
-            )
-            for al in alphas
-        )
-        interior_min = min(interior_min, gap)
-    ok = endpoint_worst <= 1e-12 and interior_min >= 1e-3
-    report(
-        3,
-        "interp-vs-ds",
-        ok,
-        f"endpoints={endpoint_worst:.3g} min-gap={interior_min:.3g}",
-    )
+    passed, out = IDENTITIES["interp-vs-ds"](np.random.default_rng(103), 200)
+    detail = f"endpoints={out['worst_endpoint']:.3g} min-gap={out['min_interior_gap']:.3g}"
+    report(3, "interp-vs-ds", passed, detail)
 
 
 def test_04_kalman_combinativity():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(1000):
-        c1 = KALMAN.value((rng.uniform(), rng.uniform(0.0, 4.0)))
-        c2 = KALMAN.value((rng.uniform(), rng.uniform(0.0, 4.0)))
-        b0 = GaussianBelief(rng.normal(), rng.uniform(0.1, 5.0))
-        z = float(rng.normal())
-        seq = kalman_observe(z, c2, kalman_observe(z, c1, b0))
-        combined = kalman_observe(z, kalman_combine(c1, c2), b0)
-        worst = max(worst, belief_distance(seq, combined))
-    prec_worst = 0.0
-    for _ in range(1000):
-        var, r2 = rng.uniform(0.1, 5.0, 2)
-        z = float(rng.normal())
-        out = kalman_observe_opt(z, r2, GaussianBelief(rng.normal(), var))
-        prec_worst = max(
-            prec_worst, abs(1.0 / out.var - (1.0 / var + 1.0 / r2))
-        )
-    ok = worst <= 1e-10 and prec_worst <= 1e-10
-    report(
-        4,
-        "kalman-combinativity",
-        ok,
-        f"sequential={worst:.3g} precision={prec_worst:.3g}",
-    )
+    passed, out = IDENTITIES["kalman-sequential"](np.random.default_rng(104), 1000)
+    detail = f"sequential={out['worst_composition']:.3g} precision={out['worst_precision_abs']:.3g}"
+    report(4, "kalman-combinativity", passed, detail)
 
 
 def test_05_boltzmann_flow_integral():
@@ -288,43 +228,8 @@ def test_06_tempering_stack_identities():
 
 
 def test_07_bayes_equals_boltzmann():
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(2, 9))
-        hyps = tuple(f"h{i}" for i in range(k))
-        lik = rng.uniform(0.05, 1.0, k)
-        model = BayesModel(hyps, {"e": lik})
-        prior = random_simplex(rng, hyps)
-        beta = float(rng.uniform(0.1, 3.0))
-
-        # tempering the negative log likelihood is powered Bayes
-        v = RandomVariable(hyps, -np.log(lik))
-        learner = get_learner("bayes", model=model)
-        worst = max(
-            worst,
-            belief_distance(
-                boltzmann_observe(v, beta, prior),
-                learner.observe("e", ADD.value(beta), prior),
-            ),
-        )
-        worst = max(
-            worst,
-            belief_distance(
-                boltzmann_observe(v, 1.0, prior), bayes_observe(model, "e", prior)
-            ),
-        )
-
-        # potentials -> likelihood table -> same posterior
-        table = {"e": dict(zip(hyps, -np.log(lik)))}
-        rebuilt = potential_to_likelihood(table, hyps)
-        worst = max(
-            worst,
-            belief_distance(
-                bayes_observe(rebuilt, "e", prior), bayes_observe(model, "e", prior)
-            ),
-        )
-    report(7, "bayes-equals-boltzmann", worst <= 1e-12, f"worst={worst:.3g}")
+    passed, out = IDENTITIES["bayes-boltzmann"](np.random.default_rng(107), 100)
+    report(7, "bayes-equals-boltzmann", passed, f"worst={out['worst']:.3g}")
 
 
 def test_08_parallel_contradiction_limit():
@@ -341,37 +246,10 @@ def test_08_parallel_contradiction_limit():
 
 
 def test_09_trotter_convergence():
-    learner = get_learner("interp")
-    p = FiniteSimplex(("a", "b", "c", "d"), np.array([0.5, 0.2, 0.2, 0.1]))
-    ev_a = p.event(["a", "b"])
-    ev_b = p.event(["b", "c"])
-    chi = 1.5
-    field = combine_fields(
-        [derivative_field(learner, ev_a), derivative_field(learner, ev_b)]
-    )
-    reference = integrate(field, p, chi)
-    ns = (64, 128, 256, 512, 1024, 2048, 4096)
-    states = trotter_interleave(learner, ev_a, ev_b, chi, ns, p)  # one walk of 4096 rounds
-    dist = {n: belief_distance(state, reference) for n, state in zip(ns, states)}
-    ratios = [dist[2 * n] / dist[n] for n in ns[:-1]]
-    ratios_ok = all(0.3 <= r <= 0.7 for r in ratios)
-
-    boltz = get_learner("boltzmann")
-    labels = ("a", "b", "c")
-    q = FiniteSimplex(labels, np.array([0.5, 0.3, 0.2]))
-    u = RandomVariable(labels, np.array([1.0, 0.0, -0.5]))
-    v = RandomVariable(labels, np.array([-0.3, 0.7, 0.2]))
-    both = RandomVariable(labels, u.values + v.values)
-    exact = belief_distance(
-        trotter_interleave(boltz, u, v, 0.8, 1, q), boltzmann_observe(both, 0.8, q)
-    )
-    ok = ratios_ok and exact <= 1e-12
-    report(
-        9,
-        "trotter-convergence",
-        ok,
-        f"ratios={min(ratios):.2f}..{max(ratios):.2f} commuting={exact:.3g}",
-    )
+    passed, out = IDENTITIES["trotter-convergence"](None, 0)
+    ratios, exact = out["ratios"].values(), out["boltzmann_commuting_gap"]
+    detail = f"ratios={min(ratios):.2f}..{max(ratios):.2f} commuting={exact:.3g}"
+    report(9, "trotter-convergence", passed, detail)
 
 
 def test_10_additive_form_fidelity():

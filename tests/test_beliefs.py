@@ -30,7 +30,7 @@ from conflearn import (
     jeffrey,
     simple_support,
 )
-from conflearn.beliefs import MASS_EPS, _BY_CLS
+from conflearn.beliefs import MASS_EPS, _BY_CLS, normalize_probs
 from conflearn.errors import NumericalError
 
 
@@ -341,6 +341,21 @@ def test_belief_json_refuses_a_non_finite_mass_or_parameter(x):
         MassFunction(("a", "b"), {1: x})
     with pytest.raises(ParameterError, match="must be finite"):
         belief_from_json({"kind": "params", "values": [x, 0.0]})
+
+
+def test_finite_entries_whose_sum_overflows_are_refused():
+    with np.errstate(over="ignore"):  # numpy's own overflow warning aside
+        with pytest.raises(ParameterError, match="probabilities sum past the float range"):
+            FiniteSimplex(("a", "b"), [1e308, 1e308])
+        with pytest.raises(ParameterError, match="probabilities sum past the float range"):
+            normalize_probs(np.array([[0.5, 0.5], [1e308, 1e308]]))
+        # rows whose own sums are finite are each normalized, whatever their total
+        assert (normalize_probs(np.full((10, 2), 1e307)) == 0.5).all()
+    with pytest.raises(ParameterError, match="masses sum past the float range"):
+        MassFunction(("a", "b"), {1: 1e308, 2: 1e308})
+    # the JSON reader refuses the simplex without numpy's warning
+    with pytest.raises(ParameterError, match="probabilities sum past the float range"):
+        belief_from_json({"kind": "simplex", "probs": {"a": 1e308, "b": 1e308}})
 
 
 # ---------------------------------------------------------------------------

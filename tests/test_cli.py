@@ -15,6 +15,7 @@ import pytest
 
 from conflearn import IntegratorConfig, cli
 from conflearn.cli import main
+from conflearn.identities import IDENTITIES
 
 
 def write_config(tmp_path, name, payload):
@@ -276,16 +277,22 @@ def test_axioms_seed_flag_overrides_config(tmp_path):
 # equiv
 
 
-def test_equiv_experiment_passes(tmp_path, capsys):
-    cfg = {"experiment": "interp-vs-ds", "samples": 40}
-    assert run_cli(tmp_path, "equiv", cfg) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"]
-    assert report["illustration"]["interp_prob_a"] == pytest.approx(0.85)
-    assert report["illustration"]["ds_prob_a"] == pytest.approx(
-        0.8235294117647058
-    )
-    assert (tmp_path / "out" / "equiv_interp-vs-ds.json").exists()
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_equiv_experiment_passes(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, "equiv.json", {"experiment": name, "samples": 40})
+    artifacts = []
+    for run, seed in enumerate(("3", "3", "4")):
+        out = tmp_path / f"out{run}"
+        assert main(["equiv", "--config", cfg, "--output", str(out), "--seed", seed]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True and report["experiment"] == name
+        artifacts.append((out / f"equiv_{name}.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    # every entry but the pinned trotter instance draws from the seed
+    assert (artifacts[0] != artifacts[2]) == (name != "trotter-convergence")
+    if name == "interp-vs-ds":
+        assert report["illustration"]["interp_prob_a"] == pytest.approx(0.85)
+        assert report["illustration"]["ds_prob_a"] == pytest.approx(0.8235294117647058)
 
 
 @pytest.mark.parametrize(
@@ -1053,6 +1060,39 @@ def test_axioms_include_flag_must_be_a_boolean(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
     assert run_cli(tmp_path, "axioms", dict(cfg, **{key: False}), "--quiet") == 0
     assert len(json.loads((tmp_path / "out" / "axioms.json").read_text())) == 10
+
+
+@pytest.mark.parametrize(
+    "belief",
+    [
+        {"kind": "simplex", "probs": {"a": 1e308, "b": 1e308}},
+        {"kind": "mass", "labels": ["a", "b"], "masses": {"a": 1e308, "b": 1e308}},
+    ],
+)
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_a_belief_whose_sum_overflows_is_a_config_error(tmp_path, capsys, belief, action):
+    cfg = {"learner": "interp" if belief["kind"] == "simplex" else "ds", "belief": belief,
+           "observation": {"event": ["a"]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad belief: ") and "sum past the float range" in err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys):
+    cfg = dict(CLASSIFIER_LEARN, observation={"x": [1.0], "y": 1},
+               learner_params={"n_features": 1, "n_classes": 2, "max_steps": 1000})
+    written = []
+    for action in ("always", "error"):
+        (tmp_path / action).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert run_cli(tmp_path / action, "learn", cfg, "--quiet") == 0
+        assert capsys.readouterr().err == "warning: no fixed point within 1000 steps\n"
+        written.append((tmp_path / action / "out" / "learn_classifier.csv").read_bytes())
+    assert written[0] == written[1] and written[0].count(b"\n") == 3
 
 
 def test_learn_classifier_overflowing_logits_exit_3(tmp_path, capsys):
