@@ -16,6 +16,9 @@ a witness for the worst instance:
 
   LB  at zero commitment the update velocity is the metric gradient of Bel
 
+A check passes when its worst violation is at most 1e-10; LB allows 1e-5
+at a difference step of 1e-4, and L2 bounds its ratio by 10.  These are
+constants: a ``CheckConfig`` sets only the seed, the samples and the grid.
 Checks that do not apply to a learner (wrong confidence geometry, missing
 hooks) come back with ``skipped=True`` and a note instead of failing.
 """
@@ -61,6 +64,10 @@ AXIOMS: Tuple[str, ...] = (
     "LB",
 )
 
+_TOL = 1e-10  # the laws' tolerance on the worst violation
+_LB_TOL = 1e-5  # LB's: its velocity and gradient are both difference quotients
+_L2_RATIO_BOUND = 10.0  # L2's bound on the fine/coarse difference-quotient ratio
+_FD_STEP = 1e-4  # LB's difference step; a Fisher step h p_i leaves the simplex once h >= 1
 _L2_H_COARSE = 1e-2
 _L2_H_FINE = 1e-4
 _L2_BASE_RANGE = {"frac": 0.9, "max": 0.9, "add": 3.0}
@@ -71,24 +78,23 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Sampling and tolerance settings shared by all axiom checks."""
+    """Sampling settings shared by all axiom checks: the seed that names every
+    sample stream, the instances each check draws, and the confidence grid
+    (None: the learner's own).  The tolerances and LB's difference step are
+    the module constants ``_TOL``, ``_LB_TOL``, ``_L2_RATIO_BOUND`` and
+    ``_FD_STEP``."""
 
     seed: int = 0
     samples: int = 60
-    tol: float = 1e-10
     confidence_grid: Optional[Sequence[Any]] = None
-    lb_tol: float = 1e-5
-    l2_ratio_bound: float = 10.0
-    fd_step: float = 1e-4
 
     def __post_init__(self):
+        for name in ("seed", "samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
-        # a Fisher difference step h p_i leaves the simplex once h >= 1
-        if not (self.tol > 0 and self.lb_tol > 0 and 0 < self.fd_step < 1):
-            raise ParameterError("tolerances must be positive and fd_step in (0, 1)")
-        if self.l2_ratio_bound <= 0:
-            raise ParameterError("l2_ratio_bound must be positive")
 
 
 @dataclass
@@ -167,7 +173,7 @@ class _Check:
     learner and axiom, and the largest violation offered, with its witness."""
 
     def __init__(self, learner: Learner, axiom_id: str, cfg: CheckConfig):
-        self.learner, self.axiom_id, self.cfg = learner, axiom_id, cfg
+        self.learner, self.axiom_id = learner, axiom_id
         self.rng = _seeded_rng(cfg.seed, learner.id, axiom_id)
         self.value = 0.0
         self.witness: Optional[dict] = None
@@ -182,11 +188,8 @@ class _Check:
             self.value = float(violation)
             self.witness = _witness(self.learner, **parts)
 
-    def report(
-        self, tol: Optional[float] = None, note: str = "", skipped: bool = False
-    ) -> AxiomReport:
-        """The outcome against ``tol`` (default: the config's ``tol``)."""
-        tol = self.cfg.tol if tol is None else tol
+    def report(self, tol: float = _TOL, note: str = "", skipped: bool = False) -> AxiomReport:
+        """The outcome against ``tol``."""
         return AxiomReport(
             learner_id=self.learner.id,
             axiom_id=self.axiom_id,
@@ -251,7 +254,7 @@ def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
                 quotients={str(k): v for k, v in quotients.items()},
             )
     return chk.report(
-        cfg.l2_ratio_bound, note="violation is the fine/coarse difference-quotient ratio"
+        _L2_RATIO_BOUND, note="violation is the fine/coarse difference-quotient ratio"
     )
 
 
@@ -377,7 +380,7 @@ def _check_l4(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
         states = [learner.observe(phi, chi, theta) for chi in grid]
         for i in range(len(states)):
             for k in range(i + 2, len(states)):
-                if belief_distance(states[i], states[k]) > cfg.tol:
+                if belief_distance(states[i], states[k]) > _TOL:
                     continue
                 for j in range(i + 1, k):
                     d = belief_distance(states[i], states[j])
@@ -492,14 +495,12 @@ def _check_lb(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
         return chk.skip("learner exposes no update path")
     for phi, theta in _instances(learner, chk.rng, cfg.samples):
         if learner.path_velocity is not None:
-            vel = np.asarray(learner.path_velocity(phi, theta, cfg.fd_step))
+            vel = np.asarray(learner.path_velocity(phi, theta, _FD_STEP))
         else:
-            vel = _forward_stencil(learner.make_flow(phi), theta, cfg.fd_step)
-        grad = metric_gradient(
-            theta, lambda s: learner.bel(phi, s), learner.lb_metric, h=cfg.fd_step
-        )
+            vel = _forward_stencil(learner.make_flow(phi), theta, _FD_STEP)
+        grad = metric_gradient(theta, lambda s: learner.bel(phi, s), learner.lb_metric, h=_FD_STEP)
         chk.offer(float(np.abs(vel - grad).max()), phi=phi, theta=theta)
-    return chk.report(cfg.lb_tol)
+    return chk.report(_LB_TOL)
 
 
 _CHECKERS: Dict[str, Callable[[Learner, CheckConfig, _Check], AxiomReport]] = {

@@ -208,13 +208,6 @@ class FiniteSimplex:
             raise ParameterError("event over a different world set")
         return float(self.probs @ a.indicator())
 
-    def support(self) -> EventSet:
-        mask = 0
-        for i, p in enumerate(self.probs):
-            if p > 0.0:
-                mask |= 1 << i
-        return EventSet(self.labels, mask)
-
     def with_probs(self, p: np.ndarray) -> "FiniteSimplex":
         return FiniteSimplex(self.labels, p)
 

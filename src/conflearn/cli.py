@@ -30,7 +30,8 @@ import tempfile
 import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .axioms import CheckConfig, _seeded_rng, reports_to_json, run_suite
+from .axioms import _FD_STEP, _L2_RATIO_BOUND, _LB_TOL, _TOL, CheckConfig, _seeded_rng
+from .axioms import reports_to_json, run_suite
 from .beliefs import _kind_of, belief_from_json, belief_to_json
 from .confidence import ConfidenceValue, confidence_from_json, confidence_to_json
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
@@ -427,17 +428,13 @@ def _cmd_axioms(args, cfg: dict) -> int:
     learners = _resolve_learners(cfg)
     name = _out_name(cfg, "output_json", "axioms.json")
     grids = [_parse_grid(learner, cfg) for learner in learners]
-    try:
-        check_cfg = CheckConfig(
-            seed=_seed_of(args, cfg),
-            samples=_number(cfg, "samples", 60, integer=True, above=0),
-            tol=_number(cfg, "tol", 1e-10),
-            lb_tol=_number(cfg, "lb_tol", 1e-5),
-            l2_ratio_bound=_number(cfg, "l2_ratio_bound", 10.0),
-            fd_step=_number(cfg, "fd_step", 1e-4),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    fixed = {"tol": _TOL, "lb_tol": _LB_TOL, "l2_ratio_bound": _L2_RATIO_BOUND, "fd_step": _FD_STEP}
+    for key, value in fixed.items():
+        if key in cfg:
+            raise ConfigError(f"{key!r} is not a setting: the law suite fixes it at {value:g}")
+    check_cfg = CheckConfig(
+        seed=_seed_of(args, cfg), samples=_number(cfg, "samples", 60, integer=True, above=0)
+    )
     reports = []
     for learner, grid in zip(learners, grids):
         reports.extend(run_suite(learner, dataclasses.replace(check_cfg, confidence_grid=grid)))

@@ -3,6 +3,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from conflearn import (
@@ -23,6 +24,7 @@ from conflearn import (
 from conflearn import axioms
 from conflearn.axioms import (
     _BRENT_ITERS,
+    _TOL,
     _chart_to_confidence,
     _instances,
     _residual_by_brent,
@@ -71,12 +73,27 @@ def test_expected_skips_are_skips_not_failures():
 # Mutants fail what they are built to fail.
 
 
+# every law each mutant fails, at FAST and at the acceptance gate's
+# CheckConfig(seed=0, samples=60) alike: a law that stops catching one shows
+MUTANT_FAILS = {
+    "mutant-l1-drift": {"L1", "L5"},
+    "mutant-l2-rough": {"L2", "L5"},
+    "mutant-l34-cyclic": {"L3", "L4", "L5", "B1", "B3"},
+    "mutant-l5-square": {"L5"},
+    "mutant-fc-partial": {"L3", "L5", "FC", "B3"},
+    "mutant-b2-uniform": {"B2"},
+    "mutant-b3-timid": {"L3", "L5", "FC", "B3"},
+    "mutant-lb-euclid": {"L3", "L5", "LB"},
+}
+
+
 @pytest.mark.parametrize("mutant", get_mutants(), ids=lambda m: m.id)
 def test_mutant_fails_its_targets(mutant):
     reports = run_suite(mutant, FAST)
     failed = _fail_ids(reports)
     assert set(MUTANT_TARGETS[mutant.id]) <= failed
     assert failed, "a mutant that fails nothing guards nothing"
+    assert failed == MUTANT_FAILS[mutant.id]
 
 
 def test_every_axiom_caught_by_some_mutant():
@@ -90,7 +107,7 @@ def test_failed_check_carries_witness():
     mutant = {m.id: m for m in get_mutants()}["mutant-l5-square"]
     report = check_axiom(mutant, "L5", FAST)
     assert not report.passed
-    assert report.worst_violation > FAST.tol
+    assert report.worst_violation > _TOL
     assert report.witness is not None
 
 
@@ -142,6 +159,18 @@ def test_l3_holds_at_every_check_seed():
     for mutant in (m for m in get_mutants() if m.id in caught):
         for seed in seeds:
             assert not check_axiom(mutant, "L3", CheckConfig(seed=seed)).passed, (mutant.id, seed)
+
+
+def test_check_config_rejects_bad_settings():
+    for bad in ({"seed": True}, {"seed": 1.5}, {"seed": "1"}, {"samples": True},
+                {"samples": 2.5}, {"samples": "3"}, {"samples": 0}):
+        with pytest.raises(ParameterError):
+            CheckConfig(**bad)
+    assert CheckConfig(seed=np.int64(-3), samples=np.int64(2)).samples == 2
+    # the law tolerances and the difference step are constants
+    for setting in ("tol", "lb_tol", "l2_ratio_bound", "fd_step"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
+            CheckConfig(**{setting: 1e-3})
 
 
 def test_unknown_axiom_rejected():
@@ -264,4 +293,4 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     assert any(u - tol <= v < u and gap(v) < 0.0 for v in evaluated)
                 if learner.id not in _MUTANT_IDS:
                     d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)
-                    assert d <= CheckConfig().tol
+                    assert d <= _TOL

@@ -303,20 +303,34 @@ def test_equiv_experiment_passes(tmp_path, capsys, name):
         ("axioms", {"seed": 1.5}),
         ("axioms", {"samples": 0}),
         ("axioms", {"samples": True}),
-        ("axioms", {"tol": 0.0}),
-        ("axioms", {"lb_tol": math.nan}),
-        ("axioms", {"l2_ratio_bound": -1.0}),
-        ("axioms", {"fd_step": math.inf}),
+        ("axioms", {"seed": True}),
+        ("axioms", {"samples": 2.5}),
+        ("axioms", {"samples": "3"}),
+        ("axioms", {"seed": math.nan}),
         ("equiv", {"experiment": "interp-vs-ds", "samples": -3}),
         ("equiv", {"experiment": "interp-vs-ds", "samples": "x"}),
         ("equiv", {"experiment": "bayes-boltzmann", "seed": "x"}),
-        ("axioms", {"fd_step": 1.0}),
+        ("axioms", {"samples": -1}),
     ],
 )
 def test_bad_numeric_settings_exit_2(tmp_path, capsys, command, settings):
     cfg = {"learners": ["interp"], **settings}
     assert run_cli(tmp_path, command, cfg, "--quiet") == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, fixed",
+    [("tol", "1e-10"), ("lb_tol", "1e-05"), ("l2_ratio_bound", "10"), ("fd_step", "0.0001")],
+)
+def test_fixed_law_settings_exit_2(tmp_path, capsys, key, fixed):
+    # the law tolerances and the difference step are constants: naming one,
+    # even at its fixed value, is a config error rather than silently ignored
+    for value in (float(fixed), 1e-6):
+        assert run_cli(tmp_path, "axioms", {"learners": ["interp"], "samples": 1, key: value}, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {key!r} is not a setting: the law suite fixes it at {fixed}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_equiv_unknown_experiment_exits_2(tmp_path):
