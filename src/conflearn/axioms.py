@@ -37,7 +37,7 @@ import numpy as np
 
 from .beliefs import belief_distance, belief_to_json
 from .confidence import ConfidenceValue, confidence_to_json
-from .errors import ParameterError
+from .errors import ConfLearnError, ParameterError
 from .flows import _forward_stencil, metric_gradient
 from .learners import Learner, NonConvergenceWarning
 
@@ -80,9 +80,10 @@ _EPS = sys.float_info.epsilon
 class CheckConfig:
     """Sampling settings shared by all axiom checks: the seed that names every
     sample stream, the instances each check draws, and the confidence grid
-    (None: the learner's own).  The tolerances and LB's difference step are
-    the module constants ``_TOL``, ``_LB_TOL``, ``_L2_RATIO_BOUND`` and
-    ``_FD_STEP``."""
+    (None: the learner's own), a list or tuple of values of the checked
+    learner's domain, each at most the next: L3 and B1 walk it upward.  The
+    tolerances and LB's difference step are the module constants ``_TOL``,
+    ``_LB_TOL``, ``_L2_RATIO_BOUND`` and ``_FD_STEP``."""
 
     seed: int = 0
     samples: int = 60
@@ -95,6 +96,10 @@ class CheckConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
+        if self.confidence_grid is not None and not isinstance(self.confidence_grid, (list, tuple)):
+            raise ParameterError(
+                f"confidence_grid must be a list or tuple, got {self.confidence_grid!r}"
+            )
 
 
 @dataclass
@@ -131,8 +136,18 @@ def _seeded_rng(*parts) -> np.random.Generator:
 
 
 def _grid(learner: Learner, cfg: CheckConfig) -> Tuple[ConfidenceValue, ...]:
+    """The grid in the learner's domain; ParameterError unless every entry
+    coerces and each is at most the next."""
     raw = cfg.confidence_grid if cfg.confidence_grid is not None else learner.default_grid
-    return tuple(learner.domain.coerce(x) for x in raw)
+    dom = learner.domain
+    try:
+        grid = tuple(dom.coerce(x) for x in raw)
+    except (ConfLearnError, TypeError, ValueError) as exc:
+        raise ParameterError(f"confidence grid entry not in domain {dom.id!r}: {exc}") from exc
+    for lo, hi in zip(grid, grid[1:]):
+        if not dom.leq(lo, hi):
+            raise ParameterError(f"the confidence grid must rise, but {lo!r} comes before {hi!r}")
+    return grid
 
 
 def _safe_json(converter, value):
@@ -526,6 +541,7 @@ def check_axiom(
             f"unknown axiom {axiom_id!r}; expected one of {', '.join(AXIOMS)}"
         )
     cfg = cfg or CheckConfig()
+    _grid(learner, cfg)  # a bad grid fails every check alike, before any draw
     return _CHECKERS[axiom_id](learner, cfg, _Check(learner, axiom_id, cfg))
 
 

@@ -3,14 +3,16 @@
     conflearn learn   --config learn.json   [--output DIR] [--quiet]
     conflearn combine --config combine.json [--output DIR] [--quiet]
     conflearn trotter --config trotter.json [--output DIR] [--quiet]
-    conflearn axioms  --config axioms.json  [--output DIR] [--seed N] [--quiet]
-    conflearn equiv   --config equiv.json   [--output DIR] [--seed N] [--quiet]
+    conflearn axioms  --config axioms.json  [--output DIR] [--quiet]
+    conflearn equiv   --config equiv.json   [--output DIR] [--quiet]
 
-Configs are JSON files; results are written atomically into the output
-directory and a summary JSON goes to stdout.  All numeric CSV fields carry
-17 significant digits so reruns are byte-identical.  ``equiv`` runs one
-entry of ``identities.IDENTITIES`` on a generator derived from the seed and
-the entry's name; the experiments themselves live there.
+Configs are JSON files and the one home of every setting, the seed included.
+Each command reads its own set of top-level keys (``_KEYS``); any other key is
+a config error, raised before the command runs.  Results are written
+atomically into the output directory and a summary JSON goes to stdout.  All
+numeric CSV fields carry 17 significant digits so reruns are byte-identical.
+``equiv`` runs one entry of ``identities.IDENTITIES`` on a generator derived
+from the seed and the entry's name; the experiments themselves live there.
 
 Exit codes: 0 success, 1 a requested check or experiment failed, 2 the
 config is invalid or names an unknown experiment, 3 the computation itself
@@ -30,8 +32,7 @@ import tempfile
 import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .axioms import _FD_STEP, _L2_RATIO_BOUND, _LB_TOL, _TOL, CheckConfig, _seeded_rng
-from .axioms import reports_to_json, run_suite
+from .axioms import CheckConfig, _grid, _seeded_rng, reports_to_json, run_suite
 from .beliefs import _kind_of, belief_from_json, belief_to_json
 from .confidence import ConfidenceValue, confidence_from_json, confidence_to_json
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
@@ -122,10 +123,10 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _number(cfg: dict, key: str, default=None, integer: bool = False, above: float = -math.inf):
-    """cfg[key], or ``default`` when it is absent (None: the key is required),
-    checked to be a finite JSON number above ``above``; an int if ``integer``."""
-    raw = _need(cfg, key) if default is None else cfg.get(key, default)
+def _number(cfg: dict, key: str, integer: bool = False, above: float = -math.inf):
+    """cfg[key], which must be a finite JSON number above ``above``; an int if
+    ``integer``."""
+    raw = _need(cfg, key)
     if (
         isinstance(raw, bool)
         or not isinstance(raw, int if integer else (int, float))
@@ -136,8 +137,10 @@ def _number(cfg: dict, key: str, default=None, integer: bool = False, above: flo
     return raw if integer else float(raw)
 
 
-def _seed_of(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else _number(cfg, "seed", 0, integer=True)
+def _settings(cfg: dict, integer: bool = False, **floors) -> dict:
+    """The keys of ``floors`` that cfg names, each read by ``_number`` above its
+    floor; a key it leaves out keeps its default where it is used."""
+    return {k: _number(cfg, k, integer=integer, above=v) for k, v in floors.items() if k in cfg}
 
 
 def _build_learner(cfg: dict) -> Learner:
@@ -171,24 +174,22 @@ def _learner_of(lid: str, params: dict) -> Learner:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_belief(obj) -> object:
+def _learner_and_belief(cfg: dict) -> Tuple[Learner, object]:
+    """The config's learner and its belief, which must be of the kind the learner
+    updates."""
+    learner = _build_learner(cfg)
     try:
-        return belief_from_json(obj)
+        belief = belief_from_json(_need(cfg, "belief"))
     except KeyError as exc:
         raise ConfigError(f"bad belief: missing field {exc}") from exc
     except (ConfLearnError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad belief: {exc}") from exc
-
-
-def _parse_belief_for(learner: Learner, obj) -> object:
-    """The belief ``obj``, which must be of the kind ``learner`` updates."""
-    belief = _parse_belief(obj)
     kind = _kind_of(belief).name
     if learner.belief_kind is not None and kind != learner.belief_kind:
         raise ConfigError(
             f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind}"
         )
-    return belief
+    return learner, belief
 
 
 def _parse_observation(learner: Learner, obj, belief):
@@ -261,8 +262,7 @@ def _belief_headers(theta) -> Tuple[Tuple[str, ...], Callable]:
 
 
 def _cmd_learn(args, cfg: dict) -> int:
-    learner = _build_learner(cfg)
-    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
+    learner, theta0 = _learner_and_belief(cfg)
     phi = _parse_observation(learner, _need(cfg, "observation"), theta0)
     grid = _parse_grid(learner, cfg)
     if not grid:
@@ -314,8 +314,7 @@ def _cmd_learn(args, cfg: dict) -> int:
 
 
 def _cmd_combine(args, cfg: dict) -> int:
-    learner = _build_learner(cfg)
-    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
+    learner, theta0 = _learner_and_belief(cfg)
     obs = _need(cfg, "observations")
     if not isinstance(obs, list) or not obs:
         raise ConfigError("'observations' must be a nonempty array")
@@ -334,8 +333,7 @@ def _cmd_combine(args, cfg: dict) -> int:
     t = _parse_time(_need(cfg, "t"))
     name = _out_name(cfg, "output_csv", f"combine_{learner.id.replace(':', '_')}.csv")
 
-    step_out = _number(cfg, "step_out", 0.1, above=0.0)
-    final, record = integrate_sampled(field, theta0, t, icfg, step_out=step_out)
+    final, record = integrate_sampled(field, theta0, t, icfg, **_settings(cfg, step_out=0.0))
     _atomic_write(_out_path(args, name), record.to_csv_text())
 
     _emit(
@@ -357,8 +355,7 @@ def _cmd_combine(args, cfg: dict) -> int:
 
 
 def _cmd_trotter(args, cfg: dict) -> int:
-    learner = _build_learner(cfg)
-    theta0 = _parse_belief_for(learner, _need(cfg, "belief"))
+    learner, theta0 = _learner_and_belief(cfg)
     obs = _need(cfg, "observations")
     if not isinstance(obs, list) or len(obs) != 2:
         raise ConfigError("'observations' must hold exactly two entries")
@@ -399,45 +396,31 @@ def _cmd_trotter(args, cfg: dict) -> int:
 
 def _resolve_learners(cfg: dict) -> List[Learner]:
     spec = cfg.get("learners", "all")
-    out: List[Learner] = []
     if spec == "all":
-        out.extend(get_learner(lid) for lid in available_learners())
-    elif isinstance(spec, list):
-        mutants = {m.id: m for m in get_mutants()}
-        for lid in spec:
-            if not isinstance(lid, str):
-                raise ConfigError("'learners' entries must be id strings")
-            out.append(mutants[lid] if lid in mutants else _learner_of(lid, {}))
-    else:
+        return [get_learner(lid) for lid in available_learners()]
+    if not isinstance(spec, list):
         raise ConfigError("'learners' must be \"all\" or an array of ids")
-    for key in ("include_lifted", "include_mutants"):
-        if not isinstance(cfg.get(key, False), bool):
-            raise ConfigError(f"{key!r} must be true or false, got {cfg[key]!r}")
-    if cfg.get("include_lifted", False):
-        out.extend(
-            lift_to_list(base)
-            for base in (get_learner(lid) for lid in available_learners())
-            if base.top_absorbing
-        )
-    if cfg.get("include_mutants", False):
-        out.extend(get_mutants())
-    return out
+    if not all(isinstance(lid, str) for lid in spec):
+        raise ConfigError("'learners' entries must be id strings")
+    mutants = {m.id: m for m in get_mutants()}
+    return [mutants[lid] if lid in mutants else _learner_of(lid, {}) for lid in spec]
 
 
 def _cmd_axioms(args, cfg: dict) -> int:
     learners = _resolve_learners(cfg)
     name = _out_name(cfg, "output_json", "axioms.json")
-    grids = [_parse_grid(learner, cfg) for learner in learners]
-    fixed = {"tol": _TOL, "lb_tol": _LB_TOL, "l2_ratio_bound": _L2_RATIO_BOUND, "fd_step": _FD_STEP}
-    for key, value in fixed.items():
-        if key in cfg:
-            raise ConfigError(f"{key!r} is not a setting: the law suite fixes it at {value:g}")
-    check_cfg = CheckConfig(
-        seed=_seed_of(args, cfg), samples=_number(cfg, "samples", 60, integer=True, above=0)
-    )
+    check_cfg = CheckConfig(**_settings(cfg, integer=True, seed=-math.inf, samples=0))
+    runs = []
+    for learner in learners:  # every grid is checked before the first law
+        run_cfg = dataclasses.replace(check_cfg, confidence_grid=_parse_grid(learner, cfg))
+        try:
+            _grid(learner, run_cfg)
+        except ParameterError as exc:
+            raise ConfigError(f"for {learner.id}, {exc}") from exc
+        runs.append((learner, run_cfg))
     reports = []
-    for learner, grid in zip(learners, grids):
-        reports.extend(run_suite(learner, dataclasses.replace(check_cfg, confidence_grid=grid)))
+    for learner, run_cfg in runs:
+        reports.extend(run_suite(learner, run_cfg))
     _atomic_write(_out_path(args, name), reports_to_json(reports) + "\n")
     if not args.quiet:
         for r in reports:
@@ -468,11 +451,9 @@ def _cmd_equiv(args, cfg: dict) -> int:
             f"unknown experiment {name!r}; expected one of {', '.join(sorted(IDENTITIES))}"
         )
     out_name = _out_name(cfg, "output_json", f"equiv_{name}.json")
-    rng = _seeded_rng(_seed_of(args, cfg), name)
-    kwargs = {}
-    if "samples" in cfg:
-        kwargs["samples"] = _number(cfg, "samples", integer=True, above=0)
-    passed, payload = IDENTITIES[name](rng, **kwargs)
+    settings = _settings(cfg, integer=True, seed=-math.inf, samples=0)
+    rng = _seeded_rng(settings.pop("seed", 0), name)
+    passed, payload = IDENTITIES[name](rng, **settings)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}
     _atomic_write(
         _out_path(args, out_name), json.dumps(result, sort_keys=True, indent=2) + "\n"
@@ -485,12 +466,24 @@ def _cmd_equiv(args, cfg: dict) -> int:
 # Entry point.
 
 
-_COMMANDS = {
-    "learn": _cmd_learn,
-    "combine": _cmd_combine,
-    "trotter": _cmd_trotter,
-    "axioms": _cmd_axioms,
-    "equiv": _cmd_equiv,
+_COMMANDS = {  # name: (handler, help line)
+    "learn": (_cmd_learn, "sweep one observation across a confidence grid"),
+    "combine": (_cmd_combine, "integrate the parallel field of several observations"),
+    "trotter": (_cmd_trotter, "compare interleaved updates with the parallel-field limit"),
+    "axioms": (_cmd_axioms, "run the executable law suite"),
+    "equiv": (_cmd_equiv, "run a canned equivalence experiment"),
+}
+
+# the top-level config keys each command reads; any other key is a config error
+_KEYS = {
+    "learn": {"learner", "learner_params", "belief", "observation", "confidence_grid",
+              "output_csv"},
+    "combine": {"learner", "learner_params", "belief", "observations", "weights", "integrator",
+                "t", "step_out", "output_csv"},
+    "trotter": {"learner", "learner_params", "belief", "observations", "chi", "n_values",
+                "integrator", "output_json"},
+    "axioms": {"learners", "samples", "seed", "confidence_grid", "output_json"},
+    "equiv": {"experiment", "seed", "samples", "output_json"},
 }
 
 
@@ -501,18 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="confidence-graded belief updating: sweeps, flows, law checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "learn": "sweep one observation across a confidence grid",
-        "combine": "integrate the parallel field of several observations",
-        "trotter": "compare interleaved updates with the parallel-field limit",
-        "axioms": "run the executable law suite",
-        "equiv": "run a canned equivalence experiment",
-    }
-    for name, handler in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (handler, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--output", default=".", help="directory for result files")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
         sp.set_defaults(handler=handler)
     return parser
@@ -522,6 +507,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        keys = _KEYS[args.command]
+        unknown = sorted(set(cfg) - keys)
+        if unknown:  # a typo or a stale key would otherwise run on defaults
+            raise ConfigError(
+                f"{args.command} reads no key {', '.join(map(repr, unknown))}; "
+                f"its keys are {', '.join(sorted(keys))}"
+            )
         return args.handler(args, cfg)
     except (ConfigError, StepBudgetError) as exc:  # the budget comes from the config
         print(f"config error: {exc}", file=sys.stderr)

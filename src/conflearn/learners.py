@@ -988,7 +988,7 @@ def make_max_graded_learner() -> Learner:
             rate = np.zeros(len(keys))
             for key, w in terms:
                 if key not in keys:
-                    raise DomainError(f"unknown statement {key!r}")
+                    raise ParameterError(f"unknown statement {key!r}")
                 rate[keys.index(key)] += w
             return lambda c: rate * (1.0 - c)
 

@@ -73,27 +73,14 @@ def test_expected_skips_are_skips_not_failures():
 # Mutants fail what they are built to fail.
 
 
-# every law each mutant fails, at FAST and at the acceptance gate's
-# CheckConfig(seed=0, samples=60) alike: a law that stops catching one shows
-MUTANT_FAILS = {
-    "mutant-l1-drift": {"L1", "L5"},
-    "mutant-l2-rough": {"L2", "L5"},
-    "mutant-l34-cyclic": {"L3", "L4", "L5", "B1", "B3"},
-    "mutant-l5-square": {"L5"},
-    "mutant-fc-partial": {"L3", "L5", "FC", "B3"},
-    "mutant-b2-uniform": {"B2"},
-    "mutant-b3-timid": {"L3", "L5", "FC", "B3"},
-    "mutant-lb-euclid": {"L3", "L5", "LB"},
-}
-
-
+# MUTANT_TARGETS is the whole row each mutant fails, at FAST and at the
+# acceptance gate's CheckConfig(seed=0, samples=60) alike: a law that stops
+# catching one, or starts failing one, shows
 @pytest.mark.parametrize("mutant", get_mutants(), ids=lambda m: m.id)
 def test_mutant_fails_its_targets(mutant):
-    reports = run_suite(mutant, FAST)
-    failed = _fail_ids(reports)
-    assert set(MUTANT_TARGETS[mutant.id]) <= failed
+    failed = _fail_ids(run_suite(mutant, FAST))
     assert failed, "a mutant that fails nothing guards nothing"
-    assert failed == MUTANT_FAILS[mutant.id]
+    assert failed == set(MUTANT_TARGETS[mutant.id])
 
 
 def test_every_axiom_caught_by_some_mutant():
@@ -163,7 +150,8 @@ def test_l3_holds_at_every_check_seed():
 
 def test_check_config_rejects_bad_settings():
     for bad in ({"seed": True}, {"seed": 1.5}, {"seed": "1"}, {"samples": True},
-                {"samples": 2.5}, {"samples": "3"}, {"samples": 0}):
+                {"samples": 2.5}, {"samples": "3"}, {"samples": 0},
+                {"confidence_grid": "ab"}, {"confidence_grid": 5}, {"confidence_grid": {0.5: 1}}):
         with pytest.raises(ParameterError):
             CheckConfig(**bad)
     assert CheckConfig(seed=np.int64(-3), samples=np.int64(2)).samples == 2
@@ -171,6 +159,23 @@ def test_check_config_rejects_bad_settings():
     for setting in ("tol", "lb_tol", "l2_ratio_bound", "fd_step"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
             CheckConfig(**{setting: 1e-3})
+
+
+@pytest.mark.parametrize("entry", ["a", 2.0, [0.5], None])
+def test_a_grid_entry_that_does_not_coerce_is_a_parameter_error(entry):
+    cfg = CheckConfig(samples=2, confidence_grid=[0.25, entry])
+    for axiom_id in AXIOMS:  # every check, whether or not it walks the grid
+        with pytest.raises(ParameterError, match="confidence grid entry not in domain 'frac'"):
+            check_axiom(get_learner("interp"), axiom_id, cfg)
+
+
+def test_a_grid_must_rise():
+    # L3 and B1 walk the grid upward: out of order, they fail a correct learner
+    cfg = CheckConfig(samples=5, confidence_grid=[0.0, 0.75, 0.25, 1.0])
+    with pytest.raises(ParameterError, match="must rise, but <frac:0.75> comes before <frac:0.25>"):
+        run_suite(get_learner("interp"), cfg)
+    rising = CheckConfig(samples=5, confidence_grid=[0.0, 0.25, 0.25, 0.75, 1.0])  # repeats rise
+    assert suite_passed(run_suite(get_learner("interp"), rising))
 
 
 def test_unknown_axiom_rejected():

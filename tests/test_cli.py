@@ -246,31 +246,14 @@ def test_axioms_unliftable_request_exits_2(tmp_path):
     assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
 
 
-def test_axioms_seed_flag_overrides_config(tmp_path):
-    cfg = write_config(
-        tmp_path, "ax.json", {"learners": ["interp"], "samples": 10, "seed": 1}
-    )
-    for d, seed in (("s1", "7"), ("s2", "7"), ("s3", "8")):
-        assert (
-            main(
-                [
-                    "axioms",
-                    "--config",
-                    cfg,
-                    "--output",
-                    str(tmp_path / d),
-                    "--seed",
-                    seed,
-                    "--quiet",
-                ]
-            )
-            == 0
-        )
-    a = (tmp_path / "s1" / "axioms.json").read_bytes()
-    b = (tmp_path / "s2" / "axioms.json").read_bytes()
-    c = (tmp_path / "s3" / "axioms.json").read_bytes()
-    assert a == b
-    assert a != c
+def test_axioms_config_seed_names_the_streams(tmp_path):
+    reports = []
+    for d, seed in (("s1", 7), ("s2", 7), ("s3", 8)):
+        cfg = write_config(tmp_path, f"{d}.json", {"learners": ["interp"], "samples": 10, "seed": seed})
+        assert main(["axioms", "--config", cfg, "--output", str(tmp_path / d), "--quiet"]) == 0
+        reports.append((tmp_path / d / "axioms.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[2]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +262,11 @@ def test_axioms_seed_flag_overrides_config(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(IDENTITIES))
 def test_equiv_experiment_passes(tmp_path, capsys, name):
-    cfg = write_config(tmp_path, "equiv.json", {"experiment": name, "samples": 40})
     artifacts = []
-    for run, seed in enumerate(("3", "3", "4")):
+    for run, seed in enumerate((3, 3, 4)):
+        cfg = write_config(tmp_path, f"equiv{run}.json", {"experiment": name, "samples": 40, "seed": seed})
         out = tmp_path / f"out{run}"
-        assert main(["equiv", "--config", cfg, "--output", str(out), "--seed", seed]) == 0
+        assert main(["equiv", "--config", cfg, "--output", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True and report["experiment"] == name
         artifacts.append((out / f"equiv_{name}.json").read_bytes())
@@ -314,9 +297,10 @@ def test_equiv_experiment_passes(tmp_path, capsys, name):
     ],
 )
 def test_bad_numeric_settings_exit_2(tmp_path, capsys, command, settings):
-    cfg = {"learners": ["interp"], **settings}
+    cfg = dict(settings, learners=["interp"]) if command == "axioms" else settings
     assert run_cli(tmp_path, command, cfg, "--quiet") == 2
-    assert "config error" in capsys.readouterr().err
+    (key,) = set(settings) - {"experiment"}
+    assert capsys.readouterr().err.startswith(f"config error: {key!r} must be an integer above ")
 
 
 @pytest.mark.parametrize(
@@ -329,8 +313,8 @@ def test_fixed_law_settings_exit_2(tmp_path, capsys, key, fixed):
     for value in (float(fixed), 1e-6):
         assert run_cli(tmp_path, "axioms", {"learners": ["interp"], "samples": 1, key: value}, "--quiet") == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {key!r} is not a setting: the law suite fixes it at {fixed}\n"
-        assert not (tmp_path / "out").exists()
+        assert err.startswith(f"config error: axioms reads no key {key!r}; its keys are ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
 def test_equiv_unknown_experiment_exits_2(tmp_path):
@@ -398,13 +382,13 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeyp
     seen, emit = [], cli._emit
 
     def recording_emit(args, payload):
-        seen.append((args.quiet, args.seed, args.output))
+        seen.append((args.quiet, args.output))
         emit(args, payload)
 
     monkeypatch.setattr(cli, "_emit", recording_emit)
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "equiv.json", {"experiment": "kalman-sequential", "samples": 3})
-    assert main(["equiv", "--config", cfg, "--output", "first", "--seed", "7", "--quiet"]) == 0
+    assert main(["equiv", "--config", cfg, "--output", "first", "--quiet"]) == 0
     assert built and capsys.readouterr().out == ""
     n_built = len(built)
     assert main(["equiv", "--config", cfg]) == 0
@@ -414,7 +398,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeyp
     assert exc.value.code == 2
     assert "invalid choice: 'nosuch'" in capsys.readouterr().err
     assert len(built) == n_built  # every parser was built by the first call
-    assert seen == [(True, 7, "first"), (False, None, ".")]
+    assert seen == [(True, "first"), (False, ".")]
     assert (tmp_path / "first" / "equiv_kalman-sequential.json").exists()
     assert (tmp_path / "equiv_kalman-sequential.json").exists()
 
@@ -475,6 +459,8 @@ COMBINE_INTERP = {
     "observations": [{"event": ["a"]}, {"event": ["b", "c"]}],
     "t": 1.0,
 }
+# the same pair as a trotter config, which reads a chi and no t
+TROTTER_INTERP = {**{k: v for k, v in COMBINE_INTERP.items() if k != "t"}, "chi": 1.0}
 # an interp combine on overlapping events: no exact flow, so RK4 steps it
 COMBINE_OVERLAP = dict(COMBINE_INTERP, observations=[{"event": ["a", "b"]}, {"event": ["b", "c"]}])
 
@@ -819,7 +805,8 @@ def test_trotter_reference_is_the_exact_parallel_flow(tmp_path, capsys, lid):
     assert run_cli(tmp_path, "trotter", cfg, "--quiet") == 0
     report = json.loads((tmp_path / "out" / "trotter.json").read_text())
     assert report["distances"]["1"] <= 1e-15  # the tilts commute: one round is exact
-    assert run_cli(tmp_path, "combine", dict(cfg, t=1.3)) == 0
+    combine = {key: cfg[key] for key in ("learner", "belief", "observations")}
+    assert run_cli(tmp_path, "combine", dict(combine, t=1.3)) == 0
     assert json.loads(capsys.readouterr().out)["final"] == report["reference"]
 
 
@@ -840,10 +827,33 @@ def test_learn_kalman_overflowing_error_gives_minus_inf_bel(tmp_path, where):
 MINIMAL = {
     "learn": (KALMAN_SWEEP, "output_csv"),
     "combine": (COMBINE_INTERP, "output_csv"),
-    "trotter": (dict(COMBINE_INTERP, chi=1.0, n_values=[1]), "output_json"),
+    "trotter": (dict(TROTTER_INTERP, n_values=[1]), "output_json"),
     "axioms": ({"learners": ["interp"], "samples": 1}, "output_json"),
     "equiv": ({"experiment": "kalman-sequential", "samples": 1}, "output_json"),
 }
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("learn", ["confidence-grid"]),  # a typo
+        ("learn", ["t"]),  # another command's key
+        ("combine", ["chi", "n_values"]),
+        ("trotter", ["t"]),
+        ("axioms", ["sample"]),
+        ("axioms", ["include_lifted", "include_mutants"]),  # removed settings
+        ("equiv", ["learners"]),
+    ],
+)
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, keys):
+    cfg, _ = MINIMAL[command]
+    assert run_cli(tmp_path, command, dict(cfg, **dict.fromkeys(keys, 1)), "--quiet") == 2
+    err = capsys.readouterr().err
+    named = ", ".join(map(repr, sorted(keys)))
+    assert err.startswith(f"config error: {command} reads no key {named}; its keys are ")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 0  # the same config without them runs
+    assert (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(MINIMAL))
@@ -870,6 +880,18 @@ def test_axioms_bad_grid_exits_2_before_any_check(tmp_path, capsys, grid):
     cfg = {"learners": ["interp", "kalman"], "samples": 1, "confidence_grid": grid}
     assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
     assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_axioms_grid_must_rise(tmp_path, capsys, monkeypatch):
+    # L3 and B1 walk the grid upward; learn sweeps a grid in any order
+    monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("a law ran"))
+    cfg = {"learners": ["interp", "boltzmann"], "samples": 1, "confidence_grid": ["bot", 0.75, 0.25, "top"]}
+    assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == (
+        "config error: for interp, the confidence grid must rise, "
+        "but <frac:0.75> comes before <frac:0.25>\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -1018,7 +1040,7 @@ BIG_NUMBER_PLACES = {
     "combine-t": ("combine", dict(COMBINE_INTERP, t="BIG")),
     "combine-weights": ("combine", dict(COMBINE_INTERP, weights=["BIG", 1.0])),
     "max-steps": ("combine", dict(COMBINE_INTERP, integrator={"max_steps": "BIG"})),
-    "trotter-n": ("trotter", dict(COMBINE_INTERP, chi=1.0, n_values=["BIG"])),
+    "trotter-n": ("trotter", dict(TROTTER_INTERP, n_values=["BIG"])),
     "axioms-seed": ("axioms", {"learners": ["interp"], "samples": 1, "seed": "BIG"}),
 }
 
@@ -1068,11 +1090,15 @@ def test_a_non_finite_number_is_a_config_error(tmp_path, capsys, place, token):
 @pytest.mark.parametrize("value", ["no", "true", 0, 1, None, []])
 @pytest.mark.parametrize("key", ["include_lifted", "include_mutants"])
 def test_axioms_include_flag_must_be_a_boolean(tmp_path, capsys, key, value):
-    cfg = {"learners": ["interp"], key: value, "samples": 2}
-    assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 2
-    assert capsys.readouterr().err == f"config error: {key!r} must be true or false, got {value!r}\n"
-    assert not (tmp_path / "out").exists()
-    assert run_cli(tmp_path, "axioms", dict(cfg, **{key: False}), "--quiet") == 0
+    # the include flags are gone ("learners" names lifts and mutants): a
+    # non-boolean value is refused, and now so is a boolean one
+    cfg = {"learners": ["interp"], "samples": 2}
+    for flag in (value, True, False):
+        assert run_cli(tmp_path, "axioms", dict(cfg, **{key: flag}), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: axioms reads no key {key!r}; ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    assert run_cli(tmp_path, "axioms", cfg, "--quiet") == 0
     assert len(json.loads((tmp_path / "out" / "axioms.json").read_text())) == 10
 
 

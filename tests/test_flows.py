@@ -833,6 +833,16 @@ def test_max_graded_trotter_walks_rows_with_the_bits_of_its_flows():
         trotter_interleave(learner, "phi1", "zz", chi, counts, table)
 
 
+def test_max_graded_field_names_an_unknown_statement():
+    # as its coord_flow does: the statement is the fault, not the state
+    field = derivative_field(get_learner("max-graded"), "zz")
+    table = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5})
+    for run in (lambda: field(table), lambda: integrate(field, table, 1.0),
+                lambda: integrate(field, table, math.inf), lambda: integrate_sampled(field, table, 1.0)):
+        with pytest.raises(ParameterError, match="unknown statement 'zz'"):
+            run()
+
+
 def test_trotter_rows_at_weight_one_keep_their_bits():
     # at chi = 100 the one-round row conditions outright (the weight rounds
     # to 1) while the five-round row mixes; on this prior the two updates
@@ -1468,9 +1478,6 @@ def test_exact_flow_makes_the_checks_of_a_first_step():
         for t in (1.0, math.inf):
             with pytest.raises(DomainError, match=r"^state outside the update domain of "):
                 integrate(field, p, t)
-    unknown = derivative_field(get_learner("max-graded"), "zz")
-    with pytest.raises(DomainError, match=r"^state outside the update domain of max-graded:"):
-        integrate(unknown, GradedBeliefTable({"x": 0.2}), 1.0)
     boltzmann = get_learner("boltzmann")
     rvs = [RandomVariable(p.labels, np.array(u)) for u in ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])]
     with warnings.catch_warnings():
