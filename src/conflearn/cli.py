@@ -369,11 +369,6 @@ def _cmd_trotter(args, cfg: dict) -> int:
         raise ConfigError("'n_values' must be a non-empty array of positive integers")
     icfg = _integrator(cfg)
     name = _out_name(cfg, "output_json", "trotter.json")
-    rounds = sum(set(n_values))
-    if rounds > icfg.max_steps:
-        raise StepBudgetError(
-            f"'n_values' take {rounds} rounds, more than max_steps={icfg.max_steps}"
-        )
 
     reference, distances, ratios = _trotter_errors(learner, phi1, phi2, chi, n_values, theta0, icfg)
 
@@ -398,8 +393,8 @@ def _resolve_learners(cfg: dict) -> List[Learner]:
     spec = cfg.get("learners", "all")
     if spec == "all":
         return [get_learner(lid) for lid in available_learners()]
-    if not isinstance(spec, list):
-        raise ConfigError("'learners' must be \"all\" or an array of ids")
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError("'learners' must be \"all\" or a non-empty array of ids")
     if not all(isinstance(lid, str) for lid in spec):
         raise ConfigError("'learners' entries must be id strings")
     mutants = {m.id: m for m in get_mutants()}

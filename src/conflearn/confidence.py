@@ -107,7 +107,6 @@ class ConfidenceDomain:
     """Base class; concrete domains fill in value/combine/leq."""
 
     id: str = ""
-    carrier: str = ""
 
     def __init__(self) -> None:
         self.bot = ConfidenceValue(self.id, BOT)
@@ -229,7 +228,6 @@ class FractionalDomain(_ScalarDomain):
     """Support values in [0, 1] with a (+) b = a + b - a*b."""
 
     id = "frac"
-    carrier = "[0, 1]"
     hi_float = 1.0
 
     def _op(self, s, t):
@@ -256,7 +254,6 @@ class AdditiveDomain(_ScalarDomain):
     """Weights of evidence in [0, inf] under addition."""
 
     id = "add"
-    carrier = "[0, inf]"
     hi_float = math.inf
 
     def _op(self, s, t):
@@ -278,7 +275,6 @@ class MaxDomain(_ScalarDomain):
     """Plateau support in [0, 1]: combining keeps the stronger value."""
 
     id = "max"
-    carrier = "[0, 1]"
     hi_float = 1.0
 
     def _op(self, s, t):
@@ -297,7 +293,6 @@ class CountDomain(ConfidenceDomain):
     """Extended natural numbers under addition (iteration counts)."""
 
     id = "count"
-    carrier = "{0, 1, 2, ...} + {inf}"
 
     def value(self, x) -> ConfidenceValue:
         if isinstance(x, float) and math.isinf(x):
@@ -345,7 +340,6 @@ class KalmanPairDomain(ConfidenceDomain):
     """
 
     id = "kalman"
-    carrier = "[0, 1] x [0, inf]"
 
     def value(self, x) -> ConfidenceValue:
         k, v = x
@@ -433,7 +427,6 @@ class ListDomain(ConfidenceDomain):
             raise ParameterError("list domains do not nest")
         self.inner = inner
         self.id = f"list:{inner.id}"
-        self.carrier = f"finite sequences over {inner.id}"
         super().__init__()
 
     def value(self, xs) -> ConfidenceValue:

@@ -729,17 +729,21 @@ def trotter_interleave(
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or
     the error) of that count alone, and the first count that fails alone
-    raises its error.  A learner with a coordinate flow (``coord_flow`` of
+    raises its error.  Distinct counts that sum to more than
+    ``IntegratorConfig().max_steps`` rounds raise :class:`StepBudgetError`
+    before any round.  A learner with a coordinate flow (``coord_flow`` of
     one term) on a belief with coordinates walks every distinct count at
     once, as one row of a coordinate array: both flows are bound to the
     rows' slices, each update gets the projection and checks of a belief
     object, and row n leaves the walk after n rounds as one belief.  Other
     learners compose ``make_flow`` on belief objects, once per count.
     """
+    single = np.ndim(n) == 0
+    counts = (n,) if single else tuple(n)
+    _check_rounds(counts, IntegratorConfig().max_steps)
     phis = (phi1, phi2)
-    if np.ndim(n) == 0:
-        return _interleave(learner, phis, chi, (n,), theta0)[0]
-    counts = tuple(n)
+    if single:
+        return _interleave(learner, phis, chi, counts, theta0)[0]
     try:
         return _interleave(learner, phis, chi, counts, theta0)
     except Exception as exc:  # any failure: raised again below
@@ -751,11 +755,22 @@ def trotter_interleave(
     raise failure
 
 
+def _check_rounds(counts, max_steps: int) -> None:
+    """Refuse round counts whose distinct values take more than
+    ``max_steps`` rounds in all."""
+    rounds = sum(set(counts))
+    if rounds > max_steps:
+        raise StepBudgetError(f"interleaving takes {rounds} rounds, more than max_steps={max_steps}")
+
+
 def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None):
     """The parallel reference (the sum of the two fields integrated to chi),
     the distance from it of each distinct count's interleaving, and the
     ratio d(2n)/d(n) wherever 2n is a count too and d(n) > 0; counts are
-    written as strings, the JSON keys."""
+    written as strings, the JSON keys.  Counts over the rounds that ``cfg``
+    allows raise :class:`StepBudgetError` before the reference is
+    integrated."""
+    _check_rounds(counts, (cfg or IntegratorConfig()).max_steps)
     field = combine_fields([derivative_field(learner, phi1), derivative_field(learner, phi2)])
     reference = integrate(field, theta0, chi, cfg)
     counts = sorted(set(counts))

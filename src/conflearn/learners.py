@@ -1041,29 +1041,30 @@ def make_max_graded_learner() -> Learner:
 # Classifier learner: iterated gradient steps on softmax regression.
 
 
+# The classifier's step size, the stop tolerance of its run to top and its
+# cap on gradient steps.  Its confidence is the step count n, so these are
+# fixed properties of the update; the functions below read them at call time.
+_ETA = 0.1
+_CONV_TOL = 1e-9
+_MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SoftmaxModel:
-    """Shape and step-size hyperparameters for the gradient-step learner."""
+    """The shape of the gradient-step learner's softmax regression; its step
+    size, stop tolerance and step cap are the constants ``_ETA``,
+    ``_CONV_TOL`` and ``_MAX_STEPS``."""
 
     n_features: int = 1
     n_classes: int = 2
-    eta: float = 0.1
-    conv_tol: float = 1e-9
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("n_features", "n_classes", "max_steps"):
+        for name in ("n_features", "n_classes"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.n_features < 1 or self.n_classes < 2:
             raise ParameterError("need at least 1 feature and 2 classes")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be at least 1")
-        for name in ("eta", "conv_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 < v < math.inf:
-                raise ParameterError(f"{name} must be a finite number above 0, got {v!r}")
 
     @property
     def dim(self) -> int:
@@ -1124,11 +1125,11 @@ def class_log_probs(model: SoftmaxModel, theta: np.ndarray, x: np.ndarray) -> np
 
 
 def gradient_step(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) -> np.ndarray:
-    """One step of size eta down the gradient of -log p(y | x): the reference
-    step that a count of n iterates n times."""
+    """One step of size ``_ETA`` down the gradient of -log p(y | x): the
+    reference step that a count of n iterates n times."""
     err = np.exp(class_log_probs(model, theta, ex.x))
     err[ex.y] -= 1.0
-    return theta - model.eta * np.concatenate([np.outer(err, ex.x).ravel(), err])
+    return theta - _ETA * np.concatenate([np.outer(err, ex.x).ravel(), err])
 
 
 def train_limit(
@@ -1137,29 +1138,29 @@ def train_limit(
     """Iterate gradient steps until the step displacement stalls.
 
     On one example a step moves theta only along err (x) (x, 1), where err is
-    softmax(z) minus the one-hot label and z = Wx + b are the logits.  So the
-    logits move by -eta (|x|^2 + 1) err, and after n steps theta is
-    theta0 - eta (S (x) x, S) with S the sum of the n errors.  The loop
-    iterates the k logits as floats (two classes as scalars, k as lists) and
-    builds theta once, at the end.
+    softmax(z) minus the one-hot label and z = Wx + b are the logits.  So,
+    with eta = ``_ETA``, the logits move by -eta (|x|^2 + 1) err, and after n
+    steps theta is theta0 - eta (S (x) x, S) with S the sum of the n errors.
+    The loop iterates the k logits as floats (two classes as scalars, k as
+    lists) and builds theta once, at the end.
 
-    The stop rule is max|delta theta| < ``conv_tol``, evaluated as
+    The stop rule is max|delta theta| < ``_CONV_TOL``, evaluated as
     eta * (max|err| * max(1, max|x|)): float rounding is monotone, so this
     equals ``np.abs(eta * grad).max()`` bit for bit for the same err.
 
     Returns the final parameters and whether the convergence threshold was
-    reached before the iteration cap.  Non-finite logits raise
+    reached within ``_MAX_STEPS`` steps.  Non-finite logits raise
     :class:`NumericalError`.
     """
     theta = np.asarray(theta, dtype=float)
     w, b = _unpack(model, theta)
-    x, eta = ex.x, model.eta
+    x, eta = ex.x, _ETA
     with np.errstate(over="ignore", invalid="ignore"):  # checked in the loop
         z0 = (w @ x + b).tolist()
         gain = eta * (float(x @ x) + 1.0)
     xmax = max(1.0, float(np.abs(x).max()))
     walk = _logit_walk_2 if model.n_classes == 2 else _logit_walk
-    s, converged = walk(z0, ex.y, gain, eta, xmax, model.conv_tol, model.max_steps)
+    s, converged = walk(z0, ex.y, gain, eta, xmax, _CONV_TOL, _MAX_STEPS)
     sv = np.array(s)
     return theta - eta * np.concatenate([np.outer(sv, x).ravel(), sv]), converged
 
@@ -1215,11 +1216,13 @@ def classifier_step_observe(
     theta: np.ndarray,
     model: Optional[SoftmaxModel] = None,
 ) -> np.ndarray:
-    """Apply n gradient steps on the example's loss; n = top runs to the cap.
+    """Apply n gradient steps of size ``_ETA`` on the example's loss; n = top
+    runs train_limit, to the stop tolerance ``_CONV_TOL`` or the cap
+    ``_MAX_STEPS``.
 
     Non-convergence at the cap is reported as a :class:`NonConvergenceWarning`
     rather than an exception: the state reached is still a belief, just not a
-    fixed point.  A finite n above ``model.max_steps`` raises
+    fixed point.  A finite n above ``_MAX_STEPS`` raises
     :class:`StepBudgetError` before any step, and parameters that are not
     finite after the n steps raise :class:`NumericalError`.
     """
@@ -1232,15 +1235,13 @@ def classifier_step_observe(
         out, converged = train_limit(model, theta, ex)
         if not converged:
             warnings.warn(
-                f"no fixed point within {model.max_steps} steps",
+                f"no fixed point within {_MAX_STEPS} steps",
                 NonConvergenceWarning,
                 stacklevel=2,
             )
         return out
-    if v.payload > model.max_steps:
-        raise StepBudgetError(
-            f"{v.payload} gradient steps exceed max_steps={model.max_steps}"
-        )
+    if v.payload > _MAX_STEPS:
+        raise StepBudgetError(f"{v.payload} gradient steps exceed max_steps={_MAX_STEPS}")
     states = _orbit(model, ex, theta, [v.payload])
     if not states:
         raise _non_finite(v.payload)
@@ -1289,7 +1290,7 @@ def _classifier_sweep(
 
     The distinct finite counts are walked once, in ascending order, so the
     sweep costs its largest count in gradient steps.  The first entry that
-    is over ``model.max_steps`` or not a count ends the walk: from there on
+    is over ``_MAX_STEPS`` or not a count ends the walk: from there on
     the sweep is the per-point loop, which raises at that entry before any
     step.  A repeated count yields the same array each time.
     """
@@ -1301,7 +1302,7 @@ def _classifier_sweep(
             v = count.coerce(chi)
         except Exception:  # the per-point loop below raises it in grid order
             break
-        if not (v.is_bot or v.is_top) and v.payload > model.max_steps:
+        if not (v.is_bot or v.is_top) and v.payload > _MAX_STEPS:
             break
         values.append(v)
     counts = sorted({v.payload for v in values if not (v.is_bot or v.is_top)})
@@ -1319,14 +1320,8 @@ def _classifier_sweep(
         yield classifier_step_observe(ex, chi, theta, model)
 
 
-def make_classifier_learner(
-    n_features: int = 1,
-    n_classes: int = 2,
-    eta: float = 0.1,
-    conv_tol: float = 1e-9,
-    max_steps: int = 1_000_000,
-) -> Learner:
-    model = SoftmaxModel(n_features, n_classes, eta, conv_tol, max_steps)
+def make_classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
+    model = SoftmaxModel(n_features, n_classes)
     count = get_domain("count")
 
     def observe(ex, chi, theta):
@@ -1345,7 +1340,7 @@ def make_classifier_learner(
 
     def path_velocity(ex, theta, h):
         # the one-step quotient is exactly the negated loss gradient
-        return (observe(ex, count.value(1), theta) - theta) / model.eta
+        return (observe(ex, count.value(1), theta) - theta) / _ETA
 
     def sample_instance(rng):
         theta = rng.normal(0.0, 1.0, size=model.dim)
@@ -1460,9 +1455,8 @@ def available_learners() -> Tuple[str, ...]:
 def get_learner(learner_id: str, **params) -> Learner:
     """Build a registered learner.  Keyword params configure two of them:
     ``get_learner("bayes", model=m)`` for a :class:`BayesModel` m, and
-    ``get_learner("classifier", n_features=..., n_classes=..., eta=...,
-    conv_tol=..., max_steps=...)``.  Without params the learner is built once
-    and shared."""
+    ``get_learner("classifier", n_features=..., n_classes=...)``.  Without
+    params the learner is built once and shared."""
     if learner_id not in _FACTORIES:
         raise ParameterError(f"unknown learner {learner_id!r}")
     if not params:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conflearn import IntegratorConfig, cli
+from conflearn import IntegratorConfig, cli, learners
 from conflearn.cli import main
 from conflearn.identities import IDENTITIES
 
@@ -816,6 +816,14 @@ def test_axioms_unknown_learner_exits_2(tmp_path, capsys, lid):
     assert "unknown learner" in capsys.readouterr().err
 
 
+def test_axioms_empty_learner_list_exits_2(tmp_path, capsys):
+    # an empty selection checks nothing, so it must not read as a passing suite
+    assert run_cli(tmp_path, "axioms", {"learners": []}, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'learners' must be") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", [{"belief": {"kind": "gaussian", "mean": 1e308, "var": 4.0}},
                                    {"observation": {"z": 1e308}}])
 def test_learn_kalman_overflowing_error_gives_minus_inf_bel(tmp_path, where):
@@ -929,23 +937,30 @@ CLASSIFIER_LEARN = {
     ],
 )
 def test_learn_bad_classifier_params_exit_2(tmp_path, capsys, params):
+    # the step size, tolerance and cap are constants: naming one is an unknown keyword
     cfg = dict(CLASSIFIER_LEARN, learner_params=params)
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert ("unexpected keyword argument" in err) == ("n_features" not in params)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "params, count", [({"max_steps": 10}, 11), ({}, 1_000_001), ({}, 1_000_000_000)]
+    "params, count", [({"_MAX_STEPS": 10}, 11), ({}, 1_000_001), ({}, 1_000_000_000)]
 )
-def test_learn_classifier_count_over_max_steps_exits_2(tmp_path, capsys, params, count):
-    cfg = dict(CLASSIFIER_LEARN, learner_params=params, confidence_grid=[count])
+def test_learn_classifier_count_over_max_steps_exits_2(tmp_path, capsys, monkeypatch, params, count):
+    for name, value in params.items():  # learners' constants, set for this run
+        monkeypatch.setattr(learners, name, value)
+    cfg = dict(CLASSIFIER_LEARN, confidence_grid=[count])
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
     assert "exceed max_steps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_learn_classifier_count_at_max_steps_runs(tmp_path):
-    cfg = dict(CLASSIFIER_LEARN, learner_params={"max_steps": 10}, confidence_grid=[10])
+def test_learn_classifier_count_at_max_steps_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    cfg = dict(CLASSIFIER_LEARN, confidence_grid=[10])
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
 
 
@@ -962,16 +977,20 @@ def test_learn_classifier_overflow_at_a_finite_count_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "changes",
     [
-        # unsorted, repeated, bot and top; the cap keeps top short
-        {"confidence_grid": [64, "bot", 3, 128, 3, "top", 1, 97], "learner_params": {"max_steps": 500}},
-        {"observation": {"x": [1e200], "y": 0}, "confidence_grid": [1, 2]},  # exit 3 at bel
-        {"observation": {"x": [1e200], "y": 0}, "confidence_grid": [8, 2]},  # exit 3 at 8
-        {"confidence_grid": [4, 2000, 1], "learner_params": {"max_steps": 1000}},  # exit 2
+        # (config changes, step cap): unsorted, repeated, bot and top, with a cap that keeps top short
+        ({"confidence_grid": [64, "bot", 3, 128, 3, "top", 1, 97]}, 500),
+        ({"observation": {"x": [1e200], "y": 0}, "confidence_grid": [1, 2]}, None),  # exit 3 at bel
+        ({"observation": {"x": [1e200], "y": 0}, "confidence_grid": [8, 2]}, None),  # exit 3 at 8
+        ({"confidence_grid": [4, 2000, 1]}, 1000),  # exit 2
     ],
 )
 def test_learn_classifier_sweep_writes_what_the_per_point_loop_writes(
     tmp_path, capsys, monkeypatch, changes
 ):
+    changes, cap = changes
+    if cap is not None:
+        monkeypatch.setattr(learners, "_MAX_STEPS", cap)
+
     def run(where):
         where.mkdir()
         with warnings.catch_warnings(record=True) as caught:
@@ -1121,9 +1140,10 @@ def test_a_belief_whose_sum_overflows_is_a_config_error(tmp_path, capsys, belief
     assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
-def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys):
+def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(learners, "_MAX_STEPS", 1000)
     cfg = dict(CLASSIFIER_LEARN, observation={"x": [1.0], "y": 1},
-               learner_params={"n_features": 1, "n_classes": 2, "max_steps": 1000})
+               learner_params={"n_features": 1, "n_classes": 2})
     written = []
     for action in ("always", "error"):
         (tmp_path / action).mkdir()

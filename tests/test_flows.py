@@ -575,6 +575,19 @@ def test_trotter_commuting_is_exact():
     assert belief_distance(out, flow_a(1.6, p)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [10**9, (6_000_000, 5_000_000, 6_000_000)])
+def test_trotter_rounds_over_the_budget_raise_before_any_round(n):
+    # the budget is IntegratorConfig().max_steps rounds over the distinct counts
+    def no_round(*args):
+        raise AssertionError("a round ran")
+
+    learner = dataclasses.replace(get_learner("interp"), make_flow=no_round, coord_flow=no_round)
+    p = tri()
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    with pytest.raises(StepBudgetError, match=f"more than max_steps={IntegratorConfig().max_steps}"):
+        trotter_interleave(learner, a, b, 1.5, n, p)
+
+
 # ---------------------------------------------------------------------------
 # The array kernel against the object path, and its step budget.
 

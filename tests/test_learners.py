@@ -258,7 +258,7 @@ def test_classifier_count_with_non_finite_parameters_raises(x):
 
 def test_classifier_step_matches_finite_difference():
     # one gradient step moves along -d(nll)/d(theta) scaled by eta
-    model = SoftmaxModel(n_features=2, n_classes=2, eta=0.1)
+    model = SoftmaxModel(n_features=2, n_classes=2)
     rng = np.random.default_rng(3)
     theta = rng.normal(size=6) * 0.3
     ex = LabeledExample(np.array([0.7, -1.2]), 0)
@@ -274,7 +274,7 @@ def test_classifier_step_matches_finite_difference():
         ]
     )
     stepped = gradient_step(model, theta, ex)
-    assert np.allclose(stepped - theta, -model.eta * grad, atol=1e-8)
+    assert np.allclose(stepped - theta, -learners._ETA * grad, atol=1e-8)
 
 
 def test_classifier_training_improves_likelihood():
@@ -302,8 +302,9 @@ def test_classifier_limit_converges_on_separable_input():
     assert np.array_equal(again, limit)  # exact fixed point
 
 
-def test_classifier_warns_when_capped():
-    model = SoftmaxModel(n_features=1, n_classes=2, max_steps=200)
+def test_classifier_warns_when_capped(monkeypatch):
+    monkeypatch.setattr(learners, "_MAX_STEPS", 200)
+    model = SoftmaxModel(n_features=1, n_classes=2)
     theta = np.zeros(4)
     ex = LabeledExample(np.array([0.3]), 0)
     with pytest.warns(NonConvergenceWarning):
@@ -321,17 +322,17 @@ def test_classifier_learner_registry_params():
 
 
 def ref_train_limit(model, theta, ex):
-    """Gradient steps on theta until max|delta theta| < conv_tol, as written
+    """Gradient steps on theta until max|delta theta| < _CONV_TOL, as written
     before the loop moved to logit space."""
     k, d = model.n_classes, model.n_features
     theta = np.asarray(theta, dtype=float).copy()
-    for _ in range(model.max_steps):
+    for _ in range(learners._MAX_STEPS):
         logits = theta[: k * d].reshape(k, d) @ ex.x + theta[k * d:]
         logits = logits - logits.max()
         err = np.exp(logits - math.log(np.exp(logits).sum()))
         err[ex.y] -= 1.0
-        delta = model.eta * np.concatenate([np.outer(err, ex.x).ravel(), err])
-        if np.abs(delta).max() < model.conv_tol:
+        delta = learners._ETA * np.concatenate([np.outer(err, ex.x).ravel(), err])
+        if np.abs(delta).max() < learners._CONV_TOL:
             return theta, True
         theta = theta - delta
     return theta, False
@@ -366,11 +367,12 @@ def test_classifier_limit_matches_theta_loop_on_random_models():
         else:  # separable: most of these reach the fixed point
             cap = 100_000
             x = x / np.linalg.norm(x) * rng.uniform(1200.0, 2000.0)
-        model = SoftmaxModel(d, k, max_steps=cap)
+        model = SoftmaxModel(d, k)
         theta = rng.normal(0.0, 1.0, model.dim)
         ex = LabeledExample(x, int(rng.integers(k)))
-        converged += train_limit(model, theta, ex)[1]
-        assert_same_limit(model, theta, ex)
+        with mock.patch.object(learners, "_MAX_STEPS", cap):
+            converged += train_limit(model, theta, ex)[1]
+            assert_same_limit(model, theta, ex)
     assert 0 < converged < 40  # both exits of the loop are compared
 
 
@@ -391,39 +393,41 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, m
 
 
 @st.composite
-def _two_class_cases(draw):
+def _two_class_walks(draw):
+    """The arguments train_limit passes its walk, from drawn parameters and
+    features of two classes, with a drawn step size, tolerance and cap."""
     d = draw(st.integers(1, 3))
-    x = draw(st.lists(st.floats(-2e3, 2e3) | st.sampled_from([0.0, 1e200]), min_size=d, max_size=d))
+    x = np.array(draw(st.lists(st.floats(-2e3, 2e3) | st.sampled_from([0.0, 1e200]), min_size=d, max_size=d)))
     row = st.lists(st.floats(-5.0, 5.0) | _EDGE_FLOATS, min_size=d + 1, max_size=d + 1)
     r0 = draw(row)
     r1 = r0 if draw(st.booleans()) else draw(row)  # equal rows tie the logits
-    theta = np.array(r0[:d] + r1[:d] + [r0[d], r1[d]])
-    model = SoftmaxModel(
-        d, 2,
-        eta=draw(st.sampled_from([1e-3, 0.1, 0.5])),
-        conv_tol=draw(st.sampled_from([1e-9, 1e-4, 0.05])),
-        max_steps=draw(st.integers(1, 300)),  # both exits of the loop happen
-    )
-    return model, theta, LabeledExample(np.array(x), draw(st.integers(0, 1)))
+    w, b = np.array([r0[:d], r1[:d]]), np.array([r0[d], r1[d]])
+    eta = draw(st.sampled_from([1e-3, 0.1, 0.5]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z0 = (w @ x + b).tolist()
+        gain = eta * (float(x @ x) + 1.0)
+    xmax = max(1.0, float(np.abs(x).max()))
+    tol = draw(st.sampled_from([1e-9, 1e-4, 0.05]))
+    max_steps = draw(st.integers(1, 300))  # both exits of the loop happen
+    return z0, draw(st.integers(0, 1)), gain, eta, xmax, tol, max_steps
 
 
-def _limit_bits(model, theta, ex):
+def _walk_bits(walk, args):
     try:
-        limit, converged = train_limit(model, theta, ex)
+        s, converged = walk(*args)
     except NumericalError as exc:
         return str(exc)
-    return limit.tobytes(), converged
+    return np.array(s).tobytes(), converged
 
 
 @settings(max_examples=400, deadline=None)
-@given(_two_class_cases())
-def test_classifier_two_class_scalars_match_the_k_list_loop(case):
+@given(_two_class_walks())
+def test_classifier_two_class_scalars_match_the_k_list_loop(args):
     # train_limit walks two classes on scalars; the k-list walk is the reference
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _limit_bits(*case)
-        with mock.patch.object(learners, "_logit_walk_2", learners._logit_walk):
-            want = _limit_bits(*case)
+        got = _walk_bits(learners._logit_walk_2, args)
+        want = _walk_bits(learners._logit_walk, args)
     assert got == want
 
 
@@ -447,6 +451,7 @@ def test_classifier_limit_rejects_non_finite_logits(x, theta):
         {"n_features": 1.5},
         {"n_classes": 2.0},
         {"n_features": True},
+        # the step size, tolerance and cap are constants: unknown keywords
         {"max_steps": 1e12},
         {"max_steps": 0},
         {"eta": math.inf},
@@ -457,12 +462,21 @@ def test_classifier_limit_rejects_non_finite_logits(x, theta):
     ],
 )
 def test_softmax_model_rejects_bad_settings(params):
-    with pytest.raises(ParameterError):
+    shape = {"n_features", "n_classes"}
+    with pytest.raises(ParameterError if set(params) <= shape else TypeError):
         SoftmaxModel(**params)
 
 
-def test_classifier_finite_count_is_bounded_by_max_steps():
-    model = SoftmaxModel(n_features=1, n_classes=2, max_steps=10)
+def test_classifier_settings_are_its_shape():
+    assert [f.name for f in dataclasses.fields(SoftmaxModel)] == ["n_features", "n_classes"]
+    for name in ("eta", "conv_tol", "max_steps"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            get_learner("classifier", **{name: 0.5})
+
+
+def test_classifier_finite_count_is_bounded_by_max_steps(monkeypatch):
+    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    model = SoftmaxModel(n_features=1, n_classes=2)
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     assert classifier_step_observe(ex, 10, theta, model).shape == (4,)
     with pytest.raises(StepBudgetError):
@@ -508,8 +522,8 @@ def assert_same_outcomes(got, want):
     st.data(),
 )
 def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
-    model = SoftmaxModel(d, k, eta=eta, max_steps=max_steps)
-    learner = get_learner("classifier", n_features=d, n_classes=k, eta=eta, max_steps=max_steps)
+    model = SoftmaxModel(d, k)
+    learner = get_learner("classifier", n_features=d, n_classes=k)
     # 1e200 overflows the logits after one step, so the states go non-finite
     coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e200, -1e200]))
     x = data.draw(st.lists(coord, min_size=d, max_size=d))
@@ -517,10 +531,11 @@ def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
     ex = LabeledExample(np.array(x), data.draw(st.integers(0, k - 1)))
     entry = st.one_of(st.integers(1, 64), st.sampled_from([COUNT.bot, COUNT.top]))
     grid = data.draw(st.lists(entry, min_size=1, max_size=12))
-    assert_same_outcomes(
-        outcomes(learner.sweep(ex, grid, theta)),
-        outcomes(learner.observe(ex, chi, theta) for chi in grid),
-    )
+    with mock.patch.object(learners, "_ETA", eta), mock.patch.object(learners, "_MAX_STEPS", max_steps):
+        assert_same_outcomes(
+            outcomes(learner.sweep(ex, grid, theta)),
+            outcomes(learner.observe(ex, chi, theta) for chi in grid),
+        )
 
 
 def counting_steps(monkeypatch):
@@ -557,7 +572,8 @@ def test_classifier_sweep_reports_the_first_failing_entry():
 
 
 def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
-    learner = get_learner("classifier", max_steps=10)
+    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    learner = get_learner("classifier")
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     want = learner.observe(ex, 5, theta)
     calls = counting_steps(monkeypatch)
