@@ -2,10 +2,10 @@
 
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
-statements in parallel, integrates fields by their exact flow where the
-sum of the observations has a closed-form flow and with fixed RK4 steps
-elsewhere, and interleaves two flows to approximate their parallel
-combination from sequential updates.
+statements in parallel, integrates fields by their learner's flow of the
+observations' sum where it has one and with fixed RK4 steps elsewhere, and
+interleaves two flows to approximate their parallel combination from
+sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
 class; its belief space is given, or fixed by its first evaluation.  A
@@ -31,19 +31,24 @@ CSV writer of the package.
 Where the observations' flows commute, the flow of their sum at time t is
 the composition of each flow at time w_j t, a closed form; interp
 observations of pairwise disjoint events, whose flows do not commute, have
-one too, a mixture moving toward Jeffrey's rule on the events.  The driver
-takes a field's closed-form flow wherever it has one, whatever the config,
-with no steps.  The handle's (learner, terms) reach the learner's
-``coord_flow``, which maps the start to every sample time as one row of one
-call.  The driver still binds
-the field and evaluates it once at the start, so each check a first step
-would make still runs; it projects the rows with the kind's projection
+one too, a mixture moving toward Jeffrey's rule on the events.  Interp
+observations of overlapping events have none, but their path stays in the
+exponential family p(0) exp(M^T lam) / Z, one coordinate per event: at
+finite times their flow integrates lam with adaptive Dormand-Prince 5(4)
+steps (``_dormand_prince``), landing on each sample time.  The driver takes
+a field's learner's flow wherever it has one, whatever the config, with no
+RK4 steps.  The handle's (learner, terms) reach the learner's
+``coord_flow`` with the run's times, which maps the start to every sample
+time as one row of one call.  The driver still binds the field and
+evaluates it once at the start, so each check a first step would make
+still runs; it projects the rows with the kind's projection
 (``normalize_probs`` on a simplex) and rebuilds the end state from the last
 unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
 ``max-graded`` (a rate per key) have exact flows, and ``interp`` has one
-where its events are pairwise disjoint.  RK4 steps the rest: interp sums
-over overlapping events, mutants, hand-built handles and sums over
-different learners.
+where its events are pairwise disjoint and, at finite times, the tilt flow
+where they overlap.  RK4 steps the rest: interp sums over overlapping
+events at top, mutants, hand-built handles and sums over different
+learners.
 
 Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one
@@ -451,9 +456,12 @@ def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
 class IntegratorConfig:
     """Deterministic integrator settings.
 
-    The integrators take a field's exact flow wherever it has one (see
-    ``Learner.coord_flow``), with no steps, and step every other field by
-    RK4 with fixed steps of ``step``.
+    The integrators take a field's learner's flow wherever it has one (see
+    ``Learner.coord_flow``), with no RK4 steps, and step every other field
+    by RK4 with fixed steps of ``step``: interp observations of overlapping
+    events at top, mutants, hand-built handles and sums over learners.  The
+    tilt flow of overlapping interp events at finite times has its own
+    bound, ``IntegratorConfig().max_steps``, whatever the config.
     A run to the infinite-confidence limit stops once the field's sup norm
     stays below ``_LIMIT_TOL`` (1e-9) for ten consecutive steps, and reports
     no limit after ``max_steps`` steps or time ``_T_MAX`` (1e4).
@@ -477,28 +485,27 @@ class IntegratorConfig:
             raise ParameterError("max_steps must be an integer of at least 1")
 
 
-def _check_budget(
-    cfg: IntegratorConfig, t: float, step_out: Optional[float], width: int, stepping: bool
-) -> None:
+def _check_record(cfg: IntegratorConfig, t: float, step_out: Optional[float], width: int) -> None:
     """Reject integrating to finite time t, sampled every ``step_out`` if
     given, when its record of rows of ``width`` numbers would hold more than
-    ``max_steps`` numbers or, ``stepping``, when its sample intervals
-    together take over ``max_steps`` steps."""
+    ``max_steps`` numbers."""
     # at most ceil(t / step_out) + 1 rows; the cap keeps an infinite quotient roundable
     if step_out is not None and (math.ceil(min(t / step_out, cfg.max_steps)) + 1) * width > cfg.max_steps:
         raise StepBudgetError(
             f"t={t:g} sampled every {step_out:g} records more than max_steps={cfg.max_steps} numbers"
         )
-    if not stepping:
-        return
-    too_many = f"t={t:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}"
+
+
+def _check_steps(cfg: IntegratorConfig, times: Sequence[float]) -> None:
+    """Reject stepping through the sample ``times`` when their intervals
+    together take over ``max_steps`` steps."""
     steps, now = 0, 0.0
-    for target in _sample_times(t, step_out):
+    for target in times:
         n_full, rem = divmod(target - now, cfg.step)
         steps += n_full + (rem > _REM_TOL)  # a float, so an infinite count is over budget
         now = target
         if steps > cfg.max_steps:
-            raise StepBudgetError(too_many)
+            raise StepBudgetError(f"t={times[-1]:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}")
 
 
 def _coerce_time(t) -> float:
@@ -540,6 +547,69 @@ def _result(theta0, v):
     return theta0 if v is None else belief_rebuild(theta0, v)
 
 
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5): row i
+# holds stage i + 1's weights on the stages before it, the last row is the
+# fifth-order step, whose stage is the next step's first (FSAL), and _DP_ERR
+# holds the fifth- less the fourth-order weights.
+_DP_ROWS = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_TOL = 1e-10  # absolute tolerance on each step's increment of the local coordinates
+
+
+def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float], cap: float) -> np.ndarray:
+    """The rows at the finite times ``ts`` of a flow on positive measures
+    written in local coordinates y about its state c: ``stage(c, y)`` is
+    (dy/dt, the measure at y).  Each accepted step normalizes the measure at
+    its end into the new c, about which y restarts at 0.  Adaptive
+    Dormand-Prince 5(4) steps of at most ``cap`` land on each time exactly;
+    a step with a rate not below ``bound`` (NaN included) leaves the flow's
+    domain and is rejected.  A last time that takes more than
+    ``IntegratorConfig().max_steps`` steps of ``cap`` raises StepBudgetError
+    before any step, and so do that many tries; DomainError where the start
+    is outside the domain, or where a step to stay inside rounds to 0."""
+    max_steps, end = IntegratorConfig().max_steps, max(ts)
+    if not end <= cap * max_steps:
+        raise StepBudgetError(f"t={end:g} takes more than max_steps={max_steps} steps of at most {cap:g}")
+    at = {}
+    ks = np.empty((7, bound.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ks[6] = stage(c, np.zeros(bound.size))[0]
+        if not np.logical_and.reduce(ks[6] < bound):
+            raise DomainError("the flow starts outside its domain")
+        now, h, tries = 0.0, cap, 0
+        for target in sorted(set(ts)):
+            while now < target:
+                tries += 1
+                if tries > max_steps:
+                    raise StepBudgetError(f"t={end:g} takes more than max_steps={max_steps} steps")
+                step = min(h, target - now)
+                ks[0] = ks[6]
+                for i in range(1, 7):
+                    ks[i], q = stage(c, step * (_DP_ROWS[i - 1] @ ks[:i]))
+                err = math.inf
+                if np.logical_and.reduce(ks < bound, axis=None):
+                    err = float(np.maximum.reduce(np.abs(_DP_ERR @ ks))) * step / _DP_TOL
+                # the step scale that would have met the tolerance, within [0.2, 5]
+                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                if err <= 1.0:
+                    c, now = q / np.add.reduce(q), (target if step == target - now else now + step)
+                    if step == h:  # a step cut short to land keeps the step it was cut from
+                        h = min(cap, step * fac)
+                else:
+                    h, ks[6] = step * fac, ks[0]
+                    if now + h == now:
+                        raise DomainError(f"the flow leaves its domain at t={now:g}")
+            at[target] = c
+    return np.array([at[t] for t in ts])
+
+
 def _row_projection(kind) -> Project:
     """The projection of an array of coordinate rows: ``normalize_probs`` on
     a simplex (each row's FiniteSimplex bits), else the kind's, row by row."""
@@ -548,37 +618,35 @@ def _row_projection(kind) -> Project:
     return lambda v: np.array([kind.project(row) for row in v])
 
 
-def _exact_flow(field: VectorFieldHandle, theta0):
-    """The exact flow of ``field`` from theta0's space, as a map from
-    additive times to the learner's ``coord_flow`` at those times, or None
-    where the field has none: it is no learner's closed field, or its
-    learner has no closed-form flow of its terms' sum."""
+def _exact_flow(field: VectorFieldHandle, theta0, times):
+    """The flow of ``field`` from theta0 at the additive times ``times``:
+    its learner's ``coord_flow`` bound to them, or NotImplemented where the
+    field has none there: it is no learner's closed field, or its learner has
+    no flow of its terms' sum at those times."""
     if field._source is None or field._source[0].coord_flow is None:
-        return None
+        return NotImplemented
     learner, terms = field._source
-    labels = coord_labels(theta0)
-    if learner.coord_flow(terms, (), labels) is NotImplemented:
-        return None
-    return lambda ts: learner.coord_flow(terms, ts, labels)
+    return learner.coord_flow(terms, times, coord_labels(theta0))
 
 
 def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
     """The one integration driver: follow the field from theta0 for time t
-    (inf: to the limit), sampled every ``step_out`` if given, by its exact
-    flow where it has one and else by RK4 steps of ``cfg.step``.  Returns the
-    final belief and the rows (t, *coords) of the start, each sample time
-    and the end."""
+    (inf: to the limit), sampled every ``step_out`` if given, by its
+    learner's flow where it has one and else by RK4 steps of ``cfg.step``.
+    Returns the final belief and the rows (t, *coords) of the start, each
+    sample time and the end."""
     f, project = field._bind(theta0)
-    flow = _exact_flow(field, theta0)
     c, v = belief_coords(theta0), None
-    if not math.isinf(t):
-        _check_budget(cfg, t, step_out, c.size + 1, stepping=flow is None)
+    if not math.isinf(t):  # before the times are listed
+        _check_record(cfg, t, step_out, c.size + 1)
+    times = [t] if math.isinf(t) else list(_sample_times(t, step_out))
+    step = _exact_flow(field, theta0, times)
+    if step is NotImplemented and not math.isinf(t):
+        _check_steps(cfg, times)
     rows = [(0.0,) + tuple(c)]
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
-        if flow is not None:
+        if step is not NotImplemented:
             f(None, c)  # the checks a first step makes at theta0
-            times = [t] if math.isinf(t) else list(_sample_times(t, step_out))
-            step = flow(times)
             if step is None:  # every time is 0
                 rows.extend((now,) + tuple(c) for now in times)
             else:
@@ -591,7 +659,7 @@ def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step
             rows.append((t,) + tuple(c))
         else:
             now = 0.0
-            for target in _sample_times(t, step_out):
+            for target in times:
                 c, v = _cover(f, project, c, v, target - now, cfg)
                 now = target
                 rows.append((now,) + tuple(c))
@@ -724,7 +792,8 @@ def trotter_interleave(
     flows commute (``boltzmann``, ``bayes``, ``max-graded``), every n gives
     that integral, within round-off.  ``interp`` flows on disjoint events do
     not commute, though their sum has an exact flow: interleaving them stays
-    first order against that exact reference.
+    first order against that exact reference, and on overlapping events
+    against the tilt flow of their sum.
 
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or
@@ -790,7 +859,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
     if not counts:
         return ()
     for n in counts:
-        if n < 1 or int(n) != n:
+        if not n >= 1 or int(n) != n:  # NaN fails n >= 1, as 0 does
             raise ParameterError(f"n must be a positive integer, got {n!r}")
     t = _coerce_time(chi)
     if math.isinf(t):

@@ -69,7 +69,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _forward_stencil, belief_coords, belief_rebuild, coord_labels
+from .flows import _dormand_prince, _forward_stencil, belief_coords, belief_rebuild, coord_labels
 
 __all__ = [
     "Learner",
@@ -120,20 +120,21 @@ class Learner:
     # make_flow(phi)(t, belief) is the update at additive time t; a learner
     # with a coord_flow and no make_flow gets the one coord_flow defines
     make_flow: Optional[Callable[[Any], Callable[[float, Any], Any]]] = None
-    # coord_flow(terms, ts, labels) is the exact flow of the weighted parallel
+    # coord_flow(terms, ts, labels) is the flow of the weighted parallel
     # observation terms = ((phi, w), ...) (closed_field's terms, label order)
     # at the float additive times ts >= 0 (inf for top), bound once to
     # beliefs of any kind with coordinates labelled ``labels``.  It returns
-    # NotImplemented, whatever ts, where the learner has no closed-form flow
-    # of the terms' sum (interp on overlapping events: the terms' flows need
-    # not commute for a closed form); None where every time is 0 (the
-    # identity); else, for positive times, a map along the last axis from
-    # coordinates to the updated ones before the kind's projection, row i at
-    # time ts[i], taking one belief's coordinates or an array of rows, one
-    # per time.  It raises ParameterError if an observation is over other
-    # worlds.  The one-term case ((phi, 1.0),) is make_flow(phi): the belief
-    # rebuilt from map(coords) is make_flow(phi)(t, belief) bit for bit, and
-    # each row gets those bits.
+    # NotImplemented where the learner has no flow of the terms' sum at ts
+    # (interp on overlapping events where a time is top: their limit has no
+    # closed form); None where every time is 0 (the identity); else, for
+    # positive times, a map along the last axis from coordinates to the
+    # updated ones before the kind's projection, row i at time ts[i], taking
+    # one belief's coordinates or an array of rows, one per time (interp on
+    # overlapping events: one belief's, integrated by flows._dormand_prince).
+    # It raises ParameterError if an observation is over other worlds.  The
+    # one-term case ((phi, 1.0),) is make_flow(phi): the belief rebuilt from
+    # map(coords) is make_flow(phi)(t, belief) bit for bit, and each row gets
+    # those bits.
     coord_flow: Optional[
         Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
     ] = None
@@ -302,7 +303,9 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
     union = 0
     for a in weights:
         if union & a.mask:
-            return NotImplemented  # overlapping events: no closed-form flow of the sum
+            if math.inf in ts:  # the limit of overlapping events has no closed form
+                return NotImplemented
+            return _interp_tilt_flow(weights, ts, labels)
         union |= a.mask
     total = sum(weights.values())
     # on disjoint events each conditional is fixed along the flow, so the flow
@@ -311,6 +314,36 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
     # t = inf gives weight 1
     cells = tuple((a, w / total) for a, w in weights.items())
     return _interp_map(cells, [-math.expm1(-(total * t)) for t in ts], labels)
+
+
+# the tilt flow's steps are at most this over the summed weight W: a world no
+# event holds decays as e^(-W t), and DP5(4) is stable on it below about 3.3
+_TILT_RATE = 2.0
+
+
+def _interp_tilt_flow(weights: Dict[EventSet, float], ts: Sequence[float], labels: Tuple[str, ...]):
+    """The flow of overlapping events at the finite times ts, as a map from
+    one belief's coordinates to the rows at ts (None if every time is 0).
+    Along p * (M^T (w / Mp) - W), d log p stays in the span of M's rows and
+    of 1, so p(t) = p(0) * exp(M^T lam(t)) / Z with dlam/dt = w / (M p)
+    (Csiszar 1975), the ODE that ``flows._dormand_prince`` integrates."""
+    for a in weights:
+        if a.labels != labels:
+            raise ParameterError("event over a different world set")
+    if not any(ts):
+        return None
+    m = np.array([a.indicator() for a in weights], dtype=float)
+    masses = np.vstack([m, np.ones(len(labels))])  # each event's mass, then the total
+    w = np.array(list(weights.values()))
+    cap = _TILT_RATE / sum(weights.values())
+
+    def stage(c: np.ndarray, lam: np.ndarray):
+        q = c * np.exp(lam @ m)
+        r = masses @ q
+        return w * r[-1] / r[:-1], q
+
+    # a rate w_j / P(a_j) of at least w_j / MASS_EPS: a_j has no mass
+    return lambda c: _dormand_prince(stage, w / MASS_EPS, c, ts, cap)
 
 
 def _interp_field(terms: Sequence[Tuple[EventSet, float]]):

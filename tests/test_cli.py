@@ -177,14 +177,14 @@ def test_trotter_ratios_near_half(tmp_path):
     "extra",
     [
         {"n_values": [1_000_000_000]},
-        # 16 + 32 rounds over a budget of 40; the reference takes 15 steps
+        # 16 + 32 rounds over a budget of 40
         {"n_values": [16, 32, 16], "integrator": {"step": 0.1, "max_steps": 40}},
-        # the reference integration's step count overflows a float
+        # the reference's tilt flow takes more than max_steps steps of its largest
         {"chi": 1e308},
     ],
 )
 def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
-    # overlapping events: the reference has no exact flow, so RK4 steps it
+    # overlapping events: the reference takes the tilt flow
     cfg = {
         "learner": "interp",
         "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
@@ -461,15 +461,19 @@ COMBINE_INTERP = {
 }
 # the same pair as a trotter config, which reads a chi and no t
 TROTTER_INTERP = {**{k: v for k, v in COMBINE_INTERP.items() if k != "t"}, "chi": 1.0}
-# an interp combine on overlapping events: no exact flow, so RK4 steps it
+# an interp combine on overlapping events: the tilt flow at finite t, RK4 steps to top
 COMBINE_OVERLAP = dict(COMBINE_INTERP, observations=[{"event": ["a", "b"]}, {"event": ["b", "c"]}])
 
 
 def test_combine_step_budget_exits_2(tmp_path, capsys):
-    # a record of 11 rows of 4 numbers fits; 10^9 steps do not
-    cfg = dict(COMBINE_OVERLAP, integrator={"step": 1e-9, "max_steps": 44})
-    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
-    assert "more than max_steps=44 steps" in capsys.readouterr().err
+    for extra, bound in (
+        ({}, "numbers"),  # 1e301 rows of samples every 0.1
+        # one sample: the tilt flow's steps are at most 1 here, 1e300 of them
+        ({"step_out": 1e300}, "steps of at most 1"),
+    ):
+        assert run_cli(tmp_path, "combine", dict(COMBINE_OVERLAP, t=1e300, **extra), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"more than max_steps=10000000 {bound}" in err
 
 
 def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, capsys):
@@ -488,6 +492,7 @@ def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, cap
     [
         ("interp", [{"event": ["a"]}, {"event": ["b", "c"]}]),
         ("boltzmann", [{"values": {"a": 1, "b": 2, "c": 3}}, {"values": {"a": 3, "b": 2, "c": 1}}]),
+        ("interp", COMBINE_OVERLAP["observations"]),  # the tilt flow's first-step checks
     ],
 )
 def test_combine_overflowing_field_exits_3_without_warnings(tmp_path, capsys, learner, observations):
@@ -765,10 +770,8 @@ def test_a_named_scheme_keeps_a_commuting_combine_csv(tmp_path, lid):
            "weights": [3.0, 1.0], "t": 1.3}
     unnamed = _combine_csv(tmp_path, cfg)
     coarse, fine = (_combine_csv(tmp_path, dict(cfg, integrator={"step": step})) for step in (0.05, 0.02))
-    if lid == "interp-overlap":  # conditionings on overlapping events have no exact flow: RK4 steps them
-        assert len({unnamed, coarse, fine}) == 3
-    else:
-        assert unnamed == coarse == fine
+    # conditionings on overlapping events take the tilt flow, which has no step setting either
+    assert unnamed == coarse == fine
 
 
 def test_scheme_is_an_unknown_integrator_setting(tmp_path, capsys):

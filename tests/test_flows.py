@@ -1,6 +1,7 @@
 """Derivative fields, gradients, integration, and interleaving."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflearn.beliefs import MASS_EPS
+from conflearn.beliefs import MASS_EPS, normalize_probs
 from conflearn.errors import StepBudgetError
+from conflearn import flows
 from conflearn.flows import _LIMIT_TOL, _check_tangent
 from conflearn import (
     BayesModel,
@@ -588,6 +590,14 @@ def test_trotter_rounds_over_the_budget_raise_before_any_round(n):
         trotter_interleave(learner, a, b, 1.5, n, p)
 
 
+@pytest.mark.parametrize("n", [math.nan, np.float64("nan"), (3, math.nan), 2.5, 0], ids=repr)
+def test_trotter_round_count_that_is_no_positive_integer_is_a_parameter_error(n):
+    # NaN is refused like 2.5, with no ValueError from int(nan)
+    learner, p = get_learner("interp"), tri()
+    with pytest.raises(ParameterError, match="n must be a positive integer"):
+        trotter_interleave(learner, p.event(["a", "b"]), p.event(["b", "c"]), 1.5, n, p)
+
+
 # ---------------------------------------------------------------------------
 # The array kernel against the object path, and its step budget.
 
@@ -1127,12 +1137,17 @@ def test_combine_evaluates_one_closed_form_per_stage():
     p = FiniteSimplex(labels, np.ones(4))
     weights = [0.5, 1, 2, 0.3, 1.1]
     cfg = IntegratorConfig(step=0.01)
-    # conditionings on overlapping events have no closed-form flow, so RK4 steps their sum
+    # conditionings on overlapping events take the tilt flow, which evaluates
+    # the closed form once, at the start
     interp = counted(get_learner("interp"))
     events = [p.event(e) for e in (["a"], ["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"])]
     field = combine_fields([derivative_field(interp, a) for a in events], weights)
     assert calls["closed_field"] == [1, 1, 1, 1, 1, 5]
     integrate(field, p, 0.5, cfg)
+    assert (calls["bind"], calls["eval"]) == (1, 1)
+    # with no exact flow, RK4 steps the same closed form
+    calls.update(bind=0, eval=0)
+    integrate(_stepped(field), p, 0.5, cfg)
     assert calls["bind"] == 1
     assert calls["eval"] == 4 * 50  # four RK4 stages for each of 50 steps
     # tempering flows commute: the exact flow evaluates the field once, at the start
@@ -1264,8 +1279,8 @@ def _stepped(field: VectorFieldHandle) -> VectorFieldHandle:
 
 
 def _stage_cases():
-    """(name, handle, theta0, form of (v, c) spelled out); the interp sums
-    have no exact flow, and the other sums of one learner are stepped."""
+    """(name, handle, theta0, form of (v, c) spelled out); the sums of one
+    learner are stepped (``_stepped``)."""
     labels = ("a", "b", "c", "d")
     p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
     edge = FiniteSimplex(labels, np.array([0.25, 0.45, 0.3, 0.0]))  # a zero stays zero
@@ -1282,8 +1297,7 @@ def _stage_cases():
     (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
 
     def fields(learner, phis):
-        field = combine_fields([derivative_field(learner, phi) for phi in phis], weights)
-        return field if learner is interp else _stepped(field)
+        return _stepped(combine_fields([derivative_field(learner, phi) for phi in phis], weights))
 
     cases = []
     for name, learner, phis, theta0 in (
@@ -1417,21 +1431,170 @@ def test_interp_exact_flow_on_disjoint_events_matches_rk4(outside):
         assert np.abs(integrate(field, p, math.inf).probs - jeffrey).max() <= 1e-15
 
 
+def _overlap_families():
+    """(name, p, events, weights, t): 36 seeded random families of 3-8 worlds
+    and 2-5 distinct events, two of which overlap, at a time in [0.5, 3]
+    with four decimals, and five pinned ones."""
+    rng = np.random.default_rng(25)
+    families = []
+    while len(families) < 36:
+        n, k = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+        masks = sorted({int(x) for x in rng.integers(1, 1 << n, size=k)})
+        if not any(a & b for a, b in itertools.combinations(masks, 2)):
+            continue
+        labels = tuple(f"w{j}" for j in range(n))
+        families.append((f"random{len(families)}", FiniteSimplex(labels, rng.dirichlet(np.ones(n))),
+                         [EventSet(labels, mask) for mask in masks],
+                         rng.uniform(0.2, 2.0, size=len(masks)).tolist(), int(rng.integers(5_000, 30_001)) / 1e4))
+    labels = ("a", "b", "c", "d")
+    p = FiniteSimplex(labels, np.array([0.1, 0.4, 0.3, 0.2]))
+    ab, cd, ac, bd, bc, a = (p.event(list(e)) for e in ("ab", "cd", "ac", "bd", "bc", "a"))
+    return families + [
+        ("rank-deficient", p, [ab, cd, ac, bd], [1.3, 0.6, 0.9, 1.7], 2.2),
+        ("zero-world", FiniteSimplex(labels, np.array([0.25, 0.45, 0.3, 0.0])), [ab, bd, ac], [0.8, 1.4, 0.5], 1.6),
+        ("repeated", p, [ab, bc, ab], [0.7, 1.1, 0.4], 2.7),
+        ("full", p, [p.event(list(labels)), bc, ac], [1.5, 0.3, 0.9], 0.9),
+        # a's rate 1 / P(a) = 1e6 at the start: the first steps tried overflow exp
+        ("light", FiniteSimplex(labels, np.array([1e-6, 0.5, 0.3, 0.2 - 1e-6])), [a, ab, bc], [1.0, 1.0, 0.5], 1.2),
+    ]
+
+
+def _rk4_states(families, starts, h, at):
+    """Plain RK4 in steps of h on p * (M^T (w / Mp) - W) for the events and
+    weights of every family at once, from the rows of ``starts``: the rows
+    after each step count in ``at``.  Padded worlds have no mass, and padded
+    events no weight and every world."""
+    rows, n, k = len(families), max(len(s) for s in starts), max(len(f[2]) for f in families)
+    p, m, w = np.zeros((rows, n)), np.ones((rows, k, n)), np.zeros((rows, k))
+    for b, ((_, _, events, weights, _), start) in enumerate(zip(families, starts)):
+        p[b, :len(start)] = start
+        m[b, :len(events)] = 0.0
+        m[b, :len(events), :len(start)] = [a.indicator() for a in events]
+        w[b, :len(events)] = weights
+    total = w.sum(axis=1, keepdims=True)
+
+    def f(p):
+        return p * (np.einsum("bk,bkn->bn", w / np.einsum("bkn,bn->bk", m, p), m) - total)
+
+    states = {}
+    for count in range(1, max(at) + 1):
+        k1 = f(p)
+        k2 = f(p + 0.5 * h * k1)
+        k3 = f(p + 0.5 * h * k2)
+        k4 = f(p + h * k3)
+        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if count in at:
+            states[count] = [p[b, :len(start)] for b, start in enumerate(starts)]
+    return states
+
+
+def test_interp_tilt_flow_matches_fine_rk4():
+    # each family at its time and at t = 50 against RK4 at h = 1e-4, which
+    # takes every family to t = 3; the flow has slowed by then, and steps of
+    # 1e-2 on to 50 agree with steps of 1e-3 from 0 to 4e-14
+    families = _overlap_families()
+    interp = get_learner("interp")
+    ticks = [round(t * 1e4) for *_, t in families]  # each time is a whole number of steps
+    states = _rk4_states(families, [p.probs for _, p, *_ in families], 1e-4, set(ticks) | {30_000})
+    late = _rk4_states(families, states[30_000], 1e-2, {4_700})[4_700]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a stage that overflows is a rejected step, not a warning
+        for b, ((name, p, events, weights, t), tick, end50) in enumerate(zip(families, ticks, late)):
+            field = _fields(interp, events, weights)
+            for now, ref in ((t, states[tick][b]), (50.0, end50)):
+                got = integrate(field, p, now).probs
+                assert 0.5 * np.abs(got - ref).sum() <= 1e-9, (name, now)
+                assert not got[p.probs == 0.0].any()  # a world of no mass keeps none, exactly
+
+
+def test_interp_tilt_flow_lands_on_each_time_and_repeats_its_bits():
+    interp = get_learner("interp")
+    for name, p, events, weights, t in _overlap_families()[-5:]:
+        terms = _fields(interp, events, weights)._source[1]
+        ts = sorted([0.25 * k for k in range(1, 8)] + [t])
+        rows = interp.coord_flow(terms, ts, p.labels)(p.probs)
+        assert rows.tobytes() == interp.coord_flow(terms, ts, p.labels)(p.probs).tobytes()
+        # the steps to a time do not see later times: a run that ends there
+        # ends with that row's bits
+        for i in range(len(ts)):
+            assert interp.coord_flow(terms, ts[:i + 1], p.labels)(p.probs)[-1].tobytes() == rows[i].tobytes()
+        # row i is at time ts[i], in any order; time 0 is the start
+        back = interp.coord_flow(terms, [0.0] + ts[::-1], p.labels)(p.probs)
+        assert back[0].tobytes() == p.probs.tobytes() and back[1:].tobytes() == rows[::-1].tobytes()
+        # a sampled run projects the map's rows at its sample times
+        final, record = integrate_sampled(_fields(interp, events, weights), p, t, step_out=0.25)
+        times = [0.25 * k for k in range(1, math.ceil(t / 0.25))] + [t]
+        rows = normalize_probs(interp.coord_flow(terms, times, p.labels)(p.probs))
+        assert np.array(record.rows).tobytes() == np.column_stack([[0.0] + times, [p.probs, *rows]]).tobytes()
+        assert belief_coords(final).tobytes() == rows[-1].tobytes()
+
+
+def test_interp_tilt_flow_ascends_the_summed_log_mass():
+    # the field is the Fisher gradient of sum_j w_j log P(a_j): the path is an optimizing learner's
+    interp = get_learner("interp")
+    for name, p, events, weights, t in _overlap_families():
+        _, record = integrate_sampled(_fields(interp, events, weights), p, 3 * t, step_out=0.05)
+        m = np.array([a.indicator() for a in events])
+        loss = [float(np.log(m @ np.array(row[1:])) @ weights) for row in record.rows]
+        assert all(a <= b for a, b in zip(loss, loss[1:])), name
+
+
+def test_tilt_steps_are_bounded_and_rejected_outside_the_domain(monkeypatch):
+    calls = []
+
+    def stage(c, y):  # every stage after the start is off the domain
+        calls.append(y)
+        return np.array([1.0 if len(calls) == 1 else math.nan]), c
+
+    def run(ts, cap=0.25):
+        calls.clear()
+        return flows._dormand_prince(stage, np.array([2.0]), np.array([1.0]), ts, cap)
+
+    with pytest.raises(StepBudgetError, match=r"t=1e\+300 takes more than max_steps=10000000 steps of at most 0.25"):
+        run((1.0, 1e300))
+    assert not calls  # refused before any stage
+    # each rejected step is a fifth of the last, until a step rounds to 0
+    with pytest.raises(DomainError, match="the flow leaves its domain at t=0"):
+        run((1.0,))
+    assert 6 * 400 < len(calls) < 6 * 500
+    monkeypatch.setattr(flows, "IntegratorConfig", lambda: IntegratorConfig(max_steps=50))
+    with pytest.raises(StepBudgetError, match="t=1 takes more than max_steps=50 steps$"):
+        run((1.0,))
+    assert len(calls) == 1 + 6 * 50
+    with pytest.raises(DomainError, match="the flow starts outside its domain"):
+        flows._dormand_prince(lambda c, y: (np.array([2.0]), c), np.array([2.0]), np.array([1.0]), (1.0,), 0.25)
+
+
+def test_interp_tilt_flow_refuses_a_start_with_no_event_mass():
+    interp = get_learner("interp")
+    p = FiniteSimplex(("a", "b", "c"), np.array([0.6, 0.4, 0.0]))
+    terms = ((p.event(["b", "c"]), 1.0), (p.event(["c"]), 1.0))
+    with pytest.raises(DomainError, match="the flow starts outside its domain"):
+        interp.coord_flow(terms, (1.0,), p.labels)(p.probs)
+    with pytest.raises(DomainError, match=r"^state outside the update domain of \(interp:"):
+        integrate(_fields(interp, [p.event(["b", "c"]), p.event(["c"])], None), p, 1.0)
+
+
 def test_interp_coord_flow_merges_equal_events_and_refuses_overlapping_ones():
     learner = get_learner("interp")
     p = FiniteSimplex(("a", "b", "c", "d"), np.array([0.1, 0.4, 0.3, 0.2]))
     a, cd, ab = p.event(["a"]), p.event(["c", "d"]), p.event(["a", "b"])
     ts = (0.0, 0.6, math.inf)
 
-    def rows(terms):
+    def rows(terms, ts=ts):
         return learner.coord_flow(terms, ts, p.labels)(p.probs).tobytes()
 
     # an event observed twice is one observation at the summed weight
     assert rows(((a, 0.25), (a, 0.75))) == rows(((a, 1.0),))
     assert rows(((a, 0.5), (cd, 1.0), (a, 0.5))) == rows(((a, 1.0), (cd, 1.0)))
-    # overlapping events have no closed-form flow of their sum, whatever the times
+    assert rows(((a, 0.5), (ab, 1.0), (a, 0.5)), ts[:2]) == rows(((a, 1.0), (ab, 1.0)), ts[:2])
+    # overlapping events have a flow at finite times (the identity where every
+    # time is 0), and no closed-form flow where a time is top
     for terms in (((a, 1.0), (ab, 1.0)), ((ab, 1.0), (cd, 0.5), (a, 2.0))):
-        for times in ((), (0.0,), ts):
+        for times in ((), (0.0,), (0.0, 0.0)):
+            assert learner.coord_flow(terms, times, p.labels) is None
+        assert callable(learner.coord_flow(terms, ts[:2], p.labels))
+        for times in ((math.inf,), ts):
             assert learner.coord_flow(terms, times, p.labels) is NotImplemented
 
 
@@ -1507,18 +1670,20 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
     tilt = derivative_field(boltzmann, rvs[0])
     coarse, fine = IntegratorConfig(step=0.05), IntegratorConfig(step=0.02)
 
-    def rows(field, *cfg):
-        return np.array(integrate_sampled(field, p, 1.0, *cfg, step_out=0.25)[1].rows).tobytes()
+    def rows(field, *cfg, t=1.0):
+        return np.array(integrate_sampled(field, p, t, *cfg, step_out=0.25)[1].rows).tobytes()
 
+    overlapping = _fields(interp, [p.event(["a", "b"]), p.event(["b", "c"])], None)
     for field in (
-        _fields(interp, [p.event(["a", "b"]), p.event(["b", "c"])], None),  # overlapping conditionings
         derivative_field(euclid, rvs[0]),  # a mutant has a finite-difference field only
         VectorFieldHandle("user", None, tilt.eval_at),  # a hand-built handle
         combine_fields([derivative_field(interp, p.event(["a"])), tilt]),  # two learners
     ):
         assert rows(field, coarse) != rows(field, fine)
+    # overlapping conditionings have no closed-form limit: RK4 steps them to top
+    assert rows(overlapping, coarse, t=math.inf) != rows(overlapping, fine, t=math.inf)
     for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"])),
-                  _fields(interp, [p.event(["a"]), p.event(["b", "c"])], [1.5, 0.5])):
+                  _fields(interp, [p.event(["a"]), p.event(["b", "c"])], [1.5, 0.5]), overlapping):
         assert rows(field) == rows(field, coarse) == rows(field, fine)
 
 
