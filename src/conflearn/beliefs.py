@@ -85,6 +85,10 @@ class EventSet:
         full = (1 << len(labels)) - 1
         if not 0 <= self.mask <= full:
             raise ParameterError(f"event mask {self.mask:#x} outside world set")
+        # computed once and read-only; not a field, so == and hash (events are dict keys) skip it
+        ind = np.array([(self.mask >> i) & 1 for i in range(len(labels))], dtype=float)
+        ind.setflags(write=False)
+        object.__setattr__(self, "_indicator", ind)
 
     @classmethod
     def from_names(cls, labels: Sequence[str], names: Iterable[str]) -> "EventSet":
@@ -127,9 +131,7 @@ class EventSet:
         return EventSet(self.labels, self.mask | other.mask)
 
     def indicator(self) -> np.ndarray:
-        return np.array(
-            [(self.mask >> i) & 1 for i in range(len(self.labels))], dtype=float
-        )
+        return self._indicator
 
     def _check_same(self, other: "EventSet") -> None:
         if self.labels != other.labels:

@@ -271,20 +271,21 @@ def _cmd_learn(args, cfg: dict) -> int:
     chi_headers, chi_cols = _confidence_headers(learner)
     bel_headers, bel_cols = _belief_headers(theta0)
 
-    if learner.sweep is not None:
-        states = learner.sweep(phi, grid, theta0)
-    else:
-        states = (learner.observe(phi, chi, theta0) for chi in grid)
-    rows = []
     # a training run that stops at its step cap still gives a belief: one stderr
     # line says so, under any warning filter
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NonConvergenceWarning)
-        for chi, final in zip(grid, states):
-            row = list(chi_cols(chi)) + list(bel_cols(final))
-            if learner.bel is not None:
-                row.append(learner.bel(phi, final))
-            rows.append(row)
+        if learner.sweep is not None:  # the grid's coordinate rows and bel values at once
+            coords, bels, final = learner.sweep(phi, grid, theta0)
+            rows = [[*chi_cols(chi), *c, b] for chi, c, b in zip(grid, coords.tolist(), bels)]
+        else:
+            rows = []
+            for chi in grid:
+                final = learner.observe(phi, chi, theta0)
+                row = list(chi_cols(chi)) + list(bel_cols(final))
+                if learner.bel is not None:
+                    row.append(learner.bel(phi, final))
+                rows.append(row)
     for w in caught:
         if issubclass(w.category, NonConvergenceWarning):
             print(f"warning: {w.message}", file=sys.stderr)

@@ -704,20 +704,18 @@ def integrate(
     return _run(field, theta0, _coerce_time(t), cfg or IntegratorConfig())[0]
 
 
-def _fmt(x) -> str:
-    """A CSV field: strings pass through, numbers get 17 significant digits."""
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
 def _csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """The CSV text of a header and rows (RFC 4180 quoting, "\n" line ends),
-    each row's fields written by ``_fmt``."""
+    """The CSV text of a header and rows ("\n" line ends): numbers get 17
+    significant digits, and a row with a string the csv module's quoting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_fmt(x) for x in row] for row in rows)
+    for row in rows:
+        cells = [x if isinstance(x, str) else format(x, ".17g") for x in row]
+        if any(isinstance(x, str) for x in row):
+            writer.writerow(cells)
+        else:
+            buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 
 
@@ -841,7 +839,10 @@ def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None)
     integrated."""
     _check_rounds(counts, (cfg or IntegratorConfig()).max_steps)
     field = combine_fields([derivative_field(learner, phi1), derivative_field(learner, phi2)])
-    reference = integrate(field, theta0, chi, cfg)
+    try:
+        reference = integrate(field, theta0, chi, cfg)
+    except StepBudgetError as exc:  # its messages begin "t=", the time integrated, here chi
+        raise StepBudgetError("chi" + str(exc)[1:]) from None
     counts = sorted(set(counts))
     states = trotter_interleave(learner, phi1, phi2, chi, counts, theta0)
     distances = {str(n): belief_distance(state, reference) for n, state in zip(counts, states)}

@@ -149,12 +149,12 @@ class Learner:
     closed_field: Optional[
         Callable[[Sequence[Tuple[Any, float]]], Callable[[tuple], Callable[[np.ndarray], np.ndarray]]]
     ] = None
-    # sweep(phi, grid, theta) yields observe(phi, chi, theta) for each chi in
-    # grid, in grid order and bit for bit, raising where that per-point loop
-    # would raise; a learner registers it when its states along a grid share
-    # work.  The law checks never use it: L3 and L5 test the identities it
-    # relies on, so they call observe point by point.
-    sweep: Optional[Callable[[Any, Sequence[Any], Any], Iterator[Any]]] = None
+    # sweep(phi, grid, theta) is (rows, bels, final): row i is the coordinates
+    # of observe(phi, grid[i], theta), bels[i] its bel, bit for bit, and final
+    # the state at grid[-1]; it raises where that per-point loop would.  A copy
+    # with another observe sets it to None.  The law checks never use it: L3
+    # and L5 test the identities it relies on, point by point.
+    sweep: Optional[Callable[[Any, Sequence[Any], Any], Tuple[np.ndarray, Sequence[float], Any]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
@@ -192,6 +192,31 @@ def _on_simplex(
 ) -> FiniteSimplex:
     """Apply a bound one-row coordinate update (see ``Learner.coord_flow``) to p."""
     return p if step is None else p.with_probs(step(p.probs))
+
+
+def _row_sweep(observe, rows, phi, grid, theta):
+    """``Learner.sweep`` by rows(phi, grid, theta), the coordinate rows and bel
+    values of observe at the grid entries.  Where rows raises, it walks the
+    grid point by point, so the first entry that fails raises its own error."""
+    try:
+        coords, bels = rows(phi, grid, theta)
+    except Exception:  # re-raised below, unless an earlier entry fails first
+        for chi in grid:
+            rows(phi, [chi], theta)
+        raise
+    return coords, bels, observe(phi, grid[-1], theta)
+
+
+def _simplex_rows(bind, dom: ConfidenceDomain, grid: Sequence, p: FiniteSimplex) -> np.ndarray:
+    """The coordinates of _on_simplex(bind([x], p.labels), p) at each grid
+    entry's float x, by one map bind(nonzero xs, labels); a zero's row is p's."""
+    xs = [dom.to_float(dom.coerce(chi)) for chi in grid]
+    rows = np.repeat(p.probs[None], len(xs), axis=0)
+    live = [i for i, x in enumerate(xs) if x]
+    step = bind([xs[i] for i in live], p.labels)
+    if step is not None:
+        rows[live] = normalize_probs(step(rows[live]))
+    return rows
 
 
 def _rows(xs):
@@ -388,6 +413,11 @@ def _event_from_json(obj: Mapping, belief) -> EventSet:
 def make_interp_learner() -> Learner:
     frac = get_domain("frac")
 
+    def rows(a, grid, p):
+        coords = _simplex_rows(partial(_interp_map, ((a, 1.0),)), frac, grid, p)
+        # vecdot gives each row the bits of p.prob(a)
+        return coords, [math.log(m) if m > 0 else -math.inf for m in np.vecdot(coords, a.indicator()).tolist()]
+
     def sample_saturated(rng):
         n = int(rng.integers(2, 6))
         labels = _world_labels(n)
@@ -408,6 +438,7 @@ def make_interp_learner() -> Learner:
         bel_top=lambda a, p: 0.0,
         translate=_frac_translate,
         coord_flow=_interp_coord_flow,
+        sweep=partial(_row_sweep, interp_observe, rows),
         closed_field=_interp_field,
         lb_metric="fisher",
         sample_instance=_sample_simplex_instance,
@@ -768,7 +799,16 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
             if not pen.possible[supp].all():
                 return -math.inf
             u = np.where(supp, u, 0.0)
-        return -float(p.probs @ u)
+        return -float(np.vecdot(p.probs, u))  # the bits and warnings of the sweep's rows
+
+    def rows(phi, grid, p: FiniteSimplex):
+        pen = penalty(phi)
+        coords = _simplex_rows(partial(_gibbs_map, pen), add, grid, p)
+        if pen.possible is None:
+            return coords, (-np.vecdot(coords, pen.u)).tolist()
+        supp = coords > 0.0  # as bel: mass on a ruled-out world gives -inf
+        dots = -np.vecdot(coords, np.where(supp & pen.possible, pen.u, 0.0))
+        return coords, np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf).tolist()
 
     def bel_top(phi, p: FiniteSimplex) -> float:
         return -float(_check_worlds(penalty(phi), p.labels).u[p.probs > 0.0].min())
@@ -787,6 +827,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         translate=lambda phi, chi, p: add.to_float(chi),
         coord_flow=coord_flow,
         closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
+        sweep=partial(_row_sweep, observe, rows),
         lb_metric="fisher",
         default_grid=_grid(add, (0.1, 0.5, 1.5, 3.0)),
         **hooks,
@@ -1042,6 +1083,14 @@ def make_max_graded_learner() -> Learner:
         decay = decay[0] if len(ts) == 1 else decay
         return lambda c: np.where(moved, 1.0 - (1.0 - c) * decay, c)
 
+    def rows(key, grid, table: GradedBeliefTable):
+        # max_graded_observe row by row: the grade moves to x only where x > g
+        g, at = table.grade(key), table.keys().index(key)
+        xs = np.array([dom.to_float(dom.coerce(x)) for x in grid])
+        coords = np.repeat(belief_coords(table)[None], len(grid), axis=0)
+        coords[:, at] = np.where(xs > g, xs, g)
+        return coords, coords[:, at].tolist()
+
     def sample_instance(rng):
         keys = ("phi1", "phi2", "phi3")
         table = GradedBeliefTable({k: float(rng.uniform(0.0, 0.95)) for k in keys})
@@ -1062,6 +1111,7 @@ def make_max_graded_learner() -> Learner:
         translate=_max_translate,
         coord_flow=coord_flow,
         closed_field=closed_field,
+        sweep=partial(_row_sweep, max_graded_observe, rows),
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
         default_grid=_grid(dom, (0.25, 0.5, 0.75)),
@@ -1360,9 +1410,6 @@ def make_classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
     def observe(ex, chi, theta):
         return classifier_step_observe(ex, chi, theta, model)
 
-    def sweep(ex, grid, theta):
-        return _classifier_sweep(ex, grid, theta, model)
-
     def bel(ex, theta):
         _check_example(model, ex)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -1370,6 +1417,13 @@ def make_classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
         if math.isnan(logp):
             raise NumericalError("non-finite logits in the classifier's belief")
         return logp
+
+    def sweep(ex, grid, theta):
+        states, bels = [], []
+        for state in _classifier_sweep(ex, grid, theta, model):  # bel in the loop's order
+            states.append(state)
+            bels.append(bel(ex, state))
+        return np.array(states), bels, states[-1]
 
     def path_velocity(ex, theta, h):
         # the one-step quotient is exactly the negated loss gradient

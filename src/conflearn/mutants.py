@@ -48,6 +48,7 @@ def _interp_mutant(mutant_id: str, observe) -> Learner:
         closed_field=None,
         path_velocity=None,
         lb_metric=None,
+        sweep=None,
     )
 
 
@@ -137,6 +138,7 @@ def _mutant_lb_euclid() -> Learner:
         coord_flow=None,
         closed_field=None,
         path_velocity=None,
+        sweep=None,
     )
 
 

@@ -3,15 +3,22 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflearn import IntegratorConfig, cli, learners
 from conflearn.cli import main
@@ -173,6 +180,15 @@ def test_trotter_ratios_near_half(tmp_path):
         assert 0.3 <= ratio <= 0.7
 
 
+# overlapping events: the reference takes the tilt flow
+TROTTER_OVERLAP = {
+    "learner": "interp",
+    "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
+    "observations": [{"event": ["a", "b"]}, {"event": ["b", "c"]}],
+    "chi": 1.5,
+}
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -184,16 +200,15 @@ def test_trotter_ratios_near_half(tmp_path):
     ],
 )
 def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
-    # overlapping events: the reference takes the tilt flow
-    cfg = {
-        "learner": "interp",
-        "belief": {"kind": "simplex", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
-        "observations": [{"event": ["a", "b"]}, {"event": ["b", "c"]}],
-        "chi": 1.5,
-        **extra,
-    }
-    assert run_cli(tmp_path, "trotter", cfg, "--quiet") == 2
+    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, **extra), "--quiet") == 2
     assert "max_steps" in capsys.readouterr().err
+
+
+def test_trotter_reference_over_max_steps_names_chi(tmp_path, capsys):
+    # the reference integrates to chi: its budget message names chi, not a time t
+    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, chi=1e308), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: chi=1e+308 takes more than max_steps=10000000 steps of at most 1\n"
 
 
 @pytest.mark.parametrize(
@@ -1007,6 +1022,119 @@ def test_learn_classifier_sweep_writes_what_the_per_point_loop_writes(
     build = cli._build_learner
     monkeypatch.setattr(cli, "_build_learner", lambda cfg: dataclasses.replace(build(cfg), sweep=None))
     assert swept == run(tmp_path / "per-point")
+
+
+# The row sweeps of the simplex and graded learners: `learn` through each
+# learner's sweep hook against the per-point loop (sweep=None), byte for byte.
+
+MAX_FLOAT = sys.float_info.max
+WORLDS = tuple("abcdefghijkl")
+
+
+def learn_outcome(cfg: dict, per_point: bool):
+    """(exit code, stdout, stderr, CSV bytes or None, warnings) of one learn
+    run, through the learner's sweep or through the per-point loop.  The
+    warnings are the distinct ones: where the loop overflows once per grid
+    point, one call on the rows overflows once."""
+    build = cli._build_learner
+    make = (lambda c: dataclasses.replace(build(c), sweep=None)) if per_point else build
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "learn.json")
+        with open(path, "w") as fh:
+            json.dump(dict(cfg, output_csv="learn.csv"), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_build_learner", make), redirect_stdout(out), \
+                redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["learn", "--config", path, "--output", tmp])
+        csv_bytes = None
+        if os.path.exists(os.path.join(tmp, "learn.csv")):
+            with open(os.path.join(tmp, "learn.csv"), "rb") as fh:
+                csv_bytes = fh.read()
+    return code, out.getvalue(), err.getvalue(), csv_bytes, {(w.category, str(w.message)) for w in caught}
+
+
+def grids(entry, foreign):
+    """Grids of entry draws, unsorted, with repeated entries; one in five
+    holds the value ``foreign`` of another domain, which fails at its entry."""
+    @st.composite
+    def grid(draw):
+        entries = draw(st.lists(entry, min_size=1, max_size=10))
+        entries += draw(st.lists(st.sampled_from(entries), max_size=4))
+        entries += [foreign] if draw(st.integers(0, 4)) == 3 else []
+        return draw(st.permutations(entries))
+
+    return grid()
+
+
+@st.composite
+def simplex_beliefs(draw, mass=st.just(0.0) | st.sampled_from([5e-324, 1e-300, 1.0, 3.0]) | st.floats(0.0, 1.0)):
+    """A simplex over 2-12 worlds, one of weight 1 and the others of any weight,
+    0 and subnormal ones too."""
+    n = draw(st.integers(2, len(WORLDS)))
+    probs = draw(st.permutations([1.0] + draw(st.lists(mass, min_size=n - 1, max_size=n - 1))))
+    return {"kind": "simplex", "probs": dict(zip(WORLDS, probs))}
+
+
+FRAC_GRIDS = grids(
+    st.sampled_from(["bot", "top", 0.0, 5e-324, 0.5, 1.0, 1 - 2**-53]) | st.floats(0.0, 1.0),
+    {"domain": "add", "value": 0.5},
+)
+ADD_GRIDS = grids(
+    st.sampled_from(["bot", "top", 0.0, 5e-324, 1.0, 1e154, 0.6 * MAX_FLOAT, MAX_FLOAT])
+    | st.floats(0.0, 10.0) | st.floats(0.0, MAX_FLOAT),
+    {"domain": "frac", "value": 0.5},
+)
+GRADE = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def interp_learns(draw):
+    belief = draw(simplex_beliefs())
+    labels = list(belief["probs"])
+    event = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    return {"learner": "interp", "belief": belief, "observation": {"event": event},
+            "confidence_grid": draw(FRAC_GRIDS)}
+
+
+@st.composite
+def boltzmann_learns(draw):
+    belief = draw(simplex_beliefs())
+    value = st.sampled_from([0.0, 1e-300, MAX_FLOAT, -MAX_FLOAT]) | st.floats(-3.0, 3.0) \
+        | st.floats(-MAX_FLOAT, MAX_FLOAT)
+    values = {label: draw(value) for label in belief["probs"]}
+    return {"learner": "boltzmann", "belief": belief, "observation": {"values": values},
+            "confidence_grid": draw(ADD_GRIDS)}
+
+
+@st.composite
+def bayes_learns(draw):
+    belief = draw(simplex_beliefs())
+    labels = list(belief["probs"])
+    likelihood = st.just(0.0) | st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0)
+    rows = {key: draw(st.lists(likelihood, min_size=len(labels), max_size=len(labels))) for key in ("e", "f")}
+    return {"learner": "bayes", "learner_params": {"model": {"hypotheses": labels, "likelihood": rows}},
+            "belief": belief, "observation": {"id": draw(st.sampled_from(["e", "f"]))},
+            "confidence_grid": draw(ADD_GRIDS)}
+
+
+@st.composite
+def max_graded_learns(draw):
+    entries = {key: draw(GRADE) for key in ("phi1", "phi2", "phi3")}
+    return {"learner": "max-graded", "belief": {"kind": "graded", "entries": entries},
+            "observation": {"id": draw(st.sampled_from(list(entries)))},
+            "confidence_grid": draw(FRAC_GRIDS)}
+
+
+@pytest.mark.parametrize("configs", [interp_learns(), boltzmann_learns(), bayes_learns(), max_graded_learns()],
+                         ids=["interp", "boltzmann", "bayes", "max-graded"])
+def test_learn_row_sweep_writes_what_the_per_point_loop_writes(configs):
+    @settings(max_examples=150, deadline=None)
+    @given(configs)
+    def check(cfg):
+        assert learn_outcome(cfg, per_point=False) == learn_outcome(cfg, per_point=True)
+
+    check()
 
 
 @pytest.mark.parametrize(

@@ -484,7 +484,8 @@ def test_classifier_finite_count_is_bounded_by_max_steps(monkeypatch):
 
 
 # A count sweep walks one orbit of gradient steps; the per-point loop that it
-# replaces in `learn` is the reference.
+# replaces in `learn` is the reference.  The classifier's `sweep` hook collects
+# this walk's states (test_cli.py checks what `learn` writes from it).
 
 
 COUNT = get_domain("count")
@@ -533,7 +534,7 @@ def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
     grid = data.draw(st.lists(entry, min_size=1, max_size=12))
     with mock.patch.object(learners, "_ETA", eta), mock.patch.object(learners, "_MAX_STEPS", max_steps):
         assert_same_outcomes(
-            outcomes(learner.sweep(ex, grid, theta)),
+            outcomes(learners._classifier_sweep(ex, grid, theta, model)),
             outcomes(learner.observe(ex, chi, theta) for chi in grid),
         )
 
@@ -556,19 +557,18 @@ def test_classifier_sweep_costs_its_largest_count(monkeypatch):
     learner = get_learner("classifier", n_features=2, n_classes=3)
     ex, theta = LabeledExample(np.array([0.4, -1.1]), 2), rng.normal(size=9)
     calls = counting_steps(monkeypatch)
-    got = list(learner.sweep(ex, grid, theta))
-    assert len(grid) == 99 and calls[0] == 128
+    got, _, final = learner.sweep(ex, grid, theta)
+    assert len(grid) == 99 and calls[0] == 128 and np.array_equal(final, got[-1])
     for chi, state in zip(grid, got):
         assert np.array_equal(state, learner.observe(ex, chi, theta))
 
 
 def test_classifier_sweep_reports_the_first_failing_entry():
-    learner = get_learner("classifier")
     ex, theta = LabeledExample(np.array([1e200]), 0), np.zeros(4)
     with pytest.raises(NumericalError, match="after 8 gradient steps"):
-        list(learner.sweep(ex, [8, 2], theta))
+        list(learners._classifier_sweep(ex, [8, 2], theta, SoftmaxModel(1, 2)))
     with pytest.raises(NumericalError, match="after 2 gradient steps"):
-        list(learner.sweep(ex, [1, 2, 8], theta))
+        list(learners._classifier_sweep(ex, [1, 2, 8], theta, SoftmaxModel(1, 2)))
 
 
 def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
@@ -577,7 +577,7 @@ def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     want = learner.observe(ex, 5, theta)
     calls = counting_steps(monkeypatch)
-    states = learner.sweep(ex, [5, 11, 3], theta)
+    states = learners._classifier_sweep(ex, [5, 11, 3], theta, SoftmaxModel(1, 2))
     assert np.array_equal(next(states), want)
     with pytest.raises(StepBudgetError, match="11 gradient steps exceed max_steps=10"):
         next(states)
