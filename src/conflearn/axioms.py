@@ -26,7 +26,6 @@ hooks) come back with ``skipped=True`` and a note instead of failing.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import sys
 import warnings
@@ -36,9 +35,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .beliefs import belief_distance, belief_to_json
-from .confidence import ConfidenceValue, confidence_to_json
+from .confidence import ConfidenceValue, _to_add, confidence_to_json
 from .errors import ConfLearnError, ParameterError
-from .flows import _forward_stencil, metric_gradient
+from .flows import _forward_stencil, _json_text, metric_gradient
 from .learners import Learner, NonConvergenceWarning
 
 __all__ = [
@@ -276,7 +275,7 @@ def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
 def _chart_to_confidence(dom, u: float) -> ConfidenceValue:
     # map [0, 1] onto the carrier so the root finder can search unbounded domains
     if dom.id == "add":
-        return dom.top if u >= 1.0 else dom.value(-math.log1p(-u))
+        return dom.top if u >= 1.0 else dom.value(_to_add(u))
     return dom.value(u)
 
 
@@ -556,4 +555,4 @@ def suite_passed(reports: Sequence[AxiomReport]) -> bool:
 
 
 def reports_to_json(reports: Sequence[AxiomReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+    return _json_text([r.to_dict() for r in reports], indent=2)

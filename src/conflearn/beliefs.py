@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from .confidence import ConfidenceValue, get_domain
+from .confidence import _FRAC, ConfidenceValue
 from .errors import (
     InvalidImagingMapError,
     NumericalError,
@@ -427,8 +427,7 @@ def simple_support(
     labels: Sequence[str], a: EventSet, alpha: Union[float, ConfidenceValue]
 ) -> MassFunction:
     """The simple support function: mass alpha on a, 1 - alpha on everything."""
-    frac = get_domain("frac")
-    s = frac.to_float(frac.coerce(alpha))
+    s = _FRAC.to_float(_FRAC.coerce(alpha))
     labels = tuple(labels)
     if a.labels != labels:
         raise ParameterError("event over a different world set")
@@ -469,8 +468,7 @@ def ds_plaus_update(
     conditioning on a.  The normalizer is 1 - alpha + alpha*Plaus(a); when it
     is at most MASS_EPS the evidence totally conflicts with the state.
     """
-    frac = get_domain("frac")
-    v = frac.coerce(alpha)
+    v = _FRAC.coerce(alpha)
     if v.is_bot:
         return bel
     return dempster_combine(bel, simple_support(bel.labels, a, v))
@@ -501,11 +499,8 @@ class GradedBeliefTable:
         return self.entries[key]
 
     def with_grade(self, key: str, grade: float) -> "GradedBeliefTable":
-        merged = dict(self.entries)
-        if key not in merged:
-            raise ParameterError(f"unknown statement {key!r}")
-        merged[key] = grade
-        return GradedBeliefTable(merged)
+        self.grade(key)  # rejects an unknown statement
+        return GradedBeliefTable({**self.entries, key: grade})
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(self.entries)

@@ -39,6 +39,7 @@ from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError
 from .flows import (
     IntegratorConfig,
     _csv_text,
+    _json_text,
     _trotter_errors,
     belief_coords,
     combine_fields,
@@ -120,7 +121,7 @@ def _out_path(args, name: str) -> str:
 
 def _emit(args, payload: dict) -> None:
     if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
+        print(_json_text(payload))
 
 
 def _number(cfg: dict, key: str, integer: bool = False, above: float = -math.inf):
@@ -381,7 +382,7 @@ def _cmd_trotter(args, cfg: dict) -> int:
         "ratios": ratios,
         "reference": belief_to_json(reference),
     }
-    _atomic_write(_out_path(args, name), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(_out_path(args, name), _json_text(payload, indent=2) + "\n")
     _emit(args, payload)
     return 0
 
@@ -451,9 +452,7 @@ def _cmd_equiv(args, cfg: dict) -> int:
     rng = _seeded_rng(settings.pop("seed", 0), name)
     passed, payload = IDENTITIES[name](rng, **settings)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}
-    _atomic_write(
-        _out_path(args, out_name), json.dumps(result, sort_keys=True, indent=2) + "\n"
-    )
+    _atomic_write(_out_path(args, out_name), _json_text(result, indent=2) + "\n")
     _emit(args, result)
     return 0 if passed else 1
 

@@ -168,7 +168,10 @@ class ConfidenceDomain:
         self, lo: ConfidenceValue, hi: ConfidenceValue
     ) -> Optional[ConfidenceValue]:
         """A delta with combine(delta, lo) == hi, when one is available."""
-        return None
+        return self._residual_inner(lo, hi) if self.leq(lo, hi) else None
+
+    def _residual_inner(self, lo: ConfidenceValue, hi: ConfidenceValue) -> Optional[ConfidenceValue]:
+        return None  # called where lo <= hi; a domain with residuals overrides it
 
     def to_float(self, v: ConfidenceValue) -> float:
         raise UnsupportedError(f"domain {self.id!r} has no scalar chart")
@@ -219,6 +222,9 @@ class _ScalarDomain(ConfidenceDomain):
     def _op(self, s: float, t: float) -> float:
         raise NotImplementedError
 
+    def sample(self, rng) -> ConfidenceValue:  # the unit carrier's; "add" has its own
+        return self.value(float(rng.uniform(0.01, 0.99)))
+
     @property
     def is_scalar_continuum(self) -> bool:
         return True
@@ -236,18 +242,13 @@ class FractionalDomain(_ScalarDomain):
         # never yields top and associativity cannot split top from a real.
         return min(s + t - s * t, _BELOW_ONE)
 
-    def residual(self, lo, hi):
-        if not self.leq(lo, hi):
-            return None
+    def _residual_inner(self, lo, hi):
         s, t = self.to_float(lo), self.to_float(hi)
         if t >= 1.0:
             return self.top
         if s >= 1.0:
             return None
         return self.value((t - s) / (1.0 - s))
-
-    def sample(self, rng) -> ConfidenceValue:
-        return self.value(float(rng.uniform(0.01, 0.99)))
 
 
 class AdditiveDomain(_ScalarDomain):
@@ -259,9 +260,7 @@ class AdditiveDomain(_ScalarDomain):
     def _op(self, s, t):
         return s + t
 
-    def residual(self, lo, hi):
-        if not self.leq(lo, hi):
-            return None
+    def _residual_inner(self, lo, hi):
         if hi.is_top:
             return self.top
         return self.value(self.to_float(hi) - self.to_float(lo))
@@ -280,13 +279,8 @@ class MaxDomain(_ScalarDomain):
     def _op(self, s, t):
         return max(s, t)
 
-    def residual(self, lo, hi):
-        if not self.leq(lo, hi):
-            return None
+    def _residual_inner(self, lo, hi):
         return hi
-
-    def sample(self, rng) -> ConfidenceValue:
-        return self.value(float(rng.uniform(0.01, 0.99)))
 
 
 class CountDomain(ConfidenceDomain):
@@ -320,9 +314,7 @@ class CountDomain(ConfidenceDomain):
     def _leq_inner(self, a, b) -> bool:
         return a.payload <= b.payload
 
-    def residual(self, lo, hi):
-        if not self.leq(lo, hi):
-            return None
+    def _residual_inner(self, lo, hi):
         if hi.is_top:
             return self.top
         return self.value(int(self.to_float(hi) - self.to_float(lo)))
@@ -369,10 +361,8 @@ class KalmanPairDomain(ConfidenceDomain):
             return ka < kb
         return va >= vb  # at equal gain, a quieter sensor is more confident
 
-    def residual(self, lo, hi):
+    def _residual_inner(self, lo, hi):
         """delta with combine(delta, lo) == hi, i.e. lo-then-delta == hi."""
-        if not self.leq(lo, hi):
-            return None
         if lo.is_bot:
             return hi
         if hi.is_top:
@@ -517,6 +507,16 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _to_add(s: float) -> float:
+    """frac_to_add at beta = 1 on a float support s < 1: -log(1 - s)."""
+    return -math.log1p(-s)
+
+
+def _to_frac(t: float) -> float:
+    """add_to_frac at beta = 1 on a float weight t: 1 - exp(-t), 1 at inf."""
+    return -math.expm1(-t)
+
+
 def frac_to_add(beta: float, s) -> ConfidenceValue:
     """Map fractional support s to additive weight -log(1 - s)/beta.
 
@@ -526,7 +526,7 @@ def frac_to_add(beta: float, s) -> ConfidenceValue:
     beta = _check_beta(beta)
     v = _FRAC.coerce(s)
     if v.kind == REAL:
-        return _ADD.value(-math.log1p(-v.payload) / beta)
+        return _ADD.value(_to_add(v.payload) / beta)
     return _ADD.bot if v.kind == BOT else _ADD.top
 
 
@@ -535,7 +535,7 @@ def add_to_frac(beta: float, t) -> ConfidenceValue:
     beta = _check_beta(beta)
     v = _ADD.coerce(t)
     if v.kind == REAL:
-        return _FRAC.value(-math.expm1(-beta * v.payload))
+        return _FRAC.value(_to_frac(beta * v.payload))
     return _FRAC.bot if v.kind == BOT else _FRAC.top
 
 

@@ -69,12 +69,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .beliefs import FiniteSimplex, _kind_of, belief_distance, normalize_probs
-from .confidence import ConfidenceValue, get_domain
+from .confidence import _ADD, ConfidenceValue
 from .errors import (
     DomainError,
     NoLimitError,
@@ -510,7 +511,7 @@ def _check_steps(cfg: IntegratorConfig, times: Sequence[float]) -> None:
 
 def _coerce_time(t) -> float:
     if isinstance(t, ConfidenceValue):
-        return get_domain("add").to_float(get_domain("add").check_member(t))
+        return _ADD.to_float(_ADD.check_member(t))
     t = float(t)
     if math.isnan(t) or t < 0.0:
         raise ParameterError(f"time must be a nonnegative real or top, got {t!r}")
@@ -719,6 +720,21 @@ def _csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
+def _json_text(obj, indent: Optional[int] = None) -> str:
+    """The JSON text of obj, keys sorted, with each non-finite float spelled
+    as ``_csv_text`` spells it ("inf", "-inf", "nan"), so the text is strict
+    JSON that the readers take back: the one writer of the JSON outputs."""
+
+    def strict(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else format(x, ".17g")
+        if isinstance(x, dict):
+            return {k: strict(v) for k, v in x.items()}
+        return [strict(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+    return json.dumps(strict(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
 @dataclass
 class TrajectoryRecord:
     """Sampled states along an integrated path, ready for CSV export."""
@@ -767,12 +783,7 @@ def additive_form(learner: Learner, phi):
         raise UnsupportedError(
             f"learner {learner.id!r} registers no additive form"
         )
-    flow = learner.make_flow(phi)
-
-    def g(chi, theta) -> float:
-        return learner.translate(phi, chi, theta)
-
-    return flow, g
+    return learner.make_flow(phi), partial(learner.translate, phi)
 
 
 def trotter_interleave(
@@ -811,14 +822,18 @@ def trotter_interleave(
     phis = (phi1, phi2)
     if single:
         return _interleave(learner, phis, chi, counts, theta0)[0]
+    return _first_failure(lambda some: _interleave(learner, phis, chi, some, theta0), counts)
+
+
+def _first_failure(call: Callable[[tuple], Any], items: Sequence):
+    """call(items), or where that raises, the error of the first item that
+    fails alone (call((item,)), in order), else the batch's own error."""
     try:
-        return _interleave(learner, phis, chi, counts, theta0)
+        return call(items)
     except Exception as exc:  # any failure: raised again below
         failure = exc
-    # some count failed: walking each alone, in the given order, raises the
-    # error of the first count that fails
-    for count in counts:
-        _interleave(learner, phis, chi, (count,), theta0)
+    for item in items:
+        call((item,))
     raise failure
 
 
@@ -869,7 +884,9 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
     ends = {}
     kind = _kind_of(theta0)
     if learner.coord_flow is None or kind is None or kind.coords is None:
-        flows = [additive_form(learner, phi)[0] for phi in phis]
+        if learner.make_flow is None:
+            raise UnsupportedError(f"learner {learner.id!r} registers no additive form")
+        flows = [learner.make_flow(phi) for phi in phis]
         for n in rows:
             theta, dt = theta0, t / n
             for _ in range(int(n)):

@@ -43,10 +43,7 @@ from typing import (
 import numpy as np
 
 from .confidence import (
-    ConfidenceDomain,
-    ConfidenceValue,
-    get_domain,
-    list_extend,
+    _ADD, _FRAC, ConfidenceDomain, ConfidenceValue, _to_frac, add_to_frac, frac_to_add, get_domain, list_extend,
 )
 from .beliefs import (
     EventSet,
@@ -69,7 +66,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _dormand_prince, _forward_stencil, belief_coords, belief_rebuild, coord_labels
+from .flows import _dormand_prince, _first_failure, _forward_stencil, belief_coords, belief_rebuild, coord_labels
 
 __all__ = [
     "Learner",
@@ -93,6 +90,9 @@ __all__ = [
     "train_limit",
     "NonConvergenceWarning",
 ]
+
+
+_MAX, _KALMAN, _COUNT = map(get_domain, ("max", "kalman", "count"))
 
 
 class NonConvergenceWarning(UserWarning):
@@ -178,10 +178,9 @@ class Learner:
 
 def _coord_make_flow(coord_flow, phi) -> Callable[[Any, Any], Any]:
     """make_flow(phi) as coord_flow defines it, on the belief's coordinates."""
-    add = get_domain("add")
 
     def flow(t, theta):
-        step = coord_flow(((phi, 1.0),), (add.to_float(add.coerce(t)),), coord_labels(theta))
+        step = coord_flow(((phi, 1.0),), (_ADD.to_float(_ADD.coerce(t)),), coord_labels(theta))
         return theta if step is None else belief_rebuild(theta, step(belief_coords(theta)))
 
     return flow
@@ -196,14 +195,9 @@ def _on_simplex(
 
 def _row_sweep(observe, rows, phi, grid, theta):
     """``Learner.sweep`` by rows(phi, grid, theta), the coordinate rows and bel
-    values of observe at the grid entries.  Where rows raises, it walks the
-    grid point by point, so the first entry that fails raises its own error."""
-    try:
-        coords, bels = rows(phi, grid, theta)
-    except Exception:  # re-raised below, unless an earlier entry fails first
-        for chi in grid:
-            rows(phi, [chi], theta)
-        raise
+    values of observe at the grid entries.  Where rows raises, the first entry
+    that fails alone raises its own error."""
+    coords, bels = _first_failure(lambda some: rows(phi, some, theta), grid)
     return coords, bels, observe(phi, grid[-1], theta)
 
 
@@ -234,18 +228,31 @@ def _world_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"w{i}" for i in range(n))
 
 
-def _sample_simplex_instance(rng: np.random.Generator) -> Tuple[EventSet, FiniteSimplex]:
-    """A random interior simplex and a nonempty proper event with real mass."""
+def _random_simplex(rng: np.random.Generator) -> FiniteSimplex:
+    """A random interior simplex on 2-6 worlds."""
     n = int(rng.integers(2, 7))
-    labels = _world_labels(n)
-    p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
-    full = (1 << n) - 1
+    return FiniteSimplex(_world_labels(n), rng.dirichlet(np.ones(n)))
+
+
+def _saturated_simplex(rng: np.random.Generator) -> Tuple[np.ndarray, FiniteSimplex]:
+    """idx and a random simplex on 2-5 worlds with mass on the worlds idx alone."""
+    n = int(rng.integers(2, 6))
+    size = int(rng.integers(1, n))
+    idx = rng.choice(n, size=size, replace=False)
+    probs = np.zeros(n)
+    probs[idx] = rng.dirichlet(np.ones(size))
+    return idx, FiniteSimplex(_world_labels(n), probs)
+
+
+def _event_with_mass(rng: np.random.Generator, labels: Tuple[str, ...], mass, fallback: int) -> EventSet:
+    """A random nonempty proper event a over labels with mass(a) > 1e-6, or
+    the event of the bit mask ``fallback`` after 64 draws without one."""
+    full = (1 << len(labels)) - 1
     for _ in range(64):
-        mask = int(rng.integers(1, full))
-        a = EventSet(labels, mask)
-        if p.prob(a) > 1e-6:
-            return a, p
-    return EventSet(labels, 1), p
+        a = EventSet(labels, int(rng.integers(1, full)))
+        if mass(a) > 1e-6:
+            return a
+    return EventSet(labels, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +263,7 @@ def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha."""
-    frac = get_domain("frac")
-    return _on_simplex(_interp_map(((a, 1.0),), (frac.to_float(frac.coerce(alpha)),), p.labels), p)
+    return _on_simplex(_interp_map(((a, 1.0),), (_FRAC.to_float(_FRAC.coerce(alpha)),), p.labels), p)
 
 
 def _interp_map(cells: Sequence[Tuple[EventSet, float]], ws: Sequence[float],
@@ -324,6 +330,8 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
                        labels: Tuple[str, ...]):
     weights: Dict[EventSet, float] = {}
     for a, w in terms:  # an event observed twice is one cell of their summed weight
+        if a.labels != labels:
+            raise ParameterError("event over a different world set")
         weights[a] = weights.get(a, 0.0) + w
     union = 0
     for a in weights:
@@ -338,7 +346,7 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
     # sum_j (w_j / W) condition(p, a_j) at weight 1 - e^(-W t), W = sum_j w_j;
     # t = inf gives weight 1
     cells = tuple((a, w / total) for a, w in weights.items())
-    return _interp_map(cells, [-math.expm1(-(total * t)) for t in ts], labels)
+    return _interp_map(cells, [_to_frac(total * t) for t in ts], labels)
 
 
 # the tilt flow's steps are at most this over the summed weight W: a world no
@@ -352,9 +360,6 @@ def _interp_tilt_flow(weights: Dict[EventSet, float], ts: Sequence[float], label
     Along p * (M^T (w / Mp) - W), d log p stays in the span of M's rows and
     of 1, so p(t) = p(0) * exp(M^T lam(t)) / Z with dlam/dt = w / (M p)
     (Csiszar 1975), the ODE that ``flows._dormand_prince`` integrates."""
-    for a in weights:
-        if a.labels != labels:
-            raise ParameterError("event over a different world set")
     if not any(ts):
         return None
     m = np.array([a.indicator() for a in weights], dtype=float)
@@ -394,12 +399,9 @@ def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
     return bind
 
 
-def _frac_translate(phi, chi: ConfidenceValue, theta) -> float:
-    frac = get_domain("frac")
-    v = frac.coerce(chi)
-    if v.is_top:
-        return math.inf
-    return -math.log1p(-frac.to_float(v))
+def _frac_translate(phi, chi, theta) -> float:
+    """The translate of interp and ds: Shafer's weight of evidence -log(1 - chi)."""
+    return _ADD.to_float(frac_to_add(1.0, chi))
 
 
 def _event_to_json(a: EventSet) -> dict:
@@ -410,27 +412,23 @@ def _event_from_json(obj: Mapping, belief) -> EventSet:
     return EventSet.from_names(belief.labels, obj["event"])
 
 
-def make_interp_learner() -> Learner:
-    frac = get_domain("frac")
+def _interp_learner() -> Learner:
+    def sample_instance(rng):  # an interior simplex and an event with real mass
+        p = _random_simplex(rng)
+        return _event_with_mass(rng, p.labels, p.prob, 1), p
 
     def rows(a, grid, p):
-        coords = _simplex_rows(partial(_interp_map, ((a, 1.0),)), frac, grid, p)
+        coords = _simplex_rows(partial(_interp_map, ((a, 1.0),)), _FRAC, grid, p)
         # vecdot gives each row the bits of p.prob(a)
         return coords, [math.log(m) if m > 0 else -math.inf for m in np.vecdot(coords, a.indicator()).tolist()]
 
     def sample_saturated(rng):
-        n = int(rng.integers(2, 6))
-        labels = _world_labels(n)
-        size = int(rng.integers(1, n))
-        idx = rng.choice(n, size=size, replace=False)
-        probs = np.zeros(n)
-        probs[idx] = rng.dirichlet(np.ones(size))
-        mask = int(sum(1 << int(i) for i in idx))
-        return EventSet(labels, mask), FiniteSimplex(labels, probs)
+        idx, p = _saturated_simplex(rng)
+        return EventSet(p.labels, int(sum(1 << int(i) for i in idx))), p
 
     return Learner(
         id="interp",
-        domain=frac,
+        domain=_FRAC,
         belief_kind="simplex",
         observe=interp_observe,
         in_domain=lambda a, p: p.prob(a) > MASS_EPS,
@@ -441,9 +439,9 @@ def make_interp_learner() -> Learner:
         sweep=partial(_row_sweep, interp_observe, rows),
         closed_field=_interp_field,
         lb_metric="fisher",
-        sample_instance=_sample_simplex_instance,
+        sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        default_grid=_grid(frac, (0.25, 0.5, 0.75)),
+        default_grid=_grid(_FRAC, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
     )
@@ -453,26 +451,22 @@ def make_interp_learner() -> Learner:
 # Dempster-Shafer learner.
 
 
-def make_ds_learner() -> Learner:
-    frac = get_domain("frac")
+def _random_masses(labels: Tuple[str, ...], subsets: Sequence[int], rng) -> MassFunction:
+    """Dirichlet weights on the bit masks ``subsets``, a repeated one's summed."""
+    table: Dict[int, float] = {}
+    for s, w in zip(subsets, rng.dirichlet(np.ones(len(subsets)))):
+        table[s] = table.get(s, 0.0) + float(w)
+    return MassFunction(labels, table)
 
+
+def _ds_learner() -> Learner:
     def sample_instance(rng):
         n = int(rng.integers(2, 5))
         labels = _world_labels(n)
         full = (1 << n) - 1
         k = int(rng.integers(2, 6))
-        masks = [int(rng.integers(1, full + 1)) for _ in range(k)]
-        weights = rng.dirichlet(np.ones(k))
-        table: Dict[int, float] = {}
-        for s, w in zip(masks, weights):
-            table[s] = table.get(s, 0.0) + float(w)
-        m = MassFunction(labels, table)
-        for _ in range(64):
-            mask = int(rng.integers(1, full))
-            a = EventSet(labels, mask)
-            if m.plaus(a) > 1e-6:
-                return a, m
-        return EventSet(labels, full), m
+        m = _random_masses(labels, [int(rng.integers(1, full + 1)) for _ in range(k)], rng)
+        return _event_with_mass(rng, labels, m.plaus, full), m
 
     def sample_saturated(rng):
         n = int(rng.integers(2, 5))
@@ -485,25 +479,21 @@ def make_ds_learner() -> Learner:
         for _ in range(k):
             sub = mask & int(rng.integers(1, full + 1))
             subs.append(sub if sub else mask)
-        weights = rng.dirichlet(np.ones(len(subs)))
-        table: Dict[int, float] = {}
-        for s, w in zip(subs, weights):
-            table[s] = table.get(s, 0.0) + float(w)
-        return a, MassFunction(labels, table)
+        return a, _random_masses(labels, subs, rng)
 
     return Learner(
         id="ds",
-        domain=frac,
+        domain=_FRAC,
         belief_kind="mass",
         observe=lambda a, chi, m: ds_plaus_update(m, a, chi),
         in_domain=lambda a, m: m.plaus(a) > MASS_EPS,
         bel=lambda a, m: m.bel(a),
         bel_top=lambda a, m: 1.0,
         translate=_frac_translate,
-        make_flow=lambda a: lambda t, m: ds_plaus_update(m, a, -math.expm1(-t)),  # 1 at top
+        make_flow=lambda a: lambda t, m: ds_plaus_update(m, a, add_to_frac(1.0, t)),
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        default_grid=_grid(frac, (0.25, 0.5, 0.75)),
+        default_grid=_grid(_FRAC, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
     )
@@ -535,8 +525,7 @@ def kalman_observe(
     z: float, c: Union[ConfidenceValue, Tuple[float, float]], b: GaussianBelief
 ) -> GaussianBelief:
     """One gain-weighted measurement update of a scalar Gaussian state."""
-    dom = get_domain("kalman")
-    v = dom.coerce(c if isinstance(c, ConfidenceValue) else tuple(c))
+    v = _KALMAN.coerce(c if isinstance(c, ConfidenceValue) else tuple(c))
     if v.is_bot:
         return b
     if v.is_top:
@@ -567,9 +556,7 @@ def _kalman_observation_from_json(obj: Mapping, belief) -> float:
     return z
 
 
-def make_kalman_learner() -> Learner:
-    dom = get_domain("kalman")
-
+def _kalman_learner() -> Learner:
     def path_velocity(z, b: GaussianBelief, h: float) -> np.ndarray:
         # derivative of the update path in the gain at K = 0 (any fixed r2);
         # the second-order forward stencil is exact, since the path is
@@ -587,16 +574,11 @@ def make_kalman_learner() -> Learner:
 
     def bel_chain(z, b: GaussianBelief):
         if b.var <= 0.0:
-            return (
-                dom.bot,
-                dom.value((0.3, 0.0)),
-                dom.value((0.7, 0.0)),
-                dom.top,
-            )
-        chain = [dom.bot]
+            return (_KALMAN.bot, _KALMAN.value((0.3, 0.0)), _KALMAN.value((0.7, 0.0)), _KALMAN.top)
+        chain = [_KALMAN.bot]
         for r2 in (4.0 * b.var, b.var, b.var / 4.0, b.var / 16.0):
-            chain.append(dom.value((optimal_gain(b.var, r2), r2)))
-        chain.append(dom.top)
+            chain.append(_KALMAN.value((optimal_gain(b.var, r2), r2)))
+        chain.append(_KALMAN.top)
         return tuple(chain)
 
     def sample_instance(rng):
@@ -611,7 +593,7 @@ def make_kalman_learner() -> Learner:
 
     return Learner(
         id="kalman",
-        domain=dom,
+        domain=_KALMAN,
         belief_kind="gaussian",
         observe=kalman_observe,
         in_domain=lambda z, b: True,
@@ -621,7 +603,7 @@ def make_kalman_learner() -> Learner:
         lb_metric="euclidean",
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        default_grid=_grid(dom, ((0.3, 2.0), (0.5, 1.0), (0.8, 0.5))),
+        default_grid=_grid(_KALMAN, ((0.3, 2.0), (0.5, 1.0), (0.8, 0.5))),
         bel_chain=bel_chain,
         observation_to_json=lambda z: {"z": float(z)},
         observation_from_json=_kalman_observation_from_json,
@@ -662,9 +644,9 @@ def _check_worlds(pen: _Penalty, labels: Tuple[str, ...]) -> _Penalty:
     return pen
 
 
-def _largest_penalty(u: np.ndarray, possible: Optional[np.ndarray]) -> float:
+def _largest_penalty(pen: _Penalty) -> float:
     """max |u| over the possible worlds (0 if there are none)."""
-    return max(map(abs, (u if possible is None else u[possible]).tolist()), default=0.0)
+    return max(map(abs, (pen.u if pen.possible is None else pen.u[pen.possible]).tolist()), default=0.0)
 
 
 def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
@@ -682,7 +664,7 @@ def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
     # within half the float range neither b * u nor the shift by logw.max()
     # can overflow (Python floats overflow silently); a row past it may
     # shift, once its support is known
-    wide = not max(bs) * _largest_penalty(pen.u, pen.possible) <= _HALF_MAX
+    wide = not max(bs) * _largest_penalty(pen) <= _HALF_MAX
     return partial(_gibbs_step, pen, _rows(bs), wide, top)
 
 
@@ -695,11 +677,18 @@ def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
     return supp
 
 
-def _gibbs_least(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
-    """The update at top: the supported worlds of least rank keep their mass."""
+def _gibbs_least(pen: _Penalty, pr: np.ndarray, top=True) -> np.ndarray:
+    """The update at top: the supported worlds of least rank keep their mass,
+    which must exceed MASS_EPS in each row where ``top`` is set."""
     supp, rank = _gibbs_support(pen, pr), pen.rank
     lowest = np.minimum.reduce(np.where(supp, rank, np.inf), axis=-1, keepdims=True)
-    return np.where(supp & (rank == lowest), pr, 0.0)
+    kept = np.where(supp & (rank == lowest), pr, 0.0)
+    if kept.ndim > 1 or max(kept.tolist()) <= MASS_EPS:  # else one world holds more
+        mass = np.where(top, np.add.reduce(kept, axis=-1, keepdims=True), np.inf)
+        least = float(np.minimum.reduce(mass, axis=None))
+        if least <= MASS_EPS:
+            raise ZeroMassEventError(f"cannot condition on the least-penalty worlds of {pen.what} with mass {least:.3g}")
+    return kept
 
 
 def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray:
@@ -724,7 +713,25 @@ def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray
         with np.errstate(divide="ignore"):
             logw = np.log(pr) - b * u
     w = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
-    return w if top is None else np.where(top, _gibbs_least(pen, pr), w)
+    return w if top is None else np.where(top, _gibbs_least(pen, pr, top), w)
+
+
+def _expectation(p: np.ndarray, u: np.ndarray, largest: float) -> np.ndarray:
+    """E_p[u] of a finite u along the last axis, |u| at most ``largest`` on the
+    support: np.vecdot, bit for bit, in a row whose support has no |u| past
+    half the float range; else the mean of u over its largest |u| there,
+    scaled back and clamped into [min u, max u] on the support: no overflow."""
+    if not largest > _HALF_MAX:
+        return np.vecdot(p, u)
+    supp = p > 0.0
+    us = np.where(supp, u, 0.0)
+    big = np.maximum.reduce(np.abs(us), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the wide rows' plain products
+        plain = np.vecdot(p, u)
+        scaled = np.vecdot(p, us / np.maximum(big, 1.0)[..., None]) * big
+    lo = np.minimum.reduce(np.where(supp, u, np.inf), axis=-1)
+    hi = np.maximum.reduce(np.where(supp, u, -np.inf), axis=-1)
+    return np.where(big > _HALF_MAX, np.minimum(np.maximum(scaled, lo), hi), plain)
 
 
 def _sum_penalties(terms: Sequence[Tuple[_Penalty, float]]) -> _Penalty:
@@ -754,7 +761,8 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
     u, possible = summed.u, summed.possible
     # past half the float range c @ u - u overflows where c is 0 (and 0 * inf
     # is NaN), so such a field multiplies by c before it subtracts
-    wide = _largest_penalty(u, possible) > _HALF_MAX
+    largest = _largest_penalty(summed)
+    wide = largest > _HALF_MAX
 
     def bind(space: tuple):
         for pen in pens:
@@ -762,7 +770,7 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
 
         if possible is None:
             if wide:
-                return lambda c: c * float(c @ u) - c * u
+                return lambda c: c * float(_expectation(c, u, largest)) - c * u
             return lambda c: c * (float(c @ u) - u)
 
         def field(c: np.ndarray) -> np.ndarray:
@@ -771,25 +779,27 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
                 pen = next(p for p in pens if p.possible is not None and not p.possible[supp].all())
                 raise DomainError(f"{pen.what} contradicts the state")
             v = np.where(supp, u, 0.0)
-            return np.where(supp, c * float(c @ v) - c * v if wide else c * (float(c @ v) - v), 0.0)
+            return np.where(supp, c * float(_expectation(c, v, largest)) - c * v if wide else c * (float(c @ v) - v), 0.0)
 
         return field
 
     return bind
 
 
+def _gibbs_observe(penalty: Callable[[Any], _Penalty], phi, t, p: FiniteSimplex) -> FiniteSimplex:
+    """The update of p by penalty(phi) at additive time t: coord_flow of the
+    one term (phi, 1.0), without building the term."""
+    return _on_simplex(_gibbs_map(penalty(phi), (_ADD.to_float(_ADD.coerce(t)),), p.labels), p)
+
+
 def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
     """The learner reweighting simplexes by exp(-t u) for u = penalty(phi);
     ``hooks`` give its id, samplers and JSON readers."""
-    add = get_domain("add")
+    observe = partial(_gibbs_observe, penalty)
 
     def coord_flow(terms, ts: Sequence, labels: Tuple[str, ...]):
         pens = [(_check_worlds(penalty(phi), labels), w) for phi, w in terms]
         return _gibbs_map(_sum_penalties(pens), ts, labels)
-
-    def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
-        # coord_flow of the one term (phi, 1.0), without building the term
-        return _on_simplex(_gibbs_map(penalty(phi), (add.to_float(add.coerce(t)),), p.labels), p)
 
     def bel(phi, p: FiniteSimplex) -> float:
         pen = _check_worlds(penalty(phi), p.labels)
@@ -799,15 +809,15 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
             if not pen.possible[supp].all():
                 return -math.inf
             u = np.where(supp, u, 0.0)
-        return -float(np.vecdot(p.probs, u))  # the bits and warnings of the sweep's rows
+        return -float(_expectation(p.probs, u, _largest_penalty(pen)))  # the bits of the sweep's rows
 
     def rows(phi, grid, p: FiniteSimplex):
         pen = penalty(phi)
-        coords = _simplex_rows(partial(_gibbs_map, pen), add, grid, p)
+        coords = _simplex_rows(partial(_gibbs_map, pen), _ADD, grid, p)
         if pen.possible is None:
-            return coords, (-np.vecdot(coords, pen.u)).tolist()
+            return coords, (-_expectation(coords, pen.u, _largest_penalty(pen))).tolist()
         supp = coords > 0.0  # as bel: mass on a ruled-out world gives -inf
-        dots = -np.vecdot(coords, np.where(supp & pen.possible, pen.u, 0.0))
+        dots = -_expectation(coords, np.where(supp & pen.possible, pen.u, 0.0), _largest_penalty(pen))
         return coords, np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf).tolist()
 
     def bel_top(phi, p: FiniteSimplex) -> float:
@@ -818,18 +828,18 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         return possible is None or bool(possible[p.probs > 0.0].all())
 
     return Learner(
-        domain=add,
+        domain=_ADD,
         belief_kind="simplex",
         observe=observe,
         in_domain=in_domain_fn,
         bel=bel,
         bel_top=bel_top,
-        translate=lambda phi, chi, p: add.to_float(chi),
+        translate=lambda phi, chi, p: _ADD.to_float(chi),
         coord_flow=coord_flow,
         closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
         sweep=partial(_row_sweep, observe, rows),
         lb_metric="fisher",
-        default_grid=_grid(add, (0.1, 0.5, 1.5, 3.0)),
+        default_grid=_grid(_ADD, (0.1, 0.5, 1.5, 3.0)),
         **hooks,
     )
 
@@ -850,29 +860,19 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
-    add = get_domain("add")
-    beta = add.to_float(add.coerce(beta))
-    return _on_simplex(_gibbs_map(_boltzmann_penalty(v), (beta,), p.labels), p)
+    return _gibbs_observe(_boltzmann_penalty, v, beta, p)
 
 
-def make_boltzmann_learner() -> Learner:
+def _boltzmann_learner() -> Learner:
     def sample_instance(rng):
-        n = int(rng.integers(2, 7))
-        labels = _world_labels(n)
-        p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
-        v = RandomVariable(labels, rng.normal(0.0, 1.0, size=n))
-        return v, p
+        p = _random_simplex(rng)
+        return RandomVariable(p.labels, rng.normal(0.0, 1.0, size=len(p.labels))), p
 
     def sample_saturated(rng):
-        n = int(rng.integers(2, 6))
-        labels = _world_labels(n)
-        size = int(rng.integers(1, n))
-        idx = rng.choice(n, size=size, replace=False)
-        probs = np.zeros(n)
-        probs[idx] = rng.dirichlet(np.ones(size))
-        vals = rng.uniform(0.5, 2.0, size=n)
+        idx, p = _saturated_simplex(rng)
+        vals = rng.uniform(0.5, 2.0, size=len(p.labels))
         vals[idx] = 0.0  # constant on the support, so Bel is already maximal
-        return RandomVariable(labels, vals), FiniteSimplex(labels, probs)
+        return RandomVariable(p.labels, vals), p
 
     return _gibbs_learner(
         _boltzmann_penalty,
@@ -981,7 +981,7 @@ DEFAULT_BAYES_MODEL = BayesModel(
 )
 
 
-def make_bayes_learner(model: Optional[BayesModel] = None) -> Learner:
+def _bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     model = model or DEFAULT_BAYES_MODEL
     hyps, keys = model.hypotheses, model.observations
     with np.errstate(divide="ignore"):  # a zero likelihood is an infinite penalty
@@ -1027,8 +1027,7 @@ def max_graded_observe(
     key: str, chi: Union[float, ConfidenceValue], table: GradedBeliefTable
 ) -> GradedBeliefTable:
     """Keep the stronger of the stored grade and the offered confidence."""
-    dom = get_domain("max")
-    x = dom.to_float(dom.coerce(chi))
+    x = _MAX.to_float(_MAX.coerce(chi))
     g = table.grade(key)
     if x <= g:
         return table
@@ -1036,8 +1035,7 @@ def max_graded_observe(
 
 
 def _max_translate(key: str, chi, table: GradedBeliefTable) -> float:
-    dom = get_domain("max")
-    x = dom.to_float(dom.coerce(chi))
+    x = _MAX.to_float(_MAX.coerce(chi))
     g = table.grade(key)
     if x <= g:
         return 0.0
@@ -1052,18 +1050,21 @@ def _statement_from_json(obj: Mapping, table: GradedBeliefTable) -> str:
     return key
 
 
-def make_max_graded_learner() -> Learner:
-    dom = get_domain("max")
+def _key_rates(terms: Sequence[Tuple[str, float]], keys: Tuple[str, ...]) -> list:
+    """Each key's summed weight in terms ((key, w), ...): max-graded's rates."""
+    rates = [0.0] * len(keys)
+    for key, w in terms:
+        if key not in keys:
+            raise ParameterError(f"unknown statement {key!r}")
+        rates[keys.index(key)] += w
+    return rates
 
+
+def _max_graded_learner() -> Learner:
     def closed_field(terms):
         # sum_j w_j (1 - grade_j) e_j: a rate per key, r * (1 - c)
         def bind(space: tuple):
-            keys = space[1]
-            rate = np.zeros(len(keys))
-            for key, w in terms:
-                if key not in keys:
-                    raise ParameterError(f"unknown statement {key!r}")
-                rate[keys.index(key)] += w
+            rate = np.array(_key_rates(terms, space[1]))
             return lambda c: rate * (1.0 - c)
 
         return bind
@@ -1071,11 +1072,7 @@ def make_max_graded_learner() -> Learner:
     def coord_flow(terms, ts, labels):
         # the statements' flows commute: 1 - (1 - c) e^(-r t) per key and
         # row, at the key's rate r; grade 1 at top
-        rates = [0.0] * len(labels)
-        for key, w in terms:
-            if key not in labels:
-                raise ParameterError(f"unknown statement {key!r}")
-            rates[labels.index(key)] += w
+        rates = _key_rates(terms, labels)
         if not any(ts):
             return None
         moved = np.array([r > 0.0 for r in rates])
@@ -1086,7 +1083,7 @@ def make_max_graded_learner() -> Learner:
     def rows(key, grid, table: GradedBeliefTable):
         # max_graded_observe row by row: the grade moves to x only where x > g
         g, at = table.grade(key), table.keys().index(key)
-        xs = np.array([dom.to_float(dom.coerce(x)) for x in grid])
+        xs = np.array([_MAX.to_float(_MAX.coerce(x)) for x in grid])
         coords = np.repeat(belief_coords(table)[None], len(grid), axis=0)
         coords[:, at] = np.where(xs > g, xs, g)
         return coords, coords[:, at].tolist()
@@ -1102,7 +1099,7 @@ def make_max_graded_learner() -> Learner:
 
     return Learner(
         id="max-graded",
-        domain=dom,
+        domain=_MAX,
         belief_kind="graded",
         observe=max_graded_observe,
         in_domain=lambda key, table: key in table.entries,
@@ -1114,7 +1111,7 @@ def make_max_graded_learner() -> Learner:
         sweep=partial(_row_sweep, max_graded_observe, rows),
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
-        default_grid=_grid(dom, (0.25, 0.5, 0.75)),
+        default_grid=_grid(_MAX, (0.25, 0.5, 0.75)),
         observation_to_json=lambda key: {"id": key},
         observation_from_json=_statement_from_json,
     )
@@ -1311,7 +1308,7 @@ def classifier_step_observe(
     """
     model = model or SoftmaxModel()
     theta = _checked_params(model, ex, theta)
-    v = get_domain("count").coerce(n)
+    v = _COUNT.coerce(n)
     if v.is_bot:
         return theta.copy()
     if v.is_top:
@@ -1378,11 +1375,10 @@ def _classifier_sweep(
     step.  A repeated count yields the same array each time.
     """
     theta = _checked_params(model, ex, theta)
-    count = get_domain("count")
     values = []
     for chi in grid:
         try:
-            v = count.coerce(chi)
+            v = _COUNT.coerce(chi)
         except Exception:  # the per-point loop below raises it in grid order
             break
         if not (v.is_bot or v.is_top) and v.payload > _MAX_STEPS:
@@ -1403,9 +1399,8 @@ def _classifier_sweep(
         yield classifier_step_observe(ex, chi, theta, model)
 
 
-def make_classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
+def _classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
     model = SoftmaxModel(n_features, n_classes)
-    count = get_domain("count")
 
     def observe(ex, chi, theta):
         return classifier_step_observe(ex, chi, theta, model)
@@ -1427,38 +1422,30 @@ def make_classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
 
     def path_velocity(ex, theta, h):
         # the one-step quotient is exactly the negated loss gradient
-        return (observe(ex, count.value(1), theta) - theta) / _ETA
+        return (observe(ex, _COUNT.value(1), theta) - theta) / _ETA
 
-    def sample_instance(rng):
+    def sample_instance(rng, top: bool = False):
         theta = rng.normal(0.0, 1.0, size=model.dim)
         x = rng.normal(0.0, 1.0, size=model.n_features)
-        y = int(rng.integers(model.n_classes))
-        return LabeledExample(x, y), theta
-
-    def sample_top_instance(rng):
-        # strongly separated inputs so the capped iteration saturates the
-        # softmax in float and genuinely reaches its fixed point
-        theta = rng.normal(0.0, 1.0, size=model.dim)
-        x = rng.normal(0.0, 1.0, size=model.n_features)
-        x = x / max(np.linalg.norm(x), 1e-9) * rng.uniform(1200.0, 2000.0)
-        y = int(rng.integers(model.n_classes))
-        return LabeledExample(x, y), theta
+        if top:  # strongly separated inputs so the capped iteration saturates
+            # the softmax in float and genuinely reaches its fixed point
+            x = x / max(np.linalg.norm(x), 1e-9) * rng.uniform(1200.0, 2000.0)
+        return LabeledExample(x, int(rng.integers(model.n_classes))), theta
 
     return Learner(
         id="classifier",
-        domain=count,
+        domain=_COUNT,
         belief_kind="params",
         observe=observe,
         sweep=sweep,
         in_domain=lambda ex, theta: bool(np.all(np.isfinite(theta))),
         bel=bel,
         bel_top=lambda ex, theta: 0.0,
-        translate=lambda ex, chi, theta: count.to_float(chi),
         path_velocity=path_velocity,
         lb_metric="euclidean",
         sample_instance=sample_instance,
-        sample_top_instance=sample_top_instance,
-        default_grid=_grid(count, (1, 2, 4, 8), top=False),
+        sample_top_instance=partial(sample_instance, top=True),
+        default_grid=_grid(_COUNT, (1, 2, 4, 8), top=False),
         observation_to_json=lambda ex: {"x": [float(v) for v in ex.x], "y": ex.y},
         observation_from_json=lambda obj, theta: _example_from_json(model, obj),
     )
@@ -1523,13 +1510,13 @@ def lift_to_list(base: Learner) -> Learner:
 
 
 _FACTORIES: Dict[str, Callable[..., Learner]] = {
-    "interp": make_interp_learner,
-    "ds": make_ds_learner,
-    "kalman": make_kalman_learner,
-    "boltzmann": make_boltzmann_learner,
-    "bayes": make_bayes_learner,
-    "max-graded": make_max_graded_learner,
-    "classifier": make_classifier_learner,
+    "interp": _interp_learner,
+    "ds": _ds_learner,
+    "kalman": _kalman_learner,
+    "boltzmann": _boltzmann_learner,
+    "bayes": _bayes_learner,
+    "max-graded": _max_graded_learner,
+    "classifier": _classifier_learner,
 }
 
 _DEFAULT_CACHE: Dict[str, Learner] = {}

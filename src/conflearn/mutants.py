@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .confidence import get_domain
+from .confidence import _FRAC
 from .learners import Learner, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
@@ -54,10 +54,9 @@ def _interp_mutant(mutant_id: str, observe) -> Learner:
 
 def _weight_warp(mutant_id: str, warp: Callable[[float], float]) -> Learner:
     """Interpolation learner whose mixing weight is warped before use."""
-    frac = get_domain("frac")
 
     def observe(phi, chi, theta):
-        x = frac.to_float(frac.coerce(chi))
+        x = _FRAC.to_float(_FRAC.coerce(chi))
         return interp_observe(phi, warp(x), theta)
 
     return _interp_mutant(mutant_id, observe)
@@ -99,10 +98,9 @@ def _mutant_fc_partial() -> Learner:
 def _mutant_b2_uniform() -> Learner:
     """Pulls toward the uniform law on the event, moving states that already
     believe it."""
-    frac = get_domain("frac")
 
     def observe(phi, chi, theta):
-        x = frac.to_float(frac.coerce(chi))
+        x = _FRAC.to_float(_FRAC.coerce(chi))
         ind = phi.indicator()
         uniform = ind / ind.sum()
         return theta.with_probs((1.0 - x) * np.asarray(theta.probs) + x * uniform)

@@ -1291,3 +1291,87 @@ def test_learn_classifier_overflowing_logits_exit_3(tmp_path, capsys):
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 3
     err = capsys.readouterr().err
     assert "non-finite logits" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Penalties at the float limit, and strict JSON out
+
+
+FLOAT_MAX = sys.float_info.max
+OVERFLOW_PRIOR = {"kind": "simplex", "probs": {"a": 1.0, "b": 0.99999}}
+OVERFLOW_VALUES = {"values": {"a": FLOAT_MAX, "b": FLOAT_MAX}}
+
+
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_learn_bel_at_the_float_limit_is_the_least_float(tmp_path, capsys):
+    # E_p[u] no longer overflows: no warning, and a finite bel in every row
+    cfg = {"learner": "boltzmann", "belief": OVERFLOW_PRIOR, "observation": OVERFLOW_VALUES}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "learn", cfg) == 0
+    assert strict_json(capsys.readouterr().out)["final_bel"] == -FLOAT_MAX
+    rows = read_csv(tmp_path, "learn_boltzmann.csv")
+    assert [r[-1] for r in rows[1:]] == ["-1.7976931348623157e+308"] * 6
+
+
+@pytest.mark.parametrize("t", [1, "top"])
+def test_combine_at_the_float_limit_keeps_the_prior(tmp_path, capsys, t):
+    # the penalty is constant, so the field is zero and the flow the identity
+    cfg = {"learner": "boltzmann", "belief": OVERFLOW_PRIOR, "observations": [OVERFLOW_VALUES], "t": t}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "combine", cfg) == 0
+    probs = strict_json(capsys.readouterr().out)["final"]["probs"]
+    assert np.allclose(probs, np.array([1.0, 0.99999]) / 1.99999, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("command, cfg, line", [
+    ("learn", {"learner": "boltzmann", "observation": {"values": {"a": 1e-300, "b": 0.0}},
+               "confidence_grid": ["bot", 1.0, "top"]},
+     "error: cannot condition on the least-penalty worlds of the penalty variable with mass 4.94e-324\n"),
+    ("combine", {"learner": "boltzmann", "observations": [{"values": {"a": 1e-300, "b": 0.0}}], "t": "top"},
+     "error: cannot condition on the least-penalty worlds of the penalty variable with mass 4.94e-324\n"),
+    ("learn", {"learner": "bayes", "observation": {"id": "e"}, "confidence_grid": ["top"],
+               "learner_params": {"model": {"hypotheses": ["a", "b"], "likelihood": {"e": [0.5, 1.0]}}}},
+     "error: cannot condition on the least-penalty worlds of observation 'e' with mass 4.94e-324\n"),
+])
+def test_top_without_least_penalty_mass_names_the_observation(tmp_path, capsys, command, cfg, line):
+    cfg = {**cfg, "belief": {"kind": "simplex", "probs": {"a": 1.0, "b": 5e-324}}}
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 3
+    assert capsys.readouterr().err == line
+
+
+def test_learn_prints_non_finite_numbers_as_its_csv_does(tmp_path, capsys):
+    # a bel of an event with no mass, and a Gaussian of infinite variance
+    cfg = {"learner": "interp", "belief": {"kind": "simplex", "probs": {"a": 1.0, "b": 0.0}},
+           "observation": {"event": ["b"]}, "confidence_grid": ["bot"]}
+    assert run_cli(tmp_path, "learn", cfg) == 0
+    assert strict_json(capsys.readouterr().out)["final_bel"] == "-inf"
+    cfg = {"learner": "kalman", "belief": {"kind": "gaussian", "mean": 0.0, "var": "inf"},
+           "observation": {"z": 1.0}, "confidence_grid": ["bot"]}
+    assert run_cli(tmp_path, "learn", cfg) == 0
+    out = capsys.readouterr().out
+    summary = strict_json(out)
+    assert summary["final"] == {"kind": "gaussian", "mean": 0.0, "var": "inf"}
+    assert summary["final_bel"] == "-inf"
+    # final reads back as a belief
+    assert run_cli(tmp_path, "learn", {**cfg, "belief": summary["final"]}) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_json_files_spell_non_finite_numbers_as_the_csv_does():
+    from conflearn.axioms import AxiomReport, reports_to_json
+    from conflearn.flows import _json_text
+
+    obj = {"b": [math.inf, -math.inf, (math.nan, 1.5)], "a": {"x": 2}}
+    assert _json_text(obj) == '{"a": {"x": 2}, "b": ["inf", "-inf", ["nan", 1.5]]}'
+    assert _json_text(obj, indent=2) == json.dumps(json.loads(_json_text(obj)), sort_keys=True, indent=2)
+    report = AxiomReport("x", "L1", False, math.inf, 1e-10, {"gap": -math.inf})
+    assert strict_json(reports_to_json([report]))[0]["worst_violation"] == "inf"
+    assert '"gap": "-inf"' in reports_to_json([report])

@@ -8,8 +8,10 @@ Where the kernel's bits differ, the test pins exactly how.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from conflearn.flows import (
     integrate_sampled,
 )
 from conflearn.learners import (
+    _HALF_MAX,
     BayesModel,
+    _expectation,
     _gibbs_field,
     _Penalty,
     boltzmann_observe,
@@ -382,6 +386,88 @@ def test_field_past_half_the_float_range_stays_finite(possible, c):
         warnings.simplefilter("error")
         vel = field(np.array(c))
     assert np.isfinite(vel).all() and vel[1] == 0.0
+
+
+def test_expectation_is_vecdot_below_half_the_float_range():
+    # the bel of every sweep row and of every belief keeps np.vecdot's bits
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 12):
+        p = rng.dirichlet(np.ones(n), size=4)
+        p[0, 0] = 0.0
+        u = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n) / 4.0
+        assert bits(_expectation(p, u, abs(u).max())) == bits(np.vecdot(p, u))
+        assert bits(_expectation(p[1], u, abs(u).max())) == bits(np.vecdot(p[1], u))
+
+
+def test_expectation_past_half_the_float_range_is_the_clamped_mean():
+    # a row whose support holds a |u| past half the float range scales by it:
+    # the mean of u stays in [min u, max u] over the support, where vecdot
+    # overflows; a row whose support does not keeps vecdot's bits
+    big = sys.float_info.max
+    p = np.array([[1.0, 0.99999, 0.0], [0.25, 0.75, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    p /= p.sum(axis=1, keepdims=True)
+    u = np.array([big, big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = _expectation(p, u, big)
+    assert e[0] == big and e[1] == big and e[3] == -big
+    assert e[2] == 0.0
+    # these weights sum to 1 + 2^-52 in float: the scaled mean rounds past
+    # the float maximum, and the clamp brings it back into the range of u
+    q = np.array([0.46335848984461653, 0.3373961461805628, 0.1992453639748208])
+    assert np.vecdot(q, np.ones(3)) > 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _expectation(q, np.full(3, big), big) == big
+        assert _expectation(q, np.full(3, -big), big) == -big
+    rows = np.array([[0.3, 0.7, 0.0], [0.1, 0.2, 0.7]])
+    wide = np.array([1.5, -2.5, _HALF_MAX * 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = _expectation(rows, wide, abs(wide).max())
+    assert bits(e[0]) == bits(np.vecdot(rows[0], wide))  # its support holds no wide |u|
+    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(rows[1], wide))
+    assert abs(Fraction(e[1]) - exact) <= abs(exact) * Fraction(1, 2**50)
+
+
+def test_gibbs_bel_at_the_float_limit_is_the_least_float():
+    # E_p[u] of u at the float maximum is that maximum, not an overflow
+    labels = ("a", "b")
+    v = RandomVariable(labels, np.array([sys.float_info.max, sys.float_info.max]))
+    p = FiniteSimplex(labels, np.array([1.0, 0.99999]))
+    learner = get_learner("boltzmann")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert learner.bel(v, p) == -sys.float_info.max
+        _, bels, final = learner.sweep(v, learner.default_grid, p)
+    assert bels == [-sys.float_info.max] * len(learner.default_grid)
+    assert bits(final.probs) == bits(boltzmann_observe(v, ADD.top, p).probs)
+
+
+@pytest.mark.parametrize("lid, phi, what", [
+    ("boltzmann", None, "the penalty variable"),
+    ("bayes", "e", "observation 'e'"),
+])
+def test_top_refuses_least_penalty_worlds_without_mass(lid, phi, what):
+    # the least-penalty worlds of the support keep mass at most MASS_EPS:
+    # the update at top names the observation, as interp names an event
+    labels = ("a", "b")
+    p = FiniteSimplex(labels, np.array([1.0, 5e-324]))
+    if lid == "bayes":
+        learner = get_learner("bayes", model=BayesModel(labels, {"e": [0.5, 1.0]}))
+    else:
+        learner, phi = get_learner("boltzmann"), RandomVariable(labels, np.array([1e-300, 0.0]))
+    message = f"cannot condition on the least-penalty worlds of {what} with mass 4.94e-324"
+    with pytest.raises(ZeroMassEventError) as err:
+        learner.observe(phi, ADD.top, p)
+    assert str(err.value) == message
+    with pytest.raises(ZeroMassEventError, match="least-penalty worlds"):
+        learner.sweep(phi, (ADD.bot, ADD.value(1.0), ADD.top), p)
+    # only the rows at top are checked: a row at a finite time may have its
+    # least-penalty worlds all but empty
+    step = learner.coord_flow(((phi, 1.0),), (1.0, math.inf), labels)
+    out = step(np.array([[1.0, 5e-324], [0.5, 0.5]]))
+    assert out[0, 0] > 0.0 and out[1].tolist() == [0.0, 0.5]
 
 
 def test_bayes_is_boltzmann_on_minus_log_likelihood():
