@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from .flows import (
 )
 from .identities import IDENTITIES
 from .learners import (
+    _FACTORIES,
     BayesModel,
     Learner,
     NonConvergenceWarning,
@@ -144,6 +146,21 @@ def _settings(cfg: dict, integer: bool = False, **floors) -> dict:
     return {k: _number(cfg, k, integer=integer, above=v) for k, v in floors.items() if k in cfg}
 
 
+def _check_keys(name: str, spec, keys) -> None:
+    """Refuse a config value that is no object, or names a key outside
+    ``keys``: a typo or a stale key would otherwise run on defaults."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name!r} must be an object")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        listed = ", ".join(sorted(keys)) or "none"
+        raise ConfigError(f"{name} reads no key {', '.join(map(repr, unknown))}; its keys are {listed}")
+
+
+# the keys each learner's learner_params may hold: its builder's keyword names
+_PARAMS = {lid: frozenset(inspect.signature(build).parameters) for lid, build in _FACTORIES.items()}
+
+
 def _build_learner(cfg: dict) -> Learner:
     lid = _need(cfg, "learner")
     if not isinstance(lid, str):
@@ -159,8 +176,11 @@ def _learner_of(lid: str, params: dict) -> Learner:
     lifted = lid.endswith("@list")
     base_id = lid[: -len("@list")] if lifted else lid
     try:
+        if base_id in _PARAMS:  # else get_learner names the unknown id
+            _check_keys("learner_params", params, _PARAMS[base_id])
         if base_id == "bayes" and "model" in params:
             spec = params["model"]
+            _check_keys("model", spec, [f.name for f in dataclasses.fields(BayesModel)])
             params = {**params, "model": BayesModel(spec["hypotheses"], spec["likelihood"])}
         learner = get_learner(base_id, **params)
     except (KeyError, TypeError) as exc:
@@ -218,8 +238,7 @@ def _parse_grid(learner: Learner, cfg: dict) -> Tuple[ConfidenceValue, ...]:
 
 def _integrator(cfg: dict) -> IntegratorConfig:
     spec = cfg.get("integrator", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("'integrator' must be an object")
+    _check_keys("integrator", spec, [f.name for f in dataclasses.fields(IntegratorConfig)])
     try:
         return IntegratorConfig(**spec)
     except (TypeError, ConfLearnError) as exc:
@@ -502,15 +521,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        keys = _KEYS[args.command]
-        unknown = sorted(set(cfg) - keys)
-        if unknown:  # a typo or a stale key would otherwise run on defaults
-            raise ConfigError(
-                f"{args.command} reads no key {', '.join(map(repr, unknown))}; "
-                f"its keys are {', '.join(sorted(keys))}"
-            )
+        _check_keys(args.command, cfg, _KEYS[args.command])
         return args.handler(args, cfg)
-    except (ConfigError, StepBudgetError) as exc:  # the budget comes from the config
+    except (ConfigError, StepBudgetError) as exc:  # over the step budget: the config asks too much
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConfLearnError as exc:

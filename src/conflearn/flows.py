@@ -440,6 +440,11 @@ _QUIET_STEPS = 10  # consecutive quiet steps that count as a detected limit
 _REM_TOL = 1e-15  # a remainder below this takes no extra step
 _LIMIT_TOL = 1e-9  # a field whose sup norm is below this is quiet
 _T_MAX = 1e4  # the time a run to the limit may take before it reports no limit
+# The one step budget, whatever the config: a run to the limit reports no
+# limit after this many RK4 steps, and a run that would take more RK4 steps,
+# tilt-flow tries or interleaving rounds, or record more numbers (rows times
+# one more than the coordinates), is refused before it starts.
+_MAX_STEPS = 10_000_000
 
 
 def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
@@ -455,58 +460,40 @@ def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Deterministic integrator settings.
-
-    The integrators take a field's learner's flow wherever it has one (see
-    ``Learner.coord_flow``), with no RK4 steps, and step every other field
-    by RK4 with fixed steps of ``step``: interp observations of overlapping
-    events at top, mutants, hand-built handles and sums over learners.  The
-    tilt flow of overlapping interp events at finite times has its own
-    bound, ``IntegratorConfig().max_steps``, whatever the config.
-    A run to the infinite-confidence limit stops once the field's sup norm
-    stays below ``_LIMIT_TOL`` (1e-9) for ten consecutive steps, and reports
-    no limit after ``max_steps`` steps or time ``_T_MAX`` (1e4).
-    ``max_steps`` also bounds the steps and the numbers a finite-time run
-    holds: one that would take more than ``max_steps`` steps, or record more
-    than ``max_steps`` numbers (rows times one more than the coordinates), is
-    rejected before it starts.
-    """
+    """The RK4 step size.  The integrators take a field's learner's flow
+    wherever it has one (see ``Learner.coord_flow``) and step every other
+    field by RK4 with fixed steps of ``step``: interp observations of
+    overlapping events at top, mutants, hand-built handles and sums over
+    learners.  A run to the limit stops once the field's sup norm stays
+    below ``_LIMIT_TOL`` for ``_QUIET_STEPS`` consecutive steps, and reports
+    no limit past time ``_T_MAX`` or ``_MAX_STEPS`` steps."""
 
     step: float = 1e-3
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if isinstance(self.step, bool) or not 0 < self.step < math.inf:
             raise ParameterError("step must be positive and finite")
-        if (
-            isinstance(self.max_steps, bool)
-            or not isinstance(self.max_steps, (int, np.integer))
-            or self.max_steps < 1
-        ):
-            raise ParameterError("max_steps must be an integer of at least 1")
 
 
-def _check_record(cfg: IntegratorConfig, t: float, step_out: Optional[float], width: int) -> None:
+def _check_record(t: float, step_out: Optional[float], width: int) -> None:
     """Reject integrating to finite time t, sampled every ``step_out`` if
     given, when its record of rows of ``width`` numbers would hold more than
-    ``max_steps`` numbers."""
+    ``_MAX_STEPS`` numbers."""
     # at most ceil(t / step_out) + 1 rows; the cap keeps an infinite quotient roundable
-    if step_out is not None and (math.ceil(min(t / step_out, cfg.max_steps)) + 1) * width > cfg.max_steps:
-        raise StepBudgetError(
-            f"t={t:g} sampled every {step_out:g} records more than max_steps={cfg.max_steps} numbers"
-        )
+    if step_out is not None and (math.ceil(min(t / step_out, _MAX_STEPS)) + 1) * width > _MAX_STEPS:
+        raise StepBudgetError(f"t={t:g} sampled every {step_out:g} records more than max_steps={_MAX_STEPS} numbers")
 
 
 def _check_steps(cfg: IntegratorConfig, times: Sequence[float]) -> None:
     """Reject stepping through the sample ``times`` when their intervals
-    together take over ``max_steps`` steps."""
+    together take over ``_MAX_STEPS`` steps."""
     steps, now = 0, 0.0
     for target in times:
         n_full, rem = divmod(target - now, cfg.step)
         steps += n_full + (rem > _REM_TOL)  # a float, so an infinite count is over budget
         now = target
-        if steps > cfg.max_steps:
-            raise StepBudgetError(f"t={times[-1]:g} takes more than max_steps={cfg.max_steps} steps of {cfg.step:g}")
+        if steps > _MAX_STEPS:
+            raise StepBudgetError(f"t={times[-1]:g} takes more than max_steps={_MAX_STEPS} steps of {cfg.step:g}")
 
 
 def _coerce_time(t) -> float:
@@ -571,13 +558,13 @@ def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float]
     its end into the new c, about which y restarts at 0.  Adaptive
     Dormand-Prince 5(4) steps of at most ``cap`` land on each time exactly;
     a step with a rate not below ``bound`` (NaN included) leaves the flow's
-    domain and is rejected.  A last time that takes more than
-    ``IntegratorConfig().max_steps`` steps of ``cap`` raises StepBudgetError
-    before any step, and so do that many tries; DomainError where the start
-    is outside the domain, or where a step to stay inside rounds to 0."""
-    max_steps, end = IntegratorConfig().max_steps, max(ts)
-    if not end <= cap * max_steps:
-        raise StepBudgetError(f"t={end:g} takes more than max_steps={max_steps} steps of at most {cap:g}")
+    domain and is rejected.  A last time that takes more than ``_MAX_STEPS``
+    steps of ``cap`` raises StepBudgetError before any step, and so do that
+    many tries; DomainError where the start is outside the domain, or where
+    a step to stay inside rounds to 0."""
+    end = max(ts)
+    if not end <= cap * _MAX_STEPS:
+        raise StepBudgetError(f"t={end:g} takes more than max_steps={_MAX_STEPS} steps of at most {cap:g}")
     at = {}
     ks = np.empty((7, bound.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -588,8 +575,8 @@ def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float]
         for target in sorted(set(ts)):
             while now < target:
                 tries += 1
-                if tries > max_steps:
-                    raise StepBudgetError(f"t={end:g} takes more than max_steps={max_steps} steps")
+                if tries > _MAX_STEPS:
+                    raise StepBudgetError(f"t={end:g} takes more than max_steps={_MAX_STEPS} steps")
                 step = min(h, target - now)
                 ks[0] = ks[6]
                 for i in range(1, 7):
@@ -639,7 +626,7 @@ def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step
     f, project = field._bind(theta0)
     c, v = belief_coords(theta0), None
     if not math.isinf(t):  # before the times are listed
-        _check_record(cfg, t, step_out, c.size + 1)
+        _check_record(t, step_out, c.size + 1)
     times = [t] if math.isinf(t) else list(_sample_times(t, step_out))
     step = _exact_flow(field, theta0, times)
     if step is NotImplemented and not math.isinf(t):
@@ -672,7 +659,7 @@ def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
     returns the limit's projected and unprojected states."""
     k1 = f(None, c)
     quiet, before = 0, c.tobytes()
-    cap = min(cfg.max_steps, int(math.ceil(_T_MAX / cfg.step)))
+    cap = math.ceil(min(_T_MAX / cfg.step, _MAX_STEPS))  # capped before rounding: the quotient may be inf
     for _ in range(cap):
         v = _advance(f, project, c, k1, cfg.step)
         c = project(v)
@@ -807,18 +794,18 @@ def trotter_interleave(
     ``n`` is one round count, or a sequence of them; a sequence gives a
     tuple of states, one per entry in the order given, each the state (or
     the error) of that count alone, and the first count that fails alone
-    raises its error.  Distinct counts that sum to more than
-    ``IntegratorConfig().max_steps`` rounds raise :class:`StepBudgetError`
-    before any round.  A learner with a coordinate flow (``coord_flow`` of
-    one term) on a belief with coordinates walks every distinct count at
-    once, as one row of a coordinate array: both flows are bound to the
-    rows' slices, each update gets the projection and checks of a belief
-    object, and row n leaves the walk after n rounds as one belief.  Other
-    learners compose ``make_flow`` on belief objects, once per count.
+    raises its error.  Distinct counts that sum to more than ``_MAX_STEPS``
+    rounds raise :class:`StepBudgetError` before any round.  A learner with
+    a coordinate flow (``coord_flow`` of one term) on a belief with
+    coordinates walks every distinct count at once, as one row of a
+    coordinate array: both flows are bound to the rows' slices, each update
+    gets the projection and checks of a belief object, and row n leaves the
+    walk after n rounds as one belief.  Other learners compose
+    ``make_flow`` on belief objects, once per count.
     """
     single = np.ndim(n) == 0
     counts = (n,) if single else tuple(n)
-    _check_rounds(counts, IntegratorConfig().max_steps)
+    _check_rounds(counts)
     phis = (phi1, phi2)
     if single:
         return _interleave(learner, phis, chi, counts, theta0)[0]
@@ -837,22 +824,21 @@ def _first_failure(call: Callable[[tuple], Any], items: Sequence):
     raise failure
 
 
-def _check_rounds(counts, max_steps: int) -> None:
+def _check_rounds(counts) -> None:
     """Refuse round counts whose distinct values take more than
-    ``max_steps`` rounds in all."""
+    ``_MAX_STEPS`` rounds in all."""
     rounds = sum(set(counts))
-    if rounds > max_steps:
-        raise StepBudgetError(f"interleaving takes {rounds} rounds, more than max_steps={max_steps}")
+    if rounds > _MAX_STEPS:
+        raise StepBudgetError(f"interleaving takes {rounds} rounds, more than max_steps={_MAX_STEPS}")
 
 
 def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None):
     """The parallel reference (the sum of the two fields integrated to chi),
     the distance from it of each distinct count's interleaving, and the
     ratio d(2n)/d(n) wherever 2n is a count too and d(n) > 0; counts are
-    written as strings, the JSON keys.  Counts over the rounds that ``cfg``
-    allows raise :class:`StepBudgetError` before the reference is
-    integrated."""
-    _check_rounds(counts, (cfg or IntegratorConfig()).max_steps)
+    written as strings, the JSON keys.  Counts over ``_MAX_STEPS`` rounds
+    raise :class:`StepBudgetError` before the reference is integrated."""
+    _check_rounds(counts)
     field = combine_fields([derivative_field(learner, phi1), derivative_field(learner, phi2)])
     try:
         reference = integrate(field, theta0, chi, cfg)

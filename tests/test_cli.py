@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflearn import IntegratorConfig, cli, learners
+from conflearn import IntegratorConfig, cli, flows, learners
 from conflearn.cli import main
 from conflearn.identities import IDENTITIES
 
@@ -190,18 +190,20 @@ TROTTER_OVERLAP = {
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra",  # (config keys, step budget, stderr line)
     [
-        {"n_values": [1_000_000_000]},
+        ({"n_values": [1_000_000_000]}, 10_000_000, "interleaving takes 1000000000 rounds, more than max_steps=10000000"),
         # 16 + 32 rounds over a budget of 40
-        {"n_values": [16, 32, 16], "integrator": {"step": 0.1, "max_steps": 40}},
+        ({"n_values": [16, 32, 16], "integrator": {"step": 0.1}}, 40, "interleaving takes 48 rounds, more than max_steps=40"),
         # the reference's tilt flow takes more than max_steps steps of its largest
-        {"chi": 1e308},
+        ({"chi": 1e308}, 10_000_000, "chi=1e+308 takes more than max_steps=10000000 steps of at most 1"),
     ],
 )
-def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, extra):
-    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, **extra), "--quiet") == 2
-    assert "max_steps" in capsys.readouterr().err
+def test_trotter_rounds_over_max_steps_exit_2(tmp_path, capsys, monkeypatch, extra):
+    keys, budget, line = extra
+    monkeypatch.setattr(flows, "_MAX_STEPS", budget)
+    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, **keys), "--quiet") == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 def test_trotter_reference_over_max_steps_names_chi(tmp_path, capsys):
@@ -502,6 +504,62 @@ def test_combine_to_the_limit_with_a_step_that_cannot_move_exits_3(tmp_path, cap
     assert "does not move the state" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("step, shown", [(5e-324, "4.94066e-324"), (1e-305, "1e-305")])
+def test_combine_to_the_limit_with_a_subnormal_step_exits_3(tmp_path, capsys, step, shown):
+    # 1e4 / step overflows to inf: the step cap is taken before rounding
+    cfg = dict(COMBINE_OVERLAP, t="top", integrator={"step": step})
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 3
+    assert capsys.readouterr().err == (
+        f"error: no limit: a step of {shown} does not move the state (field norm 0.711)\n"
+    )
+
+
+def test_the_step_budget_is_one_library_constant(tmp_path, capsys, monkeypatch):
+    # the tilt flow and both checks of a trotter run's rounds read flows._MAX_STEPS
+    monkeypatch.setattr(flows, "_MAX_STEPS", 12)
+    assert run_cli(tmp_path, "combine", dict(COMBINE_OVERLAP, t=50, step_out=50), "--quiet") == 2
+    assert capsys.readouterr().err == "config error: t=50 takes more than max_steps=12 steps of at most 1\n"
+    monkeypatch.setattr(flows, "_MAX_STEPS", 47)
+    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, n_values=[16, 32]), "--quiet") == 2
+    assert capsys.readouterr().err == "config error: interleaving takes 48 rounds, more than max_steps=47\n"
+    monkeypatch.setattr(flows, "_MAX_STEPS", 48)
+    assert run_cli(tmp_path, "trotter", dict(TROTTER_OVERLAP, n_values=[16, 32]), "--quiet") == 0
+
+
+BAYES_LEARN = {
+    "learner": "bayes",
+    "belief": {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.5}},
+    "observation": {"id": "e"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, line",
+    [
+        ("combine", dict(COMBINE_OVERLAP, t=50, integrator={"max_steps": 12}),
+         "integrator reads no key 'max_steps'; its keys are step"),
+        ("trotter", dict(TROTTER_INTERP, n_values=[15_000_000], integrator={"max_steps": 20_000_000}),
+         "integrator reads no key 'max_steps'; its keys are step"),
+        ("learn", {"learner": "classifier", "learner_params": {"eta": 0.5},
+                   "belief": {"kind": "params", "values": [0.0, 0.0, 0.0, 0.0]}, "observation": {"x": [0.5], "y": 0}},
+         "learner_params reads no key 'eta'; its keys are n_classes, n_features"),
+        ("learn", dict(BAYES_LEARN, learner_params={"model": {"hypotheses": ["h1", "h2"], "likelihod": {"e": [0.5, 1.0]}}}),
+         "model reads no key 'likelihod'; its keys are hypotheses, likelihood"),
+        ("learn", dict(BAYES_LEARN, learner_params={"model": ["x"]}),
+         "'model' must be an object"),
+        ("learn", {"learner": "interp", "learner_params": {"x": 1},
+                   "belief": {"kind": "simplex", "probs": {"a": 0.6, "b": 0.4}}, "observation": {"event": ["a"]}},
+         "learner_params reads no key 'x'; its keys are none"),
+    ],
+    ids=["integrator-combine", "integrator-trotter", "classifier-eta", "model-typo", "model-list", "interp-params"],
+)
+def test_a_nested_config_object_names_its_unknown_key(tmp_path, capsys, command, cfg, line):
+    # integrator, learner_params and a Bayes model refuse keys as the top level does
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "learner, observations",
     [
@@ -573,7 +631,8 @@ def test_combine_bad_weights_exit_2(tmp_path, capsys, weights):
         {"step": math.inf},
         {"t_max": math.inf},
         {"limit_tol": math.inf},
-        # RK4 is the one stepper: t_max and limit_tol above are unknown settings too
+        # RK4 is the one stepper: t_max and limit_tol above are unknown settings too, and
+        # so is max_steps, since the step budget is a library constant
         {"scheme": "rk4"},
     ],
 )
@@ -581,7 +640,10 @@ def test_combine_bad_integrator_setting_exits_2(tmp_path, capsys, integrator, t)
     cfg = dict(COMBINE_INTERP, integrator=integrator, t=t)
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
     err = capsys.readouterr().err
-    assert "bad integrator settings" in err and "Traceback" not in err
+    if "step" in integrator:
+        assert err.startswith("config error: bad integrator settings: ") and err.count("\n") == 1
+    else:  # the line the top level prints for a key it does not read
+        assert err == f"config error: integrator reads no key {next(iter(integrator))!r}; its keys are step\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -662,7 +724,7 @@ def test_learn_bayes_model_beside_an_unknown_param_exits_2(tmp_path, capsys):
     }
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: bad learner configuration") and err.count("\n") == 1
+    assert err == "config error: learner_params reads no key 'eta'; its keys are model\n"
     assert run_cli(tmp_path, "learn", dict(cfg, learner_params={"model": model}), "--quiet") == 0
 
 
@@ -797,8 +859,7 @@ def test_scheme_is_an_unknown_integrator_setting(tmp_path, capsys):
         for scheme in ("rk4", "exact"):
             assert run_cli(tmp_path, "combine", dict(cfg, integrator={"scheme": scheme}), "--quiet") == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: bad integrator settings: ") and err.count("\n") == 1
-            assert err.endswith("unexpected keyword argument 'scheme'\n")
+            assert err == "config error: integrator reads no key 'scheme'; its keys are step\n"
             assert not (tmp_path / "out").exists()
 
 
@@ -955,12 +1016,12 @@ CLASSIFIER_LEARN = {
     ],
 )
 def test_learn_bad_classifier_params_exit_2(tmp_path, capsys, params):
-    # the step size, tolerance and cap are constants: naming one is an unknown keyword
+    # the step size, tolerance and cap are constants: naming one is an unknown key
     cfg = dict(CLASSIFIER_LEARN, learner_params=params)
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    assert ("unexpected keyword argument" in err) == ("n_features" not in params)
+    assert ("learner_params reads no key" in err) == ("n_features" not in params)
     assert not (tmp_path / "out").exists()
 
 
@@ -1189,7 +1250,8 @@ BIG_NUMBER_PLACES = {
                                   "observation": {"event": ["a"]}, "confidence_grid": ["BIG"]}),
     "combine-t": ("combine", dict(COMBINE_INTERP, t="BIG")),
     "combine-weights": ("combine", dict(COMBINE_INTERP, weights=["BIG", 1.0])),
-    "max-steps": ("combine", dict(COMBINE_INTERP, integrator={"max_steps": "BIG"})),
+    # integrator.step, the integrator's one setting, under the id of the removed max_steps
+    "max-steps": ("combine", dict(COMBINE_INTERP, integrator={"step": "BIG"})),
     "trotter-n": ("trotter", dict(TROTTER_INTERP, n_values=["BIG"])),
     "axioms-seed": ("axioms", {"learners": ["interp"], "samples": 1, "seed": "BIG"}),
 }

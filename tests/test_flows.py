@@ -463,25 +463,23 @@ def test_integrator_rejects_bad_settings():
     with pytest.raises(ParameterError):
         IntegratorConfig(step=math.inf)
     with pytest.raises(ParameterError):
-        IntegratorConfig(max_steps=5.5)
-    for setting in ("step", "max_steps"):
-        with pytest.raises(ParameterError):
-            IntegratorConfig(**{setting: True})
-    # RK4 is the one stepper; the limit's tolerance and time cap are constants
-    for setting in ("scheme", "t_max", "limit_tol"):
+        IntegratorConfig(step=True)
+    # RK4 is the one stepper; the limit's tolerance, time cap and the step
+    # budget are constants
+    for setting in ("scheme", "t_max", "limit_tol", "max_steps"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
             IntegratorConfig(**{setting: 1.0})
 
 
-def test_no_limit_error_for_drifting_field():
+def test_no_limit_error_for_drifting_field(monkeypatch):
     drift = VectorFieldHandle(
         "drift",
         ("gaussian",),
         lambda b: TangentVector(b, np.array([1.0, 0.0])),
     )
-    cfg = IntegratorConfig(step=0.1, max_steps=500)
-    with pytest.raises(NoLimitError):
-        integrate(drift, GaussianBelief(0.0, 1.0), math.inf, cfg)
+    monkeypatch.setattr(flows, "_MAX_STEPS", 500)
+    with pytest.raises(NoLimitError, match="within 500 steps"):
+        integrate(drift, GaussianBelief(0.0, 1.0), math.inf, IntegratorConfig(step=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +577,14 @@ def test_trotter_commuting_is_exact():
 
 @pytest.mark.parametrize("n", [10**9, (6_000_000, 5_000_000, 6_000_000)])
 def test_trotter_rounds_over_the_budget_raise_before_any_round(n):
-    # the budget is IntegratorConfig().max_steps rounds over the distinct counts
+    # the budget is flows._MAX_STEPS rounds over the distinct counts
     def no_round(*args):
         raise AssertionError("a round ran")
 
     learner = dataclasses.replace(get_learner("interp"), make_flow=no_round, coord_flow=no_round)
     p = tri()
     a, b = p.event(["a", "b"]), p.event(["b", "c"])
-    with pytest.raises(StepBudgetError, match=f"more than max_steps={IntegratorConfig().max_steps}"):
+    with pytest.raises(StepBudgetError, match=f"more than max_steps={flows._MAX_STEPS}"):
         trotter_interleave(learner, a, b, 1.5, n, p)
 
 
@@ -627,9 +625,10 @@ def _mixed_field():
     return field, p
 
 
-def test_kernel_matches_object_path_at_finite_time():
+def test_kernel_matches_object_path_at_finite_time(monkeypatch):
     field, p = _mixed_field()
-    cfg = IntegratorConfig(step=2.0 ** -7, max_steps=192)  # 1.5 = 192 whole steps
+    monkeypatch.setattr(flows, "_MAX_STEPS", 192)
+    cfg = IntegratorConfig(step=2.0 ** -7)  # 1.5 = 192 whole steps, the whole budget
     ref = p
     for _ in range(192):
         ref = _object_rk4(field, ref, cfg.step)
@@ -692,7 +691,7 @@ def test_finite_integration_builds_few_simplexes(monkeypatch):
     assert len(built) <= 3
 
 
-def test_finite_integration_honours_max_steps():
+def test_finite_integration_honours_max_steps(monkeypatch):
     evals = []
     drift = VectorFieldHandle(
         "drift",
@@ -700,16 +699,50 @@ def test_finite_integration_honours_max_steps():
         lambda b: evals.append(b) or TangentVector(b, np.array([1.0, 0.0])),
     )
     g = GaussianBelief(0.0, 1.0)
-    with pytest.raises(StepBudgetError, match="max_steps"):
-        integrate(drift, g, 1.0, IntegratorConfig(step=1e-9, max_steps=5))
+    monkeypatch.setattr(flows, "_MAX_STEPS", 5)
+    with pytest.raises(StepBudgetError, match="max_steps=5 steps"):
+        integrate(drift, g, 1.0, IntegratorConfig(step=1e-9))
     assert not evals  # rejected before the first step
     # the budget spans every sample interval: 4 x 25 steps, each under 60
-    cfg = IntegratorConfig(step=0.01, max_steps=60)
-    with pytest.raises(StepBudgetError, match="max_steps"):
+    cfg = IntegratorConfig(step=0.01)
+    monkeypatch.setattr(flows, "_MAX_STEPS", 60)
+    with pytest.raises(StepBudgetError, match="max_steps=60 steps"):
         integrate_sampled(drift, g, 1.0, cfg, step_out=0.25)
     assert not evals
-    final, _ = integrate_sampled(drift, g, 1.0, IntegratorConfig(step=0.01, max_steps=110), step_out=0.25)
+    monkeypatch.setattr(flows, "_MAX_STEPS", 110)
+    final, _ = integrate_sampled(drift, g, 1.0, cfg, step_out=0.25)
     assert final.mean == pytest.approx(1.0)
+
+
+def test_one_step_budget_bounds_every_path(monkeypatch):
+    # flows._MAX_STEPS is the one budget: lowered to 20, each bounded path refuses
+    monkeypatch.setattr(flows, "_MAX_STEPS", 20)
+    p, interp = tri(), get_learner("interp")
+    exact, _, _ = _tilt_on_tri("exact")
+    stepped = VectorFieldHandle(exact.label, None, exact.eval_at)
+    # a sampled record: six rows of four numbers
+    with pytest.raises(StepBudgetError, match="^t=1 sampled every 0.2 records more than max_steps=20 numbers$"):
+        integrate_sampled(exact, p, 1.0, step_out=0.2)
+    # finite-time RK4 steps: 100 steps of 0.01
+    with pytest.raises(StepBudgetError, match="^t=1 takes more than max_steps=20 steps of 0.01$"):
+        integrate(stepped, p, 1.0, IntegratorConfig(step=0.01))
+    # the cap of a run to the limit
+    drift = VectorFieldHandle("drift", ("gaussian",), lambda b: TangentVector(b, np.array([1.0, 0.0])))
+    with pytest.raises(NoLimitError, match="within 20 steps"):
+        integrate(drift, GaussianBelief(0.0, 1.0), math.inf, IntegratorConfig(step=0.1))
+    # the tilt flow of overlapping events, steps of at most 2 / W = 1: its
+    # tries at t = 20, and its steps up front at t = 21, whatever the config
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    tilt = combine_fields([derivative_field(interp, a), derivative_field(interp, b)])
+    with pytest.raises(StepBudgetError, match="^t=20 takes more than max_steps=20 steps$"):
+        integrate(tilt, p, 20.0, IntegratorConfig(step=1e-6))
+    with pytest.raises(StepBudgetError, match="^t=21 takes more than max_steps=20 steps of at most 1$"):
+        integrate(tilt, p, 21.0)
+    # interleaving rounds over the distinct counts, and the trotter reference's check
+    assert len(trotter_interleave(interp, a, b, 1.5, (8, 12, 8), p)) == 3
+    for call in (trotter_interleave, flows._trotter_errors):
+        with pytest.raises(StepBudgetError, match="^interleaving takes 21 rounds, more than max_steps=20$"):
+            call(interp, a, b, 1.5, (8, 13), p)
 
 
 # ---------------------------------------------------------------------------
@@ -1557,7 +1590,7 @@ def test_tilt_steps_are_bounded_and_rejected_outside_the_domain(monkeypatch):
     with pytest.raises(DomainError, match="the flow leaves its domain at t=0"):
         run((1.0,))
     assert 6 * 400 < len(calls) < 6 * 500
-    monkeypatch.setattr(flows, "IntegratorConfig", lambda: IntegratorConfig(max_steps=50))
+    monkeypatch.setattr(flows, "_MAX_STEPS", 50)
     with pytest.raises(StepBudgetError, match="t=1 takes more than max_steps=50 steps$"):
         run((1.0,))
     assert len(calls) == 1 + 6 * 50
@@ -1749,10 +1782,11 @@ def test_exact_run_coerces_no_time_per_row(monkeypatch):
     assert counts[0] == counts[1] == counts[2] <= 2
 
 
-def test_exact_scheme_bounds_its_rows_not_its_steps():
+def test_exact_scheme_bounds_its_rows_not_its_steps(monkeypatch):
     # rows of four numbers (t and three coordinates) against 20 numbers
     field, _, p = _tilt_on_tri("exact")
-    cfg = IntegratorConfig(step=1e-9, max_steps=20)
+    monkeypatch.setattr(flows, "_MAX_STEPS", 20)
+    cfg = IntegratorConfig(step=1e-9)
     with pytest.raises(StepBudgetError, match="max_steps=20 numbers"):
         integrate_sampled(field, p, 1.0, cfg, step_out=0.2)  # six rows
     _, record = integrate_sampled(field, p, 1.0, cfg, step_out=0.25)  # five rows, no steps
@@ -1764,5 +1798,5 @@ def test_exact_scheme_bounds_its_rows_not_its_steps():
     evals = []
     counted = VectorFieldHandle(field.label, None, lambda b: evals.append(b) or field.eval_at(b))
     with pytest.raises(StepBudgetError, match="max_steps=20 numbers"):
-        integrate_sampled(counted, p, 1.0, IntegratorConfig(step=0.25, max_steps=20), step_out=0.2)
+        integrate_sampled(counted, p, 1.0, IntegratorConfig(step=0.25), step_out=0.2)
     assert not evals
