@@ -83,9 +83,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str):
+def _need(cfg: dict, key: str, name: str = "config"):
     if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} field")
+        raise ConfigError(f"{name} is missing the {key!r} field")
     return cfg[key]
 
 
@@ -179,9 +179,9 @@ def _learner_of(lid: str, params: dict) -> Learner:
         if base_id in _PARAMS:  # else get_learner names the unknown id
             _check_keys("learner_params", params, _PARAMS[base_id])
         if base_id == "bayes" and "model" in params:
-            spec = params["model"]
-            _check_keys("model", spec, [f.name for f in dataclasses.fields(BayesModel)])
-            params = {**params, "model": BayesModel(spec["hypotheses"], spec["likelihood"])}
+            spec, keys = params["model"], [f.name for f in dataclasses.fields(BayesModel)]
+            _check_keys("model", spec, keys)
+            params = {**params, "model": BayesModel(*(_need(spec, key, "model") for key in keys))}
         learner = get_learner(base_id, **params)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad learner configuration: {exc}") from exc

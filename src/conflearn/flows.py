@@ -54,8 +54,11 @@ Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one
 float additive time per row; ``trotter_interleave`` walks every round count
 of a call as one row of one array, projects each update as the exact flow
-does (``_row_projection``) and builds one belief per count.  Learners with no
-coordinate flow (``ds``) compose their flows on belief objects.
+does (``_row_projection``) and builds one belief per count.  A learner with
+a walk of its own (``Learner.interleave``) takes that instead: interp's
+state stays p(0) g(cell) / Z over the four cells its two events cut, so its
+walk runs on four masses in plain floats.  Learners with no coordinate flow
+(``ds``) compose their flows on belief objects.
 
 ``metric_gradient`` (Fisher on a simplex, or euclidean) lets callers verify
 that a learner's update direction is metric gradient ascent on its Bel.
@@ -68,6 +71,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
@@ -471,7 +475,8 @@ class IntegratorConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.step, bool) or not 0 < self.step < math.inf:
+        # the type first: "x" < 0 would raise a TypeError that names no setting
+        if not isinstance(self.step, numbers.Real) or isinstance(self.step, bool) or not 0 < self.step < math.inf:
             raise ParameterError("step must be positive and finite")
 
 
@@ -796,12 +801,15 @@ def trotter_interleave(
     the error) of that count alone, and the first count that fails alone
     raises its error.  Distinct counts that sum to more than ``_MAX_STEPS``
     rounds raise :class:`StepBudgetError` before any round.  A learner with
-    a coordinate flow (``coord_flow`` of one term) on a belief with
-    coordinates walks every distinct count at once, as one row of a
+    its own walk (``Learner.interleave``) on a belief of its kind takes it:
+    interp walks the masses of the four cells its two events cut, in plain
+    floats, which agrees with composing its flows within round-off.  Else a
+    learner with a coordinate flow (``coord_flow`` of one term) on a belief
+    with coordinates walks every distinct count at once, as one row of a
     coordinate array: both flows are bound to the rows' slices, each update
     gets the projection and checks of a belief object, and row n leaves the
-    walk after n rounds as one belief.  Other learners compose
-    ``make_flow`` on belief objects, once per count.
+    walk after n rounds as one belief, with the bits of composing the flows.
+    Other learners compose ``make_flow`` on belief objects, once per count.
     """
     single = np.ndim(n) == 0
     counts = (n,) if single else tuple(n)
@@ -867,8 +875,11 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
     if math.isinf(t):
         raise ParameterError("interleaving needs a finite total commitment")
     rows = sorted(set(counts))
-    ends = {}
     kind = _kind_of(theta0)
+    if learner.interleave is not None and kind is not None and kind.name == learner.belief_kind:
+        ends = dict(zip(rows, learner.interleave(phis, [(int(n), t / n) for n in rows], theta0)))
+        return tuple(ends[n] for n in counts)
+    ends = {}
     if learner.coord_flow is None or kind is None or kind.coords is None:
         if learner.make_flow is None:
             raise UnsupportedError(f"learner {learner.id!r} registers no additive form")

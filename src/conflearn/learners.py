@@ -34,10 +34,10 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
-    Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -137,6 +137,15 @@ class Learner:
     # those bits.
     coord_flow: Optional[
         Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
+    ] = None
+    # interleave(phis, slices, belief) is flows.trotter_interleave on a belief
+    # of belief_kind, as a walk of the learner's own: for each (n, dt) of
+    # slices, the state after n rounds of one update on each of the two
+    # phis in turn at the float additive time dt > 0, or the belief itself
+    # where dt is 0 (after the observations' checks).  It raises if any
+    # entry fails.  A learner without one walks its coord_flow's rows.
+    interleave: Optional[
+        Callable[[Sequence[Any], Sequence[Tuple[int, float]], Any], Sequence[Any]]
     ] = None
     # closed_field(terms) is the derivative field of the weighted parallel
     # observation terms = ((phi, w), ...), given in label order: the field of
@@ -349,6 +358,50 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
     return _interp_map(cells, [_to_frac(total * t) for t in ts], labels)
 
 
+def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, float]],
+                       p: FiniteSimplex) -> list:
+    """``Learner.interleave`` for interp: for each (n, dt) of ``slices``, n
+    rounds of interp_observe on each of the two events in turn at weight
+    1 - e^(-dt).  Each update scales a world by a factor that depends only
+    on whether the event holds it, so the state stays p * g(cell) / Z over
+    the four cells the events cut (a and b, a only, b only, neither)
+    (Trotter 1959).  The walk runs on their masses q in plain floats,
+    renormalized after each update, and world i ends at p_i * q_s / q0_s for
+    its cell s (0 where q0_s is 0).  An event of mass at most MASS_EPS
+    raises ZeroMassEventError, as conditioning on it does."""
+    a, b = events
+    if a.labels != p.labels or b.labels != p.labels:
+        raise ParameterError("event over a different world set")
+    # each world's cell: 0 both, 1 a only, 2 b only, 3 neither
+    cell = [3 - 2 * (a.mask >> i & 1) - (b.mask >> i & 1) for i in range(len(p.labels))]
+    q0 = [0.0] * 4
+    for s, x in zip(cell, p.probs.tolist()):
+        q0[s] += x
+    states = []
+    for n, dt in slices:
+        if dt == 0.0:  # an underflowing slice is the identity
+            states.append(p)
+            continue
+        alpha = _to_frac(dt)
+        keep = 1.0 - alpha  # 0 where alpha rounds to 1: the update conditions outright
+        # x1, x2 are the cells the next event holds, x3, x4 those it does not
+        x1, x2, x3, x4 = q0
+        for _ in range(n):
+            for e in events:
+                m = x1 + x2
+                if m <= MASS_EPS:
+                    raise ZeroMassEventError(f"cannot condition on {e!r} with mass {m:.3g}")
+                up = keep + alpha / m
+                x1, x2, x3, x4 = x1 * up, x2 * up, x3 * keep, x4 * keep
+                total = x1 + x2 + x3 + x4
+                # renormalized, and seen from the other event: "a only" and
+                # "b only" trade places; after a round a's view is back
+                x1, x2, x3, x4 = x1 / total, x3 / total, x2 / total, x4 / total
+        ratio = np.array([x / x0 if x0 > 0.0 else 0.0 for x, x0 in zip((x1, x2, x3, x4), q0)])
+        states.append(p.with_probs(p.probs * ratio[cell]))
+    return states
+
+
 # the tilt flow's steps are at most this over the summed weight W: a world no
 # event holds decays as e^(-W t), and DP5(4) is stable on it below about 3.3
 _TILT_RATE = 2.0
@@ -436,6 +489,7 @@ def _interp_learner() -> Learner:
         bel_top=lambda a, p: 0.0,
         translate=_frac_translate,
         coord_flow=_interp_coord_flow,
+        interleave=_interp_interleave,
         sweep=partial(_row_sweep, interp_observe, rows),
         closed_field=_interp_field,
         lb_metric="fisher",
@@ -620,7 +674,8 @@ def _kalman_learner() -> Learner:
 _HALF_MAX = 0.5 * sys.float_info.max
 
 
-class _Penalty(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Penalty:
     """A penalty vector u over the worlds ``labels``: the update at additive
     time t reweights a simplex by exp(-t u).
 
@@ -628,7 +683,9 @@ class _Penalty(NamedTuple):
     entries, or is None when all are finite, so finite penalties skip that
     work.  At top the update keeps the supported worlds of least ``rank``
     (bayes ranks by -likelihood, whose ties are finer than its log's).
-    ``what`` names the observation in errors.
+    ``what`` names the observation in errors.  ``largest`` is max |u| over
+    the possible worlds (0 if there are none), computed once, when the
+    penalty is built.
     """
 
     labels: Tuple[str, ...]
@@ -637,16 +694,16 @@ class _Penalty(NamedTuple):
     possible: Optional[np.ndarray]
     what: str
 
+    def __post_init__(self):
+        # not a field: replace() builds it again for the new u
+        u = self.u if self.possible is None else self.u[self.possible]
+        object.__setattr__(self, "largest", max(map(abs, u.tolist()), default=0.0))
+
 
 def _check_worlds(pen: _Penalty, labels: Tuple[str, ...]) -> _Penalty:
     if pen.labels != labels:
         raise ParameterError(f"prior is not over the worlds of {pen.what}")
     return pen
-
-
-def _largest_penalty(pen: _Penalty) -> float:
-    """max |u| over the possible worlds (0 if there are none)."""
-    return max(map(abs, (pen.u if pen.possible is None else pen.u[pen.possible]).tolist()), default=0.0)
 
 
 def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
@@ -664,7 +721,7 @@ def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
     # within half the float range neither b * u nor the shift by logw.max()
     # can overflow (Python floats overflow silently); a row past it may
     # shift, once its support is known
-    wide = not max(bs) * _largest_penalty(pen) <= _HALF_MAX
+    wide = not max(bs) * pen.largest <= _HALF_MAX
     return partial(_gibbs_step, pen, _rows(bs), wide, top)
 
 
@@ -748,7 +805,7 @@ def _sum_penalties(terms: Sequence[Tuple[_Penalty, float]]) -> _Penalty:
         for term, w in terms:
             u = w * term.u if u is None else u + w * term.u
     if len(terms) == 1:
-        return pen._replace(u=u)
+        return replace(pen, u=u)
     masks = [term.possible for term, _ in terms if term.possible is not None]
     possible = np.logical_and.reduce(masks) if masks else None
     return _Penalty(pen.labels, u, u, possible, "the sum of the observations")
@@ -761,7 +818,7 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
     u, possible = summed.u, summed.possible
     # past half the float range c @ u - u overflows where c is 0 (and 0 * inf
     # is NaN), so such a field multiplies by c before it subtracts
-    largest = _largest_penalty(summed)
+    largest = summed.largest
     wide = largest > _HALF_MAX
 
     def bind(space: tuple):
@@ -809,15 +866,15 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
             if not pen.possible[supp].all():
                 return -math.inf
             u = np.where(supp, u, 0.0)
-        return -float(_expectation(p.probs, u, _largest_penalty(pen)))  # the bits of the sweep's rows
+        return -float(_expectation(p.probs, u, pen.largest))  # the bits of the sweep's rows
 
     def rows(phi, grid, p: FiniteSimplex):
         pen = penalty(phi)
         coords = _simplex_rows(partial(_gibbs_map, pen), _ADD, grid, p)
         if pen.possible is None:
-            return coords, (-_expectation(coords, pen.u, _largest_penalty(pen))).tolist()
+            return coords, (-_expectation(coords, pen.u, pen.largest)).tolist()
         supp = coords > 0.0  # as bel: mass on a ruled-out world gives -inf
-        dots = -_expectation(coords, np.where(supp & pen.possible, pen.u, 0.0), _largest_penalty(pen))
+        dots = -_expectation(coords, np.where(supp & pen.possible, pen.u, 0.0), pen.largest)
         return coords, np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf).tolist()
 
     def bel_top(phi, p: FiniteSimplex) -> float:
@@ -874,8 +931,20 @@ def _boltzmann_learner() -> Learner:
         vals[idx] = 0.0  # constant on the support, so Bel is already maximal
         return RandomVariable(p.labels, vals), p
 
+    last = (None, None)
+
+    def penalty(v: RandomVariable) -> _Penalty:
+        # callers ask for one variable's penalty many times in a row (a law
+        # check's grid): it and its bound are built once per variable
+        nonlocal last
+        seen, pen = last
+        if seen is not v:
+            pen = _boltzmann_penalty(v)
+            last = (v, pen)
+        return pen
+
     return _gibbs_learner(
-        _boltzmann_penalty,
+        penalty,
         id="boltzmann",
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,

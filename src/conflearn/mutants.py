@@ -45,6 +45,7 @@ def _interp_mutant(mutant_id: str, observe) -> Learner:
         translate=None,
         make_flow=None,
         coord_flow=None,
+        interleave=None,
         closed_field=None,
         path_velocity=None,
         lb_metric=None,

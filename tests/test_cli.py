@@ -647,6 +647,28 @@ def test_combine_bad_integrator_setting_exits_2(tmp_path, capsys, integrator, t)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("step", ["x", None, [1], {"a": 1}], ids=repr)
+def test_combine_non_number_step_names_the_setting(tmp_path, capsys, step):
+    # the type is checked before the bounds: no comparison TypeError text
+    cfg = dict(COMBINE_INTERP, integrator={"step": step})
+    assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == "config error: bad integrator settings: step must be positive and finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, key", [
+    ({"hypotheses": ["h1", "h2"]}, "likelihood"),
+    ({"likelihood": {"e": [0.5, 1.0]}}, "hypotheses"),
+    ({}, "hypotheses"),
+])
+def test_learn_bayes_model_missing_a_field_names_it(tmp_path, capsys, model, key):
+    # in the top level's wording, not the bare KeyError text
+    cfg = dict(BAYES_LEARN, learner_params={"model": model})
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == f"config error: model is missing the {key!r} field\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_combine_bare_string_event_exits_2(tmp_path):
     cfg = dict(COMBINE_INTERP, observations=[{"event": "ab"}])
     assert run_cli(tmp_path, "combine", cfg, "--quiet") == 2

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -464,6 +465,9 @@ def test_integrator_rejects_bad_settings():
         IntegratorConfig(step=math.inf)
     with pytest.raises(ParameterError):
         IntegratorConfig(step=True)
+    for step in ("x", None, [1]):  # refused by type, before any comparison
+        with pytest.raises(ParameterError, match="^step must be positive and finite$"):
+            IntegratorConfig(step=step)
     # RK4 is the one stepper; the limit's tolerance, time cap and the step
     # budget are constants
     for setting in ("scheme", "t_max", "limit_tol", "max_steps"):
@@ -545,7 +549,8 @@ def test_trotter_single_round_is_sequential():
     flow_a = learner.make_flow(a)
     flow_b = learner.make_flow(b)
     direct = flow_b(1.5, flow_a(1.5, p))
-    assert belief_distance(trotter_interleave(learner, a, b, 1.5, 1, p), direct) == 0.0
+    # the interp walk runs on cell masses: within round-off of the flows' bits
+    assert np.abs(trotter_interleave(learner, a, b, 1.5, 1, p).probs - direct.probs).max() <= 1e-14
 
 
 def test_trotter_error_halves():
@@ -781,6 +786,24 @@ def _outcome(run):
         return type(exc)
 
 
+def _probs_or_type(run):
+    """The probabilities of each state, or the error's type."""
+    try:
+        return [np.asarray(s.probs) for s in run()]
+    except Exception as exc:
+        return type(exc)
+
+
+def _assert_close_outcomes(got, expect, tol=1e-14):
+    """The interp walk runs on cell masses, not on the object path's per-world
+    vectors: the same error type, or states within tol of each other."""
+    if isinstance(got, type) or isinstance(expect, type):
+        assert got == expect
+        return
+    assert len(got) == len(expect)
+    assert max(float(np.abs(g - e).max()) for g, e in zip(got, expect)) <= tol
+
+
 @pytest.mark.parametrize("n", [1, 7, 256])
 def test_trotter_kernel_matches_object_path(n):
     rng = np.random.default_rng(n)
@@ -806,6 +829,12 @@ def test_trotter_kernel_matches_object_path(n):
                     theta = flow2(chi / n, flow1(chi / n, theta))
                 return theta
 
+            if learner is interp:
+                _assert_close_outcomes(
+                    _probs_or_type(lambda: [trotter_interleave(learner, *phis, chi, n, p)]),
+                    _probs_or_type(lambda: [composed()]),
+                )
+                continue
             expect = _outcome(composed)
             assert _outcome(lambda: trotter_interleave(learner, *phis, chi, n, p)) == expect
 
@@ -836,14 +865,11 @@ def test_trotter_builds_one_simplex(monkeypatch):
     assert len(built) <= len(counts) + 2
 
 
-@pytest.mark.parametrize("lid, phis", [
-    ("interp", (EventSet(("a", "b", "c"), 0b011), EventSet(("a", "b", "c"), 0b110))),
-    ("boltzmann", (RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5])),
-                   RandomVariable(("a", "b", "c"), np.array([-0.3, 0.7, 0.2])))),
-])
-def test_trotter_walks_every_count_in_one_pass(lid, phis):
+def test_trotter_walks_every_count_in_one_pass():
     # one walk steps max(n) rounds of two updates, however many counts it serves
-    learner = get_learner(lid)
+    phis = (RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5])),
+            RandomVariable(("a", "b", "c"), np.array([-0.3, 0.7, 0.2])))
+    learner = get_learner("boltzmann")
     steps = []
 
     def coord_flow(terms, ts, labels):
@@ -859,6 +885,98 @@ def test_trotter_walks_every_count_in_one_pass(lid, phis):
     assert [s.probs.tobytes() for s in states] == [
         trotter_interleave(learner, *phis, 1.2, n, p).probs.tobytes() for n in counts
     ]
+
+
+def test_interp_trotter_walks_cell_masses_and_builds_one_simplex_per_count(monkeypatch):
+    # interp interleaves through its own walk: no coordinate flow is bound
+    # or stepped, and each distinct count builds one simplex, the end state
+    interp = get_learner("interp")
+    calls = []
+
+    def coord_flow(terms, ts, labels):
+        calls.append(ts)
+        return interp.coord_flow(terms, ts, labels)
+
+    counting = dataclasses.replace(interp, coord_flow=coord_flow, make_flow=None)
+    p = FiniteSimplex(("a", "b", "c", "d"), np.array([0.5, 0.2, 0.2, 0.1]))
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    counts = (40, 7, 13, 7, 1)
+    built = _count_simplexes(monkeypatch)
+    states = trotter_interleave(counting, a, b, 1.2, counts, p)
+    assert not calls
+    assert len(built) == len(set(counts))
+    assert [s.probs.tobytes() for s in states] == [
+        trotter_interleave(interp, a, b, 1.2, n, p).probs.tobytes() for n in counts
+    ]
+
+
+def test_interp_mutants_keep_the_object_path():
+    # a mutant's corrupted observe has no flow: it must not reach the honest
+    # interp walk, and interleaving it is unsupported, as before the walk
+    p = tri()
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    for mutant in get_mutants():
+        if mutant.id == "mutant-lb-euclid":  # a boltzmann copy with a make_flow
+            continue
+        assert mutant.interleave is None
+        with pytest.raises(UnsupportedError, match="registers no additive form"):
+            trotter_interleave(mutant, a, b, 1.5, (1, 8), p)
+
+
+def test_interp_slices_that_underflow_are_the_identity():
+    # 1e-323 / 4 underflows to 0: no update runs, so an event of no mass is
+    # never conditioned on, though one round (a slice of 1e-323) is; the
+    # events' worlds are still checked
+    interp, p = get_learner("interp"), tri()
+    a, empty = p.event(["a"]), EventSet(p.labels, 0)
+    assert trotter_interleave(interp, a, empty, 1e-323, 4, p) is p
+    with pytest.raises(ZeroMassEventError, match="with mass 0"):
+        trotter_interleave(interp, a, empty, 1e-323, 1, p)
+    with pytest.raises(ParameterError, match="event over a different world set"):
+        trotter_interleave(interp, a, EventSet(("x", "y", "z"), 1), 1e-323, 4, p)
+
+
+def _fraction_cell_walk(p, a, b, chi, n, bits=200):
+    """The interp cell walk in Fraction arithmetic from the same float weight:
+    each update scales the cells a (or b) holds by (1 - alpha) + alpha / m
+    and the others by 1 - alpha, then renormalizes.  Exact fractions double
+    their size at every update, so each cell is rounded to 2^-bits after one,
+    far below the float walk's round-off."""
+    alpha = Fraction(-math.expm1(-chi / n))
+    keep, unit = 1 - alpha, 2**bits
+    worlds = [((a.mask >> i) & 1, (b.mask >> i) & 1) for i in range(len(p.labels))]
+    q0 = {}
+    for cell, x in zip(worlds, p.probs.tolist()):
+        q0[cell] = q0.get(cell, 0) + Fraction(x)
+    q = dict(q0)
+    for _ in range(n):
+        for j in (0, 1):
+            m = sum(x for cell, x in q.items() if cell[j])
+            q = {cell: x * (keep + alpha / m if cell[j] else keep) for cell, x in q.items()}
+            total = sum(q.values())
+            q = {cell: Fraction(round(x / total * unit), unit) for cell, x in q.items()}
+    w = [Fraction(x) * q[cell] / q0[cell] if q0[cell] else Fraction(0) for cell, x in zip(worlds, p.probs.tolist())]
+    return np.array([float(x / sum(w)) for x in w])
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 4096])
+def test_interp_cell_walk_matches_a_fraction_walk(n):
+    # the float walk stays within 1e-13 of the same walk in exact fractions
+    # (rounded far below a float's ulp), world by world
+    rng = np.random.default_rng(n)
+    interp = get_learner("interp")
+    for _ in range(3 if n > 64 else 12):
+        k = int(rng.integers(2, 7))
+        labels = tuple("abcdef"[:k])
+        probs = rng.dirichlet(np.ones(k))
+        probs[int(rng.integers(k))] *= rng.integers(2)  # a world without mass, or not
+        p = FiniteSimplex(labels, probs)
+        a, b = (p.event([x for i, x in enumerate(labels) if m >> i & 1]) for m in rng.integers(1, 2**k, 2))
+        if min(p.prob(a), p.prob(b)) <= 0.01:
+            continue
+        chi = float(rng.uniform(0.2, 3.0))
+        got = trotter_interleave(interp, a, b, chi, n, p).probs
+        assert np.abs(got - _fraction_cell_walk(p, a, b, chi, n)).max() <= 1e-13
 
 
 def test_max_graded_trotter_walks_rows_with_the_bits_of_its_flows():
@@ -980,10 +1098,11 @@ _MASSES = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
 )
 def test_trotter_counts_match_the_object_path_one_by_one(lid, probs, data, chi, counts):
-    # one walk for all counts equals the per-count loop of the object path,
-    # state by state, or raises the first failing count's error; slices of
-    # 1e-323 underflow to 0 from n = 4 on, and slices past about 37 give
-    # the interpolation weight 1
+    # one walk for all counts equals a call per count, state by state, or
+    # raises the first failing count's error; each count equals the loop of
+    # the object path (bit for bit; for interp's cell walk, within 1e-14 or
+    # with the same error type); slices of 1e-323 underflow to 0 from n = 4
+    # on, and slices past about 37 give the interpolation weight 1
     k = len(probs)
     labels = tuple("abcdef"[:k])
     if not any(probs):
@@ -1014,9 +1133,15 @@ def test_trotter_counts_match_the_object_path_one_by_one(lid, probs, data, chi, 
                 theta = refs[1](chi / n, refs[0](chi / n, theta))
             yield theta
 
-    expect = _outcomes(lambda: list(per_count()))
-    assert _outcomes(lambda: trotter_interleave(learner, *phis, chi, counts, p)) == expect
-    assert _outcomes(lambda: [trotter_interleave(learner, *phis, chi, n, p) for n in counts]) == expect
+    one_by_one = _outcomes(lambda: [trotter_interleave(learner, *phis, chi, n, p) for n in counts])
+    assert _outcomes(lambda: trotter_interleave(learner, *phis, chi, counts, p)) == one_by_one
+    if lid == "interp":  # the cell walk: within round-off of the object path
+        _assert_close_outcomes(
+            _probs_or_type(lambda: [trotter_interleave(learner, *phis, chi, n, p) for n in counts]),
+            _probs_or_type(lambda: list(per_count())),
+        )
+    else:
+        assert one_by_one == _outcomes(lambda: list(per_count()))
 
 
 # ---------------------------------------------------------------------------
