@@ -363,10 +363,13 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     search = dom.is_scalar_continuum and learner.bel is not None
     n = min(cfg.samples, 12)
     for phi, theta in _instances(learner, chk.rng, n):
+        states = [None] * len(grid)  # observed once each, at first use
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
-                s_lo = learner.observe(phi, grid[i], theta)
-                s_hi = learner.observe(phi, grid[j], theta)
+                for k in (i, j):
+                    if states[k] is None:
+                        states[k] = learner.observe(phi, grid[k], theta)
+                s_lo, s_hi = states[i], states[j]
                 if grid[j].is_top or not search:
                     delta = dom.residual(grid[i], grid[j])
                     if delta is None:

@@ -39,6 +39,7 @@ from .confidence import ConfidenceValue, confidence_from_json, confidence_to_jso
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
 from .flows import (
     IntegratorConfig,
+    _check_kind,
     _csv_text,
     _json_text,
     _trotter_errors,
@@ -205,11 +206,10 @@ def _learner_and_belief(cfg: dict) -> Tuple[Learner, object]:
         raise ConfigError(f"bad belief: missing field {exc}") from exc
     except (ConfLearnError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad belief: {exc}") from exc
-    kind = _kind_of(belief).name
-    if learner.belief_kind is not None and kind != learner.belief_kind:
-        raise ConfigError(
-            f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind}"
-        )
+    try:
+        _check_kind(learner, belief)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return learner, belief
 
 

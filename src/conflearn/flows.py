@@ -135,6 +135,15 @@ def _coord_kind(theta):
     return kind
 
 
+def _check_kind(learner: Learner, theta) -> None:
+    """Refuse a belief of another kind than the one the learner updates."""
+    kind = _kind_of(theta)
+    if kind is not None and learner.belief_kind not in (None, kind.name):
+        raise ParameterError(
+            f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind.name}"
+        )
+
+
 def belief_coords(theta) -> np.ndarray:
     """Flatten a belief state into the coordinate vector fields act on."""
     return _coord_kind(theta).coords(theta)
@@ -891,6 +900,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
                     theta = flow(dt, theta)
             ends[n] = theta
         return tuple(ends[n] for n in counts)
+    _check_kind(learner, theta0)
     labels, dts = kind.labels(theta0), [t / n for n in rows]
     # the slices shrink as n grows: rows whose slice underflows to 0 are the
     # identity, and binding them only makes the observations' checks

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -66,7 +67,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _dormand_prince, _first_failure, _forward_stencil, belief_coords, belief_rebuild, coord_labels
+from .flows import _check_kind, _dormand_prince, _first_failure, _forward_stencil, belief_coords, belief_rebuild, coord_labels
 
 __all__ = [
     "Learner",
@@ -179,16 +180,19 @@ class Learner:
 
     def __post_init__(self):
         if self.make_flow is None and self.coord_flow is not None:
-            object.__setattr__(self, "make_flow", partial(_coord_make_flow, self.coord_flow))
+            object.__setattr__(self, "make_flow", partial(_coord_make_flow, self))
 
     def __repr__(self) -> str:
         return f"Learner({self.id!r}, domain={self.domain.id!r})"
 
 
-def _coord_make_flow(coord_flow, phi) -> Callable[[Any, Any], Any]:
-    """make_flow(phi) as coord_flow defines it, on the belief's coordinates."""
+def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
+    """make_flow(phi) as the learner's coord_flow defines it, on the
+    coordinates of a belief of its kind."""
+    coord_flow = learner.coord_flow
 
     def flow(t, theta):
+        _check_kind(learner, theta)
         step = coord_flow(((phi, 1.0),), (_ADD.to_float(_ADD.coerce(t)),), coord_labels(theta))
         return theta if step is None else belief_rebuild(theta, step(belief_coords(theta)))
 
@@ -1290,8 +1294,9 @@ def train_limit(
     softmax(z) minus the one-hot label and z = Wx + b are the logits.  So,
     with eta = ``_ETA``, the logits move by -eta (|x|^2 + 1) err, and after n
     steps theta is theta0 - eta (S (x) x, S) with S the sum of the n errors.
-    The loop iterates the k logits as floats (two classes as scalars, k as
-    lists) and builds theta once, at the end.
+    The loop iterates the k logits as floats (k as lists in _logit_walk, the
+    reference; two classes as scalars in _logit_walk_2, which gives its bits
+    with fewer operations per step) and builds theta once, at the end.
 
     The stop rule is max|delta theta| < ``_CONV_TOL``, evaluated as
     eta * (max|err| * max(1, max|x|)): float rounding is monotone, so this
@@ -1336,27 +1341,60 @@ def _logit_walk(z0, y, gain, eta, xmax, tol, max_steps):
 
 
 def _logit_walk_2(z0, y, gain, eta, xmax, tol, max_steps):
-    """_logit_walk for two classes on scalars: the same float operations in
-    the same order, so the same bits."""
-    a0, a1 = z0
-    v0, v1, s0, s1 = a0, a1, 0.0, 0.0
-    exp, log, isfinite = math.exp, math.log, math.isfinite
+    """_logit_walk for two classes: its floats, stop step and errors, on the
+    logits u of class y and w of the other, by four identities exact in IEEE
+    doubles.  The higher logit shifted is 0.0, so the shifted sum is
+    1.0 + exp(d) with d = lower - higher, and the higher probability is
+    exp(-lse); lse and exp(-lse) are kept while the sum repeats (near
+    convergence it stays 1.0); y's error is <= 0 and the other's >= 0, so the
+    stop test is -eu <= cut and ew <= cut (``_stop_cut``); and a logit is not
+    finite exactly when d is NaN or -inf and u or w is not finite."""
+    cut = _stop_cut(eta, xmax, tol)
+    au, aw = (z0[1], z0[0]) if y else (z0[0], z0[1])
+    u, w, su, sw = au, aw, 0.0, 0.0
+    exp, log, isfinite, ninf = math.exp, math.log, math.isfinite, -math.inf
+    last = lse = p_hi = 0.0  # every sum is at least 1.0
     for _ in range(max_steps):
-        m = max(v0, v1)
-        total = 0 + exp(v0 - m) + exp(v1 - m)  # sum() starts at 0
-        if not isfinite(total) or min(v0, v1) == -math.inf:
+        hi = u >= w
+        d = w - u if hi else u - w
+        if not d > ninf and not (isfinite(u) and isfinite(w)):
             raise NumericalError("non-finite logits in classifier training")
-        lse = log(total)
-        e0, e1 = exp((v0 - m) - lse), exp((v1 - m) - lse)
-        if y:
-            e1 -= 1.0
+        total = 1.0 + exp(d)
+        if total != last:
+            last, lse = total, log(total)
+            p_hi = exp(-lse)
+        if hi:
+            eu, ew = p_hi - 1.0, exp(d - lse)
         else:
-            e0 -= 1.0
-        if eta * (max(abs(e0), abs(e1)) * xmax) < tol:
-            return [s0, s1], True
-        s0, s1 = s0 + e0, s1 + e1
-        v0, v1 = a0 - gain * s0, a1 - gain * s1
-    return [s0, s1], False
+            eu, ew = exp(d - lse) - 1.0, p_hi
+        if -eu <= cut and ew <= cut:
+            return ([sw, su] if y else [su, sw]), True
+        su, sw = su + eu, sw + ew
+        u, w = au - gain * su, aw - gain * sw
+    return ([sw, su] if y else [su, sw]), False
+
+
+def _stop_cut(eta: float, xmax: float, tol: float) -> float:
+    """The largest float E >= 0 with eta * (E * xmax) < tol as rounded, or
+    -1.0 if there is none: for eta, xmax >= 0 the test is E <= cut.  Floats
+    >= 0 order as their bits, so cut is bisected over them, within two ulps
+    of tol / (eta * xmax) where that brackets it."""
+    as_float, top = struct.Struct("<d"), 0x7FF0000000000000  # the bits of inf
+
+    def stops(bits):
+        return eta * (as_float.unpack(bits.to_bytes(8, "little"))[0] * xmax) < tol
+
+    c = tol / (eta * xmax) if eta * xmax > 0.0 else 0.0
+    b = int.from_bytes(as_float.pack(c), "little") if 0.0 < c < math.inf else 0
+    lo, hi = max(b - 2, 0), min(b + 2, top)
+    if not stops(lo) or stops(hi):  # no bracket: search every float (inf never stops)
+        lo, hi = 0, top
+        if not stops(lo):
+            return -1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if stops(mid) else (lo, mid)
+    return as_float.unpack(lo.to_bytes(8, "little"))[0]
 
 
 def classifier_step_observe(

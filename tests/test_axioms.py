@@ -1,5 +1,7 @@
 """The axiom battery: built-ins pass, mutants fail, runs are reproducible."""
 
+import copy
+import dataclasses
 import json
 import sys
 
@@ -146,6 +148,33 @@ def test_l3_holds_at_every_check_seed():
     for mutant in (m for m in get_mutants() if m.id in caught):
         for seed in seeds:
             assert not check_axiom(mutant, "L3", CheckConfig(seed=seed)).passed, (mutant.id, seed)
+
+
+@pytest.mark.parametrize("learner_id", ["interp", "classifier", "kalman", "max-graded"])
+def test_l3_observes_each_grid_point_once_per_instance(learner_id):
+    # the residual and Brent steps start from observed states; every other
+    # observe call is of an instance, once per grid entry, in grid order
+    learner = get_learner(learner_id)
+    instances, states, calls = [], [], []
+
+    def sample(rng):
+        phi, theta = learner.sample_instance(rng)
+        instances.append(theta)
+        return phi, theta
+
+    def observe(phi, chi, theta):
+        if any(theta is t for t in instances):
+            calls.append((id(theta), repr(chi)))
+        states.append(copy.deepcopy(learner.observe(phi, chi, theta)))  # never an instance
+        return states[-1]
+
+    counting = dataclasses.replace(learner, observe=observe, sample_instance=sample)
+    cfg = CheckConfig(seed=0, samples=4)
+    check_axiom(counting, "L3", cfg)
+    grid = [repr(chi) for chi in axioms._grid(learner, cfg)]
+    assert len(instances) == 4 and len(grid) >= 3
+    for theta in instances:
+        assert [chi for key, chi in calls if key == id(theta)] == grid
 
 
 def test_check_config_rejects_bad_settings():

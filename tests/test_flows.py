@@ -910,6 +910,49 @@ def test_interp_trotter_walks_cell_masses_and_builds_one_simplex_per_count(monke
     ]
 
 
+_TWO = ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "lid, phis, other",
+    [
+        ("interp", (EventSet(_TWO, 1), EventSet(_TWO, 2)), GradedBeliefTable({"a": 0.2, "b": 0.5})),
+        (
+            "boltzmann",
+            (RandomVariable(_TWO, np.array([1.0, 0.0])), RandomVariable(_TWO, np.array([0.0, 1.0]))),
+            GradedBeliefTable({"a": 0.2, "b": 0.5}),
+        ),
+        ("max-graded", ("a", "b"), FiniteSimplex(_TWO, np.array([0.4, 0.6]))),
+    ],
+)
+def test_flows_refuse_a_belief_of_another_kind(lid, phis, other):
+    # a graded table's coordinate labels are its keys, so without the check
+    # interp and boltzmann would update grades as if they were probabilities
+    learner = get_learner(lid)
+    kinds = ("simplex", "graded") if lid != "max-graded" else ("graded", "simplex")
+    message = f"learner '{lid}' updates {kinds[0]} beliefs, not {kinds[1]}"
+    with pytest.raises(ParameterError, match=message):
+        learner.make_flow(phis[0])(1.0, other)
+    for n in (3, (1, 3)):
+        with pytest.raises(ParameterError, match=message):
+            trotter_interleave(learner, *phis, 1.0, n, other)
+
+
+def test_interp_flows_on_a_simplex_keep_their_bits():
+    p = tri()
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    interp = get_learner("interp")
+    got = [interp.make_flow(a)(1.0, p), trotter_interleave(interp, a, b, 1.0, 3, p)]
+    assert [[x.hex() for x in q.probs] for q in got] == [
+        ["0x1.2874a9c9d310cp-1", "0x1.63bf322563adbp-2", "0x1.2d5de91bd8c2dp-4"],
+        ["0x1.c5ff5d89356dcp-3", "0x1.4b1e2b868cacfp-1", "0x1.0d87f45c97debp-3"],
+    ]
+    v = RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5]))
+    assert [x.hex() for x in get_learner("boltzmann").make_flow(v)(1.0, p).probs] == [
+        "0x1.cef776aea74c8p-3", "0x1.798aca9097dddp-2", "0x1.9ef97a18147bdp-2"
+    ]
+
+
 def test_interp_mutants_keep_the_object_path():
     # a mutant's corrupted observe has no flow: it must not reach the honest
     # interp walk, and interleaving it is unsupported, as before the walk

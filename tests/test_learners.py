@@ -431,6 +431,78 @@ def test_classifier_two_class_scalars_match_the_k_list_loop(args):
     assert got == want
 
 
+def test_classifier_two_class_walk_is_bytewise_the_k_list_walk_on_the_b3_instances():
+    # the walks of the 60 B3 instances at check seed 0; one takes about 4e5
+    # steps, most of them with the shifted sum at 1.0
+    walks, walk = [], learners._logit_walk_2
+
+    def record(*args):
+        walks.append(args)
+        return walk(*args)
+
+    rng = _seeded_rng(0, "classifier", "B3")
+    with mock.patch.object(learners, "_logit_walk_2", record):
+        for ex, theta in _top_instances(get_learner("classifier"), rng, 60):
+            train_limit(SoftmaxModel(), theta, ex)
+    assert len(walks) == 60
+    for args in walks:
+        assert _walk_bits(learners._logit_walk_2, args) == _walk_bits(learners._logit_walk, args)
+    long = [args for args in walks if not learners._logit_walk_2(*args[:-1], 300_000)[1]]
+    assert len(long) == 1 and learners._logit_walk_2(*long[0])[1]
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("z0", [[1e308, -1e308], [-1.7e308, 1.7e308]])
+def test_classifier_two_class_walk_keeps_finite_logits_whose_difference_overflows(z0, y):
+    # lower - higher is -inf, yet both logits are finite: no error, and the
+    # k-list walk's bits
+    args = (z0, y, 0.2, 0.1, 1.0, 1e-9, 50)
+    got = _walk_bits(learners._logit_walk_2, args)
+    assert not isinstance(got, str)
+    assert got == _walk_bits(learners._logit_walk, args)
+
+
+def _assert_exact_cut(eta, xmax, tol, es=()):
+    # the walk's stop test eta * (E * xmax) < tol is E <= cut, for E >= 0
+    cut = learners._stop_cut(eta, xmax, tol)
+
+    def stops(e):
+        return eta * (e * xmax) < tol
+
+    for e in es:
+        assert (e <= cut) == stops(e)
+    if cut >= 0.0:
+        assert stops(cut) and not stops(math.nextafter(cut, math.inf))
+    else:  # no E >= 0 stops
+        assert cut == -1.0 and not stops(0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from([1e-3, 0.1, 0.5]) | st.floats(1e-6, 10.0),
+    st.sampled_from([1.0, 1251.731195526989, 1e200]) | st.floats(1.0, 1e200),
+    st.sampled_from([1e-9, 1e-4, 0.05]) | st.floats(1e-300, 10.0),
+    st.floats(0.0, 1.0),
+)
+def test_classifier_stop_cut_is_the_exact_threshold(eta, xmax, tol, e):
+    _assert_exact_cut(eta, xmax, tol, [e])
+
+
+@pytest.mark.parametrize(
+    "eta, xmax, tol",
+    [
+        (10.0, 1.7976931348623157e308, 1e-9),  # eta * xmax overflows: bisected
+        (0.1, 1e200, 1e-300),  # tol / (eta * xmax) underflows to 0
+        (0.1, 1.0, 0.0),  # nothing stops
+        (0.1, 1.0, math.nan),
+        (0.0, 1.0, 1e-9),  # every finite E stops
+        (0.1, math.inf, 1e-9),  # nothing stops: the walk raises at its first step
+    ],
+)
+def test_classifier_stop_cut_at_the_ends_of_the_float_range(eta, xmax, tol):
+    _assert_exact_cut(eta, xmax, tol, [0.0, 5e-324, 1e-300, 0.5, 1.0])
+
+
 @pytest.mark.parametrize(
     "x, theta",
     [
