@@ -231,11 +231,11 @@ def _unless_truncated(fn: Callable[..., Any], *args):
     return out
 
 
-def _chain(learner: Learner, cfg: CheckConfig, phi, theta) -> Tuple[ConfidenceValue, ...]:
+def _chain(learner: Learner, grid: Tuple[ConfidenceValue, ...], phi, theta) -> Tuple[ConfidenceValue, ...]:
     """The confidence chain B1 and B2 walk: the learner's own, else the grid."""
     if learner.bel_chain is not None:
         return tuple(learner.bel_chain(phi, theta))
-    return _grid(learner, cfg)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +459,9 @@ def _check_fc(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
 def _check_b1(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.bel is None:
         return chk.skip("learner exposes no belief functional")
+    grid = _grid(learner, cfg)
     for phi, theta in _instances(learner, chk.rng, cfg.samples):
-        chain = _chain(learner, cfg, phi, theta)
+        chain = _chain(learner, grid, phi, theta)
         if len(chain) < 2:
             continue
         bels = [float(learner.bel(phi, learner.observe(phi, chi, theta))) for chi in chain]
@@ -483,9 +484,10 @@ def _check_b2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
         return chk.skip("learner exposes no belief functional")
     if learner.sample_saturated is None:
         return chk.skip("full-belief states are unattainable at finite parameters")
+    grid = _grid(learner, cfg)
     for _ in range(cfg.samples):
         phi, theta = learner.sample_saturated(chk.rng)
-        for chi in _chain(learner, cfg, phi, theta):
+        for chi in _chain(learner, grid, phi, theta):
             d = belief_distance(learner.observe(phi, chi, theta), theta)
             chk.offer(d, phi=phi, theta=theta, chi=chi)
     return chk.report()

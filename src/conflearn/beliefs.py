@@ -150,27 +150,32 @@ def normalize_probs(p: np.ndarray) -> np.ndarray:
     total, which must exceed MASS_EPS.
     Returns a new array.  Array-native flows project with this too, so their
     states keep the constructor's bits; a row's sum is the sum of the same
-    vector alone, so each row gets the bits it gets alone.
+    vector alone, so each row gets the bits it gets alone.  One vector is
+    checked in plain floats: its sum has the bits of its row's.
     """
-    total = np.add.reduce(p, axis=-1, keepdims=True)
-    sums = total.ravel().tolist()
+    if p.ndim == 1:
+        total = lowest = whole = float(np.add.reduce(p))
+    else:
+        total = np.add.reduce(p, axis=-1, keepdims=True)
+        sums = total.ravel().tolist()
+        whole, lowest = sum(sums), min(sums)
+        total = sums[0] if len(sums) == 1 else total  # numpy divides by a float faster
     # a finite sum has finite terms; only a non-finite one needs a closer look
-    if not math.isfinite(sum(sums)):
+    if not math.isfinite(whole):
         if not np.isfinite(p).all():
             raise ParameterError("probabilities must be finite")
-        if (total == math.inf).any():
+        if np.any(total == math.inf):
             raise ParameterError("probabilities sum past the float range")
-    least = np.minimum.reduce(p, axis=None)
+    least = float(np.minimum.reduce(p, axis=None))
     if least < -MASS_EPS:
         raise ParameterError(f"negative probability {least!r}")
+    if least < 0.0:  # summed again once clamped; clamping a zero's sign (below) changes no sum
+        return normalize_probs(np.maximum(p, 0.0))
     if not least > 0.0:  # with every entry positive, clamping changes no bit
         p = np.maximum(p, 0.0)
-        if least < 0.0:  # clamping a zero's sign changes no nonzero sum
-            total = np.add.reduce(p, axis=-1, keepdims=True)
-            sums = total.ravel().tolist()
-    if min(sums) <= MASS_EPS:
+    if lowest <= MASS_EPS:
         raise ParameterError("probability vector sums to zero")
-    return p / (sums[0] if len(sums) == 1 else total)  # numpy divides by a float faster
+    return p / total
 
 
 @dataclass(frozen=True)
@@ -186,16 +191,22 @@ class FiniteSimplex:
     probs: np.ndarray
 
     def __post_init__(self):
-        labels = _check_labels(self.labels, MAX_WORLDS)
-        object.__setattr__(self, "labels", labels)
-        p = np.asarray(self.probs, dtype=float)
+        self._freeze(_check_labels(self.labels, MAX_WORLDS), self.probs)
+
+    def _freeze(self, labels: Tuple[str, ...], p) -> "FiniteSimplex":
+        """The step that builds every simplex: p as a read-only float vector of
+        the checked ``labels``' length, normalized.  Results the library derives
+        call it on ``object.__new__(FiniteSimplex)``, skipping the label checks."""
+        p = np.asarray(p, dtype=float)
         if p.shape != (len(labels),):
             raise ParameterError(
                 f"probability vector shape {p.shape} does not match {len(labels)} labels"
             )
         p = normalize_probs(p)
         p.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", p)
+        return self
 
     @classmethod
     def from_dict(cls, table: Mapping[str, float]) -> "FiniteSimplex":
@@ -211,7 +222,9 @@ class FiniteSimplex:
         return float(self.probs @ a.indicator())
 
     def with_probs(self, p: np.ndarray) -> "FiniteSimplex":
-        return FiniteSimplex(self.labels, p)
+        """These worlds with the probabilities p, checked and normalized as the
+        constructor does; the labels, already checked, are not checked again."""
+        return object.__new__(FiniteSimplex)._freeze(self.labels, p)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}: {p:.4g}" for l, p in zip(self.labels, self.probs))
@@ -360,7 +373,6 @@ class MassFunction:
 
     def __post_init__(self):
         labels = _check_labels(self.labels, MAX_MASS_WORLDS)
-        object.__setattr__(self, "labels", labels)
         full = (1 << len(labels)) - 1
         clean: Dict[int, float] = {}
         for subset, m in self.masses.items():
@@ -373,17 +385,25 @@ class MassFunction:
             if subset == 0 or m <= 0.0:
                 continue
             clean[subset] = clean.get(subset, 0.0) + m
+        self._freeze(labels, clean)
+
+    def _freeze(self, labels: Tuple[str, ...], masses: Mapping[int, float]) -> "MassFunction":
+        """The step that builds every mass function: the positive float masses
+        on nonempty subsets of the checked ``labels``, renormalized in subset
+        order.  Results the library derives call it directly, skipping the checks."""
+        clean = {s: m for s, m in masses.items() if m > 0.0}
         total = sum(clean.values())
         if total == math.inf:
             raise ParameterError("masses sum past the float range")
         if total <= MASS_EPS:
             raise ParameterError("mass function has no positive focal mass")
-        clean = {s: m / total for s, m in sorted(clean.items())}
-        object.__setattr__(self, "masses", clean)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "masses", {s: m / total for s, m in sorted(clean.items())})
+        return self
 
     @classmethod
     def from_simplex(cls, p: FiniteSimplex) -> "MassFunction":
-        return cls(p.labels, {1 << i: float(m) for i, m in enumerate(p.probs) if m > 0})
+        return object.__new__(cls)._freeze(p.labels, {1 << i: float(m) for i, m in enumerate(p.probs) if m > 0})
 
     def event(self, names: Iterable[str]) -> EventSet:
         return EventSet.from_names(self.labels, names)
@@ -413,7 +433,7 @@ class MassFunction:
         out = np.zeros(len(self.labels))
         for s, m in self.masses.items():
             out[s.bit_length() - 1] = m
-        return FiniteSimplex(self.labels, out)
+        return object.__new__(FiniteSimplex)._freeze(self.labels, out)
 
     def __repr__(self) -> str:
         parts = []
@@ -427,14 +447,15 @@ def simple_support(
     labels: Sequence[str], a: EventSet, alpha: Union[float, ConfidenceValue]
 ) -> MassFunction:
     """The simple support function: mass alpha on a, 1 - alpha on everything."""
-    s = _FRAC.to_float(_FRAC.coerce(alpha))
+    s = float(_FRAC.to_float(_FRAC.coerce(alpha)))
     labels = tuple(labels)
     if a.labels != labels:
         raise ParameterError("event over a different world set")
     if a.is_empty:
         raise ParameterError("support event must be nonempty")
     full = (1 << len(labels)) - 1
-    return MassFunction(labels, {a.mask: s, full: 1.0 - s})
+    # the constructor's label checks; its per-entry ones hold by construction
+    return object.__new__(MassFunction)._freeze(_check_labels(labels, MAX_MASS_WORLDS), {a.mask: s, full: 1.0 - s})
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -454,7 +475,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
                 out[inter] = out.get(inter, 0.0) + w
     if 1.0 - conflict <= MASS_EPS:
         raise TotalConflictError(f"total conflict (K = {conflict:.6g})")
-    return MassFunction(m1.labels, out)
+    return object.__new__(MassFunction)._freeze(m1.labels, out)
 
 
 def ds_plaus_update(
@@ -650,10 +671,10 @@ _BY_CLS = {kind.cls: kind for kind in _KINDS}
 
 def _kind_of(belief) -> Optional[_Kind]:
     """The kind record of belief's type (or of a base class), else None."""
-    for cls in type(belief).__mro__:
-        if cls in _BY_CLS:
-            return _BY_CLS[cls]
-    return None
+    kind = _BY_CLS.get(type(belief))
+    if kind is None:
+        kind = next((_BY_CLS[cls] for cls in type(belief).__mro__ if cls in _BY_CLS), None)
+    return kind
 
 
 # ---------------------------------------------------------------------------

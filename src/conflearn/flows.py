@@ -223,16 +223,23 @@ class VectorFieldHandle:
 
             object.__setattr__(self, "eval_at", eval_at)
 
-    def _match(self, key: tuple) -> None:
+    def _match(self, theta):
+        """theta's kind record, once theta is checked to be of the kind the field's
+        learner updates and on the field's space, which the first match fixes."""
+        if self._source is not None:
+            _check_kind(self._source[0], theta)
+        kind = _coord_kind(theta)
+        key = kind.space(theta)
         if self.space is None:
             object.__setattr__(self, "space", key)
         elif key != self.space:
             raise ParameterError(
                 f"field {self.label!r} evaluated on a different belief space"
             )
+        return kind
 
     def __call__(self, theta) -> TangentVector:
-        self._match(_coord_kind(theta).space(theta))
+        self._match(theta)
         return self.eval_at(theta)
 
     def _bind(self, theta0) -> Tuple[CoordsMap, Project]:
@@ -240,9 +247,8 @@ class VectorFieldHandle:
         the checks a TangentVector makes, and the space's projection.  A
         closed form or a sum is one closure around its arithmetic; with
         neither, each stage belief is rebuilt for ``eval_at``."""
-        kind = _coord_kind(theta0)
-        key, sums_to_one = kind.space(theta0), kind.sums_to_one
-        self._match(key)
+        kind = self._match(theta0)
+        key, sums_to_one = self.space, kind.sums_to_one
         if self._coords is not None:
             outside = f"state outside the update domain of {self.label}"
             try:
@@ -875,6 +881,7 @@ def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None)
 def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
     """The states of ``trotter_interleave`` for each of ``counts``, raising
     if any count fails."""
+    _check_kind(learner, theta0)
     if not counts:
         return ()
     for n in counts:
@@ -900,7 +907,6 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
                     theta = flow(dt, theta)
             ends[n] = theta
         return tuple(ends[n] for n in counts)
-    _check_kind(learner, theta0)
     labels, dts = kind.labels(theta0), [t / n for n in rows]
     # the slices shrink as n grows: rows whose slice underflows to 0 are the
     # identity, and binding them only makes the observations' checks

@@ -199,13 +199,6 @@ def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
     return flow
 
 
-def _on_simplex(
-    step: Optional[Callable[[np.ndarray], np.ndarray]], p: FiniteSimplex
-) -> FiniteSimplex:
-    """Apply a bound one-row coordinate update (see ``Learner.coord_flow``) to p."""
-    return p if step is None else p.with_probs(step(p.probs))
-
-
 def _row_sweep(observe, rows, phi, grid, theta):
     """``Learner.sweep`` by rows(phi, grid, theta), the coordinate rows and bel
     values of observe at the grid entries.  Where rows raises, the first entry
@@ -215,8 +208,9 @@ def _row_sweep(observe, rows, phi, grid, theta):
 
 
 def _simplex_rows(bind, dom: ConfidenceDomain, grid: Sequence, p: FiniteSimplex) -> np.ndarray:
-    """The coordinates of _on_simplex(bind([x], p.labels), p) at each grid
-    entry's float x, by one map bind(nonzero xs, labels); a zero's row is p's."""
+    """The coordinates of the update of p by bind([x], p.labels) (see
+    ``Learner.coord_flow``) at each grid entry's float x, by one map
+    bind(nonzero xs, labels); a zero's row is p's."""
     xs = [dom.to_float(dom.coerce(chi)) for chi in grid]
     rows = np.repeat(p.probs[None], len(xs), axis=0)
     live = [i for i, x in enumerate(xs) if x]
@@ -275,8 +269,14 @@ def _event_with_mass(rng: np.random.Generator, labels: Tuple[str, ...], mass, fa
 def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
-    """Mix the prior with its conditioning on ``a`` at weight alpha."""
-    return _on_simplex(_interp_map(((a, 1.0),), (_FRAC.to_float(_FRAC.coerce(alpha)),), p.labels), p)
+    """Mix the prior with its conditioning on ``a`` at weight alpha (``_interp_map``'s kernels)."""
+    w = _FRAC.to_float(_FRAC.coerce(alpha))
+    if a.labels != p.labels:
+        raise ParameterError("event over a different world set")
+    if not w:
+        return p
+    cond = _condition(a, p.probs)
+    return p.with_probs(cond if w == 1.0 else _interp_mix(p.probs, cond, w, 1.0 - w, None))
 
 
 def _interp_map(cells: Sequence[Tuple[EventSet, float]], ws: Sequence[float],
@@ -297,33 +297,33 @@ def _interp_map(cells: Sequence[Tuple[EventSet, float]], ws: Sequence[float],
     w = _rows(ws)
     keep = 1.0 - w
     top = None if max(ws) < 1.0 else _rows([x == 1.0 for x in ws])
+    return lambda c: _interp_mix(c, target(c), w, keep, top)
 
-    def step(c: np.ndarray) -> np.ndarray:
-        cond = target(c)
-        mixed = keep * c + w * normalize_probs(cond)
-        return mixed if top is None else np.where(top, cond, mixed)
 
-    return step
+def _interp_mix(c: np.ndarray, cond: np.ndarray, w, keep, top) -> np.ndarray:
+    """keep * c + w * cond (rows normalized), or cond in the rows ``top`` sets (None: none)."""
+    mixed = keep * c + w * normalize_probs(cond)
+    return mixed if top is None else np.where(top, cond, mixed)
+
+
+def _condition(a: EventSet, c: np.ndarray) -> np.ndarray:
+    """condition(p, a) op for op, on one belief's coordinates or on rows."""
+    ind = a.indicator()
+    mass = np.vecdot(c, ind)
+    # one belief's vector has one mass, which numpy applies faster as is
+    least = float(np.minimum.reduce(mass) if mass.ndim else mass)
+    if least <= MASS_EPS:
+        raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
+    return c * ind / (mass[:, None] if mass.ndim else mass)
 
 
 def _interp_target(cells: Sequence[Tuple[EventSet, float]]):
     """The map c -> sum_j s_j c * ind(a_j) / mass_j(c) of ``_interp_map``'s
     cells, on one belief's coordinates or on rows, raising
     ZeroMassEventError where some a_j has no mass.  One cell's share is 1,
-    and its map is condition(p, a) op for op."""
+    and its map is ``_condition``."""
     if len(cells) == 1:
-        ((a, _),) = cells
-        ind = a.indicator()
-
-        def target(c: np.ndarray) -> np.ndarray:
-            mass = np.vecdot(c, ind)  # condition(p, a) row by row, op for op
-            # one belief's vector has one mass, which numpy applies faster as is
-            least = float(np.minimum.reduce(mass) if mass.ndim else mass)
-            if least <= MASS_EPS:
-                raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
-            return c * ind / (mass[:, None] if mass.ndim else mass)
-
-        return target
+        return partial(_condition, cells[0][0])
     m = np.array([a.indicator() for a, _ in cells])
     shares = np.array([s for _, s in cells])
 
@@ -489,7 +489,7 @@ def _interp_learner() -> Learner:
         belief_kind="simplex",
         observe=interp_observe,
         in_domain=lambda a, p: p.prob(a) > MASS_EPS,
-        bel=lambda a, p: math.log(p.prob(a)) if p.prob(a) > 0 else -math.inf,
+        bel=lambda a, p: math.log(m) if (m := p.prob(a)) > 0 else -math.inf,
         bel_top=lambda a, p: 0.0,
         translate=_frac_translate,
         coord_flow=_interp_coord_flow,
@@ -722,11 +722,13 @@ def _gibbs_map(pen: _Penalty, bs: Sequence[float], labels: Tuple[str, ...]):
     if max(bs) == math.inf:  # a top row's time is a stand-in: _gibbs_least gives its update
         top = _rows([x == math.inf for x in bs])
         bs = [1.0 if x == math.inf else x for x in bs]
-    # within half the float range neither b * u nor the shift by logw.max()
-    # can overflow (Python floats overflow silently); a row past it may
-    # shift, once its support is known
-    wide = not max(bs) * pen.largest <= _HALF_MAX
-    return partial(_gibbs_step, pen, _rows(bs), wide, top)
+    return partial(_gibbs_step, pen, _rows(bs), _wide(max(bs), pen), top)
+
+
+def _wide(b: float, pen: _Penalty) -> bool:
+    """Whether b * u or the shift by logw.max() may overflow at times up to b
+    (silently, in Python floats): such a row shifts, once its support is known."""
+    return not b * pen.largest <= _HALF_MAX
 
 
 def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
@@ -771,8 +773,11 @@ def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray
             _gibbs_support(pen, pr)  # a contradicted prior raises
         # a world without mass, or ruled out (u = inf), has log weight -inf,
         # so weight 0, as if the support were cut out first
-        with np.errstate(divide="ignore"):
+        if np.count_nonzero(pr) == pr.size:  # no log(0) to warn of
             logw = np.log(pr) - b * u
+        else:
+            with np.errstate(divide="ignore"):
+                logw = np.log(pr) - b * u
     w = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
     return w if top is None else np.where(top, _gibbs_least(pen, pr, top), w)
 
@@ -848,9 +853,14 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
 
 
 def _gibbs_observe(penalty: Callable[[Any], _Penalty], phi, t, p: FiniteSimplex) -> FiniteSimplex:
-    """The update of p by penalty(phi) at additive time t: coord_flow of the
-    one term (phi, 1.0), without building the term."""
-    return _on_simplex(_gibbs_map(penalty(phi), (_ADD.to_float(_ADD.coerce(t)),), p.labels), p)
+    """The update of p by penalty(phi) at additive time t (``_gibbs_map``'s kernels)."""
+    pen, b = penalty(phi), _ADD.to_float(_ADD.coerce(t))
+    _check_worlds(pen, p.labels)
+    if not b:
+        return p
+    if b == math.inf:
+        return p.with_probs(_gibbs_least(pen, p.probs))
+    return p.with_probs(_gibbs_step(pen, b, _wide(b, pen), None, p.probs))
 
 
 def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:

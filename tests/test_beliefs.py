@@ -429,3 +429,44 @@ def test_simplex_projection_keeps_the_bits_of_clip_then_sum(entries):
         got = project(vec)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_derived_beliefs_equal_the_validated_ones():
+    # results the library derives skip the label and per-entry checks the
+    # public constructors make: they are the same beliefs, field for field
+    rng = np.random.default_rng(11)
+    labels = ("a", "b", "c", "d")
+    for _ in range(20):
+        p = FiniteSimplex(labels, rng.dirichlet(np.ones(4)))
+        a = EventSet(labels, int(rng.integers(1, 15)))
+        m = MassFunction.from_simplex(p)
+        derived = [
+            (p.with_probs(p.probs * 3.0), FiniteSimplex(labels, p.probs * 3.0)),
+            (m.as_simplex(), FiniteSimplex(labels, np.array([m.masses.get(1 << i, 0.0) for i in range(4)]))),
+            (m, MassFunction(labels, {1 << i: x for i, x in enumerate(p.probs.tolist())})),
+            (simple_support(labels, a, 0.3), MassFunction(labels, {a.mask: 0.3, 15: 0.7})),
+        ]
+        support, raw = simple_support(labels, a, 0.3), {}
+        for s1, w1 in m.masses.items():  # Dempster's conjunctive products, before the division
+            for s2, w2 in support.masses.items():
+                if s1 & s2:
+                    raw[s1 & s2] = raw.get(s1 & s2, 0.0) + w1 * w2
+        derived.append((dempster_combine(m, support), MassFunction(labels, raw)))
+        for got, ref in derived:
+            assert type(got) is type(ref) and got.labels == ref.labels and repr(got) == repr(ref)
+            assert vars(got).keys() == vars(ref).keys()
+            if isinstance(got, FiniteSimplex):  # == on two simplexes compares arrays: by bytes
+                assert got.probs.tobytes() == ref.probs.tobytes() and got.probs.dtype == float
+                assert not got.probs.flags.writeable
+                with pytest.raises(ValueError):
+                    got.probs[0] = 0.5
+            else:
+                assert got == ref and list(got.masses.items()) == list(ref.masses.items())
+                assert all(type(x) is float for x in got.masses.values())
+    p = FiniteSimplex(("a", "b"), np.array([0.4, 0.6]))
+    with pytest.raises(ParameterError, match=r"^probability vector shape \(3,\) does not match 2 labels$"):
+        p.with_probs(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ParameterError, match=r"^negative probability -0\.5$"):
+        p.with_probs(np.array([-0.5, 1.5]))
+    with pytest.raises(ParameterError, match=r"^probability vector sums to zero$"):
+        p.with_probs(np.zeros(2))

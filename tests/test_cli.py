@@ -1355,6 +1355,14 @@ def test_a_belief_whose_sum_overflows_is_a_config_error(tmp_path, capsys, belief
     assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
+def test_a_negative_probability_is_a_config_error_with_a_plain_float(tmp_path, capsys):
+    # the value is printed as MassFunction prints "bad mass -0.5", not as numpy's repr
+    cfg = {"learner": "interp", "belief": {"kind": "simplex", "labels": ["a", "b"], "probs": [-0.5, 1.5]},
+           "observation": {"event": ["a"]}}
+    assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == "config error: bad belief: negative probability -0.5\n"
+
+
 def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(learners, "_MAX_STEPS", 1000)
     cfg = dict(CLASSIFIER_LEARN, observation={"x": [1.0], "y": 1},

@@ -677,15 +677,17 @@ def test_kernel_matches_object_path_without_closed_fields():
 
 
 def _count_simplexes(monkeypatch) -> list:
-    """A list that gains one entry per FiniteSimplex built from now on."""
+    """A list that gains one entry per FiniteSimplex built from now on: the
+    constructor and the results derived from a simplex (``with_probs``) both
+    end in ``FiniteSimplex._freeze``."""
     built = []
-    init = FiniteSimplex.__init__
+    freeze = FiniteSimplex._freeze
 
-    def counting_init(self, *args, **kwargs):
+    def counting_freeze(self, *args, **kwargs):
         built.append(1)
-        init(self, *args, **kwargs)
+        return freeze(self, *args, **kwargs)
 
-    monkeypatch.setattr(FiniteSimplex, "__init__", counting_init)
+    monkeypatch.setattr(FiniteSimplex, "_freeze", counting_freeze)
     return built
 
 
@@ -911,28 +913,42 @@ def test_interp_trotter_walks_cell_masses_and_builds_one_simplex_per_count(monke
 
 
 _TWO = ("a", "b")
+_GRADED = GradedBeliefTable({"a": 0.2, "b": 0.5})
 
 
 @pytest.mark.parametrize(
     "lid, phis, other",
     [
-        ("interp", (EventSet(_TWO, 1), EventSet(_TWO, 2)), GradedBeliefTable({"a": 0.2, "b": 0.5})),
+        ("interp", (EventSet(_TWO, 1), EventSet(_TWO, 2)), _GRADED),
         (
             "boltzmann",
             (RandomVariable(_TWO, np.array([1.0, 0.0])), RandomVariable(_TWO, np.array([0.0, 1.0]))),
-            GradedBeliefTable({"a": 0.2, "b": 0.5}),
+            _GRADED,
         ),
         ("max-graded", ("a", "b"), FiniteSimplex(_TWO, np.array([0.4, 0.6]))),
+        ("bayes", ("e1", "e3"), GradedBeliefTable({"h1": 0.2, "h2": 0.5, "h3": 0.9})),
+        ("ds", (EventSet(_TWO, 1), EventSet(_TWO, 2)), FiniteSimplex(_TWO, np.array([0.4, 0.6]))),
     ],
 )
 def test_flows_refuse_a_belief_of_another_kind(lid, phis, other):
     # a graded table's coordinate labels are its keys, so without the check
-    # interp and boltzmann would update grades as if they were probabilities
+    # interp, boltzmann and bayes would update grades as if they were
+    # probabilities, and ds would read a simplex's masses
     learner = get_learner(lid)
-    kinds = ("simplex", "graded") if lid != "max-graded" else ("graded", "simplex")
-    message = f"learner '{lid}' updates {kinds[0]} beliefs, not {kinds[1]}"
-    with pytest.raises(ParameterError, match=message):
-        learner.make_flow(phis[0])(1.0, other)
+    kind = {FiniteSimplex: "simplex", GradedBeliefTable: "graded"}[type(other)]
+    message = f"learner '{lid}' updates {learner.belief_kind} beliefs, not {kind}"
+    if learner.closed_field is not None:
+        with pytest.raises(ParameterError, match=message):
+            learner.make_flow(phis[0])(1.0, other)
+        field = derivative_field(learner, phis[0])
+        with pytest.raises(ParameterError, match=message):
+            field(other)
+        assert field.space is None  # a refused belief fixes no space
+        for t in (0.5, math.inf):
+            with pytest.raises(ParameterError, match=message):
+                integrate(field, other, t)
+            with pytest.raises(ParameterError, match=message):
+                integrate(combine_fields([derivative_field(learner, phi) for phi in phis]), other, t)
     for n in (3, (1, 3)):
         with pytest.raises(ParameterError, match=message):
             trotter_interleave(learner, *phis, 1.0, n, other)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -41,7 +42,8 @@ from conflearn import (
     train_limit,
 )
 from conflearn.axioms import _seeded_rng, _top_instances
-from conflearn.errors import NumericalError, ParameterError, StepBudgetError
+from conflearn.beliefs import normalize_probs
+from conflearn.errors import ConfLearnError, NumericalError, ParameterError, StepBudgetError
 
 ADD = get_domain("add")
 FRAC = get_domain("frac")
@@ -791,3 +793,53 @@ def test_max_graded_make_flow_is_the_one_coord_flow_defines():
             assert flow(t, table).entries == expect
     with pytest.raises(ParameterError, match="unknown statement 'zz'"):
         learner.make_flow("zz")(1.0, table)
+
+
+_BIG = 1.7e308  # past half the float range
+
+
+@pytest.mark.parametrize(
+    "lid, cases",
+    [
+        ("interp", [
+            (EventSet(("a", "b", "c"), 0b011), (0.5, 0.3, 0.2)),
+            (EventSet(("a", "b", "c"), 0b011), (0.0, 0.6, 0.4)),
+            (EventSet(("a", "b", "c"), 0b011), (0.7, 0.0, 0.3)),
+            (EventSet(("a", "b", "c"), 0b100), (0.5, 0.5, 0.0)),  # no mass: an error
+        ]),
+        ("boltzmann", [
+            (RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5])), (0.0, 0.6, 0.4)),
+            (RandomVariable(("a", "b", "c"), np.array([_BIG, -_BIG, 0.5])), (0.5, 0.3, 0.2)),
+            (RandomVariable(("a", "b", "c"), np.array([_BIG, -_BIG, 0.5])), (0.6, 0.0, 0.4)),
+        ]),
+        ("bayes", [("e", (0.5, 0.3, 0.2)), ("e", (0.0, 0.6, 0.4)), ("e", (1.0, 0.0, 0.0))]),
+    ],
+)
+def test_one_belief_observe_is_its_coordinate_map_row_bytewise(lid, cases):
+    # the one-belief update calls the map's kernels directly: each
+    # confidence's state has the bits of the row the coordinate map gives
+    # (FiniteSimplex's normalization, on rows), and fails with its error;
+    # the cases above, then sampled instances
+    if lid == "bayes":  # the observation rules a out; the last prior holds a alone
+        learner = get_learner("bayes", model=BayesModel(("a", "b", "c"), {"e": [0.0, 0.5, 1.0]}))
+    else:
+        learner = get_learner(lid)
+    instances = [(phi, FiniteSimplex(("a", "b", "c"), np.array(probs))) for phi, probs in cases]
+    rng = np.random.default_rng(3)
+    instances += [learner.sample_instance(rng) for _ in range(40)]
+    dom = learner.domain
+    grid = [dom.bot, 0.3, 0.7 if lid == "interp" else 2.5, 1.0 if lid == "interp" else 40.0, dom.top]
+    for phi, p in instances:
+        for chi in grid:
+            x = dom.to_float(dom.coerce(chi))
+            try:
+                if lid == "interp":  # its coord_flow takes additive times; this map, weights
+                    step = learners._interp_map(((phi, 1.0),), [x], p.labels)
+                else:  # one term at weight 1: the map of its own penalty
+                    step = learner.coord_flow(((phi, 1.0),), [x], p.labels)
+                row = p.probs if step is None else normalize_probs(step(p.probs[None]))[0]
+            except ConfLearnError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    learner.observe(phi, chi, p)
+                continue
+            assert learner.observe(phi, chi, p).probs.tobytes() == row.tobytes()
