@@ -226,6 +226,9 @@ class FiniteSimplex:
         constructor does; the labels, already checked, are not checked again."""
         return object.__new__(FiniteSimplex)._freeze(self.labels, p)
 
+    def __eq__(self, other) -> bool:  # by value: the dataclass's == raises on two arrays
+        return type(other) is FiniteSimplex and self.labels == other.labels and np.array_equal(self.probs, other.probs)
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}: {p:.4g}" for l, p in zip(self.labels, self.probs))
         return f"FiniteSimplex({inner})"
@@ -270,6 +273,9 @@ class RandomVariable:
     @classmethod
     def from_dict(cls, labels: Sequence[str], table: Mapping[str, float]) -> "RandomVariable":
         return cls(tuple(labels), np.array([table[k] for k in labels], dtype=float))
+
+    def __eq__(self, other) -> bool:  # as FiniteSimplex's
+        return type(other) is RandomVariable and self.labels == other.labels and np.array_equal(self.values, other.values)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +454,14 @@ def simple_support(
 ) -> MassFunction:
     """The simple support function: mass alpha on a, 1 - alpha on everything."""
     s = float(_FRAC.to_float(_FRAC.coerce(alpha)))
-    labels = tuple(labels)
+    # the constructor's label checks; its per-entry ones hold by construction
+    labels = _check_labels(labels, MAX_MASS_WORLDS)
     if a.labels != labels:
         raise ParameterError("event over a different world set")
     if a.is_empty:
         raise ParameterError("support event must be nonempty")
     full = (1 << len(labels)) - 1
-    # the constructor's label checks; its per-entry ones hold by construction
-    return object.__new__(MassFunction)._freeze(_check_labels(labels, MAX_MASS_WORLDS), {a.mask: s, full: 1.0 - s})
+    return object.__new__(MassFunction)._freeze(labels, {a.mask: s, full: 1.0 - s})
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -311,6 +311,7 @@ def derivative_field(learner: Learner, phi) -> VectorFieldHandle:
         outside = f"state outside the update domain of {label}"
 
         def eval_fd(theta) -> TangentVector:
+            _check_kind(learner, theta)
             if not learner.in_domain(phi, theta):
                 raise DomainError(outside)
             v = _forward_stencil(flow, theta, _STENCIL_STEP)

@@ -131,7 +131,7 @@ class Learner:
     # positive times, a map along the last axis from coordinates to the
     # updated ones before the kind's projection, row i at time ts[i], taking
     # one belief's coordinates or an array of rows, one per time (interp on
-    # overlapping events: one belief's, integrated by flows._dormand_prince).
+    # overlapping events: one belief's, on cells, by flows._dormand_prince).
     # It raises ParameterError if an observation is over other worlds.  The
     # one-term case ((phi, 1.0),) is make_flow(phi): the belief rebuilt from
     # map(coords) is make_flow(phi)(t, belief) bit for bit, and each row gets
@@ -279,19 +279,14 @@ def interp_observe(
     return p.with_probs(cond if w == 1.0 else _interp_mix(p.probs, cond, w, 1.0 - w, None))
 
 
-def _interp_map(cells: Sequence[Tuple[EventSet, float]], ws: Sequence[float],
-                labels: Tuple[str, ...]):
-    """The interpolation toward sum_j s_j condition(p, a_j), over the pairwise
-    disjoint events a_j at the shares s_j (summing to 1) of ``cells``
-    ((a_j, s_j), ...), at each float weight w in [0, 1] of ``ws``, one per
-    row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``).
-    One cell ((a, 1.0),) is interp_observe(a, w, .)."""
-    for a, _ in cells:
-        if a.labels != labels:
-            raise ParameterError("event over a different world set")
+def _interp_map(a: EventSet, ws: Sequence[float], labels: Tuple[str, ...]):
+    """interp_observe(a, w, .) at each float weight w in [0, 1] of ``ws``, one
+    per row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
+    if a.labels != labels:
+        raise ParameterError("event over a different world set")
     if not any(ws):
         return None
-    target = _interp_target(cells)
+    target = partial(_condition, a)
     if min(ws) == 1.0:  # every row at top
         return target
     w = _rows(ws)
@@ -317,70 +312,61 @@ def _condition(a: EventSet, c: np.ndarray) -> np.ndarray:
     return c * ind / (mass[:, None] if mass.ndim else mass)
 
 
-def _interp_target(cells: Sequence[Tuple[EventSet, float]]):
-    """The map c -> sum_j s_j c * ind(a_j) / mass_j(c) of ``_interp_map``'s
-    cells, on one belief's coordinates or on rows, raising
-    ZeroMassEventError where some a_j has no mass.  One cell's share is 1,
-    and its map is ``_condition``."""
-    if len(cells) == 1:
-        return partial(_condition, cells[0][0])
-    m = np.array([a.indicator() for a, _ in cells])
-    shares = np.array([s for _, s in cells])
-
-    def target(c: np.ndarray) -> np.ndarray:
-        mass = c @ m.T
-        least = float(np.minimum.reduce(mass, axis=None))
-        if least <= MASS_EPS:
-            a = cells[int(mass.argmin()) % len(cells)][0]
-            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
-        # the events are disjoint: each world's coefficient is its cell's alone
-        return c * ((shares / mass) @ m)
-
-    return target
+def _interp_rows(events: Sequence[EventSet], labels: Tuple[str, ...]) -> np.ndarray:
+    """The indicator rows of ``events`` over the worlds ``labels``, one per
+    event: the one bind of interp's several-event paths."""
+    if any(a.labels != labels for a in events):
+        raise ParameterError("event over a different world set")
+    return np.array([a.indicator() for a in events])
 
 
 def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[float],
                        labels: Tuple[str, ...]):
     weights: Dict[EventSet, float] = {}
     for a, w in terms:  # an event observed twice is one cell of their summed weight
-        if a.labels != labels:
-            raise ParameterError("event over a different world set")
         weights[a] = weights.get(a, 0.0) + w
-    union = 0
-    for a in weights:
-        if union & a.mask:
-            if math.inf in ts:  # the limit of overlapping events has no closed form
-                return NotImplemented
-            return _interp_tilt_flow(weights, ts, labels)
-        union |= a.mask
-    total = sum(weights.values())
-    # on disjoint events each conditional is fixed along the flow, so the flow
-    # of sum_j w_j (condition(p, a_j) - p) at t interpolates toward
-    # sum_j (w_j / W) condition(p, a_j) at weight 1 - e^(-W t), W = sum_j w_j;
-    # t = inf gives weight 1
-    cells = tuple((a, w / total) for a, w in weights.items())
-    return _interp_map(cells, [_to_frac(total * t) for t in ts], labels)
+    events, total = list(weights), sum(weights.values())
+    if len(events) == 1:
+        return _interp_map(events[0], [_to_frac(total * t) for t in ts], labels)
+    m, w = _interp_rows(events, labels), np.array(list(weights.values()))
+    if not any(ts):
+        return None
+    if np.maximum.reduce(np.add.reduce(m)) > 1.0:  # some world is in two events
+        if math.inf in ts:  # the limit of overlapping events has no closed form
+            return NotImplemented
+        return _interp_tilt_flow(m, w, ts)
+    # on disjoint events each conditional is fixed along the flow, so at t it
+    # keeps e^(-W t) of p, W = sum_j w_j, and moves the rest to Jeffrey's rule
+    # sum_j (w_j / W) condition(p, a_j): a world times its event's share over its mass
+    shares = w / total
+
+    def target(c: np.ndarray) -> np.ndarray:  # the coefficients at top
+        mass = c @ m.T
+        least = float(np.minimum.reduce(mass, axis=None))
+        if least <= MASS_EPS:
+            a = events[int(mass.argmin()) % len(events)]
+            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
+        return (shares / mass) @ m
+
+    if min(ts) == math.inf:
+        return lambda c: c * target(c)
+    keep = _rows([math.exp(-total * t) for t in ts])
+    return lambda c: c * (keep + (1.0 - keep) * target(c))
 
 
 def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, float]],
                        p: FiniteSimplex) -> list:
     """``Learner.interleave`` for interp: for each (n, dt) of ``slices``, n
     rounds of interp_observe on each of the two events in turn at weight
-    1 - e^(-dt).  Each update scales a world by a factor that depends only
-    on whether the event holds it, so the state stays p * g(cell) / Z over
-    the four cells the events cut (a and b, a only, b only, neither)
-    (Trotter 1959).  The walk runs on their masses q in plain floats,
-    renormalized after each update, and world i ends at p_i * q_s / q0_s for
-    its cell s (0 where q0_s is 0).  An event of mass at most MASS_EPS
-    raises ZeroMassEventError, as conditioning on it does."""
-    a, b = events
-    if a.labels != p.labels or b.labels != p.labels:
-        raise ParameterError("event over a different world set")
+    1 - e^(-dt) (Trotter 1959), walked on the masses q of the four cells the
+    events cut in plain floats, renormalized after each update; world i ends
+    at p_i * q_s / q0_s for its cell s (0 where q0_s is 0), as in the tilt
+    flow.  An event of mass at most MASS_EPS raises ZeroMassEventError, as
+    conditioning on it does."""
+    m = _interp_rows(events, p.labels)
     # each world's cell: 0 both, 1 a only, 2 b only, 3 neither
-    cell = [3 - 2 * (a.mask >> i & 1) - (b.mask >> i & 1) for i in range(len(p.labels))]
-    q0 = [0.0] * 4
-    for s, x in zip(cell, p.probs.tolist()):
-        q0[s] += x
+    cell = (3.0 - 2.0 * m[0] - m[1]).astype(int)
+    q0 = np.bincount(cell, weights=p.probs, minlength=4).tolist()
     states = []
     for n, dt in slices:
         if dt == 0.0:  # an underflowing slice is the identity
@@ -392,10 +378,10 @@ def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, f
         x1, x2, x3, x4 = q0
         for _ in range(n):
             for e in events:
-                m = x1 + x2
-                if m <= MASS_EPS:
-                    raise ZeroMassEventError(f"cannot condition on {e!r} with mass {m:.3g}")
-                up = keep + alpha / m
+                mass = x1 + x2
+                if mass <= MASS_EPS:
+                    raise ZeroMassEventError(f"cannot condition on {e!r} with mass {mass:.3g}")
+                up = keep + alpha / mass
                 x1, x2, x3, x4 = x1 * up, x2 * up, x3 * keep, x4 * keep
                 total = x1 + x2 + x3 + x4
                 # renormalized, and seen from the other event: "a only" and
@@ -406,31 +392,33 @@ def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, f
     return states
 
 
-# the tilt flow's steps are at most this over the summed weight W: a world no
-# event holds decays as e^(-W t), and DP5(4) is stable on it below about 3.3
-_TILT_RATE = 2.0
+def _interp_tilt_flow(m: np.ndarray, w: np.ndarray, ts: Sequence[float]):
+    """The flow of the overlapping events with indicator rows m at the weights
+    w, at the finite times ts (not all 0), as a map from one belief's
+    coordinates to the rows at ts.  Along p * (M^T (w / Mp) - W),
+    p(t) = p(0) * exp(M^T lam(t)) / Z with dlam/dt = w / (M p) (Csiszar 1975):
+    each world keeps its ratio to p(0) within its cell (the events that hold
+    it).  ``flows._dormand_prince`` integrates the masses q of the cells with
+    a world, and world i of cell s ends at p_i * q_s / q0_s (0 if q0_s is 0)."""
+    _, first, cell = np.unique(m, axis=1, return_index=True, return_inverse=True)
+    mc, cell = m[:, first], cell.ravel()  # the events' indicator on cells; each world's cell
+    masses = np.vstack([mc, np.ones(len(first))])  # each event's mass, then the total
+    # a world no event holds decays as e^(-W t); DP5(4) is stable on it for
+    # steps below about 3.3 / W, so they are at most 2 / W
+    cap = 2.0 / sum(w.tolist())
 
-
-def _interp_tilt_flow(weights: Dict[EventSet, float], ts: Sequence[float], labels: Tuple[str, ...]):
-    """The flow of overlapping events at the finite times ts, as a map from
-    one belief's coordinates to the rows at ts (None if every time is 0).
-    Along p * (M^T (w / Mp) - W), d log p stays in the span of M's rows and
-    of 1, so p(t) = p(0) * exp(M^T lam(t)) / Z with dlam/dt = w / (M p)
-    (Csiszar 1975), the ODE that ``flows._dormand_prince`` integrates."""
-    if not any(ts):
-        return None
-    m = np.array([a.indicator() for a in weights], dtype=float)
-    masses = np.vstack([m, np.ones(len(labels))])  # each event's mass, then the total
-    w = np.array(list(weights.values()))
-    cap = _TILT_RATE / sum(weights.values())
-
-    def stage(c: np.ndarray, lam: np.ndarray):
-        q = c * np.exp(lam @ m)
+    def stage(q: np.ndarray, lam: np.ndarray):
+        q = q * np.exp(lam @ mc)
         r = masses @ q
         return w * r[-1] / r[:-1], q
 
-    # a rate w_j / P(a_j) of at least w_j / MASS_EPS: a_j has no mass
-    return lambda c: _dormand_prince(stage, w / MASS_EPS, c, ts, cap)
+    def flow(c: np.ndarray) -> np.ndarray:
+        q0 = np.bincount(cell, weights=c)
+        # a rate w_j / P(a_j) of at least w_j / MASS_EPS: a_j has no mass
+        q = _dormand_prince(stage, w / MASS_EPS, q0, ts, cap)
+        return c * np.divide(q, q0, out=np.zeros_like(q), where=q0 > 0.0)[:, cell]
+
+    return flow
 
 
 def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
@@ -441,9 +429,7 @@ def _interp_field(terms: Sequence[Tuple[EventSet, float]]):
     total = sum(w.tolist())
 
     def bind(space: tuple):
-        if any(a.labels != space[1] for a in events):
-            raise ParameterError("event over a different world set")
-        m = np.array([a.indicator() for a in events])
+        m = _interp_rows(events, space[1])
 
         def field(c: np.ndarray) -> np.ndarray:
             mass = m @ c
@@ -475,7 +461,7 @@ def _interp_learner() -> Learner:
         return _event_with_mass(rng, p.labels, p.prob, 1), p
 
     def rows(a, grid, p):
-        coords = _simplex_rows(partial(_interp_map, ((a, 1.0),)), _FRAC, grid, p)
+        coords = _simplex_rows(partial(_interp_map, a), _FRAC, grid, p)
         # vecdot gives each row the bits of p.prob(a)
         return coords, [math.log(m) if m > 0 else -math.inf for m in np.vecdot(coords, a.indicator()).tolist()]
 
@@ -539,7 +525,11 @@ def _ds_learner() -> Learner:
             subs.append(sub if sub else mask)
         return a, _random_masses(labels, subs, rng)
 
-    return Learner(
+    def flow(a, t, m):
+        _check_kind(learner, m)
+        return ds_plaus_update(m, a, add_to_frac(1.0, t))
+
+    learner = Learner(
         id="ds",
         domain=_FRAC,
         belief_kind="mass",
@@ -548,13 +538,14 @@ def _ds_learner() -> Learner:
         bel=lambda a, m: m.bel(a),
         bel_top=lambda a, m: 1.0,
         translate=_frac_translate,
-        make_flow=lambda a: lambda t, m: ds_plaus_update(m, a, add_to_frac(1.0, t)),
+        make_flow=lambda a: partial(flow, a),
         sample_instance=sample_instance,
         sample_saturated=sample_saturated,
         default_grid=_grid(_FRAC, (0.25, 0.5, 0.75)),
         observation_to_json=_event_to_json,
         observation_from_json=_event_from_json,
     )
+    return learner
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,36 @@ def test_world_labels_must_not_be_a_bare_string(build):
         build()
 
 
+def test_simple_support_checks_its_labels_first():
+    # tuple("ab") equals the event's labels, so a check after it would pass
+    a = EventSet(("a", "b"), 1)
+    with pytest.raises(ParameterError, match="^world labels must be a list of names, got 'ab'$"):
+        simple_support("ab", a, 0.3)
+    assert simple_support(["a", "b"], a, 0.3) == MassFunction(("a", "b"), {1: 0.3, 3: 0.7})
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda x: FiniteSimplex(("a", "b", "c"), np.array(x)), lambda: FiniteSimplex(("a", "b", "d"), [0.2, 0.3, 0.5])),
+        (lambda x: RandomVariable(("a", "b", "c"), np.array(x)), lambda: RandomVariable(("a", "c", "b"), [0.2, 0.3, 0.5])),
+        (lambda x: MassFunction(("a", "b", "c"), {1: x[0], 2: x[1], 7: x[2]}),
+         lambda: MassFunction(("a", "b", "d"), {1: 0.2, 2: 0.3, 7: 0.5})),
+        (lambda x: GradedBeliefTable(dict(zip("abc", x))), lambda: GradedBeliefTable(dict(zip("abd", [0.2, 0.3, 0.5])))),
+        (lambda x: GaussianBelief(x[0], x[2]), lambda: GaussianBelief(0.2, math.inf)),
+    ],
+    ids=["simplex", "random-variable", "mass", "graded", "gaussian"],
+)
+def test_beliefs_compare_by_value(make, other):
+    # a dataclass == on an array field compares the arrays inside a tuple and
+    # raises for two distinct simplexes; every kind compares labels and entries
+    p, q, r = make([0.2, 0.3, 0.5]), make([0.2, 0.3, 0.5]), make([0.3, 0.2, 0.5])
+    assert p is not q
+    for x, y, equal in ((p, p, True), (p, q, True), (p, r, False), (p, other(), False), (p, 0.2, False)):
+        assert (x == y) is equal and (y == x) is equal and (x != y) is not equal
+    assert (p == RandomVariable(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))) is (type(p) is RandomVariable)
+
+
 def test_simplex_normalization_guard():
     # non-unit mass is renormalized, negative mass is rejected
     p = FiniteSimplex(("a", "b"), np.array([0.7, 0.7]))

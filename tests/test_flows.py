@@ -48,6 +48,7 @@ from conflearn import (
     integrate,
     integrate_sampled,
     interp_observe,
+    jeffrey,
     metric_gradient,
     natural_gradient,
     parallel_field,
@@ -937,16 +938,18 @@ def test_flows_refuse_a_belief_of_another_kind(lid, phis, other):
     learner = get_learner(lid)
     kind = {FiniteSimplex: "simplex", GradedBeliefTable: "graded"}[type(other)]
     message = f"learner '{lid}' updates {learner.belief_kind} beliefs, not {kind}"
+    with pytest.raises(ParameterError, match=message):
+        learner.make_flow(phis[0])(1.0, other)
+    field = derivative_field(learner, phis[0])  # a closed field, else the stencil's
+    with pytest.raises(ParameterError, match=message):
+        field(other)
     if learner.closed_field is not None:
-        with pytest.raises(ParameterError, match=message):
-            learner.make_flow(phis[0])(1.0, other)
-        field = derivative_field(learner, phis[0])
-        with pytest.raises(ParameterError, match=message):
-            field(other)
         assert field.space is None  # a refused belief fixes no space
+    for t in (0.5, math.inf):
+        with pytest.raises(ParameterError, match=message):
+            integrate(derivative_field(learner, phis[0]), other, t)
+    if learner.closed_field is not None:
         for t in (0.5, math.inf):
-            with pytest.raises(ParameterError, match=message):
-                integrate(field, other, t)
             with pytest.raises(ParameterError, match=message):
                 integrate(combine_fields([derivative_field(learner, phi) for phi in phis]), other, t)
     for n in (3, (1, 3)):
@@ -1813,6 +1816,69 @@ def test_interp_coord_flow_merges_equal_events_and_refuses_overlapping_ones():
         assert callable(learner.coord_flow(terms, ts[:2], p.labels))
         for times in ((math.inf,), ts):
             assert learner.coord_flow(terms, times, p.labels) is NotImplemented
+
+
+def test_interp_disjoint_flow_mixes_toward_jeffrey_with_a_world_outside():
+    # e and f are in no event: Jeffrey's rule gives their cell the share 0
+    interp = get_learner("interp")
+    labels = ("a", "b", "c", "d", "e", "f")
+    p = FiniteSimplex(labels, np.array([0.12, 0.2, 0.05, 0.23, 0.3, 0.1]))
+    events = [p.event(["a", "c"]), p.event(["b"]), p.event(["d"])]
+    weights = [0.7, 1.3, 0.4]
+    total = sum(weights)
+    field = _fields(interp, events, weights)
+    rest = p.event(["e", "f"])
+    jeff = jeffrey(p, events + [rest], [w / total for w in weights] + [0.0]).probs
+    times = [0.3, 1.1, math.inf]
+    rows = interp.coord_flow(field._source[1], times, labels)(p.probs)
+    for t, row in zip(times, rows):
+        alpha = -math.expm1(-total * t)
+        expect = (1.0 - alpha) * p.probs + alpha * jeff
+        assert np.abs(integrate(field, p, t).probs - expect).max() <= 1e-15
+        assert np.abs(row - expect).max() <= 1e-15
+    # a disjoint event of no mass: the error conditioning on it raises
+    q = FiniteSimplex(labels, np.array([0.12, 0.2, 0.05, 0.0, 0.3, 0.33]))
+    for ts in ((1.1,), (math.inf,), (0.3, math.inf)):
+        with pytest.raises(ZeroMassEventError, match=r"^cannot condition on \{d\} with mass 0$"):
+            interp.coord_flow(field._source[1], ts, labels)(q.probs)
+        with pytest.raises(DomainError, match=r"^state outside the update domain of \(0.7\*interp:"):
+            integrate(field, q, ts[-1])
+
+
+def test_interp_tilt_flow_keeps_a_cell_of_no_prior_mass_empty():
+    # a and b are the cell only abc holds; with no prior mass it keeps none,
+    # exactly, and the expansion divides by no empty cell's mass
+    interp = get_learner("interp")
+    labels = ("a", "b", "c", "d", "e")
+    p = FiniteSimplex(labels, np.array([0.0, 0.0, 0.3, 0.45, 0.25]))
+    events, weights = [p.event(["a", "b", "c"]), p.event(["c", "d"])], [1.2, 0.8]
+    field = _fields(interp, events, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = interp.coord_flow(field._source[1], [0.0, 0.4, 1.3], labels)(p.probs)
+        final = integrate(field, p, 1.3).probs
+    assert np.isfinite(rows).all()
+    assert rows[0].tobytes() == p.probs.tobytes()
+    assert not rows[:, :2].any() and not final[:2].any()
+    assert (rows[1:, 2:] > 0.0).all() and np.abs(rows[1:, 2:] - rows[0, 2:]).min() > 1e-3
+
+
+def test_interp_several_event_paths_refuse_events_over_other_worlds():
+    interp, p = get_learner("interp"), FiniteSimplex(("a", "b", "c", "d"), np.array([0.1, 0.4, 0.3, 0.2]))
+    a, ab, bc = p.event(["a"]), p.event(["a", "b"]), p.event(["b", "c"])
+    other = EventSet(("w", "x", "y", "z"), 0b1100)  # disjoint from a and bc, by its mask
+    message = "^event over a different world set$"
+    for events in ([a, other], [a, bc, other], [ab, bc, other], [other, ab]):
+        terms = tuple((e, 1.0) for e in events)
+        for ts in ((0.5,), (math.inf,), (0.5, math.inf)):
+            with pytest.raises(ParameterError, match=message):  # the disjoint flow and the tilt flow
+                interp.coord_flow(terms, ts, p.labels)
+        with pytest.raises(ParameterError, match=message):  # the field's bind
+            integrate(_fields(interp, events, None), p, 0.5)
+    with pytest.raises(ParameterError, match=message):  # the walk
+        trotter_interleave(interp, ab, other, 1.0, 3, p)
+    with pytest.raises(ParameterError, match=message):  # one event
+        interp.coord_flow(((other, 1.0),), (0.5,), p.labels)
 
 
 @pytest.mark.parametrize("t", [0.7, 1.25, math.inf])

@@ -834,7 +834,7 @@ def test_one_belief_observe_is_its_coordinate_map_row_bytewise(lid, cases):
             x = dom.to_float(dom.coerce(chi))
             try:
                 if lid == "interp":  # its coord_flow takes additive times; this map, weights
-                    step = learners._interp_map(((phi, 1.0),), [x], p.labels)
+                    step = learners._interp_map(phi, [x], p.labels)
                 else:  # one term at weight 1: the map of its own penalty
                     step = learner.coord_flow(((phi, 1.0),), [x], p.labels)
                 row = p.probs if step is None else normalize_probs(step(p.probs[None]))[0]
