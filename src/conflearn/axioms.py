@@ -258,8 +258,8 @@ def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     for phi, theta in _instances(learner, chk.rng, max(2, cfg.samples // 2)):
         for base in (0.0, float(chk.rng.uniform(0.0, hi_base))):
             quotients = {}
+            a = learner.observe(phi, dom.value(base), theta)
             for h in (_L2_H_COARSE, _L2_H_FINE):
-                a = learner.observe(phi, dom.value(base), theta)
                 b = learner.observe(phi, dom.value(base + h), theta)
                 quotients[h] = belief_distance(a, b) / h
             ratio = quotients[_L2_H_FINE] / max(quotients[_L2_H_COARSE], 1.0)
@@ -289,20 +289,21 @@ def _residual_by_brent(learner, phi, s_lo, target_bel):
     upper end.  Each step tries inverse quadratic or secant interpolation and
     bisects when that step would not shrink the bracket fast enough.  The
     search stops once the bracket is at most _BRENT_XTOL + 4 eps u wide, or
-    after _BRENT_ITERS steps, and returns the confidence at the upper end.
+    after _BRENT_ITERS steps, and returns the upper end's confidence and state.
     """
     dom = learner.domain
+    states = {}  # the update of s_lo at each chart point tried
 
     def gap(u: float) -> float:
-        state = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
+        states[u] = state = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
         return learner.bel(phi, state) - target_bel
 
     fa = gap(0.0)
     if not fa < 0.0:
-        return dom.bot
+        return dom.bot, states[0.0]  # the chart sends 0 to bot
     fb = gap(1.0)
     if fb < 0.0:
-        return _chart_to_confidence(dom, 1.0)
+        return _chart_to_confidence(dom, 1.0), states[1.0]
     # b is the latest point, a the one before it, c the bracket end facing b;
     # hi is the upper end, the latest point not below
     a, b, c, fc, hi = 0.0, 1.0, 0.0, fa, 1.0
@@ -352,7 +353,7 @@ def _residual_by_brent(learner, phi, s_lo, target_bel):
         fb = gap(b)
         if not fb < 0.0:
             hi = b
-    return _chart_to_confidence(dom, hi)
+    return _chart_to_confidence(dom, hi), states[hi]
 
 
 def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
@@ -378,11 +379,10 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
                             reason="no residual in the confidence domain",
                         )
                         continue
+                    after = learner.observe(phi, delta, s_lo)
                 else:
-                    delta = _residual_by_brent(
-                        learner, phi, s_lo, learner.bel(phi, s_hi)
-                    )
-                d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)
+                    delta, after = _residual_by_brent(learner, phi, s_lo, learner.bel(phi, s_hi))
+                d = belief_distance(after, s_hi)
                 chk.offer(
                     d, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j], chi_residual=delta
                 )

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from .confidence import _FRAC, ConfidenceValue
+from .confidence import _FRAC, ConfidenceValue, _float_of
 from .errors import (
     InvalidImagingMapError,
     NumericalError,
@@ -166,7 +166,7 @@ def normalize_probs(p: np.ndarray) -> np.ndarray:
             raise ParameterError("probabilities must be finite")
         if np.any(total == math.inf):
             raise ParameterError("probabilities sum past the float range")
-    least = float(np.minimum.reduce(p, axis=None))
+    least = min(p.tolist()) if p.ndim == 1 else float(np.minimum.reduce(p, axis=None))  # no NaN here
     if least < -MASS_EPS:
         raise ParameterError(f"negative probability {least!r}")
     if least < 0.0:  # summed again once clamped; clamping a zero's sign (below) changes no sum
@@ -429,15 +429,11 @@ class MassFunction:
         mask = self._mask_of(u)
         return float(sum(m for s, m in self.masses.items() if s & mask))
 
-    @property
-    def is_probabilistic(self) -> bool:
-        return all(s & (s - 1) == 0 for s in self.masses)
-
     def as_simplex(self) -> FiniteSimplex:
-        if not self.is_probabilistic:
-            raise ParameterError("mass function has non-singleton focal sets")
-        out = np.zeros(len(self.labels))
+        out = [0.0] * len(self.labels)
         for s, m in self.masses.items():
+            if s & (s - 1):
+                raise ParameterError("mass function has non-singleton focal sets")
             out[s.bit_length() - 1] = m
         return object.__new__(FiniteSimplex)._freeze(self.labels, out)
 
@@ -449,30 +445,33 @@ class MassFunction:
         return "MassFunction(" + "; ".join(parts) + ")"
 
 
-def simple_support(
-    labels: Sequence[str], a: EventSet, alpha: Union[float, ConfidenceValue]
-) -> MassFunction:
-    """The simple support function: mass alpha on a, 1 - alpha on everything."""
-    s = float(_FRAC.to_float(_FRAC.coerce(alpha)))
-    # the constructor's label checks; its per-entry ones hold by construction
-    labels = _check_labels(labels, MAX_MASS_WORLDS)
+def _support_masses(labels: Tuple[str, ...], a: EventSet, s: float) -> tuple:
+    """simple_support's (subset, mass) pairs in subset order, vacuous on the whole world set:
+    s + (1 - s) rounds to exactly 1 for every float s in [0, 1], so they are normalized."""
     if a.labels != labels:
         raise ParameterError("event over a different world set")
     if a.is_empty:
         raise ParameterError("support event must be nonempty")
     full = (1 << len(labels)) - 1
-    return object.__new__(MassFunction)._freeze(labels, {a.mask: s, full: 1.0 - s})
+    if a.mask == full or not s:
+        return ((full, 1.0),)
+    return ((a.mask, s),) if s == 1.0 else ((a.mask, s), (full, 1.0 - s))
 
 
-def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dempster's rule: conjunctive combination with conflict renormalization;
-    a conflict leaving no more than MASS_EPS of mass is total."""
-    if m1.labels != m2.labels:
-        raise ParameterError("mass functions over different world sets")
+def simple_support(labels: Sequence[str], a: EventSet, alpha: Union[float, ConfidenceValue]) -> MassFunction:
+    """The simple support function: mass alpha on a, 1 - alpha on everything;
+    on the whole world set it is vacuous (all mass there) at every alpha."""
+    s = _float_of(_FRAC, alpha)
+    labels = _check_labels(labels, MAX_MASS_WORLDS)  # the constructor's; its per-entry checks hold by construction
+    return object.__new__(MassFunction)._freeze(labels, dict(_support_masses(labels, a, s)))
+
+
+def _dempster(labels: Tuple[str, ...], masses: Mapping[int, float], other) -> MassFunction:
+    """Dempster's rule on ``masses`` and the (subset, mass) pairs ``other``, both in subset order."""
     out: Dict[int, float] = {}
     conflict = 0.0
-    for s1, w1 in m1.masses.items():
-        for s2, w2 in m2.masses.items():
+    for s1, w1 in masses.items():
+        for s2, w2 in other:
             inter = s1 & s2
             w = w1 * w2
             if inter == 0:
@@ -481,7 +480,15 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
                 out[inter] = out.get(inter, 0.0) + w
     if 1.0 - conflict <= MASS_EPS:
         raise TotalConflictError(f"total conflict (K = {conflict:.6g})")
-    return object.__new__(MassFunction)._freeze(m1.labels, out)
+    return object.__new__(MassFunction)._freeze(labels, out)
+
+
+def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Dempster's rule: conjunctive combination with conflict renormalization;
+    a conflict leaving no more than MASS_EPS of mass is total."""
+    if m1.labels != m2.labels:
+        raise ParameterError("mass functions over different world sets")
+    return _dempster(m1.labels, m1.masses, m2.masses.items())
 
 
 def ds_plaus_update(
@@ -493,12 +500,13 @@ def ds_plaus_update(
 
     At alpha = 0 this is the identity; at alpha = 1 it is Dempster
     conditioning on a.  The normalizer is 1 - alpha + alpha*Plaus(a); when it
-    is at most MASS_EPS the evidence totally conflicts with the state.
+    is at most MASS_EPS the evidence totally conflicts with the state.  The support's
+    masses go to Dempster's rule in place, with the bits of dempster_combine(bel, simple_support(...)).
     """
-    v = _FRAC.coerce(alpha)
-    if v.is_bot:
+    s = _float_of(_FRAC, alpha)
+    if not s:
         return bel
-    return dempster_combine(bel, simple_support(bel.labels, a, v))
+    return _dempster(bel.labels, bel.masses, _support_masses(bel.labels, a, s))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +614,7 @@ _KINDS = (
     _Kind(
         "simplex", FiniteSimplex,
         space=lambda b: ("simplex", b.labels),
-        distance=lambda a, b: float(0.5 * np.abs(a.probs - b.probs).sum()),
+        distance=lambda a, b: float(0.5 * np.add.reduce(np.abs(a.probs - b.probs))),
         to_json=lambda b: {"labels": list(b.labels), "probs": [float(x) for x in b.probs]},
         from_json=lambda obj: (
             FiniteSimplex.from_dict(obj["probs"]) if isinstance(obj.get("probs"), Mapping)

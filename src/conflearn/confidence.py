@@ -493,6 +493,11 @@ def list_extend(domain: ConfidenceDomain) -> ConfidenceDomain:
     return get_domain(f"list:{domain.id}")
 
 
+def _float_of(dom: _ScalarDomain, x) -> float:
+    """dom.to_float(dom.coerce(x)) for a scalar domain: a Python float inside the open carrier is its own payload."""
+    return x if type(x) is float and dom.lo_float < x < dom.hi_float else dom.to_float(dom.coerce(x))
+
+
 # ---------------------------------------------------------------------------
 # The weight-of-evidence chart between "frac" and "add".
 
@@ -524,19 +529,19 @@ def frac_to_add(beta: float, s) -> ConfidenceValue:
     addition: phi(a (+) b) = phi(a) + phi(b).
     """
     beta = _check_beta(beta)
-    v = _FRAC.coerce(s)
-    if v.kind == REAL:
-        return _ADD.value(_to_add(v.payload) / beta)
-    return _ADD.bot if v.kind == BOT else _ADD.top
+    x = _float_of(_FRAC, s)
+    if x < 1.0:  # 0 maps to 0, which value() reads as bot
+        return _ADD.value(_to_add(x) / beta)
+    return _ADD.top  # log1p(-1) raises
 
 
 def add_to_frac(beta: float, t) -> ConfidenceValue:
     """Inverse chart: additive weight t back to support 1 - exp(-beta*t)."""
     beta = _check_beta(beta)
-    v = _ADD.coerce(t)
-    if v.kind == REAL:
-        return _FRAC.value(_to_frac(beta * v.payload))
-    return _FRAC.bot if v.kind == BOT else _FRAC.top
+    x = _float_of(_ADD, t)
+    if x < math.inf:
+        return _FRAC.value(_to_frac(beta * x))
+    return _FRAC.top
 
 
 # ---------------------------------------------------------------------------

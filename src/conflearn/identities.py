@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .beliefs import (
+    EventSet,
     FiniteSimplex,
     GaussianBelief,
     MassFunction,
@@ -66,11 +67,11 @@ def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool,
         lik = rng.uniform(0.05, 1.0, size=n)
         prior = FiniteSimplex(hyps, rng.dirichlet(np.ones(n)))
         beta = float(rng.uniform(0.1, 3.0))
-        model = BayesModel(hyps, {"e": lik})
+        model, pot = BayesModel(hyps, {"e": lik}), -np.log(lik)
         learner = get_learner("bayes", model=model)
-        v = RandomVariable(hyps, -np.log(lik))
+        v = RandomVariable(hyps, pot)
         exact = bayes_observe(model, "e", prior)
-        back = potential_to_likelihood({"e": dict(zip(hyps, -np.log(lik)))}, hyps)
+        back = potential_to_likelihood({"e": dict(zip(hyps, pot))}, hyps)
         worst = max(
             worst,
             belief_distance(learner.observe("e", beta, prior), boltzmann_observe(v, beta, prior)),
@@ -133,17 +134,17 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
         labels = tuple(f"w{i}" for i in range(n))
         p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
         mask = int(rng.integers(1, (1 << n) - 1))
-        a = p.event([labels[i] for i in range(n) if mask >> i & 1])
+        a = EventSet(labels, mask)
         if not 0.05 <= p.prob(a) <= 0.9:
             continue
         used += 1
-        m = MassFunction.from_simplex(p)
+        m, cond = MassFunction.from_simplex(p), condition(p, a)
         worst_end = max(
             worst_end,
             belief_distance(interp_observe(a, 0.0, p), p),
             belief_distance(ds_plaus_update(m, a, 0.0).as_simplex(), p),
-            belief_distance(interp_observe(a, 1.0, p), condition(p, a)),
-            belief_distance(ds_plaus_update(m, a, 1.0).as_simplex(), condition(p, a)),
+            belief_distance(interp_observe(a, 1.0, p), cond),
+            belief_distance(ds_plaus_update(m, a, 1.0).as_simplex(), cond),
         )
         gap = belief_distance(
             interp_observe(a, 0.5, p), ds_plaus_update(m, a, 0.5).as_simplex()

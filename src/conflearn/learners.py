@@ -44,7 +44,7 @@ from typing import (
 import numpy as np
 
 from .confidence import (
-    _ADD, _FRAC, ConfidenceDomain, ConfidenceValue, _to_frac, add_to_frac, frac_to_add, get_domain, list_extend,
+    _ADD, _FRAC, ConfidenceDomain, ConfidenceValue, _float_of, _to_frac, add_to_frac, frac_to_add, get_domain, list_extend,
 )
 from .beliefs import (
     EventSet,
@@ -193,7 +193,7 @@ def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
 
     def flow(t, theta):
         _check_kind(learner, theta)
-        step = coord_flow(((phi, 1.0),), (_ADD.to_float(_ADD.coerce(t)),), coord_labels(theta))
+        step = coord_flow(((phi, 1.0),), (_float_of(_ADD, t),), coord_labels(theta))
         return theta if step is None else belief_rebuild(theta, step(belief_coords(theta)))
 
     return flow
@@ -211,7 +211,7 @@ def _simplex_rows(bind, dom: ConfidenceDomain, grid: Sequence, p: FiniteSimplex)
     """The coordinates of the update of p by bind([x], p.labels) (see
     ``Learner.coord_flow``) at each grid entry's float x, by one map
     bind(nonzero xs, labels); a zero's row is p's."""
-    xs = [dom.to_float(dom.coerce(chi)) for chi in grid]
+    xs = [_float_of(dom, chi) for chi in grid]
     rows = np.repeat(p.probs[None], len(xs), axis=0)
     live = [i for i, x in enumerate(xs) if x]
     step = bind([xs[i] for i in live], p.labels)
@@ -270,7 +270,7 @@ def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
     """Mix the prior with its conditioning on ``a`` at weight alpha (``_interp_map``'s kernels)."""
-    w = _FRAC.to_float(_FRAC.coerce(alpha))
+    w = _float_of(_FRAC, alpha)
     if a.labels != p.labels:
         raise ParameterError("event over a different world set")
     if not w:
@@ -667,6 +667,7 @@ def _kalman_learner() -> Learner:
 
 
 _HALF_MAX = 0.5 * sys.float_info.max
+_GIBBS_GRID = _grid(_ADD, (0.1, 0.5, 1.5, 3.0))  # the Gibbs learners' default grid, built once
 
 
 @dataclass(frozen=True, eq=False)
@@ -845,7 +846,7 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
 
 def _gibbs_observe(penalty: Callable[[Any], _Penalty], phi, t, p: FiniteSimplex) -> FiniteSimplex:
     """The update of p by penalty(phi) at additive time t (``_gibbs_map``'s kernels)."""
-    pen, b = penalty(phi), _ADD.to_float(_ADD.coerce(t))
+    pen, b = penalty(phi), _float_of(_ADD, t)
     _check_worlds(pen, p.labels)
     if not b:
         return p
@@ -901,7 +902,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
         sweep=partial(_row_sweep, observe, rows),
         lb_metric="fisher",
-        default_grid=_grid(_ADD, (0.1, 0.5, 1.5, 3.0)),
+        default_grid=_GIBBS_GRID,
         **hooks,
     )
 
@@ -986,7 +987,7 @@ class BayesModel:
                 raise ParameterError(f"likelihood row {key!r} is not an array of numbers") from None
             if row.shape != (len(hyps),):
                 raise ParameterError(f"likelihood row {key!r} does not match hypotheses")
-            if not np.all(np.isfinite(row)) or row.min() < 0.0 or row.max() > 1.0:
+            if not (np.minimum.reduce(row) >= 0.0 and np.maximum.reduce(row) <= 1.0):  # false for NaN
                 raise ParameterError(f"likelihood row {key!r} outside [0, 1]")
             row.setflags(write=False)
             table[str(key)] = row
@@ -1060,7 +1061,7 @@ def _bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     hyps, keys = model.hypotheses, model.observations
     with np.errstate(divide="ignore"):  # a zero likelihood is an infinite penalty
         table = {
-            key: _Penalty(hyps, -np.log(row), -row, None if row.min() > 0.0 else row > 0.0,
+            key: _Penalty(hyps, -np.log(row), -row, None if np.minimum.reduce(row) > 0.0 else row > 0.0,
                           f"observation {key!r}")
             for key, row in model.likelihood.items()
         }
@@ -1101,7 +1102,7 @@ def max_graded_observe(
     key: str, chi: Union[float, ConfidenceValue], table: GradedBeliefTable
 ) -> GradedBeliefTable:
     """Keep the stronger of the stored grade and the offered confidence."""
-    x = _MAX.to_float(_MAX.coerce(chi))
+    x = _float_of(_MAX, chi)
     g = table.grade(key)
     if x <= g:
         return table
@@ -1109,7 +1110,7 @@ def max_graded_observe(
 
 
 def _max_translate(key: str, chi, table: GradedBeliefTable) -> float:
-    x = _MAX.to_float(_MAX.coerce(chi))
+    x = _float_of(_MAX, chi)
     g = table.grade(key)
     if x <= g:
         return 0.0
@@ -1157,7 +1158,7 @@ def _max_graded_learner() -> Learner:
     def rows(key, grid, table: GradedBeliefTable):
         # max_graded_observe row by row: the grade moves to x only where x > g
         g, at = table.grade(key), table.keys().index(key)
-        xs = np.array([_MAX.to_float(_MAX.coerce(x)) for x in grid])
+        xs = np.array([_float_of(_MAX, x) for x in grid])
         coords = np.repeat(belief_coords(table)[None], len(grid), axis=0)
         coords[:, at] = np.where(xs > g, xs, g)
         return coords, coords[:, at].tolist()

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .confidence import _FRAC
+from .confidence import _FRAC, _float_of
 from .learners import Learner, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
@@ -57,7 +57,7 @@ def _weight_warp(mutant_id: str, warp: Callable[[float], float]) -> Learner:
     """Interpolation learner whose mixing weight is warped before use."""
 
     def observe(phi, chi, theta):
-        x = _FRAC.to_float(_FRAC.coerce(chi))
+        x = _float_of(_FRAC, chi)
         return interp_observe(phi, warp(x), theta)
 
     return _interp_mutant(mutant_id, observe)
@@ -101,7 +101,7 @@ def _mutant_b2_uniform() -> Learner:
     believe it."""
 
     def observe(phi, chi, theta):
-        x = _FRAC.to_float(_FRAC.coerce(chi))
+        x = _float_of(_FRAC, chi)
         ind = phi.indicator()
         uniform = ind / ind.sum()
         return theta.with_probs((1.0 - x) * np.asarray(theta.probs) + x * uniform)

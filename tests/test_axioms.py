@@ -177,6 +177,39 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
         assert [chi for key, chi in calls if key == id(theta)] == grid
 
 
+@pytest.mark.parametrize("learner_id", ["interp", "ds", "boltzmann", "max-graded"])
+def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
+    # L2 observes each base once and each step from it once; L3 observes,
+    # outside its residual searches, only the grid states and the updates by
+    # the residuals to top: a search hands back the state it reached
+    learner = get_learner(learner_id)
+    calls = {"L2": 0, "L3": 0, "search": 0}
+    law, searching = ["L2"], [False]
+
+    def observe(phi, chi, theta):
+        calls["search" if searching[0] else law[0]] += 1
+        return learner.observe(phi, chi, theta)
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return brent(*args)
+        finally:
+            searching[0] = False
+
+    brent = axioms._residual_by_brent
+    monkeypatch.setattr(axioms, "_residual_by_brent", search)
+    counting = dataclasses.replace(learner, observe=observe)
+    cfg = CheckConfig(seed=0, samples=4)
+    assert check_axiom(counting, "L2", cfg) == check_axiom(learner, "L2", cfg)
+    assert calls["L2"] == max(2, cfg.samples // 2) * 2 * 3
+    law[0] = "L3"
+    assert check_axiom(counting, "L3", cfg) == check_axiom(learner, "L3", cfg)
+    grid = axioms._grid(learner, cfg)
+    assert grid[-1].is_top and not grid[-2].is_top and calls["search"] > 0
+    assert calls["L3"] == min(cfg.samples, 12) * (2 * len(grid) - 1)
+
+
 def test_check_config_rejects_bad_settings():
     for bad in ({"seed": True}, {"seed": 1.5}, {"seed": "1"}, {"samples": True},
                 {"samples": 2.5}, {"samples": "3"}, {"samples": 0},
@@ -277,13 +310,13 @@ def test_bisection_early_exit_matches_every_pass(learner):
             s_lo = learner.observe(phi, grid[i], theta)
             for chi_hi in grid[i + 1:]:
                 target = learner.bel(phi, learner.observe(phi, chi_hi, theta))
-                got = _residual_by_brent(learner, phi, s_lo, target)
+                got, reached = _residual_by_brent(learner, phi, s_lo, target)
+                assert belief_distance(reached, learner.observe(phi, got, s_lo)) == 0.0
                 ref, at_end = _bisect_every_pass(learner, phi, s_lo, target)
                 if at_end:
                     assert got == ref
                 else:
                     assert not got.is_bot
-                    reached = learner.observe(phi, got, s_lo)
                     assert belief_distance(reached, learner.observe(phi, ref, s_lo)) <= 1e-12
 
 
@@ -313,7 +346,7 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     return learner.bel(phi, state) - target
 
                 charted.clear()
-                delta = _residual_by_brent(learner, phi, s_lo, target)
+                delta, reached = _residual_by_brent(learner, phi, s_lo, target)
                 if len(charted) == 1:  # nothing to reach from bot
                     assert delta.is_bot and not gap(0.0) < 0.0
                     continue
@@ -326,5 +359,4 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     tol = 2.0 ** -60 + 4 * sys.float_info.epsilon * u
                     assert any(u - tol <= v < u and gap(v) < 0.0 for v in evaluated)
                 if learner.id not in _MUTANT_IDS:
-                    d = belief_distance(learner.observe(phi, delta, s_lo), s_hi)
-                    assert d <= _TOL
+                    assert belief_distance(reached, s_hi) <= _TOL

@@ -31,6 +31,7 @@ from conflearn import (
     simple_support,
 )
 from conflearn.beliefs import MASS_EPS, _BY_CLS, normalize_probs
+from conflearn.confidence import get_domain
 from conflearn.errors import NumericalError
 
 
@@ -185,11 +186,81 @@ def test_total_conflict_raises():
         dempster_combine(ma, mb)
 
 
+def _rule_outcome(fn, *args):
+    """A mass function's labels and (subset, mass bits) in order, or the
+    error's type and message."""
+    try:
+        out = fn(*args)
+    except (ParameterError, TotalConflictError) as exc:
+        return (type(exc), str(exc))
+    assert type(out) is MassFunction and all(type(w) is float for w in out.masses.values())
+    return (out.labels, [(s, w.hex()) for s, w in out.masses.items()])
+
+
+def test_ds_plaus_update_is_dempster_with_the_simple_support_bytewise():
+    # the support's masses go to Dempster's rule without a mass function built
+    # for them: the masses, their order and bits, and the total-conflict line
+    # are those of combining with the support the public constructor builds
+    rng = np.random.default_rng(34)
+    frac = get_domain("frac")
+    outcomes = {"masses": 0, "conflict": 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        labels, full = tuple(f"w{i}" for i in range(n)), (1 << n) - 1
+        draws = int(rng.integers(1, 7))
+        m = MassFunction(labels, {int(rng.integers(1, full + 1)): float(rng.uniform(1e-3, 1.0))
+                                  for _ in range(draws)})
+        focal = 0
+        for s in m.masses:
+            focal |= s
+        masks = {full, int(rng.integers(1, full + 1))}
+        if focal != full:
+            masks.add(full & ~focal)  # an event of no plausibility
+        x = float(rng.uniform())
+        alphas = (frac.bot, 0.0, 5e-324, 1e-300, x, np.float64(x), frac.value(x),
+                  math.nextafter(1.0, 0.0), 1.0, frac.top)
+        for mask in masks:
+            a = EventSet(labels, mask)
+            for alpha in alphas:
+                s = frac.to_float(frac.coerce(alpha))
+                if not s:
+                    assert ds_plaus_update(m, a, alpha) is m
+                    continue
+                support = MassFunction(labels, {full: 1.0} if mask == full else {mask: s, full: 1.0 - s})
+                got = _rule_outcome(ds_plaus_update, m, a, alpha)
+                assert got == _rule_outcome(dempster_combine, m, support), (m, a, alpha)
+                assert got == _rule_outcome(lambda: dempster_combine(m, simple_support(labels, a, alpha)))
+                outcomes["conflict" if got[0] is TotalConflictError else "masses"] += 1
+    assert outcomes["conflict"] > 50 and outcomes["masses"] > 3000
+
+
+def test_simple_support_on_the_whole_world_set_is_vacuous():
+    # the support on every world leaves nothing to shift mass to: all of it
+    # stays on the whole set, at top too, and the update keeps the state
+    frac = get_domain("frac")
+    labels = ("a", "b", "c")
+    omega = EventSet(labels, 7)
+    m = MassFunction(labels, {1: 0.25, 6: 0.5, 7: 0.25})
+    for alpha in (frac.bot, 0.0, 1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, frac.top):
+        assert _rule_outcome(simple_support, labels, omega, alpha) == (labels, [(7, (1.0).hex())])
+        assert _rule_outcome(ds_plaus_update, m, omega, alpha) == _rule_outcome(lambda: m)
+    assert get_learner("ds").observe(omega, frac.top, m) == m
+    # a support still needs its event: checked after the weight and the labels
+    with pytest.raises(ParameterError, match="^support event must be nonempty$"):
+        simple_support(labels, EventSet(labels, 0), 1.0)
+    with pytest.raises(ParameterError, match="^event over a different world set$"):
+        ds_plaus_update(m, EventSet(("a", "b"), 3), 1.0)
+    with pytest.raises(ParameterError, match="^frac: 1.5 outside carrier"):
+        simple_support("ab", EventSet(labels, 0), 1.5)
+
+
 def test_mass_round_trip_through_simplex():
     p = tri(0.2, 0.5, 0.3)
     m = MassFunction.from_simplex(p)
-    assert m.is_probabilistic
+    assert all(s & (s - 1) == 0 for s in m.masses)  # singletons only
     assert belief_distance(m.as_simplex(), p) <= 1e-12
+    with pytest.raises(ParameterError, match="^mass function has non-singleton focal sets$"):
+        MassFunction(("a", "b"), {1: 0.5, 3: 0.5}).as_simplex()
 
 
 # ---------------------------------------------------------------------------

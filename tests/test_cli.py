@@ -699,8 +699,22 @@ def test_learn_on_list_lift_writes_csv(tmp_path):
     assert [float(x) for x in rows[1][1:4]] == [0.5, 0.3, 0.2]
 
 
+@pytest.mark.parametrize(
+    "learner, grid", [("ds", [0, 0.5, "top"]), ("ds@list", [["top"]])], ids=["ds", "ds@list"]
+)
+def test_learn_ds_on_every_world_keeps_the_prior_up_to_top(tmp_path, capsys, learner, grid):
+    # the simple support on the whole world set is vacuous, at top too
+    prior = {"kind": "mass", "labels": ["a", "b", "c"], "masses": {"a": 0.25, "b|c": 0.5, "a|b|c": 0.25}}
+    cfg = {"learner": learner, "belief": prior, "observation": {"event": ["a", "b", "c"]},
+           "confidence_grid": grid}
+    assert run_cli(tmp_path, "learn", cfg) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["final"] == prior
+    assert len(read_csv(tmp_path, f"learn_{learner}.csv")) == 1 + len(grid)
+
+
 BAYES_PRIOR = {"kind": "simplex", "probs": {"h1": 0.5, "h2": 0.3, "h3": 0.2}}
-GRADED = {"kind": "graded", "entries": {"phi1": 0.2, "phi2": 0.5}}
+GRADED ={"kind": "graded", "entries": {"phi1": 0.2, "phi2": 0.5}}
 
 
 def _observing(command, learner, belief, observation):

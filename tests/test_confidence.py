@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflearn import (
+    DomainMismatchError,
     ParameterError,
     add_to_frac,
     available_domains,
@@ -18,6 +19,7 @@ from conflearn import (
     kalman_combine,
     list_extend,
 )
+from conflearn.confidence import _float_of
 
 FRAC = get_domain("frac")
 ADD = get_domain("add")
@@ -177,6 +179,86 @@ def test_chart_rejects_bad_beta():
         frac_to_add(0.0, 0.5)
     with pytest.raises(ParameterError):
         add_to_frac(-1.0, 0.5)
+
+
+def _coerced_float(dom, x):
+    """The reference the float helper shortcuts: to_float(coerce(x))."""
+    return dom.to_float(dom.coerce(x))
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", the result's type and bits) or ("error", type, message)."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    if isinstance(out, float):
+        return ("ok", type(out), out.hex())
+    return ("ok", type(out), repr(out), type(out.payload), out.payload)
+
+
+def test_float_helper_reads_as_to_float_of_coerce():
+    tiny = math.nextafter(0.0, 1.0)
+    below_one = math.nextafter(1.0, 0.0)
+    for dom in (FRAC, ADD, MAX):
+        hi = dom.hi_float
+        inputs = [
+            0.3, tiny, 1e-300, below_one, 0.0, -0.0, 1.0, 2.5, 1e308, hi,
+            0, 1, 2, True,
+            np.float64(0.3), np.float64(0.0), np.float64(1.0), np.float32(0.25),
+            dom.bot, dom.top, dom.value(0.3),
+            -1e-13, 1.0 + 1e-13, -1e-11, 1.0 + 1e-11,  # within and past rounding of an end
+            math.nan, -0.5, 1.5, -math.inf, "x", None, FRAC.value(0.3), ADD.top,
+        ]
+        for x in inputs:
+            want = _outcome(_coerced_float, dom, x)
+            assert _outcome(_float_of, dom, x) == want, (dom.id, x)
+    # the direct reading applies to Python floats alone: a numpy float takes the full path
+    assert type(np.float64(0.3)) is not float
+    assert type(_float_of(FRAC, np.float64(0.3))) is float
+    with pytest.raises(ParameterError, match=r"^frac: NaN is not a confidence value$"):
+        _float_of(FRAC, math.nan)
+    with pytest.raises(ParameterError, match=r"^frac: -0\.5 outside carrier \[0\.0, 1\.0\]$"):
+        _float_of(FRAC, -0.5)
+    with pytest.raises(DomainMismatchError):
+        _float_of(ADD, FRAC.value(0.3))
+
+
+def _chart_reference(beta, x, src, dst, f, scale):
+    """frac_to_add (scale=False) or add_to_frac (scale=True) as they read their
+    argument through a coerced ConfidenceValue."""
+    beta = float(beta)
+    if not 0.0 < beta < math.inf:
+        raise ParameterError(f"beta must be a positive real, got {beta!r}")
+    v = src.coerce(x)
+    if v.is_bot:
+        return dst.bot
+    if v.is_top:
+        return dst.top
+    return dst.value(f(beta * v.payload) if scale else f(v.payload) / beta)
+
+
+def test_chart_keeps_its_bits_at_the_ends():
+    tiny = math.nextafter(0.0, 1.0)
+    below_one = 1.0 - 2.0 ** -53
+    values = [0.0, tiny, 1e-300, 0.5, below_one, 1.0, 37.0, 1e308, math.inf, 0, 1,
+              np.float64(below_one), FRAC.bot, FRAC.top, FRAC.value(below_one), ADD.bot, ADD.top,
+              ADD.value(tiny), -1e-13, math.nan, -0.5, 1.5, "x"]
+    for beta in (1.0, 0.3, 2.0, tiny, 1e308):
+        for x in values:
+            to_add = _outcome(_chart_reference, beta, x, FRAC, ADD, lambda s: -math.log1p(-s), False)
+            to_frac = _outcome(_chart_reference, beta, x, ADD, FRAC, lambda t: -math.expm1(-t), True)
+            assert _outcome(frac_to_add, beta, x) == to_add, (beta, x)
+            assert _outcome(add_to_frac, beta, x) == to_frac, (beta, x)
+    assert frac_to_add(1.0, below_one).payload == -math.log1p(-below_one)
+    assert frac_to_add(1.0, 1.0) is ADD.top and frac_to_add(1.0, 0.0) is ADD.bot
+    assert add_to_frac(1.0, math.inf) is FRAC.top and add_to_frac(1.0, 0.0) is FRAC.bot
+    assert add_to_frac(1.0, tiny).payload == tiny
+    # a bad beta is reported before a bad value
+    for bad_beta in (0.0, -1.0, math.nan, math.inf):
+        for chart in (frac_to_add, add_to_frac):
+            with pytest.raises(ParameterError, match=r"^beta must be a positive real"):
+                chart(bad_beta, "x")
 
 
 # ---------------------------------------------------------------------------
