@@ -279,7 +279,7 @@ def _chart_to_confidence(dom, u: float) -> ConfidenceValue:
     return dom.value(u)
 
 
-def _residual_by_brent(learner, phi, s_lo, target_bel):
+def _residual_by_brent(learner, phi, s_lo, target_bel, states):
     """The residual confidence whose update from s_lo brings Bel up to
     target_bel, found on the chart [0, 1] by Brent's zero finder (Brent 1973,
     ch. 4) on gap(u) = Bel - target_bel.
@@ -290,13 +290,15 @@ def _residual_by_brent(learner, phi, s_lo, target_bel):
     bisects when that step would not shrink the bracket fast enough.  The
     search stops once the bracket is at most _BRENT_XTOL + 4 eps u wide, or
     after _BRENT_ITERS steps, and returns the upper end's confidence and state.
+    ``states`` maps the chart points tried from s_lo to their updates; the
+    search adds the ones it observes.
     """
     dom = learner.domain
-    states = {}  # the update of s_lo at each chart point tried
 
     def gap(u: float) -> float:
-        states[u] = state = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
-        return learner.bel(phi, state) - target_bel
+        if u not in states:
+            states[u] = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
+        return learner.bel(phi, states[u]) - target_bel
 
     fa = gap(0.0)
     if not fa < 0.0:
@@ -365,12 +367,14 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     n = min(cfg.samples, 12)
     for phi, theta in _instances(learner, chk.rng, n):
         states = [None] * len(grid)  # observed once each, at first use
+        tried = {}  # by start state's id: its update at each chart point tried
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 for k in (i, j):
                     if states[k] is None:
                         states[k] = learner.observe(phi, grid[k], theta)
                 s_lo, s_hi = states[i], states[j]
+                charted = tried.setdefault(id(s_lo), {})
                 if grid[j].is_top or not search:
                     delta = dom.residual(grid[i], grid[j])
                     if delta is None:
@@ -379,9 +383,10 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
                             reason="no residual in the confidence domain",
                         )
                         continue
-                    after = learner.observe(phi, delta, s_lo)
+                    # a search's chart sends 1 to top, the residual to top
+                    after = charted[1.0] if 1.0 in charted else learner.observe(phi, delta, s_lo)
                 else:
-                    delta, after = _residual_by_brent(learner, phi, s_lo, learner.bel(phi, s_hi))
+                    delta, after = _residual_by_brent(learner, phi, s_lo, learner.bel(phi, s_hi), charted)
                 d = belief_distance(after, s_hi)
                 chk.offer(
                     d, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j], chi_residual=delta

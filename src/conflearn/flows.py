@@ -31,7 +31,8 @@ CSV writer of the package.
 Where the observations' flows commute, the flow of their sum at time t is
 the composition of each flow at time w_j t, a closed form; interp
 observations of pairwise disjoint events, whose flows do not commute, have
-one too, a mixture moving toward Jeffrey's rule on the events.  Interp
+one too, a mixture moving toward Jeffrey's rule on the events, and one
+event is its k = 1 case, ``interp_observe``'s own update.  Interp
 observations of overlapping events have none, but their path stays in the
 exponential family p(0) exp(M^T lam) / Z, one coordinate per event: at
 finite times their flow integrates lam with adaptive Dormand-Prince 5(4)
@@ -45,10 +46,10 @@ still runs; it projects the rows with the kind's projection
 (``normalize_probs`` on a simplex) and rebuilds the end state from the last
 unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
 ``max-graded`` (a rate per key) have exact flows, and ``interp`` has one
-where its events are pairwise disjoint and, at finite times, the tilt flow
-where they overlap.  RK4 steps the rest: interp sums over overlapping
-events at top, mutants, hand-built handles and sums over different
-learners.
+where its events are one or pairwise disjoint and, at finite times, the
+tilt flow where they overlap.  RK4 steps the rest: interp sums over
+overlapping events at top (on their closed field, over worlds), mutants,
+hand-built handles and sums over different learners.
 
 Interleaving works the same way.  A learner's coordinate flow maps rows of
 coordinates, of any belief kind that has them, to their updates at one

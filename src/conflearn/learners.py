@@ -135,7 +135,8 @@ class Learner:
     # It raises ParameterError if an observation is over other worlds.  The
     # one-term case ((phi, 1.0),) is make_flow(phi): the belief rebuilt from
     # map(coords) is make_flow(phi)(t, belief) bit for bit, and each row gets
-    # those bits.
+    # those bits (interp's map on one event or disjoint ones runs its
+    # observe's kernel, _interp_step).
     coord_flow: Optional[
         Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
     ] = None
@@ -266,58 +267,56 @@ def _event_with_mass(rng: np.random.Generator, labels: Tuple[str, ...], mass, fa
 # Interpolation learner (fractional support on event observations).
 
 
+_ONE = np.ones(1)  # the share of the weight one event takes
+
+
 def interp_observe(
     a: EventSet, alpha: Union[float, ConfidenceValue], p: FiniteSimplex
 ) -> FiniteSimplex:
-    """Mix the prior with its conditioning on ``a`` at weight alpha (``_interp_map``'s kernels)."""
+    """Mix the prior with its conditioning on ``a`` at weight alpha: the
+    kernel ``_interp_step`` on one event, on one belief."""
     w = _float_of(_FRAC, alpha)
-    if a.labels != p.labels:
-        raise ParameterError("event over a different world set")
-    if not w:
-        return p
-    cond = _condition(a, p.probs)
-    return p.with_probs(cond if w == 1.0 else _interp_mix(p.probs, cond, w, 1.0 - w, None))
+    m = _interp_rows((a,), p.labels)
+    return p.with_probs(_interp_step(p.probs, (a,), m, _ONE, w, w == 1.0)) if w else p
 
 
-def _interp_map(a: EventSet, ws: Sequence[float], labels: Tuple[str, ...]):
-    """interp_observe(a, w, .) at each float weight w in [0, 1] of ``ws``, one
-    per row, bound to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
-    if a.labels != labels:
-        raise ParameterError("event over a different world set")
+def _interp_map(events: Sequence[EventSet], shares: np.ndarray, ws: Sequence[float], labels: Tuple[str, ...]):
+    """``_interp_step`` on the pairwise disjoint ``events`` with their
+    ``shares`` of each float weight w in [0, 1] of ``ws``, one per row, bound
+    to simplexes over ``labels`` (see ``Learner.coord_flow``)."""
+    m = _interp_rows(events, labels)
     if not any(ws):
         return None
-    target = partial(_condition, a)
-    if min(ws) == 1.0:  # every row at top
-        return target
-    w = _rows(ws)
-    keep = 1.0 - w
-    top = None if max(ws) < 1.0 else _rows([x == 1.0 for x in ws])
-    return lambda c: _interp_mix(c, target(c), w, keep, top)
+    return partial(_interp_step, events=events, m=m, shares=shares, w=_rows(ws), top=min(ws) == 1.0)
 
 
-def _interp_mix(c: np.ndarray, cond: np.ndarray, w, keep, top) -> np.ndarray:
-    """keep * c + w * cond (rows normalized), or cond in the rows ``top`` sets (None: none)."""
-    mixed = keep * c + w * normalize_probs(cond)
-    return mixed if top is None else np.where(top, cond, mixed)
-
-
-def _condition(a: EventSet, c: np.ndarray) -> np.ndarray:
-    """condition(p, a) op for op, on one belief's coordinates or on rows."""
-    ind = a.indicator()
-    mass = np.vecdot(c, ind)
-    # one belief's vector has one mass, which numpy applies faster as is
-    least = float(np.minimum.reduce(mass) if mass.ndim else mass)
+def _interp_step(c: np.ndarray, events: Sequence[EventSet], m: np.ndarray, shares: np.ndarray, w, top: bool) -> np.ndarray:
+    """The one interp update that needs no tilt: c_i (1 - w + w ((s / Mc)^T
+    M)_i) for pairwise disjoint events, with indicator rows M and shares s of
+    the weight w (a float, or a column), the mixture of c and Jeffrey's rule;
+    one event (s = [1]) is conditioning.  Where ``top`` (every w is 1) the
+    factor is (s / Mc)^T M alone, the bits 1 - w + w x has there.  A row's
+    event masses are one vector-matrix product, so it gets its lone bits.
+    An event of mass at most MASS_EPS raises ZeroMassEventError, naming the
+    one of least mass."""
+    mass = c @ m.T if c.ndim == 1 else np.matmul(c[:, None], m.T)[:, 0]
+    least = min(mass.ravel().tolist())
     if least <= MASS_EPS:
+        a = events[int(mass.argmin()) % len(events)]
         raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
-    return c * ind / (mass[:, None] if mass.ndim else mass)
+    # a world is in at most one event: each entry of the product is one
+    # share over its mass or 0, exactly
+    g = np.dot(shares / mass, m)
+    return c * g if top else c * (1.0 - w + w * g)
 
 
 def _interp_rows(events: Sequence[EventSet], labels: Tuple[str, ...]) -> np.ndarray:
     """The indicator rows of ``events`` over the worlds ``labels``, one per
-    event: the one bind of interp's several-event paths."""
+    event: the one bind of interp's paths."""
     if any(a.labels != labels for a in events):
         raise ParameterError("event over a different world set")
-    return np.array([a.indicator() for a in events])
+    # one event's row is a view; np.array copies
+    return events[0].indicator()[None] if len(events) == 1 else np.array([a.indicator() for a in events])
 
 
 def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[float],
@@ -325,33 +324,24 @@ def _interp_coord_flow(terms: Sequence[Tuple[EventSet, float]], ts: Sequence[flo
     weights: Dict[EventSet, float] = {}
     for a, w in terms:  # an event observed twice is one cell of their summed weight
         weights[a] = weights.get(a, 0.0) + w
-    events, total = list(weights), sum(weights.values())
-    if len(events) == 1:
-        return _interp_map(events[0], [_to_frac(total * t) for t in ts], labels)
-    m, w = _interp_rows(events, labels), np.array(list(weights.values()))
-    if not any(ts):
-        return None
-    if np.maximum.reduce(np.add.reduce(m)) > 1.0:  # some world is in two events
-        if math.inf in ts:  # the limit of overlapping events has no closed form
-            return NotImplemented
-        return _interp_tilt_flow(m, w, ts)
+    events, w = list(weights), np.array(list(weights.values()))
+    if len(events) > 1 and any(ts):
+        m = _interp_rows(events, labels)
+        if np.maximum.reduce(np.add.reduce(m)) > 1.0:  # some world is in two events
+            if math.inf in ts:  # the limit of overlapping events has no closed form
+                return NotImplemented
+            return _interp_tilt_flow(m, w, ts)
     # on disjoint events each conditional is fixed along the flow, so at t it
     # keeps e^(-W t) of p, W = sum_j w_j, and moves the rest to Jeffrey's rule
-    # sum_j (w_j / W) condition(p, a_j): a world times its event's share over its mass
-    shares = w / total
+    # with the shares w_j / W
+    total = sum(w.tolist())
+    return _interp_map(events, w / total, [_to_frac(total * t) for t in ts], labels)
 
-    def target(c: np.ndarray) -> np.ndarray:  # the coefficients at top
-        mass = c @ m.T
-        least = float(np.minimum.reduce(mass, axis=None))
-        if least <= MASS_EPS:
-            a = events[int(mass.argmin()) % len(events)]
-            raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
-        return (shares / mass) @ m
 
-    if min(ts) == math.inf:
-        return lambda c: c * target(c)
-    keep = _rows([math.exp(-total * t) for t in ts])
-    return lambda c: c * (keep + (1.0 - keep) * target(c))
+def _cell_expand(c: np.ndarray, q: np.ndarray, q0: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """World i of cell s at c_i * q_s / q0_s (0 where q0_s is 0), for cell
+    masses q (or rows of them) reached from q0, the cells' masses under c."""
+    return c * np.divide(q, q0, out=np.zeros_like(q), where=q0 > 0.0)[..., cell]
 
 
 def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, float]],
@@ -387,8 +377,7 @@ def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, f
                 # renormalized, and seen from the other event: "a only" and
                 # "b only" trade places; after a round a's view is back
                 x1, x2, x3, x4 = x1 / total, x3 / total, x2 / total, x4 / total
-        ratio = np.array([x / x0 if x0 > 0.0 else 0.0 for x, x0 in zip((x1, x2, x3, x4), q0)])
-        states.append(p.with_probs(p.probs * ratio[cell]))
+        states.append(p.with_probs(_cell_expand(p.probs, np.array([x1, x2, x3, x4]), np.array(q0), cell)))
     return states
 
 
@@ -416,7 +405,7 @@ def _interp_tilt_flow(m: np.ndarray, w: np.ndarray, ts: Sequence[float]):
         q0 = np.bincount(cell, weights=c)
         # a rate w_j / P(a_j) of at least w_j / MASS_EPS: a_j has no mass
         q = _dormand_prince(stage, w / MASS_EPS, q0, ts, cap)
-        return c * np.divide(q, q0, out=np.zeros_like(q), where=q0 > 0.0)[:, cell]
+        return _cell_expand(c, q, q0, cell)
 
     return flow
 
@@ -461,7 +450,7 @@ def _interp_learner() -> Learner:
         return _event_with_mass(rng, p.labels, p.prob, 1), p
 
     def rows(a, grid, p):
-        coords = _simplex_rows(partial(_interp_map, a), _FRAC, grid, p)
+        coords = _simplex_rows(partial(_interp_map, (a,), _ONE), _FRAC, grid, p)
         # vecdot gives each row the bits of p.prob(a)
         return coords, [math.log(m) if m > 0 else -math.inf for m in np.vecdot(coords, a.indicator()).tolist()]
 

@@ -181,13 +181,26 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
 def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
     # L2 observes each base once and each step from it once; L3 observes,
     # outside its residual searches, only the grid states and the updates by
-    # the residuals to top: a search hands back the state it reached
+    # the residuals to top.  A search hands back the state it reached, the
+    # searches from one start share the chart points they tried, and an
+    # update to top takes the u = 1 (top) state a search from its start tried
     learner = get_learner(learner_id)
     calls = {"L2": 0, "L3": 0, "search": 0}
     law, searching = ["L2"], [False]
+    instances, charted, starts = [], set(), []  # starts are kept alive, so ids stay theirs
+
+    def sample(rng):
+        phi, theta = learner.sample_instance(rng)
+        instances.append(theta)
+        return phi, theta
 
     def observe(phi, chi, theta):
         calls["search" if searching[0] else law[0]] += 1
+        # a chart point from a start: in a search, or an update to top of a grid state
+        if law[0] == "L3" and (searching[0] or chi.is_top and not any(theta is t for t in instances)):
+            assert (id(theta), repr(chi)) not in charted, chi
+            charted.add((id(theta), repr(chi)))
+            starts.append(theta)
         return learner.observe(phi, chi, theta)
 
     def search(*args):
@@ -199,7 +212,7 @@ def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
 
     brent = axioms._residual_by_brent
     monkeypatch.setattr(axioms, "_residual_by_brent", search)
-    counting = dataclasses.replace(learner, observe=observe)
+    counting = dataclasses.replace(learner, observe=observe, sample_instance=sample)
     cfg = CheckConfig(seed=0, samples=4)
     assert check_axiom(counting, "L2", cfg) == check_axiom(learner, "L2", cfg)
     assert calls["L2"] == max(2, cfg.samples // 2) * 2 * 3
@@ -207,7 +220,9 @@ def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
     assert check_axiom(counting, "L3", cfg) == check_axiom(learner, "L3", cfg)
     grid = axioms._grid(learner, cfg)
     assert grid[-1].is_top and not grid[-2].is_top and calls["search"] > 0
-    assert calls["L3"] == min(cfg.samples, 12) * (2 * len(grid) - 1)
+    # the grid states, then fewer updates to top than starts below top
+    n = min(cfg.samples, 12)
+    assert n * len(grid) < calls["L3"] < n * (2 * len(grid) - 1)
 
 
 def test_check_config_rejects_bad_settings():
@@ -310,7 +325,7 @@ def test_bisection_early_exit_matches_every_pass(learner):
             s_lo = learner.observe(phi, grid[i], theta)
             for chi_hi in grid[i + 1:]:
                 target = learner.bel(phi, learner.observe(phi, chi_hi, theta))
-                got, reached = _residual_by_brent(learner, phi, s_lo, target)
+                got, reached = _residual_by_brent(learner, phi, s_lo, target, {})
                 assert belief_distance(reached, learner.observe(phi, got, s_lo)) == 0.0
                 ref, at_end = _bisect_every_pass(learner, phi, s_lo, target)
                 if at_end:
@@ -346,7 +361,7 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     return learner.bel(phi, state) - target
 
                 charted.clear()
-                delta, reached = _residual_by_brent(learner, phi, s_lo, target)
+                delta, reached = _residual_by_brent(learner, phi, s_lo, target, {})
                 if len(charted) == 1:  # nothing to reach from bot
                     assert delta.is_bot and not gap(0.0) < 0.0
                     continue

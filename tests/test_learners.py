@@ -42,8 +42,8 @@ from conflearn import (
     train_limit,
 )
 from conflearn.axioms import _seeded_rng, _top_instances
-from conflearn.beliefs import normalize_probs
-from conflearn.errors import ConfLearnError, NumericalError, ParameterError, StepBudgetError
+from conflearn.beliefs import jeffrey, normalize_probs
+from conflearn.errors import ConfLearnError, NumericalError, ParameterError, StepBudgetError, ZeroMassEventError
 
 ADD = get_domain("add")
 FRAC = get_domain("frac")
@@ -77,6 +77,43 @@ def test_interp_accepts_domain_values():
     a = p.event(["a"])
     out = interp_observe(a, FRAC.value(0.25), p)
     assert out.prob(a) == pytest.approx(0.5 + 0.25 * 0.5, abs=1e-12)
+
+
+def test_interp_map_is_the_mixture_with_jeffrey_on_one_event_or_several_disjoint_ones():
+    # the one kernel of interp's updates on pairwise disjoint events: each
+    # row has the bits its weight gets alone; on one event it is
+    # interp_observe and the mixture with conditioning, on several the
+    # mixture with Jeffrey's rule at the events' shares
+    rng = np.random.default_rng(35)
+    ws = [0.0, 5e-324, 0.3, math.nextafter(1.0, 0.0), 1.0]
+    for k in (1, 1, 2, 3, 4) * 8:
+        n = k + int(rng.integers(0, 12))
+        labels = tuple(f"w{i}" for i in range(n))
+        owner = np.concatenate([np.arange(k), rng.integers(0, k + 1, n - k)])  # k: no event
+        rng.shuffle(owner)
+        events = [EventSet(labels, int(sum(1 << i for i in np.flatnonzero(owner == j)))) for j in range(k)]
+        shares = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+        p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
+        raw = learners._interp_map(events, shares, ws, labels)(np.repeat(p.probs[None], len(ws), axis=0))
+        for w, row in zip(ws, raw):
+            alone = learners._interp_map(events, shares, [w], labels)
+            assert row.tobytes() == (p.probs if alone is None else alone(p.probs)).tobytes()
+            got = p.probs if alone is None else normalize_probs(row)  # weight 0 is the identity
+            if k == 1:
+                assert got.tobytes() == interp_observe(events[0], w, p).probs.tobytes()
+                ref = condition(p, events[0]).probs
+            else:
+                rest = EventSet(labels, events[0].full_mask & ~sum(a.mask for a in events))
+                cells = events + ([rest] if rest.mask else [])
+                ref = jeffrey(p, cells, [*shares, 0.0][: len(cells)]).probs
+            assert np.max(np.abs(got - ((1.0 - w) * p.probs + w * ref))) <= 1e-15
+    labels = ("a", "b", "c")
+    p = FiniteSimplex(labels, np.array([0.5, 0.0, 0.5]))
+    events = [EventSet(labels, 0b001), EventSet(labels, 0b010)]
+    step = learners._interp_map(events, np.array([0.5, 0.5]), ws, labels)
+    for c in (p.probs, np.repeat(p.probs[None], len(ws), axis=0)):
+        with pytest.raises(ZeroMassEventError, match=re.escape("cannot condition on {b} with mass 0")):
+            step(c)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -816,10 +853,11 @@ _BIG = 1.7e308  # past half the float range
     ],
 )
 def test_one_belief_observe_is_its_coordinate_map_row_bytewise(lid, cases):
-    # the one-belief update calls the map's kernels directly: each
-    # confidence's state has the bits of the row the coordinate map gives
-    # (FiniteSimplex's normalization, on rows), and fails with its error;
-    # the cases above, then sampled instances
+    # the one-belief update runs the coordinate map's kernel: at each
+    # additive time t (interp observes at the weight 1 - e^(-t)) its state
+    # has the bits of the row the one-term coord_flow gives (FiniteSimplex's
+    # normalization, on rows), and fails with its error; the cases above,
+    # then sampled instances
     if lid == "bayes":  # the observation rules a out; the last prior holds a alone
         learner = get_learner("bayes", model=BayesModel(("a", "b", "c"), {"e": [0.0, 0.5, 1.0]}))
     else:
@@ -827,16 +865,11 @@ def test_one_belief_observe_is_its_coordinate_map_row_bytewise(lid, cases):
     instances = [(phi, FiniteSimplex(("a", "b", "c"), np.array(probs))) for phi, probs in cases]
     rng = np.random.default_rng(3)
     instances += [learner.sample_instance(rng) for _ in range(40)]
-    dom = learner.domain
-    grid = [dom.bot, 0.3, 0.7 if lid == "interp" else 2.5, 1.0 if lid == "interp" else 40.0, dom.top]
     for phi, p in instances:
-        for chi in grid:
-            x = dom.to_float(dom.coerce(chi))
+        for t in (0.0, 0.3, 2.5, 40.0, math.inf):
+            chi = -math.expm1(-t) if lid == "interp" else t
             try:
-                if lid == "interp":  # its coord_flow takes additive times; this map, weights
-                    step = learners._interp_map(phi, [x], p.labels)
-                else:  # one term at weight 1: the map of its own penalty
-                    step = learner.coord_flow(((phi, 1.0),), [x], p.labels)
+                step = learner.coord_flow(((phi, 1.0),), [t], p.labels)
                 row = p.probs if step is None else normalize_probs(step(p.probs[None]))[0]
             except ConfLearnError as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
