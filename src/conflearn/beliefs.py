@@ -505,6 +505,8 @@ def ds_plaus_update(
     """
     s = _float_of(_FRAC, alpha)
     if not s:
+        if a.labels != bel.labels:  # alpha 0 moves nothing, but the event is still checked
+            raise ParameterError("event over a different world set")
         return bel
     return _dempster(bel.labels, bel.masses, _support_masses(bel.labels, a, s))
 

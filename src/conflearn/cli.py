@@ -302,19 +302,14 @@ def _cmd_learn(args, cfg: dict) -> int:
             rows = []
             for chi in grid:
                 final = learner.observe(phi, chi, theta0)
-                row = list(chi_cols(chi)) + list(bel_cols(final))
-                if learner.bel is not None:
-                    row.append(learner.bel(phi, final))
-                rows.append(row)
+                rows.append([*chi_cols(chi), *bel_cols(final), learner.bel(phi, final)])
     for w in caught:
         if issubclass(w.category, NonConvergenceWarning):
             print(f"warning: {w.message}", file=sys.stderr)
         else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
-    headers = list(chi_headers) + list(bel_headers)
-    if learner.bel is not None:
-        headers.append("bel")
+    headers = [*chi_headers, *bel_headers, "bel"]
     _atomic_write(_out_path(args, name), _csv_text(headers, rows))
 
     payload = {
@@ -323,9 +318,8 @@ def _cmd_learn(args, cfg: dict) -> int:
         "grid_size": len(grid),
         "final": belief_to_json(final),
         "csv": name,
+        "final_bel": float(learner.bel(phi, final)),
     }
-    if learner.bel is not None:
-        payload["final_bel"] = float(learner.bel(phi, final))
     _emit(args, payload)
     return 0
 

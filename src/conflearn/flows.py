@@ -51,15 +51,12 @@ tilt flow where they overlap.  RK4 steps the rest: interp sums over
 overlapping events at top (on their closed field, over worlds), mutants,
 hand-built handles and sums over different learners.
 
-Interleaving works the same way.  A learner's coordinate flow maps rows of
-coordinates, of any belief kind that has them, to their updates at one
-float additive time per row; ``trotter_interleave`` walks every round count
-of a call as one row of one array, projects each update as the exact flow
-does (``_row_projection``) and builds one belief per count.  A learner with
-a walk of its own (``Learner.interleave``) takes that instead: interp's
-state stays p(0) g(cell) / Z over the four cells its two events cut, so its
-walk runs on four masses in plain floats.  Learners with no coordinate flow
-(``ds``) compose their flows on belief objects.
+Interleaving has two paths, and ``trotter_interleave`` walks each round
+count alone.  A learner with a walk of its own (``Learner.interleave``)
+takes it: interp's state stays p(0) g(cell) / Z over the four cells its two
+events cut, so its walk runs on four masses in plain floats and builds one
+belief per count.  Every other learner (``boltzmann``, ``bayes``,
+``max-graded``, ``ds``) composes its two ``make_flow``s on belief objects.
 
 ``metric_gradient`` (Fisher on a simplex, or euclidean) lets callers verify
 that a learner's update direction is metric gradient ascent on its Bel.
@@ -621,8 +618,8 @@ def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float]
 
 
 def _row_projection(kind) -> Project:
-    """The projection of an array of coordinate rows: ``normalize_probs`` on
-    a simplex (each row's FiniteSimplex bits), else the kind's, row by row."""
+    """The projection of the exact flow's rows (``_run``): ``normalize_probs``
+    on a simplex (each row's FiniteSimplex bits), else the kind's, row by row."""
     if kind.sums_to_one:
         return normalize_probs
     return lambda v: np.array([kind.project(row) for row in v])
@@ -814,39 +811,21 @@ def trotter_interleave(
     against the tilt flow of their sum.
 
     ``n`` is one round count, or a sequence of them; a sequence gives a
-    tuple of states, one per entry in the order given, each the state (or
-    the error) of that count alone, and the first count that fails alone
-    raises its error.  Distinct counts that sum to more than ``_MAX_STEPS``
-    rounds raise :class:`StepBudgetError` before any round.  A learner with
-    its own walk (``Learner.interleave``) on a belief of its kind takes it:
-    interp walks the masses of the four cells its two events cut, in plain
-    floats, which agrees with composing its flows within round-off.  Else a
-    learner with a coordinate flow (``coord_flow`` of one term) on a belief
-    with coordinates walks every distinct count at once, as one row of a
-    coordinate array: both flows are bound to the rows' slices, each update
-    gets the projection and checks of a belief object, and row n leaves the
-    walk after n rounds as one belief, with the bits of composing the flows.
-    Other learners compose ``make_flow`` on belief objects, once per count.
+    tuple of states, one per entry in the order given.  Each distinct count
+    is walked alone, in that order, so the first count that fails raises its
+    error.  Distinct counts that sum to more than ``_MAX_STEPS`` rounds raise
+    :class:`StepBudgetError` before any round.  A learner with its own walk
+    (``Learner.interleave``) on a belief of its kind takes it: interp walks
+    the masses of the four cells its two events cut, in plain floats, which
+    agrees with composing its flows within round-off.  Other learners compose
+    ``make_flow`` on belief objects.  A slice that underflows to 0 is the
+    identity: each flow runs once, for its checks, and the start comes back.
     """
     single = np.ndim(n) == 0
     counts = (n,) if single else tuple(n)
     _check_rounds(counts)
-    phis = (phi1, phi2)
-    if single:
-        return _interleave(learner, phis, chi, counts, theta0)[0]
-    return _first_failure(lambda some: _interleave(learner, phis, chi, some, theta0), counts)
-
-
-def _first_failure(call: Callable[[tuple], Any], items: Sequence):
-    """call(items), or where that raises, the error of the first item that
-    fails alone (call((item,)), in order), else the batch's own error."""
-    try:
-        return call(items)
-    except Exception as exc:  # any failure: raised again below
-        failure = exc
-    for item in items:
-        call((item,))
-    raise failure
+    states = _interleave(learner, (phi1, phi2), chi, counts, theta0)
+    return states[0] if single else states
 
 
 def _check_rounds(counts) -> None:
@@ -881,53 +860,41 @@ def _trotter_errors(learner: Learner, phi1, phi2, chi, counts, theta0, cfg=None)
 
 
 def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
-    """The states of ``trotter_interleave`` for each of ``counts``, raising
-    if any count fails."""
+    """The states of ``trotter_interleave`` for each of ``counts``: each
+    distinct count is checked and walked alone, in the order given, and
+    ``chi`` is checked before the first walk."""
     _check_kind(learner, theta0)
-    if not counts:
-        return ()
+    ends, walk = {}, None
     for n in counts:
+        if n in ends:
+            continue
         if not n >= 1 or int(n) != n:  # NaN fails n >= 1, as 0 does
             raise ParameterError(f"n must be a positive integer, got {n!r}")
-    t = _coerce_time(chi)
-    if math.isinf(t):
-        raise ParameterError("interleaving needs a finite total commitment")
-    rows = sorted(set(counts))
+        if walk is None:
+            t = _coerce_time(chi)
+            if math.isinf(t):
+                raise ParameterError("interleaving needs a finite total commitment")
+            walk = _walk(learner, phis, theta0)
+        ends[n] = walk(int(n), t / n)
+    return tuple(ends[n] for n in counts)
+
+
+def _walk(learner: Learner, phis, theta0) -> Callable[[int, float], Any]:
+    """walk(n, dt), the state after n rounds of the two phis at the float
+    additive time dt each: the learner's own walk on a belief of its kind,
+    else its two ``make_flow``s composed on belief objects."""
     kind = _kind_of(theta0)
     if learner.interleave is not None and kind is not None and kind.name == learner.belief_kind:
-        ends = dict(zip(rows, learner.interleave(phis, [(int(n), t / n) for n in rows], theta0)))
-        return tuple(ends[n] for n in counts)
-    ends = {}
-    if learner.coord_flow is None or kind is None or kind.coords is None:
-        if learner.make_flow is None:
-            raise UnsupportedError(f"learner {learner.id!r} registers no additive form")
-        flows = [learner.make_flow(phi) for phi in phis]
-        for n in rows:
-            theta, dt = theta0, t / n
-            for _ in range(int(n)):
-                for flow in flows:
-                    theta = flow(dt, theta)
-            ends[n] = theta
-        return tuple(ends[n] for n in counts)
-    labels, dts = kind.labels(theta0), [t / n for n in rows]
-    # the slices shrink as n grows: rows whose slice underflows to 0 are the
-    # identity, and binding them only makes the observations' checks
-    live = sum(dt > 0.0 for dt in dts)
-    if live < len(rows):
-        for phi in phis:
-            learner.coord_flow(((phi, 1.0),), dts[live:], labels)
-        ends.update((n, theta0) for n in rows[live:])
-    c, project = np.repeat(kind.coords(theta0)[None], live, axis=0), _row_projection(kind)
-    v, done = None, 0
-    for lo in range(live):
-        steps = [learner.coord_flow(((phi, 1.0),), dts[lo:live], labels) for phi in phis]
-        steps = [step for step in steps if step is not None]  # None: the identity
-        for _ in range(int(rows[lo]) - done):
-            for step in steps:
-                v = step(c)
-                c = project(v)
-        done = int(rows[lo])
-        ends[rows[lo]] = theta0 if v is None else _result(theta0, v[0])
-        c = c[1:]
-        v = None if v is None else v[1:]
-    return tuple(ends[n] for n in counts)
+        return lambda n, dt: learner.interleave(phis, n, dt, theta0)
+    if learner.make_flow is None:
+        raise UnsupportedError(f"learner {learner.id!r} registers no additive form")
+    flows = [learner.make_flow(phi) for phi in phis]
+
+    def walk(n: int, dt: float):
+        theta = theta0
+        for _ in range(n if dt else 1):  # a slice of 0: each flow once, for its checks
+            for flow in flows:
+                theta = flow(dt, theta)
+        return theta if dt else theta0
+
+    return walk

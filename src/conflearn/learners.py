@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _check_kind, _dormand_prince, _first_failure, _forward_stencil, belief_coords, belief_rebuild, coord_labels
+from .flows import _check_kind, _dormand_prince, _forward_stencil, belief_coords, belief_rebuild, coord_labels
 
 __all__ = [
     "Learner",
@@ -128,27 +128,24 @@ class Learner:
     # NotImplemented where the learner has no flow of the terms' sum at ts
     # (interp on overlapping events where a time is top: their limit has no
     # closed form); None where every time is 0 (the identity); else, for
-    # positive times, a map along the last axis from coordinates to the
-    # updated ones before the kind's projection, row i at time ts[i], taking
-    # one belief's coordinates or an array of rows, one per time (interp on
-    # overlapping events: one belief's, on cells, by flows._dormand_prince).
-    # It raises ParameterError if an observation is over other worlds.  The
-    # one-term case ((phi, 1.0),) is make_flow(phi): the belief rebuilt from
-    # map(coords) is make_flow(phi)(t, belief) bit for bit, and each row gets
-    # those bits (interp's map on one event or disjoint ones runs its
-    # observe's kernel, _interp_step).
+    # positive times, a map from one belief's coordinates to the updated
+    # ones before the kind's projection: row i at time ts[i], or one row
+    # that stands for every time where they give one update, as one time
+    # does (interp on overlapping events: on cells, by
+    # flows._dormand_prince).  It raises ParameterError if an observation is
+    # over other worlds.  The one-term case ((phi, 1.0),) is make_flow(phi):
+    # the belief rebuilt from map(coords) is make_flow(phi)(t, belief) bit
+    # for bit, and each row gets those bits (interp's map on one event or
+    # disjoint ones runs its observe's kernel, _interp_step).
     coord_flow: Optional[
         Callable[[Sequence[Tuple[Any, float]], Sequence[float], Tuple[str, ...]], Any]
     ] = None
-    # interleave(phis, slices, belief) is flows.trotter_interleave on a belief
-    # of belief_kind, as a walk of the learner's own: for each (n, dt) of
-    # slices, the state after n rounds of one update on each of the two
-    # phis in turn at the float additive time dt > 0, or the belief itself
-    # where dt is 0 (after the observations' checks).  It raises if any
-    # entry fails.  A learner without one walks its coord_flow's rows.
-    interleave: Optional[
-        Callable[[Sequence[Any], Sequence[Tuple[int, float]], Any], Sequence[Any]]
-    ] = None
+    # interleave(phis, n, dt, belief) is flows.trotter_interleave on a belief
+    # of belief_kind at one count, as a walk of the learner's own: the state
+    # after n rounds of one update on each of the two phis in turn at the
+    # float additive time dt > 0, or the belief itself where dt is 0 (after
+    # the observations' checks).  A learner without one composes make_flow.
+    interleave: Optional[Callable[[Sequence[Any], int, float, Any], Any]] = None
     # closed_field(terms) is the derivative field of the weighted parallel
     # observation terms = ((phi, w), ...), given in label order: the field of
     # sum_j w_j phi_j, as one closed form.  One observation is the one-term
@@ -200,6 +197,18 @@ def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
     return flow
 
 
+def _first_failure(call: Callable[[tuple], Any], items: Sequence):
+    """call(items), or where that raises, the error of the first item that
+    fails alone (call((item,)), in order), else the batch's own error."""
+    try:
+        return call(items)
+    except Exception as exc:  # any failure: raised again below
+        failure = exc
+    for item in items:
+        call((item,))
+    raise failure
+
+
 def _row_sweep(observe, rows, phi, grid, theta):
     """``Learner.sweep`` by rows(phi, grid, theta), the coordinate rows and bel
     values of observe at the grid entries.  Where rows raises, the first entry
@@ -210,20 +219,21 @@ def _row_sweep(observe, rows, phi, grid, theta):
 
 def _simplex_rows(bind, dom: ConfidenceDomain, grid: Sequence, p: FiniteSimplex) -> np.ndarray:
     """The coordinates of the update of p by bind([x], p.labels) (see
-    ``Learner.coord_flow``) at each grid entry's float x, by one map
-    bind(nonzero xs, labels); a zero's row is p's."""
+    ``Learner.coord_flow``) at each grid entry's float x, by one map of
+    p.probs bound to the nonzero xs, one row each; a zero's row is p's."""
     xs = [_float_of(dom, chi) for chi in grid]
     rows = np.repeat(p.probs[None], len(xs), axis=0)
     live = [i for i, x in enumerate(xs) if x]
     step = bind([xs[i] for i in live], p.labels)
     if step is not None:
-        rows[live] = normalize_probs(step(rows[live]))
+        rows[live] = normalize_probs(step(p.probs))
     return rows
 
 
 def _rows(xs):
-    """Values, one per row of a coordinate array, as a column that broadcasts
-    over the rows; one row's is the value itself, which numpy applies faster."""
+    """Values, one per row, as a column that broadcasts one belief's
+    coordinates to the rows; one row's is the value itself, which numpy
+    applies faster."""
     return xs[0] if len(xs) == 1 else np.asarray(xs)[:, None]
 
 
@@ -295,14 +305,14 @@ def _interp_step(c: np.ndarray, events: Sequence[EventSet], m: np.ndarray, share
     M)_i) for pairwise disjoint events, with indicator rows M and shares s of
     the weight w (a float, or a column), the mixture of c and Jeffrey's rule;
     one event (s = [1]) is conditioning.  Where ``top`` (every w is 1) the
-    factor is (s / Mc)^T M alone, the bits 1 - w + w x has there.  A row's
-    event masses are one vector-matrix product, so it gets its lone bits.
-    An event of mass at most MASS_EPS raises ZeroMassEventError, naming the
-    one of least mass."""
-    mass = c @ m.T if c.ndim == 1 else np.matmul(c[:, None], m.T)[:, 0]
-    least = min(mass.ravel().tolist())
+    factor is (s / Mc)^T M alone, the bits 1 - w + w x has there.  c is one
+    belief's coordinates; a column of weights gives one row each.  An event
+    of mass at most MASS_EPS raises ZeroMassEventError, naming the one of
+    least mass."""
+    mass = c @ m.T
+    least = min(mass.tolist())
     if least <= MASS_EPS:
-        a = events[int(mass.argmin()) % len(events)]
+        a = events[int(mass.argmin())]
         raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
     # a world is in at most one event: each entry of the product is one
     # share over its mass or 0, exactly
@@ -344,41 +354,35 @@ def _cell_expand(c: np.ndarray, q: np.ndarray, q0: np.ndarray, cell: np.ndarray)
     return c * np.divide(q, q0, out=np.zeros_like(q), where=q0 > 0.0)[..., cell]
 
 
-def _interp_interleave(events: Sequence[EventSet], slices: Sequence[Tuple[int, float]],
-                       p: FiniteSimplex) -> list:
-    """``Learner.interleave`` for interp: for each (n, dt) of ``slices``, n
-    rounds of interp_observe on each of the two events in turn at weight
-    1 - e^(-dt) (Trotter 1959), walked on the masses q of the four cells the
-    events cut in plain floats, renormalized after each update; world i ends
-    at p_i * q_s / q0_s for its cell s (0 where q0_s is 0), as in the tilt
-    flow.  An event of mass at most MASS_EPS raises ZeroMassEventError, as
-    conditioning on it does."""
+def _interp_interleave(events: Sequence[EventSet], n: int, dt: float, p: FiniteSimplex) -> FiniteSimplex:
+    """``Learner.interleave`` for interp: n rounds of interp_observe on each
+    of the two events in turn at weight 1 - e^(-dt) (Trotter 1959), walked
+    on the masses q of the four cells the events cut in plain floats,
+    renormalized after each update; world i ends at p_i * q_s / q0_s for its
+    cell s (0 where q0_s is 0), as in the tilt flow.  An event of mass at
+    most MASS_EPS raises ZeroMassEventError, as conditioning on it does."""
     m = _interp_rows(events, p.labels)
+    if dt == 0.0:  # an underflowing slice is the identity
+        return p
     # each world's cell: 0 both, 1 a only, 2 b only, 3 neither
     cell = (3.0 - 2.0 * m[0] - m[1]).astype(int)
     q0 = np.bincount(cell, weights=p.probs, minlength=4).tolist()
-    states = []
-    for n, dt in slices:
-        if dt == 0.0:  # an underflowing slice is the identity
-            states.append(p)
-            continue
-        alpha = _to_frac(dt)
-        keep = 1.0 - alpha  # 0 where alpha rounds to 1: the update conditions outright
-        # x1, x2 are the cells the next event holds, x3, x4 those it does not
-        x1, x2, x3, x4 = q0
-        for _ in range(n):
-            for e in events:
-                mass = x1 + x2
-                if mass <= MASS_EPS:
-                    raise ZeroMassEventError(f"cannot condition on {e!r} with mass {mass:.3g}")
-                up = keep + alpha / mass
-                x1, x2, x3, x4 = x1 * up, x2 * up, x3 * keep, x4 * keep
-                total = x1 + x2 + x3 + x4
-                # renormalized, and seen from the other event: "a only" and
-                # "b only" trade places; after a round a's view is back
-                x1, x2, x3, x4 = x1 / total, x3 / total, x2 / total, x4 / total
-        states.append(p.with_probs(_cell_expand(p.probs, np.array([x1, x2, x3, x4]), np.array(q0), cell)))
-    return states
+    alpha = _to_frac(dt)
+    keep = 1.0 - alpha  # 0 where alpha rounds to 1: the update conditions outright
+    # x1, x2 are the cells the next event holds, x3, x4 those it does not
+    x1, x2, x3, x4 = q0
+    for _ in range(n):
+        for e in events:
+            mass = x1 + x2
+            if mass <= MASS_EPS:
+                raise ZeroMassEventError(f"cannot condition on {e!r} with mass {mass:.3g}")
+            up = keep + alpha / mass
+            x1, x2, x3, x4 = x1 * up, x2 * up, x3 * keep, x4 * keep
+            total = x1 + x2 + x3 + x4
+            # renormalized, and seen from the other event: "a only" and
+            # "b only" trade places; after a round a's view is back
+            x1, x2, x3, x4 = x1 / total, x3 / total, x2 / total, x4 / total
+    return p.with_probs(_cell_expand(p.probs, np.array([x1, x2, x3, x4]), np.array(q0), cell))
 
 
 def _interp_tilt_flow(m: np.ndarray, w: np.ndarray, ts: Sequence[float]):
@@ -716,22 +720,21 @@ def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
     supp = pr > 0.0
     if pen.possible is not None:
         supp &= pen.possible
-        if not supp.any(axis=-1).all():
+        if not supp.any():
             raise ZeroMassEventError(f"{pen.what} contradicts the prior")
     return supp
 
 
-def _gibbs_least(pen: _Penalty, pr: np.ndarray, top=True) -> np.ndarray:
+def _gibbs_least(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
     """The update at top: the supported worlds of least rank keep their mass,
-    which must exceed MASS_EPS in each row where ``top`` is set."""
+    which must exceed MASS_EPS."""
     supp, rank = _gibbs_support(pen, pr), pen.rank
-    lowest = np.minimum.reduce(np.where(supp, rank, np.inf), axis=-1, keepdims=True)
+    lowest = np.minimum.reduce(np.where(supp, rank, np.inf))
     kept = np.where(supp & (rank == lowest), pr, 0.0)
-    if kept.ndim > 1 or max(kept.tolist()) <= MASS_EPS:  # else one world holds more
-        mass = np.where(top, np.add.reduce(kept, axis=-1, keepdims=True), np.inf)
-        least = float(np.minimum.reduce(mass, axis=None))
-        if least <= MASS_EPS:
-            raise ZeroMassEventError(f"cannot condition on the least-penalty worlds of {pen.what} with mass {least:.3g}")
+    if max(kept.tolist()) <= MASS_EPS:  # else one world holds more
+        mass = float(np.add.reduce(kept))
+        if mass <= MASS_EPS:
+            raise ZeroMassEventError(f"cannot condition on the least-penalty worlds of {pen.what} with mass {mass:.3g}")
     return kept
 
 
@@ -760,7 +763,7 @@ def _gibbs_step(pen: _Penalty, b, wide: bool, top, pr: np.ndarray) -> np.ndarray
             with np.errstate(divide="ignore"):
                 logw = np.log(pr) - b * u
     w = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
-    return w if top is None else np.where(top, _gibbs_least(pen, pr, top), w)
+    return w if top is None else np.where(top, _gibbs_least(pen, pr), w)
 
 
 def _expectation(p: np.ndarray, u: np.ndarray, largest: float) -> np.ndarray:

@@ -1040,6 +1040,36 @@ CLASSIFIER_LEARN = {
 }
 
 
+_LEARN_INSTANCES = {
+    "interp": ({"kind": "simplex", "probs": {"a": 0.5, "b": 0.5}}, {"event": ["a"]}),
+    "ds": ({"kind": "mass", "labels": ["a", "b"], "masses": {"a": 0.5, "a|b": 0.5}}, {"event": ["a"]}),
+    "kalman": (KALMAN_SWEEP["belief"], KALMAN_SWEEP["observation"]),
+    "boltzmann": ({"kind": "simplex", "probs": {"a": 0.5, "b": 0.5}}, {"values": {"a": 1.0, "b": 0.0}}),
+    "bayes": (BAYES_PRIOR, {"id": "e1"}),
+    "max-graded": (GRADED, {"id": "phi1"}),
+    "classifier": (CLASSIFIER_LEARN["belief"], CLASSIFIER_LEARN["observation"]),
+}
+
+
+@pytest.mark.parametrize("lid", [*_LEARN_INSTANCES, *(f"{lid}@list" for lid in _LEARN_INSTANCES)])
+def test_every_learner_learn_builds_writes_its_bel(tmp_path, capsys, lid):
+    # every registered learner and every list lift that exists has a bel:
+    # learn's CSV ends in a bel column and its summary gives final_bel
+    assert set(_LEARN_INSTANCES) == set(learners.available_learners())
+    base = lid.removesuffix("@list")
+    if lid == "kalman@list":  # kalman's top does not absorb: no lift, so learn builds none
+        with pytest.raises(cli.ConfigError, match="cannot lift 'kalman'"):
+            cli._learner_of(lid, {})
+        return
+    assert cli._learner_of(lid, {}).bel is not None
+    belief, observation = _LEARN_INSTANCES[base]
+    assert run_cli(tmp_path, "learn", {"learner": lid, "belief": belief, "observation": observation}) == 0
+    rows = read_csv(tmp_path, f"learn_{lid}.csv")
+    assert rows[0][-1] == "bel"
+    summary = json.loads(capsys.readouterr().out)
+    assert float(rows[-1][-1]) == summary["final_bel"]
+
+
 @pytest.mark.parametrize(
     "params",
     [

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -868,28 +869,6 @@ def test_trotter_builds_one_simplex(monkeypatch):
     assert len(built) <= len(counts) + 2
 
 
-def test_trotter_walks_every_count_in_one_pass():
-    # one walk steps max(n) rounds of two updates, however many counts it serves
-    phis = (RandomVariable(("a", "b", "c"), np.array([1.0, 0.0, -0.5])),
-            RandomVariable(("a", "b", "c"), np.array([-0.3, 0.7, 0.2])))
-    learner = get_learner("boltzmann")
-    steps = []
-
-    def coord_flow(terms, ts, labels):
-        step = learner.coord_flow(terms, ts, labels)
-        return lambda c: (steps.append(len(c)), step(c))[1]
-
-    counting = dataclasses.replace(learner, coord_flow=coord_flow)
-    p = tri()
-    counts = (40, 7, 13, 7, 1)
-    states = trotter_interleave(counting, *phis, 1.2, counts, p)
-    assert len(steps) == 2 * max(counts)
-    assert sum(steps) == 2 * sum(set(counts))  # each row leaves after its rounds
-    assert [s.probs.tobytes() for s in states] == [
-        trotter_interleave(learner, *phis, 1.2, n, p).probs.tobytes() for n in counts
-    ]
-
-
 def test_interp_trotter_walks_cell_masses_and_builds_one_simplex_per_count(monkeypatch):
     # interp interleaves through its own walk: no coordinate flow is bound
     # or stepped, and each distinct count builds one simplex, the end state
@@ -998,6 +977,37 @@ def test_interp_slices_that_underflow_are_the_identity():
         trotter_interleave(interp, a, EventSet(("x", "y", "z"), 1), 1e-323, 4, p)
 
 
+@pytest.mark.parametrize("lid, phis, theta, other, message", [
+    ("boltzmann", (RandomVariable(_TWO, np.array([1.0, 0.0])), RandomVariable(_TWO, np.array([0.0, 1.0]))),
+     FiniteSimplex(_TWO, np.array([0.4, 0.6])), RandomVariable(("x", "y"), np.array([1.0, 0.0])),
+     "prior is not over the worlds of the penalty variable"),
+    ("max-graded", ("a", "b"), _GRADED, "zz", "unknown statement 'zz'"),
+    ("ds", (EventSet(_TWO, 1), EventSet(_TWO, 2)), MassFunction(_TWO, {0b01: 0.3, 0b11: 0.7}),
+     EventSet(("x", "y"), 1), "event over a different world set"),
+    ("interp", (EventSet(_TWO, 1), EventSet(_TWO, 2)), FiniteSimplex(_TWO, np.array([0.4, 0.6])),
+     EventSet(("x", "y"), 1), "event over a different world set"),
+], ids=["boltzmann", "max-graded", "ds", "interp"])
+def test_an_underflowing_slice_is_checked_once_not_walked_n_times(lid, phis, theta, other, message):
+    # 5e-324 / 10**6 underflows to 0: each observation's flow runs once, for
+    # its checks, and the start itself comes back; walking the slice would
+    # compose 2 * 10**6 identity updates
+    learner = get_learner(lid)
+    calls = []
+
+    def make_flow(phi):
+        flow = learner.make_flow(phi)
+        return lambda t, state: (calls.append((phi, t)), flow(t, state))[1]
+
+    counting = dataclasses.replace(learner, make_flow=make_flow, interleave=None)
+    chi, n = 5e-324, 10**6
+    assert trotter_interleave(learner, *phis, chi, n, theta) is theta
+    assert all(state is theta for state in trotter_interleave(counting, *phis, chi, (n, n), theta))
+    assert len(calls) == 2 and all(phi is want and t == 0.0 for (phi, t), want in zip(calls, phis))
+    for walker in (learner, counting):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            trotter_interleave(walker, phis[0], other, chi, n, theta)
+
+
 def _fraction_cell_walk(p, a, b, chi, n, bits=200):
     """The interp cell walk in Fraction arithmetic from the same float weight:
     each update scales the cells a (or b) holds by (1 - alpha) + alpha / m
@@ -1042,20 +1052,12 @@ def test_interp_cell_walk_matches_a_fraction_walk(n):
 
 
 def test_max_graded_trotter_walks_rows_with_the_bits_of_its_flows():
-    # max-graded walks its counts as rows of grades, in one pass, and each
-    # count keeps the bits of composing make_flow on tables for it alone
+    # each of max-graded's counts keeps the bits of composing make_flow on
+    # tables for it alone
     learner = get_learner("max-graded")
-    steps = []
-
-    def coord_flow(terms, ts, labels):
-        step = learner.coord_flow(terms, ts, labels)
-        return lambda c: (steps.append(len(c)), step(c))[1]
-
-    counting = dataclasses.replace(learner, coord_flow=coord_flow)
     table = GradedBeliefTable({"phi1": 0.2, "phi2": 0.5, "phi3": 0.9})
     counts, chi = (1, 3, 3, 64, 1000), 1.7
-    states = trotter_interleave(counting, "phi1", "phi3", chi, counts, table)
-    assert len(steps) == 2 * max(counts)
+    states = trotter_interleave(learner, "phi1", "phi3", chi, counts, table)
     flows = [learner.make_flow(key) for key in ("phi1", "phi3")]
     for n, state in zip(counts, states):
         expect = table
