@@ -36,8 +36,8 @@ import numpy as np
 
 from .beliefs import belief_distance, belief_to_json
 from .confidence import ConfidenceValue, _to_add, confidence_to_json
-from .errors import ConfLearnError, ParameterError
-from .flows import _forward_stencil, _json_text, metric_gradient
+from .errors import ConfLearnError, ParameterError, StepBudgetError
+from .flows import _MAX_STEPS, _forward_stencil, _json_text, metric_gradient
 from .learners import Learner, NonConvergenceWarning
 
 __all__ = [
@@ -80,9 +80,11 @@ class CheckConfig:
     """Sampling settings shared by all axiom checks: the seed that names every
     sample stream, the instances each check draws, and the confidence grid
     (None: the learner's own), a list or tuple of values of the checked
-    learner's domain, each at most the next: L3 and B1 walk it upward.  The
-    tolerances and LB's difference step are the module constants ``_TOL``,
-    ``_LB_TOL``, ``_L2_RATIO_BOUND`` and ``_FD_STEP``."""
+    learner's domain, each at most the next: L3 and B1 walk it upward.  More
+    samples than the step budget ``flows._MAX_STEPS`` raise
+    :class:`StepBudgetError`.  The tolerances and LB's difference step are
+    the module constants ``_TOL``, ``_LB_TOL``, ``_L2_RATIO_BOUND`` and
+    ``_FD_STEP``."""
 
     seed: int = 0
     samples: int = 60
@@ -95,6 +97,8 @@ class CheckConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
+        if self.samples > _MAX_STEPS:
+            raise StepBudgetError(f"samples={self.samples} is more than max_steps={_MAX_STEPS}")
         if self.confidence_grid is not None and not isinstance(self.confidence_grid, (list, tuple)):
             raise ParameterError(
                 f"confidence_grid must be a list or tuple, got {self.confidence_grid!r}"

@@ -38,6 +38,7 @@ from .beliefs import _kind_of, belief_from_json, belief_to_json
 from .confidence import ConfidenceValue, confidence_from_json, confidence_to_json
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
 from .flows import (
+    _MAX_STEPS,
     IntegratorConfig,
     _check_kind,
     _csv_text,
@@ -462,6 +463,8 @@ def _cmd_equiv(args, cfg: dict) -> int:
         )
     out_name = _out_name(cfg, "output_json", f"equiv_{name}.json")
     settings = _settings(cfg, integer=True, seed=-math.inf, samples=0)
+    if settings.get("samples", 0) > _MAX_STEPS:  # as CheckConfig bounds the law checks' samples
+        raise StepBudgetError(f"samples={settings['samples']} is more than max_steps={_MAX_STEPS}")
     rng = _seeded_rng(settings.pop("seed", 0), name)
     passed, payload = IDENTITIES[name](rng, **settings)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}

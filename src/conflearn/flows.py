@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, T
 import numpy as np
 
 from .beliefs import FiniteSimplex, _kind_of, belief_distance, normalize_probs
-from .confidence import _ADD, ConfidenceValue
+from .confidence import _ADD, _float_of
 from .errors import (
     DomainError,
     NoLimitError,
@@ -515,15 +515,6 @@ def _check_steps(cfg: IntegratorConfig, times: Sequence[float]) -> None:
             raise StepBudgetError(f"t={times[-1]:g} takes more than max_steps={_MAX_STEPS} steps of {cfg.step:g}")
 
 
-def _coerce_time(t) -> float:
-    if isinstance(t, ConfidenceValue):
-        return _ADD.to_float(_ADD.check_member(t))
-    t = float(t)
-    if math.isnan(t) or t < 0.0:
-        raise ParameterError(f"time must be a nonnegative real or top, got {t!r}")
-    return t
-
-
 def _advance(f: CoordsMap, project: Project, c, k1, h: float) -> np.ndarray:
     """One RK4 step of size h from projected coordinates c, where k1 is the
     field there; returns the new state before its projection."""
@@ -707,8 +698,9 @@ def integrate(
     t,
     cfg: Optional[IntegratorConfig] = None,
 ):
-    """Follow the field from theta0 for additive time t (top = to the limit)."""
-    return _run(field, theta0, _coerce_time(t), cfg or IntegratorConfig())[0]
+    """Follow the field from theta0 for additive time t (top = to the limit),
+    read as a value of the ``add`` domain, as ``make_flow`` reads it."""
+    return _run(field, theta0, _float_of(_ADD, t), cfg or IntegratorConfig())[0]
 
 
 def _csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -767,7 +759,7 @@ def integrate_sampled(
     the initial state and the limit, at t = inf.  The final state is the one
     ``integrate`` returns.
     """
-    t = _coerce_time(t)
+    t = _float_of(_ADD, t)
     if not 0 < step_out < math.inf:
         raise ParameterError(f"step_out must be positive and finite, got {step_out!r}")
     final, rows = _run(field, theta0, t, cfg or IntegratorConfig(), step_out)
@@ -871,7 +863,7 @@ def _interleave(learner: Learner, phis, chi, counts: tuple, theta0) -> tuple:
         if not n >= 1 or int(n) != n:  # NaN fails n >= 1, as 0 does
             raise ParameterError(f"n must be a positive integer, got {n!r}")
         if walk is None:
-            t = _coerce_time(chi)
+            t = _float_of(_ADD, chi)
             if math.isinf(t):
                 raise ParameterError("interleaving needs a finite total commitment")
             walk = _walk(learner, phis, theta0)

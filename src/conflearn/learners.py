@@ -160,8 +160,9 @@ class Learner:
     # sweep(phi, grid, theta) is (rows, bels, final): row i is the coordinates
     # of observe(phi, grid[i], theta), bels[i] its bel, bit for bit, and final
     # the state at grid[-1]; it raises where that per-point loop would.  A copy
-    # with another observe sets it to None.  The law checks never use it: L3
-    # and L5 test the identities it relies on, point by point.
+    # with another observe drops it with the other _UPDATE_HOOKS.  The law
+    # checks never use it: L3 and L5 test the identities it relies on, point
+    # by point.
     sweep: Optional[Callable[[Any, Sequence[Any], Any], Tuple[np.ndarray, Sequence[float], Any]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
@@ -182,6 +183,14 @@ class Learner:
 
     def __repr__(self) -> str:
         return f"Learner({self.id!r}, domain={self.domain.id!r})"
+
+
+# The hooks tied to a learner's own update, as replace() keywords that drop
+# them: a copy with another observe takes **_UPDATE_HOOKS, so that no flow,
+# interleaving, field, sweep or LB metric runs the update it replaced.
+_UPDATE_HOOKS = dict.fromkeys(
+    ("translate", "make_flow", "coord_flow", "interleave", "closed_field", "sweep", "path_velocity", "lb_metric")
+)
 
 
 def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
@@ -784,6 +793,16 @@ def _expectation(p: np.ndarray, u: np.ndarray, largest: float) -> np.ndarray:
     return np.where(big > _HALF_MAX, np.minimum(np.maximum(scaled, lo), hi), plain)
 
 
+def _gibbs_bel(pen: _Penalty, c: np.ndarray) -> np.ndarray:
+    """Bel = -E_c[u] of the coordinates c of one simplex or of each row of
+    them, -inf where c puts mass on a world that pen rules out."""
+    if pen.possible is None:
+        return -_expectation(c, pen.u, pen.largest)
+    supp = c > 0.0
+    dots = -_expectation(c, np.where(supp & pen.possible, pen.u, 0.0), pen.largest)
+    return np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf)
+
+
 def _sum_penalties(terms: Sequence[Tuple[_Penalty, float]]) -> _Penalty:
     """The penalty u = sum_j w_j u_j of a weighted parallel observation
     (label order), whose worlds are possible where every term's are: the
@@ -857,23 +876,12 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         return _gibbs_map(_sum_penalties(pens), ts, labels)
 
     def bel(phi, p: FiniteSimplex) -> float:
-        pen = _check_worlds(penalty(phi), p.labels)
-        u = pen.u
-        if pen.possible is not None:
-            supp = p.probs > 0.0
-            if not pen.possible[supp].all():
-                return -math.inf
-            u = np.where(supp, u, 0.0)
-        return -float(_expectation(p.probs, u, pen.largest))  # the bits of the sweep's rows
+        return float(_gibbs_bel(_check_worlds(penalty(phi), p.labels), p.probs))
 
     def rows(phi, grid, p: FiniteSimplex):
         pen = penalty(phi)
         coords = _simplex_rows(partial(_gibbs_map, pen), _ADD, grid, p)
-        if pen.possible is None:
-            return coords, (-_expectation(coords, pen.u, pen.largest)).tolist()
-        supp = coords > 0.0  # as bel: mass on a ruled-out world gives -inf
-        dots = -_expectation(coords, np.where(supp & pen.possible, pen.u, 0.0), pen.largest)
-        return coords, np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf).tolist()
+        return coords, _gibbs_bel(pen, coords).tolist()
 
     def bel_top(phi, p: FiniteSimplex) -> float:
         return -float(_check_worlds(penalty(phi), p.labels).u[p.probs > 0.0].min())
@@ -1405,28 +1413,10 @@ def classifier_step_observe(
     rather than an exception: the state reached is still a belief, just not a
     fixed point.  A finite n above ``_MAX_STEPS`` raises
     :class:`StepBudgetError` before any step, and parameters that are not
-    finite after the n steps raise :class:`NumericalError`.
+    finite after the n steps raise :class:`NumericalError`.  This is the
+    one-entry sweep (``_classifier_sweep``), which holds these rules.
     """
-    model = model or SoftmaxModel()
-    theta = _checked_params(model, ex, theta)
-    v = _COUNT.coerce(n)
-    if v.is_bot:
-        return theta.copy()
-    if v.is_top:
-        out, converged = train_limit(model, theta, ex)
-        if not converged:
-            warnings.warn(
-                f"no fixed point within {_MAX_STEPS} steps",
-                NonConvergenceWarning,
-                stacklevel=2,
-            )
-        return out
-    if v.payload > _MAX_STEPS:
-        raise StepBudgetError(f"{v.payload} gradient steps exceed max_steps={_MAX_STEPS}")
-    states = _orbit(model, ex, theta, [v.payload])
-    if not states:
-        raise _non_finite(v.payload)
-    return states[0]
+    return next(_classifier_sweep(ex, (n,), theta, model or SoftmaxModel()))
 
 
 def _checked_params(model: SoftmaxModel, ex: LabeledExample, theta) -> np.ndarray:
@@ -1467,37 +1457,45 @@ def _classifier_sweep(
     ex: LabeledExample, grid: Sequence, theta: np.ndarray, model: SoftmaxModel
 ) -> Iterator[np.ndarray]:
     """Yield ``classifier_step_observe(ex, chi, theta, model)`` for each chi in
-    grid, in grid order, raising where that per-point loop would raise.
+    grid, in grid order, raising where that per-point loop would raise: the
+    one home of the classifier's count rules.
 
     The distinct finite counts are walked once, in ascending order, so the
     sweep costs its largest count in gradient steps.  The first entry that
-    is over ``_MAX_STEPS`` or not a count ends the walk: from there on
-    the sweep is the per-point loop, which raises at that entry before any
-    step.  A repeated count yields the same array each time.
+    is not a count, or a count over ``_MAX_STEPS``, raises its error after
+    the entries before it and ends the walk before any step of its own.
+    Top runs train_limit, with a :class:`NonConvergenceWarning` where it
+    stops at the cap.  A repeated count yields the same array each time.
     """
     theta = _checked_params(model, ex, theta)
-    values = []
+    values, failure = [], None
     for chi in grid:
         try:
             v = _COUNT.coerce(chi)
-        except Exception:  # the per-point loop below raises it in grid order
+        except Exception as exc:  # any failure: raised below, in grid order
+            failure = exc
             break
         if not (v.is_bot or v.is_top) and v.payload > _MAX_STEPS:
+            failure = StepBudgetError(f"{v.payload} gradient steps exceed max_steps={_MAX_STEPS}")
             break
         values.append(v)
     counts = sorted({v.payload for v in values if not (v.is_bot or v.is_top)})
-    states = dict(zip(counts, _orbit(model, ex, theta, counts)))
+    states = dict(zip(counts, _orbit(model, ex, theta, counts))) if counts else {}
     for v in values:
         if v.is_bot:
             yield theta.copy()
         elif v.is_top:
-            yield classifier_step_observe(ex, v, theta, model)
+            out, converged = train_limit(model, theta, ex)
+            if not converged:
+                # stacklevel 3: the caller of the function that drives this generator
+                warnings.warn(f"no fixed point within {_MAX_STEPS} steps", NonConvergenceWarning, stacklevel=3)
+            yield out
         elif v.payload in states:
             yield states[v.payload]
         else:
             raise _non_finite(v.payload)
-    for chi in grid[len(values):]:
-        yield classifier_step_observe(ex, chi, theta, model)
+    if failure is not None:
+        raise failure
 
 
 def _classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
@@ -1589,21 +1587,7 @@ def lift_to_list(base: Learner) -> Learner:
     top = any(c.is_top for c in base.default_grid)
     grid = _grid(dom, [inner[: i + 1] for i in range(min(2, len(inner)))], top)
 
-    return Learner(
-        id=f"{base.id}@list",
-        domain=dom,
-        belief_kind=base.belief_kind,
-        observe=observe,
-        in_domain=base.in_domain,
-        bel=base.bel,
-        bel_top=base.bel_top,
-        sample_instance=base.sample_instance,
-        sample_saturated=base.sample_saturated,
-        sample_top_instance=base.sample_top_instance,
-        default_grid=grid,
-        observation_to_json=base.observation_to_json,
-        observation_from_json=base.observation_from_json,
-    )
+    return replace(base, **_UPDATE_HOOKS, id=f"{base.id}@list", domain=dom, observe=observe, default_grid=grid)
 
 
 # ---------------------------------------------------------------------------

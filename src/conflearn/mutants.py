@@ -16,7 +16,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .confidence import _FRAC, _float_of
-from .learners import Learner, boltzmann_observe, get_learner, interp_observe
+from .learners import _UPDATE_HOOKS, Learner, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
 
@@ -36,21 +36,9 @@ MUTANT_TARGETS: Dict[str, Tuple[str, ...]] = {
 
 def _interp_mutant(mutant_id: str, observe) -> Learner:
     """Interpolation learner with a corrupted observe map and none of the
-    closed-form hooks tied to the honest update, so the checks see only the
-    corrupted map (and the unchanged Bel)."""
-    return replace(
-        get_learner("interp"),
-        id=mutant_id,
-        observe=observe,
-        translate=None,
-        make_flow=None,
-        coord_flow=None,
-        interleave=None,
-        closed_field=None,
-        path_velocity=None,
-        lb_metric=None,
-        sweep=None,
-    )
+    hooks tied to the honest update (``learners._UPDATE_HOOKS``), so the
+    checks see only the corrupted map (and the unchanged Bel)."""
+    return replace(get_learner("interp"), **_UPDATE_HOOKS, id=mutant_id, observe=observe)
 
 
 def _weight_warp(mutant_id: str, warp: Callable[[float], float]) -> Learner:
@@ -129,16 +117,15 @@ def _mutant_lb_euclid() -> Learner:
         shifted = np.clip(pr - tau * (vals - mean), 0.0, None)
         return theta.with_probs(shifted)
 
-    return replace(
-        base,
-        id="mutant-lb-euclid",
-        observe=observe,
+    # of the honest hooks it keeps only what its own observe satisfies: the
+    # time translation, and the Fisher metric that LB measures it against
+    hooks = dict(
+        _UPDATE_HOOKS,
         make_flow=lambda phi: (lambda t, theta: observe(phi, float(t), theta)),
-        coord_flow=None,
-        closed_field=None,
-        path_velocity=None,
-        sweep=None,
+        translate=base.translate,
+        lb_metric=base.lb_metric,
     )
+    return replace(base, **hooks, id="mutant-lb-euclid", observe=observe)
 
 
 def get_mutants() -> Tuple[Learner, ...]:

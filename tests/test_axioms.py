@@ -24,6 +24,9 @@ from conflearn import (
     suite_passed,
 )
 from conflearn import axioms
+from conflearn.errors import StepBudgetError
+from conflearn.flows import _MAX_STEPS
+from conflearn.learners import _UPDATE_HOOKS
 from conflearn.axioms import (
     _BRENT_ITERS,
     _TOL,
@@ -238,6 +241,13 @@ def test_check_config_rejects_bad_settings():
             CheckConfig(**{setting: 1e-3})
 
 
+def test_check_config_refuses_more_samples_than_the_step_budget():
+    assert CheckConfig(samples=_MAX_STEPS).samples == _MAX_STEPS
+    message = f"^samples={_MAX_STEPS + 1} is more than max_steps={_MAX_STEPS}$"
+    with pytest.raises(StepBudgetError, match=message):
+        CheckConfig(samples=_MAX_STEPS + 1)
+
+
 @pytest.mark.parametrize("entry", ["a", 2.0, [0.5], None])
 def test_a_grid_entry_that_does_not_coerce_is_a_parameter_error(entry):
     cfg = CheckConfig(samples=2, confidence_grid=[0.25, entry])
@@ -271,6 +281,23 @@ def test_custom_grid_is_used():
     cfg = CheckConfig(seed=0, samples=10, confidence_grid=[0.0, 0.25, 0.75])
     report = check_axiom(get_learner("interp"), "L4", cfg)
     assert report.passed and not report.skipped
+
+
+# ---------------------------------------------------------------------------
+# A copy with another observe drops the hooks of the update it replaced.
+
+
+_LIFTS = [lift_to_list(get_learner(lid)) for lid in available_learners() if lid != "kalman"]
+
+
+@pytest.mark.parametrize("learner", _LIFTS + list(get_mutants()), ids=lambda learner: learner.id)
+def test_lifts_and_mutants_keep_no_hook_of_the_honest_update(learner):
+    # else trotter_interleave, derivative_field, learn or LB could run the
+    # honest update in place of the copy's own observe; mutant-lb-euclid sets
+    # its own flow, and keeps the time translation and metric it satisfies
+    own = {"make_flow", "translate", "lb_metric"} if learner.id == "mutant-lb-euclid" else set()
+    for name in _UPDATE_HOOKS:
+        assert (getattr(learner, name) is None) == (name not in own), name
 
 
 # ---------------------------------------------------------------------------

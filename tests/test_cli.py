@@ -1407,6 +1407,22 @@ def test_a_negative_probability_is_a_config_error_with_a_plain_float(tmp_path, c
     assert capsys.readouterr().err == "config error: bad belief: negative probability -0.5\n"
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("axioms", {"learners": ["interp"], "samples": 1180591620717411303424}),
+    ("equiv", {"experiment": "interp-vs-ds", "samples": 100000000}),
+])
+def test_samples_over_the_step_budget_are_a_config_error(tmp_path, capsys, monkeypatch, command, cfg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    # refused before any sample, so a lost bound fails here instead of running on
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setitem(IDENTITIES, "interp-vs-ds", refuse)
+    assert run_cli(tmp_path, command, cfg, "--quiet") == 2
+    assert capsys.readouterr().err == f"config error: samples={cfg['samples']} is more than max_steps=10000000\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(learners, "_MAX_STEPS", 1000)
     cfg = dict(CLASSIFIER_LEARN, observation={"x": [1.0], "y": 1},

@@ -453,6 +453,25 @@ def test_integrate_sampled_to_the_limit_holds_start_and_limit():
     assert record.to_csv_text().splitlines()[2].startswith("inf,")
 
 
+def test_every_flow_reads_time_as_the_add_domain():
+    learner, p = get_learner("interp"), tri()
+    a, b = p.event(["a", "b"]), p.event(["b", "c"])
+    field = derivative_field(learner, a)
+    readers = {
+        "integrate": lambda t: integrate(field, p, t),
+        "integrate_sampled": lambda t: integrate_sampled(field, p, t)[0],
+        "trotter_interleave": lambda t: trotter_interleave(learner, a, b, t, 2, p),
+        "make_flow": lambda t: learner.make_flow(a)(t, p),
+    }
+    errors = {-1.0: "add: -1.0 outside carrier [0.0, inf]", math.nan: "add: NaN is not a confidence value"}
+    for name, read in readers.items():
+        for t, message in errors.items():
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                read(t)
+        # within rounding of 0, a time is 0, as the domain clamps it
+        assert np.array_equal(read(-1e-13).probs, p.probs), name
+
+
 @pytest.mark.parametrize("step_out", [math.inf, math.nan])
 def test_integrate_sampled_rejects_bad_step_out(step_out):
     field = derivative_field(get_learner("interp"), tri().event(["a"]))
