@@ -36,8 +36,8 @@ import numpy as np
 
 from .beliefs import belief_distance, belief_to_json
 from .confidence import ConfidenceValue, _to_add, confidence_to_json
-from .errors import ConfLearnError, ParameterError, StepBudgetError
-from .flows import _MAX_STEPS, _forward_stencil, _json_text, metric_gradient
+from .errors import ConfLearnError, ParameterError
+from .flows import _check_samples, _forward_stencil, _json_text, metric_gradient
 from .learners import Learner, NonConvergenceWarning
 
 __all__ = [
@@ -97,8 +97,7 @@ class CheckConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
-        if self.samples > _MAX_STEPS:
-            raise StepBudgetError(f"samples={self.samples} is more than max_steps={_MAX_STEPS}")
+        _check_samples(self.samples)
         if self.confidence_grid is not None and not isinstance(self.confidence_grid, (list, tuple)):
             raise ParameterError(
                 f"confidence_grid must be a list or tuple, got {self.confidence_grid!r}"

@@ -35,10 +35,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .axioms import CheckConfig, _grid, _seeded_rng, reports_to_json, run_suite
 from .beliefs import _kind_of, belief_from_json, belief_to_json
-from .confidence import ConfidenceValue, confidence_from_json, confidence_to_json
+from .confidence import ConfidenceValue, _parse_raw, confidence_from_json, confidence_to_json
 from .errors import ConfigError, ConfLearnError, ParameterError, StepBudgetError, UnsupportedError
 from .flows import (
-    _MAX_STEPS,
     IntegratorConfig,
     _check_kind,
     _csv_text,
@@ -229,9 +228,10 @@ def _parse_grid(learner: Learner, cfg: dict) -> Tuple[ConfidenceValue, ...]:
     raw = cfg["confidence_grid"]
     if not isinstance(raw, list) or not raw:
         raise ConfigError("'confidence_grid' must be a nonempty array")
+    dom = learner.domain  # a bare payload is read through it, as confidence_from_json reads one
     try:
         return tuple(
-            confidence_from_json(x, default_domain=learner.domain.id) for x in raw
+            confidence_from_json(x) if isinstance(x, dict) and "domain" in x else _parse_raw(dom, x) for x in raw
         )
     except (ConfLearnError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad confidence grid: {exc}") from exc
@@ -463,8 +463,6 @@ def _cmd_equiv(args, cfg: dict) -> int:
         )
     out_name = _out_name(cfg, "output_json", f"equiv_{name}.json")
     settings = _settings(cfg, integer=True, seed=-math.inf, samples=0)
-    if settings.get("samples", 0) > _MAX_STEPS:  # as CheckConfig bounds the law checks' samples
-        raise StepBudgetError(f"samples={settings['samples']} is more than max_steps={_MAX_STEPS}")
     rng = _seeded_rng(settings.pop("seed", 0), name)
     passed, payload = IDENTITIES[name](rng, **settings)
     result = {"command": "equiv", "experiment": name, "passed": passed, **payload}

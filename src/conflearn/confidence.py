@@ -25,7 +25,7 @@ fractional combination into plain addition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainMismatchError, ParameterError, UnsupportedError
@@ -54,14 +54,15 @@ _EPS = 1e-12
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # largest float short of certainty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceValue:
     """One element of a confidence domain.
 
     ``payload`` is a float for scalar domains, an int for counts, a
     (gain, variance) tuple for the Kalman pair domain, and a tuple of inner
     ConfidenceValues for list domains.  For the ``bot``/``top`` kinds the
-    payload is unused.
+    payload is unused.  The fields are slots, and ``_derived`` builds the
+    values a domain derives without this constructor, to equal ones.
     """
 
     domain_id: str
@@ -90,6 +91,23 @@ class ConfidenceValue:
         if self.kind in (BOT, TOP):
             return f"<{self.domain_id}:{self.kind}>"
         return f"<{self.domain_id}:{self.payload!r}>"
+
+
+def _frozen(v, name, *value):  # as unslotted: the slotted dataclass's own raises TypeError off its fields
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+ConfidenceValue.__setattr__ = ConfidenceValue.__delattr__ = _frozen
+_SET_DOMAIN_ID, _SET_KIND, _SET_PAYLOAD = (ConfidenceValue.__dict__[f].__set__ for f in ConfidenceValue.__slots__)
+
+
+def _derived(domain_id: str, kind: str, payload) -> ConfidenceValue:
+    """ConfidenceValue(domain_id, kind, payload), its slots set by their descriptors at half the cost."""
+    v = object.__new__(ConfidenceValue)
+    _SET_DOMAIN_ID(v, domain_id)
+    _SET_KIND(v, kind)
+    _SET_PAYLOAD(v, payload)
+    return v
 
 
 def _pair_payload(v: ConfidenceValue) -> tuple:
@@ -197,7 +215,7 @@ class _ScalarDomain(ConfidenceDomain):
         x = float(x)
         lo, hi = self.lo_float, self.hi_float
         if lo < x < hi:  # the open interior, the common case; NaN fails it
-            return ConfidenceValue(self.id, REAL, x)
+            return _derived(self.id, REAL, x)
         if math.isnan(x):
             raise ParameterError(f"{self.id}: NaN is not a confidence value")
         if x < lo - _EPS or x > hi + _EPS:
@@ -206,10 +224,9 @@ class _ScalarDomain(ConfidenceDomain):
         return self.bot if x <= lo else self.top
 
     def to_float(self, v: ConfidenceValue) -> float:
-        v = self.check_member(v)
-        if v.kind == REAL:
-            return v.payload
-        return self.lo_float if v.kind == BOT else self.hi_float
+        if not (isinstance(v, ConfidenceValue) and v.domain_id == self.id):
+            self.check_member(v)  # raises
+        return _float_of(self, v)
 
     def _leq_inner(self, a, b) -> bool:
         return a.payload <= b.payload
@@ -296,7 +313,7 @@ class CountDomain(ConfidenceDomain):
             raise ParameterError(f"count: {x!r} is not a natural number")
         if n == 0:
             return self.bot
-        return ConfidenceValue(self.id, REAL, n)
+        return _derived(self.id, REAL, n)
 
     def to_float(self, v: ConfidenceValue) -> float:
         v = self.check_member(v)
@@ -347,7 +364,7 @@ class KalmanPairDomain(ConfidenceDomain):
             return self.bot
         if k == 1.0 and v == 0.0:
             return self.top
-        return ConfidenceValue(self.id, PAIR, (k, v))
+        return _derived(self.id, PAIR, (k, v))
 
     def _combine_inner(self, a, b):
         # b happens first: translate to the sequential form and back.
@@ -428,7 +445,7 @@ class ListDomain(ConfidenceDomain):
             items.append(v)
         if not items:
             return self.bot
-        return ConfidenceValue(self.id, SEQ, tuple(items))
+        return _derived(self.id, SEQ, tuple(items))
 
     def _materialize(self, v: ConfidenceValue) -> tuple:
         if v.is_bot:
@@ -494,7 +511,10 @@ def list_extend(domain: ConfidenceDomain) -> ConfidenceDomain:
 
 
 def _float_of(dom: _ScalarDomain, x) -> float:
-    """dom.to_float(dom.coerce(x)) for a scalar domain: a Python float inside the open carrier is its own payload."""
+    """dom.to_float(dom.coerce(x)) for a scalar domain, read in place: a value of dom is its payload,
+    or lo_float/hi_float at bot/top, and a Python float inside the open carrier is its own payload."""
+    if isinstance(x, ConfidenceValue) and x.domain_id == dom.id:
+        return x.payload if x.kind == REAL else dom.lo_float if x.kind == BOT else dom.hi_float
     return x if type(x) is float and dom.lo_float < x < dom.hi_float else dom.to_float(dom.coerce(x))
 
 
@@ -582,15 +602,10 @@ def confidence_to_json(v: ConfidenceValue) -> dict:
 def confidence_from_json(obj, default_domain: Optional[str] = None) -> ConfidenceValue:
     """Parse {"domain": id, "value": ...}; bare payloads use default_domain."""
     if isinstance(obj, dict) and "domain" in obj:
-        domain_id = obj["domain"]
-        raw = obj.get("value")
-    else:
-        if default_domain is None:
-            raise ParameterError("confidence value without a domain id")
-        domain_id = default_domain
-        raw = obj
-    dom = get_domain(domain_id)
-    return _parse_raw(dom, raw)
+        return _parse_raw(get_domain(obj["domain"]), obj.get("value"))
+    if default_domain is None:
+        raise ParameterError("confidence value without a domain id")
+    return _parse_raw(get_domain(default_domain), obj)
 
 
 def _parse_raw(dom: ConfidenceDomain, raw) -> ConfidenceValue:

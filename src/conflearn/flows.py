@@ -65,13 +65,13 @@ that a learner's update direction is metric gradient ascent on its Bel.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -465,6 +465,12 @@ _T_MAX = 1e4  # the time a run to the limit may take before it reports no limit
 _MAX_STEPS = 10_000_000
 
 
+def _check_samples(samples: int) -> None:
+    """Refuse more samples than the step budget, before any is drawn."""
+    if samples > _MAX_STEPS:
+        raise StepBudgetError(f"samples={samples} is more than max_steps={_MAX_STEPS}")
+
+
 def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
     """The times a run to finite t records after its start: t alone or,
     sampled, each whole multiple of ``step_out`` below t, then t itself (no
@@ -704,18 +710,20 @@ def integrate(
 
 
 def _csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """The CSV text of a header and rows ("\n" line ends): numbers get 17
-    significant digits, and a row with a string the csv module's quoting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    """The CSV text of a header and rows ("\n" line ends): numbers get 17 significant digits ("%.17g":
+    inf, -inf, nan) and strings the csv module's RFC 4180 quoting.  Each row is a line template, "%.17g"
+    for a number and a string as csv quotes it, "%" doubled; one ``%`` then formats every number."""
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns what it writes
+    is_str = str.__instancecheck__  # isinstance(x, str), for map
+    templates, numbers = [], []
     for row in rows:
-        cells = [x if isinstance(x, str) else format(x, ".17g") for x in row]
-        if any(isinstance(x, str) for x in row):
-            writer.writerow(cells)
+        if any(map(is_str, row)):  # csv quotes the strings, and writes a lone empty one as '""'
+            templates.append(line([x.replace("%", "%%") if is_str(x) else "%.17g" for x in row]))
+            numbers.extend([x for x in row if not is_str(x)])
         else:
-            buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+            templates.append(("%.17g," * len(row))[:-1] + "\n")
+            numbers.extend(row)
+    return line(columns) + "".join(templates) % tuple(numbers)
 
 
 def _json_text(obj, indent: Optional[int] = None) -> str:

@@ -4,6 +4,7 @@
 ``samples`` random instances from the generator ``rng``, checks the
 identity on each at a fixed tolerance, and returns ``(passed, payload)``:
 whether every check held, and a JSON-ready dict of the worst deviations.
+More than ``flows._MAX_STEPS`` samples raise StepBudgetError before any draw.
 
     bayes-boltzmann       Bayes is the optimizing learner whose loss is a
                           linear expectation: powered Bayes = Boltzmann on
@@ -40,7 +41,7 @@ from .beliefs import (
     ds_plaus_update,
 )
 from .confidence import get_domain, kalman_combine
-from .flows import _trotter_errors, trotter_interleave
+from .flows import _check_samples, _trotter_errors, trotter_interleave
 from .learners import (
     BayesModel,
     bayes_observe,
@@ -59,6 +60,7 @@ def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool,
     checks: (a) the two posteriors agree, (b) weight 1 of either is exact
     Bayes, (c) likelihoods survive the potential round trip exp(-(-log lik)).
     """
+    _check_samples(samples)
     tol = 1e-12
     worst = 0.0
     for _ in range(samples):
@@ -86,6 +88,7 @@ def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool,
 def kalman_sequential(rng: np.random.Generator, samples: int = 100) -> Tuple[bool, dict]:
     """Two gain updates equal one update at the composed (K, r2) pair, and
     optimal-gain updates add precisions, both absolutely and relatively."""
+    _check_samples(samples)
     tol = 1e-10
     kalman = get_domain("kalman")
     worst = 0.0
@@ -123,6 +126,7 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
     event's mass is outside [0.05, 0.9], at most 64 draws per sample; a
     run that uses fewer than ``samples`` instances fails.
     """
+    _check_samples(samples)
     end_tol = 1e-12
     interior_floor = 1e-3
     worst_end = 0.0

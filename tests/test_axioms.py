@@ -26,6 +26,7 @@ from conflearn import (
 from conflearn import axioms
 from conflearn.errors import StepBudgetError
 from conflearn.flows import _MAX_STEPS
+from conflearn.identities import IDENTITIES
 from conflearn.learners import _UPDATE_HOOKS
 from conflearn.axioms import (
     _BRENT_ITERS,
@@ -246,6 +247,26 @@ def test_check_config_refuses_more_samples_than_the_step_budget():
     message = f"^samples={_MAX_STEPS + 1} is more than max_steps={_MAX_STEPS}$"
     with pytest.raises(StepBudgetError, match=message):
         CheckConfig(samples=_MAX_STEPS + 1)
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
+
+
+@pytest.mark.parametrize("name", ["bayes-boltzmann", "kalman-sequential", "interp-vs-ds"])
+def test_identity_entries_refuse_more_samples_than_the_step_budget(name):
+    message = f"^samples={_MAX_STEPS + 1} is more than max_steps={_MAX_STEPS}$"
+    with pytest.raises(StepBudgetError, match=message):
+        IDENTITIES[name](_NoDraws(), _MAX_STEPS + 1)
+
+
+def test_trotter_convergence_ignores_samples():
+    # its instances are pinned: it draws nothing and reads no samples count
+    passed, payload = IDENTITIES["trotter-convergence"](_NoDraws(), _MAX_STEPS + 1)
+    assert passed and (passed, payload) == IDENTITIES["trotter-convergence"](None, 0)
 
 
 @pytest.mark.parametrize("entry", ["a", 2.0, [0.5], None])

@@ -1415,9 +1415,12 @@ def test_samples_over_the_step_budget_are_a_config_error(tmp_path, capsys, monke
     def refuse(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
+    class NoDraws:  # equiv's entry bounds its samples itself, before its first draw
+        __getattr__ = refuse
+
     # refused before any sample, so a lost bound fails here instead of running on
     monkeypatch.setattr(cli, "run_suite", refuse)
-    monkeypatch.setitem(IDENTITIES, "interp-vs-ds", refuse)
+    monkeypatch.setattr(cli, "_seeded_rng", lambda *parts: NoDraws())
     assert run_cli(tmp_path, command, cfg, "--quiet") == 2
     assert capsys.readouterr().err == f"config error: samples={cfg['samples']} is more than max_steps=10000000\n"
     assert not (tmp_path / "out").exists()

@@ -1,6 +1,10 @@
 """Monoid laws, the fractional/additive chart, and pair composition."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from conflearn import (
     kalman_combine,
     list_extend,
 )
-from conflearn.confidence import _float_of
+from conflearn.confidence import ConfidenceValue, _derived, _float_of
 
 FRAC = get_domain("frac")
 ADD = get_domain("add")
@@ -206,7 +210,7 @@ def test_float_helper_reads_as_to_float_of_coerce():
             0.3, tiny, 1e-300, below_one, 0.0, -0.0, 1.0, 2.5, 1e308, hi,
             0, 1, 2, True,
             np.float64(0.3), np.float64(0.0), np.float64(1.0), np.float32(0.25),
-            dom.bot, dom.top, dom.value(0.3),
+            dom.bot, dom.top, dom.value(0.3), dom.value(tiny), dom.value(0.999),  # read in place
             -1e-13, 1.0 + 1e-13, -1e-11, 1.0 + 1e-11,  # within and past rounding of an end
             math.nan, -0.5, 1.5, -math.inf, "x", None, FRAC.value(0.3), ADD.top,
         ]
@@ -485,3 +489,45 @@ def test_monoid_laws_property(data, dom_id):
 def test_chart_monotone_property(s1, s2, beta):
     lo, hi = min(s1, s2), max(s1, s2)
     assert ADD.leq(frac_to_add(beta, lo), frac_to_add(beta, hi))
+
+
+# ---------------------------------------------------------------------------
+# Values the domains derive are the public constructor's values.
+
+
+_DERIVED = [  # (domain, interior payloads): every domain builds its values through _derived
+    (FRAC, [0.3, 5e-324, math.nextafter(1.0, 0.0)]),
+    (ADD, [0.7, 1e308]),
+    (MAX, [0.5]),
+    (COUNT, [1, 8]),
+    (KALMAN, [(0.3, 2.0), (1.0, 0.5)]),
+    (list_extend(FRAC), [[0.25], [0.25, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("dom, payloads", _DERIVED, ids=[d.id for d, _ in _DERIVED])
+def test_derived_values_equal_the_constructors(dom, payloads):
+    for v in [dom.bot, dom.top] + [dom.value(x) for x in payloads]:
+        made = ConfidenceValue(v.domain_id, v.kind, v.payload)
+        assert _derived(v.domain_id, v.kind, v.payload) == v
+        for w in (v, copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(w) is ConfidenceValue
+            assert w == made and hash(w) == hash(made) and repr(w) == repr(made)
+        assert not hasattr(v, "__dict__")  # the fields are slots
+        for name in ("domain_id", "kind", "payload", "other"):  # as without slots, off the fields too
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(v, name, 0.5)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(v, name)
+
+
+@pytest.mark.parametrize("dom", [d for d, _ in _DERIVED], ids=lambda d: d.id)
+def test_a_value_of_another_domain_is_refused_in_the_same_words(dom):
+    for w in (other.value(payloads[0]) for other, payloads in _DERIVED if other is not dom):
+        message = f"^expected a value of domain {dom.id!r}, got {re.escape(repr(w))}$"
+        readers = [dom.coerce, lambda v: dom.combine(v, dom.bot), lambda v: dom.leq(dom.bot, v)]
+        if dom in (FRAC, ADD, MAX):
+            readers += [dom.to_float, lambda v: _float_of(dom, v)]
+        for read in readers:
+            with pytest.raises(DomainMismatchError, match=message):
+                read(w)

@@ -1,6 +1,8 @@
 """Derivative fields, gradients, integration, and interleaving."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import math
 import re
@@ -2071,3 +2073,57 @@ def test_exact_scheme_bounds_its_rows_not_its_steps(monkeypatch):
     with pytest.raises(StepBudgetError, match="max_steps=20 numbers"):
         integrate_sampled(counted, p, 1.0, IntegratorConfig(step=0.25), step_out=0.2)
     assert not evals
+
+
+# ---------------------------------------------------------------------------
+# The CSV writer: one "%" per table, the bytes of the per-cell writer.
+
+
+def _csv_per_cell(columns, rows):
+    """The writer ``_csv_text`` replaced: one ``format`` per number cell, and
+    ``csv.writer`` for the header and for each row with a string."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        cells = [x if isinstance(x, str) else format(x, ".17g") for x in row]
+        if any(isinstance(x, str) for x in row):
+            writer.writerow(cells)
+        else:
+            buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5]
+_csv_texts = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "%", "a", "é", "{", ":"]), max_size=6)
+_csv_numbers = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and zeros
+    st.integers(-2**70, 2**70),  # past 2**53 an int is written as the float it rounds to
+    st.integers(2**53, 2**64),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+_csv_tables = st.one_of(  # tables of numbers alone, and tables with strings in any cell
+    st.lists(st.lists(_csv_numbers, min_size=1, max_size=5), max_size=6),
+    st.lists(st.lists(st.one_of(_csv_numbers, _csv_texts), min_size=1, max_size=5), max_size=6),
+    st.lists(st.lists(st.one_of(_csv_numbers, _csv_texts), min_size=1, max_size=1), max_size=6),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_csv_texts, min_size=1, max_size=4), _csv_tables)
+def test_csv_text_is_the_per_cell_writer_byte_for_byte(columns, rows):
+    assert flows._csv_text(columns, rows) == _csv_per_cell(columns, rows)
+
+
+def test_csv_text_keeps_the_csv_modules_quirks():
+    # a lone empty field is '""', an empty field among others is empty, and "%" is a character
+    rows = [[""], ["", 1.0], ["a,b", 'c"d', "x%sy%%"], [math.nan, -math.inf, np.float64(0.1)], []]
+    text = flows._csv_text(["a,b", 'c"d'], rows)
+    assert text == '"a,b","c""d"\n""\n,1\n"a,b","c""d",x%sy%%\nnan,-inf,0.10000000000000001\n\n'
+    assert text == _csv_per_cell(["a,b", 'c"d'], rows)
+    assert flows._csv_text(["t"], []) == "t\n"
