@@ -282,6 +282,13 @@ def _chart_to_confidence(dom, u: float) -> ConfidenceValue:
     return dom.value(u)
 
 
+def _update(learner, phi, chi, s_lo, states):
+    """observe(phi, chi, s_lo) once: ``states`` maps the chi tried from s_lo to their updates."""
+    if chi not in states:
+        states[chi] = learner.observe(phi, chi, s_lo)
+    return states[chi]
+
+
 def _residual_by_brent(learner, phi, s_lo, target_bel, states):
     """The residual confidence whose update from s_lo brings Bel up to
     target_bel, found on the chart [0, 1] by Brent's zero finder (Brent 1973,
@@ -293,22 +300,23 @@ def _residual_by_brent(learner, phi, s_lo, target_bel, states):
     bisects when that step would not shrink the bracket fast enough.  The
     search stops once the bracket is at most _BRENT_XTOL + 4 eps u wide, or
     after _BRENT_ITERS steps, and returns the upper end's confidence and state.
-    ``states`` maps the chart points tried from s_lo to their updates; the
-    search adds the ones it observes.
+    ``states`` is s_lo's memo of ``_update``.
     """
     dom = learner.domain
 
     def gap(u: float) -> float:
-        if u not in states:
-            states[u] = learner.observe(phi, _chart_to_confidence(dom, u), s_lo)
-        return learner.bel(phi, states[u]) - target_bel
+        return learner.bel(phi, _update(learner, phi, _chart_to_confidence(dom, u), s_lo, states)) - target_bel
+
+    def at(u: float):
+        chi = _chart_to_confidence(dom, u)
+        return chi, states[chi]
 
     fa = gap(0.0)
     if not fa < 0.0:
-        return dom.bot, states[0.0]  # the chart sends 0 to bot
+        return dom.bot, states[dom.bot]  # the chart sends 0 to bot
     fb = gap(1.0)
     if fb < 0.0:
-        return _chart_to_confidence(dom, 1.0), states[1.0]
+        return at(1.0)
     # b is the latest point, a the one before it, c the bracket end facing b;
     # hi is the upper end, the latest point not below
     a, b, c, fc, hi = 0.0, 1.0, 0.0, fa, 1.0
@@ -358,7 +366,7 @@ def _residual_by_brent(learner, phi, s_lo, target_bel, states):
         fb = gap(b)
         if not fb < 0.0:
             hi = b
-    return _chart_to_confidence(dom, hi), states[hi]
+    return at(hi)
 
 
 def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
@@ -370,12 +378,14 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     n = min(cfg.samples, 12)
     for phi, theta in _instances(learner, chk.rng, n):
         states = [None] * len(grid)  # observed once each, at first use
-        tried = {}  # by start state's id: its update at each chart point tried
+        # by start state's id, its _update memo; where observe at bot returns
+        # theta itself, its searches and residuals read the grid states
+        tried = {id(theta): {}}
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 for k in (i, j):
                     if states[k] is None:
-                        states[k] = learner.observe(phi, grid[k], theta)
+                        states[k] = _update(learner, phi, grid[k], theta, tried[id(theta)])
                 s_lo, s_hi = states[i], states[j]
                 charted = tried.setdefault(id(s_lo), {})
                 if grid[j].is_top or not search:
@@ -386,8 +396,7 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
                             reason="no residual in the confidence domain",
                         )
                         continue
-                    # a search's chart sends 1 to top, the residual to top
-                    after = charted[1.0] if 1.0 in charted else learner.observe(phi, delta, s_lo)
+                    after = _update(learner, phi, delta, s_lo, charted)
                 else:
                     delta, after = _residual_by_brent(learner, phi, s_lo, learner.bel(phi, s_hi), charted)
                 d = belief_distance(after, s_hi)

@@ -3,9 +3,9 @@
 Graded updates that are additive in their confidence are flows; this module
 exposes their generating vector fields, combines fields to observe several
 statements in parallel, integrates fields by their learner's flow of the
-observations' sum where it has one and with fixed RK4 steps elsewhere, and
-interleaves two flows to approximate their parallel combination from
-sequential updates.
+observations' sum where it has one and by one adaptive ODE driver
+elsewhere, and interleaves two flows to approximate their parallel
+combination from sequential updates.
 
 Fields act on coordinate arrays.  ``VectorFieldHandle`` is the one handle
 class; its belief space is given, or fixed by its first evaluation.  A
@@ -14,42 +14,35 @@ learner's closed field is the field of a weighted parallel observation
 map from a belief's coordinates to its velocity; one observation is the
 one-term case.  ``combine_fields`` merges the closed fields of one learner
 into one such form, and sums any other fields term by term.  ``integrate``
-and ``integrate_sampled`` share one driver: it binds the field once, checks
-the budget, follows the field to finite time (sample by sample) or to the
-limit, and returns the end state with the rows (t, *coords) of the start,
-each sample time and the end.  Each RK4 stage projects its state into the
-constraint set with the projection of the belief's kind record
-(``beliefs._KINDS``), which makes the checks a belief object makes and, for
-a strictly positive simplex state, divides by the sum it checked without
-clipping.  It then calls one closure: for a closed form, that closure calls
-the form on the projection, names the field in a DomainError, and checks
-the velocity (finite, and on the sum-one plane for a simplex).  Beliefs are
-built for the result, and for each evaluation of a field with no closed
-form.  ``TrajectoryRecord`` writes its rows through ``_csv_text``, the one
-CSV writer of the package.
+and ``integrate_sampled`` share one driver (``_run``): it binds the field
+once, checks the budget, follows the field to finite time (sample by
+sample) or to the limit, and returns the end state with the rows (t,
+*coords) of the start, each sample time and the end.  ``TrajectoryRecord``
+writes its rows through ``_csv_text``, the one CSV writer of the package.
 
 Where the observations' flows commute, the flow of their sum at time t is
 the composition of each flow at time w_j t, a closed form; interp
-observations of pairwise disjoint events, whose flows do not commute, have
-one too, a mixture moving toward Jeffrey's rule on the events, and one
-event is its k = 1 case, ``interp_observe``'s own update.  Interp
-observations of overlapping events have none, but their path stays in the
+observations of pairwise disjoint events have one too, a mixture moving
+toward Jeffrey's rule on the events.  The handle's (learner, terms) reach
+the learner's ``coord_flow``, which maps the start to every sample time as
+one row of one call; the driver evaluates the field once at the start, so
+each check a first step would make still runs.  ``boltzmann``, ``bayes``,
+``max-graded`` and ``interp`` on one or disjoint events have such flows,
+whatever the config.  Interp observations of overlapping events stay in the
 exponential family p(0) exp(M^T lam) / Z, one coordinate per event: at
-finite times their flow integrates lam with adaptive Dormand-Prince 5(4)
-steps (``_dormand_prince``), landing on each sample time.  The driver takes
-a field's learner's flow wherever it has one, whatever the config, with no
-RK4 steps.  The handle's (learner, terms) reach the learner's
-``coord_flow`` with the run's times, which maps the start to every sample
-time as one row of one call.  The driver still binds the field and
-evaluates it once at the start, so each check a first step would make
-still runs; it projects the rows with the kind's projection
-(``normalize_probs`` on a simplex) and rebuilds the end state from the last
-unprojected row.  ``boltzmann`` and ``bayes`` (their tilts add) and
-``max-graded`` (a rate per key) have exact flows, and ``interp`` has one
-where its events are one or pairwise disjoint and, at finite times, the
-tilt flow where they overlap.  RK4 steps the rest: interp sums over
-overlapping events at top (on their closed field, over worlds), mutants,
-hand-built handles and sums over different learners.
+finite times their ``coord_flow`` integrates lam.
+
+Every other field is stepped by ``_dormand_prince``, the one ODE driver:
+adaptive Dormand-Prince 5(4) steps of at most ``IntegratorConfig.step``
+that land on each sample time.  These are interp sums over overlapping
+events at top (on their closed field, over worlds), mutants, hand-built
+handles and sums over different learners.  Each stage projects its state
+into the constraint set with the projection of the belief's kind record
+(``beliefs._KINDS``), which makes the checks a belief object makes, and
+calls one closure: for a closed form, that closure names the field in a
+DomainError and checks the velocity (finite, and on the sum-one plane for a
+simplex).  Beliefs are built for the result, rebuilt from the last
+unprojected state, and for each evaluation of a field with no closed form.
 
 Interleaving has two paths, and ``trotter_interleave`` walks each round
 count alone.  A learner with a walk of its own (``Learner.interleave``)
@@ -126,20 +119,21 @@ Project = Callable[[np.ndarray], np.ndarray]
 # Coordinates, read from the belief's kind record (beliefs._KINDS).
 
 
-def _coord_kind(theta):
-    kind = _kind_of(theta)
+def _coord_kind(theta, learner: Optional[Learner] = None):
+    """theta's kind record, looked up once: checked to be of the kind
+    ``learner`` updates, if given, and to have coordinates."""
+    kind = _kind_of(theta) if learner is None else _check_kind(learner, theta)
     if kind is None or kind.coords is None:
         raise UnsupportedError(f"no coordinates for {type(theta).__name__}")
     return kind
 
 
-def _check_kind(learner: Learner, theta) -> None:
-    """Refuse a belief of another kind than the one the learner updates."""
+def _check_kind(learner: Learner, theta):
+    """theta's kind record (or None), refused if the learner updates another kind."""
     kind = _kind_of(theta)
     if kind is not None and learner.belief_kind not in (None, kind.name):
-        raise ParameterError(
-            f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind.name}"
-        )
+        raise ParameterError(f"learner {learner.id!r} updates {learner.belief_kind} beliefs, not {kind.name}")
+    return kind
 
 
 def belief_coords(theta) -> np.ndarray:
@@ -224,9 +218,7 @@ class VectorFieldHandle:
     def _match(self, theta):
         """theta's kind record, once theta is checked to be of the kind the field's
         learner updates and on the field's space, which the first match fixes."""
-        if self._source is not None:
-            _check_kind(self._source[0], theta)
-        kind = _coord_kind(theta)
+        kind = _coord_kind(theta, None if self._source is None else self._source[0])
         key = kind.space(theta)
         if self.space is None:
             object.__setattr__(self, "space", key)
@@ -451,17 +443,16 @@ def metric_gradient(theta, f: Callable[[Any], float], metric: str, h: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step integration.
+# Integration.
 
 
-_QUIET_STEPS = 10  # consecutive quiet steps that count as a detected limit
-_REM_TOL = 1e-15  # a remainder below this takes no extra step
+_QUIET_STEPS = 10  # consecutive quiet accepted steps that count as a detected limit
 _LIMIT_TOL = 1e-9  # a field whose sup norm is below this is quiet
 _T_MAX = 1e4  # the time a run to the limit may take before it reports no limit
 # The one step budget, whatever the config: a run to the limit reports no
-# limit after this many RK4 steps, and a run that would take more RK4 steps,
-# tilt-flow tries or interleaving rounds, or record more numbers (rows times
-# one more than the coordinates), is refused before it starts.
+# limit after this many tries of a step, and a run that would take more steps
+# of the cap, tries or interleaving rounds, or record more numbers (rows times
+# one more than the coordinates), is refused.
 _MAX_STEPS = 10_000_000
 
 
@@ -484,15 +475,16 @@ def _sample_times(t: float, step_out: Optional[float]) -> Iterable[float]:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The RK4 step size.  The integrators take a field's learner's flow
-    wherever it has one (see ``Learner.coord_flow``) and step every other
-    field by RK4 with fixed steps of ``step``: interp observations of
-    overlapping events at top, mutants, hand-built handles and sums over
-    learners.  A run to the limit stops once the field's sup norm stays
-    below ``_LIMIT_TOL`` for ``_QUIET_STEPS`` consecutive steps, and reports
-    no limit past time ``_T_MAX`` or ``_MAX_STEPS`` steps."""
+    """The largest step of the adaptive driver.  The integrators take a
+    field's learner's flow wherever it has one (see ``Learner.coord_flow``)
+    and step every other field by Dormand-Prince 5(4) with steps of at most
+    ``step``: interp observations of overlapping events at top, mutants,
+    hand-built handles and sums over learners.  A run to the limit stops once
+    the field's sup norm stays below ``_LIMIT_TOL`` for ``_QUIET_STEPS``
+    accepted steps, and reports no limit past time ``_T_MAX`` or
+    ``_MAX_STEPS`` tries."""
 
-    step: float = 1e-3
+    step: float = 1.0
 
     def __post_init__(self):
         # the type first: "x" < 0 would raise a TypeError that names no setting
@@ -507,43 +499,6 @@ def _check_record(t: float, step_out: Optional[float], width: int) -> None:
     # at most ceil(t / step_out) + 1 rows; the cap keeps an infinite quotient roundable
     if step_out is not None and (math.ceil(min(t / step_out, _MAX_STEPS)) + 1) * width > _MAX_STEPS:
         raise StepBudgetError(f"t={t:g} sampled every {step_out:g} records more than max_steps={_MAX_STEPS} numbers")
-
-
-def _check_steps(cfg: IntegratorConfig, times: Sequence[float]) -> None:
-    """Reject stepping through the sample ``times`` when their intervals
-    together take over ``_MAX_STEPS`` steps."""
-    steps, now = 0, 0.0
-    for target in times:
-        n_full, rem = divmod(target - now, cfg.step)
-        steps += n_full + (rem > _REM_TOL)  # a float, so an infinite count is over budget
-        now = target
-        if steps > _MAX_STEPS:
-            raise StepBudgetError(f"t={times[-1]:g} takes more than max_steps={_MAX_STEPS} steps of {cfg.step:g}")
-
-
-def _advance(f: CoordsMap, project: Project, c, k1, h: float) -> np.ndarray:
-    """One RK4 step of size h from projected coordinates c, where k1 is the
-    field there; returns the new state before its projection."""
-    v = c + 0.5 * h * k1
-    k2 = f(v, project(v))
-    v = c + 0.5 * h * k2
-    k3 = f(v, project(v))
-    v = c + h * k3
-    k4 = f(v, project(v))
-    return c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _cover(f: CoordsMap, project: Project, c, v, dt: float, cfg: IntegratorConfig):
-    """Cover time dt from the state v (projected: c) with whole steps, then
-    one remainder step.  Returns the new projected and unprojected states."""
-    n_full, rem = divmod(dt, cfg.step)
-    for _ in range(int(n_full)):
-        v = _advance(f, project, c, f(v, c), cfg.step)
-        c = project(v)
-    if rem > _REM_TOL:
-        v = _advance(f, project, c, f(v, c), rem)
-        c = project(v)
-    return c, v
 
 
 def _result(theta0, v):
@@ -564,138 +519,132 @@ _DP_ROWS = tuple(np.array(row) for row in (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ))
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_DP_TOL = 1e-10  # absolute tolerance on each step's increment of the local coordinates
+_DP_TOL = 1e-10  # absolute tolerance on each step's error, where settle measures it
+# Error control cuts a plain field's step to this (or its cap) at least: where
+# the field is stiff or kinked, steps this size are taken whatever their error.
+_MIN_STEP = 1e-3
 
 
-def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float], cap: float) -> np.ndarray:
-    """The rows at the finite times ``ts`` of a flow on positive measures
-    written in local coordinates y about its state c: ``stage(c, y)`` is
-    (dy/dt, the measure at y).  Each accepted step normalizes the measure at
-    its end into the new c, about which y restarts at 0.  Adaptive
-    Dormand-Prince 5(4) steps of at most ``cap`` land on each time exactly;
-    a step with a rate not below ``bound`` (NaN included) leaves the flow's
-    domain and is rejected.  A last time that takes more than ``_MAX_STEPS``
-    steps of ``cap`` raises StepBudgetError before any step, and so do that
-    many tries; DomainError where the start is outside the domain, or where
-    a step to stay inside rounds to 0."""
-    end = max(ts)
-    if not end <= cap * _MAX_STEPS:
+def _dormand_prince(stage, bound: np.ndarray, c: np.ndarray, ts: Sequence[float], cap: float, settle,
+                    floor: float = 0.0):
+    """The one ODE driver: the rows at the times ``ts`` (finite, or inf
+    alone: the limit) of a flow in local coordinates y about its state c, and
+    the end state before settling (None where no step ran).  ``stage(c, y)``
+    is (dy/dt, the state at y); ``settle(q, e)`` is (the state c that a step
+    ending at q settles to, about which y restarts at 0, and the error to
+    judge the step by), e being its error estimate in y.  Adaptive
+    Dormand-Prince 5(4) steps of at most ``cap`` land on each time exactly.
+    A step with a rate not below ``bound`` (NaN included), or a stage raising
+    DomainError or NumericalError, leaves the domain and is rejected; error
+    control cuts no step below ``floor``.  A last finite time over
+    ``_MAX_STEPS`` steps of ``cap`` raises StepBudgetError before any step,
+    and so do that many tries; DomainError where the start is outside the
+    domain, or where a step to stay inside rounds to 0.  A run to the limit
+    stops once the rates stay below ``_LIMIT_TOL`` for ``_QUIET_STEPS``
+    accepted steps, and raises NoLimitError where a step of ``cap`` does not
+    move the state, past time ``_T_MAX`` or after ``_MAX_STEPS`` tries."""
+    end = max(ts, default=0.0)
+    limit = math.isinf(end)
+    if not (limit or end <= cap * _MAX_STEPS):
         raise StepBudgetError(f"t={end:g} takes more than max_steps={_MAX_STEPS} steps of at most {cap:g}")
-    at = {}
+    at, q = {}, None
     ks = np.empty((7, bound.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ks[6] = stage(c, np.zeros(bound.size))[0]
         if not np.logical_and.reduce(ks[6] < bound):
             raise DomainError("the flow starts outside its domain")
-        now, h, tries = 0.0, cap, 0
+        now, h, tries, quiet = 0.0, cap, 0, 0
         for target in sorted(set(ts)):
             while now < target:
                 tries += 1
                 if tries > _MAX_STEPS:
+                    if limit:
+                        raise NoLimitError(f"no limit detected within {_MAX_STEPS} steps (field norm still moving)")
                     raise StepBudgetError(f"t={end:g} takes more than max_steps={_MAX_STEPS} steps")
                 step = min(h, target - now)
                 ks[0] = ks[6]
-                for i in range(1, 7):
-                    ks[i], q = stage(c, step * (_DP_ROWS[i - 1] @ ks[:i]))
+                try:
+                    for i in range(1, 7):
+                        ks[i], y_end = stage(c, step * (_DP_ROWS[i - 1] @ ks[:i]))
+                except (DomainError, NumericalError):  # a stage outside the field's domain
+                    ks[6] = math.nan
                 err = math.inf
                 if np.logical_and.reduce(ks < bound, axis=None):
-                    err = float(np.maximum.reduce(np.abs(_DP_ERR @ ks))) * step / _DP_TOL
+                    settled, e = settle(y_end, step * (_DP_ERR @ ks))
+                    err = float(np.maximum.reduce(np.abs(e))) / _DP_TOL
                 # the step scale that would have met the tolerance, within [0.2, 5]
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                if err <= 1.0:
-                    c, now = q / np.add.reduce(q), (target if step == target - now else now + step)
+                if err <= 1.0 or step <= floor < err < math.inf:
+                    still = step == cap and settled.tobytes() == c.tobytes()
+                    c, q, now = settled, y_end, (target if step == target - now else now + step)
                     if step == h:  # a step cut short to land keeps the step it was cut from
-                        h = min(cap, step * fac)
-                else:
-                    h, ks[6] = step * fac, ks[0]
+                        h = min(cap, max(floor, step * fac))
+                    if limit:
+                        rate = float(np.maximum.reduce(np.abs(ks[6])))
+                        quiet = quiet + 1 if rate < _LIMIT_TOL else 0
+                        if quiet == _QUIET_STEPS:
+                            break
+                        if still and not quiet:  # the field reads the state alone: every later step repeats it
+                            raise NoLimitError(f"no limit: a step of {cap:g} does not move the state "
+                                               f"(field norm {rate:.3g})")
+                        if now > _T_MAX:
+                            raise NoLimitError(f"no limit detected by t={_T_MAX:g} (field norm still moving)")
+                else:  # a step outside the domain may be cut below the floor
+                    h, ks[6] = (step * fac if err == math.inf else max(floor, step * fac)), ks[0]
                     if now + h == now:
                         raise DomainError(f"the flow leaves its domain at t={now:g}")
             at[target] = c
-    return np.array([at[t] for t in ts])
-
-
-def _row_projection(kind) -> Project:
-    """The projection of the exact flow's rows (``_run``): ``normalize_probs``
-    on a simplex (each row's FiniteSimplex bits), else the kind's, row by row."""
-    if kind.sums_to_one:
-        return normalize_probs
-    return lambda v: np.array([kind.project(row) for row in v])
-
-
-def _exact_flow(field: VectorFieldHandle, theta0, times):
-    """The flow of ``field`` from theta0 at the additive times ``times``:
-    its learner's ``coord_flow`` bound to them, or NotImplemented where the
-    field has none there: it is no learner's closed field, or its learner has
-    no flow of its terms' sum at those times."""
-    if field._source is None or field._source[0].coord_flow is None:
-        return NotImplemented
-    learner, terms = field._source
-    return learner.coord_flow(terms, times, coord_labels(theta0))
+    return np.array([at[t] for t in ts]), q
 
 
 def _run(field: VectorFieldHandle, theta0, t: float, cfg: IntegratorConfig, step_out=None):
     """The one integration driver: follow the field from theta0 for time t
-    (inf: to the limit), sampled every ``step_out`` if given, by its
-    learner's flow where it has one and else by RK4 steps of ``cfg.step``.
-    Returns the final belief and the rows (t, *coords) of the start, each
-    sample time and the end."""
+    (inf: to the limit), sampled every ``step_out`` if given.  A learner's
+    closed field takes the learner's ``coord_flow`` where it has one of the
+    terms' sum at these times: the driver evaluates the field once at theta0,
+    for the checks a first step makes, and projects the flow's rows with
+    ``normalize_probs`` on a simplex (each row's FiniteSimplex bits), else
+    with the kind's projection.  Every other field is stepped by
+    ``_dormand_prince`` with steps of at most ``cfg.step``: y is the
+    displacement, each stage state c + y is projected and checked, a step
+    ends at its projected state, and its error is measured between the
+    projected fifth- and fourth-order states, so that where the projection
+    clips both alike (a kink at the boundary) the step is not cut for it.
+    Returns the final belief, rebuilt from the last state before its
+    projection, and the rows (t, *coords) of the start, each sample time and
+    the end."""
     f, project = field._bind(theta0)
-    c, v = belief_coords(theta0), None
+    kind, c, v = _coord_kind(theta0), belief_coords(theta0), None
     if not math.isinf(t):  # before the times are listed
         _check_record(t, step_out, c.size + 1)
     times = [t] if math.isinf(t) else list(_sample_times(t, step_out))
-    step = _exact_flow(field, theta0, times)
-    if step is NotImplemented and not math.isinf(t):
-        _check_steps(cfg, times)
-    rows = [(0.0,) + tuple(c)]
-    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
-        if step is not NotImplemented:
-            f(None, c)  # the checks a first step makes at theta0
-            if step is None:  # every time is 0
-                rows.extend((now,) + tuple(c) for now in times)
-            else:
-                v = np.broadcast_to(step(c), (len(times), c.size))
-                cs = _row_projection(_coord_kind(theta0))(v)
-                rows.extend((now,) + tuple(row) for now, row in zip(times, cs))
-                v = v[-1]
-        elif math.isinf(t):
-            c, v = _to_limit(f, project, c, cfg)
-            rows.append((t,) + tuple(c))
-        else:
-            now = 0.0
-            for target in times:
-                c, v = _cover(f, project, c, v, target - now, cfg)
-                now = target
-                rows.append((now,) + tuple(c))
-    return _result(theta0, v), rows
+    source, flow = field._source, NotImplemented
+    if source is not None and source[0].coord_flow is not None:
+        flow = source[0].coord_flow(source[1], times, kind.labels(theta0))
 
+    def stage(c, y):
+        v = c + y
+        return f(v, project(v)), v
 
-def _to_limit(f: CoordsMap, project: Project, c, cfg: IntegratorConfig):
-    """Step from the projected coordinates c until the field stays quiet;
-    returns the limit's projected and unprojected states."""
-    k1 = f(None, c)
-    quiet, before = 0, c.tobytes()
-    cap = math.ceil(min(_T_MAX / cfg.step, _MAX_STEPS))  # capped before rounding: the quotient may be inf
-    for _ in range(cap):
-        v = _advance(f, project, c, k1, cfg.step)
+    def settle(v, e):
         c = project(v)
-        k1 = f(v, c)  # also the next step's first stage
-        after = c.tobytes()
-        if float(np.maximum.reduce(np.abs(k1))) < _LIMIT_TOL:
-            quiet += 1
-            if quiet >= _QUIET_STEPS:
-                return c, v
-        elif after == before:
-            # the field depends on the state alone, so every later step
-            # repeats this one
-            raise NoLimitError(
-                f"no limit: a step of {cfg.step:g} does not move the state "
-                f"(field norm {float(np.abs(k1).max()):.3g})"
-            )
+        return c, c - project(v - e)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_tangent
+        if flow is NotImplemented:
+            inf = np.full(c.size, math.inf)
+            cs, v = _dormand_prince(stage, inf, c, times, cfg.step, settle, min(cfg.step, _MIN_STEP))
         else:
-            quiet = 0
-        before = after
-    raise NoLimitError(f"no limit detected within {cap} steps (field norm still moving)")
+            f(None, c)
+            if flow is None:  # every time is 0
+                cs = [c] * len(times)
+            else:
+                v = np.broadcast_to(flow(c), (len(times), c.size))
+                cs = normalize_probs(v) if kind.sums_to_one else [project(row) for row in v]
+                v = v[-1]
+    rows = [(0.0,) + tuple(c)]
+    rows.extend((now,) + tuple(row) for now, row in zip(times, cs))
+    return _result(theta0, v), rows
 
 
 def integrate(

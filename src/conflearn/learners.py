@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _check_kind, _dormand_prince, _forward_stencil, belief_coords, belief_rebuild, coord_labels
+from .flows import _check_kind, _coord_kind, _dormand_prince, _forward_stencil, belief_coords
 
 __all__ = [
     "Learner",
@@ -195,13 +195,14 @@ _UPDATE_HOOKS = dict.fromkeys(
 
 def _coord_make_flow(learner: Learner, phi) -> Callable[[Any, Any], Any]:
     """make_flow(phi) as the learner's coord_flow defines it, on the
-    coordinates of a belief of its kind."""
+    coordinates of a belief of its kind, whose kind record is looked up once."""
     coord_flow = learner.coord_flow
 
     def flow(t, theta):
-        _check_kind(learner, theta)
-        step = coord_flow(((phi, 1.0),), (_float_of(_ADD, t),), coord_labels(theta))
-        return theta if step is None else belief_rebuild(theta, step(belief_coords(theta)))
+        kind = _coord_kind(theta, learner)
+        step = coord_flow(((phi, 1.0),), (_float_of(_ADD, t),), kind.labels(theta))
+        vec = None if step is None else step(kind.coords(theta))
+        return theta if vec is None else kind.make(theta, vec, kind.project(vec))
 
     return flow
 
@@ -417,7 +418,8 @@ def _interp_tilt_flow(m: np.ndarray, w: np.ndarray, ts: Sequence[float]):
     def flow(c: np.ndarray) -> np.ndarray:
         q0 = np.bincount(cell, weights=c)
         # a rate w_j / P(a_j) of at least w_j / MASS_EPS: a_j has no mass
-        q = _dormand_prince(stage, w / MASS_EPS, q0, ts, cap)
+        # each step settles on the masses normalized, and is judged by its error in lam
+        q, _ = _dormand_prince(stage, w / MASS_EPS, q0, ts, cap, lambda q, e: (q / np.add.reduce(q), e))
         return _cell_expand(c, q, q0, cell)
 
     return flow

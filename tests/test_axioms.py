@@ -186,12 +186,15 @@ def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
     # L2 observes each base once and each step from it once; L3 observes,
     # outside its residual searches, only the grid states and the updates by
     # the residuals to top.  A search hands back the state it reached, the
-    # searches from one start share the chart points they tried, and an
-    # update to top takes the u = 1 (top) state a search from its start tried
+    # searches from one start share the confidences they tried, and an
+    # update to top takes the top state a search from its start tried.  Where
+    # observe at bot returns the instance itself, the searches and residuals
+    # from it read the grid states: L3 observes no (instance, confidence) twice
     learner = get_learner(learner_id)
     calls = {"L2": 0, "L3": 0, "search": 0}
     law, searching = ["L2"], [False]
     instances, charted, starts = [], set(), []  # starts are kept alive, so ids stay theirs
+    from_instances = set()
 
     def sample(rng):
         phi, theta = learner.sample_instance(rng)
@@ -205,6 +208,10 @@ def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
             assert (id(theta), repr(chi)) not in charted, chi
             charted.add((id(theta), repr(chi)))
             starts.append(theta)
+        if law[0] == "L3" and any(theta is t for t in instances):
+            assert learner.observe(phi, learner.domain.bot, theta) is theta
+            assert (id(theta), repr(chi)) not in from_instances, chi
+            from_instances.add((id(theta), repr(chi)))
         return learner.observe(phi, chi, theta)
 
     def search(*args):
@@ -226,7 +233,7 @@ def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
     assert grid[-1].is_top and not grid[-2].is_top and calls["search"] > 0
     # the grid states, then fewer updates to top than starts below top
     n = min(cfg.samples, 12)
-    assert n * len(grid) < calls["L3"] < n * (2 * len(grid) - 1)
+    assert n * len(grid) <= calls["L3"] < n * (2 * len(grid) - 1)
 
 
 def test_check_config_rejects_bad_settings():

@@ -382,7 +382,7 @@ def test_parallel_contradiction_limit_pinned():
     field = combine_fields(
         [derivative_field(learner, a), derivative_field(learner, a.complement())]
     )
-    for handle in (field, _stepped(field)):  # the exact flow, and RK4 of the same field
+    for handle in (field, _stepped(field)):  # the exact flow, and the driver's steps on the same field
         out = integrate(handle, p, math.inf)
         assert np.allclose(out.probs, [0.5, 0.25, 0.25], atol=1e-6)
 
@@ -491,8 +491,8 @@ def test_integrator_rejects_bad_settings():
     for step in ("x", None, [1]):  # refused by type, before any comparison
         with pytest.raises(ParameterError, match="^step must be positive and finite$"):
             IntegratorConfig(step=step)
-    # RK4 is the one stepper; the limit's tolerance, time cap and the step
-    # budget are constants
+    # Dormand-Prince is the one stepper; the limit's tolerance, time cap and
+    # the step budget are constants
     for setting in ("scheme", "t_max", "limit_tol", "max_steps"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting}'"):
             IntegratorConfig(**{setting: 1.0})
@@ -507,6 +507,9 @@ def test_no_limit_error_for_drifting_field(monkeypatch):
     monkeypatch.setattr(flows, "_MAX_STEPS", 500)
     with pytest.raises(NoLimitError, match="within 500 steps"):
         integrate(drift, GaussianBelief(0.0, 1.0), math.inf, IntegratorConfig(step=0.1))
+    # steps of 100 reach the time cap first
+    with pytest.raises(NoLimitError, match=r"^no limit detected by t=10000 \(field norm still moving\)$"):
+        integrate(drift, GaussianBelief(0.0, 1.0), math.inf, IntegratorConfig(step=100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +631,22 @@ def test_trotter_round_count_that_is_no_positive_integer_is_a_parameter_error(n)
 # The array kernel against the object path, and its step budget.
 
 
-def _object_rk4(field, theta, h):
-    """One RK4 step that builds a belief at every stage (the reference)."""
+def _object_run(field, theta, t, cap):
+    """The driver's steps from theta to time t (inf: the limit) with a belief
+    built at every stage and every step's end (the reference)."""
+
+    def stage(c, y):
+        return field(belief_rebuild(theta, c + y)).components, c + y
+
+    def settle(v, e):
+        c = belief_coords(belief_rebuild(theta, v))
+        return c, c - belief_coords(belief_rebuild(theta, v - e))
+
     c0 = belief_coords(theta)
-    k1 = field(theta).components
-    k2 = field(belief_rebuild(theta, c0 + 0.5 * h * k1)).components
-    k3 = field(belief_rebuild(theta, c0 + 0.5 * h * k2)).components
-    k4 = field(belief_rebuild(theta, c0 + h * k3)).components
-    return belief_rebuild(theta, c0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, v = flows._dormand_prince(stage, np.full(c0.size, math.inf), c0, [t], cap, settle,
+                                     min(cap, flows._MIN_STEP))
+    return belief_rebuild(theta, v)
 
 
 def _mixed_field():
@@ -653,26 +664,17 @@ def _mixed_field():
     return field, p
 
 
-def test_kernel_matches_object_path_at_finite_time(monkeypatch):
+def test_kernel_matches_object_path_at_finite_time():
     field, p = _mixed_field()
-    monkeypatch.setattr(flows, "_MAX_STEPS", 192)
-    cfg = IntegratorConfig(step=2.0 ** -7)  # 1.5 = 192 whole steps, the whole budget
-    ref = p
-    for _ in range(192):
-        ref = _object_rk4(field, ref, cfg.step)
-    assert np.array_equal(integrate(field, p, 1.5, cfg).probs, ref.probs)
+    cfg = IntegratorConfig(step=0.25)
+    assert np.array_equal(integrate(field, p, 1.5, cfg).probs, _object_run(field, p, 1.5, cfg.step).probs)
 
 
 def test_kernel_matches_object_path_to_the_limit():
     field, p = _mixed_field()
-    cfg = IntegratorConfig(step=0.01)
-    ref, quiet = p, 0
-    for _ in range(100_000):
-        ref = _object_rk4(field, ref, cfg.step)
-        quiet = quiet + 1 if np.abs(field(ref).components).max() < _LIMIT_TOL else 0
-        if quiet == 10:
-            break
-    assert quiet == 10
+    cfg = IntegratorConfig(step=0.5)
+    ref = _object_run(field, p, math.inf, cfg.step)
+    assert np.abs(field(ref).components).max() < _LIMIT_TOL
     assert np.array_equal(integrate(field, p, math.inf, cfg).probs, ref.probs)
 
 
@@ -682,7 +684,7 @@ def test_kernel_matches_object_path_without_closed_fields():
 
     (euclid,) = [m for m in get_mutants() if m.id == "mutant-lb-euclid"]
     rng = np.random.default_rng(0)
-    cfg = IntegratorConfig(step=2.0 ** -6)
+    cfg = IntegratorConfig(step=2.0 ** -3)
     for _ in range(8):
         n = int(rng.integers(3, 7))
         labels = tuple("abcdef"[:n])
@@ -693,9 +695,7 @@ def test_kernel_matches_object_path_without_closed_fields():
         )
         rv = RandomVariable(labels, rng.normal(size=n))
         for field in (pull, combine_fields([derivative_field(euclid, rv), pull], [1.7, 0.6])):
-            ref = p
-            for _ in range(64):
-                ref = _object_rk4(field, ref, cfg.step)
+            ref = _object_run(field, p, 1.0, cfg.step)
             assert np.array_equal(integrate(field, p, 1.0, cfg).probs, ref.probs)
 
 
@@ -717,7 +717,7 @@ def _count_simplexes(monkeypatch) -> list:
 def test_finite_integration_builds_few_simplexes(monkeypatch):
     field, p = _mixed_field()
     built = _count_simplexes(monkeypatch)
-    integrate(field, p, 1.0, IntegratorConfig(step=0.01))  # 100 steps
+    integrate(field, p, 1.0, IntegratorConfig(step=0.01))  # at least 100 steps
     assert len(built) <= 3
 
 
@@ -733,7 +733,8 @@ def test_finite_integration_honours_max_steps(monkeypatch):
     with pytest.raises(StepBudgetError, match="max_steps=5 steps"):
         integrate(drift, g, 1.0, IntegratorConfig(step=1e-9))
     assert not evals  # rejected before the first step
-    # the budget spans every sample interval: 4 x 25 steps, each under 60
+    # the budget is on the whole run: t = 1 takes 100 steps of at most 0.01,
+    # over 60, though each sample interval of 0.25 takes only 25
     cfg = IntegratorConfig(step=0.01)
     monkeypatch.setattr(flows, "_MAX_STEPS", 60)
     with pytest.raises(StepBudgetError, match="max_steps=60 steps"):
@@ -753,8 +754,8 @@ def test_one_step_budget_bounds_every_path(monkeypatch):
     # a sampled record: six rows of four numbers
     with pytest.raises(StepBudgetError, match="^t=1 sampled every 0.2 records more than max_steps=20 numbers$"):
         integrate_sampled(exact, p, 1.0, step_out=0.2)
-    # finite-time RK4 steps: 100 steps of 0.01
-    with pytest.raises(StepBudgetError, match="^t=1 takes more than max_steps=20 steps of 0.01$"):
+    # finite-time steps of a field with no flow of its own: 100 steps of at most 0.01
+    with pytest.raises(StepBudgetError, match="^t=1 takes more than max_steps=20 steps of at most 0.01$"):
         integrate(stepped, p, 1.0, IntegratorConfig(step=0.01))
     # the cap of a run to the limit
     drift = VectorFieldHandle("drift", ("gaussian",), lambda b: TangentVector(b, np.array([1.0, 0.0])))
@@ -1388,11 +1389,12 @@ def test_combine_evaluates_one_closed_form_per_stage():
     assert calls["closed_field"] == [1, 1, 1, 1, 1, 5]
     integrate(field, p, 0.5, cfg)
     assert (calls["bind"], calls["eval"]) == (1, 1)
-    # with no exact flow, RK4 steps the same closed form
+    # with no exact flow, the driver steps the same closed form: one stage at
+    # the start, then six for each step tried (the seventh is the next first)
     calls.update(bind=0, eval=0)
     integrate(_stepped(field), p, 0.5, cfg)
     assert calls["bind"] == 1
-    assert calls["eval"] == 4 * 50  # four RK4 stages for each of 50 steps
+    assert calls["eval"] > 6 * 50 and calls["eval"] % 6 == 1  # 0.5 takes at least 50 steps of 0.01
     # tempering flows commute: the exact flow evaluates the field once, at the start
     boltzmann = counted(get_learner("boltzmann"))
     rng = np.random.default_rng(5)
@@ -1426,7 +1428,7 @@ def test_limit_integration_stops_when_a_step_cannot_move_the_state():
     learner = get_learner("boltzmann")
     p = tri()
     field = derivative_field(learner, RandomVariable(p.labels, np.array([1.0, 2.0, 3.0])))
-    stepped = VectorFieldHandle(field.label, None, field.eval_at)  # no exact flow: RK4 steps it
+    stepped = VectorFieldHandle(field.label, None, field.eval_at)  # no exact flow: the driver steps it
     with pytest.raises(NoLimitError, match="does not move the state"):
         integrate(stepped, p, math.inf, IntegratorConfig(step=1e-300))
 
@@ -1457,11 +1459,12 @@ def _old_projection(theta0):
     return project
 
 
-def _old_rows(form, theta0, t, cfg, step_out):
-    """integrate_sampled's rows and final coordinates, stepped the way the
-    integrator stepped before one closure reached the closed form: every
-    stage went through _at (the projection, then the form) and the form's
-    components through _check_tangent."""
+def _rk4_rows(form, theta0, t, h, step_out):
+    """integrate_sampled's rows and final coordinates stepped by plain RK4 in
+    fixed steps of h, a whole number of them and a remainder in each sample
+    (to the limit: until the form stays below _LIMIT_TOL for ten steps): the
+    test-local reference.  Every stage goes through ``at`` (the projection,
+    then the form) and the form's components through _check_tangent."""
     project, simplex = _old_projection(theta0), isinstance(theta0, FiniteSimplex)
 
     def at(v, c):
@@ -1481,7 +1484,7 @@ def _old_rows(form, theta0, t, cfg, step_out):
         if math.isinf(t):
             k1, quiet = at(None, c), 0
             for _ in range(100_000):
-                v = advance(c, k1, cfg.step)
+                v = advance(c, k1, h)
                 c = project(v)
                 k1 = at(v, c)
                 quiet = quiet + 1 if float(np.abs(k1).max()) < _LIMIT_TOL else 0
@@ -1493,17 +1496,47 @@ def _old_rows(form, theta0, t, cfg, step_out):
             now = 0.0
             for i in range(1, int(math.ceil(t / step_out)) + 1):
                 target = min(i * step_out, t)
-                n_full, rem = divmod(target - now, cfg.step)
-                for h in [cfg.step] * int(n_full) + ([rem] if rem > 1e-15 else []):
-                    v = advance(c, at(v, c), h)
+                n_full, rem = divmod(target - now, h)
+                for dt in [h] * int(n_full) + ([rem] if rem > 1e-15 else []):
+                    v = advance(c, at(v, c), dt)
                     c = project(v)
                 now = target
                 rows.append((now,) + tuple(c))
+    return rows, _old_end(theta0, v, project)
+
+
+def _old_end(theta0, v, project):
+    """The end state's coordinates, rebuilt from its unprojected state v."""
     if v is None:
-        return rows, belief_coords(theta0)
-    if simplex:  # FiniteSimplex divides the clamped vector itself
-        return rows, theta0.with_probs(np.maximum(v, 0.0)).probs
-    return rows, project(v)
+        return belief_coords(theta0)
+    if isinstance(theta0, FiniteSimplex):  # FiniteSimplex divides the clamped vector itself
+        return theta0.with_probs(np.maximum(v, 0.0)).probs
+    return project(v)
+
+
+def _spelled_rows(form, theta0, t, cap, step_out):
+    """integrate_sampled's rows and final coordinates, with the driver's steps
+    of at most ``cap`` and each stage spelled out the way the integrator
+    stepped before one closure reached the closed form: the projection, then
+    the form, then _check_tangent on its components."""
+    project, simplex = _old_projection(theta0), isinstance(theta0, FiniteSimplex)
+
+    def stage(c, y):
+        comp = form(c + y, project(c + y))
+        _check_tangent(comp, simplex)
+        return comp, c + y
+
+    def settle(v, e):
+        c = project(v)
+        return c, c - project(v - e)
+
+    c0 = belief_coords(theta0)
+    times = [t] if math.isinf(t) else list(flows._sample_times(t, step_out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs, v = flows._dormand_prince(stage, np.full(c0.size, math.inf), c0, times, cap, settle,
+                                      min(cap, flows._MIN_STEP))
+    rows = [(0.0,) + tuple(c0)] + [(now,) + tuple(c) for now, c in zip(times, cs)]
+    return rows, _old_end(theta0, v, project)
 
 
 def _closed_form(learner, phis, weights, space):
@@ -1516,8 +1549,8 @@ def _closed_form(learner, phis, weights, space):
 
 
 def _stepped(field: VectorFieldHandle) -> VectorFieldHandle:
-    """field's closed form with no exact flow, so that RK4 steps it through
-    the closed-form stage path."""
+    """field's closed form with no exact flow, so that the driver steps it
+    through the closed-form stage path."""
     return VectorFieldHandle(field.label, None, None, _coords=field._coords)
 
 
@@ -1583,9 +1616,9 @@ def _stage_cases():
 @pytest.mark.parametrize("case", _stage_cases(), ids=lambda case: case[0])
 def test_stage_path_keeps_the_bits_of_the_old_sequence(case, t):
     _, field, theta0, form = case
-    cfg = IntegratorConfig(step=0.03)  # whole steps and a remainder in every sample
+    cfg = IntegratorConfig(step=0.25)  # steps cut short to land on every sample
     final, record = integrate_sampled(field, theta0, t, cfg, step_out=0.1)
-    rows, coords = _old_rows(form, theta0, t, cfg, 0.1)
+    rows, coords = _spelled_rows(form, theta0, t, cfg.step, 0.1)
     assert np.array(record.rows).tobytes() == np.array(rows).tobytes()
     assert belief_coords(final).tobytes() == coords.tobytes()
 
@@ -1628,18 +1661,23 @@ def _fields(learner, phis, weights):
     return combine_fields([derivative_field(learner, phi) for phi in phis], weights)
 
 
+def _form_of(field, theta0):
+    """field's closed form on theta0's space, as a map of (v, c)."""
+    form = field._coords(flows._coord_kind(theta0).space(theta0))
+    return lambda v, c: form(c)
+
+
 @pytest.mark.parametrize("t", [1.3, math.inf], ids=["finite", "top"])
 @pytest.mark.parametrize("case", _exact_cases(), ids=lambda case: case[0])
 def test_exact_combine_matches_rk4(case, t):
     _, learner, phis, weights, theta0 = case
     field = _fields(learner, phis, weights)
     final, record = integrate_sampled(field, theta0, t, step_out=0.25)
-    rk4 = IntegratorConfig(step=1e-3)
-    ref_final, ref = integrate_sampled(_stepped(field), theta0, t, rk4, step_out=0.25)
-    got, want = np.array(record.rows), np.array(ref.rows)
+    ref, ref_final = _rk4_rows(_form_of(field, theta0), theta0, t, 1e-3, 0.25)
+    got, want = np.array(record.rows), np.array(ref)
     assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
     assert np.abs(got[:, 1:] - want[:, 1:]).max() <= 1e-9
-    assert np.abs(belief_coords(final) - belief_coords(ref_final)).max() <= 1e-9
+    assert np.abs(belief_coords(final) - ref_final).max() <= 1e-9
     # the end state is rebuilt from the last row's unprojected coordinates
     assert belief_coords(final).tobytes() == got[-1, 1:].tobytes()
 
@@ -1661,12 +1699,13 @@ def test_interp_exact_flow_on_disjoint_events_matches_rk4(outside):
     # each conditional stays fixed along the flow, so at time t the state is
     # e^(-W t) p + (1 - e^(-W t)) sum_j (w_j / W) condition(p, a_j), W = sum_j w_j
     rng = np.random.default_rng(7 + outside)
-    learner, rk4 = get_learner("interp"), IntegratorConfig(step=0.01)
+    learner = get_learner("interp")
     for _ in range(25):
         p, events, weights = _disjoint_family(rng, outside)
         field = _fields(learner, events, weights)
         for t, tol in ((0.9, 1e-8), (math.inf, 1e-6)):
-            assert belief_distance(integrate(field, p, t), integrate(_stepped(field), p, t, rk4)) <= tol
+            ref = _rk4_rows(_form_of(field, p), p, t, 0.01, t)[1]
+            assert 0.5 * np.abs(integrate(field, p, t).probs - ref).sum() <= tol
         total = sum(weights)
         jeffrey = sum(w / total * condition(p, a).probs for a, w in zip(events, weights))
         expect = math.exp(-0.9 * total) * p.probs - math.expm1(-0.9 * total) * jeffrey
@@ -1789,9 +1828,12 @@ def test_tilt_steps_are_bounded_and_rejected_outside_the_domain(monkeypatch):
         calls.append(y)
         return np.array([1.0 if len(calls) == 1 else math.nan]), c
 
+    def settle(q, e):  # the tilt flow's: the measure normalized, its error in y
+        return q / q.sum(), e
+
     def run(ts, cap=0.25):
         calls.clear()
-        return flows._dormand_prince(stage, np.array([2.0]), np.array([1.0]), ts, cap)
+        return flows._dormand_prince(stage, np.array([2.0]), np.array([1.0]), ts, cap, settle)
 
     with pytest.raises(StepBudgetError, match=r"t=1e\+300 takes more than max_steps=10000000 steps of at most 0.25"):
         run((1.0, 1e300))
@@ -1805,7 +1847,7 @@ def test_tilt_steps_are_bounded_and_rejected_outside_the_domain(monkeypatch):
         run((1.0,))
     assert len(calls) == 1 + 6 * 50
     with pytest.raises(DomainError, match="the flow starts outside its domain"):
-        flows._dormand_prince(lambda c, y: (np.array([2.0]), c), np.array([2.0]), np.array([1.0]), (1.0,), 0.25)
+        flows._dormand_prince(lambda c, y: (np.array([2.0]), c), np.array([2.0]), np.array([1.0]), (1.0,), 0.25, settle)
 
 
 def test_interp_tilt_flow_refuses_a_start_with_no_event_mass():
@@ -1884,6 +1926,51 @@ def test_interp_tilt_flow_keeps_a_cell_of_no_prior_mass_empty():
     assert rows[0].tobytes() == p.probs.tobytes()
     assert not rows[:, :2].any() and not final[:2].any()
     assert (rows[1:, 2:] > 0.0).all() and np.abs(rows[1:, 2:] - rows[0, 2:]).min() > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The one driver on fields with no flow of their own.
+
+
+def _overlap_limit_families():
+    """The first six random overlapping families and the rank-deficient one."""
+    families = _overlap_families()
+    return families[:6] + [f for f in families if f[0] == "rank-deficient"]
+
+
+def test_overlapping_interp_limit_matches_a_fine_rk4_reference():
+    # the limit is not a closed form: the driver steps the closed field over worlds
+    interp = get_learner("interp")
+    for name, p, events, weights, _ in _overlap_limit_families():
+        field = _fields(interp, events, weights)
+        _, ref = _rk4_rows(_form_of(field, p), p, math.inf, 0.01, None)
+        assert 0.5 * np.abs(integrate(field, p, math.inf).probs - ref).sum() <= 1e-7, name
+
+
+def test_overlapping_interp_limit_is_stationary():
+    # p * (M^T (w / Mp) - W) vanishes at the limit by its bracket wherever it keeps mass
+    interp = get_learner("interp")
+    for name, p, events, weights, _ in _overlap_limit_families():
+        q = integrate(_fields(interp, events, weights), p, math.inf).probs
+        m = np.array([a.indicator() for a in events])
+        bracket = (np.array(weights) / (m @ q)) @ m
+        assert np.abs(bracket - sum(weights))[q > 1e-9].max() <= 1e-6, name
+
+
+def test_a_smooth_finite_difference_field_reaches_the_closed_fields_limit():
+    # boltzmann without its closed field: the stencil on its flow, and sums of
+    # stencils term by term, stepped to the limit its exact flow reaches
+    boltzmann = get_learner("boltzmann")
+    stencil = dataclasses.replace(boltzmann, closed_field=None)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        rv, p = boltzmann.sample_instance(rng)
+        other = RandomVariable(p.labels, rng.normal(size=len(p.labels)))
+        for phis, weights in (([rv], None), ([rv, other], [0.7, 1.6])):
+            stepped = _fields(stencil, phis, weights)
+            assert stepped._source is None  # no flow of its own
+            exact = integrate(_fields(boltzmann, phis, weights), p, math.inf)
+            assert belief_distance(integrate(stepped, p, math.inf), exact) <= 1e-7
 
 
 def test_interp_several_event_paths_refuse_events_over_other_worlds():
@@ -1986,7 +2073,7 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
         combine_fields([derivative_field(interp, p.event(["a"])), tilt]),  # two learners
     ):
         assert rows(field, coarse) != rows(field, fine)
-    # overlapping conditionings have no closed-form limit: RK4 steps them to top
+    # overlapping conditionings have no closed-form limit: the driver steps them to top
     assert rows(overlapping, coarse, t=math.inf) != rows(overlapping, fine, t=math.inf)
     for field in (tilt, _fields(boltzmann, rvs, [1.5, 0.5]), derivative_field(interp, p.event(["a"])),
                   _fields(interp, [p.event(["a"]), p.event(["b", "c"])], [1.5, 0.5]), overlapping):
@@ -1995,15 +2082,15 @@ def test_scheme_steps_only_fields_with_no_exact_flow():
 
 def _tilt_on_tri(path):
     """A boltzmann field on tri(), its observation and its start: the field
-    takes its exact flow, or (path "rk4") is a handle of the same field with
-    no exact flow, which RK4 steps."""
+    takes its exact flow, or (path "stepped") is a handle of the same field
+    with no exact flow, which the driver steps."""
     learner, p = get_learner("boltzmann"), tri()
     rv = RandomVariable(p.labels, np.array([0.3, -0.2, 1.1]))
     field = derivative_field(learner, rv)
     return (field if path == "exact" else VectorFieldHandle(field.label, None, field.eval_at)), rv, p
 
 
-@pytest.mark.parametrize("path", ["rk4", "exact"])
+@pytest.mark.parametrize("path", ["stepped", "exact"])
 def test_sampled_run_ends_exactly_at_t(path):
     # ceil(t / step_out) * step_out rounds one ulp below this t; the last
     # sample is t itself, and the row count stays ceil(t / step_out) + 1
@@ -2020,7 +2107,7 @@ def test_sampled_run_ends_exactly_at_t(path):
         assert final.probs.tobytes() == get_learner("boltzmann").make_flow(rv)(t, p).probs.tobytes()
 
 
-@pytest.mark.parametrize("path", ["rk4", "exact"])
+@pytest.mark.parametrize("path", ["stepped", "exact"])
 def test_sampled_run_records_its_end_time_once(path):
     # t / step_out rounds just above 127 while 127 * step_out is t itself:
     # the whole multiples stop below t, and t ends the record once
