@@ -80,23 +80,19 @@ class CheckConfig:
     """Sampling settings shared by all axiom checks: the seed that names every
     sample stream, the instances each check draws, and the confidence grid
     (None: the learner's own), a list or tuple of values of the checked
-    learner's domain, each at most the next: L3 and B1 walk it upward.  More
-    samples than the step budget ``flows._MAX_STEPS`` raise
-    :class:`StepBudgetError`.  The tolerances and LB's difference step are
-    the module constants ``_TOL``, ``_LB_TOL``, ``_L2_RATIO_BOUND`` and
-    ``_FD_STEP``."""
+    learner's domain, each at most the next: L3 and B1 walk it upward.
+    ``flows._check_samples`` rules the samples count; more than the step
+    budget ``flows._MAX_STEPS`` raise :class:`StepBudgetError`.  The
+    tolerances and LB's difference step are the module constants ``_TOL``,
+    ``_LB_TOL``, ``_L2_RATIO_BOUND`` and ``_FD_STEP``."""
 
     seed: int = 0
     samples: int = 60
     confidence_grid: Optional[Sequence[Any]] = None
 
     def __post_init__(self):
-        for name in ("seed", "samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.samples < 1:
-            raise ParameterError("samples must be at least 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         _check_samples(self.samples)
         if self.confidence_grid is not None and not isinstance(self.confidence_grid, (list, tuple)):
             raise ParameterError(

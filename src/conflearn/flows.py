@@ -457,7 +457,11 @@ _MAX_STEPS = 10_000_000
 
 
 def _check_samples(samples: int) -> None:
-    """Refuse more samples than the step budget, before any is drawn."""
+    """Refuse a samples count that is not an integer from 1 to the step budget."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ParameterError(f"samples must be an integer, got {samples!r}")
+    if samples < 1:
+        raise ParameterError("samples must be at least 1")
     if samples > _MAX_STEPS:
         raise StepBudgetError(f"samples={samples} is more than max_steps={_MAX_STEPS}")
 

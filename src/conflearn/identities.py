@@ -4,7 +4,11 @@
 ``samples`` random instances from the generator ``rng``, checks the
 identity on each at a fixed tolerance, and returns ``(passed, payload)``:
 whether every check held, and a JSON-ready dict of the worst deviations.
-More than ``flows._MAX_STEPS`` samples raise StepBudgetError before any draw.
+A samples count that is not an integer from 1 to ``flows._MAX_STEPS`` is
+refused before any draw (``flows._check_samples``).  What depends only on the
+world count (labels, events, a base simplex; Bayes models and learners within
+a block of draws) is built once per count, never per sample; the payloads are
+those of checking each sample alone.
 
     bayes-boltzmann       Bayes is the optimizing learner whose loss is a
                           linear expectation: powered Bayes = Boltzmann on
@@ -26,6 +30,7 @@ their own seeds.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -44,6 +49,7 @@ from .confidence import get_domain, kalman_combine
 from .flows import _check_samples, _trotter_errors, trotter_interleave
 from .learners import (
     BayesModel,
+    _world_labels,
     bayes_observe,
     boltzmann_observe,
     get_learner,
@@ -53,35 +59,55 @@ from .learners import (
     potential_to_likelihood,
 )
 
+_BLOCK = 100  # bayes_boltzmann draws and checks at most this many samples at a time
+
+
+@lru_cache(maxsize=None)
+def _uniform(n: int) -> FiniteSimplex:  # the base simplex whose with_probs builds priors
+    return FiniteSimplex(_world_labels(n), np.ones(n))
+
+
+@lru_cache(maxsize=None)
+def _event(n: int, mask: int) -> EventSet:
+    return EventSet(_world_labels(n), mask)
+
+
 def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool, dict]:
     """Boltzmann reweighting with v = -log lik equals powered Bayes updating.
 
     Draws random strict models (2..8 hypotheses), priors and weights, and
     checks: (a) the two posteriors agree, (b) weight 1 of either is exact
     Bayes, (c) likelihoods survive the potential round trip exp(-(-log lik)).
+    Draws come in blocks of at most ``_BLOCK``; a block's rows of one count
+    share a model, Bayes learner and round-trip table, each row checked under
+    its own key, so the payload is the per-sample loop's at any block size.
     """
     _check_samples(samples)
     tol = 1e-12
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 9))
-        hyps = tuple(f"h{i}" for i in range(n))
-        lik = rng.uniform(0.05, 1.0, size=n)
-        prior = FiniteSimplex(hyps, rng.dirichlet(np.ones(n)))
-        beta = float(rng.uniform(0.1, 3.0))
-        model, pot = BayesModel(hyps, {"e": lik}), -np.log(lik)
-        learner = get_learner("bayes", model=model)
-        v = RandomVariable(hyps, pot)
-        exact = bayes_observe(model, "e", prior)
-        back = potential_to_likelihood({"e": dict(zip(hyps, pot))}, hyps)
-        worst = max(
-            worst,
-            belief_distance(learner.observe("e", beta, prior), boltzmann_observe(v, beta, prior)),
-            belief_distance(learner.observe("e", 1.0, prior), exact),
-            belief_distance(boltzmann_observe(v, 1.0, prior), exact),
-            float(np.abs(back.row("e") - lik).max()),
-            belief_distance(bayes_observe(back, "e", prior), exact),
-        )
+    boltzmann = get_learner("boltzmann")
+    for start in range(0, samples, _BLOCK):
+        by_worlds: Dict[Tuple[str, ...], list] = {}
+        for i in range(start, min(start + _BLOCK, samples)):
+            n = int(rng.integers(2, 9))
+            lik = rng.uniform(0.05, 1.0, size=n)
+            prior = _uniform(n).with_probs(rng.dirichlet(np.ones(n)))
+            by_worlds.setdefault(prior.labels, []).append((f"e{i}", lik, prior, float(rng.uniform(0.1, 3.0))))
+        for hyps, rows in by_worlds.items():
+            model = BayesModel(hyps, {key: lik for key, lik, _, _ in rows})
+            bayes = get_learner("bayes", model=model)
+            vs = {key: RandomVariable(hyps, -np.log(lik)) for key, lik, _, _ in rows}
+            back = potential_to_likelihood({key: dict(zip(hyps, v.values)) for key, v in vs.items()}, hyps)
+            for key, lik, prior, beta in rows:
+                v, exact = vs[key], bayes_observe(model, key, prior)
+                worst = max(
+                    worst,
+                    belief_distance(bayes.observe(key, beta, prior), boltzmann.observe(v, beta, prior)),
+                    belief_distance(bayes.observe(key, 1.0, prior), exact),
+                    belief_distance(boltzmann.observe(v, 1.0, prior), exact),
+                    float(np.abs(back.row(key) - lik).max()),
+                    belief_distance(bayes_observe(back, key, prior), exact),
+                )
     return worst <= tol, {"worst": worst, "tol": tol, "samples": samples}
 
 
@@ -124,7 +150,8 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
 
     Each instance is a prior and an event drawn together, redrawn while the
     event's mass is outside [0.05, 0.9], at most 64 draws per sample; a
-    run that uses fewer than ``samples`` instances fails.
+    run that uses fewer than ``samples`` instances fails.  Each count's labels,
+    events and base simplex (whose with_probs builds the priors) are built once.
     """
     _check_samples(samples)
     end_tol = 1e-12
@@ -135,10 +162,8 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
     while used < samples and draws < 64 * samples:
         draws += 1
         n = int(rng.integers(2, 6))
-        labels = tuple(f"w{i}" for i in range(n))
-        p = FiniteSimplex(labels, rng.dirichlet(np.ones(n)))
-        mask = int(rng.integers(1, (1 << n) - 1))
-        a = EventSet(labels, mask)
+        p = _uniform(n).with_probs(rng.dirichlet(np.ones(n)))
+        a = _event(n, int(rng.integers(1, (1 << n) - 1)))
         if not 0.05 <= p.prob(a) <= 0.9:
             continue
         used += 1
@@ -150,18 +175,12 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
             belief_distance(interp_observe(a, 1.0, p), cond),
             belief_distance(ds_plaus_update(m, a, 1.0).as_simplex(), cond),
         )
-        gap = belief_distance(
-            interp_observe(a, 0.5, p), ds_plaus_update(m, a, 0.5).as_simplex()
-        )
+        gap = belief_distance(interp_observe(a, 0.5, p), ds_plaus_update(m, a, 0.5).as_simplex())
         min_interior = min(min_interior, gap)
     demo_p = FiniteSimplex(("a", "b"), np.array([0.7, 0.3]))
     demo_a = demo_p.event(["a"])
     demo_interp = interp_observe(demo_a, 0.5, demo_p).prob(demo_a)
-    demo_ds = (
-        ds_plaus_update(MassFunction.from_simplex(demo_p), demo_a, 0.5)
-        .as_simplex()
-        .prob(demo_a)
-    )
+    demo_ds = ds_plaus_update(MassFunction.from_simplex(demo_p), demo_a, 0.5).as_simplex().prob(demo_a)
     passed = used == samples and worst_end <= end_tol and min_interior >= interior_floor
     return passed, {
         "worst_endpoint": worst_end,

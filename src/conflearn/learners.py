@@ -36,7 +36,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import (
     Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -252,6 +252,7 @@ def _grid(dom: ConfidenceDomain, inner: Sequence, top: bool = True) -> Tuple[Con
     return (dom.bot, *map(dom.value, inner)) + ((dom.top,) if top else ())
 
 
+@lru_cache(maxsize=None)  # one tuple per world count, shared by every caller
 def _world_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"w{i}" for i in range(n))
 

@@ -268,6 +268,12 @@ def test_identity_entries_refuse_more_samples_than_the_step_budget(name):
     message = f"^samples={_MAX_STEPS + 1} is more than max_steps={_MAX_STEPS}$"
     with pytest.raises(StepBudgetError, match=message):
         IDENTITIES[name](_NoDraws(), _MAX_STEPS + 1)
+    # a count that checks nothing is refused as CheckConfig refuses it, not passed
+    for bad, text in ((0, "^samples must be at least 1$"), (-3, "^samples must be at least 1$"),
+                      (2.5, "^samples must be an integer, got 2.5$"),
+                      (True, "^samples must be an integer, got True$")):
+        with pytest.raises(ParameterError, match=text):
+            IDENTITIES[name](_NoDraws(), bad)
 
 
 def test_trotter_convergence_ignores_samples():
