@@ -5,10 +5,10 @@
 identity on each at a fixed tolerance, and returns ``(passed, payload)``:
 whether every check held, and a JSON-ready dict of the worst deviations.
 A samples count that is not an integer from 1 to ``flows._MAX_STEPS`` is
-refused before any draw (``flows._check_samples``).  What depends only on the
-world count (labels, events, a base simplex; Bayes models and learners within
-a block of draws) is built once per count, never per sample; the payloads are
-those of checking each sample alone.
+refused before any draw (``flows._check_samples``).  ``bayes-boltzmann`` and
+``interp-vs-ds`` check a block of samples of one world count as matrix rows,
+through the library's kernels on rows, and build no belief per sample; each
+row has the bits of its sample checked alone.
 
     bayes-boltzmann       Bayes is the optimizing learner whose loss is a
                           linear expectation: powered Bayes = Boltzmann on
@@ -41,16 +41,22 @@ from .beliefs import (
     GaussianBelief,
     MassFunction,
     RandomVariable,
+    _conditioned,
+    _plaus_rows,
+    _total_variation,
     belief_distance,
-    condition,
     ds_plaus_update,
+    normalize_probs,
 )
 from .confidence import get_domain, kalman_combine
 from .flows import _check_samples, _trotter_errors, trotter_interleave
 from .learners import (
-    BayesModel,
+    _ONE,
+    _bayes_penalty,
+    _boltzmann_penalty,
+    _gibbs_map,
+    _interp_step,
     _world_labels,
-    bayes_observe,
     boltzmann_observe,
     get_learner,
     interp_observe,
@@ -59,12 +65,7 @@ from .learners import (
     potential_to_likelihood,
 )
 
-_BLOCK = 100  # bayes_boltzmann draws and checks at most this many samples at a time
-
-
-@lru_cache(maxsize=None)
-def _uniform(n: int) -> FiniteSimplex:  # the base simplex whose with_probs builds priors
-    return FiniteSimplex(_world_labels(n), np.ones(n))
+_BLOCK = 100  # bayes_boltzmann and interp_vs_ds draw and check at most this many samples at a time
 
 
 @lru_cache(maxsize=None)
@@ -78,36 +79,40 @@ def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool,
     Draws random strict models (2..8 hypotheses), priors and weights, and
     checks: (a) the two posteriors agree, (b) weight 1 of either is exact
     Bayes, (c) likelihoods survive the potential round trip exp(-(-log lik)).
-    Draws come in blocks of at most ``_BLOCK``; a block's rows of one count
-    share a model, Bayes learner and round-trip table, each row checked under
-    its own key, so the payload is the per-sample loop's at any block size.
+    Draws come in blocks of at most ``_BLOCK``; a block's samples of one
+    count are rows that ``_gibbs_map`` updates on their Bayes and Boltzmann
+    penalties, and rows of one ``potential_to_likelihood`` table, each under
+    its sample's key.  A row has its sample's bits, so the payload is the
+    per-sample loop's at any block size.
     """
     _check_samples(samples)
     tol = 1e-12
     worst = 0.0
-    boltzmann = get_learner("boltzmann")
     for start in range(0, samples, _BLOCK):
-        by_worlds: Dict[Tuple[str, ...], list] = {}
+        by_worlds: Dict[int, list] = {}
         for i in range(start, min(start + _BLOCK, samples)):
             n = int(rng.integers(2, 9))
             lik = rng.uniform(0.05, 1.0, size=n)
-            prior = _uniform(n).with_probs(rng.dirichlet(np.ones(n)))
-            by_worlds.setdefault(prior.labels, []).append((f"e{i}", lik, prior, float(rng.uniform(0.1, 3.0))))
-        for hyps, rows in by_worlds.items():
-            model = BayesModel(hyps, {key: lik for key, lik, _, _ in rows})
-            bayes = get_learner("bayes", model=model)
-            vs = {key: RandomVariable(hyps, -np.log(lik)) for key, lik, _, _ in rows}
-            back = potential_to_likelihood({key: dict(zip(hyps, v.values)) for key, v in vs.items()}, hyps)
-            for key, lik, prior, beta in rows:
-                v, exact = vs[key], bayes_observe(model, key, prior)
-                worst = max(
-                    worst,
-                    belief_distance(bayes.observe(key, beta, prior), boltzmann.observe(v, beta, prior)),
-                    belief_distance(bayes.observe(key, 1.0, prior), exact),
-                    belief_distance(boltzmann.observe(v, 1.0, prior), exact),
-                    float(np.abs(back.row(key) - lik).max()),
-                    belief_distance(bayes_observe(back, key, prior), exact),
-                )
+            by_worlds.setdefault(n, []).append((f"e{i}", lik, rng.dirichlet(np.ones(n)), float(rng.uniform(0.1, 3.0))))
+        for n, rows in by_worlds.items():
+            hyps = _world_labels(n)
+            keys, lik, prior, betas = zip(*rows)
+            lik, prior = np.array(lik), normalize_probs(np.array(prior))  # each row its simplex's probabilities
+            pot = -np.log(lik)
+            bayes, boltzmann = (  # each row at its weight, then each at weight 1
+                [normalize_probs(_gibbs_map(pen, times, hyps)(prior)) for times in (betas, (1.0,))]
+                for pen in (_bayes_penalty(hyps, lik, "the block's observations"), _boltzmann_penalty(hyps, pot))
+            )
+            exact = normalize_probs(prior * lik)  # bayes_observe's posteriors
+            back = np.array(list(potential_to_likelihood(dict(zip(keys, pot)), hyps).likelihood.values()))
+            checks = (
+                _total_variation(bayes[0], boltzmann[0]),
+                _total_variation(bayes[1], exact),
+                _total_variation(boltzmann[1], exact),
+                np.maximum.reduce(np.abs(back - lik), axis=-1),
+                _total_variation(normalize_probs(prior * back), exact),
+            )
+            worst = max(worst, *np.column_stack(checks).ravel().tolist())  # sample by sample, as checked alone
     return worst <= tol, {"worst": worst, "tol": tol, "samples": samples}
 
 
@@ -150,8 +155,11 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
 
     Each instance is a prior and an event drawn together, redrawn while the
     event's mass is outside [0.05, 0.9], at most 64 draws per sample; a
-    run that uses fewer than ``samples`` instances fails.  Each count's labels,
-    events and base simplex (whose with_probs builds the priors) are built once.
+    run that uses fewer than ``samples`` instances fails.  Instances come in
+    blocks of at most ``_BLOCK``; a block's instances of one count are rows
+    of ``_interp_step``, ``_plaus_rows`` (from_simplex is its vacuous support)
+    and ``_conditioned``.  A row has its instance's bits and the distances
+    fold in draw order, so the payload is the per-instance loop's.
     """
     _check_samples(samples)
     end_tol = 1e-12
@@ -160,23 +168,33 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
     min_interior = math.inf
     used = draws = 0
     while used < samples and draws < 64 * samples:
-        draws += 1
-        n = int(rng.integers(2, 6))
-        p = _uniform(n).with_probs(rng.dirichlet(np.ones(n)))
-        a = _event(n, int(rng.integers(1, (1 << n) - 1)))
-        if not 0.05 <= p.prob(a) <= 0.9:
-            continue
-        used += 1
-        m, cond = MassFunction.from_simplex(p), condition(p, a)
-        worst_end = max(
-            worst_end,
-            belief_distance(interp_observe(a, 0.0, p), p),
-            belief_distance(ds_plaus_update(m, a, 0.0).as_simplex(), p),
-            belief_distance(interp_observe(a, 1.0, p), cond),
-            belief_distance(ds_plaus_update(m, a, 1.0).as_simplex(), cond),
-        )
-        gap = belief_distance(interp_observe(a, 0.5, p), ds_plaus_update(m, a, 0.5).as_simplex())
-        min_interior = min(min_interior, gap)
+        first, by_worlds = used, {}
+        while used - first < _BLOCK and used < samples and draws < 64 * samples:
+            draws += 1
+            n = int(rng.integers(2, 6))
+            p = normalize_probs(rng.dirichlet(np.ones(n)))  # the prior simplex's probabilities
+            a = _event(n, int(rng.integers(1, (1 << n) - 1)))
+            if 0.05 <= float(p @ a.indicator()) <= 0.9:  # the event's mass, as FiniteSimplex.prob takes it
+                by_worlds.setdefault(n, []).append((used - first, p, a))
+                used += 1
+        ends, gaps = np.empty((used - first, 4)), np.empty(used - first)
+        for rows in by_worlds.values():
+            at, p, events = zip(*rows)
+            at, p = list(at), np.array(p)
+            ind = np.array([a.indicator() for a in events])
+            interp = {w: normalize_probs(_interp_step(p, events, ind, _ONE, w, w == 1.0)) for w in (1.0, 0.5)}
+            m = _plaus_rows(p, np.ones_like(p), 1.0)  # MassFunction.from_simplex's masses
+            ds = {s: normalize_probs(_plaus_rows(m, ind, s)) for s in (1.0, 0.5)}  # as_simplex of the updates
+            cond = normalize_probs(_conditioned(p, ind, events))
+            ends[at] = np.column_stack((
+                _total_variation(p, p),  # interp at 0 is the prior itself
+                _total_variation(normalize_probs(m), p),  # ds at 0 is the mass function itself
+                _total_variation(interp[1.0], cond),
+                _total_variation(ds[1.0], cond),
+            ))
+            gaps[at] = _total_variation(interp[0.5], ds[0.5])
+        worst_end = max([worst_end, *ends.ravel().tolist()])
+        min_interior = min([min_interior, *gaps.tolist()])
     demo_p = FiniteSimplex(("a", "b"), np.array([0.7, 0.3]))
     demo_a = demo_p.event(["a"])
     demo_interp = interp_observe(demo_a, 0.5, demo_p).prob(demo_a)

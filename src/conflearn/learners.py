@@ -317,17 +317,20 @@ def _interp_step(c: np.ndarray, events: Sequence[EventSet], m: np.ndarray, share
     the weight w (a float, or a column), the mixture of c and Jeffrey's rule;
     one event (s = [1]) is conditioning.  Where ``top`` (every w is 1) the
     factor is (s / Mc)^T M alone, the bits 1 - w + w x has there.  c is one
-    belief's coordinates; a column of weights gives one row each.  An event
+    belief's coordinates, and a column of weights gives one row each; or c
+    is rows of beliefs, each with its own one event, m's row (``events`` in
+    row order, s = [1]), and each row gets the bits it gets alone.  An event
     of mass at most MASS_EPS raises ZeroMassEventError, naming the one of
     least mass."""
-    mass = c @ m.T
+    rows = c.ndim == 2
+    mass = np.vecdot(c, m) if rows else c @ m.T  # a row's np.vecdot has the bits of its c @ m.T
     least = min(mass.tolist())
     if least <= MASS_EPS:
         a = events[int(mass.argmin())]
         raise ZeroMassEventError(f"cannot condition on {a!r} with mass {least:.3g}")
     # a world is in at most one event: each entry of the product is one
     # share over its mass or 0, exactly
-    g = np.dot(shares / mass, m)
+    g = (shares / mass)[:, None] * m if rows else np.dot(shares / mass, m)
     return c * g if top else c * (1.0 - w + w * g)
 
 
@@ -645,12 +648,20 @@ def _kalman_learner() -> Learner:
         z = float(rng.normal(0.0, 2.0))
         return z, GaussianBelief(z, 0.0)
 
-    return Learner(
+    def observe(z, c, b: GaussianBelief) -> GaussianBelief:
+        _check_kind(learner, b)
+        return kalman_observe(z, c, b)
+
+    def in_domain(z, b: GaussianBelief) -> bool:
+        _check_kind(learner, b)
+        return True
+
+    learner = Learner(
         id="kalman",
         domain=_KALMAN,
         belief_kind="gaussian",
-        observe=kalman_observe,
-        in_domain=lambda z, b: True,
+        observe=observe,
+        in_domain=in_domain,
         bel=bel,
         bel_top=lambda z, b: 0.0,
         path_velocity=path_velocity,
@@ -665,6 +676,7 @@ def _kalman_learner() -> Learner:
         # K^2 r2 even after a certain measurement, so top does not absorb.
         top_absorbing=False,
     )
+    return learner
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +698,7 @@ class _Penalty:
     (bayes ranks by -likelihood, whose ties are finer than its log's).
     ``what`` names the observation in errors.  ``largest`` is max |u| over
     the possible worlds (0 if there are none), computed once, when the
-    penalty is built.
+    penalty is built.  u may be rows of penalties, one per prior row.
     """
 
     labels: Tuple[str, ...]
@@ -698,7 +710,7 @@ class _Penalty:
     def __post_init__(self):
         # not a field: replace() builds it again for the new u
         u = self.u if self.possible is None else self.u[self.possible]
-        object.__setattr__(self, "largest", max(map(abs, u.tolist()), default=0.0))
+        object.__setattr__(self, "largest", max(map(abs, u.ravel().tolist()), default=0.0))
 
 
 def _check_worlds(pen: _Penalty, labels: Tuple[str, ...]) -> _Penalty:
@@ -732,7 +744,7 @@ def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
     supp = pr > 0.0
     if pen.possible is not None:
         supp &= pen.possible
-        if not supp.any():
+        if not supp.any(axis=-1).all():
             raise ZeroMassEventError(f"{pen.what} contradicts the prior")
     return supp
 
@@ -858,9 +870,9 @@ def _gibbs_field(terms: Sequence[Tuple[_Penalty, float]]):
     return bind
 
 
-def _gibbs_observe(penalty: Callable[[Any], _Penalty], phi, t, p: FiniteSimplex) -> FiniteSimplex:
-    """The update of p by penalty(phi) at additive time t (``_gibbs_map``'s kernels)."""
-    pen, b = penalty(phi), _float_of(_ADD, t)
+def _gibbs_observe(pen: _Penalty, t, p: FiniteSimplex) -> FiniteSimplex:
+    """The update of p by pen at additive time t (``_gibbs_map``'s kernels)."""
+    b = _float_of(_ADD, t)
     _check_worlds(pen, p.labels)
     if not b:
         return p
@@ -872,7 +884,9 @@ def _gibbs_observe(penalty: Callable[[Any], _Penalty], phi, t, p: FiniteSimplex)
 def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
     """The learner reweighting simplexes by exp(-t u) for u = penalty(phi);
     ``hooks`` give its id, samplers and JSON readers."""
-    observe = partial(_gibbs_observe, penalty)
+
+    def observe(phi, t, p: FiniteSimplex) -> FiniteSimplex:
+        return _gibbs_observe(penalty(phi), t, p)
 
     def coord_flow(terms, ts: Sequence, labels: Tuple[str, ...]):
         pens = [(_check_worlds(penalty(phi), labels), w) for phi, w in terms]
@@ -914,8 +928,9 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
 # Boltzmann learner: the penalty is a random variable.
 
 
-def _boltzmann_penalty(v: RandomVariable) -> _Penalty:
-    return _Penalty(v.labels, v.values, v.values, None, "the penalty variable")
+def _boltzmann_penalty(labels: Tuple[str, ...], u: np.ndarray) -> _Penalty:
+    """A random variable's values u over labels as its penalty, or rows u of them."""
+    return _Penalty(labels, u, u, None, "the penalty variable")
 
 
 def boltzmann_observe(
@@ -926,7 +941,7 @@ def boltzmann_observe(
     At full confidence the posterior conditions on the v-minimizing worlds of
     the support, ties sharing mass in proportion to the prior.
     """
-    return _gibbs_observe(_boltzmann_penalty, v, beta, p)
+    return _gibbs_observe(_boltzmann_penalty(v.labels, v.values), beta, p)
 
 
 def _boltzmann_learner() -> Learner:
@@ -948,7 +963,7 @@ def _boltzmann_learner() -> Learner:
         nonlocal last
         seen, pen = last
         if seen is not v:
-            pen = _boltzmann_penalty(v)
+            pen = _boltzmann_penalty(v.labels, v.values)
             last = (v, pen)
         return pen
 
@@ -1059,15 +1074,17 @@ DEFAULT_BAYES_MODEL = BayesModel(
 )
 
 
+def _bayes_penalty(hyps: Tuple[str, ...], lik: np.ndarray, what: str) -> _Penalty:
+    """The penalty -log lik over hyps, ranked by -lik, of one likelihood row or rows of them."""
+    with np.errstate(divide="ignore"):  # a zero likelihood is an infinite penalty
+        u = -np.log(lik)
+    return _Penalty(hyps, u, -lik, None if np.minimum.reduce(lik, axis=None) > 0.0 else lik > 0.0, what)
+
+
 def _bayes_learner(model: Optional[BayesModel] = None) -> Learner:
     model = model or DEFAULT_BAYES_MODEL
     hyps, keys = model.hypotheses, model.observations
-    with np.errstate(divide="ignore"):  # a zero likelihood is an infinite penalty
-        table = {
-            key: _Penalty(hyps, -np.log(row), -row, None if np.minimum.reduce(row) > 0.0 else row > 0.0,
-                          f"observation {key!r}")
-            for key, row in model.likelihood.items()
-        }
+    table = {key: _bayes_penalty(hyps, row, f"observation {key!r}") for key, row in model.likelihood.items()}
 
     def penalty(key: str) -> _Penalty:
         model.row(key)  # rejects an unknown observation
@@ -1204,14 +1221,14 @@ def _max_graded_learner() -> Learner:
 # fixed properties of the update; the functions below read them at call time.
 _ETA = 0.1
 _CONV_TOL = 1e-9
-_MAX_STEPS = 1_000_000
+_MAX_GRADIENT_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SoftmaxModel:
     """The shape of the gradient-step learner's softmax regression; its step
     size, stop tolerance and step cap are the constants ``_ETA``,
-    ``_CONV_TOL`` and ``_MAX_STEPS``."""
+    ``_CONV_TOL`` and ``_MAX_GRADIENT_STEPS``."""
 
     n_features: int = 1
     n_classes: int = 2
@@ -1308,7 +1325,7 @@ def train_limit(
     equals ``np.abs(eta * grad).max()`` bit for bit for the same err.
 
     Returns the final parameters and whether the convergence threshold was
-    reached within ``_MAX_STEPS`` steps.  Non-finite logits raise
+    reached within ``_MAX_GRADIENT_STEPS`` steps.  Non-finite logits raise
     :class:`NumericalError`.
     """
     theta = np.asarray(theta, dtype=float)
@@ -1319,7 +1336,7 @@ def train_limit(
         gain = eta * (float(x @ x) + 1.0)
     xmax = max(1.0, float(np.abs(x).max()))
     walk = _logit_walk_2 if model.n_classes == 2 else _logit_walk
-    s, converged = walk(z0, ex.y, gain, eta, xmax, _CONV_TOL, _MAX_STEPS)
+    s, converged = walk(z0, ex.y, gain, eta, xmax, _CONV_TOL, _MAX_GRADIENT_STEPS)
     sv = np.array(s)
     return theta - eta * np.concatenate([np.outer(sv, x).ravel(), sv]), converged
 
@@ -1410,11 +1427,11 @@ def classifier_step_observe(
 ) -> np.ndarray:
     """Apply n gradient steps of size ``_ETA`` on the example's loss; n = top
     runs train_limit, to the stop tolerance ``_CONV_TOL`` or the cap
-    ``_MAX_STEPS``.
+    ``_MAX_GRADIENT_STEPS``.
 
     Non-convergence at the cap is reported as a :class:`NonConvergenceWarning`
     rather than an exception: the state reached is still a belief, just not a
-    fixed point.  A finite n above ``_MAX_STEPS`` raises
+    fixed point.  A finite n above ``_MAX_GRADIENT_STEPS`` raises
     :class:`StepBudgetError` before any step, and parameters that are not
     finite after the n steps raise :class:`NumericalError`.  This is the
     one-entry sweep (``_classifier_sweep``), which holds these rules.
@@ -1465,7 +1482,7 @@ def _classifier_sweep(
 
     The distinct finite counts are walked once, in ascending order, so the
     sweep costs its largest count in gradient steps.  The first entry that
-    is not a count, or a count over ``_MAX_STEPS``, raises its error after
+    is not a count, or a count over ``_MAX_GRADIENT_STEPS``, raises its error after
     the entries before it and ends the walk before any step of its own.
     Top runs train_limit, with a :class:`NonConvergenceWarning` where it
     stops at the cap.  A repeated count yields the same array each time.
@@ -1478,8 +1495,8 @@ def _classifier_sweep(
         except Exception as exc:  # any failure: raised below, in grid order
             failure = exc
             break
-        if not (v.is_bot or v.is_top) and v.payload > _MAX_STEPS:
-            failure = StepBudgetError(f"{v.payload} gradient steps exceed max_steps={_MAX_STEPS}")
+        if not (v.is_bot or v.is_top) and v.payload > _MAX_GRADIENT_STEPS:
+            failure = StepBudgetError(f"{v.payload} gradient steps exceed max_gradient_steps={_MAX_GRADIENT_STEPS}")
             break
         values.append(v)
     counts = sorted({v.payload for v in values if not (v.is_bot or v.is_top)})
@@ -1491,7 +1508,7 @@ def _classifier_sweep(
             out, converged = train_limit(model, theta, ex)
             if not converged:
                 # stacklevel 3: the caller of the function that drives this generator
-                warnings.warn(f"no fixed point within {_MAX_STEPS} steps", NonConvergenceWarning, stacklevel=3)
+                warnings.warn(f"no fixed point within {_MAX_GRADIENT_STEPS} steps", NonConvergenceWarning, stacklevel=3)
             yield out
         elif v.payload in states:
             yield states[v.payload]

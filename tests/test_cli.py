@@ -1092,19 +1092,19 @@ def test_learn_bad_classifier_params_exit_2(tmp_path, capsys, params):
 
 
 @pytest.mark.parametrize(
-    "params, count", [({"_MAX_STEPS": 10}, 11), ({}, 1_000_001), ({}, 1_000_000_000)]
+    "params, count", [({"_MAX_GRADIENT_STEPS": 10}, 11), ({}, 1_000_001), ({}, 1_000_000_000)]
 )
 def test_learn_classifier_count_over_max_steps_exits_2(tmp_path, capsys, monkeypatch, params, count):
     for name, value in params.items():  # learners' constants, set for this run
         monkeypatch.setattr(learners, name, value)
     cfg = dict(CLASSIFIER_LEARN, confidence_grid=[count])
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 2
-    assert "exceed max_steps" in capsys.readouterr().err
+    assert "exceed max_gradient_steps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_learn_classifier_count_at_max_steps_runs(tmp_path, monkeypatch):
-    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 10)
     cfg = dict(CLASSIFIER_LEARN, confidence_grid=[10])
     assert run_cli(tmp_path, "learn", cfg, "--quiet") == 0
 
@@ -1134,7 +1134,7 @@ def test_learn_classifier_sweep_writes_what_the_per_point_loop_writes(
 ):
     changes, cap = changes
     if cap is not None:
-        monkeypatch.setattr(learners, "_MAX_STEPS", cap)
+        monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", cap)
 
     def run(where):
         where.mkdir()
@@ -1427,7 +1427,7 @@ def test_samples_over_the_step_budget_are_a_config_error(tmp_path, capsys, monke
 
 
 def test_learn_classifier_top_without_a_fixed_point_warns_in_one_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(learners, "_MAX_STEPS", 1000)
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 1000)
     cfg = dict(CLASSIFIER_LEARN, observation={"x": [1.0], "y": 1},
                learner_params={"n_features": 1, "n_classes": 2})
     written = []

@@ -19,6 +19,7 @@ from conflearn import (
     GaussianBelief,
     GradedBeliefTable,
     LabeledExample,
+    MassFunction,
     NonConvergenceWarning,
     RandomVariable,
     SoftmaxModel,
@@ -147,6 +148,28 @@ def test_kalman_bot_and_top():
     assert belief_distance(kalman_observe(5.0, dom.bot, prior), prior) == 0.0
     certain = kalman_observe(5.0, dom.top, prior)
     assert certain.mean == 5.0 and certain.var == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, belief",
+    [
+        ("simplex", FiniteSimplex(("a", "b"), np.array([0.4, 0.6]))),
+        ("mass", MassFunction(("a", "b"), {1: 0.4, 3: 0.6})),
+        ("graded", GradedBeliefTable({"a": 0.2})),
+        ("params", np.array([0.3, -1.0])),
+    ],
+)
+@pytest.mark.parametrize("confidence", ["bot", "finite", "top"])
+def test_kalman_refuses_a_belief_of_another_kind(kind, belief, confidence):
+    # top once returned a certain Gaussian and a finite gain a bare
+    # AttributeError; in_domain once said True for any belief
+    kalman, dom = get_learner("kalman"), get_domain("kalman")
+    chi = {"bot": dom.bot, "finite": dom.value((0.5, 1.0)), "top": dom.top}[confidence]
+    message = f"^learner 'kalman' updates gaussian beliefs, not {kind}$"
+    with pytest.raises(ParameterError, match=message):
+        kalman.observe(0.3, chi, belief)
+    with pytest.raises(ParameterError, match=message):
+        kalman.in_domain(0.3, belief)
 
 
 def test_kalman_optimal_gain_adds_precision():
@@ -341,7 +364,7 @@ def test_classifier_limit_converges_on_separable_input():
 
 
 def test_classifier_warns_when_capped(monkeypatch):
-    monkeypatch.setattr(learners, "_MAX_STEPS", 200)
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 200)
     model = SoftmaxModel(n_features=1, n_classes=2)
     theta = np.zeros(4)
     ex = LabeledExample(np.array([0.3]), 0)
@@ -364,7 +387,7 @@ def ref_train_limit(model, theta, ex):
     before the loop moved to logit space."""
     k, d = model.n_classes, model.n_features
     theta = np.asarray(theta, dtype=float).copy()
-    for _ in range(learners._MAX_STEPS):
+    for _ in range(learners._MAX_GRADIENT_STEPS):
         logits = theta[: k * d].reshape(k, d) @ ex.x + theta[k * d:]
         logits = logits - logits.max()
         err = np.exp(logits - math.log(np.exp(logits).sum()))
@@ -408,7 +431,7 @@ def test_classifier_limit_matches_theta_loop_on_random_models():
         model = SoftmaxModel(d, k)
         theta = rng.normal(0.0, 1.0, model.dim)
         ex = LabeledExample(x, int(rng.integers(k)))
-        with mock.patch.object(learners, "_MAX_STEPS", cap):
+        with mock.patch.object(learners, "_MAX_GRADIENT_STEPS", cap):
             converged += train_limit(model, theta, ex)[1]
             assert_same_limit(model, theta, ex)
     assert 0 < converged < 40  # both exits of the loop are compared
@@ -585,7 +608,7 @@ def test_classifier_settings_are_its_shape():
 
 
 def test_classifier_finite_count_is_bounded_by_max_steps(monkeypatch):
-    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 10)
     model = SoftmaxModel(n_features=1, n_classes=2)
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     assert classifier_step_observe(ex, 10, theta, model).shape == (4,)
@@ -642,7 +665,7 @@ def test_classifier_sweep_is_the_per_point_loop(d, k, eta, max_steps, data):
     ex = LabeledExample(np.array(x), data.draw(st.integers(0, k - 1)))
     entry = st.one_of(st.integers(1, 64), st.sampled_from([COUNT.bot, COUNT.top]))
     grid = data.draw(st.lists(entry, min_size=1, max_size=12))
-    with mock.patch.object(learners, "_ETA", eta), mock.patch.object(learners, "_MAX_STEPS", max_steps):
+    with mock.patch.object(learners, "_ETA", eta), mock.patch.object(learners, "_MAX_GRADIENT_STEPS", max_steps):
         assert_same_outcomes(
             outcomes(learners._classifier_sweep(ex, grid, theta, model)),
             outcomes(learner.observe(ex, chi, theta) for chi in grid),
@@ -682,14 +705,14 @@ def test_classifier_sweep_reports_the_first_failing_entry():
 
 
 def test_classifier_sweep_walks_no_count_over_budget(monkeypatch):
-    monkeypatch.setattr(learners, "_MAX_STEPS", 10)
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 10)
     learner = get_learner("classifier")
     ex, theta = LabeledExample(np.array([0.3]), 0), np.zeros(4)
     want = learner.observe(ex, 5, theta)
     calls = counting_steps(monkeypatch)
     states = learners._classifier_sweep(ex, [5, 11, 3], theta, SoftmaxModel(1, 2))
     assert np.array_equal(next(states), want)
-    with pytest.raises(StepBudgetError, match="11 gradient steps exceed max_steps=10"):
+    with pytest.raises(StepBudgetError, match="11 gradient steps exceed max_gradient_steps=10"):
         next(states)
     assert calls[0] <= 10
 
