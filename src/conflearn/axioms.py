@@ -19,6 +19,9 @@ a witness for the worst instance:
 A check passes when its worst violation is at most 1e-10; LB allows 1e-5
 at a difference step of 1e-4, and L2 bounds its ratio by 10.  These are
 constants: a ``CheckConfig`` sets only the seed, the samples and the grid.
+L3, L4, B1 and B2 take all of a check's updates at once: by the learner's
+rows hook (``Learner.rows``) where it has one, one call per world set, else
+point by point through observe; L3 runs its Brent searches in lockstep.
 Checks that do not apply to a learner (wrong confidence geometry, missing
 hooks) come back with ``skipped=True`` and a note instead of failing.
 """
@@ -34,11 +37,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beliefs import belief_distance, belief_to_json
+from .beliefs import _total_variation, belief_distance, belief_to_json
 from .confidence import ConfidenceValue, _to_add, confidence_to_json
 from .errors import ConfLearnError, ParameterError
 from .flows import _check_samples, _forward_stencil, _json_text, metric_gradient
-from .learners import Learner, NonConvergenceWarning
+from .learners import Learner, NonConvergenceWarning, _first_failure
 
 __all__ = [
     "AXIOMS",
@@ -237,6 +240,55 @@ def _chain(learner: Learner, grid: Tuple[ConfidenceValue, ...], phi, theta) -> T
     return grid
 
 
+def _per_group(keys: Sequence, run: Callable[[Any, List[int]], Sequence]) -> list:
+    """run(key, at) once per distinct key, for its indexes at: the results in key order."""
+    groups: Dict[Any, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    done = {i: x for key, at in groups.items() for i, x in zip(at, run(key, at))}
+    return [done[i] for i in range(len(keys))]
+
+
+class _Updates:
+    """A check's updates: an ask (k, chi, start) is observe(phi, chi, start)
+    for instance k's phi, its entry (state, bel), bel None unless ``bels``.
+    A learner with a rows hook takes the asks in one call per world set, on
+    coordinate rows; any other observes point by point.  ``memo`` keys by
+    instance, start (an array's bytes, else its id) and chi's fields (they
+    hash in C), so no start array is updated twice at one confidence.  A
+    failing batch raises the error of its first ask that fails alone."""
+
+    def __init__(self, learner: Learner, instances: Sequence[tuple], memo: bool = False, bels: bool = False):
+        self.learner, self.instances, self.memo, self.bels = learner, instances, {} if memo else None, bels
+        self.starts = [theta if learner.rows is None else theta.probs for _, theta in instances]
+
+    def __call__(self, asks: Sequence[tuple]) -> List[tuple]:
+        if self.memo is None:
+            return _first_failure(self._evaluate, asks)
+        keys = [(k, start.tobytes() if isinstance(start, np.ndarray) else id(start), chi.kind, chi.payload)
+                for k, chi, start in asks]
+        new = {key: ask for key, ask in zip(keys, asks) if key not in self.memo}  # a repeat's ask is equal
+        self.memo.update(zip(new, _first_failure(self._evaluate, list(new.values()))))
+        return [self.memo[key] for key in keys]
+
+    def _evaluate(self, asks: Sequence[tuple]) -> List[tuple]:
+        learner, phis = self.learner, [self.instances[k][0] for k, _, _ in asks]
+        if learner.rows is None:
+            states = [learner.observe(phi, chi, start) for phi, (_, chi, start) in zip(phis, asks)]
+            return [(s, learner.bel(phi, s) if self.bels else None) for phi, s in zip(phis, states)]
+        return _per_group([self.instances[k][1].labels for k, _, _ in asks], lambda labels, at: zip(*learner.rows(
+            [phis[i] for i in at], [asks[i][1] for i in at], np.array([asks[i][2] for i in at]), labels
+        )))
+
+    def distances(self, pairs: Sequence[tuple]) -> List[float]:
+        """belief_distance of each pair of states: on rows, one call per world count."""
+        if self.learner.rows is None:
+            return [belief_distance(a, b) for a, b in pairs]
+        return _per_group([len(a) for a, _ in pairs], lambda _, at: _total_variation(
+            np.array([pairs[i][0] for i in at]), np.array([pairs[i][1] for i in at])
+        ).tolist())
+
+
 # ---------------------------------------------------------------------------
 # Individual checks.
 
@@ -278,41 +330,24 @@ def _chart_to_confidence(dom, u: float) -> ConfidenceValue:
     return dom.value(u)
 
 
-def _update(learner, phi, chi, s_lo, states):
-    """observe(phi, chi, s_lo) once: ``states`` maps the chi tried from s_lo to their updates."""
-    if chi not in states:
-        states[chi] = learner.observe(phi, chi, s_lo)
-    return states[chi]
-
-
-def _residual_by_brent(learner, phi, s_lo, target_bel, states):
-    """The residual confidence whose update from s_lo brings Bel up to
-    target_bel, found on the chart [0, 1] by Brent's zero finder (Brent 1973,
-    ch. 4) on gap(u) = Bel - target_bel.
+def _residual_by_brent(dom, target_bel: float):
+    """The search (``_residuals``) for the residual confidence whose update
+    from its start brings Bel up to target_bel, by Brent's zero finder
+    (Brent 1973, ch. 4) on gap(u) = Bel - target_bel on the chart [0, 1].
 
     A point is below the target when its gap is < 0; a NaN gap is not.  The
     bracket keeps a point below at its lower end and one not below at its
     upper end.  Each step tries inverse quadratic or secant interpolation and
     bisects when that step would not shrink the bracket fast enough.  The
     search stops once the bracket is at most _BRENT_XTOL + 4 eps u wide, or
-    after _BRENT_ITERS steps, and returns the upper end's confidence and state.
-    ``states`` is s_lo's memo of ``_update``.
+    after _BRENT_ITERS steps, and settles on the upper end.
     """
-    dom = learner.domain
-
-    def gap(u: float) -> float:
-        return learner.bel(phi, _update(learner, phi, _chart_to_confidence(dom, u), s_lo, states)) - target_bel
-
-    def at(u: float):
-        chi = _chart_to_confidence(dom, u)
-        return chi, states[chi]
-
-    fa = gap(0.0)
+    fa = (yield _chart_to_confidence(dom, 0.0)) - target_bel
     if not fa < 0.0:
-        return dom.bot, states[dom.bot]  # the chart sends 0 to bot
-    fb = gap(1.0)
+        return dom.bot  # the chart sends 0 to bot
+    fb = (yield _chart_to_confidence(dom, 1.0)) - target_bel
     if fb < 0.0:
-        return at(1.0)
+        return _chart_to_confidence(dom, 1.0)
     # b is the latest point, a the one before it, c the bracket end facing b;
     # hi is the upper end, the latest point not below
     a, b, c, fc, hi = 0.0, 1.0, 0.0, fa, 1.0
@@ -359,10 +394,34 @@ def _residual_by_brent(learner, phi, s_lo, target_bel, states):
                 d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = gap(b)
+        fb = (yield _chart_to_confidence(dom, b)) - target_bel
         if not fb < 0.0:
             hi = b
-    return at(hi)
+    return _chart_to_confidence(dom, hi)
+
+
+def _step(chi: ConfidenceValue):
+    """The update at chi as a search that asks for chi alone."""
+    yield chi
+    return chi
+
+
+def _residuals(update: _Updates, searches: Sequence[tuple]) -> List[tuple]:
+    """Each search (k, start, run) from start for instance k, in lockstep:
+    run yields the confidences it asks for, is sent their Bel and returns
+    the one it settles on, and a round asks ``update`` for every live run's
+    next at once.  Returns each settled confidence and its entry."""
+    chis, live = [next(run) for _, _, run in searches], range(len(searches))
+    while live:
+        still = []
+        for i, (_, bel) in zip(live, update([(searches[i][0], chis[i], searches[i][1]) for i in live])):
+            try:
+                chis[i] = searches[i][2].send(bel)
+                still.append(i)
+            except StopIteration as stop:
+                chis[i] = stop.value
+        live = still
+    return list(zip(chis, update([(k, chi, start) for (k, start, _), chi in zip(searches, chis)])))
 
 
 def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
@@ -371,34 +430,25 @@ def _check_l3(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
         return chk.skip("confidence grid has fewer than two points")
     dom = learner.domain
     search = dom.is_scalar_continuum and learner.bel is not None
-    n = min(cfg.samples, 12)
-    for phi, theta in _instances(learner, chk.rng, n):
-        states = [None] * len(grid)  # observed once each, at first use
-        # by start state's id, its _update memo; where observe at bot returns
-        # theta itself, its searches and residuals read the grid states
-        tried = {id(theta): {}}
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                for k in (i, j):
-                    if states[k] is None:
-                        states[k] = _update(learner, phi, grid[k], theta, tried[id(theta)])
-                s_lo, s_hi = states[i], states[j]
-                charted = tried.setdefault(id(s_lo), {})
-                if grid[j].is_top or not search:
-                    delta = dom.residual(grid[i], grid[j])
-                    if delta is None:
-                        chk.offer(
-                            math.inf, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j],
-                            reason="no residual in the confidence domain",
-                        )
-                        continue
-                    after = _update(learner, phi, delta, s_lo, charted)
-                else:
-                    delta, after = _residual_by_brent(learner, phi, s_lo, learner.bel(phi, s_hi), charted)
-                d = belief_distance(after, s_hi)
-                chk.offer(
-                    d, phi=phi, theta=theta, chi_lo=grid[i], chi_hi=grid[j], chi_residual=delta
-                )
+    instances = _instances(learner, chk.rng, min(cfg.samples, 12))
+    update, g = _Updates(learner, instances, memo=True, bels=search), len(grid)
+    # where observe at bot keeps the instance, the searches and residuals from it read its grid states
+    states = update([(k, chi, start) for k, start in enumerate(update.starts) for chi in grid])
+    pairs = [(k, i, j) for k in range(len(instances)) for i in range(g) for j in range(i + 1, g)]
+    runs = {}  # each pair's search for its residual, or its update by the domain's residual
+    for k, i, j in pairs:
+        if search and not grid[j].is_top:
+            runs[k, i, j] = _residual_by_brent(dom, states[k * g + j][1])
+        elif (delta := dom.residual(grid[i], grid[j])) is not None:
+            runs[k, i, j] = _step(delta)
+    reached = dict(zip(runs, _residuals(update, [(k, states[k * g + i][0], run) for (k, i, _), run in runs.items()])))
+    d = iter(update.distances([(reached[k, i, j][1][0], states[k * g + j][0]) for k, i, j in reached]))
+    for k, i, j in pairs:
+        parts = dict(zip(("phi", "theta"), instances[k]), chi_lo=grid[i], chi_hi=grid[j])
+        if (k, i, j) in reached:
+            chk.offer(next(d), **parts, chi_residual=reached[k, i, j][0])
+        else:
+            chk.offer(math.inf, **parts, reason="no residual in the confidence domain")
     return chk.report()
 
 
@@ -406,18 +456,16 @@ def _check_l4(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     grid = _grid(learner, cfg)
     if len(grid) < 3:
         return chk.skip("confidence grid has fewer than three points")
-    for phi, theta in _instances(learner, chk.rng, cfg.samples):
-        states = [learner.observe(phi, chi, theta) for chi in grid]
-        for i in range(len(states)):
-            for k in range(i + 2, len(states)):
-                if belief_distance(states[i], states[k]) > _TOL:
-                    continue
-                for j in range(i + 1, k):
-                    d = belief_distance(states[i], states[j])
-                    chk.offer(
-                        d, phi=phi, theta=theta,
-                        chi_return_from=grid[i], chi_detour=grid[j], chi_return_to=grid[k],
-                    )
+    instances = _instances(learner, chk.rng, cfg.samples)
+    update, g = _Updates(learner, instances), len(grid)
+    states = [s for s, _ in update([(k, chi, start) for k, start in enumerate(update.starts) for chi in grid])]
+    far = [(k, i, m) for k in range(len(instances)) for i in range(g) for m in range(i + 2, g)]
+    gaps = update.distances([(states[k * g + i], states[k * g + m]) for k, i, m in far])
+    # the detours of each return, in the order of the per-instance loops
+    near = [(k, i, j, m) for (k, i, m), gap in zip(far, gaps) if not gap > _TOL for j in range(i + 1, m)]
+    for (k, i, j, m), d in zip(near, update.distances([(states[k * g + i], states[k * g + j]) for k, i, j, _ in near])):
+        phi, theta = instances[k]
+        chk.offer(d, phi=phi, theta=theta, chi_return_from=grid[i], chi_detour=grid[j], chi_return_to=grid[m])
     return chk.report()
 
 
@@ -473,11 +521,15 @@ def _check_b1(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.bel is None:
         return chk.skip("learner exposes no belief functional")
     grid = _grid(learner, cfg)
-    for phi, theta in _instances(learner, chk.rng, cfg.samples):
-        chain = _chain(learner, grid, phi, theta)
+    instances = _instances(learner, chk.rng, cfg.samples)
+    update = _Updates(learner, instances, bels=True)
+    chains = [_chain(learner, grid, phi, theta) for phi, theta in instances]
+    asks = [(k, chi, update.starts[k]) for k, chain in enumerate(chains) if len(chain) >= 2 for chi in chain]
+    every = iter([float(bel) for _, bel in update(asks)])
+    for (phi, theta), chain in zip(instances, chains):
         if len(chain) < 2:
             continue
-        bels = [float(learner.bel(phi, learner.observe(phi, chi, theta))) for chi in chain]
+        bels = [next(every) for _ in chain]
         for i in range(len(bels)):
             for j in range(i + 1, len(bels)):
                 drop = bels[i] - bels[j]
@@ -498,11 +550,14 @@ def _check_b2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     if learner.sample_saturated is None:
         return chk.skip("full-belief states are unattainable at finite parameters")
     grid = _grid(learner, cfg)
-    for _ in range(cfg.samples):
-        phi, theta = learner.sample_saturated(chk.rng)
-        for chi in _chain(learner, grid, phi, theta):
-            d = belief_distance(learner.observe(phi, chi, theta), theta)
-            chk.offer(d, phi=phi, theta=theta, chi=chi)
+    instances = [learner.sample_saturated(chk.rng) for _ in range(cfg.samples)]
+    update = _Updates(learner, instances)
+    chains = [_chain(learner, grid, phi, theta) for phi, theta in instances]
+    asks = [(k, chi, update.starts[k]) for k, chain in enumerate(chains) for chi in chain]
+    moved = update.distances([(state, start) for (_, _, start), (state, _) in zip(asks, update(asks))])
+    for (k, chi, _), d in zip(asks, moved):
+        phi, theta = instances[k]
+        chk.offer(d, phi=phi, theta=theta, chi=chi)
     return chk.report()
 
 

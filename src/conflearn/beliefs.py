@@ -22,6 +22,7 @@ versions of these live in :mod:`conflearn.learners`.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -598,7 +599,7 @@ def _subset_key(labels: Tuple[str, ...], mask: int) -> str:
 
 def _mass_from_json(obj: Mapping) -> MassFunction:
     labels, masses = _check_labels(obj["labels"], MAX_MASS_WORLDS), obj["masses"]
-    if not isinstance(masses, Mapping):
+    if not isinstance(masses, abc.Mapping):
         raise ParameterError(f"'masses' must be an object of subset: mass, got {masses!r}")
     return MassFunction(labels, {
         EventSet.from_names(labels, [n for n in key.split("|") if n]).mask: float(m)
@@ -651,7 +652,7 @@ _KINDS = (
         distance=lambda a, b: float(_total_variation(a.probs, b.probs)),
         to_json=lambda b: {"labels": list(b.labels), "probs": [float(x) for x in b.probs]},
         from_json=lambda obj: (
-            FiniteSimplex.from_dict(obj["probs"]) if isinstance(obj.get("probs"), Mapping)
+            FiniteSimplex.from_dict(obj["probs"]) if isinstance(obj.get("probs"), abc.Mapping)
             else FiniteSimplex(obj["labels"], np.asarray(obj["probs"], dtype=float))
         ),
         labels=lambda b: b.labels,

@@ -35,6 +35,7 @@ import numbers
 import struct
 import sys
 import warnings
+from collections import abc
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import (
@@ -67,7 +68,7 @@ from .errors import (
     UnsupportedError,
     ZeroMassEventError,
 )
-from .flows import _check_kind, _coord_kind, _dormand_prince, _forward_stencil, belief_coords
+from .flows import _check_kind, _coord_kind, _dormand_prince, _forward_stencil
 
 __all__ = [
     "Learner",
@@ -159,11 +160,14 @@ class Learner:
     ] = None
     # sweep(phi, grid, theta) is (rows, bels, final): row i is the coordinates
     # of observe(phi, grid[i], theta), bels[i] its bel, bit for bit, and final
-    # the state at grid[-1]; it raises where that per-point loop would.  A copy
-    # with another observe drops it with the other _UPDATE_HOOKS.  The law
-    # checks never use it: L3 and L5 test the identities it relies on, point
-    # by point.
+    # the state at grid[-1]; it raises where that per-point loop would.  A
+    # learner with a rows hook sweeps by its one-start case.
     sweep: Optional[Callable[[Any, Sequence[Any], Any], Tuple[np.ndarray, Sequence[float], Any]]] = None
+    # rows(phis, chis, c, labels) is (coords, bels) of a simplex learner: row
+    # i of coords is observe(phis[i], chis[i], p).probs for p over labels with
+    # the probabilities c[i] and bels[i] its bel, each with the bits it gets
+    # alone; it raises where a row's observe would.  L3, L4, B1, B2 use it.
+    rows: Optional[Callable[[Sequence[Any], Sequence[Any], np.ndarray, Tuple[str, ...]], Tuple[np.ndarray, list]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
     sample_instance: Optional[Callable[[np.random.Generator], Tuple[Any, Any]]] = None
@@ -189,7 +193,7 @@ class Learner:
 # them: a copy with another observe takes **_UPDATE_HOOKS, so that no flow,
 # interleaving, field, sweep or LB metric runs the update it replaced.
 _UPDATE_HOOKS = dict.fromkeys(
-    ("translate", "make_flow", "coord_flow", "interleave", "closed_field", "sweep", "path_velocity", "lb_metric")
+    ("translate", "make_flow", "coord_flow", "interleave", "closed_field", "sweep", "rows", "path_velocity", "lb_metric")
 )
 
 
@@ -220,24 +224,13 @@ def _first_failure(call: Callable[[tuple], Any], items: Sequence):
 
 
 def _row_sweep(observe, rows, phi, grid, theta):
-    """``Learner.sweep`` by rows(phi, grid, theta), the coordinate rows and bel
-    values of observe at the grid entries.  Where rows raises, the first entry
-    that fails alone raises its own error."""
-    coords, bels = _first_failure(lambda some: rows(phi, some, theta), grid)
+    """``Learner.sweep`` by the one-start case of rows, a rows hook (see
+    ``Learner.rows``): theta's coordinates at every grid entry.  Where rows
+    raises, the first entry that fails alone raises its own error."""
+    kind = _coord_kind(theta)
+    c, labels = np.repeat(kind.coords(theta)[None], len(grid), axis=0), kind.labels(theta)
+    coords, bels = _first_failure(lambda some: rows([phi] * len(some), some, c[:len(some)], labels), grid)
     return coords, bels, observe(phi, grid[-1], theta)
-
-
-def _simplex_rows(bind, dom: ConfidenceDomain, grid: Sequence, p: FiniteSimplex) -> np.ndarray:
-    """The coordinates of the update of p by bind([x], p.labels) (see
-    ``Learner.coord_flow``) at each grid entry's float x, by one map of
-    p.probs bound to the nonzero xs, one row each; a zero's row is p's."""
-    xs = [_float_of(dom, chi) for chi in grid]
-    rows = np.repeat(p.probs[None], len(xs), axis=0)
-    live = [i for i, x in enumerate(xs) if x]
-    step = bind([xs[i] for i in live], p.labels)
-    if step is not None:
-        rows[live] = normalize_probs(step(p.probs))
-    return rows
 
 
 def _rows(xs):
@@ -299,6 +292,20 @@ def interp_observe(
     w = _float_of(_FRAC, alpha)
     m = _interp_rows((a,), p.labels)
     return p.with_probs(_interp_step(p.probs, (a,), m, _ONE, w, w == 1.0)) if w else p
+
+
+def _interp_row_update(events: Sequence[EventSet], chis: Sequence, c: np.ndarray, labels: Tuple[str, ...]):
+    """``Learner.rows`` for interp: ``_interp_step`` on the rows of nonzero
+    weight, each by its own event; a zero keeps its row."""
+    ws, one = np.array([_float_of(_FRAC, chi) for chi in chis]), len(set(map(id, events))) == 1
+    m, out = _interp_rows(events[:1] if one else events, labels), c.copy()  # one event's row broadcasts
+    live = np.flatnonzero(ws)
+    if len(live):
+        w, named = ws[live], events if one else [events[i] for i in live]  # one event names every row
+        step = _interp_step(c[live], named, m if one else m[live], _ONE, _rows(w), w.min() == 1.0)
+        out[live] = normalize_probs(step)
+    # vecdot gives each row the bits of p.prob(a)
+    return out, [math.log(x) if x > 0 else -math.inf for x in np.vecdot(out, m).tolist()]
 
 
 def _interp_map(events: Sequence[EventSet], shares: np.ndarray, ws: Sequence[float], labels: Tuple[str, ...]):
@@ -468,11 +475,6 @@ def _interp_learner() -> Learner:
         p = _random_simplex(rng)
         return _event_with_mass(rng, p.labels, p.prob, 1), p
 
-    def rows(a, grid, p):
-        coords = _simplex_rows(partial(_interp_map, (a,), _ONE), _FRAC, grid, p)
-        # vecdot gives each row the bits of p.prob(a)
-        return coords, [math.log(m) if m > 0 else -math.inf for m in np.vecdot(coords, a.indicator()).tolist()]
-
     def sample_saturated(rng):
         idx, p = _saturated_simplex(rng)
         return EventSet(p.labels, int(sum(1 << int(i) for i in idx))), p
@@ -488,7 +490,8 @@ def _interp_learner() -> Learner:
         translate=_frac_translate,
         coord_flow=_interp_coord_flow,
         interleave=_interp_interleave,
-        sweep=partial(_row_sweep, interp_observe, rows),
+        sweep=partial(_row_sweep, interp_observe, _interp_row_update),
+        rows=_interp_row_update,
         closed_field=_interp_field,
         lb_metric="fisher",
         sample_instance=sample_instance,
@@ -750,13 +753,13 @@ def _gibbs_support(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_least(pen: _Penalty, pr: np.ndarray) -> np.ndarray:
-    """The update at top: the supported worlds of least rank keep their mass,
-    which must exceed MASS_EPS."""
+    """The update at top of a prior or of each row: the supported worlds of
+    least rank keep their mass, which must exceed MASS_EPS."""
     supp, rank = _gibbs_support(pen, pr), pen.rank
-    lowest = np.minimum.reduce(np.where(supp, rank, np.inf))
+    lowest = np.minimum.reduce(np.where(supp, rank, np.inf), axis=-1, keepdims=True)
     kept = np.where(supp & (rank == lowest), pr, 0.0)
-    if max(kept.tolist()) <= MASS_EPS:  # else one world holds more
-        mass = float(np.add.reduce(kept))
+    if (min(map(max, kept.tolist())) if kept.ndim > 1 else max(kept.tolist())) <= MASS_EPS:  # else each row keeps more
+        mass = min(np.add.reduce(kept, axis=-1, keepdims=True).ravel().tolist())
         if mass <= MASS_EPS:
             raise ZeroMassEventError(f"cannot condition on the least-penalty worlds of {pen.what} with mass {mass:.3g}")
     return kept
@@ -816,6 +819,16 @@ def _gibbs_bel(pen: _Penalty, c: np.ndarray) -> np.ndarray:
     supp = c > 0.0
     dots = -_expectation(c, np.where(supp & pen.possible, pen.u, 0.0), pen.largest)
     return np.where((supp <= pen.possible).all(axis=-1), dots, -math.inf)
+
+
+def _stacked(pens: Dict[int, _Penalty], phis: Sequence, at: Sequence[int]) -> _Penalty:
+    """The penalties pens[id(phis[i])] as one of rows, one per i of at; one penalty for every row is itself."""
+    if len(pens) == 1:
+        return next(iter(pens.values()))
+    rows = [pens[id(phis[i])] for i in at]
+    u = np.array([pen.u for pen in rows])
+    possible = None if all(pen.possible is None for pen in rows) else u < math.inf
+    return _Penalty(rows[0].labels, u, np.array([pen.rank for pen in rows]), possible, rows[0].what)
 
 
 def _sum_penalties(terms: Sequence[Tuple[_Penalty, float]]) -> _Penalty:
@@ -895,10 +908,18 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
     def bel(phi, p: FiniteSimplex) -> float:
         return float(_gibbs_bel(_check_worlds(penalty(phi), p.labels), p.probs))
 
-    def rows(phi, grid, p: FiniteSimplex):
-        pen = penalty(phi)
-        coords = _simplex_rows(partial(_gibbs_map, pen), _ADD, grid, p)
-        return coords, _gibbs_bel(pen, coords).tolist()
+    def rows(phis, chis, c: np.ndarray, labels: Tuple[str, ...]):
+        # the rows of finite times by _gibbs_step, those at top by _gibbs_least;
+        # each distinct observation's penalty is looked up once
+        bs, pens, out = np.array([_float_of(_ADD, chi) for chi in chis]), {id(phi): phi for phi in phis}, c.copy()
+        pens = {key: _check_worlds(penalty(phi), labels) for key, phi in pens.items()}
+        for at in (np.flatnonzero((bs > 0.0) & (bs < math.inf)), np.flatnonzero(bs == math.inf)):
+            if len(at):
+                pen, pr, b = _stacked(pens, phis, at), c[at], bs[at]
+                top = b[0] == math.inf
+                step = _gibbs_least(pen, pr) if top else _gibbs_step(pen, _rows(b), _wide(float(b.max()), pen), None, pr)
+                out[at] = normalize_probs(step)
+        return out, _gibbs_bel(_stacked(pens, phis, range(len(phis))), out).tolist()
 
     def bel_top(phi, p: FiniteSimplex) -> float:
         return -float(_check_worlds(penalty(phi), p.labels).u[p.probs > 0.0].min())
@@ -918,6 +939,7 @@ def _gibbs_learner(penalty: Callable[[Any], _Penalty], **hooks) -> Learner:
         coord_flow=coord_flow,
         closed_field=lambda terms: _gibbs_field([(penalty(phi), w) for phi, w in terms]),
         sweep=partial(_row_sweep, observe, rows),
+        rows=rows,
         lb_metric="fisher",
         default_grid=_GIBBS_GRID,
         **hooks,
@@ -955,17 +977,15 @@ def _boltzmann_learner() -> Learner:
         vals[idx] = 0.0  # constant on the support, so Bel is already maximal
         return RandomVariable(p.labels, vals), p
 
-    last = (None, None)
+    seen: Dict[int, Tuple[RandomVariable, _Penalty]] = {}
 
     def penalty(v: RandomVariable) -> _Penalty:
-        # callers ask for one variable's penalty many times in a row (a law
-        # check's grid): it and its bound are built once per variable
-        nonlocal last
-        seen, pen = last
-        if seen is not v:
-            pen = _boltzmann_penalty(v.labels, v.values)
-            last = (v, pen)
-        return pen
+        # a law check's rows ask for a few variables many times: each is built once while among the last 64
+        if seen.get(id(v), (None,))[0] is not v:
+            if len(seen) >= 64:
+                seen.clear()
+            seen[id(v)] = (v, _boltzmann_penalty(v.labels, v.values))
+        return seen[id(v)][1]
 
     return _gibbs_learner(
         penalty,
@@ -995,7 +1015,7 @@ class BayesModel:
     def __post_init__(self):
         hyps = _check_labels(self.hypotheses, MAX_WORLDS)  # the worlds of the prior
         object.__setattr__(self, "hypotheses", hyps)
-        if not isinstance(self.likelihood, Mapping):
+        if not isinstance(self.likelihood, abc.Mapping):
             raise ParameterError("the likelihood must map observation ids to rows")
         table = {}
         for key, row in self.likelihood.items():
@@ -1048,7 +1068,7 @@ def potential_to_likelihood(
     rows = {}
     hyps: Optional[Tuple[str, ...]] = tuple(hypotheses) if hypotheses else None
     for key, row in u.items():
-        if isinstance(row, Mapping):
+        if isinstance(row, abc.Mapping):
             if hyps is None:
                 hyps = tuple(row)
             vals = np.array([float(row[h]) for h in hyps])
@@ -1175,12 +1195,13 @@ def _max_graded_learner() -> Learner:
         decay = decay[0] if len(ts) == 1 else decay
         return lambda c: np.where(moved, 1.0 - (1.0 - c) * decay, c)
 
-    def rows(key, grid, table: GradedBeliefTable):
-        # max_graded_observe row by row: the grade moves to x only where x > g
-        g, at = table.grade(key), table.keys().index(key)
+    def rows(keys, grid, c: np.ndarray, labels: Tuple[str, ...]):
+        # sweep's rows, of one key: the grade moves to x only where x > g
         xs = np.array([_float_of(_MAX, x) for x in grid])
-        coords = np.repeat(belief_coords(table)[None], len(grid), axis=0)
-        coords[:, at] = np.where(xs > g, xs, g)
+        if keys[0] not in labels:
+            raise ParameterError(f"unknown statement {keys[0]!r}")
+        at, coords = labels.index(keys[0]), c.copy()
+        coords[:, at] = np.where(xs > c[:, at], xs, c[:, at])
         return coords, coords[:, at].tolist()
 
     def sample_instance(rng):

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .confidence import _FRAC, _float_of
-from .learners import _UPDATE_HOOKS, Learner, boltzmann_observe, get_learner, interp_observe
+from .learners import _UPDATE_HOOKS, Learner, _interp_row_update, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
 
@@ -42,13 +42,15 @@ def _interp_mutant(mutant_id: str, observe) -> Learner:
 
 
 def _weight_warp(mutant_id: str, warp: Callable[[float], float]) -> Learner:
-    """Interpolation learner whose mixing weight is warped before use."""
+    """Interpolation learner whose mixing weight is warped before use; its
+    rows hook feeds the warped weights into interp's: the corrupted map."""
 
     def observe(phi, chi, theta):
         x = _float_of(_FRAC, chi)
         return interp_observe(phi, warp(x), theta)
 
-    return _interp_mutant(mutant_id, observe)
+    return replace(_interp_mutant(mutant_id, observe), rows=lambda phis, chis, c, labels: _interp_row_update(
+        phis, [warp(_float_of(_FRAC, chi)) for chi in chis], c, labels))
 
 
 def _mutant_l1_drift() -> Learner:

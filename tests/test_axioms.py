@@ -1,8 +1,10 @@
 """The axiom battery: built-ins pass, mutants fail, runs are reproducible."""
 
+import collections
 import copy
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -11,8 +13,12 @@ import pytest
 from conflearn import (
     AXIOMS,
     MUTANT_TARGETS,
+    BayesModel,
     CheckConfig,
+    EventSet,
+    FiniteSimplex,
     ParameterError,
+    RandomVariable,
     available_learners,
     belief_distance,
     check_axiom,
@@ -24,7 +30,8 @@ from conflearn import (
     suite_passed,
 )
 from conflearn import axioms
-from conflearn.errors import StepBudgetError
+from conflearn.beliefs import belief_to_json
+from conflearn.errors import ConfLearnError, StepBudgetError, ZeroMassEventError
 from conflearn.flows import _MAX_STEPS
 from conflearn.identities import IDENTITIES
 from conflearn.learners import _UPDATE_HOOKS
@@ -154,10 +161,13 @@ def test_l3_holds_at_every_check_seed():
             assert not check_axiom(mutant, "L3", CheckConfig(seed=seed)).passed, (mutant.id, seed)
 
 
-@pytest.mark.parametrize("learner_id", ["interp", "classifier", "kalman", "max-graded"])
+@pytest.mark.parametrize("learner_id", ["interp", "bayes", "classifier", "kalman", "max-graded"])
 def test_l3_observes_each_grid_point_once_per_instance(learner_id):
     # the residual and Brent steps start from observed states; every other
-    # observe call is of an instance, once per grid entry, in grid order
+    # update is of an instance, once per grid entry, in grid order.  A
+    # learner with a rows hook updates by it, and keeps the instance's row at
+    # bot, so its searches from bot ask from the instance too: at the grid's
+    # points they read the grid states
     learner = get_learner(learner_id)
     instances, states, calls = [], [], []
 
@@ -172,68 +182,88 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
         states.append(copy.deepcopy(learner.observe(phi, chi, theta)))  # never an instance
         return states[-1]
 
-    counting = dataclasses.replace(learner, observe=observe, sample_instance=sample)
+    def rows(phis, chis, c, labels):
+        for chi, row in zip(chis, c):
+            calls.extend((id(t), repr(chi)) for t in instances if t.probs.tobytes() == row.tobytes())
+        return learner.rows(phis, chis, c, labels)
+
+    hook = {"observe": observe} if learner.rows is None else {"rows": rows}
+    counting = dataclasses.replace(learner, **hook, sample_instance=sample)
     cfg = CheckConfig(seed=0, samples=4)
-    check_axiom(counting, "L3", cfg)
+    assert check_axiom(counting, "L3", cfg) == check_axiom(learner, "L3", cfg)
     grid = [repr(chi) for chi in axioms._grid(learner, cfg)]
     assert len(instances) == 4 and len(grid) >= 3
     for theta in instances:
-        assert [chi for key, chi in calls if key == id(theta)] == grid
+        asked = [chi for key, chi in calls if key == id(theta)]
+        assert [chi for chi in asked if chi in grid] == grid
+        assert len(asked) > len(grid) if learner.rows else asked == grid
 
 
-@pytest.mark.parametrize("learner_id", ["interp", "ds", "boltzmann", "max-graded"])
-def test_l2_and_l3_observe_no_state_twice(learner_id, monkeypatch):
-    # L2 observes each base once and each step from it once; L3 observes,
+_WARPS = {"mutant-l1-drift", "mutant-l2-rough", "mutant-l34-cyclic", "mutant-l5-square",
+          "mutant-fc-partial", "mutant-b3-timid"}  # interp at a warped weight, rows and all
+
+
+@pytest.mark.parametrize(
+    "learner",
+    [get_learner(lid) for lid in ("interp", "ds", "boltzmann", "bayes", "max-graded")]
+    + [m for m in get_mutants() if m.id in _WARPS],
+    ids=lambda learner: learner.id,
+)
+def test_l2_and_l3_observe_no_state_twice(learner):
+    # L2 observes each base once and each step from it once.  L3 updates,
     # outside its residual searches, only the grid states and the updates by
-    # the residuals to top.  A search hands back the state it reached, the
-    # searches from one start share the confidences they tried, and an
-    # update to top takes the top state a search from its start tried.  Where
-    # observe at bot returns the instance itself, the searches and residuals
-    # from it read the grid states: L3 observes no (instance, confidence) twice
-    learner = get_learner(learner_id)
-    calls = {"L2": 0, "L3": 0, "search": 0}
-    law, searching = ["L2"], [False]
-    instances, charted, starts = [], set(), []  # starts are kept alive, so ids stay theirs
-    from_instances = set()
+    # the residuals to top.  The searches from one start share the points
+    # they tried, an update to top reads the top state a search from its
+    # start tried, and where observe at bot keeps the instance, the searches
+    # and residuals from it read the grid states: L3 updates no (instance,
+    # start, confidence) twice, the start compared by value.  A learner with
+    # a rows hook updates by it; mutant-b3-timid's grid states at 0.5, 0.75
+    # and top are one state, reached three times
+    calls = {"L2": 0, "L3": collections.Counter()}
+    law, instances = ["L2"], []
 
     def sample(rng):
         phi, theta = learner.sample_instance(rng)
-        instances.append(theta)
+        instances.append((phi, theta))
         return phi, theta
 
+    def count(phi, chi, start):
+        value = start.tobytes() if isinstance(start, np.ndarray) else json.dumps(belief_to_json(start), sort_keys=True)
+        if law[0] == "L2":
+            calls["L2"] += 1
+        else:
+            calls["L3"][id(phi), value, repr(chi)] += 1
+
     def observe(phi, chi, theta):
-        calls["search" if searching[0] else law[0]] += 1
-        # a chart point from a start: in a search, or an update to top of a grid state
-        if law[0] == "L3" and (searching[0] or chi.is_top and not any(theta is t for t in instances)):
-            assert (id(theta), repr(chi)) not in charted, chi
-            charted.add((id(theta), repr(chi)))
-            starts.append(theta)
-        if law[0] == "L3" and any(theta is t for t in instances):
-            assert learner.observe(phi, learner.domain.bot, theta) is theta
-            assert (id(theta), repr(chi)) not in from_instances, chi
-            from_instances.add((id(theta), repr(chi)))
+        count(phi, chi, theta)
         return learner.observe(phi, chi, theta)
 
-    def search(*args):
-        searching[0] = True
-        try:
-            return brent(*args)
-        finally:
-            searching[0] = False
+    def rows(phis, chis, c, labels):
+        for phi, chi, row in zip(phis, chis, c):
+            count(phi, chi, row)
+        return learner.rows(phis, chis, c, labels)
 
-    brent = axioms._residual_by_brent
-    monkeypatch.setattr(axioms, "_residual_by_brent", search)
     counting = dataclasses.replace(learner, observe=observe, sample_instance=sample)
+    if learner.rows is not None:
+        counting = dataclasses.replace(counting, rows=rows)
     cfg = CheckConfig(seed=0, samples=4)
     assert check_axiom(counting, "L2", cfg) == check_axiom(learner, "L2", cfg)
     assert calls["L2"] == max(2, cfg.samples // 2) * 2 * 3
-    law[0] = "L3"
+    law[0], instances = "L3", []
     assert check_axiom(counting, "L3", cfg) == check_axiom(learner, "L3", cfg)
     grid = axioms._grid(learner, cfg)
-    assert grid[-1].is_top and not grid[-2].is_top and calls["search"] > 0
-    # the grid states, then fewer updates to top than starts below top
-    n = min(cfg.samples, 12)
-    assert n * len(grid) <= calls["L3"] < n * (2 * len(grid) - 1)
+    assert grid[-1].is_top and not grid[-2].is_top
+    repeats = {key: n for key, n in calls["L3"].items() if n > 1}
+    assert not repeats, repeats
+    # the grid states, each once, then the searches
+    starts = {(id(phi), theta.probs.tobytes() if learner.rows else json.dumps(belief_to_json(theta), sort_keys=True))
+              for phi, theta in instances}
+    at_grid = [key for key in calls["L3"] if key[:2] in starts and key[2] in {repr(chi) for chi in grid}]
+    assert len(at_grid) == len(instances) * len(grid) == min(cfg.samples, 12) * len(grid)
+    assert len(calls["L3"]) > len(at_grid)
+    # at most one update to top, searches' included, per grid state below top
+    tops = [key for key in calls["L3"] if key[2] == repr(grid[-1]) and key[:2] not in starts]
+    assert 0 < len(tops) <= len(instances) * (len(grid) - 1)
 
 
 def test_check_config_rejects_bad_settings():
@@ -326,12 +356,21 @@ _LIFTS = [lift_to_list(get_learner(lid)) for lid in available_learners() if lid 
 
 @pytest.mark.parametrize("learner", _LIFTS + list(get_mutants()), ids=lambda learner: learner.id)
 def test_lifts_and_mutants_keep_no_hook_of_the_honest_update(learner):
-    # else trotter_interleave, derivative_field, learn or LB could run the
-    # honest update in place of the copy's own observe; mutant-lb-euclid sets
-    # its own flow, and keeps the time translation and metric it satisfies
+    # else trotter_interleave, derivative_field, learn, LB or the law checks'
+    # rows could run the honest update in place of the copy's own observe;
+    # mutant-lb-euclid sets its own flow, and keeps the time translation and
+    # metric it satisfies; the weight-warp mutants set rows of their own map
     own = {"make_flow", "translate", "lb_metric"} if learner.id == "mutant-lb-euclid" else set()
+    own |= {"rows"} if learner.id in _WARPS else set()
     for name in _UPDATE_HOOKS:
         assert (getattr(learner, name) is None) == (name not in own), name
+    if "rows" in own:  # the warped map, not the honest one
+        assert learner.rows is not get_learner("interp").rows
+        phi, p = learner.sample_instance(np.random.default_rng(0))
+        chis = [learner.domain.bot, learner.domain.value(0.3), learner.domain.top]
+        coords, _ = learner.rows([phi] * 3, chis, np.array([p.probs] * 3), p.labels)
+        for row, chi in zip(coords, chis):
+            assert row.tobytes() == learner.observe(phi, chi, p).probs.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +413,21 @@ def _bisect_every_pass(learner, phi, s_lo, target_bel):
     return _chart_to_confidence(dom, hi), False
 
 
+def _search(learner, phi, theta, chi_lo, target):
+    """L3's search from the update of theta at chi_lo toward the Bel target,
+    driven as the check drives it (by the learner's rows hook where it has
+    one): the residual, and the state reached as a belief, bit for bit."""
+    update = axioms._Updates(learner, [(phi, theta)], memo=True, bels=True)
+    start = update([(0, chi_lo, update.starts[0])])[0][0]
+    [(got, (reached, _))] = axioms._residuals(update, [(0, start, _residual_by_brent(learner.domain, target))])
+    if isinstance(reached, np.ndarray) and isinstance(theta, FiniteSimplex):  # a row: its probabilities
+        state = object.__new__(FiniteSimplex)
+        object.__setattr__(state, "labels", theta.labels)
+        object.__setattr__(state, "probs", reached)
+        reached = state
+    return got, reached
+
+
 @pytest.mark.parametrize("learner", _SEARCHED, ids=lambda learner: learner.id)
 def test_bisection_early_exit_matches_every_pass(learner):
     # Brent's search stops as soon as its bracket is below the tolerance; it
@@ -386,7 +440,7 @@ def test_bisection_early_exit_matches_every_pass(learner):
             s_lo = learner.observe(phi, grid[i], theta)
             for chi_hi in grid[i + 1:]:
                 target = learner.bel(phi, learner.observe(phi, chi_hi, theta))
-                got, reached = _residual_by_brent(learner, phi, s_lo, target, {})
+                got, reached = _search(learner, phi, theta, grid[i], target)
                 assert belief_distance(reached, learner.observe(phi, got, s_lo)) == 0.0
                 ref, at_end = _bisect_every_pass(learner, phi, s_lo, target)
                 if at_end:
@@ -422,7 +476,7 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     return learner.bel(phi, state) - target
 
                 charted.clear()
-                delta, reached = _residual_by_brent(learner, phi, s_lo, target, {})
+                delta, reached = _search(learner, phi, theta, grid[i], target)
                 if len(charted) == 1:  # nothing to reach from bot
                     assert delta.is_bot and not gap(0.0) < 0.0
                     continue
@@ -436,3 +490,156 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
                     assert any(u - tol <= v < u and gap(v) < 0.0 for v in evaluated)
                 if learner.id not in _MUTANT_IDS:
                     assert belief_distance(reached, s_hi) <= _TOL
+
+
+# ---------------------------------------------------------------------------
+# The rows hook: each row is its one-belief observe and bel, bit for bit.
+
+
+_ROWS = [get_learner("interp"), get_learner("boltzmann"), get_learner("bayes")] + [
+    m for m in get_mutants() if m.id in _WARPS
+]
+
+
+def _rows_learner(learner, labels):
+    """learner over labels: bayes gets a model on them, whose observation
+    rows rule worlds out (e0 none, e1 one, e2 all but one)."""
+    if learner.id != "bayes":
+        return learner
+    n, rng = len(labels), np.random.default_rng(len(labels))
+    lik = {f"e{i}": rng.uniform(0.05, 1.0, size=n) for i in range(3)}
+    lik["e1"][0] = 0.0
+    lik["e2"][1:] = 0.0
+    return get_learner("bayes", model=BayesModel(labels, lik))
+
+
+def _rows_instance(learner, rng, labels):
+    """An observation and a prior over labels (a world without mass at
+    times), the observation one that may be past half the float range."""
+    n = len(labels)
+    probs = rng.dirichlet(np.ones(n))
+    if rng.uniform() < 0.3:
+        probs[int(rng.integers(n))] = 0.0
+    if learner.id == "boltzmann":
+        values = rng.normal(0.0, 1.0, size=n)
+        if rng.uniform() < 0.2:
+            values[int(rng.integers(n))] = 1.7e308
+        phi = RandomVariable(labels, values)
+    elif learner.id == "bayes":
+        phi = f"e{int(rng.integers(3))}"
+    else:
+        phi = EventSet(labels, int(rng.integers(1, (1 << n) - 1)))
+    return phi, FiniteSimplex(labels, probs)
+
+
+def _rows_confidence(learner, rng):
+    """bot, top, or an interior value, in the proportions 1:1:2."""
+    dom, u = learner.domain, rng.uniform()
+    return dom.bot if u < 0.25 else dom.top if u < 0.5 else dom.sample(rng)
+
+
+def _alone(learner, phi, chi, p):
+    """observe and bel of one belief: its probabilities' bytes and bel, or its error."""
+    try:
+        after = learner.observe(phi, chi, p)
+    except ConfLearnError as exc:
+        return exc
+    return after.probs.tobytes(), learner.bel(phi, after)
+
+
+@pytest.mark.parametrize("base", _ROWS, ids=lambda learner: learner.id)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rows_hook_is_each_rows_observe_and_bel_bytewise(base, n):
+    # rows of one world set, each its own observation, prior and confidence
+    # (bot, interior and top): each row has the bits its belief gets alone
+    labels = tuple(f"w{i}" for i in range(n))
+    learner, rng = _rows_learner(base, labels), np.random.default_rng(n)
+    cases = []
+    while len(cases) < 40:
+        phi, p = _rows_instance(learner, rng, labels)
+        chi = _rows_confidence(learner, rng)
+        if not isinstance(_alone(learner, phi, chi, p), ConfLearnError):
+            cases.append((phi, chi, p))
+    phis, chis, ps = zip(*cases)
+    coords, bels = learner.rows(list(phis), list(chis), np.array([p.probs for p in ps]), labels)
+    assert len(coords) == len(bels) == len(cases)
+    for row, bel, case in zip(coords, bels, cases):
+        assert (row.tobytes(), bel) == _alone(learner, *case)
+    assert any(chi.is_bot for chi in chis) and any(chi.is_top for chi in chis)
+
+
+@pytest.mark.parametrize("learner", [lr for lr in _ROWS if lr.id != "bayes"], ids=lambda learner: learner.id)
+def test_check_updates_on_rows_of_mixed_world_counts_are_the_per_point_loop(learner):
+    # the law checks' updates: asks over instances of 2-8 worlds, in one
+    # rows call per world set, give each ask the state and bel it gets alone
+    rng = np.random.default_rng(5)
+    instances = [_rows_instance(learner, rng, tuple(f"w{i}" for i in range(int(rng.integers(2, 9))))) for _ in range(30)]
+    update = axioms._Updates(learner, instances)
+    asks = []
+    for _ in range(120):
+        k = int(rng.integers(len(instances)))
+        chi = _rows_confidence(learner, rng)
+        if not isinstance(_alone(learner, instances[k][0], chi, instances[k][1]), ConfLearnError):
+            asks.append((k, chi, update.starts[k]))
+    assert len({len(instances[k][1].labels) for k, _, _ in asks}) == 7
+    for (k, chi, _), (state, bel) in zip(asks, update(asks)):
+        assert (state.tobytes(), bel) == _alone(learner, instances[k][0], chi, instances[k][1])
+
+
+def _failing(learner, labels):
+    """Two instances over labels whose updates at the confidence returned
+    with them fail alone, each with its own message."""
+    n = len(labels)
+    if learner.id == "boltzmann":  # the least-penalty world holds 5e-324, then 1e-320
+        values = np.zeros(n)
+        values[0] = 1e-300
+        return [
+            (RandomVariable(labels, values), FiniteSimplex(labels, np.array([1.0, tiny] + [0.0] * (n - 2))))
+            for tiny in (5e-324, 1e-320)
+        ], learner.domain.top
+    if learner.id == "bayes":  # e2 holds w0 alone and e1 rules it out: priors on the other worlds, then on w0
+        others = FiniteSimplex(labels, np.array([0.0] + [1.0 / (n - 1)] * (n - 1)))
+        return [("e2", others), ("e1", FiniteSimplex(labels, np.eye(n)[0]))], learner.domain.value(1.0)
+    small = FiniteSimplex(labels, np.array([1.0 - 5e-13, 5e-13] + [0.0] * (n - 2)))
+    none = FiniteSimplex(labels, np.array([1.0] + [0.0] * (n - 1)))
+    return [(EventSet(labels, 0b10), small), (EventSet(labels, 0b10), none)], learner.domain.value(0.5)
+
+
+@pytest.mark.parametrize("base", _ROWS, ids=lambda learner: learner.id)
+def test_check_updates_raise_the_first_asks_own_error(base):
+    # a batch that fails raises the error of its first ask that fails alone,
+    # though a later ask fails too, with its own message: in the world set
+    # the batch updates first (interp, boltzmann, the mutants) or in the
+    # same one, whose stacked penalty names the batch's first observation
+    # (bayes)
+    big, small = ("w0", "w1", "w2"), ("w0", "w1")
+    rng = np.random.default_rng(7)
+    if base.id == "bayes":
+        learner = _rows_learner(base, big)
+        fine = [_rows_instance(learner, rng, big) for _ in range(4)]
+        (first, later), chi = _failing(learner, big)
+        instances = [fine[0], first, fine[1], later]
+    else:
+        learner = base
+        (first, _), chi = _failing(learner, big)
+        (_, later), _ = _failing(learner, small)
+        instances = [_rows_instance(learner, rng, small), first, _rows_instance(learner, rng, big), later]
+    errors = [_alone(learner, phi, chi, p) for phi, p in instances]
+    assert [isinstance(e, ConfLearnError) for e in errors] == [False, True, False, True]
+    assert str(errors[1]) != str(errors[3])
+    update = axioms._Updates(learner, instances)
+    with pytest.raises(type(errors[1]), match=f"^{re.escape(str(errors[1]))}$"):
+        update([(k, chi, start) for k, start in enumerate(update.starts)])
+
+
+def test_check_updates_memo_keeps_two_instances_of_one_prior_apart():
+    # L3's memo keys an update by its instance as well as by its start row's
+    # value: two observations of one prior are two updates
+    learner = get_learner("interp")
+    p = FiniteSimplex(("w0", "w1", "w2"), np.array([0.2, 0.3, 0.5]))
+    instances = [(EventSet(p.labels, 0b001), p), (EventSet(p.labels, 0b110), p)]
+    update, chi = axioms._Updates(learner, instances, memo=True), learner.domain.value(0.5)
+    got = update([(k, chi, start) for k, start in enumerate(update.starts)])
+    assert got[0][0].tobytes() != got[1][0].tobytes()
+    for (phi, theta), (row, _) in zip(instances, got):
+        assert row.tobytes() == learner.observe(phi, chi, theta).probs.tobytes()
