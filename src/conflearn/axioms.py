@@ -19,11 +19,12 @@ a witness for the worst instance:
 A check passes when its worst violation is at most 1e-10; LB allows 1e-5
 at a difference step of 1e-4, and L2 bounds its ratio by 10.  These are
 constants: a ``CheckConfig`` sets only the seed, the samples and the grid.
-L3, L4, B1 and B2 take all of a check's updates at once: by the learner's
-rows hook (``Learner.rows``) where it has one, one call per world set, else
-point by point through observe; L3 runs its Brent searches in lockstep.
-Checks that do not apply to a learner (wrong confidence geometry, missing
-hooks) come back with ``skipped=True`` and a note instead of failing.
+Every check but B3 and LB takes its updates in batches (``_Updates``): by
+the learner's rows hook (``Learner.rows``) where it has one, one call per
+belief space, else point by point through observe; L3 runs its Brent
+searches in lockstep.  Checks that do not apply to a learner (wrong
+confidence geometry, missing hooks or samplers) come back with
+``skipped=True`` and a note instead of failing.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beliefs import _total_variation, belief_distance, belief_to_json
+from .beliefs import _KINDS, belief_distance, belief_to_json
 from .confidence import ConfidenceValue, _to_add, confidence_to_json
 from .errors import ConfLearnError, ParameterError
 from .flows import _check_samples, _forward_stencil, _json_text, metric_gradient
@@ -252,39 +253,52 @@ def _per_group(keys: Sequence, run: Callable[[Any, List[int]], Sequence]) -> lis
 class _Updates:
     """A check's updates: an ask (k, chi, start) is observe(phi, chi, start)
     for instance k's phi, its entry (state, bel), bel None unless ``bels``.
-    A learner with a rows hook takes the asks in one call per world set, on
-    coordinate rows; any other observes point by point.  ``memo`` keys by
-    instance, start (an array's bytes, else its id) and chi's fields (they
-    hash in C), so no start array is updated twice at one confidence.  A
-    failing batch raises the error of its first ask that fails alone."""
+    A learner with a rows hook takes the asks in one call per belief space,
+    on coordinate rows, whose starts, spaces, labels and distances its
+    belief kind's record (``beliefs._KINDS``) gives; any other observes
+    point by point.  ``memo`` keys by instance, start (an array's bytes,
+    else its id) and chi's fields (they hash in C), so no start array is
+    updated twice at one confidence.  A failing batch raises the error of
+    its first ask that fails alone.  Where ``truncated``, an ask whose
+    training run warned that it was truncated comes back None (outside the
+    laws' scope): a batch that warns runs again one ask at a time."""
 
-    def __init__(self, learner: Learner, instances: Sequence[tuple], memo: bool = False, bels: bool = False):
+    def __init__(self, learner: Learner, instances: Sequence[tuple], memo=False, bels=False, truncated=False):
         self.learner, self.instances, self.memo, self.bels = learner, instances, {} if memo else None, bels
-        self.starts = [theta if learner.rows is None else theta.probs for _, theta in instances]
+        self.kind = None if learner.rows is None else next(k for k in _KINDS if k.name == learner.belief_kind)
+        self.starts = [theta if self.kind is None else self.kind.coords(theta) for _, theta in instances]
+        self.spaces, self.truncated = [self.kind.space(theta) for _, theta in instances] if self.kind else None, truncated
 
-    def __call__(self, asks: Sequence[tuple]) -> List[tuple]:
+    def __call__(self, asks: Sequence[tuple]) -> List[Optional[tuple]]:
         if self.memo is None:
-            return _first_failure(self._evaluate, asks)
+            return self._run(asks)
         keys = [(k, start.tobytes() if isinstance(start, np.ndarray) else id(start), chi.kind, chi.payload)
                 for k, chi, start in asks]
         new = {key: ask for key, ask in zip(keys, asks) if key not in self.memo}  # a repeat's ask is equal
-        self.memo.update(zip(new, _first_failure(self._evaluate, list(new.values()))))
+        self.memo.update(zip(new, self._run(list(new.values()))))
         return [self.memo[key] for key in keys]
+
+    def _run(self, asks: Sequence[tuple]) -> List[Optional[tuple]]:
+        if not self.truncated:
+            return _first_failure(self._evaluate, asks)
+        got = _unless_truncated(_first_failure, self._evaluate, asks)
+        return got or [None if (one := _unless_truncated(self._evaluate, [ask])) is None else one[0] for ask in asks]
 
     def _evaluate(self, asks: Sequence[tuple]) -> List[tuple]:
         learner, phis = self.learner, [self.instances[k][0] for k, _, _ in asks]
-        if learner.rows is None:
+        if self.kind is None:
             states = [learner.observe(phi, chi, start) for phi, (_, chi, start) in zip(phis, asks)]
             return [(s, learner.bel(phi, s) if self.bels else None) for phi, s in zip(phis, states)]
-        return _per_group([self.instances[k][1].labels for k, _, _ in asks], lambda labels, at: zip(*learner.rows(
-            [phis[i] for i in at], [asks[i][1] for i in at], np.array([asks[i][2] for i in at]), labels
+        return _per_group([self.spaces[k] for k, _, _ in asks], lambda _, at: zip(*learner.rows(
+            [phis[i] for i in at], [asks[i][1] for i in at], np.array([asks[i][2] for i in at]),
+            self.kind.labels(self.instances[asks[at[0]][0]][1]),
         )))
 
     def distances(self, pairs: Sequence[tuple]) -> List[float]:
-        """belief_distance of each pair of states: on rows, one call per world count."""
-        if self.learner.rows is None:
+        """belief_distance of each pair of states: on rows, one call per row length."""
+        if self.kind is None:
             return [belief_distance(a, b) for a, b in pairs]
-        return _per_group([len(a) for a, _ in pairs], lambda _, at: _total_variation(
+        return _per_group([len(a) for a, _ in pairs], lambda _, at: self.kind.row_distance(
             np.array([pairs[i][0] for i in at]), np.array([pairs[i][1] for i in at])
         ).tolist())
 
@@ -294,9 +308,9 @@ class _Updates:
 
 
 def _check_l1(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
-    for phi, theta in _instances(learner, chk.rng, cfg.samples):
-        after = learner.observe(phi, learner.domain.bot, theta)
-        d = belief_distance(after, theta)
+    update = _Updates(learner, _instances(learner, chk.rng, cfg.samples))
+    after = update([(k, learner.domain.bot, start) for k, start in enumerate(update.starts)])
+    for (phi, theta), d in zip(update.instances, update.distances([(s, start) for (s, _), start in zip(after, update.starts)])):
         chk.offer(d, phi=phi, theta=theta)
     return chk.report()
 
@@ -305,19 +319,18 @@ def _check_l2(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
     dom = learner.domain
     if not dom.is_scalar_continuum:
         return chk.skip("confidence domain is not a one-dimensional continuum")
-    hi_base = _L2_BASE_RANGE.get(dom.id, 0.9)
-    for phi, theta in _instances(learner, chk.rng, max(2, cfg.samples // 2)):
-        for base in (0.0, float(chk.rng.uniform(0.0, hi_base))):
-            quotients = {}
-            a = learner.observe(phi, dom.value(base), theta)
-            for h in (_L2_H_COARSE, _L2_H_FINE):
-                b = learner.observe(phi, dom.value(base + h), theta)
-                quotients[h] = belief_distance(a, b) / h
-            ratio = quotients[_L2_H_FINE] / max(quotients[_L2_H_COARSE], 1.0)
-            chk.offer(
-                ratio, phi=phi, theta=theta, base=base,
-                quotients={str(k): v for k, v in quotients.items()},
-            )
+    hi_base, hs = _L2_BASE_RANGE.get(dom.id, 0.9), (_L2_H_COARSE, _L2_H_FINE)
+    instances = _instances(learner, chk.rng, max(2, cfg.samples // 2))
+    bases = [(k, base) for k in range(len(instances)) for base in (0.0, float(chk.rng.uniform(0.0, hi_base)))]
+    update = _Updates(learner, instances)
+    # each base's state, then its steps by each h
+    states = [s for s, _ in update([(k, dom.value(base + h), update.starts[k]) for k, base in bases for h in (0.0, *hs)])]
+    d = iter(update.distances([(states[3 * i], states[3 * i + j]) for i in range(len(bases)) for j in (1, 2)]))
+    for k, base in bases:
+        quotients = {h: next(d) / h for h in hs}
+        ratio = quotients[_L2_H_FINE] / max(quotients[_L2_H_COARSE], 1.0)
+        chk.offer(ratio, phi=instances[k][0], theta=instances[k][1], base=base,
+                  quotients={str(h): v for h, v in quotients.items()})
     return chk.report(
         _L2_RATIO_BOUND, note="violation is the fine/coarse difference-quotient ratio"
     )
@@ -479,39 +492,42 @@ def _draw_confidence(learner: Learner, rng) -> ConfidenceValue:
 
 
 def _check_l5(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
+    draws = []
     for _ in range(cfg.samples):
         chi = _draw_confidence(learner, chk.rng)
         chi2 = _draw_confidence(learner, chk.rng)
         # Full-confidence draws use instances where the limit is reachable;
         # elsewhere the update would be truncated and skipped anyway.
-        if (chi.is_top or chi2.is_top) and learner.sample_top_instance:
-            phi, theta = learner.sample_top_instance(chk.rng)
-        else:
-            phi, theta = learner.sample_instance(chk.rng)
-        pair = _unless_truncated(lambda: (
-            learner.observe(phi, chi, learner.observe(phi, chi2, theta)),
-            learner.observe(phi, learner.domain.combine(chi, chi2), theta),
-        ))
-        if pair is None:
-            continue
-        chk.offer(belief_distance(*pair), phi=phi, theta=theta, chi_outer=chi, chi_inner=chi2)
+        top = (chi.is_top or chi2.is_top) and learner.sample_top_instance
+        draws.append(((learner.sample_top_instance if top else learner.sample_instance)(chk.rng), chi, chi2))
+    update, dom = _Updates(learner, [instance for instance, _, _ in draws], truncated=True), learner.domain
+
+    def gaps(ks):  # the update at chi2, from it at chi, and from the instance at the two combined
+        inner = [(k, e[0]) for k, e in zip(ks, update([(k, draws[k][2], update.starts[k]) for k in ks])) if e]
+        got = update([ask for k, s in inner for ask in ((k, draws[k][1], s), (k, dom.combine(*draws[k][1:]), update.starts[k]))])
+        pairs = [(k, a[0], b[0]) for (k, _), a, b in zip(inner, got[::2], got[1::2]) if a and b]
+        return list(zip([k for k, _, _ in pairs], update.distances([(a, b) for _, a, b in pairs])))
+
+    # each step is one batch; a failing one raises the error the per-sample loop meets first
+    for k, d in _first_failure(gaps, range(len(draws))):
+        (phi, theta), chi, chi2 = draws[k]
+        chk.offer(d, phi=phi, theta=theta, chi_outer=chi, chi_inner=chi2)
     if not chk.offers:
         return chk.skip("no convergent instances sampled")
     return chk.report()
 
 
 def _check_fc(learner: Learner, cfg: CheckConfig, chk: _Check) -> AxiomReport:
-    top = learner.domain.top
+    top, instances = learner.domain.top, _top_instances(learner, chk.rng, cfg.samples)
+    update = _Updates(learner, instances, truncated=True)
 
-    def twice(phi, theta):
-        once = learner.observe(phi, top, theta)
-        return learner.observe(phi, top, once), once
+    def gaps(ks):  # the update to top, and again to top from it
+        once = [(k, e[0]) for k, e in zip(ks, update([(k, top, update.starts[k]) for k in ks])) if e]
+        pairs = [(k, e[0], s) for (k, s), e in zip(once, update([(k, top, s) for k, s in once])) if e]
+        return list(zip([k for k, _, _ in pairs], update.distances([(a, b) for _, a, b in pairs])))
 
-    for phi, theta in _top_instances(learner, chk.rng, cfg.samples):
-        pair = _unless_truncated(twice, phi, theta)
-        if pair is None:
-            continue
-        chk.offer(belief_distance(*pair), phi=phi, theta=theta)
+    for k, d in _first_failure(gaps, range(len(instances))):  # as in L5
+        chk.offer(d, phi=instances[k][0], theta=instances[k][1])
     if not chk.offers:
         return chk.skip("no instance reached the full-confidence limit")
     return chk.report()
@@ -614,7 +630,10 @@ def check_axiom(
         )
     cfg = cfg or CheckConfig()
     _grid(learner, cfg)  # a bad grid fails every check alike, before any draw
-    return _CHECKERS[axiom_id](learner, cfg, _Check(learner, axiom_id, cfg))
+    chk = _Check(learner, axiom_id, cfg)
+    if learner.sample_instance is None and axiom_id != "B2":  # B2 draws by sample_saturated alone
+        return chk.skip("learner has no instance sampler")
+    return _CHECKERS[axiom_id](learner, cfg, chk)
 
 
 def run_suite(learner: Learner, cfg: Optional[CheckConfig] = None) -> List[AxiomReport]:

@@ -622,6 +622,7 @@ class _Kind(NamedTuple):
     the constraint set with a belief's checks;
     ``make(template, vec, coords)`` builds the belief like ``template`` with
     coordinates ``coords = project(vec)``.  Mass functions have no coordinates.
+    ``row_distance(p, q)`` is ``distance`` of each pair of coordinate rows, bit for bit.
     """
 
     name: str
@@ -634,6 +635,7 @@ class _Kind(NamedTuple):
     coords: Optional[Callable[[object], np.ndarray]] = None
     clip: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     make: Optional[Callable[[object, np.ndarray, np.ndarray], object]] = None
+    row_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     sums_to_one: bool = False  # coordinates sum to one; velocities to zero
 
     def project(self, vec: np.ndarray) -> np.ndarray:
@@ -660,6 +662,7 @@ _KINDS = (
         clip=_simplex_clip,
         # FiniteSimplex divides the clipped vec itself; passing the projection divides twice
         make=lambda template, vec, coords: template.with_probs(np.maximum(vec, 0.0)),
+        row_distance=_total_variation,
         sums_to_one=True,
     ),
     _Kind(
@@ -713,6 +716,7 @@ _KINDS = (
         coords=lambda b: np.asarray(b, dtype=float).copy(),
         clip=lambda vec, total: vec,
         make=lambda template, vec, coords: coords.copy(),
+        row_distance=lambda p, q: np.maximum.reduce(np.abs(p - q), axis=-1),
     ),
 )
 _BY_CLS = {kind.cls: kind for kind in _KINDS}

@@ -30,13 +30,11 @@ their own seeds.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .beliefs import (
-    EventSet,
     FiniteSimplex,
     GaussianBelief,
     MassFunction,
@@ -54,6 +52,7 @@ from .learners import (
     _ONE,
     _bayes_penalty,
     _boltzmann_penalty,
+    _event,
     _gibbs_map,
     _interp_step,
     _world_labels,
@@ -66,11 +65,6 @@ from .learners import (
 )
 
 _BLOCK = 100  # bayes_boltzmann and interp_vs_ds draw and check at most this many samples at a time
-
-
-@lru_cache(maxsize=None)
-def _event(n: int, mask: int) -> EventSet:
-    return EventSet(_world_labels(n), mask)
 
 
 def bayes_boltzmann(rng: np.random.Generator, samples: int = 100) -> Tuple[bool, dict]:
@@ -173,7 +167,7 @@ def interp_vs_ds(rng: np.random.Generator, samples: int = 200) -> Tuple[bool, di
             draws += 1
             n = int(rng.integers(2, 6))
             p = normalize_probs(rng.dirichlet(np.ones(n)))  # the prior simplex's probabilities
-            a = _event(n, int(rng.integers(1, (1 << n) - 1)))
+            a = _event(_world_labels(n), int(rng.integers(1, (1 << n) - 1)))
             if 0.05 <= float(p @ a.indicator()) <= 0.9:  # the event's mass, as FiniteSimplex.prob takes it
                 by_worlds.setdefault(n, []).append((used - first, p, a))
                 used += 1

@@ -163,10 +163,11 @@ class Learner:
     # the state at grid[-1]; it raises where that per-point loop would.  A
     # learner with a rows hook sweeps by its one-start case.
     sweep: Optional[Callable[[Any, Sequence[Any], Any], Tuple[np.ndarray, Sequence[float], Any]]] = None
-    # rows(phis, chis, c, labels) is (coords, bels) of a simplex learner: row
-    # i of coords is observe(phis[i], chis[i], p).probs for p over labels with
-    # the probabilities c[i] and bels[i] its bel, each with the bits it gets
-    # alone; it raises where a row's observe would.  L3, L4, B1, B2 use it.
+    # rows(phis, chis, c, labels) is (coords, bels) for a belief_kind with
+    # coordinates: row i of coords is those of observe(phis[i], chis[i], b)
+    # for the belief b with coordinates c[i] (labelled ``labels``), bels[i]
+    # its bel, each with the bits it gets alone; it raises where a row's
+    # observe or bel would.  Every law check but B3 and LB updates by it.
     rows: Optional[Callable[[Sequence[Any], Sequence[Any], np.ndarray, Tuple[str, ...]], Tuple[np.ndarray, list]]] = None
     path_velocity: Optional[Callable[[Any, Any, float], np.ndarray]] = None
     lb_metric: Optional[str] = None
@@ -250,10 +251,20 @@ def _world_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"w{i}" for i in range(n))
 
 
+@lru_cache(maxsize=None)  # one per world count: with_probs builds the draws without the label checks
+def _uniform_simplex(n: int) -> FiniteSimplex:
+    return FiniteSimplex(_world_labels(n), np.ones(n))
+
+
+@lru_cache(maxsize=1024)  # drawn events repeat: each is built once while among the recent
+def _event(labels: Tuple[str, ...], mask: int) -> EventSet:
+    return EventSet(labels, mask)
+
+
 def _random_simplex(rng: np.random.Generator) -> FiniteSimplex:
     """A random interior simplex on 2-6 worlds."""
     n = int(rng.integers(2, 7))
-    return FiniteSimplex(_world_labels(n), rng.dirichlet(np.ones(n)))
+    return _uniform_simplex(n).with_probs(rng.dirichlet(np.ones(n)))
 
 
 def _saturated_simplex(rng: np.random.Generator) -> Tuple[np.ndarray, FiniteSimplex]:
@@ -263,7 +274,7 @@ def _saturated_simplex(rng: np.random.Generator) -> Tuple[np.ndarray, FiniteSimp
     idx = rng.choice(n, size=size, replace=False)
     probs = np.zeros(n)
     probs[idx] = rng.dirichlet(np.ones(size))
-    return idx, FiniteSimplex(_world_labels(n), probs)
+    return idx, _uniform_simplex(n).with_probs(probs)
 
 
 def _event_with_mass(rng: np.random.Generator, labels: Tuple[str, ...], mass, fallback: int) -> EventSet:
@@ -271,10 +282,10 @@ def _event_with_mass(rng: np.random.Generator, labels: Tuple[str, ...], mass, fa
     the event of the bit mask ``fallback`` after 64 draws without one."""
     full = (1 << len(labels)) - 1
     for _ in range(64):
-        a = EventSet(labels, int(rng.integers(1, full)))
+        a = _event(labels, int(rng.integers(1, full)))
         if mass(a) > 1e-6:
             return a
-    return EventSet(labels, fallback)
+    return _event(labels, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +488,7 @@ def _interp_learner() -> Learner:
 
     def sample_saturated(rng):
         idx, p = _saturated_simplex(rng)
-        return EventSet(p.labels, int(sum(1 << int(i) for i in idx))), p
+        return _event(p.labels, int(sum(1 << int(i) for i in idx))), p
 
     return Learner(
         id="interp",
@@ -528,7 +539,7 @@ def _ds_learner() -> Learner:
         labels = _world_labels(n)
         full = (1 << n) - 1
         mask = int(rng.integers(1, full))
-        a = EventSet(labels, mask)
+        a = _event(labels, mask)
         k = int(rng.integers(1, 4))
         subs = []
         for _ in range(k):
@@ -1328,6 +1339,15 @@ def gradient_step(model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample) ->
     return theta - _ETA * np.concatenate([np.outer(err, ex.x).ravel(), err])
 
 
+def _log_probs_rows(model: SoftmaxModel, th: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """class_log_probs of each row of parameters th at the features xs[i], each
+    with the bits it gets alone: matmul runs w @ x of each stacked row."""
+    k, d = model.n_classes, model.n_features
+    z = np.matmul(th[:, :k * d].reshape(-1, k, d), xs[:, :, None])[:, :, 0] + th[:, k * d:]
+    z = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    return z - np.array([math.log(s) for s in np.add.reduce(np.exp(z), axis=1).tolist()])[:, None]
+
+
 def train_limit(
     model: SoftmaxModel, theta: np.ndarray, ex: LabeledExample
 ) -> Tuple[np.ndarray, bool]:
@@ -1472,6 +1492,14 @@ def _non_finite(n: int) -> NumericalError:
     return NumericalError(f"non-finite parameters after {n} gradient steps")
 
 
+def _step_count(chi) -> ConfidenceValue:
+    """chi as a step count, refused before any step where it is over the cap."""
+    v = _COUNT.coerce(chi)
+    if not (v.is_bot or v.is_top) and v.payload > _MAX_GRADIENT_STEPS:
+        raise StepBudgetError(f"{v.payload} gradient steps exceed max_gradient_steps={_MAX_GRADIENT_STEPS}")
+    return v
+
+
 def _orbit(
     model: SoftmaxModel, ex: LabeledExample, theta: np.ndarray, counts: Sequence[int]
 ) -> list:
@@ -1512,14 +1540,10 @@ def _classifier_sweep(
     values, failure = [], None
     for chi in grid:
         try:
-            v = _COUNT.coerce(chi)
+            values.append(_step_count(chi))
         except Exception as exc:  # any failure: raised below, in grid order
             failure = exc
             break
-        if not (v.is_bot or v.is_top) and v.payload > _MAX_GRADIENT_STEPS:
-            failure = StepBudgetError(f"{v.payload} gradient steps exceed max_gradient_steps={_MAX_GRADIENT_STEPS}")
-            break
-        values.append(v)
     counts = sorted({v.payload for v in values if not (v.is_bot or v.is_top)})
     states = dict(zip(counts, _orbit(model, ex, theta, counts))) if counts else {}
     for v in values:
@@ -1560,6 +1584,28 @@ def _classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
             bels.append(bel(ex, state))
         return np.array(states), bels, states[-1]
 
+    def rows(exs, chis, c: np.ndarray, labels):
+        # the rows of finite counts walk at once, each stopping at its own
+        # count, as _orbit walks one; top rows run observe one at a time
+        for ex in exs:  # each example, then the parameters' shape, as observe checks them
+            _checked_params(model, ex, c[0])
+        vs, out, xs = [_step_count(chi) for chi in chis], c.copy(), np.array([ex.x for ex in exs])
+        ns, ys = np.array([0 if v.is_bot or v.is_top else v.payload for v in vs]), np.array([ex.y for ex in exs])
+        for i in (i for i, v in enumerate(vs) if v.is_top):
+            out[i] = observe(exs[i], vs[i], c[i])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for step in range(1, int(ns.max()) + 1):  # gradient_step on the rows still walking
+                at = np.flatnonzero(ns >= step)
+                err = np.exp(_log_probs_rows(model, out[at], xs[at]))
+                err[np.arange(len(at)), ys[at]] -= 1.0
+                out[at] -= _ETA * np.concatenate([(err[:, :, None] * xs[at, None, :]).reshape(len(at), -1), err], axis=1)
+            bels = _log_probs_rows(model, out, xs)[np.arange(len(exs)), ys].tolist()
+        if len(bad := np.flatnonzero((ns > 0) & ~np.isfinite(out).all(axis=1))):
+            raise _non_finite(int(ns[bad[0]]))
+        if any(map(math.isnan, bels)):
+            raise NumericalError("non-finite logits in the classifier's belief")
+        return out, bels
+
     def path_velocity(ex, theta, h):
         # the one-step quotient is exactly the negated loss gradient
         return (observe(ex, _COUNT.value(1), theta) - theta) / _ETA
@@ -1578,6 +1624,7 @@ def _classifier_learner(n_features: int = 1, n_classes: int = 2) -> Learner:
         belief_kind="params",
         observe=observe,
         sweep=sweep,
+        rows=rows,
         in_domain=lambda ex, theta: bool(np.all(np.isfinite(theta))),
         bel=bel,
         bel_top=lambda ex, theta: 0.0,
@@ -1628,7 +1675,15 @@ def lift_to_list(base: Learner) -> Learner:
     top = any(c.is_top for c in base.default_grid)
     grid = _grid(dom, [inner[: i + 1] for i in range(min(2, len(inner)))], top)
 
-    return replace(base, **_UPDATE_HOOKS, id=f"{base.id}@list", domain=dom, observe=observe, default_grid=grid)
+    def rows(phis, chis, c: np.ndarray, labels):
+        # one base rows call per list position; a row whose list is shorter is kept at the base's bot
+        lists = [(base.domain.top,) if v.is_top else () if v.is_bot else v.payload for v in map(dom.coerce, chis)]
+        for i in range(max(1, *map(len, lists))):
+            c, bels = base.rows(phis, [items[i] if i < len(items) else base.domain.bot for items in lists], c, labels)
+        return c, bels
+
+    hooks = dict(_UPDATE_HOOKS, rows=rows if base.rows else None)  # rows of its own where the base has them
+    return replace(base, **hooks, id=f"{base.id}@list", domain=dom, observe=observe, default_grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .confidence import _FRAC, _float_of
-from .learners import _UPDATE_HOOKS, Learner, _interp_row_update, boltzmann_observe, get_learner, interp_observe
+from .beliefs import normalize_probs
+from .learners import _UPDATE_HOOKS, Learner, _interp_row_update, _interp_rows, boltzmann_observe, get_learner, interp_observe
 
 __all__ = ["MUTANT_TARGETS", "get_mutants"]
 
@@ -96,7 +97,13 @@ def _mutant_b2_uniform() -> Learner:
         uniform = ind / ind.sum()
         return theta.with_probs((1.0 - x) * np.asarray(theta.probs) + x * uniform)
 
-    return _interp_mutant("mutant-b2-uniform", observe)
+    def rows(phis, chis, c, labels):
+        # the same pull on each row; interp's rows at bot keep them and give their Bel
+        x, ind = np.array([_float_of(_FRAC, chi) for chi in chis])[:, None], _interp_rows(phis, labels)
+        out = normalize_probs((1.0 - x) * c + x * (ind / np.add.reduce(ind, axis=1, keepdims=True)))
+        return _interp_row_update(phis, [_FRAC.bot] * len(phis), out, labels)
+
+    return replace(_interp_mutant("mutant-b2-uniform", observe), rows=rows)
 
 
 def _mutant_lb_euclid() -> Learner:
@@ -119,11 +126,22 @@ def _mutant_lb_euclid() -> Learner:
         shifted = np.clip(pr - tau * (vals - mean), 0.0, None)
         return theta.with_probs(shifted)
 
+    def rows(phis, chis, c, labels):
+        # the same descent on the rows of finite times; boltzmann's rows then
+        # update the top rows, keep the others (at bot) and give their Bel
+        vs, out = [add.coerce(chi) for chi in chis], c.copy()
+        if at := [i for i, v in enumerate(vs) if not v.is_top]:
+            tau = np.array([0.02 * -math.expm1(-add.to_float(vs[i])) for i in at])[:, None]
+            pr, vals = c[at], np.array([phis[i].values for i in at])
+            out[at] = normalize_probs(np.clip(pr - tau * (vals - np.vecdot(pr, vals)[:, None]), 0.0, None))
+        return base.rows(phis, [add.top if v.is_top else add.bot for v in vs], out, labels)
+
     # of the honest hooks it keeps only what its own observe satisfies: the
     # time translation, and the Fisher metric that LB measures it against
     hooks = dict(
         _UPDATE_HOOKS,
         make_flow=lambda phi: (lambda t, theta: observe(phi, float(t), theta)),
+        rows=rows,
         translate=base.translate,
         lb_metric=base.lb_metric,
     )

@@ -15,6 +15,7 @@ from conflearn import (
     MUTANT_TARGETS,
     BayesModel,
     CheckConfig,
+    ConfidenceValue,
     EventSet,
     FiniteSimplex,
     ParameterError,
@@ -22,6 +23,7 @@ from conflearn import (
     available_learners,
     belief_distance,
     check_axiom,
+    get_domain,
     get_learner,
     get_mutants,
     lift_to_list,
@@ -29,10 +31,10 @@ from conflearn import (
     run_suite,
     suite_passed,
 )
-from conflearn import axioms
+from conflearn import axioms, learners
 from conflearn.beliefs import belief_to_json
 from conflearn.errors import ConfLearnError, StepBudgetError, ZeroMassEventError
-from conflearn.flows import _MAX_STEPS
+from conflearn.flows import _MAX_STEPS, _coord_kind, belief_coords
 from conflearn.identities import IDENTITIES
 from conflearn.learners import _UPDATE_HOOKS
 from conflearn.axioms import (
@@ -45,6 +47,11 @@ from conflearn.axioms import (
 )
 
 FAST = CheckConfig(seed=0, samples=25)
+
+
+def _labels(belief):
+    """The labels of a belief's coordinates."""
+    return _coord_kind(belief).labels(belief)
 
 
 def _fail_ids(reports):
@@ -80,6 +87,17 @@ def test_expected_skips_are_skips_not_failures():
     assert by_id["LB"].skipped  # no registered metric on mass space
     by_id = {r.axiom_id: r for r in run_suite(get_learner("classifier"), FAST)}
     assert by_id["B2"].skipped  # saturated states unreachable at finite params
+
+
+@pytest.mark.parametrize("axiom_id", AXIOMS)
+def test_a_learner_without_an_instance_sampler_skips_the_laws_that_draw_by_it(axiom_id):
+    # B2 draws by sample_saturated alone; every other law draws instances
+    learner = dataclasses.replace(get_learner("interp"), sample_instance=None)
+    report = check_axiom(learner, axiom_id, FAST)
+    if axiom_id == "B2":
+        assert report == check_axiom(get_learner("interp"), "B2", FAST) and not report.skipped
+    else:
+        assert report.skipped and report.passed and report.note == "learner has no instance sampler"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +185,8 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
     # update is of an instance, once per grid entry, in grid order.  A
     # learner with a rows hook updates by it, and keeps the instance's row at
     # bot, so its searches from bot ask from the instance too: at the grid's
-    # points they read the grid states
+    # points they read the grid states.  The classifier's count grid has no
+    # searches: its residuals from bot are the grid entries
     learner = get_learner(learner_id)
     instances, states, calls = [], [], []
 
@@ -184,10 +203,11 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
 
     def rows(phis, chis, c, labels):
         for chi, row in zip(chis, c):
-            calls.extend((id(t), repr(chi)) for t in instances if t.probs.tobytes() == row.tobytes())
+            calls.extend((id(t), repr(chi)) for t in instances if belief_coords(t).tobytes() == row.tobytes())
         return learner.rows(phis, chis, c, labels)
 
     hook = {"observe": observe} if learner.rows is None else {"rows": rows}
+    search = learner.domain.is_scalar_continuum and learner.bel is not None
     counting = dataclasses.replace(learner, **hook, sample_instance=sample)
     cfg = CheckConfig(seed=0, samples=4)
     assert check_axiom(counting, "L3", cfg) == check_axiom(learner, "L3", cfg)
@@ -196,7 +216,7 @@ def test_l3_observes_each_grid_point_once_per_instance(learner_id):
     for theta in instances:
         asked = [chi for key, chi in calls if key == id(theta)]
         assert [chi for chi in asked if chi in grid] == grid
-        assert len(asked) > len(grid) if learner.rows else asked == grid
+        assert len(asked) > len(grid) if learner.rows and search else asked == grid
 
 
 _WARPS = {"mutant-l1-drift", "mutant-l2-rough", "mutant-l34-cyclic", "mutant-l5-square",
@@ -359,18 +379,24 @@ def test_lifts_and_mutants_keep_no_hook_of_the_honest_update(learner):
     # else trotter_interleave, derivative_field, learn, LB or the law checks'
     # rows could run the honest update in place of the copy's own observe;
     # mutant-lb-euclid sets its own flow, and keeps the time translation and
-    # metric it satisfies; the weight-warp mutants set rows of their own map
+    # metric it satisfies; every mutant, and each lift whose base has rows,
+    # sets rows of its own map
+    if learner.id.endswith("@list"):
+        honest = get_learner(learner.id.removesuffix("@list"))
+    else:  # each mutant corrupts interp, but mutant-lb-euclid boltzmann
+        honest = get_learner("boltzmann" if learner.id == "mutant-lb-euclid" else "interp")
     own = {"make_flow", "translate", "lb_metric"} if learner.id == "mutant-lb-euclid" else set()
-    own |= {"rows"} if learner.id in _WARPS else set()
+    own |= {"rows"} if learner.id in _MUTANT_IDS or honest.rows is not None else set()
     for name in _UPDATE_HOOKS:
         assert (getattr(learner, name) is None) == (name not in own), name
-    if "rows" in own:  # the warped map, not the honest one
-        assert learner.rows is not get_learner("interp").rows
-        phi, p = learner.sample_instance(np.random.default_rng(0))
-        chis = [learner.domain.bot, learner.domain.value(0.3), learner.domain.top]
-        coords, _ = learner.rows([phi] * 3, chis, np.array([p.probs] * 3), p.labels)
-        for row, chi in zip(coords, chis):
-            assert row.tobytes() == learner.observe(phi, chi, p).probs.tobytes()
+    if "rows" in own:  # the copy's own map, not the honest one: its observe and bel, bit for bit
+        assert learner.rows is not honest.rows
+        phi, p = (learner.sample_top_instance or learner.sample_instance)(np.random.default_rng(0))
+        chis = [chi for chi in learner.default_grid if not chi.is_top] + [learner.domain.top]
+        coords, bels = learner.rows([phi] * len(chis), chis, np.array([belief_coords(p)] * len(chis)), _labels(p))
+        for row, bel, chi in zip(coords, bels, chis):
+            after = learner.observe(phi, chi, p)
+            assert (row.tobytes(), bel) == (belief_coords(after).tobytes(), learner.bel(phi, after)), chi
 
 
 # ---------------------------------------------------------------------------
@@ -496,36 +522,51 @@ def test_residual_search_keeps_its_bracket(learner, monkeypatch):
 # The rows hook: each row is its one-belief observe and bel, bit for bit.
 
 
-_ROWS = [get_learner("interp"), get_learner("boltzmann"), get_learner("bayes")] + [
-    m for m in get_mutants() if m.id in _WARPS
-]
+_ROWS = {learner.id: learner for learner in (
+    [get_learner(lid) for lid in ("interp", "boltzmann", "bayes", "classifier")]
+    + list(get_mutants())
+    + [lift_to_list(get_learner(lid)) for lid in ("interp", "boltzmann", "bayes", "classifier")]
+)}
+_ROWS["classifier-3x3"] = get_learner("classifier", n_features=3, n_classes=3)  # w @ x sums three terms
+
+
+@pytest.fixture
+def low_step_cap(monkeypatch):
+    """The classifier's step cap at 64: its update to top from a plain
+    instance stops there, with a NonConvergenceWarning, and larger counts
+    are over the cap."""
+    monkeypatch.setattr(learners, "_MAX_GRADIENT_STEPS", 64)
 
 
 def _rows_learner(learner, labels):
-    """learner over labels: bayes gets a model on them, whose observation
-    rows rule worlds out (e0 none, e1 one, e2 all but one)."""
-    if learner.id != "bayes":
+    """learner over labels: bayes (and its lift) gets a model on them, whose
+    observation rows rule worlds out (e0 none, e1 one, e2 all but one)."""
+    if learner.id.removesuffix("@list") != "bayes":
         return learner
     n, rng = len(labels), np.random.default_rng(len(labels))
     lik = {f"e{i}": rng.uniform(0.05, 1.0, size=n) for i in range(3)}
     lik["e1"][0] = 0.0
     lik["e2"][1:] = 0.0
-    return get_learner("bayes", model=BayesModel(labels, lik))
+    bayes = get_learner("bayes", model=BayesModel(labels, lik))
+    return bayes if learner.id == "bayes" else lift_to_list(bayes)
 
 
 def _rows_instance(learner, rng, labels):
     """An observation and a prior over labels (a world without mass at
-    times), the observation one that may be past half the float range."""
-    n = len(labels)
+    times), the observation one that may be past half the float range; or
+    a classifier's example and parameters, from its top sampler at times."""
+    base, n = learner.id.removesuffix("@list"), len(labels)
+    if base == "classifier":
+        return (learner.sample_top_instance if rng.uniform() < 0.3 else learner.sample_instance)(rng)
     probs = rng.dirichlet(np.ones(n))
     if rng.uniform() < 0.3:
         probs[int(rng.integers(n))] = 0.0
-    if learner.id == "boltzmann":
+    if base in ("boltzmann", "mutant-lb-euclid"):
         values = rng.normal(0.0, 1.0, size=n)
-        if rng.uniform() < 0.2:
+        if rng.uniform() < 0.2 and base == "boltzmann":  # the mutant's E[v] would overflow
             values[int(rng.integers(n))] = 1.7e308
         phi = RandomVariable(labels, values)
-    elif learner.id == "bayes":
+    elif base == "bayes":
         phi = f"e{int(rng.integers(3))}"
     else:
         phi = EventSet(labels, int(rng.integers(1, (1 << n) - 1)))
@@ -539,19 +580,22 @@ def _rows_confidence(learner, rng):
 
 
 def _alone(learner, phi, chi, p):
-    """observe and bel of one belief: its probabilities' bytes and bel, or its error."""
+    """observe and bel of one belief: its coordinates' bytes and bel, or its error."""
     try:
         after = learner.observe(phi, chi, p)
+        return belief_coords(after).tobytes(), learner.bel(phi, after)
     except ConfLearnError as exc:
         return exc
-    return after.probs.tobytes(), learner.bel(phi, after)
 
 
-@pytest.mark.parametrize("base", _ROWS, ids=lambda learner: learner.id)
+@pytest.mark.filterwarnings("ignore::conflearn.learners.NonConvergenceWarning")
+@pytest.mark.parametrize("base", list(_ROWS.values()), ids=list(_ROWS))
 @pytest.mark.parametrize("n", range(2, 9))
-def test_rows_hook_is_each_rows_observe_and_bel_bytewise(base, n):
-    # rows of one world set, each its own observation, prior and confidence
-    # (bot, interior and top): each row has the bits its belief gets alone
+def test_rows_hook_is_each_rows_observe_and_bel_bytewise(base, n, low_step_cap):
+    # rows of one belief space, each its own observation, prior and
+    # confidence (bot, interior and top; a classifier's walks to top from
+    # plain instances stop at the cap): each row has the bits its belief
+    # gets alone
     labels = tuple(f"w{i}" for i in range(n))
     learner, rng = _rows_learner(base, labels), np.random.default_rng(n)
     cases = []
@@ -561,18 +605,20 @@ def test_rows_hook_is_each_rows_observe_and_bel_bytewise(base, n):
         if not isinstance(_alone(learner, phi, chi, p), ConfLearnError):
             cases.append((phi, chi, p))
     phis, chis, ps = zip(*cases)
-    coords, bels = learner.rows(list(phis), list(chis), np.array([p.probs for p in ps]), labels)
+    coords, bels = learner.rows(list(phis), list(chis), np.array([belief_coords(p) for p in ps]), _labels(ps[0]))
     assert len(coords) == len(bels) == len(cases)
     for row, bel, case in zip(coords, bels, cases):
         assert (row.tobytes(), bel) == _alone(learner, *case)
     assert any(chi.is_bot for chi in chis) and any(chi.is_top for chi in chis)
 
 
-@pytest.mark.parametrize("learner", [lr for lr in _ROWS if lr.id != "bayes"], ids=lambda learner: learner.id)
-def test_check_updates_on_rows_of_mixed_world_counts_are_the_per_point_loop(learner):
-    # the law checks' updates: asks over instances of 2-8 worlds, in one
-    # rows call per world set, give each ask the state and bel it gets alone
-    rng = np.random.default_rng(5)
+@pytest.mark.filterwarnings("ignore::conflearn.learners.NonConvergenceWarning")
+@pytest.mark.parametrize("name", [name for name in _ROWS if not name.startswith("bayes")])
+def test_check_updates_on_rows_of_mixed_world_counts_are_the_per_point_loop(name, low_step_cap):
+    # the law checks' updates: asks over instances of 2-8 worlds (a
+    # classifier's, of its one shape), in one rows call per belief space,
+    # give each ask the state and bel it gets alone
+    learner, rng = _ROWS[name], np.random.default_rng(5)
     instances = [_rows_instance(learner, rng, tuple(f"w{i}" for i in range(int(rng.integers(2, 9))))) for _ in range(30)]
     update = axioms._Updates(learner, instances)
     asks = []
@@ -581,55 +627,124 @@ def test_check_updates_on_rows_of_mixed_world_counts_are_the_per_point_loop(lear
         chi = _rows_confidence(learner, rng)
         if not isinstance(_alone(learner, instances[k][0], chi, instances[k][1]), ConfLearnError):
             asks.append((k, chi, update.starts[k]))
-    assert len({len(instances[k][1].labels) for k, _, _ in asks}) == 7
+    assert len({update.spaces[k] for k, _, _ in asks}) == (1 if learner.belief_kind == "params" else 7)
     for (k, chi, _), (state, bel) in zip(asks, update(asks)):
         assert (state.tobytes(), bel) == _alone(learner, instances[k][0], chi, instances[k][1])
 
 
 def _failing(learner, labels):
-    """Two instances over labels whose updates at the confidence returned
-    with them fail alone, each with its own message."""
-    n = len(labels)
-    if learner.id == "boltzmann":  # the least-penalty world holds 5e-324, then 1e-320
+    """Two instances over labels, each with a confidence at which its update
+    fails alone with its own message, and a confidence for other instances."""
+    n, base, dom = len(labels), learner.id.removesuffix("@list"), learner.domain
+    if base in ("boltzmann", "mutant-lb-euclid"):  # the least-penalty world holds 5e-324, then 1e-320
         values = np.zeros(n)
         values[0] = 1e-300
-        return [
-            (RandomVariable(labels, values), FiniteSimplex(labels, np.array([1.0, tiny] + [0.0] * (n - 2))))
-            for tiny in (5e-324, 1e-320)
-        ], learner.domain.top
-    if learner.id == "bayes":  # e2 holds w0 alone and e1 rules it out: priors on the other worlds, then on w0
+        fails = [(RandomVariable(labels, values), FiniteSimplex(labels, np.array([1.0, tiny] + [0.0] * (n - 2))))
+                 for tiny in (5e-324, 1e-320)]
+        chis = [dom.top] * 3
+    elif base == "bayes":  # e2 holds w0 alone and e1 rules it out: priors on the other worlds, then on w0
         others = FiniteSimplex(labels, np.array([0.0] + [1.0 / (n - 1)] * (n - 1)))
-        return [("e2", others), ("e1", FiniteSimplex(labels, np.eye(n)[0]))], learner.domain.value(1.0)
-    small = FiniteSimplex(labels, np.array([1.0 - 5e-13, 5e-13] + [0.0] * (n - 2)))
-    none = FiniteSimplex(labels, np.array([1.0] + [0.0] * (n - 1)))
-    return [(EventSet(labels, 0b10), small), (EventSet(labels, 0b10), none)], learner.domain.value(0.5)
+        fails, chis = [("e2", others), ("e1", FiniteSimplex(labels, np.eye(n)[0]))], [1.0] * 3
+    elif base == "classifier":  # parameters whose logits overflow, then a count over the cap
+        ex, theta = learner.sample_instance(np.random.default_rng(n))
+        big = learners.LabeledExample(np.ones(len(ex.x)), 0), np.full(len(theta), 1.5e308)
+        fails, chis = [big, (ex, theta)], [2, 65, 2]
+    elif base == "mutant-b2-uniform":  # a confidence of another domain, then an event over other worlds
+        p = FiniteSimplex(labels, np.full(n, 1.0 / n))
+        fails = [(EventSet(labels, 0b10), p), (EventSet(tuple(f"v{i}" for i in range(n)), 0b10), p)]
+        chis = [get_domain("add").value(2.0), 0.5, 0.5]
+    else:
+        small = FiniteSimplex(labels, np.array([1.0 - 5e-13, 5e-13] + [0.0] * (n - 2)))
+        none = FiniteSimplex(labels, np.array([1.0] + [0.0] * (n - 1)))
+        fails, chis = [(EventSet(labels, 0b10), small), (EventSet(labels, 0b10), none)], [0.5] * 3
+    # a lift's: each value as a list of one (top is its own)
+    chis = [chi if isinstance(chi, ConfidenceValue) else dom.coerce([chi] if base != learner.id else chi) for chi in chis]
+    return [(phi, p, chi) for (phi, p), chi in zip(fails, chis)], chis[-1]
 
 
-@pytest.mark.parametrize("base", _ROWS, ids=lambda learner: learner.id)
-def test_check_updates_raise_the_first_asks_own_error(base):
+@pytest.mark.filterwarnings("ignore::conflearn.learners.NonConvergenceWarning")
+@pytest.mark.parametrize("base", list(_ROWS.values()), ids=list(_ROWS))
+def test_check_updates_raise_the_first_asks_own_error(base, low_step_cap):
     # a batch that fails raises the error of its first ask that fails alone,
     # though a later ask fails too, with its own message: in the world set
-    # the batch updates first (interp, boltzmann, the mutants) or in the
+    # the batch updates first (the simplex learners but bayes), or in the
     # same one, whose stacked penalty names the batch's first observation
-    # (bayes)
+    # (bayes), or whose count check comes before any step (the classifier)
     big, small = ("w0", "w1", "w2"), ("w0", "w1")
     rng = np.random.default_rng(7)
-    if base.id == "bayes":
-        learner = _rows_learner(base, big)
+    learner = _rows_learner(base, big)
+    if base.id.startswith("bayes"):
         fine = [_rows_instance(learner, rng, big) for _ in range(4)]
         (first, later), chi = _failing(learner, big)
-        instances = [fine[0], first, fine[1], later]
+        instances = [fine[0], first[:2], fine[1], later[:2]]
     else:
-        learner = base
         (first, _), chi = _failing(learner, big)
         (_, later), _ = _failing(learner, small)
-        instances = [_rows_instance(learner, rng, small), first, _rows_instance(learner, rng, big), later]
-    errors = [_alone(learner, phi, chi, p) for phi, p in instances]
+        instances = [_rows_instance(learner, rng, small), first[:2], _rows_instance(learner, rng, big), later[:2]]
+    chis = [chi, first[2], chi, later[2]]
+    errors = [_alone(learner, phi, c, p) for (phi, p), c in zip(instances, chis)]
     assert [isinstance(e, ConfLearnError) for e in errors] == [False, True, False, True]
     assert str(errors[1]) != str(errors[3])
     update = axioms._Updates(learner, instances)
     with pytest.raises(type(errors[1]), match=f"^{re.escape(str(errors[1]))}$"):
-        update([(k, chi, start) for k, start in enumerate(update.starts)])
+        update([(k, c, start) for k, (c, start) in enumerate(zip(chis, update.starts))])
+
+
+def _l5_per_sample(learner, cfg, chk):
+    """L5 as its per-sample loop ran it before the check's updates were batched."""
+    for _ in range(cfg.samples):
+        chi = axioms._draw_confidence(learner, chk.rng)
+        chi2 = axioms._draw_confidence(learner, chk.rng)
+        if (chi.is_top or chi2.is_top) and learner.sample_top_instance:
+            phi, theta = learner.sample_top_instance(chk.rng)
+        else:
+            phi, theta = learner.sample_instance(chk.rng)
+        pair = axioms._unless_truncated(lambda: (
+            learner.observe(phi, chi, learner.observe(phi, chi2, theta)),
+            learner.observe(phi, learner.domain.combine(chi, chi2), theta),
+        ))
+        if pair is None:
+            continue
+        chk.offer(belief_distance(*pair), phi=phi, theta=theta, chi_outer=chi, chi_inner=chi2)
+    if not chk.offers:
+        return chk.skip("no convergent instances sampled")
+    return chk.report()
+
+
+def _fc_per_sample(learner, cfg, chk):
+    """FC as its per-sample loop ran it before the check's updates were batched."""
+    top = learner.domain.top
+
+    def twice(phi, theta):
+        once = learner.observe(phi, top, theta)
+        return learner.observe(phi, top, once), once
+
+    for phi, theta in axioms._top_instances(learner, chk.rng, cfg.samples):
+        pair = axioms._unless_truncated(twice, phi, theta)
+        if pair is None:
+            continue
+        chk.offer(belief_distance(*pair), phi=phi, theta=theta)
+    if not chk.offers:
+        return chk.skip("no instance reached the full-confidence limit")
+    return chk.report()
+
+
+@pytest.mark.filterwarnings("ignore::conflearn.learners.NonConvergenceWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_l5_and_fc_skip_the_truncated_samples_the_per_sample_loops_skip(seed, low_step_cap):
+    # half the classifier's top instances are plain ones, whose walk to top
+    # stops at the cap of 64 steps: a batch that warns runs again one ask at
+    # a time, and the samples with a truncated update are the loop's skips
+    base = get_learner("classifier")
+    learner = dataclasses.replace(base, sample_top_instance=lambda rng: (
+        base.sample_top_instance if rng.uniform() < 0.5 else base.sample_instance)(rng))
+    cfg = CheckConfig(seed=seed)
+    for axiom_id, loop in (("L5", _l5_per_sample), ("FC", _fc_per_sample)):
+        got, want = axioms._Check(learner, axiom_id, cfg), axioms._Check(learner, axiom_id, cfg)
+        report = check_axiom(learner, axiom_id, cfg)
+        assert report == axioms._CHECKERS[axiom_id](learner, cfg, got) == loop(learner, cfg, want)
+        assert (got.value, got.witness, got.offers) == (want.value, want.witness, want.offers)
+        assert 0 < want.offers < cfg.samples, (axiom_id, want.offers)
 
 
 def test_check_updates_memo_keeps_two_instances_of_one_prior_apart():
